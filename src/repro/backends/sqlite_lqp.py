@@ -97,18 +97,6 @@ def _storable(value: Any) -> bool:
     return False
 
 
-def _pushable_literal(value: Any) -> bool:
-    """Whether ``value`` may appear as a bound query literal.  Looser than
-    :func:`_storable`: bools and NaN *bind* with semantics matching
-    Python's ``==`` (``1 == True``; nothing equals NaN), they just must
-    never be stored."""
-    if value is None or isinstance(value, (bool, str)):
-        return True
-    if isinstance(value, int):
-        return _INT64_MIN <= value <= _INT64_MAX
-    return isinstance(value, float)
-
-
 class SqliteLQP(LocalQueryProcessor):
     """One autonomous local database stored in SQLite.
 

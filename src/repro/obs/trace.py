@@ -42,6 +42,7 @@ __all__ = [
     "Span",
     "Tracer",
     "current_span",
+    "now",
     "span_payloads",
     "spans_from_payloads",
     "use_span",
@@ -60,7 +61,8 @@ _WALL_ANCHOR = time.time()
 _PERF_ANCHOR = time.perf_counter()
 
 
-def _now() -> float:
+def now() -> float:
+    """The span clock: what ``Span.start``/``finish`` are read off."""
     return _WALL_ANCHOR + (time.perf_counter() - _PERF_ANCHOR)
 
 
@@ -125,7 +127,7 @@ class Span:
             trace_id=self.trace_id,
             span_id=_new_id(),
             parent_id=self.span_id,
-            start=_now(),
+            start=now(),
             attributes=dict(attributes),
             _book=self._book,
         )
@@ -136,7 +138,7 @@ class Span:
     def end(self, error: Optional[BaseException] = None) -> "Span":
         """Close the span; idempotent (the first close wins)."""
         if self.finish is None:
-            self.finish = _now()
+            self.finish = now()
             if error is not None:
                 self.status = "error"
                 self.attributes.setdefault("error", repr(error))
@@ -160,7 +162,7 @@ class Span:
         """Record a point-in-time marker; capped at :data:`MAX_EVENTS`."""
         if len(self.events) >= MAX_EVENTS:
             return
-        event: Dict[str, object] = {"name": name, "at": _now()}
+        event: Dict[str, object] = {"name": name, "at": now()}
         if attributes:
             event.update(attributes)
         self.events.append(event)
@@ -169,7 +171,7 @@ class Span:
 
     @property
     def duration(self) -> float:
-        return (self.finish if self.finish is not None else _now()) - self.start
+        return (self.finish if self.finish is not None else now()) - self.start
 
     def trace_spans(self) -> List["Span"]:
         """Every span recorded in this trace so far (self included)."""
@@ -200,7 +202,7 @@ class Span:
             "span": self.span_id,
             "parent": self.parent_id,
             "start": self.start,
-            "finish": self.finish if self.finish is not None else _now(),
+            "finish": self.finish if self.finish is not None else now(),
             "status": self.status,
         }
         if self.attributes:
@@ -286,7 +288,7 @@ class Tracer:
             trace_id=_new_id(128),
             span_id=_new_id(),
             parent_id=None,
-            start=_now(),
+            start=now(),
             attributes=dict(attributes),
             _book=book,
         )
@@ -309,7 +311,7 @@ class Tracer:
             trace_id=str(context.get("id", "")) or _new_id(128),
             span_id=_new_id(),
             parent_id=str(context.get("span", "")) or None,
-            start=_now(),
+            start=now(),
             attributes=dict(attributes),
             _book=book,
         )

@@ -20,15 +20,23 @@ schemes it flowed through.  The provenance explainer uses this to realize
 the paper's §IV observation (3) — mapping a tagged cell back to concrete
 ``(LD, LS, LA)`` columns — without guessing which scheme an attribute
 belongs to.
+
+There is **one way to run a row**: :meth:`_PlanRun.run`, on the per-plan
+run record that also owns the results, lineages and timings.  What varies
+is only *when and where* it is called — inline in plan order
+(:class:`Executor`), from a DAG ready-set across a worker pool
+(:class:`~repro.pqp.runtime.ConcurrentExecutor`), or, for a streamable
+spine with a chunk consumer, chunk-at-a-time through
+:meth:`_PlanRun.stream` — and every scheduler leaves the same record
+behind.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import PolygenSchema
 from repro.core import algebra, derived
@@ -40,7 +48,7 @@ from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.tagging import materialize
-from repro.obs.trace import Span, current_span, use_span
+from repro.obs.trace import Span, current_span, now
 from repro.relational.relation import Relation
 from repro.storage import kernels
 from repro.pqp import stream as pqp_stream
@@ -125,14 +133,207 @@ class ExecutionTrace:
         return busy
 
 
+class _PlanRun:
+    """One plan's execution: the record every scheduler fills, and the
+    single place a row is run.
+
+    :meth:`run` checks cancellation, opens the ``row R(#)`` span and makes
+    it ambient, evaluates the row, wraps a foreign failure as an
+    :class:`~repro.errors.ExecutionError` naming the row, closes the span,
+    builds the :class:`RowTiming`, stores the result and fires
+    ``on_result`` on the final row.  :meth:`stream` does the same for a
+    whole spine under one ``stream R(#)`` span.  Pool workers call
+    :meth:`run` concurrently; each writes only its own row's keys (single
+    dict stores, atomic under the interpreter lock), and a consumer reads
+    ``R(#)`` only after the scheduler has seen that row complete.
+    """
+
+    def __init__(
+        self,
+        executor: Executor,
+        iom: IntermediateOperationMatrix,
+        cancel: threading.Event | None,
+        on_result: Optional[Callable[[PolygenRelation], None]],
+    ):
+        if not len(iom):
+            raise ExecutionError("cannot execute an empty operation matrix")
+        self._executor = executor
+        self.results: Dict[int, PolygenRelation] = {}
+        self.lineages: Dict[int, Lineage] = {}
+        self.timings: Dict[int, RowTiming] = {}
+        self._final = iom[-1].result.index
+        self._cancel = cancel
+        self._on_result = on_result
+        #: Set by a scheduler that gave the plan up, so this plan's jobs
+        #: still queued on a *shared* pool degrade to no-ops instead of
+        #: issuing pointless LQP traffic.
+        self.halted = False
+        # Row spans hang off the ambient span (the federation's execute
+        # stage), captured here because pool workers cannot see the
+        # coordinator's contextvar.  With no ambient span — a bare
+        # executor — a row is timed by two plain clock reads; with one,
+        # the span's own start/finish *are* the timing, so the plan's
+        # origin is read off the span clock.
+        self._parent = current_span()
+        self._origin = time.perf_counter() if self._parent is None else now()
+
+    def check_cancel(self) -> None:
+        if self.halted or (self._cancel is not None and self._cancel.is_set()):
+            raise QueryCancelledError("query cancelled")
+
+    def run(self, row: MatrixRow, worker: str) -> None:
+        """Execute one row, recording it under ``worker``'s label."""
+        relation, start, finish = self._spanned(
+            f"row {row.result}", row, self._evaluate, row
+        )
+        self.timings[row.result.index] = RowTiming(
+            start=start, finish=finish, location=row.el or "PQP", worker=worker
+        )
+        if row.result.index == self._final and self._on_result is not None:
+            self._on_result(relation)
+
+    def stream(
+        self,
+        chain: Sequence[MatrixRow],
+        worker: str,
+        on_chunk: Callable[[PolygenRelation], None],
+        chunk_size: Optional[int],
+        wire_format: str,
+    ) -> None:
+        """Execute a streamable spine chunk-at-a-time (:mod:`repro.pqp.stream`).
+
+        Chunks ship from the head LQP — over the wire via its
+        ``retrieve_chunks``/``select_chunks`` when it has them, otherwise
+        by slicing the whole shipped relation locally, so the caller's
+        ``on_chunk`` cadence is uniform across deployments — and flow
+        through the PQP stages as they arrive.  The record ends up
+        byte-identical to whole-relation execution: same intermediate
+        results, tags, lineages; only the timings differ.  One span covers
+        the whole pipelined spine (rows overlap in a stream, so per-row
+        spans would all be the same interval; chunk arrivals land on it as
+        capped events).  For the same reason the rows share the interval
+        instead of each claiming it: a PQP row is charged what its stage
+        clocked, the head row the rest, laid end to end — so busy time
+        never exceeds the stream's wall clock.
+        """
+        head = chain[0]
+        executor = self._executor
+        lqp, scheme, columns = executor._source(head)
+        pipeline = pqp_stream.ChunkPipeline(
+            chain, lambda chunk: executor._materialize(head, scheme, chunk)
+        )
+        chunks = executor._chunks(
+            head,
+            lqp,
+            columns,
+            chunk_size or pqp_stream.DEFAULT_STREAM_CHUNK_TUPLES,
+            wire_format,
+            self._cancel,
+        )
+        relation, start, finish = self._spanned(
+            f"stream {head.result}",
+            head,
+            self._pump,
+            chain,
+            pipeline,
+            chunks,
+            on_chunk,
+            rows=len(chain),
+        )
+        spent = pipeline.stage_seconds()
+        spent[0] = finish - start - sum(spent[1:])
+        for row, seconds in zip(chain, spent):
+            self.timings[row.result.index] = RowTiming(
+                start=start,
+                finish=start + seconds,
+                location=row.el or "PQP",
+                worker=worker,
+            )
+            start += seconds
+        if self._on_result is not None:
+            self._on_result(relation)
+
+    def trace(self) -> ExecutionTrace:
+        final = self._final
+        return ExecutionTrace(
+            self.results[final],
+            self.results,
+            self.lineages[final],
+            self.timings,
+            lineages=self.lineages,
+        )
+
+    # ------------------------------------------------------------------
+
+    def _spanned(self, name: str, row: MatrixRow, body, *args, **attributes):
+        """Run ``body(*args)`` under a ``name`` span of the plan's trace
+        (when it has one); ``(relation, start, finish)``, the interval in
+        seconds since the plan began.  ``row`` labels the span and any
+        failure."""
+        self.check_cancel()
+        span = (
+            self._parent.child(
+                name, op=row.op.value, location=row.el or "PQP", **attributes
+            )
+            if self._parent is not None
+            else None
+        )
+        try:
+            if span is None:
+                start = time.perf_counter()
+                relation = body(*args)
+                finish = time.perf_counter()
+            else:
+                with span:  # ambient inside, closed (with the error) on exit
+                    relation = body(*args)
+                    span.set(tuples=len(relation))
+                start, finish = span.start, span.finish
+        except ExecutionError:
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                f"row {row.result} ({row.op.value}) failed: {exc}"
+            ) from exc
+        return relation, start - self._origin, finish - self._origin
+
+    def _evaluate(self, row: MatrixRow) -> PolygenRelation:
+        index = row.result.index
+        relation, self.lineages[index] = self._executor._execute_row(
+            row, self.results, self.lineages
+        )
+        self.results[index] = relation
+        return relation
+
+    def _pump(
+        self,
+        chain: Sequence[MatrixRow],
+        pipeline: pqp_stream.ChunkPipeline,
+        chunks: Iterator[Relation],
+        on_chunk: Callable[[PolygenRelation], None],
+    ) -> PolygenRelation:
+        """Drive ``chunks`` through ``pipeline`` and record every spine
+        row's result and lineage; the spine's final relation."""
+        span = current_span()
+        for chunk in chunks:
+            self.check_cancel()
+            if span is not None:
+                span.add_event("chunk", tuples=len(chunk.rows))
+            batch = pipeline.push(chunk)
+            if batch is not None:
+                on_chunk(batch)
+        self.check_cancel()
+        self.results.update(pipeline.finish())
+        inputs: List[Lineage] = []
+        for row in chain:
+            index = row.result.index
+            lineage = _row_lineage(row, self.results[index].attributes, inputs)
+            self.lineages[index] = lineage
+            inputs = [lineage]
+        return self.results[self._final]
+
+
 class Executor:
     """Evaluates Intermediate Operation Matrices."""
-
-    #: Worker label the streaming path stamps on row timings.  The chunk
-    #: pipeline runs inline on the submitting thread, so the serial engine
-    #: keeps its historical "serial" label; the concurrent runtime
-    #: overrides this to mark pipelined rows distinctly.
-    _stream_worker = "serial"
 
     def __init__(
         self,
@@ -182,71 +383,16 @@ class Executor:
         ``"binary"``).  Non-spine plans ignore all three and execute
         whole-relation as before — ``on_result`` still delivers.
         """
-        if not len(iom):
-            raise ExecutionError("cannot execute an empty operation matrix")
-        if on_chunk is not None:
-            chain = pqp_stream.streamable_spine(iom)
-            if chain is not None:
-                return self._execute_streaming(
-                    iom,
-                    chain,
-                    cancel=cancel,
-                    on_result=on_result,
-                    on_chunk=on_chunk,
-                    stream_chunk_size=stream_chunk_size,
-                    wire_format=wire_format,
-                )
-        final = iom.rows[-1].result.index
-        results: Dict[int, PolygenRelation] = {}
-        lineages: Dict[int, Lineage] = {}
-        timings: Dict[int, RowTiming] = {}
-        # Row spans hang off the ambient span (the federation's execute
-        # stage).  With no ambient span — a bare executor — every span
-        # branch below is skipped outright, keeping the untraced hot path
-        # at its historical two clock reads per row.
-        trace_parent = current_span()
-        origin = time.perf_counter()
-        for row in iom:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelledError("query cancelled")
-            span = (
-                trace_parent.child(
-                    f"row {row.result}",
-                    op=row.op.value,
-                    location=row.el or "PQP",
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
-            try:
-                with use_span(span) if span is not None else nullcontext():
-                    relation, lineage = self._execute_row(row, results, lineages)
-            except ExecutionError as exc:
-                if span is not None:
-                    span.end(exc)
-                raise
-            except Exception as exc:
-                if span is not None:
-                    span.end(exc)
-                raise ExecutionError(
-                    f"row {row.result} ({row.op.value}) failed: {exc}"
-                ) from exc
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            results[row.result.index] = relation
-            lineages[row.result.index] = lineage
-            timings[row.result.index] = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location=row.el or "PQP",
-                worker="serial",
-            )
-            if row.result.index == final and on_result is not None:
-                on_result(relation)
-        return ExecutionTrace(
-            results[final], results, lineages[final], timings, lineages=lineages
-        )
+        run = _PlanRun(self, iom, cancel, on_result)
+        chain = pqp_stream.streamable_spine(iom) if on_chunk is not None else None
+        if chain is not None:
+            # The chunk pipeline runs inline on the submitting thread, so
+            # this engine's spine rows keep its "serial" worker label.
+            run.stream(chain, "serial", on_chunk, stream_chunk_size, wire_format)
+        else:
+            for row in iom:
+                run.run(row, "serial")
+        return run.trace()
 
     # ------------------------------------------------------------------
 
@@ -259,21 +405,31 @@ class Executor:
         if row.op is Operation.CACHED:
             if row.cached is None:
                 raise ExecutionError(f"Cached row {row.result} carries no payload")
-            return row.cached.relation, dict(row.cached.lineage)
-        if row.is_local:
-            return self._execute_local(row)
-        return self._execute_at_pqp(row, results, lineages)
+            relation, inputs = row.cached.relation, ()
+        elif row.is_local:
+            lqp, scheme, columns = self._source(row)
+            shipped = self._ship_local(row, lqp, columns)
+            relation, inputs = self._materialize(row, scheme, shipped), ()
+        else:
+            relation = self._execute_at_pqp(row, results)
+            inputs = [lineages[ref.index] for ref in row.referenced_results()]
+        return relation, _row_lineage(row, relation.attributes, inputs)
 
-    def _execute_local(self, row: MatrixRow) -> Tuple[PolygenRelation, Lineage]:
+    def _source(self, row: MatrixRow):
+        """``(lqp, scheme, columns)`` of a local row: where it runs, the
+        polygen scheme it materializes into, the local columns to ship."""
         if not isinstance(row.lhr, LocalOperand):
             raise ExecutionError(
                 f"local row {row.result} must name a local relation, got {row.lhr!r}"
             )
         lqp = self._registry.get(row.el)
         scheme = self._schema.scheme(row.scheme)
-        columns = self._shipped_columns(lqp, scheme, row)
-        shipped = self._ship_local(row, lqp, columns)
-        relation = materialize(
+        return lqp, scheme, self._shipped_columns(lqp, scheme, row)
+
+    def _materialize(self, row: MatrixRow, scheme, shipped: Relation) -> PolygenRelation:
+        """Domain-map, identity-resolve, rename and tag what a local row
+        shipped (the whole relation, or one chunk of it)."""
+        return materialize(
             shipped,
             row.el,
             scheme,
@@ -284,8 +440,6 @@ class Executor:
             consulted=row.consulted,
             tag_pool=self._tag_pool,
         )
-        lineage = {attribute: frozenset({scheme.name}) for attribute in relation.attributes}
-        return relation, lineage
 
     @staticmethod
     def _ship_local(row: MatrixRow, lqp, columns) -> Relation:
@@ -339,147 +493,28 @@ class Executor:
 
     # -- pipelined streaming -------------------------------------------
 
-    def _execute_streaming(
-        self,
-        iom: IntermediateOperationMatrix,
-        chain: Tuple[MatrixRow, ...],
-        *,
-        cancel: threading.Event | None,
-        on_result: Optional[Callable[[PolygenRelation], None]],
-        on_chunk: Callable[[PolygenRelation], None],
-        stream_chunk_size: Optional[int],
-        wire_format: str,
-    ) -> ExecutionTrace:
-        """Evaluate a spine plan chunk-at-a-time (:mod:`repro.pqp.stream`).
-
-        Chunks ship from the head LQP — over the wire via its
-        ``retrieve_chunks``/``select_chunks`` when it has them, otherwise
-        by slicing the whole shipped relation locally, so the caller's
-        ``on_chunk`` cadence is uniform across deployments — and flow
-        through the PQP stages as they arrive.  The returned trace is
-        byte-identical to whole-relation execution: same intermediate
-        results, tags, lineages; only the timings differ (every row spans
-        the stream, worker ``"stream"``).
-        """
-        head = chain[0]
-        if not isinstance(head.lhr, LocalOperand):
-            raise ExecutionError(
-                f"local row {head.result} must name a local relation, got {head.lhr!r}"
-            )
-        lqp = self._registry.get(head.el)
-        scheme = self._schema.scheme(head.scheme)
-        columns = self._shipped_columns(lqp, scheme, head)
-        chunk_size = stream_chunk_size or pqp_stream.DEFAULT_STREAM_CHUNK_TUPLES
-
-        def materialize_chunk(chunk: Relation) -> PolygenRelation:
-            return materialize(
-                chunk,
-                head.el,
-                scheme,
-                resolver=self._resolver,
-                transforms=self._transforms,
-                relation_name=head.lhr.relation,
-                attributes=head.project,
-                consulted=head.consulted,
-                tag_pool=self._tag_pool,
-            )
-
-        pipeline = pqp_stream.ChunkPipeline(chain, materialize_chunk, scheme.name)
-        # One span covers the whole pipelined spine (rows overlap in a
-        # stream, so per-row spans would all be the same interval); chunk
-        # arrivals land as capped span events.
-        trace_parent = current_span()
-        span = (
-            trace_parent.child(
-                f"stream {head.result}",
-                op=head.op.value,
-                location=head.el or "PQP",
-                rows=len(chain),
-            )
-            if trace_parent is not None
-            else None
-        )
-        origin = time.perf_counter()
-
-        def check_cancel() -> None:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelledError("query cancelled")
-
-        def emit(chunk: Relation) -> None:
-            if span is not None:
-                span.add_event("chunk", tuples=len(chunk.rows))
-            batch = pipeline.push(chunk)
-            if batch is not None:
-                on_chunk(batch)
-
-        check_cancel()
-        try:
-            with use_span(span) if span is not None else nullcontext():
-                streamer = self._chunk_streamer(
-                    lqp, head, columns, chunk_size, wire_format, cancel
-                )
-                if streamer is not None:
-                    wire_stream = streamer()
-                    delivered = False
-                    for wire_chunk in wire_stream:
-                        check_cancel()
-                        emit(Relation(wire_chunk.attributes, wire_chunk.rows))
-                        delivered = True
-                    if not delivered:
-                        attributes = wire_stream.attributes
-                        if not attributes:
-                            raise ExecutionError(
-                                f"row {head.result}: stream ended without a heading"
-                            )
-                        emit(Relation(attributes, []))
-                else:
-                    shipped = self._ship_local(head, lqp, columns)
-                    rows = shipped.rows
-                    if rows:
-                        for start in range(0, len(rows), chunk_size):
-                            check_cancel()
-                            emit(Relation(shipped.heading, rows[start : start + chunk_size]))
-                    else:
-                        emit(Relation(shipped.heading, []))
-        except (ExecutionError, QueryCancelledError) as exc:
-            if span is not None:
-                span.end(exc)
-            raise
-        except Exception as exc:
-            if span is not None:
-                span.end(exc)
-            raise ExecutionError(
-                f"streamed plan failed at row {head.result} "
-                f"({head.op.value}): {exc}"
-            ) from exc
-        check_cancel()
-        results, lineages = pipeline.finish()
-        finish = time.perf_counter() - origin
-        if span is not None:
-            final_index = iom.rows[-1].result.index
-            span.set(tuples=len(results[final_index])).end()
-        timings = {
-            row.result.index: RowTiming(
-                start=0.0,
-                finish=finish,
-                location=row.el or "PQP",
-                worker=self._stream_worker,
-            )
-            for row in chain
-        }
-        final = iom.rows[-1].result.index
-        relation = results[final]
-        if on_result is not None:
-            on_result(relation)
-        return ExecutionTrace(
-            relation, results, lineages[final], timings, lineages=lineages
-        )
-
-    @staticmethod
-    def _chunk_streamer(lqp, row: MatrixRow, columns, chunk_size, wire_format, cancel):
-        """A thunk opening a wire chunk stream for the head row, or ``None``
-        when this LQP cannot stream (duck-typed: wrappers and in-process
-        engines simply lack the methods)."""
+    @classmethod
+    def _chunks(
+        cls, row: MatrixRow, lqp, columns, chunk_size: int, wire_format: str, cancel
+    ) -> Iterator[Relation]:
+        """What a spine's head row ships, as a stream of untagged chunks:
+        wire chunks when the LQP can stream (duck-typed: wrappers and
+        in-process engines simply lack the methods), else slices of the
+        whole shipped relation.  Always at least one chunk — an empty scan
+        yields an empty one, which is how every stage learns its heading."""
+        if row.op is Operation.RETRIEVE:
+            opener, operands = getattr(lqp, "retrieve_chunks", None), ()
+        else:
+            opener = getattr(lqp, "select_chunks", None)
+            operands = (row.lha, row.theta, row.rha.value)
+        if not callable(opener):
+            shipped = cls._ship_local(row, lqp, columns)
+            rows = shipped.rows
+            for start in range(0, len(rows), chunk_size):
+                yield Relation(shipped.heading, rows[start : start + chunk_size])
+            if not rows:
+                yield Relation(shipped.heading, [])
+            return
         kwargs = {
             "chunk_size": chunk_size,
             "wire_format": None if wire_format in (None, "auto") else wire_format,
@@ -487,17 +522,18 @@ class Executor:
         }
         if columns is not None:
             kwargs["columns"] = columns
-        if row.op is Operation.RETRIEVE:
-            opener = getattr(lqp, "retrieve_chunks", None)
-            if not callable(opener):
-                return None
-            return lambda: opener(row.lhr.relation, **kwargs)
-        opener = getattr(lqp, "select_chunks", None)
-        if not callable(opener):
-            return None
-        return lambda: opener(
-            row.lhr.relation, row.lha, row.theta, row.rha.value, **kwargs
-        )
+        wire_stream = opener(row.lhr.relation, *operands, **kwargs)
+        delivered = False
+        for wire_chunk in wire_stream:
+            yield Relation(wire_chunk.attributes, wire_chunk.rows)
+            delivered = True
+        if not delivered:
+            attributes = wire_stream.attributes
+            if not attributes:
+                raise ExecutionError(
+                    f"row {row.result}: stream ended without a heading"
+                )
+            yield Relation(attributes, [])
 
     @staticmethod
     def _shipped_columns(lqp, scheme, row: MatrixRow):
@@ -521,14 +557,11 @@ class Executor:
         return columns or None
 
     def _execute_at_pqp(
-        self,
-        row: MatrixRow,
-        results: Dict[int, PolygenRelation],
-        lineages: Dict[int, Lineage],
-    ) -> Tuple[PolygenRelation, Lineage]:
-        def resolve(operand) -> Tuple[PolygenRelation, Lineage]:
+        self, row: MatrixRow, results: Dict[int, PolygenRelation]
+    ) -> PolygenRelation:
+        def resolve(operand) -> PolygenRelation:
             if isinstance(operand, ResultOperand):
-                return results[operand.index], lineages[operand.index]
+                return results[operand.index]
             raise ExecutionError(
                 f"PQP row {row.result} references unresolved operand {operand!r}"
             )
@@ -543,72 +576,45 @@ class Executor:
                 raise ExecutionError(
                     f"scheme {scheme.name!r} has no primary key; Merge undefined"
                 )
-            relation = derived.merge(
-                [relation for relation, _ in inputs],
-                scheme.primary_key,
-                policy=self._policy,
-            )
-            lineage = _union_lineages([lineage for _, lineage in inputs])
-            return relation, lineage
+            return derived.merge(inputs, scheme.primary_key, policy=self._policy)
 
         if op is Operation.UNION and isinstance(row.lhr, tuple):
             # N-ary reassembly union (pqp/shard.py): one hash pass over all
             # shards instead of a fold of binary unions.
-            inputs = [resolve(part) for part in row.lhr]
-            first = inputs[0][0]
-            aligned = [first] + [
-                _align(relation, first) for relation, _ in inputs[1:]
-            ]
+            first, *rest = [resolve(part) for part in row.lhr]
+            aligned = [first] + [_align(relation, first) for relation in rest]
             for relation in aligned[1:]:
                 if relation.heading != first.heading:
                     raise ExecutionError(
                         f"Union row {row.result} has incompatible operand headings"
                     )
-            relation = PolygenRelation.from_store(
+            return PolygenRelation.from_store(
                 kernels.union_all([relation.store for relation in aligned])
             )
-            lineage = _union_lineages([lineage for _, lineage in inputs])
-            return relation, lineage
 
-        left, left_lineage = resolve(row.lhr)
-
+        left = resolve(row.lhr)
         if op is Operation.SELECT:
-            relation = algebra.restrict(left, row.lha, row.theta, row.rha)
-            return relation, dict(left_lineage)
+            return algebra.restrict(left, row.lha, row.theta, row.rha)
         if op is Operation.RESTRICT:
-            relation = algebra.restrict(left, row.lha, row.theta, AttributeRef(row.rha))
-            return relation, dict(left_lineage)
+            return algebra.restrict(left, row.lha, row.theta, AttributeRef(row.rha))
         if op is Operation.PROJECT:
-            relation = algebra.project(left, row.lha)
-            return relation, {name: left_lineage.get(name, frozenset()) for name in row.lha}
+            return algebra.project(left, row.lha)
         if op is Operation.COALESCE:
-            output = row.output or row.lha
-            relation = algebra.coalesce(left, row.lha, row.rha, w=output, policy=self._policy)
-            lineage = {
-                name: source for name, source in left_lineage.items()
-                if name not in (row.lha, row.rha)
-            }
-            lineage[output] = left_lineage.get(row.lha, frozenset()) | left_lineage.get(
-                row.rha, frozenset()
+            return algebra.coalesce(
+                left, row.lha, row.rha, w=row.output or row.lha, policy=self._policy
             )
-            return relation, lineage
 
-        right, right_lineage = resolve(row.rhr)
+        right = resolve(row.rhr)
         if op is Operation.JOIN:
-            relation = derived.join(left, right, row.lha, row.theta, row.rha)
-            return relation, _merge_lineage(left_lineage, right_lineage)
+            return derived.join(left, right, row.lha, row.theta, row.rha)
         if op is Operation.UNION:
-            relation = algebra.union(left, _align(right, left))
-            return relation, _merge_lineage(left_lineage, right_lineage)
+            return algebra.union(left, _align(right, left))
         if op is Operation.DIFFERENCE:
-            relation = algebra.difference(left, _align(right, left))
-            return relation, _merge_lineage(left_lineage, right_lineage)
+            return algebra.difference(left, _align(right, left))
         if op is Operation.PRODUCT:
-            relation = algebra.product(left, right)
-            return relation, _merge_lineage(left_lineage, right_lineage)
+            return algebra.product(left, right)
         if op is Operation.INTERSECT:
-            relation = derived.intersect(left, _align(right, left))
-            return relation, _merge_lineage(left_lineage, right_lineage)
+            return derived.intersect(left, _align(right, left))
         raise ExecutionError(f"unsupported PQP operation {op.value}")
 
 
@@ -623,15 +629,35 @@ def _align(right: PolygenRelation, left: PolygenRelation) -> PolygenRelation:
     return right  # let the operator raise its usual compatibility error
 
 
-def _merge_lineage(left: Lineage, right: Lineage) -> Lineage:
-    merged = dict(left)
-    for name, schemes in right.items():
-        merged[name] = merged.get(name, frozenset()) | schemes
-    return merged
-
-
-def _union_lineages(lineages) -> Lineage:
-    merged: Lineage = {}
-    for lineage in lineages:
-        merged = _merge_lineage(merged, lineage)
+def _row_lineage(
+    row: MatrixRow, attributes: Sequence[str], inputs: Sequence[Lineage]
+) -> Lineage:
+    """Attribute lineage of ``row``'s result — a pure function of the row,
+    its result's ``attributes`` and its inputs' lineages (operand order),
+    so whole-relation and chunk-wise evaluation cannot disagree on it."""
+    op = row.op
+    if op is Operation.CACHED:
+        return dict(row.cached.lineage)
+    if row.is_local:
+        return {attribute: frozenset({row.scheme}) for attribute in attributes}
+    if op is Operation.PROJECT:
+        (left,) = inputs
+        return {name: left.get(name, frozenset()) for name in row.lha}
+    if op is Operation.COALESCE:
+        (left,) = inputs
+        lineage = {
+            name: schemes
+            for name, schemes in left.items()
+            if name not in (row.lha, row.rha)
+        }
+        lineage[row.output or row.lha] = left.get(row.lha, frozenset()) | left.get(
+            row.rha, frozenset()
+        )
+        return lineage
+    # Select and Restrict pass their input's lineage through; Merge, Union
+    # and every binary operator union their inputs', attribute by attribute.
+    merged = dict(inputs[0])
+    for lineage in inputs[1:]:
+        for name, schemes in lineage.items():
+            merged[name] = merged.get(name, frozenset()) | schemes
     return merged

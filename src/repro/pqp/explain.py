@@ -23,7 +23,6 @@ from repro.catalog.reverse import local_columns_for
 from repro.catalog.schema import PolygenSchema
 from repro.core.cell import Cell
 from repro.core.relation import PolygenRelation
-from repro.pqp.executor import ExecutionTrace
 from repro.pqp.result import QueryResult
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "explain_tuple",
     "explain_result",
     "source_summary",
-    "execution_report",
 ]
 
 
@@ -85,60 +83,6 @@ def explain_result(result: QueryResult, schema: PolygenSchema) -> str:
             lines.append("  " + explain_cell(schema, schemes, attribute, cell))
     lines.append("")
     lines.append(source_summary(result.relation))
-    return "\n".join(lines)
-
-
-def execution_report(result: QueryResult) -> str:
-    """How the plan actually ran: per-row measured timings and, when the
-    optimizer was involved, what it rewrote.
-
-    The timing columns are the measured counterpart of
-    :meth:`repro.pqp.schedule.PlanSchedule.render` — same rows, wall-clock
-    seconds instead of model cost — so the two print side by side.
-    """
-    trace: ExecutionTrace = result.trace
-    lines: List[str] = ["PR      op         at    start    finish   worker"]
-    for row in result.iom:
-        timing = trace.timings.get(row.result.index)
-        if timing is None:
-            lines.append(
-                f"{str(row.result):6s}  {row.op.value:9s}  {row.el or 'PQP':4s}  (untimed)"
-            )
-            continue
-        lines.append(
-            f"{str(row.result):6s}  {row.op.value:9s}  {timing.location:4s}  "
-            f"{timing.start:7.4f}  {timing.finish:7.4f}  {timing.worker}"
-        )
-    lines.append(
-        f"wall clock {trace.wall_clock:.4f}s, busy {trace.busy_time:.4f}s, "
-        f"overlap {trace.busy_time / trace.wall_clock if trace.wall_clock else 1.0:.2f}x"
-    )
-    if result.cache_hit:
-        lines.append("cache: whole-plan hit — served without executor dispatch")
-    elif result.caching is not None and result.caching.any:
-        lines.append(
-            f"cache: {result.caching.rows_spliced} cached subtree(s) spliced in, "
-            f"{result.caching.rows_pruned} upstream row(s) elided"
-        )
-    report = result.optimization
-    if report is not None:
-        # Cost-based runs report a ShapeChoice wrapping the winning
-        # shape's rewrite counters.
-        choice = getattr(report, "chosen", None)
-        if choice is not None:
-            lines.append(
-                f"optimizer: cost-based shape {choice!r} "
-                f"(predicted makespan {report.predicted_makespan:.4f}, "
-                f"{len(report.considered)} shapes considered)"
-            )
-            report = report.report
-        lines.append(
-            f"optimizer: {report.retrieves_deduplicated} retrieves and "
-            f"{report.merges_deduplicated} merges deduplicated, "
-            f"{report.selects_pushed_down} selections pushed down, "
-            f"{report.attributes_pruned} attributes pruned at materialization, "
-            f"{report.rows_pruned} rows pruned"
-        )
     return "\n".join(lines)
 
 

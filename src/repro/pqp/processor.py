@@ -41,7 +41,6 @@ from repro.lqp.registry import LQPRegistry
 from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
 from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
-from repro.pqp.result import QueryResult as _QueryResult
 from repro.translate.translator import translate_sql
 
 if TYPE_CHECKING:  # pragma: no cover - the service imports this package's
@@ -49,20 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - the service imports this package's
     from repro.service.federation import PolygenFederation
     from repro.pqp.result import QueryResult
 
-__all__ = ["PolygenQueryProcessor", "QueryResult"]
-
-
-def __getattr__(name):
-    # ``QueryResult`` lived here before it moved to repro.pqp.result; the
-    # legacy import path survives as a warn-once shim.
-    if name == "QueryResult":
-        from repro._compat import warn_moved
-
-        warn_moved("repro.pqp.processor.QueryResult", "repro.pqp.result")
-        return _QueryResult
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+__all__ = ["PolygenQueryProcessor"]
 
 
 class PolygenQueryProcessor:

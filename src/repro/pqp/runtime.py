@@ -32,8 +32,9 @@ churn and same-database rows of *different* queries queue on that
 database's single connection.
 
 Results are bit-for-bit the serial executor's — same relations, same tags,
-same lineage — because every row runs the same columnar code path; only
-the wall-clock interleaving differs.  The returned
+same lineage — because both engines run every row through the one run
+record (:class:`~repro.pqp.executor._PlanRun`); this module only decides
+when and on which thread, so only the wall-clock interleaving differs.  The returned
 :class:`~repro.pqp.executor.ExecutionTrace` carries measured per-row
 timings, so a simulated :class:`~repro.pqp.schedule.PlanSchedule` can be
 validated against what actually happened.
@@ -52,46 +53,18 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-from repro.errors import ExecutionError, QueryCancelledError
-from repro.obs.trace import current_span, use_span
-from repro.pqp import stream as pqp_stream
-from repro.pqp.executor import ExecutionTrace, Executor, Lineage, RowTiming
-from repro.pqp.matrix import IntermediateOperationMatrix, MatrixRow
-from repro.pqp.plandag import PlanDAG
-from repro.pqp.pool import WorkerPool as _WorkerPool
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pqp.pool import WorkerPool
-
-__all__ = ["ConcurrentExecutor"]
-
-
-def __getattr__(name):
-    # ``WorkerPool`` lived here before it moved to repro.pqp.pool; the
-    # legacy import path survives as a warn-once shim.
-    if name == "WorkerPool":
-        from repro._compat import warn_moved
-
-        warn_moved("repro.pqp.runtime.WorkerPool", "repro.pqp.pool")
-        return _WorkerPool
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+from functools import partial
+from typing import Callable, Dict
 
 from repro.core.relation import PolygenRelation
+from repro.pqp import stream as pqp_stream
+from repro.pqp.executor import ExecutionTrace, Executor, _PlanRun
+from repro.pqp.matrix import IntermediateOperationMatrix, MatrixRow
+from repro.pqp.plandag import PlanDAG
+from repro.pqp.pool import WorkerPool
 
-#: (row, relation, lineage, timing, error) — one completed local row.
-_Completion = Tuple[
-    MatrixRow,
-    Optional[PolygenRelation],
-    Optional[Lineage],
-    Optional[RowTiming],
-    Optional[BaseException],
-]
+__all__ = ["ConcurrentExecutor"]
 
 
 class ConcurrentExecutor(Executor):
@@ -109,8 +82,6 @@ class ConcurrentExecutor(Executor):
     coordinator threads, each call keeping its state on its own stack.
     """
 
-    _stream_worker = "stream"
-
     def __init__(self, *args, pool: WorkerPool | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._pool = pool
@@ -120,6 +91,18 @@ class ConcurrentExecutor(Executor):
         """The shared worker pool, or ``None`` when per-execute pools are
         built (the standalone, churn-per-query configuration)."""
         return self._pool
+
+    def _width(self, row: MatrixRow) -> int:
+        """How many pool workers a local row's database should have.  An
+        in-process LQP stays at the paper's single connection (width 1); a
+        RemoteLQP advertises its multiplexer's concurrency and gets that
+        many, so same-database rows overlap in flight; a shard family
+        widens its database's group to K so all K partial scans are in
+        flight together (pqp/shard.py)."""
+        width = max(1, self._registry.get(row.el).native_concurrency)
+        if row.shard:
+            width = max(width, row.shard[1])
+        return width
 
     def execute(
         self,
@@ -131,234 +114,71 @@ class ConcurrentExecutor(Executor):
         stream_chunk_size: int | None = None,
         wire_format: str = "auto",
     ) -> ExecutionTrace:
-        if not len(iom):
-            raise ExecutionError("cannot execute an empty operation matrix")
-        if on_chunk is not None:
+        run = _PlanRun(self, iom, cancel, on_result)
+        chain = pqp_stream.streamable_spine(iom) if on_chunk is not None else None
+        if chain is not None:
             # A streamable spine is a linear chain — it has no parallelism
             # for the DAG scheduler to exploit, so pipelined chunk flow
-            # (first rows before the scan completes) strictly wins.  The
-            # shared streaming path lives on the serial base class.
-            chain = pqp_stream.streamable_spine(iom)
-            if chain is not None:
-                return self._execute_streaming(
-                    iom,
-                    chain,
-                    cancel=cancel,
-                    on_result=on_result,
-                    on_chunk=on_chunk,
-                    stream_chunk_size=stream_chunk_size,
-                    wire_format=wire_format,
-                )
+            # (first rows before the scan completes) strictly wins.
+            run.stream(chain, "stream", on_chunk, stream_chunk_size, wire_format)
+            return run.trace()
         dag = PlanDAG.from_iom(iom)
-        final = iom.rows[-1].result.index
-
-        results: Dict[int, PolygenRelation] = {}
-        lineages: Dict[int, Lineage] = {}
-        timings: Dict[int, RowTiming] = {}
-        completions: "queue.Queue[_Completion]" = queue.Queue()
         waiting: Dict[int, int] = {
             index: len(set(dag.predecessors(index))) for index in dag.indices
         }
         ready_pqp: deque = deque()
-        #: Set on failure/cancel so this plan's queued jobs on a *shared*
-        #: pool degrade to no-ops instead of issuing pointless LQP traffic.
-        halt = threading.Event()
-        #: Row spans parent on the coordinator's ambient span.  Captured
-        #: here because local rows run on pool worker threads, where the
-        #: coordinator's contextvar is invisible; run_local re-enters it
-        #: explicitly so a RemoteLQP call finds the row span ambient and
-        #: propagates its ids over the wire.
-        trace_parent = current_span()
-        origin = time.perf_counter()
-
-        def abandoned() -> bool:
-            return halt.is_set() or (cancel is not None and cancel.is_set())
+        #: (row, error) — one finished local row, reported by its worker.
+        completions: queue.Queue = queue.Queue()
+        pool = WorkerPool() if self._pool is None else self._pool
 
         def run_local(row: MatrixRow) -> None:
-            if abandoned():
-                completions.put((row, None, None, None, QueryCancelledError(
-                    f"row {row.result} skipped: plan abandoned"
-                )))
-                return
-            span = (
-                trace_parent.child(
-                    f"row {row.result}",
-                    op=row.op.value,
-                    location=row.el or "PQP",
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
             try:
-                if span is not None:
-                    with use_span(span):
-                        relation, lineage = self._execute_row(
-                            row, results, lineages
-                        )
-                else:
-                    relation, lineage = self._execute_row(row, results, lineages)
-            except BaseException as exc:  # propagated to the coordinator
-                if span is not None:
-                    span.end(exc)
-                completions.put((row, None, None, None, exc))
-                return
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            timing = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location=row.el or "PQP",
-                worker=threading.current_thread().name,
-            )
-            completions.put((row, relation, lineage, timing, None))
-
-        pool = self._pool
-        owned = pool is None
-        if owned:
-            pool = _WorkerPool()
-
-        #: database → worker-group width, resolved once per plan.  An
-        #: in-process LQP stays at the paper's single connection (width 1);
-        #: a RemoteLQP advertises its multiplexer's concurrency and gets
-        #: that many pool workers, so same-database rows overlap in flight.
-        widths: Dict[str, int] = {}
-
-        def native_width(database: str) -> int:
-            width = widths.get(database)
-            if width is None:
-                width = max(1, self._registry.get(database).native_concurrency)
-                widths[database] = width
-            return width
+                run.run(row, threading.current_thread().name)
+            except BaseException as exc:  # re-raised by the coordinator
+                completions.put((row, exc))
+            else:
+                completions.put((row, None))
 
         def dispatch(index: int) -> None:
             row = dag.row(index)
             if row.is_local:
-                # A shard family widens its database's group to K so all K
-                # partial scans are in flight together (pqp/shard.py).
-                width = native_width(row.el)
-                if row.shard:
-                    width = max(width, row.shard[1])
-                pool.submit(
-                    row.el,
-                    lambda row=row: run_local(row),
-                    width=width,
-                )
+                pool.submit(row.el, partial(run_local, row), width=self._width(row))
             else:
                 ready_pqp.append(row)
 
-        def complete(
-            row: MatrixRow,
-            relation: PolygenRelation,
-            lineage: Lineage,
-            timing: RowTiming,
-        ) -> List[int]:
-            index = row.result.index
-            results[index] = relation
-            lineages[index] = lineage
-            timings[index] = timing
-            if index == final and on_result is not None:
-                on_result(relation)
-            released = []
-            for successor in dict.fromkeys(dag.successors(index)):
-                waiting[successor] -= 1
-                if waiting[successor] == 0:
-                    released.append(successor)
-            return released
-
-        def fail(row: MatrixRow, error: BaseException) -> ExecutionError:
-            if isinstance(error, ExecutionError):
-                return error
-            wrapped = ExecutionError(
-                f"row {row.result} ({row.op.value}) failed: {error}"
-            )
-            wrapped.__cause__ = error
-            return wrapped
-
-        done = 0
-
-        def check_cancel() -> None:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelledError("query cancelled")
-
-        def consume(completion: _Completion) -> None:
-            """Record one finished local row and dispatch what it unblocks."""
-            nonlocal done
-            row, relation, lineage, timing, error = completion
-            if error is not None:
-                raise fail(row, error)
-            done += 1
-            for released in complete(row, relation, lineage, timing):
-                dispatch(released)
-
-        def run_pqp(row: MatrixRow) -> None:
-            nonlocal done
-            span = (
-                trace_parent.child(
-                    f"row {row.result}", op=row.op.value, location="PQP"
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
-            try:
-                relation, lineage = self._execute_row(row, results, lineages)
-            except Exception as exc:
-                if span is not None:
-                    span.end(exc)
-                raise fail(row, exc)
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            timing = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location="PQP",
-                worker="pqp",
-            )
-            done += 1
-            for released in complete(row, relation, lineage, timing):
-                dispatch(released)
-
         try:
-            check_cancel()
             for index in sorted(dag.roots()):
                 dispatch(index)
-            total = len(dag)
-            while done < total:
-                check_cancel()
-                # Drain finished local rows first so freshly unblocked work
+            pending = len(dag)
+            while pending:
+                run.check_cancel()
+                # Finished local rows first, so freshly unblocked work
                 # reaches the (idle) LQP workers before the PQP computes.
-                drained = False
-                while True:
+                if ready_pqp and completions.empty():
+                    row = ready_pqp.popleft()
+                    run.run(row, "pqp")
+                else:
+                    # Take a finished local row; with nothing runnable at
+                    # the PQP either, block until an LQP finishes (waking
+                    # periodically, when cancellable, so a cancel set from
+                    # another thread cannot be missed).
                     try:
-                        completion = completions.get_nowait()
-                    except queue.Empty:
-                        break
-                    drained = True
-                    consume(completion)
-                if drained:
-                    continue
-                if ready_pqp:
-                    run_pqp(ready_pqp.popleft())
-                    continue
-                # Nothing runnable at the PQP: block until an LQP finishes
-                # (waking periodically, when cancellable, so a cancel set
-                # from another thread cannot be missed).
-                try:
-                    consume(
-                        completions.get(
+                        row, error = completions.get(
                             timeout=0.05 if cancel is not None else None
                         )
-                    )
-                except queue.Empty:
-                    continue
+                    except queue.Empty:
+                        continue
+                    if error is not None:
+                        raise error
+                pending -= 1
+                for successor in dict.fromkeys(dag.successors(row.result.index)):
+                    waiting[successor] -= 1
+                    if waiting[successor] == 0:
+                        dispatch(successor)
         except BaseException:
-            halt.set()
+            run.halted = True
             raise
         finally:
-            if owned:
+            if pool is not self._pool:
                 pool.close(wait=True)
-
-        return ExecutionTrace(
-            results[final], results, lineages[final], timings, lineages=lineages
-        )
+        return run.trace()

@@ -51,7 +51,7 @@ serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.lqp.cost import CostModel
 from repro.lqp.registry import LQPRegistry
@@ -70,7 +70,6 @@ __all__ = [
     "ScheduledRow",
     "ScheduleValidation",
     "decompose_merges",
-    "merge_fold_tuples",
     "rank_plan_shapes",
     "schedule_plan",
     "validate_against_trace",
@@ -205,25 +204,6 @@ def _estimate_tuples(
         else:  # Select / Restrict / Project / Coalesce / Difference
             produced[index] = inputs[0]
     return produced
-
-
-def merge_fold_tuples(inputs: Sequence[int]) -> int:
-    """Tuples a *fold-evaluated* n-ary Merge touches: every step pays the
-    cumulative prefix plus the next operand.  For two inputs this is their
-    plain sum (one join); for one input, that input.
-
-    The executor now evaluates Merge as one hash-partitioned pass
-    (:func:`repro.storage.kernels.hash_merge`), charged ``sum(inputs)`` —
-    this function remains the reference cost of the binary-chain shapes
-    :func:`decompose_merges` produces, which evaluate the fold literally."""
-    if len(inputs) <= 1:
-        return sum(inputs)
-    touched = 0
-    prefix = inputs[0]
-    for size in inputs[1:]:
-        touched += prefix + size
-        prefix += size
-    return touched
 
 
 def _row_cost(

@@ -37,6 +37,7 @@ streamed trace's intermediates interchangeably with an unstreamed one's.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.heading import Heading
@@ -95,7 +96,7 @@ def streamable_spine(
 class _Stage:
     """Accumulated state of one spine row across the stream."""
 
-    __slots__ = ("row", "heading", "seen", "data_rows", "tag_rows")
+    __slots__ = ("row", "heading", "seen", "data_rows", "tag_rows", "seconds")
 
     def __init__(self, row: MatrixRow):
         self.row = row
@@ -104,6 +105,8 @@ class _Stage:
         self.seen: Dict[Tuple[Any, ...], None] = {}
         self.data_rows: List[Tuple[Any, ...]] = []
         self.tag_rows: List[Tuple[int, ...]] = []
+        #: seconds this stage's kernels and assembly have taken so far.
+        self.seconds = 0.0
 
 
 class ChunkPipeline:
@@ -115,9 +118,12 @@ class ChunkPipeline:
     PQP stage with cross-chunk deduplication, and returns the final
     stage's *fresh* rows as a polygen relation (``None`` when the chunk
     contributed nothing new).  ``finish`` assembles the per-stage
-    accumulations into the intermediate results and lineages an
+    accumulations into the intermediate results an
     :class:`~repro.pqp.executor.ExecutionTrace` carries, byte-identical to
-    whole-relation execution of the same plan.
+    whole-relation execution of the same plan.  Rows of a stream overlap
+    in time, so each PQP stage clocks its own per-chunk work
+    (``stage_seconds``) for the executor to charge it, and only it, to
+    that row.
 
     Push at least one chunk before ``finish`` — an *empty* chunk is how
     an empty scan establishes every stage's heading.
@@ -127,18 +133,11 @@ class ChunkPipeline:
         self,
         chain: Sequence[MatrixRow],
         materialize_chunk: Callable[[Relation], PolygenRelation],
-        scheme_name: str,
     ):
-        self._chain: Tuple[MatrixRow, ...] = tuple(chain)
         self._materialize = materialize_chunk
-        self._scheme_name = scheme_name
-        self._stages = [_Stage(row) for row in self._chain]
+        self._stages = [_Stage(row) for row in chain]
         self._pool = None
         self._pushes = 0
-
-    @property
-    def chunks_processed(self) -> int:
-        return self._pushes
 
     def push(self, chunk: Relation) -> Optional[PolygenRelation]:
         """Advance every stage by one chunk; the final stage's new rows."""
@@ -147,48 +146,48 @@ class ChunkPipeline:
         if self._pool is None:
             self._pool = store.pool
         fresh = kernels.fresh_rows(store, self._stages[0].seen)
-        fresh = self._accumulate(0, fresh)
-        for position in range(1, len(self._chain)):
-            fresh = self._apply(self._chain[position], fresh, self._stages[position])
-            fresh = self._accumulate(position, fresh)
+        self._accumulate(self._stages[0], fresh)
+        mark = time.perf_counter()
+        for stage in self._stages[1:]:
+            fresh = self._apply(stage, fresh)
+            self._accumulate(stage, fresh)
+            now = time.perf_counter()
+            stage.seconds += now - mark
+            mark = now
         if not fresh.cardinality:
             return None
         return PolygenRelation.from_store(fresh)
 
-    def finish(self):
-        """``(results, lineages)`` keyed by R(#) index, covering every row."""
+    def finish(self) -> Dict[int, PolygenRelation]:
+        """Every row's accumulated result, keyed by R(#) index."""
         if not self._pushes:
             raise ExecutionError(
                 "ChunkPipeline.finish() before any chunk was pushed"
             )
         results: Dict[int, PolygenRelation] = {}
-        lineages: Dict[int, Dict[str, frozenset]] = {}
-        previous: Dict[str, frozenset] = {}
-        for position, (row, stage) in enumerate(zip(self._chain, self._stages)):
+        mark = time.perf_counter()
+        for stage in self._stages:
             store = ColumnarRelation.from_row_major(
                 stage.heading, stage.data_rows, stage.tag_rows, self._pool
             )
-            if position == 0:
-                lineage = {
-                    name: frozenset({self._scheme_name})
-                    for name in stage.heading.attributes
-                }
-            elif row.op is Operation.PROJECT:
-                lineage = {
-                    name: previous.get(name, frozenset())
-                    for name in stage.heading.attributes
-                }
-            else:
-                lineage = dict(previous)
-            results[row.result.index] = PolygenRelation.from_store(store)
-            lineages[row.result.index] = lineage
-            previous = lineage
-        return results, lineages
+            results[stage.row.result.index] = PolygenRelation.from_store(store)
+            now = time.perf_counter()
+            stage.seconds += now - mark
+            mark = now
+        return results
+
+    def stage_seconds(self) -> List[float]:
+        """Seconds each row's stage has clocked, in chain order.  The
+        head's entry is only its assembly in ``finish``: its scan and
+        materialization are whatever the stream's interval has left once
+        the PQP stages are taken out."""
+        return [stage.seconds for stage in self._stages]
 
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _apply(row: MatrixRow, store: ColumnarRelation, stage: _Stage) -> ColumnarRelation:
+    def _apply(stage: _Stage, store: ColumnarRelation) -> ColumnarRelation:
+        row = stage.row
         if row.op is Operation.PROJECT:
             attributes = tuple(row.lha)
             positions = store.heading.indices(attributes)
@@ -211,11 +210,10 @@ class ChunkPipeline:
             store, x_pos, row.theta, None, rhs.value, stage.seen
         )
 
-    def _accumulate(self, position: int, fresh: ColumnarRelation) -> ColumnarRelation:
-        stage = self._stages[position]
+    @staticmethod
+    def _accumulate(stage: _Stage, fresh: ColumnarRelation) -> None:
         if stage.heading is None:
             stage.heading = fresh.heading
         if fresh.cardinality:
             stage.data_rows.extend(fresh.data_rows())
             stage.tag_rows.extend(fresh.tag_rows())
-        return fresh

@@ -183,25 +183,6 @@ class TestPqpRows:
         trace = executor.execute(iom(*rows))
         assert trace.relation.cardinality == 8  # no spurious duplicates
 
-    def test_empty_plan_rejected(self, executor):
-        with pytest.raises(ExecutionError):
-            executor.execute(iom())
-
-    def test_row_errors_carry_row_context(self, executor):
-        rows = [
-            retrieve(1, "ALUMNUS", "AD", "PALUMNUS"),
-            MatrixRow(
-                result=ResultOperand(2),
-                op=Operation.PROJECT,
-                lhr=ResultOperand(1),
-                lha=("NOPE",),
-                el=PQP_LOCATION,
-            ),
-        ]
-        with pytest.raises(ExecutionError) as err:
-            executor.execute(iom(*rows))
-        assert "R(2)" in str(err.value)
-
     def test_trace_result_lookup(self, executor):
         trace = executor.execute(iom(retrieve(1, "CAREER", "AD", "PCAREER")))
         assert trace.result(1) is trace.relation

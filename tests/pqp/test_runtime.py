@@ -65,17 +65,6 @@ class TestEquivalence:
 
 
 class TestTimings:
-    def test_every_row_is_timed(self):
-        run = _processor(concurrent=True).run_sql(PAPER_SQL)
-        assert set(run.trace.timings) == set(run.trace.results)
-        for timing in run.trace.timings.values():
-            assert timing.finish >= timing.start >= 0.0
-
-    def test_serial_executor_also_times(self, serial_run):
-        assert set(serial_run.trace.timings) == set(serial_run.trace.results)
-        assert serial_run.trace.wall_clock > 0.0
-        assert all(t.worker == "serial" for t in serial_run.trace.timings.values())
-
     def test_dependencies_respected_in_time(self):
         run = _processor(concurrent=True).run_sql(PAPER_SQL)
         timings = run.trace.timings
@@ -106,11 +95,6 @@ class TestTimings:
 
 
 class TestErrors:
-    def test_empty_plan_rejected(self):
-        executor = _processor(concurrent=True).executor
-        with pytest.raises(ExecutionError, match="empty"):
-            executor.execute(IntermediateOperationMatrix())
-
     def test_local_failure_propagates_with_row_context(self):
         pqp = _processor(concurrent=True)
         run = pqp.run_sql(PAPER_SQL)
@@ -125,14 +109,3 @@ class TestErrors:
         with pytest.raises(ExecutionError):
             pqp.executor.execute(broken)
 
-    def test_pqp_failure_propagates(self):
-        pqp = _processor(concurrent=True)
-        run = pqp.run_sql(PAPER_SQL)
-        from dataclasses import replace
-
-        broken_rows = list(run.iom.rows)
-        # Join on an attribute the operand lacks.
-        broken_rows[2] = replace(broken_rows[2], lha="NOPE")
-        broken = IntermediateOperationMatrix(broken_rows)
-        with pytest.raises(ExecutionError, match="R\\(3\\)"):
-            pqp.executor.execute(broken)

@@ -5,8 +5,6 @@ execution (rows, order, tags, intermediate results, lineage), and the
 fallback behaviour for plans that cannot stream.
 """
 
-import threading
-
 import pytest
 
 from repro.core.predicate import AttributeRef, Literal, Theta
@@ -15,7 +13,6 @@ from repro.datasets.paper import (
     paper_identity_resolver,
     paper_polygen_schema,
 )
-from repro.errors import QueryCancelledError
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.executor import Executor
@@ -223,10 +220,3 @@ class TestFallback:
         assert trace.relation.attributes == ("ANAME",)
         assert chunks == []  # empty batches are not delivered
 
-    def test_cancelled_stream_raises(self):
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(QueryCancelledError):
-            make_executor().execute(
-                spine_plan(), on_chunk=lambda _: None, cancel=cancel
-            )

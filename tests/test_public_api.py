@@ -128,62 +128,6 @@ class TestConnect:
                 server.stop()
 
 
-class TestDeprecationShims:
-    def test_query_result_legacy_path_warns_once(self):
-        import importlib
-        import warnings
-
-        import repro._compat as compat
-        import repro.pqp.processor as processor
-        from repro.pqp.result import QueryResult
-
-        compat._warned.discard(
-            ("repro.pqp.processor.QueryResult", "repro.pqp.result")
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert processor.QueryResult is QueryResult
-            assert processor.QueryResult is QueryResult  # second touch
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "repro.pqp.result" in str(messages[0].message)
-
-    def test_worker_pool_legacy_path_warns_once(self):
-        import warnings
-
-        import repro._compat as compat
-        import repro.pqp.runtime as runtime
-        from repro.pqp.pool import WorkerPool
-
-        compat._warned.discard(("repro.pqp.runtime.WorkerPool", "repro.pqp.pool"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert runtime.WorkerPool is WorkerPool
-            assert runtime.WorkerPool is WorkerPool
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-
-    def test_new_homes_do_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.pqp.pool import WorkerPool  # noqa: F401
-            from repro.pqp.result import QueryResult  # noqa: F401
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_unknown_module_attributes_still_raise(self):
-        import repro.pqp.processor as processor
-        import repro.pqp.runtime as runtime
-
-        with pytest.raises(AttributeError):
-            processor.not_a_thing
-        with pytest.raises(AttributeError):
-            runtime.not_a_thing
-
-
 class TestErrorHierarchy:
     def test_every_error_is_a_polygen_error(self):
         for name in errors.__all__:
