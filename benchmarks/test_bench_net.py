@@ -176,18 +176,16 @@ def test_chunked_streaming_beats_whole_result_first_row(record_bench):
                 batch_seconds = time.perf_counter() - began
                 batch_best = min(batch_best or batch_seconds, batch_seconds)
 
-                first_chunk_at = []
-
-                def on_chunk(attributes, rows):
-                    if not first_chunk_at:
-                        first_chunk_at.append(time.perf_counter())
-
+                first_row = None
+                streamed = 0
                 began = time.perf_counter()
-                streamed = remote.retrieve_stream("EVENTS", on_chunk)
-                first_row = first_chunk_at[0] - began
+                for chunk in remote.retrieve_chunks("EVENTS"):
+                    if first_row is None:
+                        first_row = time.perf_counter() - began
+                    streamed += chunk.count
                 first_row_best = min(first_row_best or first_row, first_row)
 
-    assert streamed == whole
+    assert streamed == whole.cardinality
     assert whole.cardinality == BULK_ROWS
     improvement = batch_best / first_row_best
     record_bench(

@@ -60,7 +60,6 @@ from repro.lqp.base import (
     ColumnStats,
     LocalQueryProcessor,
     RelationStats,
-    key_in_range,
 )
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
@@ -464,22 +463,11 @@ class SqliteLQP(LocalQueryProcessor):
             )
             if range_clause is None or rendered is None:
                 # Compose the exact paths: select() handles its own
-                # fallbacks, then filter the key interval in Python.
-                selected = self.select(relation_name, attribute, theta, value)
-                position = selected.heading.index(key_attribute)
-                shard = selected.replace_rows(
-                    row
-                    for row in selected
-                    if key_in_range(row[position], lower, upper, include_nil)
+                # fallbacks, then the default filters the key interval.
+                return super().select_range(
+                    relation_name, attribute, theta, value,
+                    key_attribute, lower, upper, include_nil, columns,
                 )
-                if columns is not None:
-                    shipped = self._projection(heading, columns)
-                    positions = [shard.heading.index(c) for c in shipped]
-                    shard = Relation(
-                        shipped,
-                        (tuple(row[p] for p in positions) for row in shard),
-                    )
-                return shard
             if theta in (Theta.LT, Theta.LE, Theta.GT, Theta.GE):
                 # The default select_range filters a full select, which
                 # probes the whole relation — match that scope.

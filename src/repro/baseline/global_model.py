@@ -14,12 +14,12 @@ from typing import Any, Dict, Sequence, Tuple
 
 from repro.algebra_lang.parser import parse_expression
 from repro.catalog.schema import PolygenSchema
-from repro.catalog.scheme import PolygenScheme
 from repro.core.expression import Expression
 from repro.errors import ExecutionError
 from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
+from repro.lqp.tagging import convert_columns
 from repro.pqp.interpreter import PolygenOperationInterpreter
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -137,27 +137,6 @@ class GlobalQueryProcessor:
 
     # -- execution ---------------------------------------------------------------
 
-    def _materialize(self, shipped: Relation, database: str, scheme: PolygenScheme,
-                     relation_name: str) -> Relation:
-        transform_names = scheme.transform_map(database, relation_name)
-        transforms = {
-            attribute: self._transforms.get(name)
-            for attribute, name in transform_names.items()
-        }
-
-        def convert(attribute: str, value):
-            transform = transforms.get(attribute)
-            if transform is not None:
-                value = transform(value)
-            return self._resolver.resolve(value)
-
-        converted = shipped.map_values(convert)
-        rename_map = scheme.rename_map(database, relation_name)
-        mapped = [name for name in converted.attributes if name in rename_map]
-        if mapped != list(converted.attributes):
-            converted = untagged.project(converted, mapped)
-        return converted.rename(rename_map)
-
     def _execute_row(self, row: MatrixRow, results: Dict[int, Relation]) -> Relation:
         if row.is_local:
             lqp = self.registry.get(row.el)
@@ -169,8 +148,18 @@ class GlobalQueryProcessor:
                 raise ExecutionError(
                     f"operation {row.op.value} cannot execute at LQP {row.el!r}"
                 )
-            scheme = self.schema.scheme(row.scheme)
-            return self._materialize(shipped, row.el, scheme, row.lhr.relation)
+            # The polygen pipeline's conversion (domain map, identity
+            # resolution, rename) without its tagging step.
+            return Relation.from_columns(
+                *convert_columns(
+                    shipped,
+                    row.el,
+                    self.schema.scheme(row.scheme),
+                    self._resolver,
+                    self._transforms,
+                    row.lhr.relation,
+                )
+            )
 
         def resolve(operand) -> Relation:
             if isinstance(operand, ResultOperand):

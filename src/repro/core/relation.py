@@ -26,6 +26,7 @@ from repro.core.cell import Cell
 from repro.core.heading import Heading
 from repro.core.row import PolygenTuple
 from repro.core.tags import SourceSet
+from repro.errors import DegreeMismatchError
 from repro.storage.columnar import ColumnarRelation
 
 __all__ = ["PolygenRelation"]
@@ -112,10 +113,18 @@ class PolygenRelation:
         """
         if not isinstance(heading, Heading):
             heading = Heading(heading)
+        degree = len(heading)
+        distinct: dict[Tuple[Any, ...], None] = {}
+        for row in rows:
+            data = tuple(row)
+            if len(data) != degree:
+                raise DegreeMismatchError(
+                    f"tuple of degree {len(data)} in relation of degree {degree}"
+                )
+            distinct[data] = None
+        columns = tuple(zip(*distinct)) if distinct else ((),) * degree
         return cls.from_store(
-            ColumnarRelation.from_uniform_rows(
-                heading, rows, frozenset(origins), frozenset(intermediates), pool
-            )
+            ColumnarRelation.uniform(heading, columns, origins, intermediates, pool)
         )
 
     @classmethod

@@ -126,8 +126,7 @@ def project_columns(relation: Relation, columns) -> Relation:
     names = list(columns)
     if list(relation.attributes) == names:
         return relation
-    positions = [relation.heading.index(name) for name in names]
-    return Relation(names, (tuple(row[p] for p in positions) for row in relation))
+    return Relation.from_columns(names, [relation.column(name) for name in names])
 
 
 @dataclass(frozen=True)
@@ -172,13 +171,12 @@ def compute_relation_stats(relation: Relation) -> RelationStats:
     False and the shard planner leaves them alone.
     """
     columns: Dict[str, ColumnStats] = {}
-    for position, attribute in enumerate(relation.attributes):
+    for attribute, values in zip(relation.attributes, relation.columns):
         minimum: Optional[Any] = None
         maximum: Optional[Any] = None
         nils = 0
         comparable = True
-        for row in relation:
-            value = row[position]
+        for value in values:
             if value is None:
                 nils += 1
                 continue
@@ -220,6 +218,29 @@ def key_in_range(
     except TypeError:
         return include_nil
     return True
+
+
+def _key_range_shard(
+    relation: Relation,
+    key_attribute: str,
+    lower: Optional[Any],
+    upper: Optional[Any],
+    include_nil: bool,
+    columns,
+) -> Relation:
+    """The tuples of ``relation`` whose key lies in ``[lower, upper)``,
+    narrowed to ``columns`` when given — the filter the default range
+    verbs share.  The key column picks the row positions once; only the
+    shipped columns are then gathered."""
+    keep = [
+        index
+        for index, value in enumerate(relation.column(key_attribute))
+        if key_in_range(value, lower, upper, include_nil)
+    ]
+    names = relation.attributes if columns is None else list(columns)
+    return Relation.from_columns(
+        names, [[column[index] for index in keep] for column in map(relation.column, names)]
+    )
 
 
 class LocalQueryProcessor(abc.ABC):
@@ -325,16 +346,9 @@ class LocalQueryProcessor(abc.ABC):
         each shard proceed in parallel.  Engines with real range access
         paths should override it.
         """
-        relation = self.retrieve(relation_name)
-        position = relation.heading.index(attribute)
-        shard = relation.replace_rows(
-            row
-            for row in relation
-            if key_in_range(row[position], lower, upper, include_nil)
+        return _key_range_shard(
+            self.retrieve(relation_name), attribute, lower, upper, include_nil, columns
         )
-        if columns is not None:
-            shard = project_columns(shard, columns)
-        return shard
 
     def select_range(
         self,
@@ -360,16 +374,10 @@ class LocalQueryProcessor(abc.ABC):
         The default filters a full :meth:`select`; engines with composite
         access paths should override it.
         """
-        relation = self.select(relation_name, attribute, theta, value)
-        position = relation.heading.index(key_attribute)
-        shard = relation.replace_rows(
-            row
-            for row in relation
-            if key_in_range(row[position], lower, upper, include_nil)
+        return _key_range_shard(
+            self.select(relation_name, attribute, theta, value),
+            key_attribute, lower, upper, include_nil, columns,
         )
-        if columns is not None:
-            shard = project_columns(shard, columns)
-        return shard
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

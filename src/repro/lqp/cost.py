@@ -220,7 +220,7 @@ class _AccountedChunkStream:
         stats = self._owner.stats
         stats.count(self._kind)
         for chunk in self._inner:
-            stats.add_tuples(len(chunk.rows))
+            stats.add_tuples(chunk.count)
             yield chunk
 
     def __getattr__(self, name):

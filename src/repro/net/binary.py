@@ -71,7 +71,6 @@ __all__ = [
     "relation_chunk_payloads",
     "store_chunk_payloads",
     "store_from_chunk_payloads",
-    "columns_to_rows",
 ]
 
 #: First payload byte of every binary frame.  JSON payloads start with
@@ -411,7 +410,9 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
 
     The dict mirrors the JSON chunk message (``id``/``kind``/``seq``) but
     carries ``columns`` + ``count`` instead of row-major ``rows``, plus
-    ``tag_delta``/``tag_columns`` when the tag section is present.
+    ``tag_delta``/``tag_columns`` when the tag section is present, and
+    ``"binary": True`` so the transport can tell it from a JSON chunk that
+    :func:`repro.net.protocol.decode_payload` transposed to the same shape.
     """
     if len(payload) < _HEADER.size:
         raise ProtocolError(f"binary frame of {len(payload)} bytes is shorter than its header")
@@ -474,15 +475,8 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
         "count": count,
         "tag_delta": tag_delta,
         "tag_columns": tag_columns,
+        "binary": True,
     }
-
-
-def columns_to_rows(message: Dict[str, Any]) -> List[Tuple[Any, ...]]:
-    """Row-major view of a decoded binary chunk message."""
-    columns = message["columns"]
-    if not columns:
-        return [()] * int(message.get("count", 0))
-    return list(zip(*columns))
 
 
 # -- relation / store streams ------------------------------------------------
@@ -500,13 +494,12 @@ def relation_chunk_payloads(
     if chunk_size < 1:
         raise ProtocolError(f"chunk_size must be >= 1, got {chunk_size}")
     attributes = relation.attributes
-    rows = relation.rows
-    seq = 0
-    for start in range(0, len(rows), chunk_size):
-        sub = rows[start : start + chunk_size]
-        columns = list(zip(*sub)) if attributes else []
-        yield encode_chunk_payload(request_id, seq, attributes, columns, len(sub)), len(sub)
-        seq += 1
+    columns = relation.columns
+    cardinality = relation.cardinality
+    for seq, start in enumerate(range(0, cardinality, chunk_size)):
+        count = min(chunk_size, cardinality - start)
+        sub = [column[start : start + count] for column in columns]
+        yield encode_chunk_payload(request_id, seq, attributes, sub, count), count
 
 
 def store_chunk_payloads(
@@ -565,12 +558,8 @@ def store_from_chunk_payloads(
         if heading is None:
             heading = Heading(message["attributes"])
         decoder.absorb(message["tag_delta"] or ())
-        data_rows.extend(columns_to_rows(message))
-        tag_rows.extend(
-            decoder.translate_rows(zip(*message["tag_columns"]))
-            if message["tag_columns"]
-            else []
-        )
+        data_rows.extend(zip(*message["columns"]))
+        tag_rows.extend(decoder.translate_rows(zip(*message["tag_columns"])))
     if heading is None:
         raise ProtocolError("store stream carried no chunks")
     return ColumnarRelation.from_row_major(heading, data_rows, tag_rows, decoder.pool)

@@ -30,17 +30,17 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import PolygenSchema
 from repro.catalog.serialize import schema_from_dict
 from repro.core.predicate import Theta
 from repro.errors import ProtocolError, RemoteQueryError
 from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
-from repro.net import binary, protocol
+from repro.net import protocol
 from repro.net.transport import ConnectionMux, TransportStats
-from repro.obs.trace import Span, current_span
+from repro.obs.trace import current_span
 from repro.relational.relation import Relation
 
 __all__ = ["RemoteLQP", "RelationChunkStream", "WireChunk"]
@@ -48,21 +48,20 @@ __all__ = ["RemoteLQP", "RelationChunkStream", "WireChunk"]
 
 @dataclass(frozen=True)
 class WireChunk:
-    """One streamed chunk of a remote relation.
-
-    ``rows`` is always populated; ``columns`` carries the per-attribute
-    value vectors when the chunk travelled as a binary columnar frame
-    (``None`` for JSON v1 frames, whose payload is row-major).
-    """
+    """One streamed chunk of a remote relation: the per-attribute value
+    vectors as decoded off the wire (a binary frame's own, a JSON v1
+    frame's transposed at the codec) and the frame's tuple count."""
 
     attributes: Tuple[str, ...]
     seq: int
-    rows: List[Tuple[Any, ...]] = field(default_factory=list)
-    columns: Optional[List[List[Any]]] = None
+    columns: List[List[Any]]
+    count: int
 
-    @property
-    def count(self) -> int:
-        return len(self.rows)
+    def relation(self) -> Relation:
+        """The chunk as an untagged relation (set semantics: duplicate
+        tuples within the chunk collapse, so it may hold fewer than
+        ``count``)."""
+        return Relation.from_columns(self.attributes, self.columns)
 
 
 class _EitherEvent:
@@ -153,19 +152,9 @@ class RelationChunkStream:
                         continue  # a transport retry replaying delivered chunks
                     next_seq = seq + 1
                     self._attributes = tuple(payload.get("attributes") or ())
-                    if "columns" in payload:
-                        yield WireChunk(
-                            attributes=self._attributes,
-                            seq=seq,
-                            rows=binary.columns_to_rows(payload),
-                            columns=payload["columns"],
-                        )
-                    else:
-                        yield WireChunk(
-                            attributes=self._attributes,
-                            seq=seq,
-                            rows=protocol.rows_from_wire(payload.get("rows", ())),
-                        )
+                    yield WireChunk(
+                        self._attributes, seq, payload["columns"], payload["count"]
+                    )
                 elif kind == "end":
                     if self._attributes is None and payload.get("attributes") is not None:
                         self._attributes = tuple(payload["attributes"])
@@ -347,12 +336,6 @@ class RemoteLQP(LocalQueryProcessor):
     #: after) the source, so dropped columns never cross the network.
     supports_column_projection = True
 
-    @staticmethod
-    def _columns_param(columns) -> Dict[str, Any]:
-        # Omitted entirely when not narrowing: old servers ignore unknown
-        # request keys, but there is no reason to send one at all.
-        return {} if columns is None else {"columns": list(columns)}
-
     @property
     def binary_negotiated(self) -> bool:
         """Whether the server negotiated binary chunk frames at hello."""
@@ -374,17 +357,6 @@ class RemoteLQP(LocalQueryProcessor):
             return {}
         return {"trace": {"id": span.trace_id, "span": span.span_id}}
 
-    @staticmethod
-    def _adopt_spans(reply: Dict[str, Any], into: Optional[Span] = None) -> None:
-        """Stitch server-shipped spans into the ambient (or given) span's
-        trace; silently a no-op when the reply carries none."""
-        spans = reply.get("spans")
-        if not spans:
-            return
-        parent = into if into is not None else current_span()
-        if parent is not None:
-            parent.adopt(spans)
-
     def _format_param(self, override: str | None = None) -> Dict[str, Any]:
         """The per-request chunk-encoding key, honouring the connection's
         ``wire_format`` (or a per-call override).  Never sent to a v1
@@ -401,15 +373,34 @@ class RemoteLQP(LocalQueryProcessor):
             return {}
         return {"format": "binary"}
 
+    def _request_keys(self, columns, wire_format: str | None = None) -> Dict[str, Any]:
+        """The keys every relation request shares: the projection (omitted
+        entirely when not narrowing — old servers ignore unknown keys, but
+        there is no reason to send one), the chunk encoding and the trace
+        context."""
+        keys = {} if columns is None else {"columns": list(columns)}
+        return {**keys, **self._format_param(wire_format), **self._trace_param()}
+
+    def _ship(self, op: str, columns, **params: Any) -> Relation:
+        """One whole-relation request.  The reply's chunk columns become
+        the shipped relation's column view as they are; server-side spans
+        stitch into the ambient span's trace."""
+        reply = self._mux.request(op, **params, **self._request_keys(columns))
+        span = current_span()
+        if span is not None and reply.get("spans"):
+            span.adopt(reply["spans"])
+        return protocol.relation_from_wire(reply.get("attributes"), reply.get("columns"))
+
+    def _stream(
+        self, op: str, params: Dict[str, Any], columns, chunk_size, wire_format, abort
+    ) -> "RelationChunkStream":
+        params.update(self._request_keys(columns, wire_format))
+        if chunk_size is not None:
+            params["chunk_size"] = int(chunk_size)
+        return RelationChunkStream(self._mux, op, params, abort)
+
     def retrieve(self, relation_name: str, columns=None) -> Relation:
-        reply = self._mux.request(
-            "retrieve",
-            relation=relation_name,
-            **self._columns_param(columns),
-            **self._format_param(),
-            **self._trace_param(),
-        )
-        return self._assemble(reply)
+        return self._ship("retrieve", columns, relation=relation_name)
 
     def select(
         self,
@@ -419,17 +410,14 @@ class RemoteLQP(LocalQueryProcessor):
         value: Any,
         columns=None,
     ) -> Relation:
-        reply = self._mux.request(
+        return self._ship(
             "select",
+            columns,
             relation=relation_name,
             attribute=attribute,
             theta=theta.symbol,
             value=protocol.wire_value(value),
-            **self._columns_param(columns),
-            **self._format_param(),
-            **self._trace_param(),
         )
-        return self._assemble(reply)
 
     def retrieve_range(
         self,
@@ -440,18 +428,15 @@ class RemoteLQP(LocalQueryProcessor):
         include_nil: bool = False,
         columns=None,
     ) -> Relation:
-        reply = self._mux.request(
+        return self._ship(
             "retrieve_range",
+            columns,
             relation=relation_name,
             attribute=attribute,
             lower=protocol.wire_value(lower),
             upper=protocol.wire_value(upper),
             include_nil=include_nil,
-            **self._columns_param(columns),
-            **self._format_param(),
-            **self._trace_param(),
         )
-        return self._assemble(reply)
 
     def select_range(
         self,
@@ -465,8 +450,9 @@ class RemoteLQP(LocalQueryProcessor):
         include_nil: bool = False,
         columns=None,
     ) -> Relation:
-        reply = self._mux.request(
+        return self._ship(
             "select_range",
+            columns,
             relation=relation_name,
             attribute=attribute,
             theta=theta.symbol,
@@ -475,37 +461,7 @@ class RemoteLQP(LocalQueryProcessor):
             lower=protocol.wire_value(lower),
             upper=protocol.wire_value(upper),
             include_nil=include_nil,
-            **self._columns_param(columns),
-            **self._format_param(),
-            **self._trace_param(),
         )
-        return self._assemble(reply)
-
-    def retrieve_stream(
-        self,
-        relation_name: str,
-        on_chunk: Callable[[Sequence[str], List[Tuple[Any, ...]]], None],
-    ) -> Relation:
-        """Retrieve with chunk-level streaming: ``on_chunk(attributes,
-        rows)`` fires as each bounded chunk lands, while later chunks are
-        still in flight — first tuples are usable at first-chunk latency
-        instead of whole-result latency (measured in the network bench).
-        Chunks travel in the negotiated wire format; the callback always
-        sees row-major tuples.
-
-        ``on_chunk`` executes on the transport's event-loop thread and
-        must not block (a slow callback starves every other in-flight
-        request on this connection); hand rows off and return.  For a
-        pull-style iterator yielding *columnar* chunks on the calling
-        thread, see :meth:`retrieve_chunks`."""
-        reply = self._mux.request(
-            "retrieve",
-            relation=relation_name,
-            on_chunk=on_chunk,
-            **self._format_param(),
-            **self._trace_param(),
-        )
-        return self._assemble(reply)
 
     def retrieve_chunks(
         self,
@@ -520,20 +476,17 @@ class RemoteLQP(LocalQueryProcessor):
 
         Returns a :class:`RelationChunkStream` — iterate it on the calling
         thread to receive :class:`WireChunk` batches (attributes + column
-        vectors + rows) as they land, while later chunks are still in
-        flight.  This is the executor's pipelined-scan entry point:
-        ``chunk_size`` asks the server for a specific granularity,
+        vectors) as they land, while later chunks are still in flight:
+        first tuples are usable at first-chunk latency instead of
+        whole-result latency.  This is the executor's pipelined-scan entry
+        point: ``chunk_size`` asks the server for a specific granularity,
         ``abort`` (any ``threading.Event``) cancels the stream mid-flight
         from the consumer's side, and ``wire_format`` overrides the
         connection default for this stream.
         """
-        params: Dict[str, Any] = {"relation": relation_name}
-        params.update(self._columns_param(columns))
-        params.update(self._format_param(wire_format))
-        params.update(self._trace_param())
-        if chunk_size is not None:
-            params["chunk_size"] = int(chunk_size)
-        return RelationChunkStream(self._mux, "retrieve", params, abort)
+        return self._stream(
+            "retrieve", {"relation": relation_name}, columns, chunk_size, wire_format, abort
+        )
 
     def select_chunks(
         self,
@@ -548,22 +501,13 @@ class RemoteLQP(LocalQueryProcessor):
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """Like :meth:`retrieve_chunks` for a pushed-down selection."""
-        params: Dict[str, Any] = {
+        params = {
             "relation": relation_name,
             "attribute": attribute,
             "theta": theta.symbol,
             "value": protocol.wire_value(value),
         }
-        params.update(self._columns_param(columns))
-        params.update(self._format_param(wire_format))
-        params.update(self._trace_param())
-        if chunk_size is not None:
-            params["chunk_size"] = int(chunk_size)
-        return RelationChunkStream(self._mux, "select", params, abort)
-
-    def _assemble(self, reply: Dict[str, Any]) -> Relation:
-        self._adopt_spans(reply)
-        return protocol.relation_from_wire(reply.get("attributes"), reply.get("rows", ()))
+        return self._stream("select", params, columns, chunk_size, wire_format, abort)
 
     # -- transport observability / lifecycle --------------------------------
 

@@ -92,7 +92,6 @@ __all__ = [
     "error_message",
     "wire_value",
     "wire_rows",
-    "rows_from_wire",
     "stats_payload",
     "stats_from_payload",
     "capabilities_payload",
@@ -166,7 +165,9 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 
     Routes on the first payload byte: :data:`repro.net.binary.MAGIC_BYTE`
     selects the v2 binary chunk decoder, anything else is parsed as the
-    JSON v1 message shape.
+    JSON v1 message shape.  Either way a ``chunk`` message comes out
+    columnar (``columns`` + ``count``), so nothing past this function has
+    two shapes to handle; only binary ones carry ``"binary": True``.
     """
     if payload[:1] == bytes((binary.MAGIC_BYTE,)):
         return binary.decode_chunk_payload(payload)
@@ -178,7 +179,28 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"
         )
+    if message.get("kind") == "chunk":
+        _transpose_chunk(message)
     return message
+
+
+def _transpose_chunk(message: Dict[str, Any]) -> None:
+    """Replace a JSON v1 chunk's row-major ``rows`` by ``columns`` +
+    ``count`` — the one transpose JSON-shipped data ever gets."""
+    rows = message.pop("rows", None) or ()
+    attributes = message.get("attributes") or ()
+    try:
+        columns = [list(column) for column in zip(*rows, strict=True)]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed chunk frame: {exc}") from exc
+    if not rows:  # nothing to transpose: the degree comes from the heading
+        columns = [[] for _ in attributes]
+    elif len(columns) != len(attributes):
+        raise ProtocolError(
+            f"chunk rows of degree {len(columns)} under {len(attributes)} attributes"
+        )
+    message["columns"] = columns
+    message["count"] = len(rows)
 
 
 def read_frame(read_exactly: Callable[[int], bytes]) -> Dict[str, Any]:
@@ -363,10 +385,6 @@ def wire_rows(rows: Sequence[Sequence[Any]]) -> List[List[Any]]:
     return [[wire_value(value) for value in row] for row in rows]
 
 
-def rows_from_wire(rows: Sequence[Sequence[Any]]) -> List[Tuple[Any, ...]]:
-    return [tuple(row) for row in rows]
-
-
 def stats_payload(stats: RelationStats | None) -> Dict[str, Any] | None:
     """A :class:`~repro.lqp.base.RelationStats` as a ``relation_stats``
     result value (``None`` travels as JSON null: the LQP keeps none)."""
@@ -435,24 +453,21 @@ def relation_chunks(
 
 
 def relation_from_wire(
-    attributes: Sequence[str] | None,
-    rows: Sequence[Sequence[Any]],
-    fallback_attributes: Sequence[str] | None = None,
+    attributes: Sequence[str] | None, columns: Sequence[Sequence[Any]] | None
 ) -> Relation:
-    """Rebuild a :class:`Relation` from streamed chunks.
+    """Rebuild a :class:`Relation` from a reply's decoded chunk columns.
 
-    ``attributes`` is what the chunk frames carried (``None`` when the
-    result was empty and no chunk flowed); ``fallback_attributes`` lets the
-    caller supply the heading it learned out-of-band (the catalog) so an
-    empty remote result still reconstructs with its true heading.
+    ``columns`` is ``None`` when the result was empty and no chunk flowed;
+    ``attributes`` is then the heading the ``end`` frame carried.
     """
-    heading = attributes if attributes is not None else fallback_attributes
-    if heading is None:
+    if attributes is None:
         raise ProtocolError(
-            "cannot reconstruct a relation: no chunk carried a heading and "
-            "no fallback heading is known"
+            "cannot reconstruct a relation: neither a chunk nor the end "
+            "frame carried a heading"
         )
-    return Relation(list(heading), rows_from_wire(rows))
+    if columns is None:
+        return Relation(list(attributes))
+    return Relation.from_columns(list(attributes), columns)
 
 
 # -- URLs -------------------------------------------------------------------

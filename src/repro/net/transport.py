@@ -38,7 +38,7 @@ import weakref
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from time import monotonic as _monotonic
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import (
     ConnectionLostError,
@@ -49,7 +49,7 @@ from repro.errors import (
     RemoteTimeoutError,
     ServiceClosedError,
 )
-from repro.net import binary, protocol
+from repro.net import protocol
 
 __all__ = ["ConnectionMux", "TransportStats"]
 
@@ -182,29 +182,10 @@ class ConnectionMux:
             self._call(self._ensure_connected())
         return dict(self._hello)
 
-    def negotiated_version(self) -> int:
-        """The protocol version this connection runs at (dials on first use)."""
-        return protocol.negotiate_version(
-            self.hello(), f"LQP server at {self.host}:{self.port}"
-        )
-
-    def supports_binary(self) -> bool:
-        """Whether binary columnar chunk frames may flow on this connection."""
-        return protocol.supports_binary(
-            self.hello(), f"LQP server at {self.host}:{self.port}"
-        )
-
-    def supports_trace(self) -> bool:
-        """Whether the server accepts trace contexts and ships spans back."""
-        return protocol.supports_trace(
-            self.hello(), f"LQP server at {self.host}:{self.port}"
-        )
-
     def request(
         self,
         op: str,
         *,
-        on_chunk: Optional[Callable[[Sequence[str], List[Tuple[Any, ...]]], None]] = None,
         on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
         abort: Optional[threading.Event] = None,
         **params: Any,
@@ -212,22 +193,22 @@ class ConnectionMux:
         """Execute one request; blocks until its final frame.
 
         Returns ``{"value": ...}`` for scalar ops, or ``{"attributes": ...,
-        "rows": [...], "chunks": n}`` for streamed relation ops; either
-        shape gains a ``"spans"`` key when the server shipped server-side
-        trace spans back (see :mod:`repro.obs.trace`).
-        ``on_chunk(attributes, rows)`` fires as each chunk lands — before
-        the stream is complete — which is what lets a retrieve's first
-        tuples be processed while the server is still shipping the rest.
-        ``on_chunk_message(message)`` is the lower-level sibling, receiving
-        the decoded chunk *message* (columnar for binary frames: ``columns``
-        + ``count`` instead of ``rows``); when given, the reply accumulates
-        no rows — the callback is the stream's only consumer.
+        "columns": [...], "chunks": n}`` for streamed relation ops — the
+        chunks' column vectors concatenated, ``None`` when no chunk flowed;
+        either shape gains a ``"spans"`` key when the server shipped
+        server-side trace spans back (see :mod:`repro.obs.trace`).
+        ``on_chunk_message(message)`` fires as each chunk lands — before
+        the stream is complete — with the decoded chunk message
+        (``attributes``, ``columns``, ``count``, whichever format carried
+        it); when given, the reply accumulates no columns — the callback
+        is the stream's only consumer.
 
-        **Both callbacks run on this mux's event-loop thread.**  They must
+        **The callback runs on this mux's event-loop thread.**  It must
         not block: every other in-flight request on this connection shares
         that loop, so a slow callback starves their frame reads into
         spurious timeouts.  Record/enqueue and return; do heavy work on
-        the consuming thread.
+        the consuming thread (:class:`~repro.net.client.RelationChunkStream`
+        is that hand-off).
 
         ``abort`` (any object with ``is_set()``) cancels the stream from
         the caller's side mid-flight: the mux sends a best-effort server
@@ -235,7 +216,7 @@ class ConnectionMux:
 
         Every LQP op is a pure read, so a :class:`ConnectionLostError` is
         retried (``retries`` times) on a fresh connection; the chunk
-        callbacks then restart from the first chunk (consumers that must
+        callback then restarts from the first chunk (consumers that must
         not re-process rows dedup on the chunk ``seq``).
         """
         attempts = self.retries + 1
@@ -250,7 +231,7 @@ class ConnectionMux:
                 )
             try:
                 return self._call(
-                    self._roundtrip(op, params, on_chunk, on_chunk_message, abort)
+                    self._roundtrip(op, params, on_chunk_message, abort)
                 )
             except ConnectionLostError:
                 if attempt == attempts - 1:
@@ -468,7 +449,6 @@ class ConnectionMux:
         self,
         op: str,
         params: Dict[str, Any],
-        on_chunk: Optional[Callable[[Sequence[str], List[Tuple[Any, ...]]], None]],
         on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
         abort: Optional[threading.Event] = None,
     ) -> Dict[str, Any]:
@@ -484,7 +464,7 @@ class ConnectionMux:
                 await self._send(protocol.request_message(request_id, op, **params))
                 self._count(requests=1)
                 return await self._collect(
-                    request_id, queue, on_chunk, on_chunk_message, abort
+                    request_id, queue, on_chunk_message, abort
                 )
             finally:
                 self._pending.pop(request_id, None)
@@ -518,15 +498,15 @@ class ConnectionMux:
         self,
         request_id: int,
         queue: asyncio.Queue,
-        on_chunk: Optional[Callable[[Sequence[str], List[Tuple[Any, ...]]], None]],
         on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
         abort: Optional[threading.Event] = None,
     ) -> Dict[str, Any]:
         attributes: Optional[List[str]] = None
-        rows: List[Tuple[Any, ...]] = []
-        # A chunk-message sink is the stream's sole consumer: accumulating
-        # rows here too would double the peak memory of every large scan.
-        accumulate = on_chunk_message is None
+        # The reply's column vectors: the first chunk's own lists, extended
+        # by every later chunk's.  A chunk-message sink is the stream's
+        # sole consumer instead: accumulating here too would double the
+        # peak memory of every large scan.
+        columns: Optional[List[List[Any]]] = None
         chunks = 0
         while True:
             try:
@@ -559,26 +539,24 @@ class ConnectionMux:
             if kind == "chunk":
                 chunks += 1
                 attributes = message.get("attributes")
-                is_binary = "columns" in message
-                if is_binary:
-                    batch = binary.columns_to_rows(message)
-                else:
-                    batch = protocol.rows_from_wire(message.get("rows", ()))
-                if accumulate:
-                    rows.extend(batch)
                 self._count(
                     chunks=1,
-                    tuples=len(batch),
-                    binary_chunks=1 if is_binary else 0,
+                    tuples=message["count"],
+                    binary_chunks=1 if message.get("binary") else 0,
                 )
                 if on_chunk_message is not None:
                     on_chunk_message(message)
-                if on_chunk is not None:
-                    on_chunk(attributes, batch)
+                elif columns is None:
+                    columns = message["columns"]
+                else:
+                    # A chunk of another degree leaves ragged columns, which
+                    # Relation.from_columns refuses when the reply is built.
+                    for column, more in zip(columns, message["columns"]):
+                        column.extend(more)
             elif kind == "end":
                 if attributes is None:  # empty result: no chunk flowed
                     attributes = message.get("attributes")
-                reply = {"attributes": attributes, "rows": rows, "chunks": chunks}
+                reply = {"attributes": attributes, "columns": columns, "chunks": chunks}
                 spans = message.get("spans")
                 if spans:
                     reply["spans"] = spans

@@ -317,7 +317,7 @@ class _PlanRun:
         for chunk in chunks:
             self.check_cancel()
             if span is not None:
-                span.add_event("chunk", tuples=len(chunk.rows))
+                span.add_event("chunk", tuples=chunk.cardinality)
             batch = pipeline.push(chunk)
             if batch is not None:
                 on_chunk(batch)
@@ -509,11 +509,12 @@ class Executor:
             operands = (row.lha, row.theta, row.rha.value)
         if not callable(opener):
             shipped = cls._ship_local(row, lqp, columns)
-            rows = shipped.rows
-            for start in range(0, len(rows), chunk_size):
-                yield Relation(shipped.heading, rows[start : start + chunk_size])
-            if not rows:
-                yield Relation(shipped.heading, [])
+            # ``or 1``: an empty relation still yields its one (empty) chunk.
+            for start in range(0, shipped.cardinality or 1, chunk_size):
+                yield Relation.from_columns(
+                    shipped.heading,
+                    [column[start : start + chunk_size] for column in shipped.columns],
+                )
             return
         kwargs = {
             "chunk_size": chunk_size,
@@ -525,7 +526,7 @@ class Executor:
         wire_stream = opener(row.lhr.relation, *operands, **kwargs)
         delivered = False
         for wire_chunk in wire_stream:
-            yield Relation(wire_chunk.attributes, wire_chunk.rows)
+            yield wire_chunk.relation()
             delivered = True
         if not delivered:
             attributes = wire_stream.attributes
@@ -533,7 +534,7 @@ class Executor:
                 raise ExecutionError(
                     f"row {row.result}: stream ended without a heading"
                 )
-            yield Relation(attributes, [])
+            yield Relation(attributes)
 
     @staticmethod
     def _shipped_columns(lqp, scheme, row: MatrixRow):

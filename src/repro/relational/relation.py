@@ -3,6 +3,14 @@
 Rows are plain tuples of Python values; ``None`` encodes SQL-style missing
 data.  Set semantics: exact duplicate rows collapse at construction, and
 insertion order is preserved for reproducible display.
+
+A relation is also what an LQP ships to the PQP, and it has two views of
+the same data: :attr:`Relation.rows` (what the local engines compute in)
+and :attr:`Relation.columns` (what the wire decodes into and what
+:mod:`repro.lqp.tagging` reads).  It is built in one of them — from rows
+by the constructor, from columns by :meth:`Relation.from_columns` — and
+the other is derived by a single transpose the first time it is read,
+then kept, so a long-lived base relation is transposed at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ class Relation:
     1
     """
 
-    __slots__ = ("_heading", "_rows")
+    __slots__ = ("_heading", "_rows", "_columns")
 
     def __init__(self, heading: Heading | Sequence[str], rows: Iterable[Sequence[Any]] = ()):
         if not isinstance(heading, Heading):
@@ -38,7 +46,44 @@ class Relation:
                     f"row of degree {len(row_tuple)} in relation of degree {degree}"
                 )
             seen.setdefault(row_tuple, None)
-        self._rows: Tuple[Tuple[Any, ...], ...] = tuple(seen)
+        self._rows: Tuple[Tuple[Any, ...], ...] | None = tuple(seen)
+        self._columns: Tuple[Tuple[Any, ...], ...] | None = None
+
+    @classmethod
+    def from_columns(
+        cls, heading: Heading | Sequence[str], columns: Sequence[Sequence[Any]]
+    ) -> "Relation":
+        """Build from one value vector per attribute, all of one length.
+
+        Same set semantics as the row constructor: rows that agree in
+        every column collapse to their first occurrence.  That takes one
+        ``zip`` pass; when nothing collapses the given columns become the
+        column view as they are (tuples are not even copied).
+
+        >>> Relation.from_columns(["A", "B"], [[1, 1, 2], ["x", "x", "y"]]).rows
+        ((1, 'x'), (2, 'y'))
+        """
+        if not isinstance(heading, Heading):
+            heading = Heading(heading)
+        if len(columns) != len(heading):
+            raise DegreeMismatchError(
+                f"{len(columns)} columns in relation of degree {len(heading)}"
+            )
+        cardinality = len(columns[0])
+        if any(len(column) != cardinality for column in columns):
+            raise DegreeMismatchError(
+                "ragged columns: lengths "
+                + ", ".join(str(len(column)) for column in columns)
+            )
+        distinct = dict.fromkeys(zip(*columns))
+        self = object.__new__(cls)
+        self._heading = heading
+        self._rows = None
+        # tuple() of a tuple is that tuple: distinct columns are not copied.
+        self._columns = tuple(
+            zip(*distinct) if len(distinct) != cardinality else map(tuple, columns)
+        )
+        return self
 
     # -- accessors -----------------------------------------------------------
 
@@ -52,7 +97,18 @@ class Relation:
 
     @property
     def rows(self) -> Tuple[Tuple[Any, ...], ...]:
+        """The row view (transposed from the columns on first use)."""
+        if self._rows is None:
+            self._rows = tuple(zip(*self._columns))
         return self._rows
+
+    @property
+    def columns(self) -> Tuple[Tuple[Any, ...], ...]:
+        """The column view, one value tuple per attribute in heading
+        order (transposed from the rows on first use)."""
+        if self._columns is None:
+            self._columns = tuple(zip(*self._rows)) if self._rows else ((),) * self.degree
+        return self._columns
 
     @property
     def degree(self) -> int:
@@ -60,20 +116,21 @@ class Relation:
 
     @property
     def cardinality(self) -> int:
-        return len(self._rows)
+        if self._rows is not None:
+            return len(self._rows)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.cardinality
 
     def __bool__(self) -> bool:
         return True
 
     def column(self, attribute: str) -> Tuple[Any, ...]:
-        position = self._heading.index(attribute)
-        return tuple(row[position] for row in self._rows)
+        return self.columns[self._heading.index(attribute)]
 
     def row_dict(self, row: Sequence[Any]) -> Mapping[str, Any]:
         """A name → value view of one row (used by condition evaluation)."""
@@ -84,33 +141,23 @@ class Relation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._heading == other._heading and set(self._rows) == set(other._rows)
+        return self._heading == other._heading and set(self.rows) == set(other.rows)
 
     def __hash__(self) -> int:
-        return hash((self._heading, frozenset(self._rows)))
+        return hash((self._heading, frozenset(self.rows)))
 
     # -- derivation -----------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
-        return Relation(self._heading.rename(mapping), self._rows)
+        """Rename attributes; the data, already a set, is shared as is."""
+        renamed = object.__new__(Relation)
+        renamed._heading = self._heading.rename(mapping)
+        renamed._rows = self._rows
+        renamed._columns = self._columns
+        return renamed
 
     def replace_rows(self, rows: Iterable[Sequence[Any]]) -> "Relation":
         return Relation(self._heading, rows)
-
-    def map_values(self, transform) -> "Relation":
-        """Apply ``transform(attribute, value)`` to every cell.
-
-        Used by the PQP boundary to run instance-identity resolution and
-        domain mappings over freshly retrieved local data.
-        """
-        attributes = self._heading.attributes
-        return Relation(
-            self._heading,
-            (
-                tuple(transform(attribute, value) for attribute, value in zip(attributes, row))
-                for row in self._rows
-            ),
-        )
 
     def __repr__(self) -> str:
         return f"Relation({list(self._heading.attributes)!r}, cardinality={self.cardinality})"

@@ -108,35 +108,35 @@ class ColumnarRelation:
         return _from_keys(heading, seen, pool)
 
     @classmethod
-    def from_uniform_rows(
+    def uniform(
         cls,
         heading: Heading,
-        rows: Iterable[Sequence[Any]],
-        origins: SourceSet = EMPTY_SOURCES,
-        intermediates: SourceSet = EMPTY_SOURCES,
+        columns: Sequence[Tuple[Any, ...]],
+        origins: Iterable[str] = (),
+        intermediates: Iterable[str] = (),
         pool: TagPool | None = None,
     ) -> "ColumnarRelation":
-        """Build from plain data rows with every cell tagged alike.
+        """Tag plain data columns with every cell alike.
 
-        This is the LQP materialization fast path: the whole relation needs
-        exactly two interned ids — ``(origins, intermediates)`` for data
-        cells and ``({}, intermediates)`` for nils — so tag interning is
-        O(1) in the number of cells and no per-cell objects are built.
+        This is how shipped local data becomes a polygen base relation: the
+        whole relation needs exactly two interned ids — ``(origins,
+        intermediates)`` for data cells and ``({}, intermediates)`` for
+        nils — so tag interning is O(1) in the number of cells and no
+        per-cell objects are built.  ``columns`` are trusted like
+        ``__init__``'s: value tuples, rectangular, and duplicate-free as
+        rows (equal data rows would get equal tag rows here, so distinct
+        data is enough).
         """
         pool = pool or GLOBAL_TAG_POOL
-        degree = len(heading)
         tagged = pool.intern(frozenset(origins), frozenset(intermediates))
         nil = pool.intern(EMPTY_SOURCES, frozenset(intermediates))
-        seen: dict[tuple, None] = {}
-        for row in rows:
-            data = tuple(row)
-            if len(data) != degree:
-                raise DegreeMismatchError(
-                    f"tuple of degree {len(data)} in relation of degree {degree}"
-                )
-            key = (data, tuple(nil if value is None else tagged for value in data))
-            seen.setdefault(key, None)
-        return _from_keys(heading, seen, pool)
+        tags = tuple(
+            tuple([nil if value is None else tagged for value in column])
+            if None in column
+            else (tagged,) * len(column)
+            for column in columns
+        )
+        return cls(heading, tuple(columns), tags, pool)
 
     @classmethod
     def from_row_major(

@@ -68,6 +68,10 @@ class TestRelationConstruction:
         with pytest.raises(DegreeMismatchError):
             PolygenRelation(["A", "B"], [PolygenTuple([cell("x")])])
 
+    def test_from_data_degree_mismatch_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            PolygenRelation.from_data(["A", "B"], [["only-one"]])
+
     def test_exact_duplicates_collapse(self):
         row = PolygenTuple([cell("x", ["AD"])])
         r = PolygenRelation(["A"], [row, row])

@@ -15,6 +15,7 @@ from repro.datasets import expected
 from repro.datasets.paper import paper_databases, paper_identity_resolver
 from repro.integration.domains import default_registry
 from repro.lqp.tagging import tag_local_relation
+from repro.relational.relation import Relation
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,13 @@ def base_relations():
                 value = transform(value)
             return resolver.resolve(value)
 
-        return relation.map_values(convert)
+        return Relation(
+            relation.heading,
+            (
+                tuple(map(convert, relation.attributes, row))
+                for row in relation.rows
+            ),
+        )
 
     business = canonicalize(databases["AD"].relation("BUSINESS"))
     corporation = canonicalize(databases["PD"].relation("CORPORATION"))

@@ -113,3 +113,83 @@ class TestMaterialize:
         out = materialize(business, "AD", porganization, relation_name="BUSINESS")
         assert out.attributes == ("ONAME", "INDUSTRY")
         assert out.tuples[0][0].origins == sources("AD")
+
+
+class TestHandOff:
+    """The shipped relation crosses into the columnar store in its column
+    view: no intermediate ``Relation``, and at most one transpose ever."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Counts every ``Relation`` built while the fixture is live."""
+        built = []
+        init, from_columns = Relation.__init__, Relation.from_columns.__func__
+
+        def counting_init(self, *args, **kwargs):
+            built.append("rows")
+            init(self, *args, **kwargs)
+
+        def counting_from_columns(cls, *args, **kwargs):
+            built.append("columns")
+            return from_columns(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "__init__", counting_init)
+        monkeypatch.setattr(Relation, "from_columns", classmethod(counting_from_columns))
+        return built
+
+    def test_column_built_relation_is_never_transposed(
+        self, porganization, constructions, monkeypatch
+    ):
+        shipped = Relation.from_columns(
+            ["FNAME", "CEO", "HQ", "UNMAPPED"],
+            [
+                ["CitiCorp", "Langley Castle", "IBM"],
+                ["John Reed", "Stu Madnick", "John Ackers"],
+                ["NY, NY", "Cambridge, MA", "Armonk, NY"],
+                ["a", "b", "c"],
+            ],
+        )
+        constructions.clear()
+
+        def row_view(self):
+            raise AssertionError("the row view of a shipped relation was built")
+
+        monkeypatch.setattr(Relation, "rows", property(row_view))
+        out = materialize(
+            shipped,
+            "CD",
+            porganization,
+            resolver=IdentityResolver({"Citicorp": ["CitiCorp"]}),
+        )
+        assert constructions == []
+        assert out.store.columns == (
+            ("Citicorp", "Langley Castle", "IBM"),
+            ("John Reed", "Stu Madnick", "John Ackers"),
+            ("NY", "MA", "NY"),
+        )
+
+    def test_untouched_columns_enter_the_store_as_shipped(self, constructions):
+        scheme = PolygenScheme(
+            "P", {"X": [AttributeMapping("AD", "T", "A")], "Y": [AttributeMapping("AD", "T", "B")]}
+        )
+        shipped = Relation.from_columns(["A", "B"], [(1, 2), ("x", "y")])
+        out = materialize(shipped, "AD", scheme)
+        assert out.attributes == ("X", "Y")
+        assert all(
+            kept is sent for kept, sent in zip(out.store.columns, shipped.columns)
+        )
+
+    def test_row_built_relation_is_transposed_exactly_once(
+        self, firm_relation, porganization, constructions
+    ):
+        constructions.clear()
+        first = materialize(firm_relation, "CD", porganization)
+        columns = firm_relation.columns
+        second = materialize(firm_relation, "CD", porganization)
+        assert constructions == []
+        # The one transpose is kept on the relation: a later materialize
+        # (and tag_local_relation) start from the very same column tuples.
+        assert firm_relation.columns is columns
+        assert first.store.columns[0] is second.store.columns[0] is columns[0]
+        tagged = tag_local_relation(firm_relation, "CD")
+        assert all(kept is sent for kept, sent in zip(tagged.store.columns, columns))

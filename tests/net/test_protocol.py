@@ -117,16 +117,35 @@ class TestValues:
             protocol.wire_value(value)
 
 
+def _decoded_chunks(relation, chunk_size=protocol.DEFAULT_CHUNK_TUPLES):
+    """``relation`` through the JSON v1 chunk codec: the decoded messages."""
+    return [
+        protocol.decode_payload(
+            protocol.encode_frame(
+                protocol.chunk_message(1, seq, relation.attributes, rows)
+            )[4:]
+        )
+        for seq, rows in enumerate(protocol.relation_chunks(relation, chunk_size))
+    ]
+
+
+def _concatenated(messages):
+    return [
+        [value for message in messages for value in message["columns"][position]]
+        for position in range(len(messages[0]["columns"]))
+    ]
+
+
 class TestRelationPayloads:
     def test_chunked_round_trip(self):
         relation = Relation(
             ["A", "B"], [(i, f"row-{i}") for i in range(10)]
         )
-        chunks = list(protocol.relation_chunks(relation, chunk_size=3))
-        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
+        messages = _decoded_chunks(relation, chunk_size=3)
+        assert [message["count"] for message in messages] == [3, 3, 3, 1]
+        assert all("rows" not in message for message in messages)
         rebuilt = protocol.relation_from_wire(
-            list(relation.attributes),
-            [row for chunk in chunks for row in chunk],
+            list(relation.attributes), _concatenated(messages)
         )
         assert rebuilt == relation
 
@@ -134,12 +153,34 @@ class TestRelationPayloads:
         relation = Relation(["A"], [])
         assert list(protocol.relation_chunks(relation)) == []
         # ... and reconstructs via the end-frame heading.
-        rebuilt = protocol.relation_from_wire(["A"], [])
+        rebuilt = protocol.relation_from_wire(["A"], None)
         assert rebuilt == relation
 
     def test_no_heading_anywhere_is_an_error(self):
         with pytest.raises(ProtocolError, match="heading"):
-            protocol.relation_from_wire(None, [])
+            protocol.relation_from_wire(None, None)
+
+    def test_json_chunk_decodes_columnar(self):
+        frame = protocol.encode_frame(
+            protocol.chunk_message(1, 0, ["A", "B"], [[1, "x"], [2, None]])
+        )
+        message = protocol.decode_payload(frame[4:])
+        assert message["columns"] == [[1, 2], ["x", None]]
+        assert message["count"] == 2
+        assert not message.get("binary")
+
+    def test_zero_row_json_chunk_keeps_its_degree(self):
+        frame = protocol.encode_frame(protocol.chunk_message(1, 0, ["A", "B"], []))
+        message = protocol.decode_payload(frame[4:])
+        assert message["columns"] == [[], []] and message["count"] == 0
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2], [3]], [[1, 2, 3]], [1, 2], "garbage"]
+    )
+    def test_malformed_json_chunk_refused(self, rows):
+        frame = protocol.encode_frame(protocol.chunk_message(1, 0, ["A", "B"], rows))
+        with pytest.raises(ProtocolError, match="chunk"):
+            protocol.decode_payload(frame[4:])
 
     def test_end_message_carries_heading(self):
         end = protocol.end_message(7, 0, 0, ["A", "B"])
@@ -147,9 +188,8 @@ class TestRelationPayloads:
 
     def test_nil_survives_the_wire(self):
         relation = Relation(["A", "B"], [(1, None), (None, "x")])
-        chunks = list(protocol.relation_chunks(relation))
         rebuilt = protocol.relation_from_wire(
-            list(relation.attributes), [row for c in chunks for row in c]
+            list(relation.attributes), _concatenated(_decoded_chunks(relation))
         )
         assert rebuilt == relation
 

@@ -258,14 +258,45 @@ class TestLoopbackEquivalence:
 
 class TestChunkStreaming:
     def test_chunks_arrive_in_order_and_bounded(self, server):
-        seen = []
         with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            relation = remote.retrieve_stream(
-                "ALUMNUS", lambda attributes, rows: seen.append(list(rows))
-            )
+            relation = remote.retrieve("ALUMNUS")
+            seen = list(remote.retrieve_chunks("ALUMNUS"))
         # chunk_size=3 over 8 tuples: 3+3+2.
-        assert [len(batch) for batch in seen] == [3, 3, 2]
-        assert [row for batch in seen for row in batch] == list(relation.rows)
+        assert [chunk.count for chunk in seen] == [3, 3, 2]
+        assert [chunk.seq for chunk in seen] == [0, 1, 2]
+        assert [
+            row for chunk in seen for row in chunk.relation().rows
+        ] == list(relation.rows)
+
+    def test_chunks_are_handed_over_before_the_end_frame(self):
+        consumed = threading.Event()
+        held_back = []
+
+        def end_only_after_the_chunk_is_consumed(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            request = scripted.read_frame(sock)
+            sock.sendall(
+                protocol.encode_frame(
+                    protocol.chunk_message(request["id"], 0, ["A"], [[1], [2]])
+                )
+            )
+            held_back.append(consumed.wait(TIMEOUT))
+            sock.sendall(
+                protocol.encode_frame(protocol.end_message(request["id"], 1, 2, ["A"]))
+            )
+            scripted.read_frame(sock)  # block until the client closes
+
+        scripted = _ScriptedServer(end_only_after_the_chunk_is_consumed)
+        try:
+            with RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0) as remote:
+                chunks = []
+                for chunk in remote.retrieve_chunks("T"):
+                    chunks.append(chunk)
+                    consumed.set()
+            assert held_back == [True]
+            assert [chunk.relation().rows for chunk in chunks] == [((1,), (2,))]
+        finally:
+            scripted.close()
 
     def test_transport_counts_chunks_and_bytes(self, server):
         with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
@@ -897,3 +928,230 @@ class TestWireTraceNegotiation:
             remote.close()
         finally:
             scripted.close()
+
+
+# -- the columnar hand-off ----------------------------------------------------
+
+MIXED_ROWS = [
+    (1, None, "x", True),
+    (2, 2.5, None, False),
+    (3, 7, "y", None),
+    (4, True, "", 0),
+    (5, -1, "x", 1.0),
+]
+
+
+def _mixed_lqp(rows=MIXED_ROWS) -> RelationalLQP:
+    from repro.relational.database import LocalDatabase
+    from repro.relational.schema import RelationSchema
+
+    database = LocalDatabase("XD")
+    database.load(RelationSchema("T", ["K", "A", "B", "C"], key=["K"]), rows)
+    return RelationalLQP(database)
+
+
+def _mixed_scheme():
+    from repro.catalog.mapping import AttributeMapping
+    from repro.catalog.scheme import PolygenScheme
+
+    return PolygenScheme(
+        "PT",
+        {
+            polygen: [AttributeMapping("XD", "T", local)]
+            for polygen, local in (("PK", "K"), ("PA", "A"), ("PB", "B"), ("PC", "C"))
+        },
+        primary_key=["PK"],
+    )
+
+
+def _chunk_frame(wire_format, request_id, seq, attributes, columns, count):
+    """One chunk frame as a server of either format would send it."""
+    from repro.net import binary
+
+    if wire_format == "binary":
+        return protocol.frame_raw(
+            binary.encode_chunk_payload(request_id, seq, attributes, columns, count)
+        )
+    rows = [list(row) for row in zip(*columns)] if columns else [[] for _ in range(count)]
+    return protocol.encode_frame(
+        protocol.chunk_message(request_id, seq, attributes, rows)
+    )
+
+
+def _one_chunk_server(wire_format, attributes, columns, count):
+    """A peer answering every request with one scripted chunk, then end."""
+
+    def script(scripted, sock):
+        sock.sendall(protocol.encode_frame(protocol.hello_message("XD", ["T"])))
+        while True:
+            request = scripted.read_frame(sock)
+            sock.sendall(
+                _chunk_frame(wire_format, request["id"], 0, attributes, columns, count)
+            )
+            sock.sendall(
+                protocol.encode_frame(
+                    protocol.end_message(request["id"], 1, count, attributes)
+                )
+            )
+
+    return _ScriptedServer(script)
+
+
+WIRE_FORMATS = ("json", "binary")
+
+
+class TestColumnarHandOff:
+    """What the two wire formats decode into is one thing: the same
+    ``Relation``, materializing to the same polygen relation."""
+
+    def _both(self, server, verb):
+        shipped = {}
+        for wire_format in WIRE_FORMATS:
+            with RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format) as remote:
+                shipped[wire_format] = verb(remote)
+        return shipped["json"], shipped["binary"]
+
+    def _assert_materialize_equal(self, *relations):
+        from repro.lqp.tagging import materialize
+
+        first, *rest = [
+            materialize(relation, "XD", _mixed_scheme(), consulted=["AD"])
+            for relation in relations
+        ]
+        for other in rest:
+            assert other == first
+            assert other.tuples == first.tuples
+
+    def test_mixed_columns_decode_and_materialize_equal(self):
+        lqp = _mixed_lqp()
+        with LQPServer(lqp, chunk_size=2) as server:
+            by_json, by_binary = self._both(server, lambda r: r.retrieve("T"))
+        local = lqp.retrieve("T")
+        assert by_json == by_binary == local
+        assert by_json.rows == by_binary.rows == local.rows
+        # bool/int/float keep their types through both codecs.
+        assert [
+            [type(value) for value in column] for column in by_binary.columns
+        ] == [[type(value) for value in column] for column in local.columns]
+        self._assert_materialize_equal(local, by_json, by_binary)
+
+    def test_nan_survives_both_codecs_in_place(self):
+        import math
+
+        rows = [(1, float("nan"), "x", None), (2, 1.0, None, float("nan"))]
+        with LQPServer(_mixed_lqp(rows), chunk_size=1) as server:
+            by_json, by_binary = self._both(server, lambda r: r.retrieve("T"))
+
+        def canonical(relation):
+            return [
+                tuple(
+                    "NaN" if isinstance(v, float) and math.isnan(v) else v for v in row
+                )
+                for row in relation.rows
+            ]
+
+        assert canonical(by_json) == canonical(by_binary) == [
+            (1, "NaN", "x", None),
+            (2, 1.0, None, "NaN"),
+        ]
+
+    def test_empty_result_takes_its_heading_from_the_end_frame(self):
+        lqp = _mixed_lqp()
+        with LQPServer(lqp, chunk_size=2) as server:
+            by_json, by_binary = self._both(
+                server, lambda r: r.select("T", "K", Theta.EQ, 99)
+            )
+
+            def drained(remote):
+                stream = remote.select_chunks("T", "K", Theta.EQ, 99)
+                return list(stream), stream
+
+            streams = self._both(server, drained)
+        assert by_json == by_binary == lqp.select("T", "K", Theta.EQ, 99)
+        assert by_json.attributes == by_binary.attributes == ("K", "A", "B", "C")
+        assert by_json.cardinality == by_binary.cardinality == 0
+        for chunks, stream in streams:
+            assert chunks == [] and stream.attributes == ("K", "A", "B", "C")
+        self._assert_materialize_equal(by_json, by_binary)
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_zero_row_chunk(self, wire_format):
+        scripted = _one_chunk_server(wire_format, ["K", "A", "B", "C"], [[], [], [], []], 0)
+        try:
+            with RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0) as remote:
+                relation = remote.retrieve("T")
+                (chunk,) = list(remote.retrieve_chunks("T"))
+                stats = remote.transport_stats()
+            assert relation == chunk.relation() == _mixed_lqp([]).retrieve("T")
+            assert chunk.count == 0 and chunk.columns == [[], [], [], []]
+            assert (stats.chunks, stats.tuples) == (2, 0)
+            self._assert_materialize_equal(relation, chunk.relation())
+        finally:
+            scripted.close()
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_zero_column_chunk_is_counted_from_the_frame(self, wire_format):
+        # A relation has at least one attribute, so a zero-column chunk can
+        # never become one — but its tuples were shipped, and the transport
+        # counts them off the frame without needing a row to exist.
+        from repro.errors import HeadingError
+
+        scripted = _one_chunk_server(wire_format, [], [], 3)
+        try:
+            with RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0) as remote:
+                accounted = AccountingLQP(remote)
+                (chunk,) = list(accounted.retrieve_chunks("T"))
+                assert (chunk.count, chunk.columns, chunk.attributes) == (3, [], ())
+                with pytest.raises(HeadingError):
+                    chunk.relation()
+                with pytest.raises(HeadingError):
+                    remote.retrieve("T")
+                stats = remote.transport_stats()
+            assert (stats.chunks, stats.tuples) == (2, 6)
+            assert stats.binary_chunks == (2 if wire_format == "binary" else 0)
+            assert accounted.stats.tuples_shipped == 3
+        finally:
+            scripted.close()
+
+    def test_zero_column_projection_is_refused_at_the_source(self, server):
+        for wire_format in WIRE_FORMATS:
+            with RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format) as remote:
+                with pytest.raises(RemoteQueryError, match="HeadingError"):
+                    remote.retrieve("ALUMNUS", columns=[])
+                with pytest.raises(RemoteQueryError, match="HeadingError"):
+                    list(remote.retrieve_chunks("ALUMNUS", columns=[]))
+                assert remote.transport_stats().tuples == 0
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_streamed_tuples_are_counted_from_the_frames(self, server, wire_format):
+        # Regression: the transport built (and threw away) a row view of
+        # every streamed chunk to count it; the counts come off the frames
+        # now and must not have moved.
+        with RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format) as remote:
+            accounted = AccountingLQP(remote)
+            chunks = list(accounted.retrieve_chunks("ALUMNUS"))
+            accounted.retrieve("ALUMNUS")
+            stats = remote.transport_stats()
+        assert [chunk.count for chunk in chunks] == [3, 3, 2]
+        assert (stats.requests, stats.chunks, stats.tuples) == (2, 6, 16)
+        assert stats.binary_chunks == (6 if wire_format == "binary" else 0)
+        assert accounted.stats.tuples_shipped == 16
+        assert accounted.stats.retrieves == 2
+
+    @pytest.mark.parametrize("wire_format", WIRE_FORMATS)
+    def test_stream_abandoned_mid_way_leaves_the_connection_usable(
+        self, server, wire_format
+    ):
+        reference = ad_lqp().retrieve("ALUMNUS")
+        with RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format) as remote:
+            accounted = AccountingLQP(remote)
+            for chunk in accounted.retrieve_chunks("ALUMNUS"):
+                first = chunk.relation()
+                break
+            assert first.rows == reference.rows[:3]
+            assert accounted.stats.tuples_shipped == 3
+            # Frames of the abandoned stream still in flight belong to a
+            # request id nobody waits on; the next request is unaffected.
+            assert remote.retrieve("ALUMNUS") == reference
+            again = [c.relation() for c in remote.retrieve_chunks("ALUMNUS")]
+        assert [row for part in again for row in part.rows] == list(reference.rows)

@@ -72,11 +72,11 @@ class TestStoreSemantics:
                 Heading(["A", "B"]), [PolygenTuple([cell("x")])]
             )
 
-    def test_from_uniform_rows_interns_two_ids(self):
+    def test_uniform_interns_two_ids(self):
         pool = TagPool()
-        store = ColumnarRelation.from_uniform_rows(
+        store = ColumnarRelation.uniform(
             Heading(["A", "B"]),
-            [["x", None], ["y", "z"], ["w", None]],
+            [("x", "y", "w"), (None, "z", None)],
             origins=sources("AD"),
             pool=pool,
         )
@@ -87,9 +87,13 @@ class TestStoreSemantics:
         nil_cells = [c for c in store.iter_cells(1) if c.is_nil]
         assert nil_cells and all(c.origins == frozenset() for c in nil_cells)
 
-    def test_from_uniform_rows_validates_degree(self):
-        with pytest.raises(DegreeMismatchError):
-            ColumnarRelation.from_uniform_rows(Heading(["A", "B"]), [["only-one"]])
+    def test_uniform_shares_one_tag_tuple_across_a_nil_free_column(self):
+        store = ColumnarRelation.uniform(
+            Heading(["A", "B"]), [("x", "y"), (None, "z")], origins=sources("AD")
+        )
+        assert store.columns == (("x", "y"), (None, "z"))
+        assert len(set(store.tags[0])) == 1
+        assert store.tags[1][0] != store.tags[1][1]
 
     def test_empty_store(self):
         store = ColumnarRelation.empty(Heading(["A", "B"]))
