@@ -5,7 +5,7 @@ tuples) through both physical representations:
 
 - **columnar** — :mod:`repro.core.algebra`, batch kernels over per-attribute
   columns and interned tag-pool ids (:mod:`repro.storage`),
-- **rowpath** — :mod:`repro.core.rowpath`, the original cell-at-a-time
+- **rowpath** — ``tests/reference/rowpath.py``, the original cell-at-a-time
   transcription of the paper kept as the differential-testing reference.
 
 Caveat: rowpath results are rebuilt through ``PolygenRelation(...)``, whose
@@ -28,9 +28,11 @@ import time
 
 import pytest
 
-from repro.core import algebra, derived, rowpath
+from repro.core import algebra, derived
 from repro.core.predicate import Literal, Theta
 from repro.core.relation import PolygenRelation
+
+from tests.reference import rowpath
 
 SOURCES = ("AD", "PD", "CD", "BD")
 WIDTH = 6  # attributes per relation — "wide" per the paper's worked tables

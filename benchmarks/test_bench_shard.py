@@ -19,7 +19,7 @@ markers):
 - **merge_hash_vs_fold.hash_merge_speedup** — a 6-branch, 30k-tuple
   Merge evaluated by the hash-partitioned one-pass kernel
   (:func:`repro.core.derived.merge`) versus the paper's literal fold of
-  Outer Natural Total Joins (:func:`repro.core.derived.merge_fold`).
+  Outer Natural Total Joins (``tests/reference/fold.py``).
   The fold rescans its growing accumulator once per operand; the hash
   kernel touches each input row once.
 
@@ -35,7 +35,7 @@ import time
 from repro.catalog.mapping import AttributeMapping
 from repro.catalog.schema import PolygenSchema
 from repro.catalog.scheme import PolygenScheme
-from repro.core.derived import merge, merge_fold
+from repro.core.derived import merge
 from repro.core.relation import PolygenRelation
 from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
@@ -52,6 +52,8 @@ from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.shard import shard_retrieves
 from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
+
+from tests.reference.fold import merge_fold
 
 #: Relation size and shard width under test (the acceptance regime).
 ROWS = 100_000

@@ -4,7 +4,7 @@ Each function keeps the paper's set-theoretic contract, with tag propagation
 handled per the definitions below; since the columnar refactor the actual
 work happens batch-wise in :mod:`repro.storage.kernels`, on per-attribute
 data columns and interned tag ids.  The original cell-at-a-time
-transcriptions survive verbatim in :mod:`repro.core.rowpath`, and
+transcriptions survive verbatim in ``tests/reference/rowpath.py``, and
 ``tests/property`` asserts both paths produce identical relations.
 
 =================  =========================================================

@@ -44,7 +44,6 @@ __all__ = [
     "outer_natural_primary_join",
     "outer_natural_total_join",
     "merge",
-    "merge_fold",
 ]
 
 #: Suffix used to qualify right-hand attributes that collide with left-hand
@@ -79,6 +78,11 @@ def join(
     Table 7's single ONAME column.  Set ``coalesce_equal=False`` to keep the
     right column under a ``__rhs``-qualified name.
 
+    For θ ``=`` the join runs as a hash join
+    (:func:`repro.storage.kernels.hash_join`): the same rows, row order and
+    tags as the definition, without forming the product.  Every other θ
+    evaluates the definition, Product then Restrict.
+
     Any *other* attribute shared by both operands is an error: rename it
     first (the executor never produces this case because local relations are
     renamed to disjoint polygen attributes at retrieval).
@@ -98,7 +102,14 @@ def join(
         right_key = y + RHS_SUFFIX
         right = p2.rename({y: right_key})
 
-    combined = restrict(product(p1, right), x, theta, AttributeRef(right_key))
+    if theta is Theta.EQ:
+        heading = p1.heading.concat(right.heading)
+        x_pos, y_pos = p1.heading.index(x), right.heading.index(right_key)
+        combined = PolygenRelation.from_store(
+            kernels.hash_join(p1.store, right.store, heading, (x_pos,), (y_pos,))
+        )
+    else:
+        combined = restrict(product(p1, right), x, theta, AttributeRef(right_key))
     if right_key is not y and coalesce_equal:
         if theta is not Theta.EQ:
             raise InvalidOperandError(
@@ -263,8 +274,8 @@ def merge(
     folding ONTJs — which rebuilds and re-joins the accumulated result per
     operand — the work runs as one hash-partitioned pass over the key
     columns (:func:`repro.storage.kernels.hash_merge`).  The definitional
-    fold survives as :func:`merge_fold`; a property suite pins the two
-    tag-identical.
+    fold lives in ``tests/reference/fold.py``; a property suite pins the
+    two tag-identical.
     """
     operands = list(relations)
     if not operands:
@@ -276,27 +287,3 @@ def merge(
     return PolygenRelation.from_store(
         kernels.hash_merge([relation.store for relation in operands], key, policy)
     )
-
-
-def merge_fold(
-    relations: Iterable[PolygenRelation],
-    key: Sequence[str],
-    policy: ConflictPolicy = ConflictPolicy.DROP,
-) -> PolygenRelation:
-    """Merge evaluated exactly as the paper defines it: a left fold of
-    Outer Natural Total Joins.
-
-    The reference implementation :func:`merge` must match — kept public
-    for the differential property suite and as the baseline the
-    ``merge_hash_vs_fold`` benchmark measures against.
-    """
-    operands = list(relations)
-    if not operands:
-        raise InvalidOperandError("merge requires at least one relation")
-    for relation in operands:
-        relation.heading.require(*key)
-    merged = operands[0]
-    key_pairs = [(name, name) for name in key]
-    for relation in operands[1:]:
-        merged = outer_natural_total_join(merged, relation, key_pairs, policy=policy)
-    return merged

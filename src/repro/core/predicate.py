@@ -7,7 +7,10 @@ polygen data:
 - ``nil`` never satisfies any comparison (a missing datum cannot be selected
   on — consistent with the paper's outer-join example, where nil-padded rows
   never join),
-- equality/inequality across different Python types is simply false,
+- equality is Python ``==``, so it crosses types where Python's does
+  (``1``, ``True`` and ``1.0`` are equal; ``1`` and ``"1"`` are not), and
+  NaN equals nothing — the same rule the key index of Join, the outer
+  joins and Merge applies (:mod:`repro.storage.keyed`),
 - ordering comparisons across incompatible types raise
   :class:`repro.errors.IncomparableTypesError` rather than guessing.
 """

@@ -15,12 +15,15 @@ restrict           one ``pool.add_intermediates`` id lookup per cell
 difference         ditto, with a single relation-wide mediator set
 coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
-outer_join         ``add_intermediates`` lookups; nil pads interned once
+hash_join          ``add_intermediates`` lookups per matched cell
+outer_join         ditto; nil pads interned once
 =================  =====================================================
 
-The row-at-a-time reference implementations survive in
-:mod:`repro.core.rowpath`; ``tests/property`` asserts every kernel is
-bit-identical to its reference on random relations.
+Join, the outer joins and Merge match rows through one key index, which
+holds the key rule (:mod:`repro.storage.keyed`); Coalesce and Merge fold
+cells through one function, :func:`_fold_cells`.  The row-at-a-time
+reference implementations live in ``tests/reference``; ``tests/property``
+asserts every kernel is bit-identical to its reference on random relations.
 
 Operands are brought onto the left operand's pool via
 :meth:`ColumnarRelation.translated` before any cross-relation id use.
@@ -28,14 +31,16 @@ Operands are brought onto the left operand's pool via
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from itertools import groupby, repeat
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
 from repro.core.heading import Heading
 from repro.core.predicate import Theta
 from repro.core.tags import EMPTY_SOURCES, SourceSet
-from repro.errors import CoalesceConflictError
+from repro.errors import CoalesceConflictError, InvalidOperandError
 from repro.storage.columnar import ColumnarRelation, _from_keys
+from repro.storage.keyed import buckets, key_rows
 
 __all__ = [
     "project",
@@ -46,6 +51,7 @@ __all__ = [
     "difference",
     "coalesce",
     "intersect",
+    "hash_join",
     "outer_join",
     "hash_merge",
     "fresh_rows",
@@ -54,7 +60,10 @@ __all__ = [
 ]
 
 DataRow = Tuple[Any, ...]
-TagRow = Sequence[int]
+
+#: The largest product :func:`product` builds, in cells; bigger operands are
+#: refused with the estimate instead of exhausting memory.
+MAX_PRODUCT_CELLS = 10**8
 
 
 def _build_deduped(
@@ -131,8 +140,14 @@ def project(store: ColumnarRelation, positions: Sequence[int], heading: Heading)
 
 def product(s1: ColumnarRelation, s2: ColumnarRelation, heading: Heading) -> ColumnarRelation:
     """``p1 × p2`` — column replication; no per-cell tag work at all."""
-    s2 = s2.translated(s1.pool)
     n1, n2 = s1.cardinality, s2.cardinality
+    cells = n1 * n2 * (s1.degree + s2.degree)
+    if cells > MAX_PRODUCT_CELLS:
+        raise InvalidOperandError(
+            f"product of {n1} × {n2} tuples would build {cells:,} cells "
+            f"(limit {MAX_PRODUCT_CELLS:,})"
+        )
+    s2 = s2.translated(s1.pool)
     left_data = tuple(
         tuple(value for value in column for _ in range(n2)) for column in s1.columns
     )
@@ -290,6 +305,49 @@ def difference(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
     return _build_deduped(s1.heading, data_columns, tag_columns, pool)
 
 
+def _fold_cells(
+    pool,
+    policy: ConflictPolicy,
+    attributes: Iterable[str],
+    x_data: Sequence[Any],
+    x_tags: Sequence[int],
+    y_data: Sequence[Any],
+    y_tags: Sequence[int],
+) -> Tuple[List[Any], List[Optional[int]]]:
+    """Coalesce aligned cell pairs (paper, §II): equal data union their
+    tags, a nil side yields the other side verbatim, and conflicting data
+    are settled by ``policy``.  The one cell fold behind :func:`coalesce`
+    (a column pair) and :func:`hash_merge` (a row pair).
+
+    Returns the folded data and tag ids; a pair ``DROP`` discards gets the
+    tag ``None``.  ``attributes`` names each pair for a conflict error.
+    """
+    merge = pool.merge
+    absorb = pool.absorb
+    data: List[Any] = []
+    tags: List[Optional[int]] = []
+    for attribute, x_datum, x_tag, y_datum, y_tag in zip(
+        attributes, x_data, x_tags, y_data, y_tags
+    ):
+        if x_datum == y_datum:
+            datum, tag = x_datum, merge(x_tag, y_tag)
+        elif y_datum is None:
+            datum, tag = x_datum, x_tag
+        elif x_datum is None:
+            datum, tag = y_datum, y_tag
+        elif policy is ConflictPolicy.DROP:
+            datum, tag = None, None
+        elif policy is ConflictPolicy.ERROR:
+            raise CoalesceConflictError(x_datum, y_datum, attribute)
+        elif policy is ConflictPolicy.PREFER_LEFT:
+            datum, tag = x_datum, absorb(x_tag, y_tag)
+        else:
+            datum, tag = y_datum, absorb(y_tag, x_tag)
+        data.append(datum)
+        tags.append(tag)
+    return data, tags
+
+
 def coalesce(
     store: ColumnarRelation,
     x_pos: int,
@@ -299,54 +357,21 @@ def coalesce(
     policy: ConflictPolicy,
 ) -> ColumnarRelation:
     """``p[x © y : w]`` — fold two columns into one at ``x``'s position."""
-    pool = store.pool
-    merge = pool.merge
-    absorb = pool.absorb
     x_data, y_data = store.columns[x_pos], store.columns[y_pos]
-    x_tagc, y_tagc = store.tags[x_pos], store.tags[y_pos]
-
-    survivors: List[int] = []
-    folded_data: List[Any] = []
-    folded_tags: List[int] = []
-    for i in range(store.cardinality):
-        x_datum, y_datum = x_data[i], y_data[i]
-        x_tag, y_tag = x_tagc[i], y_tagc[i]
-        if x_datum == y_datum:
-            datum, tag = x_datum, merge(x_tag, y_tag)
-        elif y_datum is None:
-            datum, tag = x_datum, x_tag
-        elif x_datum is None:
-            datum, tag = y_datum, y_tag
-        elif policy is ConflictPolicy.DROP:
-            continue
-        elif policy is ConflictPolicy.ERROR:
-            raise CoalesceConflictError(x_datum, y_datum, attribute)
-        elif policy is ConflictPolicy.PREFER_LEFT:
-            datum, tag = x_datum, absorb(x_tag, y_tag)
-        else:
-            datum, tag = y_datum, absorb(y_tag, x_tag)
-        survivors.append(i)
-        folded_data.append(datum)
-        folded_tags.append(tag)
-
-    intact = len(survivors) == store.cardinality
-    data_columns: List[Sequence[Any]] = []
-    tag_columns: List[Sequence[int]] = []
-    for position in range(store.degree):
-        if position == y_pos:
-            continue
-        if position == x_pos:
-            data_columns.append(folded_data)
-            tag_columns.append(folded_tags)
-        elif intact:
-            data_columns.append(store.columns[position])
-            tag_columns.append(store.tags[position])
-        else:
-            column = store.columns[position]
-            data_columns.append([column[i] for i in survivors])
-            tag_column = store.tags[position]
-            tag_columns.append([tag_column[i] for i in survivors])
-    return _build_deduped(heading, data_columns, tag_columns, pool)
+    x_tags, y_tags = store.tags[x_pos], store.tags[y_pos]
+    data, tags = _fold_cells(
+        store.pool, policy, repeat(attribute), x_data, x_tags, y_data, y_tags
+    )
+    survivors = [i for i, tag in enumerate(tags) if tag is not None]
+    if len(survivors) < store.cardinality:  # DROP discarded conflicting rows
+        store = store.take_rows(survivors)
+        data = [data[i] for i in survivors]
+        tags = [tags[i] for i in survivors]
+    data_columns: List[Sequence[Any]] = list(store.columns)
+    tag_columns: List[Sequence[Any]] = list(store.tags)
+    data_columns[x_pos], tag_columns[x_pos] = data, tags
+    del data_columns[y_pos], tag_columns[y_pos]
+    return _build_deduped(heading, data_columns, tag_columns, store.pool)
 
 
 def intersect(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
@@ -404,6 +429,97 @@ def intersect(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
     return ColumnarRelation.from_row_major(s1.heading, out_data, out_tags, pool)
 
 
+def _gather(
+    store: ColumnarRelation,
+    indices: Sequence[int],
+    mediators: Sequence[SourceSet],
+    pads: Sequence[int],
+) -> Tuple[List[list], List[list]]:
+    """``store``'s columns at row ``indices``, every cell's intermediates
+    gaining the matching ``mediators``; an index of -1 is a nil cell
+    tagged with the matching ``pads`` id."""
+    add = store.pool.add_intermediates
+    data_columns = [
+        [column[i] if i >= 0 else None for i in indices] for column in store.columns
+    ]
+    tag_columns = [
+        [
+            add(column[i], extra) if i >= 0 else pad
+            for i, extra, pad in zip(indices, mediators, pads)
+        ]
+        for column in store.tags
+    ]
+    return data_columns, tag_columns
+
+
+def _equijoin(
+    s1: ColumnarRelation,
+    s2: ColumnarRelation,
+    heading: Heading,
+    left_pos: Sequence[int],
+    right_pos: Sequence[int],
+    outer: bool,
+) -> ColumnarRelation:
+    """Each left row probes the right operand's key buckets; every cell of
+    a match gains both key cells' origins as intermediates.  ``outer`` also
+    keeps the unmatched rows of both sides, each mediated by its own key
+    cells' origins and padded with nil cells carrying them."""
+    pool = s1.pool
+    s2 = s2.translated(pool)
+    left_keys, left_sources = key_rows(s1, left_pos)
+    right_keys, right_sources = key_rows(s2, right_pos)
+    right_index = buckets(right_keys)
+
+    #: per output row: source row in each operand (-1 = nil padding), the
+    #: mediator set for real cells, and the interned pad id otherwise.
+    left_idx: List[int] = []
+    right_idx: List[int] = []
+    mediators: List[SourceSet] = []
+    pads: List[int] = []
+    matched_right: set[int] = set()
+    for i, key in enumerate(left_keys):
+        sources_i = left_sources[i]
+        matches = right_index.get(key, ())
+        for j in matches:
+            left_idx.append(i)
+            right_idx.append(j)
+            mediators.append(sources_i | right_sources[j])
+            pads.append(pool.EMPTY_ID)
+        if not outer:
+            continue
+        if matches:
+            matched_right.update(matches)
+        else:
+            left_idx.append(i)
+            right_idx.append(-1)
+            mediators.append(sources_i)
+            pads.append(pool.intern(EMPTY_SOURCES, sources_i))
+
+    if outer:
+        for j in range(s2.cardinality):
+            if j not in matched_right:
+                left_idx.append(-1)
+                right_idx.append(j)
+                mediators.append(right_sources[j])
+                pads.append(pool.intern(EMPTY_SOURCES, right_sources[j]))
+
+    left_data, left_tags = _gather(s1, left_idx, mediators, pads)
+    right_data, right_tags = _gather(s2, right_idx, mediators, pads)
+    return _build_deduped(heading, left_data + right_data, left_tags + right_tags, pool)
+
+
+def hash_join(
+    s1: ColumnarRelation,
+    s2: ColumnarRelation,
+    heading: Heading,
+    left_pos: Sequence[int],
+    right_pos: Sequence[int],
+) -> ColumnarRelation:
+    """Inner equijoin: exactly ``restrict(product(s1, s2), x = y)`` — the
+    same rows, row order and tags — without forming the product."""
+    return _equijoin(s1, s2, heading, left_pos, right_pos, outer=False)
+
+
 def outer_join(
     s1: ColumnarRelation,
     s2: ColumnarRelation,
@@ -413,92 +529,7 @@ def outer_join(
 ) -> ColumnarRelation:
     """Outer equijoin with Table A4 tag semantics (see
     :func:`repro.core.derived.outer_join` for the full contract)."""
-    pool = s1.pool
-    s2 = s2.translated(pool)
-    add = pool.add_intermediates
-    origins = pool.origins
-    intern = pool.intern
-    n1, n2 = s1.cardinality, s2.cardinality
-
-    def keys_of(store: ColumnarRelation, positions: Sequence[int]):
-        """Per-row key data (``None`` when any component is nil) and key
-        origins, extracted in bulk; origin unions memoized per id tuple."""
-        if not store.cardinality:
-            return [], []
-        key_rows = list(zip(*(store.columns[i] for i in positions)))
-        tag_rows = list(zip(*(store.tags[i] for i in positions)))
-        keys = [
-            None if any(value is None for value in key) else key for key in key_rows
-        ]
-        memo: dict[tuple, SourceSet] = {}
-        sources: List[SourceSet] = []
-        for tags in tag_rows:
-            found = memo.get(tags)
-            if found is None:
-                found = frozenset()
-                for tag in tags:
-                    found |= origins(tag)
-                memo[tags] = found
-            sources.append(found)
-        return keys, sources
-
-    left_keys, left_sources = keys_of(s1, left_pos)
-    right_keys, right_sources = keys_of(s2, right_pos)
-
-    right_index: dict[tuple, List[int]] = {}
-    for j, key in enumerate(right_keys):
-        if key is not None:
-            right_index.setdefault(key, []).append(j)
-
-    #: per output row: source row in each operand (-1 = nil padding), the
-    #: mediator set for real cells, and the interned pad id otherwise.
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    mediators: List[SourceSet] = []
-    pads: List[int] = []
-    matched_right: set[int] = set()
-    for i in range(n1):
-        key = left_keys[i]
-        sources_i = left_sources[i]
-        matches = right_index.get(key, ()) if key is not None else ()
-        if matches:
-            for j in matches:
-                left_idx.append(i)
-                right_idx.append(j)
-                mediators.append(sources_i | right_sources[j])
-                pads.append(pool.EMPTY_ID)
-                matched_right.add(j)
-        else:
-            left_idx.append(i)
-            right_idx.append(-1)
-            mediators.append(sources_i)
-            pads.append(intern(EMPTY_SOURCES, sources_i))
-
-    for j in range(n2):
-        if j in matched_right:
-            continue
-        left_idx.append(-1)
-        right_idx.append(j)
-        mediators.append(right_sources[j])
-        pads.append(intern(EMPTY_SOURCES, right_sources[j]))
-
-    def gather(store: ColumnarRelation, indices: List[int]):
-        data_columns = [
-            [column[i] if i >= 0 else None for i in indices]
-            for column in store.columns
-        ]
-        tag_columns = [
-            [
-                add(column[i], extra) if i >= 0 else pad
-                for i, extra, pad in zip(indices, mediators, pads)
-            ]
-            for column in store.tags
-        ]
-        return data_columns, tag_columns
-
-    left_data, left_tags = gather(s1, left_idx)
-    right_data, right_tags = gather(s2, right_idx)
-    return _build_deduped(heading, left_data + right_data, left_tags + right_tags, pool)
+    return _equijoin(s1, s2, heading, left_pos, right_pos, outer=True)
 
 
 def hash_merge(
@@ -514,9 +545,8 @@ def hash_merge(
     Because the fold order is immaterial (paper, §II), the same answer
     falls out of a single partition-and-coalesce pass:
 
-    1. hash-partition every operand's rows by key data (interned tag ids
-       stay ids throughout; key-cell origin unions are memoized per id
-       tuple),
+    1. partition every operand's rows by key data through the key index
+       (:mod:`repro.storage.keyed`; interned tag ids stay ids throughout),
     2. per partition, walk the operands *in order*, crossing the
        accumulated partial rows with the operand's rows and coalescing
        attribute-wise under ``policy`` — exactly the pairwise coalesce the
@@ -533,8 +563,8 @@ def hash_merge(
 
     Subtleties the fold semantics force and step 2 preserves:
 
-    - rows whose key data contain nil never match anything — they pass
-      through individually, mediated by their own key-cell origins only;
+    - rows whose key data contain nil or NaN never match anything — they
+      pass through individually, mediated by their own key-cell origins;
     - under ``DROP``, when *every* pairing of a partition dies at operand
       *j*, operand *j+1*'s rows enter unmatched (fresh partials), exactly
       as they would re-enter the emptied fold;
@@ -551,140 +581,65 @@ def hash_merge(
 
     # Output heading: ordered union of operand attributes by first
     # appearance — the heading the ONTJ fold accretes.
-    names: List[str] = []
-    seen_names: set[str] = set()
-    for store in translated:
-        for name in store.heading.attributes:
-            if name not in seen_names:
-                seen_names.add(name)
-                names.append(name)
+    names = list(
+        dict.fromkeys(name for store in translated for name in store.heading.attributes)
+    )
     heading = Heading(names)
-    degree = len(names)
-    position_of = {name: i for i, name in enumerate(names)}
 
     if len(translated) == 1:
         return first
 
-    merge = pool.merge
-    absorb = pool.absorb
-    add = pool.add_intermediates
-    origins = pool.origins
-    intern = pool.intern
-    empty_id = pool.EMPTY_ID
-
-    key_origins_memo: dict[Tuple[int, ...], SourceSet] = {}
-
-    def key_origins(tag_ids: Tuple[int, ...]) -> SourceSet:
-        found = key_origins_memo.get(tag_ids)
-        if found is None:
-            found = EMPTY_SOURCES
-            for tag in tag_ids:
-                found |= origins(tag)
-            key_origins_memo[tag_ids] = found
-        return found
-
-    # Partition phase: per-operand rows bucketed by key data.  A partial
-    # row is (full-width data list, full-width raw tag list, mediator set);
-    # nil-keyed rows go straight to the loners list.
-    #: key data → per-operand list of (data, tags, key origins) rows.
-    partitions: dict[Tuple[Any, ...], List[List[Tuple[list, list, SourceSet]]]] = {}
-    partition_order: List[Tuple[Any, ...]] = []
-    loners: List[Tuple[list, list, SourceSet]] = []
-    operand_count = len(translated)
-
+    # Every operand row widened to a partial — (full-width data, full-width
+    # raw tags, key-cell origins) — under one global row id.  An attribute
+    # the operand lacks is a nil cell with the empty tag.
+    entries: List[Tuple[tuple, tuple, SourceSet]] = []
+    operand_of: List[int] = []
+    keys: list = []
     for operand_index, store in enumerate(translated):
-        if not store.cardinality:
-            continue
-        key_pos = store.heading.indices(key)
-        slots = [position_of[name] for name in store.heading.attributes]
-        key_data_rows = list(zip(*(store.columns[i] for i in key_pos)))
-        key_tag_rows = list(zip(*(store.tags[i] for i in key_pos)))
-        for data_row, tag_row, key_data, key_tags in zip(
-            store.data_rows(), store.tag_rows(), key_data_rows, key_tag_rows
-        ):
-            data: list = [None] * degree
-            tags: list = [empty_id] * degree
-            for slot, datum, tag in zip(slots, data_row, tag_row):
-                data[slot] = datum
-                tags[slot] = tag
-            entry = (data, tags, key_origins(key_tags))
-            if any(component is None for component in key_data):
-                loners.append(entry)
-                continue
-            bucket = partitions.get(key_data)
-            if bucket is None:
-                bucket = partitions[key_data] = [[] for _ in range(operand_count)]
-                partition_order.append(key_data)
-            bucket[operand_index].append(entry)
+        n = store.cardinality
+        store_keys, sources = key_rows(store, store.heading.indices(key))
+        keys += store_keys
+        operand_of += [operand_index] * n
+        nil = ([None] * n, [pool.EMPTY_ID] * n)
+        own = dict(zip(store.heading.attributes, zip(store.columns, store.tags)))
+        data, tags = zip(*(own.get(name, nil) for name in names))
+        entries += zip(zip(*data), zip(*tags), sources)
 
     def coalesce_pair(
-        acc: Tuple[list, list, SourceSet], row: Tuple[list, list, SourceSet]
+        acc: Tuple[tuple, tuple, SourceSet], row: Tuple[tuple, tuple, SourceSet]
     ) -> Optional[Tuple[list, list, SourceSet]]:
         """One accumulated partial × one operand row, attribute-wise
         coalesce on raw tags; ``None`` when the ``DROP`` policy kills it."""
-        acc_data, acc_tags, acc_sources = acc
-        row_data, row_tags, row_sources = row
-        out_data: list = [None] * degree
-        out_tags: list = [empty_id] * degree
-        for p in range(degree):
-            x_datum, y_datum = acc_data[p], row_data[p]
-            x_tag, y_tag = acc_tags[p], row_tags[p]
-            if x_datum == y_datum:
-                datum, tag = x_datum, merge(x_tag, y_tag)
-            elif y_datum is None:
-                datum, tag = x_datum, x_tag
-            elif x_datum is None:
-                datum, tag = y_datum, y_tag
-            elif policy is ConflictPolicy.DROP:
-                return None
-            elif policy is ConflictPolicy.ERROR:
-                raise CoalesceConflictError(x_datum, y_datum, names[p])
-            elif policy is ConflictPolicy.PREFER_LEFT:
-                datum, tag = x_datum, absorb(x_tag, y_tag)
-            else:
-                datum, tag = y_datum, absorb(y_tag, x_tag)
-            out_data[p] = datum
-            out_tags[p] = tag
-        return out_data, out_tags, acc_sources | row_sources
+        data, tags = _fold_cells(pool, policy, names, acc[0], acc[1], row[0], row[1])
+        return None if None in tags else (data, tags, acc[2] | row[2])
 
-    out_data_rows: List[DataRow] = []
-    out_tag_rows: List[List[int]] = []
-
-    def emit(partial: Tuple[list, list, SourceSet]) -> None:
-        data, tags, mediators = partial
-        out_data_rows.append(tuple(data))
-        out_tag_rows.append(
-            [
-                add(tag, mediators) if tag != empty_id else intern(EMPTY_SOURCES, mediators)
-                for tag in tags
-            ]
-        )
-
-    for key_data in partition_order:
-        bucket = partitions[key_data]
-        accumulated: List[Tuple[list, list, SourceSet]] = []
-        for rows in bucket:
-            if not rows:
-                continue
+    # A partition's row ids ascend, so they come grouped by operand, in
+    # operand order.
+    merged: List[Tuple[Sequence, Sequence, SourceSet]] = []
+    for rows in buckets(keys).values():
+        accumulated: List[Tuple[Sequence, Sequence, SourceSet]] = []
+        for _, group in groupby(rows, key=operand_of.__getitem__):
+            contributed = [entries[row] for row in group]
             if not accumulated:
                 # First contributor — or every pairing died under DROP, in
                 # which case the fold's accumulator is empty and these rows
                 # enter unmatched, as fresh partials.
-                accumulated = list(rows)
+                accumulated = contributed
                 continue
             accumulated = [
                 combined
                 for acc in accumulated
-                for row in rows
+                for row in contributed
                 if (combined := coalesce_pair(acc, row)) is not None
             ]
-        for partial in accumulated:
-            emit(partial)
-    for partial in loners:
-        emit(partial)
+        merged += accumulated
+    merged += [entries[row] for row, key_data in enumerate(keys) if key_data is None]
 
-    if not out_data_rows:
+    if not merged:
         return ColumnarRelation.empty(heading, pool)
-    columns = list(zip(*out_data_rows))
-    tag_columns = [list(column) for column in zip(*out_tag_rows)]
+    # The mediator stamp; on an empty slot it interns the nil pad.
+    add = pool.add_intermediates
+    columns = list(zip(*(data for data, _, _ in merged)))
+    tag_rows = ([add(tag, sources) for tag in tags] for _, tags, sources in merged)
+    tag_columns = [list(column) for column in zip(*tag_rows)]
     return _build_deduped(heading, columns, tag_columns, pool)

@@ -1,0 +1,69 @@
+"""The key index: which rows share key data (paper, §II).
+
+Join (a Restrict of a Product on ``x = y``), the outer joins and Merge (a
+fold of Outer Natural Total Joins) all match rows on key data, by θ ``=``'s
+rule (:mod:`repro.core.predicate`): Python ``==``, and a key with a nil or
+NaN component matches nothing — not even the same NaN object, so no answer
+depends on whether a decoder reused a float or built a fresh one.
+
+The whole-row set operators (Project, Union, Difference, Intersect) do not
+use this index: there nil matches nil, as equal data portions.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.tags import EMPTY_SOURCES, SourceSet
+from repro.storage.columnar import ColumnarRelation
+
+__all__ = ["key_rows", "buckets"]
+
+Key = Tuple[object, ...]
+
+
+def key_rows(
+    store: ColumnarRelation, positions: Sequence[int]
+) -> Tuple[List[Optional[Key]], List[SourceSet]]:
+    """Per row: its key data (``None`` when it can never match) and the
+    union of its key cells' origins — the mediators a match records.
+
+    Origin unions are memoized per tag-id tuple; rows overwhelmingly share
+    a handful of them.
+    """
+    if not store.cardinality:
+        return [], []
+    columns = [store.columns[i] for i in positions]
+    keys: List[Optional[Key]] = [
+        None if None in key else key for key in zip(*columns)
+    ]
+    for column in columns:
+        for row, value in enumerate(column):
+            if value != value:  # NaN: equal to nothing, itself included
+                keys[row] = None
+    origins = store.pool.origins
+    memo: Dict[Tuple[int, ...], SourceSet] = {}
+    sources: List[SourceSet] = []
+    for tags in zip(*(store.tags[i] for i in positions)):
+        found = memo.get(tags)
+        if found is None:
+            found = EMPTY_SOURCES
+            for tag in tags:
+                found |= origins(tag)
+            memo[tags] = found
+        sources.append(found)
+    return keys, sources
+
+
+def buckets(keys: Sequence[Optional[Key]]) -> Dict[Key, List[int]]:
+    """Key data → the row ids carrying it, in row order; keys in order of
+    first appearance.  ``None`` keys are left out, so they match nothing."""
+    index: Dict[Key, List[int]] = {}
+    for row, key in enumerate(keys):
+        if key is not None:
+            found = index.get(key)
+            if found is None:
+                index[key] = [row]
+            else:
+                found.append(row)
+    return index

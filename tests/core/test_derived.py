@@ -1,6 +1,8 @@
 """Unit tests for the derived operators: Select, Join, Intersection, the
 outer natural joins and Merge (paper, §II and Appendix A)."""
 
+import math
+
 import pytest
 
 from repro.core.algebra import coalesce, product, project, restrict
@@ -19,6 +21,8 @@ from repro.core.predicate import AttributeRef, Theta
 from repro.core.relation import PolygenRelation
 from repro.core.tags import sources
 from repro.errors import AttributeCollisionError, InvalidOperandError
+from repro.storage import kernels
+
 
 def cell(datum, origins=(), intermediates=()):
     return Cell.of(datum, origins, intermediates)
@@ -102,6 +106,92 @@ class TestJoin:
         via_join = join(left, right, "K1", Theta.EQ, "K2")
         via_primitives = restrict(product(left, right), "K1", Theta.EQ, AttributeRef("K2"))
         assert via_join == via_primitives
+
+    def test_equijoin_never_forms_the_product(self, monkeypatch):
+        # 10⁴ × 10⁴ unique keys: 10⁸ pairs if the product were formed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the equijoin formed the product")
+
+        monkeypatch.setattr(kernels, "product", refuse)
+        monkeypatch.setattr(kernels, "restrict", refuse)
+        n = 10_000
+        left = PolygenRelation.from_data(["A", "K1"], [(i, i) for i in range(n)], origins=["AD"])
+        right = PolygenRelation.from_data(
+            ["K2", "B"], [(k, -k) for k in reversed(range(n))], origins=["CD"]
+        )
+        out = join(left, right, "K1", Theta.EQ, "K2")
+        assert out.cardinality == n
+        assert out.data_rows()[:2] == ((0, 0, 0, 0), (1, 1, 1, -1))
+
+    def test_theta_join_refuses_an_oversized_product(self):
+        n = 10_000
+        left = PolygenRelation.from_data(["A"], [(i,) for i in range(n)], origins=["AD"])
+        right = PolygenRelation.from_data(["B"], [(i,) for i in range(n)], origins=["CD"])
+        with pytest.raises(InvalidOperandError, match="10000 × 10000"):
+            join(left, right, "A", Theta.LT, "B")
+
+
+def canonical(relation):
+    """Rows with every NaN datum spelled ``"NaN"``, so answers over
+    distinct NaN objects compare; tags included, order-insensitive."""
+    rows = [
+        (
+            tuple("NaN" if c.datum != c.datum else c.datum for c in row),
+            tuple((c.origins, c.intermediates) for c in row),
+        )
+        for row in relation
+    ]
+    return sorted(rows, key=repr)
+
+
+class TestKeyMatchRule:
+    """Join, the outer joins and Merge match key data by one rule: Python
+    ``==``, with nil and NaN matching nothing — whatever the objects'
+    identity, so a wire decoder that builds a fresh float per cell cannot
+    change an answer."""
+
+    SHARED_NAN = math.nan
+
+    def operands(self, shared):
+        right_key = self.SHARED_NAN if shared else float("nan")
+        left = PolygenRelation.from_data(["K", "X"], [(self.SHARED_NAN, "x")], origins=["AD"])
+        right = PolygenRelation.from_data(["K", "Y"], [(right_key, "y")], origins=["PD"])
+        return left, right
+
+    def answers(self, shared):
+        left, right = self.operands(shared)
+        return {
+            "merge_drop": canonical(merge([left, right], ["K"])),
+            "merge_error": canonical(merge([left, right], ["K"], policy=ConflictPolicy.ERROR)),
+            "outer_join": canonical(outer_join(left, right.rename({"K": "J"}), [("K", "J")])),
+            "join": canonical(join(left, right, "K", Theta.EQ, "K")),
+        }
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-nan-object", "two-nan-objects"])
+    def test_nan_keys_match_nothing(self, shared):
+        answers = self.answers(shared)
+        assert len(answers["merge_drop"]) == 2
+        assert answers["merge_error"] == answers["merge_drop"]
+        assert len(answers["outer_join"]) == 2
+        assert answers["join"] == []
+
+    def test_answers_do_not_depend_on_nan_identity(self):
+        assert self.answers(shared=True) == self.answers(shared=False)
+
+    def test_equal_under_python_eq_is_one_key(self):
+        assert Theta.EQ.evaluate(1, True) and Theta.EQ.evaluate(1, 1.0)
+        left = PolygenRelation.from_data(["K", "X"], [(1, "x")], origins=["AD"])
+        right = PolygenRelation.from_data(
+            ["J", "Y"], [(True, "t"), (1.0, "f"), (0, "z")], origins=["PD"]
+        )
+        joined = join(left, right, "K", Theta.EQ, "J")
+        assert [row[3] for row in joined.data_rows()] == ["t", "f"]
+        assert joined == restrict(product(left, right), "K", Theta.EQ, AttributeRef("J"))
+        outer = outer_join(left, right, [("K", "J")])
+        assert sorted(row[3] for row in outer.data_rows()) == ["f", "t", "z"]
+        other = PolygenRelation.from_data(["K", "Y"], [(1.0, "f"), (0, "z")], origins=["PD"])
+        merged = merge([left, other], ["K"])
+        assert merged.data_rows() == ((1, "x", "f"), (0, None, "z"))
 
 
 class TestIntersect:

@@ -6,6 +6,9 @@ nils, overlapping tag sets and multi-attribute headings.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 from hypothesis import strategies as st
 
 from repro.core.cell import Cell
@@ -15,6 +18,13 @@ from repro.core.row import PolygenTuple
 DATABASES = ("AD", "PD", "CD")
 ATTRIBUTES = ("A", "B", "C", "D")
 VALUES = ("x", "y", "z", 1, 2)
+
+#: Key data where match rules can disagree: nil, values equal under ``==``
+#: across types (``1``/``True``/``1.0``, ``0``/``-0.0``), one NaN object
+#: shared by every draw, and — from :func:`keys` — a fresh NaN per draw, as
+#: a wire decoder builds it.
+SHARED_NAN = math.nan
+KEY_VALUES = (None, 1, True, 1.0, 0, -0.0, SHARED_NAN)
 
 
 def tag_sets():
@@ -28,13 +38,23 @@ def data(allow_nil: bool = True):
     return values
 
 
-def cells(allow_nil: bool = True):
-    def build(datum, origins, intermediates):
-        if datum is None:
-            return Cell(None, frozenset(), intermediates)
-        return Cell(datum, origins, intermediates)
+def keys():
+    """Key data from :data:`KEY_VALUES`, or a fresh NaN object."""
+    return st.one_of(st.sampled_from(KEY_VALUES), st.builds(float, st.just("nan")))
 
-    return st.builds(build, data(allow_nil), tag_sets(), tag_sets())
+
+def _cell(datum, origins, intermediates):
+    if datum is None:
+        return Cell(None, frozenset(), intermediates)
+    return Cell(datum, origins, intermediates)
+
+
+def cells(allow_nil: bool = True):
+    return st.builds(_cell, data(allow_nil), tag_sets(), tag_sets())
+
+
+def key_cells():
+    return st.builds(_cell, keys(), tag_sets(), tag_sets())
 
 
 def headings(min_size: int = 1, max_size: int = 3):
@@ -45,19 +65,18 @@ def headings(min_size: int = 1, max_size: int = 3):
 
 @st.composite
 def relations(draw, heading=None, min_rows: int = 0, max_rows: int = 6,
-              allow_nil: bool = True):
-    """A random polygen relation (optionally over a fixed heading)."""
+              allow_nil: bool = True, keyed: Sequence[str] = ()):
+    """A random polygen relation (optionally over a fixed heading); the
+    attributes in ``keyed`` draw their data from :func:`keys`."""
     if heading is None:
         heading = draw(headings())
-    rows = draw(
-        st.lists(
-            st.lists(
-                cells(allow_nil), min_size=len(heading), max_size=len(heading)
-            ),
-            min_size=min_rows,
-            max_size=max_rows,
-        )
+    cell = cells(allow_nil)
+    row = (
+        st.tuples(*(key_cells() if name in keyed else cell for name in heading))
+        if keyed
+        else st.lists(cell, min_size=len(heading), max_size=len(heading))
     )
+    rows = draw(st.lists(row, min_size=min_rows, max_size=max_rows))
     return PolygenRelation(heading, (PolygenTuple(row) for row in rows))
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algebra import difference, product, project, restrict, union
-from repro.core.derived import intersect, join, merge, outer_join
+from repro.core.algebra import coalesce, difference, product, project, restrict, union
+from repro.core.derived import RHS_SUFFIX, intersect, join, merge, outer_join
 from repro.core.predicate import AttributeRef, Literal, Theta
 from repro.core.relation import PolygenRelation
 
@@ -154,12 +154,30 @@ class TestRestrictLaws:
 
 
 class TestJoinLaws:
-    @given(relations(heading=["A", "B"], min_rows=0, max_rows=5),
-           relations(heading=["C", "D"], min_rows=0, max_rows=5))
+    # Keys from the key alphabet (nil, 1/True/1.0, 0/-0.0, shared and fresh
+    # NaN): the hash join must agree with the definition on rows, tags and
+    # row order.
+    @given(relations(heading=["A", "B"], min_rows=0, max_rows=5, keyed=["A"]),
+           relations(heading=["C", "D"], min_rows=0, max_rows=5, keyed=["C"]))
     def test_join_equals_restrict_of_product(self, left, right):
         via_join = join(left, right, "A", Theta.EQ, "C")
         via_primitives = restrict(product(left, right), "A", Theta.EQ, AttributeRef("C"))
         assert via_join == via_primitives
+        assert via_join.data_rows() == via_primitives.data_rows()
+
+    @given(relations(heading=["K", "B"], min_rows=0, max_rows=5, keyed=["K"]),
+           relations(heading=["K", "D"], min_rows=0, max_rows=5, keyed=["K"]),
+           st.booleans())
+    def test_same_named_join_equals_the_composition(self, left, right, coalesce_equal):
+        qualified = right.rename({"K": "K" + RHS_SUFFIX})
+        expected = restrict(
+            product(left, qualified), "K", Theta.EQ, AttributeRef("K" + RHS_SUFFIX)
+        )
+        if coalesce_equal:
+            expected = coalesce(expected, "K", "K" + RHS_SUFFIX, w="K")
+        actual = join(left, right, "K", Theta.EQ, "K", coalesce_equal=coalesce_equal)
+        assert actual == expected
+        assert actual.data_rows() == expected.data_rows()
 
     @given(relation_pairs(max_rows=5))
     def test_intersection_commutative(self, pair):

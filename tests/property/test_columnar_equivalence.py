@@ -4,7 +4,7 @@ Every algebra primitive (and the heavy derived operators) must produce the
 *same relation* whether evaluated through the columnar kernels
 (:mod:`repro.core.algebra` → :mod:`repro.storage.kernels`) or through the
 original row-at-a-time transcriptions preserved in
-:mod:`repro.core.rowpath`.  Relation equality here is the full polygen
+``tests/reference/rowpath.py``.  Relation equality here is the full polygen
 notion — same heading and same set of (data, origins, intermediates)
 tuples — so a passing run means the storage refactor is bit-identical at
 the logical level.
@@ -13,12 +13,13 @@ the logical level.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import algebra, derived, rowpath
+from repro.core import algebra, derived
 from repro.core.cell import ConflictPolicy
 from repro.core.predicate import AttributeRef, Literal, Theta
 from repro.errors import CoalesceConflictError, IncomparableTypesError
 
 from tests.property.strategies import VALUES, relation_pairs, relations
+from tests.reference import rowpath
 
 
 def assert_same_outcome(columnar_fn, rowpath_fn):
@@ -126,14 +127,13 @@ def test_intersect_equivalence(pair):
 
 @given(st.data())
 def test_outer_join_equivalence(data):
-    left = data.draw(relations(heading=["A", "B"], max_rows=6))
-    right = data.draw(relations(heading=["C", "D"], max_rows=6))
+    left = data.draw(relations(heading=["A", "B"], max_rows=6, keyed=["A"]))
+    right = data.draw(relations(heading=["C", "D"], max_rows=6, keyed=["C"]))
     key_pairs = [("A", "C")]
     assert_same_outcome(
         lambda: derived.outer_join(left, right, key_pairs),
         lambda: rowpath.outer_join(left, right, key_pairs),
     )
-
 
 @given(st.data())
 def test_operator_chain_equivalence(data):

@@ -2,7 +2,7 @@
 
 :func:`repro.core.derived.merge` now evaluates an n-ary Merge as one
 hash-partitioned pass (:func:`repro.storage.kernels.hash_merge`);
-:func:`repro.core.derived.merge_fold` remains the literal left fold of
+:func:`tests.reference.fold.merge_fold` remains the literal left fold of
 Outer Natural Total Joins the paper defines.  The fold order is
 immaterial (paper, §II), so the two must agree on *everything*: row bags,
 cell tags, raised conflicts.  Hypothesis drives adversarial operand sets —
@@ -11,47 +11,50 @@ different headings, empty operands — under every conflict policy.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cell import ConflictPolicy
-from repro.core.derived import merge, merge_fold
+from repro.core.derived import merge
 from repro.core.relation import PolygenRelation
-from repro.core.row import PolygenTuple
 from repro.errors import CoalesceConflictError
 
-from tests.property.strategies import cells, keyed_relation_sets
+from tests.property.strategies import keyed_relation_sets, relations
+from tests.reference.fold import merge_fold
 
 POLICIES = tuple(ConflictPolicy)
 
 
 def normalize(relation):
-    """Order-insensitive bag view of a polygen relation, tags included."""
+    """Bag view of a polygen relation, tags included: blind to row order
+    and to NaN identity, not to a datum's type (``1`` vs ``True``)."""
     assert isinstance(relation, PolygenRelation)
-    return (relation.attributes, sorted(((row.data, row.cells) for row in relation), key=repr))
+
+    def datum(value):
+        return type(value).__name__, "NaN" if value != value else value
+
+    return relation.attributes, Counter(
+        tuple((datum(c.datum), c.origins, c.intermediates) for c in row)
+        for row in relation
+    )
 
 
 @st.composite
 def merge_cases(draw):
     """2..5 operands over headings ``K (+ V, W subsets)`` with fully random
-    cells: nil keys, nil data, disagreeing values, overlapping tag sets."""
+    cells: keys from the key alphabet (nil, ``1``/``True``/``1.0``,
+    ``0``/``-0.0``, shared and fresh NaN), nil data, disagreeing values,
+    overlapping tag sets."""
     count = draw(st.integers(min_value=2, max_value=5))
     operands = []
     for _ in range(count):
         heading = ["K"] + draw(
             st.lists(st.sampled_from(("V", "W")), unique=True, max_size=2)
         )
-        rows = draw(
-            st.lists(
-                st.lists(cells(), min_size=len(heading), max_size=len(heading)),
-                max_size=4,
-            )
-        )
-        operands.append(
-            PolygenRelation(heading, (PolygenTuple(row) for row in rows))
-        )
+        operands.append(draw(relations(heading=heading, max_rows=4, keyed=["K"])))
     policy = draw(st.sampled_from(POLICIES))
     return operands, policy
 

@@ -9,8 +9,10 @@ preserved verbatim when the hot path moved to the columnar kernels
 - **benchmarking** — ``benchmarks/test_bench_columnar.py`` measures the
   columnar speedup against this path.
 
-They are *not* wired into the query processor; production code should use
-:mod:`repro.core.algebra` / :mod:`repro.core.derived`.
+They are test oracles, not part of the package: production code uses
+:mod:`repro.core.algebra` / :mod:`repro.core.derived`.  The outer join
+states the key rule (nil and NaN keys match nothing) itself, so the oracle
+does not share the code it checks (:mod:`repro.storage.keyed`).
 """
 
 from __future__ import annotations
@@ -182,8 +184,11 @@ def _key_positions(p: PolygenRelation, names: Sequence[str]) -> Tuple[int, ...]:
 
 
 def _key_data(row: PolygenTuple, positions: Sequence[int]):
+    """The row's key data, or ``None`` when a component is nil or NaN (not
+    equal to itself): such a key can never match."""
     data = tuple(row[i].datum for i in positions)
-    return None if any(value is None for value in data) else data
+    unmatchable = any(value is None or value != value for value in data)
+    return None if unmatchable else data
 
 
 def _key_origins(row: PolygenTuple, positions: Sequence[int]):
