@@ -109,8 +109,6 @@ class SqliteLQP(LocalQueryProcessor):
     parallel at the PQP).
     """
 
-    supports_column_projection = True
-
     def __init__(self, path: str = ":memory:", database: Optional[str] = None):
         self._path = path
         self._lock = threading.RLock()

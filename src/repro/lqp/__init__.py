@@ -8,7 +8,8 @@ behaves as a local relational system" (paper, §I).  This package provides:
 - an LQP over the in-memory relational engine (:mod:`repro.lqp.relational_lqp`),
 - an LQP over CSV documents (:mod:`repro.lqp.csv_lqp`) demonstrating the
   encapsulation of a non-relational access interface,
-- per-LQP cost accounting for the benchmark harness (:mod:`repro.lqp.cost`),
+- cost models and the LQP wrappers — traffic accounting, injected latency
+  — over one forwarding base (:mod:`repro.lqp.cost`),
 - the registry the PQP routes local operations through (:mod:`repro.lqp.registry`),
 - tagging/materialization of retrieved data (:mod:`repro.lqp.tagging`).
 """

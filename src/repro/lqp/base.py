@@ -8,35 +8,32 @@ The PQP needs exactly two operations from an LQP (paper, §III, Table 3):
   result (Table 3, row 1: ``Select ALUMNUS DEG = "MBA"`` at AD).
 
 Concrete LQPs encapsulate however their backing store answers those two
-requests — an in-memory engine, CSV documents, or anything else.  Results
-are *untagged* local relations; tagging happens when the data arrives at
-the PQP (:mod:`repro.lqp.tagging`).
+requests — an in-memory engine, CSV documents, SQLite, a server across the
+network.  Results are *untagged* local relations; tagging happens when the
+data arrives at the PQP (:mod:`repro.lqp.tagging`).
 
-Optional extensions support intra-relation parallelism
-(:mod:`repro.pqp.shard`) and source-side projection:
+Two optional verbs split one hot scan into disjoint partial operations
+(:mod:`repro.pqp.shard`): **retrieve_range** / **select_range** restrict a
+Retrieve (or a Select) to a half-open key interval ``[lower, upper)``.
+The defaults here filter a full Retrieve/Select; engines with real indexes
+override them.  **relation_stats** and **cardinality_estimate** are catalog
+metadata the planners read without shipping data.
 
-- **retrieve_range** / **select_range** — Retrieve (or a single-comparison
-  Select) restricted to a half-open key interval ``[lower, upper)``, so one
-  hot scan or selection can be split into disjoint partial operations.  The
-  default implementations filter a full Retrieve/Select; engines with real
-  indexes override them.
-- **relation_stats** — a :class:`RelationStats` catalog summary
-  (cardinality plus per-column min/max/nil-count) the shard planner uses
-  to pick split points without shipping data.
-- **columns=** — engines advertising
-  :attr:`LocalQueryProcessor.supports_column_projection` accept a column
-  list on every verb and ship only those local columns, so projection
-  pruning narrows results *at the source* instead of after the wire.
-
-Every engine also publishes a :class:`Capabilities` descriptor
-(:meth:`LocalQueryProcessor.capabilities`): a first-class statement of
-what the engine can execute *natively* — selections, key ranges, column
-projection — whether its scans may be split, and whether it signals
-writes.  The planner layers (``pqp/optimizer``, ``pqp/shard``, the
-executor) and the service cache consult it instead of duck-typing
-per-engine flags, so a federation can mix engines of genuinely different
-power (:mod:`repro.backends`) and still push each fragment only where it
-can actually run.
+Everything else an engine can or cannot do is stated once, in its
+:class:`Capabilities` (:meth:`LocalQueryProcessor.capabilities`); the
+optimizer, the shard pass, the executor and the result cache read that
+descriptor and nothing else, so a federation can mix engines of genuinely
+different power (:mod:`repro.backends`).  One flag changes the verbs'
+signature: an engine reporting ``native_projection`` accepts ``columns=``
+on all four verbs and ships only those local columns; every other engine
+is called without it and the PQP drops dead columns at materialization.
+The two places differ in one corner.  A native engine (``SqliteLQP``, any
+``polygen://`` source) narrows *before* the domain transform, and set
+semantics then merge values that are equal under ``==`` — ``1`` and
+``True`` in a column whose transform would have told them apart (``"1"``
+vs ``"True"``) — so with projection pruning on, such a source can return
+fewer tuples than the same query without pruning.  Engines without the
+flag never do: materialization transforms first and projects after.
 """
 
 from __future__ import annotations
@@ -76,9 +73,9 @@ class Capabilities:
     - ``native_range`` — key-interval access (``retrieve_range`` /
       ``select_range``) uses a real access path rather than the
       filter-a-full-scan default.
-    - ``native_projection`` — verbs accept ``columns=`` and ship only
-      those columns (the capability form of
-      :attr:`LocalQueryProcessor.supports_column_projection`).
+    - ``native_projection`` — all four relation verbs accept ``columns=``
+      and ship only those local columns (the executor passes it to no
+      other engine).
     - ``splittable_scans`` — one relation may be scanned as several
       concurrent key-range shards (:mod:`repro.pqp.shard`).  Engines
       that serialize every request anyway — or re-read a log per verb —
@@ -255,34 +252,17 @@ class LocalQueryProcessor(abc.ABC):
     #: LQP so the value survives accounting/latency decoration.
     native_concurrency: int = 1
 
-    #: Whether this engine's verbs accept a ``columns=`` keyword that
-    #: narrows the shipped relation to the named local columns (projection
-    #: pushed to the source).  The executor only passes ``columns=`` when
-    #: this is True, so pre-existing subclasses that never heard of the
-    #: keyword keep working unchanged.  Engines that flip it True must
-    #: accept ``columns=None`` on :meth:`retrieve` and :meth:`select`
-    #: (:meth:`retrieve_range` and :meth:`select_range` inherit support
-    #: from the defaults here).
-    supports_column_projection: bool = False
-
     def capabilities(self) -> Capabilities:
         """This engine's :class:`Capabilities` descriptor.
 
-        The default matches what pre-capability LQP subclasses actually
-        were: selections run natively, ranges fall back to filtered full
-        scans, projection follows the legacy
-        :attr:`supports_column_projection` flag, scans may be split, and
-        all writes arrive through signalling APIs.  Engines with
-        different native power override this; wrappers delegate to their
-        inner LQP so decoration never masks the real engine's answer.
+        The default describes a plain engine: selections run natively,
+        ranges fall back to filtered full scans, no column projection,
+        scans may be split, and all writes arrive through signalling APIs.
+        Engines with different native power override this; wrappers
+        delegate to their inner LQP so decoration never masks the real
+        engine's answer.
         """
-        return Capabilities(
-            native_select=True,
-            native_range=False,
-            native_projection=self.supports_column_projection,
-            splittable_scans=True,
-            signals_writes=True,
-        )
+        return Capabilities()
 
     @property
     @abc.abstractmethod
@@ -336,9 +316,9 @@ class LocalQueryProcessor(abc.ABC):
         key values, so a family of shards covering ``(-inf, +inf)`` with
         exactly one ``include_nil=True`` member partitions the relation.
 
-        ``columns`` (when the engine advertises
-        :attr:`supports_column_projection`) narrows the shipped heading to
-        the named local columns — the key attribute need not be among
+        ``columns`` (passed only to an engine reporting
+        ``native_projection``) narrows the shipped heading to the named
+        local columns — the key attribute need not be among
         them; it is consulted before the projection drops it.
 
         The default filters a full :meth:`retrieve` — correct everywhere,

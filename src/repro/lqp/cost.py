@@ -1,15 +1,18 @@
-"""Cost accounting and latency injection for LQP traffic.
+"""Cost models, traffic accounting and latency injection for LQP traffic.
 
-The 1990 paper reports no performance numbers, but our benchmark harness
-characterizes the implementation: how many local queries a plan issues, how
-many tuples it ships, and what that would cost over a network.  The
-:class:`AccountingLQP` decorator wraps any LQP and records
-:class:`TransferStats`; a :class:`CostModel` converts them into simulated
-latency so optimizer ablations can report comparable costs without wall
-clocks.  :class:`LatencyLQP` goes the other way — it injects *real* delay
-per query and per shipped tuple, turning an in-memory engine into a
-realistically slow autonomous source so the concurrent runtime's overlap
-is measurable on a wall clock.
+A :class:`CostModel` prices one local query as ``per_query + per_tuple ·
+tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) and the
+optimizer's cost-based mode use it, and :class:`CalibratedCostModel` fits
+one to observed executions.
+
+LQP decorators subclass :class:`ForwardingLQP`, which writes the
+delegation and the four relation verbs once and hands each shipped
+relation to a single hook.  :class:`AccountingLQP` — the wrapper every
+registered LQP sits behind — counts queries and shipped tuples in
+:class:`TransferStats` (chunk streams included, as their chunks arrive);
+:class:`LatencyLQP` injects *real* delay per query and per shipped tuple,
+turning an in-memory engine into a slow autonomous source so the
+concurrent runtime's overlap is measurable on a wall clock.
 
 Accounting is thread-safe: the concurrent runtime drives one worker per
 database, and a single LQP may serve several plans at once, so counter
@@ -21,9 +24,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.core.predicate import Theta
 from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
 from repro.relational.relation import Relation
 
@@ -31,6 +33,7 @@ __all__ = [
     "CostModel",
     "CalibratedCostModel",
     "TransferStats",
+    "ForwardingLQP",
     "AccountingLQP",
     "LatencyLQP",
 ]
@@ -193,12 +196,6 @@ class TransferStats:
             self.range_retrieves = self.range_selects = self.tuples_shipped = 0
 
 
-def _columns_kwargs(columns) -> dict:
-    """``columns=`` forwarded only when given: the wrapped LQP may be a
-    pre-projection subclass whose verbs reject the keyword outright."""
-    return {} if columns is None else {"columns": columns}
-
-
 class _AccountedChunkStream:
     """Wraps a chunk stream so shipped tuples still hit the counters.
 
@@ -229,13 +226,19 @@ class _AccountedChunkStream:
         return getattr(self._inner, name)
 
 
-class AccountingLQP(LocalQueryProcessor):
-    """Wraps an LQP, recording every request and its result size."""
+class ForwardingLQP(LocalQueryProcessor):
+    """An LQP that delegates everything to an inner LQP.
 
-    def __init__(self, inner: LocalQueryProcessor, cost_model: CostModel | None = None):
+    The base of every decorator: identity, capabilities, concurrency and
+    catalog calls pass straight through, so decoration never masks the
+    wrapped engine; the four relation verbs forward their arguments
+    unchanged (``columns=`` included, which the caller only sends to an
+    engine reporting ``native_projection``) and hand the shipped relation
+    to :meth:`_shipped` — the one hook a subclass overrides.
+    """
+
+    def __init__(self, inner: LocalQueryProcessor):
         self._inner = inner
-        self.stats = TransferStats()
-        self.cost_model = cost_model or CostModel()
 
     @property
     def name(self) -> str:
@@ -249,79 +252,46 @@ class AccountingLQP(LocalQueryProcessor):
     def native_concurrency(self) -> int:
         return self._inner.native_concurrency
 
-    @property
-    def supports_column_projection(self) -> bool:
-        return getattr(self._inner, "supports_column_projection", False)
-
     def capabilities(self) -> Capabilities:
-        # Accounting adds no power and removes none: the wrapped engine's
-        # answer passes through so decoration never masks capabilities.
         return self._inner.capabilities()
 
     def relation_names(self) -> Tuple[str, ...]:
         return self._inner.relation_names()
 
-    def retrieve(self, relation_name: str, columns=None) -> Relation:
-        result = self._inner.retrieve(relation_name, **_columns_kwargs(columns))
-        self.stats.record("retrieve", result)
-        return result
-
-    def select(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.select(
-            relation_name, attribute, theta, value, **_columns_kwargs(columns)
-        )
-        self.stats.record("select", result)
-        return result
-
-    def retrieve_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.retrieve_range(
-            relation_name, attribute, lower, upper, include_nil,
-            **_columns_kwargs(columns),
-        )
-        self.stats.record("retrieve_range", result)
-        return result
-
-    def select_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        key_attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.select_range(
-            relation_name, attribute, theta, value,
-            key_attribute, lower, upper, include_nil,
-            **_columns_kwargs(columns),
-        )
-        self.stats.record("select_range", result)
-        return result
-
     def cardinality_estimate(self, relation_name: str) -> int | None:
         return self._inner.cardinality_estimate(relation_name)
 
     def relation_stats(self, relation_name: str) -> RelationStats | None:
-        # Catalog metadata, like cardinality_estimate: not counted as traffic.
+        # Catalog metadata, like cardinality_estimate: never traffic.
         return self._inner.relation_stats(relation_name)
+
+    def _shipped(self, kind: str, result: Relation) -> Relation:
+        """Called with each verb's result (``kind`` is the verb name)."""
+        return result
+
+    def retrieve(self, *args, **kwargs) -> Relation:
+        return self._shipped("retrieve", self._inner.retrieve(*args, **kwargs))
+
+    def select(self, *args, **kwargs) -> Relation:
+        return self._shipped("select", self._inner.select(*args, **kwargs))
+
+    def retrieve_range(self, *args, **kwargs) -> Relation:
+        return self._shipped("retrieve_range", self._inner.retrieve_range(*args, **kwargs))
+
+    def select_range(self, *args, **kwargs) -> Relation:
+        return self._shipped("select_range", self._inner.select_range(*args, **kwargs))
+
+
+class AccountingLQP(ForwardingLQP):
+    """Wraps an LQP, recording every request and its result size."""
+
+    def __init__(self, inner: LocalQueryProcessor):
+        super().__init__(inner)
+        self.stats = TransferStats()
+
+    def _shipped(self, kind: str, result: Relation) -> Relation:
+        self.stats.record(kind, result)
+        return result
 
     def __getattr__(self, name):
         # The chunk-stream verbs exist on this wrapper exactly when the
@@ -344,121 +314,31 @@ class AccountingLQP(LocalQueryProcessor):
             f"{type(self).__name__} object has no attribute {name!r}"
         )
 
-    def simulated_cost(self) -> float:
-        """Accumulated cost under this LQP's cost model."""
-        return self.cost_model.cost(self.stats.queries, self.stats.tuples_shipped)
 
-
-class LatencyLQP(LocalQueryProcessor):
+class LatencyLQP(ForwardingLQP):
     """Wraps an LQP, sleeping a configurable delay on every request.
 
     ``per_query`` seconds model round-trip/setup latency; ``per_tuple``
     seconds model marshalling + transfer of each shipped tuple — the
-    wall-clock realization of :class:`CostModel`.  Catalog lookups
-    (:meth:`cardinality_estimate`) stay free, as metadata would be.
+    wall-clock realization of :class:`CostModel`.  Catalog lookups stay
+    free, as metadata would be, and whole verbs are delayed: there are no
+    chunk-stream verbs.
     """
 
     def __init__(
-        self,
-        inner: LocalQueryProcessor,
-        per_query: float = 0.01,
-        per_tuple: float = 0.0,
+        self, inner: LocalQueryProcessor, per_query: float = 0.01, per_tuple: float = 0.0
     ):
-        self._inner = inner
+        super().__init__(inner)
         self.per_query = per_query
         self.per_tuple = per_tuple
-
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    @property
-    def inner(self) -> LocalQueryProcessor:
-        return self._inner
-
-    @property
-    def native_concurrency(self) -> int:
-        return self._inner.native_concurrency
-
-    @property
-    def supports_column_projection(self) -> bool:
-        return getattr(self._inner, "supports_column_projection", False)
-
-    def capabilities(self) -> Capabilities:
-        # Injected delay changes cost, not power: delegate.
-        return self._inner.capabilities()
 
     def cost_model(self) -> CostModel:
         """The injected delays as a :class:`CostModel` (units: seconds), so
         a simulated schedule can be compared against measured wall clock."""
         return CostModel(per_query=self.per_query, per_tuple=self.per_tuple)
 
-    def _delay(self, result: Relation) -> None:
+    def _shipped(self, kind: str, result: Relation) -> Relation:
         pause = self.per_query + self.per_tuple * result.cardinality
         if pause > 0:
             time.sleep(pause)
-
-    def relation_names(self) -> Tuple[str, ...]:
-        return self._inner.relation_names()
-
-    def retrieve(self, relation_name: str, columns=None) -> Relation:
-        result = self._inner.retrieve(relation_name, **_columns_kwargs(columns))
-        self._delay(result)
         return result
-
-    def select(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.select(
-            relation_name, attribute, theta, value, **_columns_kwargs(columns)
-        )
-        self._delay(result)
-        return result
-
-    def retrieve_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.retrieve_range(
-            relation_name, attribute, lower, upper, include_nil,
-            **_columns_kwargs(columns),
-        )
-        self._delay(result)
-        return result
-
-    def select_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        key_attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        result = self._inner.select_range(
-            relation_name, attribute, theta, value,
-            key_attribute, lower, upper, include_nil,
-            **_columns_kwargs(columns),
-        )
-        self._delay(result)
-        return result
-
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return self._inner.cardinality_estimate(relation_name)
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        # Catalog metadata stays free, like cardinality_estimate.
-        return self._inner.relation_stats(relation_name)

@@ -16,12 +16,7 @@ from typing import Any, Mapping, Tuple
 
 from repro.core.predicate import Theta
 from repro.errors import LocalEngineError, UnknownRelationError
-from repro.lqp.base import (
-    LocalQueryProcessor,
-    RelationStats,
-    compute_relation_stats,
-    project_columns,
-)
+from repro.lqp.base import LocalQueryProcessor, RelationStats, compute_relation_stats
 from repro.relational.relation import Relation
 
 __all__ = ["CsvLQP"]
@@ -52,8 +47,6 @@ class CsvLQP(LocalQueryProcessor):
     >>> lqp.retrieve("T").rows
     ((1, 'x'), (2, 'y'))
     """
-
-    supports_column_projection = True
 
     def __init__(
         self,
@@ -98,31 +91,18 @@ class CsvLQP(LocalQueryProcessor):
     def relation_names(self) -> Tuple[str, ...]:
         return tuple(self._relations)
 
-    def retrieve(self, relation_name: str, columns=None) -> Relation:
+    def retrieve(self, relation_name: str) -> Relation:
         try:
-            relation = self._relations[relation_name]
+            return self._relations[relation_name]
         except KeyError:
             raise UnknownRelationError(relation_name, self._name) from None
-        if columns is not None:
-            relation = project_columns(relation, columns)
-        return relation
 
-    def select(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        columns=None,
-    ) -> Relation:
+    def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
         relation = self.retrieve(relation_name)
         position = relation.heading.index(attribute)
-        selected = relation.replace_rows(
+        return relation.replace_rows(
             row for row in relation if theta.evaluate(row[position], value)
         )
-        if columns is not None:
-            selected = project_columns(selected, columns)
-        return selected
 
     def cardinality_estimate(self, relation_name: str) -> int | None:
         return self.retrieve(relation_name).cardinality

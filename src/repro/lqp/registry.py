@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Tuple, Union
 
 from repro.errors import ExecutionError, UnknownDatabaseError
 from repro.lqp.base import LocalQueryProcessor
-from repro.lqp.cost import AccountingLQP, CostModel, TransferStats
+from repro.lqp.cost import AccountingLQP, TransferStats
 
 __all__ = ["LQPRegistry"]
 
@@ -44,7 +44,6 @@ class LQPRegistry:
     def register(
         self,
         lqp: Union[LocalQueryProcessor, str],
-        cost_model: CostModel | None = None,
         **remote_options,
     ) -> AccountingLQP:
         """Register an LQP under its database name.  Returns the accounting
@@ -59,7 +58,8 @@ class LQPRegistry:
           registers the resulting :class:`~repro.net.client.RemoteLQP`
           (the database name arrives in the server's hello frame);
           ``remote_options`` — ``concurrency``, ``timeout``,
-          ``retries``, … — are forwarded to its constructor.
+          ``retries``, ``wire_format``, … — are forwarded to its
+          constructor (the wire encoding is a property of the connection).
         - ``sqlite:///path/to/store.db`` opens an existing
           :class:`~repro.backends.sqlite_lqp.SqliteLQP` store.
         - ``file:///path/to/log-dir`` opens an existing
@@ -85,7 +85,7 @@ class LQPRegistry:
                     raise ExecutionError(
                         f"an LQP is already registered for {lqp.name!r}"
                     )
-                wrapped = AccountingLQP(lqp, cost_model)
+                wrapped = AccountingLQP(lqp)
                 self._lqps[lqp.name] = wrapped
                 if dialed is not None:
                     self._dialed.append(dialed)
@@ -189,9 +189,6 @@ class LQPRegistry:
         for lqp in self:
             total = total.merged_with(lqp.stats)
         return total
-
-    def total_cost(self) -> float:
-        return sum(lqp.simulated_cost() for lqp in self)
 
     def reset_stats(self) -> None:
         for lqp in self:

@@ -5,12 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from repro.core.predicate import Theta
-from repro.lqp.base import (
-    LocalQueryProcessor,
-    RelationStats,
-    compute_relation_stats,
-    project_columns,
-)
+from repro.lqp.base import LocalQueryProcessor, RelationStats, compute_relation_stats
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
 
@@ -21,10 +16,11 @@ class RelationalLQP(LocalQueryProcessor):
     """Fronts a :class:`~repro.relational.database.LocalDatabase`.
 
     This is the standard LQP of the reproduction — the stand-in for the
-    paper's MIT and commercial relational sources.
+    paper's MIT and commercial relational sources.  It reports the
+    default :class:`~repro.lqp.base.Capabilities`: no native projection —
+    the relation is already in memory, so the PQP drops dead columns at
+    materialization, after the domain transforms.
     """
-
-    supports_column_projection = True
 
     def __init__(self, database: LocalDatabase):
         self._database = database
@@ -43,24 +39,11 @@ class RelationalLQP(LocalQueryProcessor):
     def relation_names(self) -> Tuple[str, ...]:
         return self._database.relation_names()
 
-    def retrieve(self, relation_name: str, columns=None) -> Relation:
-        relation = self._database.relation(relation_name)
-        if columns is not None:
-            relation = project_columns(relation, columns)
-        return relation
+    def retrieve(self, relation_name: str) -> Relation:
+        return self._database.relation(relation_name)
 
-    def select(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        columns=None,
-    ) -> Relation:
-        relation = self._database.select(relation_name, attribute, theta, value)
-        if columns is not None:
-            relation = project_columns(relation, columns)
-        return relation
+    def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
+        return self._database.select(relation_name, attribute, theta, value)
 
     def cardinality_estimate(self, relation_name: str) -> int | None:
         return self._database.relation(relation_name).cardinality

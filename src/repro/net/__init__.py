@@ -12,8 +12,8 @@ that gap, in the polystore-middleware tradition (BigDAWG's engine shims):
   chunk frames negotiated per connection between JSON v1 and the v2
   binary columnar encoding;
 - :mod:`repro.net.binary` — the v2 chunk encoding itself: per-column
-  typed vectors plus interned tag-pool deltas, so a columnar relation
-  ships without rowification;
+  typed vectors of untagged local data, so a shipped relation reaches
+  the columnar engine without rowification;
 - :mod:`repro.net.server` — :class:`~repro.net.server.LQPServer`, a
   threaded TCP server exposing any existing
   :class:`~repro.lqp.base.LocalQueryProcessor` at an address;

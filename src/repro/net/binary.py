@@ -4,10 +4,11 @@ JSON v1 re-encodes every chunk as row-major text — attribute lists repeat
 per frame, every integer is decimal digits, every string is quoted, and a
 ``ColumnarRelation`` must be rowified before encoding and re-columnarized
 after.  The v2 chunk frame ships the storage engine's native layout
-instead: per-column typed vectors behind a validity bitmap, plus an
-optional tag section carrying interned tag-pool *deltas* (each distinct
-``(origins, intermediates)`` pair crosses the wire once per stream, later
-chunks reference its id).
+instead: per-column typed vectors behind a validity bitmap.  Chunks are
+*untagged*, like every relation an LQP ships: source tags are attached at
+the PQP when the data arrives (:mod:`repro.lqp.tagging`), never sent.
+Whether a connection uses these frames at all is chosen once, when it is
+made (:class:`~repro.net.client.RemoteLQP`'s ``wire_format``).
 
 Only ``chunk`` frames have a binary form.  Control frames (hello, end,
 result, error, cancel) stay JSON: they are small, rare, and worth keeping
@@ -22,15 +23,15 @@ Payload layout (all integers little-endian; *uv* = LEB128 unsigned
 varint, *zz* = zigzag-mapped signed varint)::
 
     u8   magic (0xB2)      u8  version (2)
-    u8   kind (1 = chunk)  u8  flags (bit0: tag section present)
+    u8   kind (1 = chunk)  u8  flags (reserved: must be 0)
     u64  request id        u32 seq
     u32  row count         u16 column count
     per column:  u16 name length, utf-8 name
-    [tag section, if flags bit0]:
-        uv n_delta; per entry: uv tag id, uv n_origins, (uv len, utf-8)*,
-                               uv n_intermediates, (uv len, utf-8)*
-        per column: row-count × uv tag id
     per column: typed value vector
+
+No flag is defined.  A frame whose flags byte is not 0 is refused with a
+:class:`~repro.errors.ProtocolError` naming the byte rather than misread
+(bit 0 once announced a tag section, which no server sends).
 
 Value vectors open with a one-byte type tag.  Except for ``NILS`` (every
 value nil — nothing more follows), a validity bitmap of ``ceil(rows/8)``
@@ -60,8 +61,6 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.relational.relation import Relation
-from repro.storage.columnar import ColumnarRelation
-from repro.storage.tag_pool import GLOBAL_TAG_POOL, TagDeltaDecoder, TagDeltaEncoder, TagPool
 
 __all__ = [
     "MAGIC_BYTE",
@@ -69,8 +68,6 @@ __all__ = [
     "encode_chunk_payload",
     "decode_chunk_payload",
     "relation_chunk_payloads",
-    "store_chunk_payloads",
-    "store_from_chunk_payloads",
 ]
 
 #: First payload byte of every binary frame.  JSON payloads start with
@@ -83,8 +80,6 @@ MAGIC_BYTE = 0xB2
 BINARY_VERSION = 2
 
 _KIND_CHUNK = 1
-
-_FLAG_TAGS = 0x01
 
 _HEADER = struct.Struct("<BBBBQIIH")
 _NAME_LEN = struct.Struct("<H")
@@ -347,32 +342,19 @@ def encode_chunk_payload(
     attributes: Sequence[str],
     columns: Sequence[Sequence[Any]],
     count: int,
-    *,
-    tag_columns: Sequence[Sequence[int]] | None = None,
-    tag_delta: Sequence[Tuple[int, Sequence[str], Sequence[str]]] = (),
 ) -> bytes:
     """One chunk of column vectors → a v2 binary payload (unframed).
 
     ``columns`` are the data vectors, one per attribute, each ``count``
-    long.  ``tag_columns`` (parallel vectors of interned tag ids) plus
-    ``tag_delta`` (:meth:`TagPool.export_pairs` rows for ids this stream
-    has not described yet) make the chunk *tagged*; untagged chunks omit
-    the section entirely.
+    long.
     """
     if len(columns) != len(attributes):
         raise ProtocolError(
             f"chunk has {len(columns)} columns for {len(attributes)} attributes"
         )
-    flags = 0
-    if tag_columns is not None:
-        if len(tag_columns) != len(attributes):
-            raise ProtocolError(
-                f"chunk has {len(tag_columns)} tag columns for {len(attributes)} attributes"
-            )
-        flags |= _FLAG_TAGS
     out = bytearray(
         _HEADER.pack(
-            MAGIC_BYTE, BINARY_VERSION, _KIND_CHUNK, flags,
+            MAGIC_BYTE, BINARY_VERSION, _KIND_CHUNK, 0,
             request_id, seq, count, len(attributes),
         )
     )
@@ -382,24 +364,6 @@ def encode_chunk_payload(
             raise ProtocolError(f"attribute name of {len(raw)} bytes exceeds the frame limit")
         out += _NAME_LEN.pack(len(raw))
         out += raw
-    if flags & _FLAG_TAGS:
-        _write_uvarint(out, len(tag_delta))
-        for tag_id, origins, intermediates in tag_delta:
-            _write_uvarint(out, tag_id)
-            _write_uvarint(out, len(origins))
-            for source in origins:
-                _write_text(out, source)
-            _write_uvarint(out, len(intermediates))
-            for source in intermediates:
-                _write_text(out, source)
-        assert tag_columns is not None
-        for column in tag_columns:
-            if len(column) != count:
-                raise ProtocolError(
-                    f"ragged chunk: tag column of {len(column)} ids in a {count}-row chunk"
-                )
-            for tag_id in column:
-                _write_uvarint(out, tag_id)
     for column in columns:
         _encode_column(out, column, count)
     return bytes(out)
@@ -409,8 +373,7 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
     """A v2 binary payload → a chunk message dict.
 
     The dict mirrors the JSON chunk message (``id``/``kind``/``seq``) but
-    carries ``columns`` + ``count`` instead of row-major ``rows``, plus
-    ``tag_delta``/``tag_columns`` when the tag section is present, and
+    carries ``columns`` + ``count`` instead of row-major ``rows``, and
     ``"binary": True`` so the transport can tell it from a JSON chunk that
     :func:`repro.net.protocol.decode_payload` transposed to the same shape.
     """
@@ -426,6 +389,10 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
         )
     if kind != _KIND_CHUNK:
         raise ProtocolError(f"unknown binary frame kind {kind}")
+    if flags:
+        raise ProtocolError(
+            f"binary frame has flags byte {flags:#04x}; every flag is reserved and must be 0"
+        )
     pos = _HEADER.size
     attributes: List[str] = []
     for _ in range(ncols):
@@ -433,31 +400,6 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
         pos += _NAME_LEN.size
         attributes.append(payload[pos : pos + length].decode("utf-8"))
         pos += length
-    tag_delta: List[Tuple[int, Tuple[str, ...], Tuple[str, ...]]] | None = None
-    tag_columns: List[List[int]] | None = None
-    if flags & _FLAG_TAGS:
-        ndelta, pos = _read_uvarint(payload, pos)
-        tag_delta = []
-        for _ in range(ndelta):
-            tag_id, pos = _read_uvarint(payload, pos)
-            norigins, pos = _read_uvarint(payload, pos)
-            origins = []
-            for _ in range(norigins):
-                text, pos = _read_text(payload, pos)
-                origins.append(text)
-            ninters, pos = _read_uvarint(payload, pos)
-            intermediates = []
-            for _ in range(ninters):
-                text, pos = _read_text(payload, pos)
-                intermediates.append(text)
-            tag_delta.append((tag_id, tuple(origins), tuple(intermediates)))
-        tag_columns = []
-        for _ in range(ncols):
-            column = []
-            for _ in range(count):
-                tag_id, pos = _read_uvarint(payload, pos)
-                column.append(tag_id)
-            tag_columns.append(column)
     columns: List[List[Any]] = []
     for _ in range(ncols):
         column, pos = _decode_column(payload, pos, count)
@@ -473,13 +415,11 @@ def decode_chunk_payload(payload: bytes) -> Dict[str, Any]:
         "attributes": attributes,
         "columns": columns,
         "count": count,
-        "tag_delta": tag_delta,
-        "tag_columns": tag_columns,
         "binary": True,
     }
 
 
-# -- relation / store streams ------------------------------------------------
+# -- relation streams ------------------------------------------------
 
 
 def relation_chunk_payloads(
@@ -500,66 +440,3 @@ def relation_chunk_payloads(
         count = min(chunk_size, cardinality - start)
         sub = [column[start : start + count] for column in columns]
         yield encode_chunk_payload(request_id, seq, attributes, sub, count), count
-
-
-def store_chunk_payloads(
-    store: ColumnarRelation, chunk_size: int, *, request_id: int = 0
-) -> Iterator[bytes]:
-    """A tagged :class:`ColumnarRelation` as binary chunk payloads.
-
-    Tag-pool deltas are stream-stateful: each distinct pair is described in
-    the first chunk that uses it and referenced by id afterwards.  Always
-    yields at least one chunk so the receiver learns the heading (this
-    helper has no out-of-band ``end`` frame).
-    """
-    if chunk_size < 1:
-        raise ProtocolError(f"chunk_size must be >= 1, got {chunk_size}")
-    encoder = TagDeltaEncoder(store.pool)
-    attributes = store.heading.attributes
-    count = store.cardinality
-    seq = 0
-    for start in range(0, count, chunk_size) if count else (0,):
-        stop = min(start + chunk_size, count)
-        columns = [column[start:stop] for column in store.columns]
-        tag_columns = [column[start:stop] for column in store.tags]
-        used: set = set()
-        for column in tag_columns:
-            used.update(column)
-        yield encode_chunk_payload(
-            request_id,
-            seq,
-            attributes,
-            columns,
-            stop - start,
-            tag_columns=tag_columns,
-            tag_delta=encoder.delta(used),
-        )
-        seq += 1
-
-
-def store_from_chunk_payloads(
-    payloads: Sequence[bytes] | Iterator[bytes], *, pool: TagPool | None = None
-) -> ColumnarRelation:
-    """Reassemble a tagged store from :func:`store_chunk_payloads` output.
-
-    Sender tag ids are translated into ``pool`` through the accumulated
-    deltas, so the result is a first-class relation of the local pool.
-    """
-    from repro.core.heading import Heading
-
-    decoder = TagDeltaDecoder(pool or GLOBAL_TAG_POOL)
-    heading: Heading | None = None
-    data_rows: List[Tuple[Any, ...]] = []
-    tag_rows: List[Tuple[int, ...]] = []
-    for payload in payloads:
-        message = decode_chunk_payload(payload)
-        if message["tag_columns"] is None:
-            raise ProtocolError("store stream chunk lacks its tag section")
-        if heading is None:
-            heading = Heading(message["attributes"])
-        decoder.absorb(message["tag_delta"] or ())
-        data_rows.extend(zip(*message["columns"]))
-        tag_rows.extend(decoder.translate_rows(zip(*message["tag_columns"])))
-    if heading is None:
-        raise ProtocolError("store stream carried no chunks")
-    return ColumnarRelation.from_row_major(heading, data_rows, tag_rows, decoder.pool)

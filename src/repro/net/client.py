@@ -199,10 +199,11 @@ class RemoteLQP(LocalQueryProcessor):
         concurrency level — how many requests the transport keeps in
         flight at once; ``timeout``/``retries`` govern the transport (see
         :class:`~repro.net.transport.ConnectionMux`).  ``wire_format``
-        picks the chunk encoding for this connection's relation results:
-        ``"auto"`` (binary when the server negotiated protocol v2, JSON
-        otherwise), ``"json"`` (force v1 frames), or ``"binary"`` (refuse
-        to run against a JSON-only server)."""
+        picks the chunk encoding for every relation result on this
+        connection — the only place it is chosen: ``"auto"`` (binary when
+        the server negotiated protocol v2, JSON otherwise), ``"json"``
+        (force v1 frames), or ``"binary"`` (refuse, here, to connect to a
+        JSON-only server)."""
         if wire_format not in ("auto", "json", "binary"):
             raise ValueError(
                 f'wire_format must be "auto", "json" or "binary", got {wire_format!r}'
@@ -213,7 +214,6 @@ class RemoteLQP(LocalQueryProcessor):
             host, port = protocol.parse_url(url)
         if host is None or port is None:
             raise ValueError("RemoteLQP needs a polygen:// URL or host and port")
-        self._wire_format = wire_format
         self._mux = ConnectionMux(
             host, port, concurrency=concurrency, timeout=timeout, retries=retries
         )
@@ -235,6 +235,12 @@ class RemoteLQP(LocalQueryProcessor):
             # strand the mux's event-loop thread behind the raise.
             self._mux.close()
             raise
+        #: The chunk-encoding request key every relation request carries.
+        #: Never sent to a v1 server: such peers negotiated JSON and, being
+        #: older, would ignore the key anyway.
+        self._format: Dict[str, Any] = (
+            {"format": "binary"} if self._binary and wire_format != "json" else {}
+        )
         self._name: str = hello["database"]
         self._relations: Tuple[str, ...] = tuple(hello.get("relations", ()))
         #: relation → cardinality served by the remote catalog op.  The
@@ -332,10 +338,6 @@ class RemoteLQP(LocalQueryProcessor):
 
     # -- the two LQP operations --------------------------------------------
 
-    #: Projection travels over the wire: the server narrows at (or right
-    #: after) the source, so dropped columns never cross the network.
-    supports_column_projection = True
-
     @property
     def binary_negotiated(self) -> bool:
         """Whether the server negotiated binary chunk frames at hello."""
@@ -357,29 +359,13 @@ class RemoteLQP(LocalQueryProcessor):
             return {}
         return {"trace": {"id": span.trace_id, "span": span.span_id}}
 
-    def _format_param(self, override: str | None = None) -> Dict[str, Any]:
-        """The per-request chunk-encoding key, honouring the connection's
-        ``wire_format`` (or a per-call override).  Never sent to a v1
-        server: such peers negotiated JSON and, being older, would ignore
-        the key anyway."""
-        choice = override or self._wire_format
-        if choice == "json":
-            return {}
-        if not self._binary:
-            if choice == "binary":
-                raise ProtocolError(
-                    f"LQP server at {self.url} cannot speak the binary wire format"
-                )
-            return {}
-        return {"format": "binary"}
-
-    def _request_keys(self, columns, wire_format: str | None = None) -> Dict[str, Any]:
+    def _request_keys(self, columns) -> Dict[str, Any]:
         """The keys every relation request shares: the projection (omitted
         entirely when not narrowing — old servers ignore unknown keys, but
-        there is no reason to send one), the chunk encoding and the trace
-        context."""
+        there is no reason to send one), the connection's chunk encoding
+        and the trace context."""
         keys = {} if columns is None else {"columns": list(columns)}
-        return {**keys, **self._format_param(wire_format), **self._trace_param()}
+        return {**keys, **self._format, **self._trace_param()}
 
     def _ship(self, op: str, columns, **params: Any) -> Relation:
         """One whole-relation request.  The reply's chunk columns become
@@ -392,9 +378,9 @@ class RemoteLQP(LocalQueryProcessor):
         return protocol.relation_from_wire(reply.get("attributes"), reply.get("columns"))
 
     def _stream(
-        self, op: str, params: Dict[str, Any], columns, chunk_size, wire_format, abort
+        self, op: str, params: Dict[str, Any], columns, chunk_size, abort
     ) -> "RelationChunkStream":
-        params.update(self._request_keys(columns, wire_format))
+        params.update(self._request_keys(columns))
         if chunk_size is not None:
             params["chunk_size"] = int(chunk_size)
         return RelationChunkStream(self._mux, op, params, abort)
@@ -469,7 +455,6 @@ class RemoteLQP(LocalQueryProcessor):
         *,
         columns: Sequence[str] | None = None,
         chunk_size: int | None = None,
-        wire_format: str | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """A pull-style stream of a remote relation's chunks.
@@ -480,12 +465,11 @@ class RemoteLQP(LocalQueryProcessor):
         first tuples are usable at first-chunk latency instead of
         whole-result latency.  This is the executor's pipelined-scan entry
         point: ``chunk_size`` asks the server for a specific granularity,
-        ``abort`` (any ``threading.Event``) cancels the stream mid-flight
-        from the consumer's side, and ``wire_format`` overrides the
-        connection default for this stream.
+        and ``abort`` (any ``threading.Event``) cancels the stream
+        mid-flight from the consumer's side.
         """
         return self._stream(
-            "retrieve", {"relation": relation_name}, columns, chunk_size, wire_format, abort
+            "retrieve", {"relation": relation_name}, columns, chunk_size, abort
         )
 
     def select_chunks(
@@ -497,7 +481,6 @@ class RemoteLQP(LocalQueryProcessor):
         *,
         columns: Sequence[str] | None = None,
         chunk_size: int | None = None,
-        wire_format: str | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """Like :meth:`retrieve_chunks` for a pushed-down selection."""
@@ -507,7 +490,7 @@ class RemoteLQP(LocalQueryProcessor):
             "theta": theta.symbol,
             "value": protocol.wire_value(value),
         }
-        return self._stream("select", params, columns, chunk_size, wire_format, abort)
+        return self._stream("select", params, columns, chunk_size, abort)
 
     # -- transport observability / lifecycle --------------------------------
 

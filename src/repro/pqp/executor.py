@@ -198,7 +198,6 @@ class _PlanRun:
         worker: str,
         on_chunk: Callable[[PolygenRelation], None],
         chunk_size: Optional[int],
-        wire_format: str,
     ) -> None:
         """Execute a streamable spine chunk-at-a-time (:mod:`repro.pqp.stream`).
 
@@ -227,7 +226,6 @@ class _PlanRun:
             lqp,
             columns,
             chunk_size or pqp_stream.DEFAULT_STREAM_CHUNK_TUPLES,
-            wire_format,
             self._cancel,
         )
         relation, start, finish = self._spanned(
@@ -365,7 +363,6 @@ class Executor:
         on_result: Optional[Callable[[PolygenRelation], None]] = None,
         on_chunk: Optional[Callable[[PolygenRelation], None]] = None,
         stream_chunk_size: Optional[int] = None,
-        wire_format: str = "auto",
     ) -> ExecutionTrace:
         """Evaluate every row in order; the last row is the query result.
 
@@ -377,18 +374,17 @@ class Executor:
 
         ``on_chunk`` opts into pipelined streaming: when the plan is a
         streamable spine (:mod:`repro.pqp.stream`) it fires with each
-        batch of fresh result rows *while the scan is still in flight*,
-        ``stream_chunk_size`` sizes the batches, and ``wire_format``
-        picks the chunk encoding of a remote head (``"auto"``/``"json"``/
-        ``"binary"``).  Non-spine plans ignore all three and execute
-        whole-relation as before — ``on_result`` still delivers.
+        batch of fresh result rows *while the scan is still in flight*, and
+        ``stream_chunk_size`` sizes the batches (a remote head's chunk
+        encoding is its connection's).  Non-spine plans ignore both and
+        execute whole-relation as before — ``on_result`` still delivers.
         """
         run = _PlanRun(self, iom, cancel, on_result)
         chain = pqp_stream.streamable_spine(iom) if on_chunk is not None else None
         if chain is not None:
             # The chunk pipeline runs inline on the submitting thread, so
             # this engine's spine rows keep its "serial" worker label.
-            run.stream(chain, "serial", on_chunk, stream_chunk_size, wire_format)
+            run.stream(chain, "serial", on_chunk, stream_chunk_size)
         else:
             for row in iom:
                 run.run(row, "serial")
@@ -495,7 +491,7 @@ class Executor:
 
     @classmethod
     def _chunks(
-        cls, row: MatrixRow, lqp, columns, chunk_size: int, wire_format: str, cancel
+        cls, row: MatrixRow, lqp, columns, chunk_size: int, cancel
     ) -> Iterator[Relation]:
         """What a spine's head row ships, as a stream of untagged chunks:
         wire chunks when the LQP can stream (duck-typed: wrappers and
@@ -516,11 +512,7 @@ class Executor:
                     [column[start : start + chunk_size] for column in shipped.columns],
                 )
             return
-        kwargs = {
-            "chunk_size": chunk_size,
-            "wire_format": None if wire_format in (None, "auto") else wire_format,
-            "abort": cancel,
-        }
+        kwargs = {"chunk_size": chunk_size, "abort": cancel}
         if columns is not None:
             kwargs["columns"] = columns
         wire_stream = opener(row.lhr.relation, *operands, **kwargs)

@@ -112,7 +112,6 @@ class ConcurrentExecutor(Executor):
         on_result: Callable[[PolygenRelation], None] | None = None,
         on_chunk: Callable[[PolygenRelation], None] | None = None,
         stream_chunk_size: int | None = None,
-        wire_format: str = "auto",
     ) -> ExecutionTrace:
         run = _PlanRun(self, iom, cancel, on_result)
         chain = pqp_stream.streamable_spine(iom) if on_chunk is not None else None
@@ -120,7 +119,7 @@ class ConcurrentExecutor(Executor):
             # A streamable spine is a linear chain — it has no parallelism
             # for the DAG scheduler to exploit, so pipelined chunk flow
             # (first rows before the scan completes) strictly wins.
-            run.stream(chain, "stream", on_chunk, stream_chunk_size, wire_format)
+            run.stream(chain, "stream", on_chunk, stream_chunk_size)
             return run.trace()
         dag = PlanDAG.from_iom(iom)
         waiting: Dict[int, int] = {

@@ -738,7 +738,6 @@ class PolygenFederation:
                 on_result=None if cursor is None else cursor._feed,
                 on_chunk=None if cursor is None else cursor._feed_chunk,
                 stream_chunk_size=options.stream_chunk_size,
-                wire_format=options.wire_format,
             )
             exec_span.set(rows=len(iom), tuples=len(trace.relation))
         # Feed the completed trace back into the calibrator so the next

@@ -30,10 +30,6 @@ _OPTIMIZE_MODES = (True, False, "cost")
 #: (:mod:`repro.service.cache`).
 _CACHE_MODES = ("off", "on", "refresh")
 
-#: Valid ``wire_format`` settings for remote LQP traffic
-#: (:mod:`repro.net.protocol`).
-_WIRE_FORMATS = ("auto", "binary", "json")
-
 
 @dataclass(frozen=True)
 class QueryOptions:
@@ -56,14 +52,12 @@ class QueryOptions:
       every relation a scheme maps even when the probe needs only some.
     - ``fetch_size`` — how many result tuples a streaming cursor hands out
       per batch.
-    - ``wire_format`` — encoding for remote LQP traffic: ``"auto"`` (the
-      default) uses whatever the ``hello`` negotiation settled on — binary
-      columnar v2 against a v2 peer, JSON against an old one;
-      ``"binary"``/``"json"`` force that encoding for this query's chunk
-      streams.
     - ``stream_chunk_size`` — tuples per chunk when a streamable-spine
       plan pipelines through the executor
-      (:mod:`repro.pqp.stream`); plans that cannot stream ignore it.
+      (:mod:`repro.pqp.stream`); plans that cannot stream ignore it.  How
+      a remote source encodes those chunks is not a query option: its
+      connection chose that when it was made
+      (:class:`~repro.net.client.RemoteLQP`'s ``wire_format``).
     - ``shard_width`` — scan sharding (:mod:`repro.pqp.shard`): ``0`` (the
       default) leaves every Retrieve whole; ``"auto"`` splits large
       retrieves into one key-range shard per server the LQP advertises
@@ -91,7 +85,6 @@ class QueryOptions:
     fetch_size: int = 64
     shard_width: Union[int, str] = 0
     cache: str = "off"
-    wire_format: str = "auto"
     stream_chunk_size: int = 1024
     slow_query_ms: Optional[float] = None
 
@@ -147,14 +140,6 @@ class QueryOptions:
         if not isinstance(self.cache, str) or self.cache not in _CACHE_MODES:
             raise ValueError(
                 f"cache must be one of {_CACHE_MODES}, got {self.cache!r}"
-            )
-        if (
-            not isinstance(self.wire_format, str)
-            or self.wire_format not in _WIRE_FORMATS
-        ):
-            raise ValueError(
-                f"wire_format must be one of {_WIRE_FORMATS}, "
-                f"got {self.wire_format!r}"
             )
         if isinstance(self.stream_chunk_size, bool) or not isinstance(
             self.stream_chunk_size, int

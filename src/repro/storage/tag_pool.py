@@ -36,15 +36,13 @@ value under the same key.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 
 __all__ = [
     "TagPool",
     "TagPair",
-    "TagDeltaEncoder",
-    "TagDeltaDecoder",
     "GLOBAL_TAG_POOL",
 ]
 
@@ -106,12 +104,6 @@ class TagPool:
             self._pairs.append(pair)
             self._ids[pair] = allocated
             return allocated
-
-    def intern_iterables(
-        self, origins: Iterable[str], intermediates: Iterable[str]
-    ) -> int:
-        """Like :meth:`intern`, accepting any iterables of source names."""
-        return self.intern(frozenset(origins), frozenset(intermediates))
 
     # -- accessors ----------------------------------------------------------
 
@@ -189,104 +181,8 @@ class TagPool:
         self._absorb_memo[key] = result
         return result
 
-    # -- wire deltas --------------------------------------------------------
-
-    def export_pairs(
-        self, tag_ids: Iterable[int]
-    ) -> List[Tuple[int, Tuple[str, ...], Tuple[str, ...]]]:
-        """``(id, sorted origins, sorted intermediates)`` rows for ``tag_ids``.
-
-        The serializable form of a pool slice: ids stay the *sender's* ids
-        (pools on different processes allocate independently), and the sets
-        are sorted so the export of a given pool state is deterministic.
-        """
-        exported = []
-        for tag_id in tag_ids:
-            origins, intermediates = self._pairs[tag_id]
-            exported.append((tag_id, tuple(sorted(origins)), tuple(sorted(intermediates))))
-        return exported
-
-    def import_pairs(
-        self, entries: Iterable[Tuple[int, Iterable[str], Iterable[str]]]
-    ) -> Dict[int, int]:
-        """Intern exported pairs, returning ``{sender id: local id}``.
-
-        The inverse of :meth:`export_pairs` across a process boundary: the
-        receiver interns each pair into *this* pool and uses the returned
-        mapping to translate the sender's tag-id columns.
-        """
-        mapping: Dict[int, int] = {}
-        for sender_id, origins, intermediates in entries:
-            mapping[int(sender_id)] = self.intern_iterables(origins, intermediates)
-        return mapping
-
     def __repr__(self) -> str:
         return f"TagPool(pairs={len(self._pairs)})"
-
-
-class TagDeltaEncoder:
-    """Tracks which tag ids a stream has already described to its peer.
-
-    A chunked stream of tagged rows must carry each ``(origins,
-    intermediates)`` pair at most once: the first chunk that uses a tag id
-    ships its definition, later chunks reference the id alone.  One encoder
-    instance per stream; :meth:`delta` returns the not-yet-sent subset of a
-    chunk's ids in :meth:`TagPool.export_pairs` form.
-    """
-
-    __slots__ = ("_pool", "_sent")
-
-    def __init__(self, pool: TagPool) -> None:
-        self._pool = pool
-        self._sent: set = set()
-
-    def delta(
-        self, tag_ids: Iterable[int]
-    ) -> List[Tuple[int, Tuple[str, ...], Tuple[str, ...]]]:
-        fresh = sorted({tag_id for tag_id in tag_ids} - self._sent)
-        self._sent.update(fresh)
-        return self._pool.export_pairs(fresh)
-
-
-class TagDeltaDecoder:
-    """Receiving end of :class:`TagDeltaEncoder`: rebuilds the id mapping.
-
-    Accumulates the sender-id → local-id mapping across a stream's chunks,
-    interning each newly described pair into the local pool.  Sender id 0 is
-    pre-mapped to :data:`TagPool.EMPTY_ID` — every pool interns the empty
-    pair at id 0, so streams never need to describe it.
-    """
-
-    __slots__ = ("_pool", "_mapping")
-
-    def __init__(self, pool: TagPool) -> None:
-        self._pool = pool
-        self._mapping: Dict[int, int] = {TagPool.EMPTY_ID: TagPool.EMPTY_ID}
-
-    @property
-    def pool(self) -> TagPool:
-        return self._pool
-
-    def absorb(
-        self, entries: Iterable[Tuple[int, Iterable[str], Iterable[str]]]
-    ) -> None:
-        self._mapping.update(self._pool.import_pairs(entries))
-
-    def translate(self, sender_id: int) -> int:
-        """Local id for a sender id; raises on an undescribed id."""
-        try:
-            return self._mapping[sender_id]
-        except KeyError:
-            raise KeyError(
-                f"tag id {sender_id} was never described by the stream "
-                "(missing tag-pool delta entry)"
-            ) from None
-
-    def translate_rows(
-        self, tag_rows: Iterable[Iterable[int]]
-    ) -> List[Tuple[int, ...]]:
-        mapping = self._mapping
-        return [tuple(mapping[tag_id] for tag_id in row) for row in tag_rows]
 
 
 #: The process-wide default pool.  All relations built through the public

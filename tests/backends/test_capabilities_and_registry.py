@@ -54,17 +54,16 @@ class TestDescriptor:
         assert capabilities.native_range
         assert capabilities.native_select  # default fills the gap
 
-    def test_relational_lqp_reports_projection_capability(self):
+    def test_relational_lqp_reports_no_projection_capability(self):
+        # The relation is already in memory: the PQP narrows it at
+        # materialization, after the domain transforms.
         capabilities = RelationalLQP(_database()).capabilities()
         assert capabilities.native_select
-        assert capabilities.native_projection
+        assert not capabilities.native_projection
 
-    def test_csv_lqp_follows_its_projection_support(self):
+    def test_csv_lqp_reports_no_projection_capability(self):
         lqp = CsvLQP("CSV", {"R": "K,V\n1,a\n"})
-        assert (
-            lqp.capabilities().native_projection
-            == lqp.supports_column_projection
-        )
+        assert lqp.capabilities() == Capabilities()
 
 
 class TestWrapperDelegation:

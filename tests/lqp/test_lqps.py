@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.predicate import Theta
 from repro.errors import ExecutionError, LocalEngineError, UnknownDatabaseError, UnknownRelationError
-from repro.lqp.cost import AccountingLQP, CostModel
+from repro.backends import SqliteLQP
+from repro.lqp.cost import AccountingLQP
 from repro.lqp.csv_lqp import CsvLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
@@ -94,11 +95,6 @@ class TestAccounting:
         assert wrapped.stats.selects == 1
         assert wrapped.stats.tuples_shipped == 3  # 2 + 1
 
-    def test_cost_model(self, alumni_lqp):
-        wrapped = AccountingLQP(alumni_lqp, CostModel(per_query=10.0, per_tuple=1.0))
-        wrapped.retrieve("ALUMNUS")
-        assert wrapped.simulated_cost() == pytest.approx(10.0 + 2.0)
-
     def test_stats_reset(self, alumni_lqp):
         wrapped = AccountingLQP(alumni_lqp)
         wrapped.retrieve("ALUMNUS")
@@ -141,39 +137,43 @@ class TestRegistry:
         registry.reset_stats()
         assert registry.total_stats().queries == 0
 
-    def test_total_cost(self, alumni_lqp):
-        registry = LQPRegistry()
-        registry.register(alumni_lqp, CostModel(per_query=5.0, per_tuple=0.0))
-        registry.get("AD").retrieve("ALUMNUS")
-        assert registry.total_cost() == pytest.approx(5.0)
+
+@pytest.fixture
+def sqlite_alumni(alumni_lqp):
+    with SqliteLQP.from_database(alumni_lqp.database) as store:
+        yield store
 
 
 class TestColumnProjection:
-    """The source-side projection surface (``columns=`` on every verb)."""
+    """``columns=`` is part of the verbs only for engines reporting
+    ``native_projection``; the default range verbs honour it after
+    filtering."""
 
-    def test_relational_retrieve_narrows(self, alumni_lqp):
-        assert alumni_lqp.supports_column_projection
-        out = alumni_lqp.retrieve("ALUMNUS", columns=["ANAME", "DEG"])
+    def test_in_process_engines_take_no_columns(self, alumni_lqp):
+        csv = CsvLQP("CD", {"FIRM": TestCsvLQP.CSV})
+        for lqp in (alumni_lqp, csv):
+            assert not lqp.capabilities().native_projection
+        with pytest.raises(TypeError):
+            alumni_lqp.retrieve("ALUMNUS", columns=["ANAME"])
+        with pytest.raises(TypeError):
+            csv.select("FIRM", "PROFIT", Theta.GT, 1.0, columns=["PROFIT"])
+
+    def test_sqlite_retrieve_narrows(self, sqlite_alumni):
+        assert sqlite_alumni.capabilities().native_projection
+        out = sqlite_alumni.retrieve("ALUMNUS", columns=["ANAME", "DEG"])
         assert out.attributes == ("ANAME", "DEG")
-        assert out.rows == (("John McCauley", "MBA"), ("Ken Olsen", "MS"))
+        assert set(out.rows) == {("John McCauley", "MBA"), ("Ken Olsen", "MS")}
 
-    def test_relational_select_narrows(self, alumni_lqp):
-        out = alumni_lqp.select("ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["AID#"])
+    def test_sqlite_select_narrows(self, sqlite_alumni):
+        out = sqlite_alumni.select("ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["AID#"])
         assert out.attributes == ("AID#",)
         assert out.rows == (("012",),)
-
-    def test_csv_retrieve_narrows(self):
-        lqp = CsvLQP("CD", {"FIRM": TestCsvLQP.CSV})
-        assert lqp.supports_column_projection
-        out = lqp.retrieve("FIRM", columns=["PROFIT"])
-        assert out.attributes == ("PROFIT",)
-        assert out.rows == ((5.5,), (0.4,))
 
     def test_unknown_column_rejected(self, alumni_lqp):
         from repro.errors import UnknownAttributeError
 
         with pytest.raises(UnknownAttributeError):
-            alumni_lqp.retrieve("ALUMNUS", columns=["NOPE"])
+            alumni_lqp.retrieve_range("ALUMNUS", "AID#", columns=["NOPE"])
 
     def test_retrieve_range_projects_after_filtering(self, alumni_lqp):
         # The key attribute need not survive the projection.
@@ -183,17 +183,12 @@ class TestColumnProjection:
         assert out.attributes == ("ANAME",)
         assert out.rows == (("Ken Olsen",),)
 
-    def test_wrappers_advertise_inner_capability(self, alumni_lqp):
-        assert AccountingLQP(alumni_lqp).supports_column_projection
+    def test_wrappers_advertise_inner_capability(self, alumni_lqp, sqlite_alumni):
+        assert AccountingLQP(sqlite_alumni).capabilities().native_projection
+        assert not AccountingLQP(alumni_lqp).capabilities().native_projection
 
-        class Legacy(RelationalLQP):
-            supports_column_projection = False
-
-        legacy = Legacy(alumni_lqp.database)
-        assert not AccountingLQP(legacy).supports_column_projection
-
-    def test_accounting_forwards_columns(self, alumni_lqp):
-        wrapped = AccountingLQP(alumni_lqp)
+    def test_accounting_forwards_columns(self, sqlite_alumni):
+        wrapped = AccountingLQP(sqlite_alumni)
         out = wrapped.select("ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["MAJ"])
         assert out.attributes == ("MAJ",)
         assert wrapped.stats.selects == 1

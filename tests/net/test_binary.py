@@ -4,17 +4,16 @@ import math
 
 import pytest
 
-from repro.core.heading import Heading
+import struct
+
 from repro.errors import ProtocolError
 from repro.net import binary
-from repro.storage.columnar import ColumnarRelation
-from repro.storage.tag_pool import TagPool
 
 
-def roundtrip(columns, attributes=None, count=None, **kwargs):
+def roundtrip(columns, attributes=None, count=None):
     attributes = attributes or [f"C{i}" for i in range(len(columns))]
     count = count if count is not None else (len(columns[0]) if columns else 0)
-    payload = binary.encode_chunk_payload(7, 3, attributes, columns, count, **kwargs)
+    payload = binary.encode_chunk_payload(7, 3, attributes, columns, count)
     return binary.decode_chunk_payload(payload)
 
 
@@ -85,62 +84,20 @@ class TestFrameValidation:
         with pytest.raises(ProtocolError):
             binary.encode_chunk_payload(1, 0, ["A", "B"], [[1]], 1)
 
+    def test_header_layout(self):
+        # magic, version, kind, flags, request id, seq, rows, columns.
+        payload = binary.encode_chunk_payload(7, 3, ["A", "B"], [[1, 2], [3, 4]], 2)
+        header = struct.unpack_from("<BBBBQIIH", payload)
+        assert header == (0xB2, 2, 1, 0, 7, 3, 2, 2)
 
-def tagged_store(pool):
-    data = [("ann", 1), ("bob", 2), ("cal", None), ("ann", 4)]
-    a = pool.intern(frozenset({"AD"}), frozenset())
-    b = pool.intern(frozenset({"AD"}), frozenset({"PD"}))
-    nil = pool.intern(frozenset(), frozenset({"PD"}))
-    tags = [(a, a), (a, b), (b, nil), (b, a)]
-    return ColumnarRelation.from_row_major(Heading(("N", "K")), data, tags, pool)
-
-
-class TestTaggedStoreStreams:
-    def test_store_round_trip_with_tags(self):
-        sender, receiver = TagPool(), TagPool()
-        store = tagged_store(sender)
-        payloads = list(binary.store_chunk_payloads(store, 2))
-        assert len(payloads) == 2
-        back = binary.store_from_chunk_payloads(payloads, pool=receiver)
-        assert list(back.data_rows()) == list(store.data_rows())
-        # Tags are pool-translated, so compare the pairs they intern.
-        for ours, theirs in zip(back.tag_rows(), store.tag_rows()):
-            for mine, original in zip(ours, theirs):
-                assert receiver.pair(mine) == sender.pair(original)
-
-    def test_delta_split_across_chunk_boundaries(self):
-        # chunk_size=1: each new tag pair must be described exactly in the
-        # first chunk that uses it and referenced by bare id afterwards.
-        sender = TagPool()
-        store = tagged_store(sender)
-        messages = [
-            binary.decode_chunk_payload(p)
-            for p in binary.store_chunk_payloads(store, 1)
-        ]
-        assert len(messages) == 4
-        described = [
-            {tag_id for tag_id, _, _ in (m["tag_delta"] or ())} for m in messages
-        ]
-        seen = set()
-        for m, ids in zip(messages, described):
-            used = {t for column in m["tag_columns"] for t in column}
-            assert used <= seen | ids  # never referenced before described
-            assert not (ids & seen)  # never re-described
-            seen |= ids
-
-    def test_empty_store_ships_one_heading_chunk(self):
-        pool = TagPool()
-        store = ColumnarRelation.empty(Heading(("A", "B")), pool)
-        payloads = list(binary.store_chunk_payloads(store, 10))
-        assert len(payloads) == 1
-        back = binary.store_from_chunk_payloads(payloads, pool=TagPool())
-        assert back.cardinality == 0
-        assert back.heading.attributes == ("A", "B")
-
-    def test_missing_tag_section_refused(self):
-        payload = binary.encode_chunk_payload(1, 0, ["A"], [[1]], 1)
-        with pytest.raises(ProtocolError, match="tag section"):
-            binary.store_from_chunk_payloads([payload], pool=TagPool())
+    @pytest.mark.parametrize("flags", [0x01, 0x80])
+    def test_reserved_flags_refused(self, flags):
+        # Bit 0 once announced a tag section; no flag is defined now, so a
+        # set bit is refused rather than misread as column data.
+        payload = bytearray(binary.encode_chunk_payload(1, 0, ["A"], [[1]], 1))
+        payload[3] = flags
+        with pytest.raises(ProtocolError, match=f"flags byte {flags:#04x}"):
+            binary.decode_chunk_payload(bytes(payload))
 
 
 class TestRelationChunkPayloads:

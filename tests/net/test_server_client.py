@@ -187,37 +187,46 @@ class TestLoopbackEquivalence:
                 )
 
     def test_columns_narrow_over_the_wire(self, server):
+        from repro.lqp.base import project_columns
+
         direct = ad_lqp()
         with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            assert remote.supports_column_projection
+            assert remote.capabilities().native_projection
             narrowed = remote.retrieve("ALUMNUS", columns=["ANAME", "DEG"])
-            assert narrowed == direct.retrieve("ALUMNUS", columns=["ANAME", "DEG"])
+            assert narrowed == project_columns(
+                direct.retrieve("ALUMNUS"), ["ANAME", "DEG"]
+            )
             assert narrowed.attributes == ("ANAME", "DEG")
             selected = remote.select(
                 "ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["AID#"]
             )
             assert selected.attributes == ("AID#",)
 
-    def test_columns_projected_server_side_for_legacy_lqp(self):
-        # An LQP that never heard of ``columns=`` still serves narrowed
-        # results: the server projects after the verb, so only the
-        # requested columns cross the wire either way.
-        class Legacy(RelationalLQP):
-            supports_column_projection = False
-
-            def retrieve(self, relation_name):  # the pre-projection signature
-                return self._database.relation(relation_name)
-
+    def test_columns_projected_server_side_for_a_non_native_engine(self):
+        # RelationalLQP has no native projection (its verbs reject
+        # ``columns=``): the server projects after the verb, so only the
+        # requested columns cross the wire on every verb.
         from repro.lqp.base import project_columns
 
-        legacy = Legacy(paper_databases()["AD"])
-        with LQPServer(legacy, chunk_size=3) as running:
+        engine = ad_lqp()
+        assert not engine.capabilities().native_projection
+        with LQPServer(engine, chunk_size=3) as running:
             with RemoteLQP(running.url, timeout=TIMEOUT) as remote:
                 narrowed = remote.retrieve("ALUMNUS", columns=["DEG"])
                 assert narrowed.attributes == ("DEG",)
                 assert narrowed == project_columns(
-                    legacy.retrieve("ALUMNUS"), ["DEG"]
+                    engine.retrieve("ALUMNUS"), ["DEG"]
                 )
+                selected = remote.select(
+                    "ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["ANAME"]
+                )
+                assert selected.attributes == ("ANAME",)
+                ranged = remote.retrieve_range(
+                    "ALUMNUS", "AID#", lower="500", columns=["ANAME"]
+                )
+                assert ranged.attributes == ("ANAME",)
+                streamed = list(remote.retrieve_chunks("ALUMNUS", columns=["MAJ"]))
+                assert {chunk.attributes for chunk in streamed} == {("MAJ",)}
 
     def test_relation_stats_served_and_cached(self, server):
         direct = ad_lqp()
@@ -440,9 +449,27 @@ class TestFaults:
             relation = remote.retrieve("T")
             assert sorted(relation.rows) == [(1,), (2,)]
             assert remote.transport_stats().binary_chunks == 0
-            with pytest.raises(ProtocolError, match="binary"):
-                remote.retrieve_chunks("T", wire_format="binary")
             remote.close()
+        finally:
+            scripted.close()
+
+    def test_binary_only_client_refuses_a_v1_server_at_construction(self):
+        # The encoding is chosen where the connection is made, so a client
+        # that insists on binary frames fails there — not on its first
+        # query — and takes its event-loop thread down with it.
+        def v1_hello(scripted, sock):
+            hello = {"kind": "hello", "protocol": 1, "database": "XX", "relations": ["T"]}
+            sock.sendall(protocol.encode_frame(hello))
+            scripted.read_frame(sock)  # until the refusing client hangs up
+
+        scripted = _ScriptedServer(v1_hello)
+        before = _mux_threads()
+        try:
+            with pytest.raises(ProtocolError, match='wire_format="binary"'):
+                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
+            assert wait_for(lambda: _mux_threads() == before), (
+                "the refused connection stranded the mux's event-loop thread"
+            )
         finally:
             scripted.close()
 

@@ -21,9 +21,10 @@ from tests.integration.conftest import PAPER_SQL
 TIMEOUT = 5.0
 
 
-@pytest.fixture(scope="module")
-def distributed_federation():
-    """AD and CD behind real TCP servers, PD in-process."""
+@contextlib.contextmanager
+def _distributed(wire_format="auto"):
+    """AD and CD behind real TCP servers, dialed with ``wire_format``; PD
+    in-process."""
     databases = paper_databases()
     with contextlib.ExitStack() as stack:
         registry = LQPRegistry()
@@ -31,7 +32,9 @@ def distributed_federation():
             lqp = RelationalLQP(database)
             if name in ("AD", "CD"):
                 server = stack.enter_context(LQPServer(lqp, chunk_size=4))
-                lqp = stack.enter_context(RemoteLQP(server.url, timeout=TIMEOUT))
+                lqp = stack.enter_context(
+                    RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format)
+                )
             registry.register(lqp)
         federation = stack.enter_context(
             PolygenFederation(
@@ -41,6 +44,19 @@ def distributed_federation():
             )
         )
         yield federation
+
+
+@pytest.fixture(scope="module")
+def distributed_federation():
+    with _distributed() as federation:
+        yield federation
+
+
+@pytest.fixture(scope="module", params=["json", "binary"])
+def wire_federation(request):
+    """A distributed federation whose connections speak one encoding."""
+    with _distributed(request.param) as federation:
+        yield request.param, federation
 
 
 @pytest.fixture
@@ -56,16 +72,14 @@ def local_federation():
 
 class TestStitchedTrace:
     @pytest.mark.parametrize("engine", ["serial", "concurrent"])
-    @pytest.mark.parametrize("wire_format", ["json", "binary"])
-    def test_one_trace_spans_coordinator_and_servers(
-        self, distributed_federation, engine, wire_format
-    ):
-        federation = distributed_federation
-        result = federation.run(
-            PAPER_SQL,
-            federation.defaults.replace(engine=engine, wire_format=wire_format),
-        )
+    def test_one_trace_spans_coordinator_and_servers(self, wire_federation, engine):
+        wire_format, federation = wire_federation
+        result = federation.run(PAPER_SQL, federation.defaults.replace(engine=engine))
         assert len(result.relation) == 3  # still the paper's answer
+        # The connection's encoding is the one every chunk travelled in.
+        for database in ("AD", "CD"):
+            stats = federation.registry.get(database).inner.transport_stats()
+            assert (stats.binary_chunks > 0) == (wire_format == "binary"), database
         spans = result.trace.spans
         # ONE trace: every span — coordinator and server-side — shares id.
         assert len({span.trace_id for span in spans}) == 1

@@ -238,3 +238,35 @@ def test_equal_but_distinct_values_are_mapped_before_they_can_collapse():
         attributes=["HEADQUARTERS"],
     )
     assert pruned == out
+
+
+@pytest.mark.parametrize("engine", ["serial", "concurrent"])
+def test_projection_pruning_is_invisible_in_process(engine):
+    """The same corner end to end: an in-process engine has no native
+    projection, so a pruned plan ships whole tuples and materialization
+    narrows them after the transform — ``1`` and ``True`` stay the two
+    HEADQUARTERS values ``"1"`` and ``"True"`` with pruning on or off."""
+    from repro.catalog.schema import PolygenSchema
+    from repro.lqp.registry import LQPRegistry
+    from repro.lqp.relational_lqp import RelationalLQP
+    from repro.relational.database import LocalDatabase
+    from repro.relational.schema import RelationSchema
+    from repro.service.federation import PolygenFederation
+
+    database = LocalDatabase(DATABASE)
+    database.load(
+        RelationSchema(LOCAL_RELATION, list(LOCAL_COLUMNS), key=["FNAME"]),
+        [("IBM", "Ackers", 1, 10, "a"), ("Apple", "Sculley", True, 20, "b")],
+    )
+    registry = LQPRegistry()
+    registry.register(RelationalLQP(database))
+    with PolygenFederation(PolygenSchema([_scheme(True)]), registry) as federation:
+        with federation.session(engine=engine) as session:
+            pruned, whole = (
+                session.execute("PORGANIZATION [HEADQUARTERS]", prune_projections=flag)
+                for flag in (True, False)
+            )
+    assert pruned.optimization.attributes_pruned  # the pruned plan really differs
+    assert sorted(whole.relation.data_rows()) == [("1",), ("True",)]
+    assert pruned.relation == whole.relation
+    assert pruned.relation.tuples == whole.relation.tuples

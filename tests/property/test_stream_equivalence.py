@@ -4,11 +4,11 @@ Pipelined chunk streaming must be invisible in the answer: for any query,
 the batches a streaming cursor yields — concatenated — must equal the
 whole-relation result *tag for tag*, no matter which engine ran the plan
 (serial/concurrent), where the sources live (in-process/loopback
-servers), or which wire encoding carried the chunks (binary v2 / JSON
-v1).  Alongside the hypothesis sweep: NaN cells, nil keys and empty
-strings crossing every wire intact; tag-pool deltas split across
-arbitrary chunk boundaries; and the version-mismatch fallback — a v1
-peer keeps working, at JSON, with zero binary frames on the wire.
+servers), or which wire encoding the connection chose for the chunks
+(binary v2 / JSON v1).  Alongside the hypothesis sweep: NaN cells, nil
+keys and empty strings crossing every wire intact; and the
+version-mismatch fallback — a v1 peer keeps working, at JSON, with zero
+binary frames on the wire.
 """
 
 import math
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.heading import Heading
 from repro.datasets.paper import (
     paper_databases,
     paper_identity_resolver,
@@ -25,14 +24,12 @@ from repro.datasets.paper import (
 )
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
-from repro.net import LQPServer, binary
+from repro.net import LQPServer
 from repro.net.client import RemoteLQP
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
 from repro.service.federation import PolygenFederation
-from repro.storage.columnar import ColumnarRelation
-from repro.storage.tag_pool import TagPool
 
 from tests.property.test_execution_equivalence import queries
 
@@ -59,32 +56,32 @@ def harness():
         for database in paper_databases().values()
     ]
 
-    def remote_registry() -> LQPRegistry:
+    def loopback(wire_format: str) -> PolygenFederation:
         registry = LQPRegistry()
         for server in servers:
-            registry.register(server.url, concurrency=4, timeout=TIMEOUT)
-        return registry
+            registry.register(
+                server.url, concurrency=4, timeout=TIMEOUT, wire_format=wire_format
+            )
+        return PolygenFederation(
+            paper_polygen_schema(), registry, resolver=paper_identity_resolver()
+        )
 
     local = PolygenFederation(
         paper_polygen_schema(),
         _in_process_registry(),
         resolver=paper_identity_resolver(),
     )
-    loopback = PolygenFederation(
-        paper_polygen_schema(),
-        remote_registry(),
-        resolver=paper_identity_resolver(),
-    )
-    #: Tiny chunks force multi-chunk streams and cross-chunk tag deltas.
+    loopback_binary, loopback_json = loopback("binary"), loopback("json")
+    #: Tiny chunks force multi-chunk streams.
     sessions = {
         "local_serial": local.session(engine="serial", stream_chunk_size=2),
         "local_concurrent": local.session(engine="concurrent", stream_chunk_size=2),
-        "loopback_binary": loopback.session(wire_format="binary", stream_chunk_size=2),
-        "loopback_json": loopback.session(wire_format="json", stream_chunk_size=2),
+        "loopback_binary": loopback_binary.session(stream_chunk_size=2),
+        "loopback_json": loopback_json.session(stream_chunk_size=2),
     }
     yield baseline, sessions
-    local.close()
-    loopback.close()
+    for federation in (local, loopback_binary, loopback_json):
+        federation.close()
     baseline.close()
     for server in servers:
         server.stop()
@@ -168,39 +165,6 @@ def test_nan_nil_and_empty_cells_survive_every_wire(rows, chunk_size):
                 remote.close()
     finally:
         server.stop()
-
-
-_SOURCES = st.frozensets(st.sampled_from(["AD", "PD", "CD", "XD"]), max_size=3)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    data=st.data(),
-    rows=st.lists(
-        st.tuples(st.text(max_size=5), st.one_of(st.none(), st.integers())),
-        min_size=1,
-        max_size=10,
-    ),
-    chunk_size=st.integers(min_value=1, max_value=4),
-)
-def test_tag_deltas_split_across_any_chunk_boundary(data, rows, chunk_size):
-    sender = TagPool()
-    tag_rows = [
-        tuple(
-            sender.intern(data.draw(_SOURCES), data.draw(_SOURCES))
-            for _ in row
-        )
-        for row in rows
-    ]
-    store = ColumnarRelation.from_row_major(Heading(("A", "B")), rows, tag_rows, sender)
-    receiver = TagPool()
-    back = binary.store_from_chunk_payloads(
-        binary.store_chunk_payloads(store, chunk_size), pool=receiver
-    )
-    assert list(back.data_rows()) == list(store.data_rows())
-    for ours, theirs in zip(back.tag_rows(), store.tag_rows()):
-        for mine, original in zip(ours, theirs):
-            assert receiver.pair(mine) == sender.pair(original)
 
 
 def test_v1_peer_negotiates_json_and_still_answers(monkeypatch):

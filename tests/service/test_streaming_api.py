@@ -1,5 +1,6 @@
-"""The redesigned streaming API: ``chunks()``, ``stream()``, wire/stream
-options, and the closed/cancelled cursor semantics.
+"""The redesigned streaming API: ``chunks()``, ``stream()``, the stream
+options and per-connection wire encodings, and the closed/cancelled
+cursor semantics.
 
 Complements ``test_pool_and_cursor.py`` (cursor internals) and
 ``test_federation.py`` (service lifecycle): these tests drive the new
@@ -100,23 +101,18 @@ class TestChunksIterator:
 
 class TestStreamingOptions:
     def test_new_fields_validate(self):
-        assert QueryOptions().wire_format == "auto"
         assert QueryOptions().stream_chunk_size == 1024
-        with pytest.raises(ValueError, match="wire_format"):
-            QueryOptions(wire_format="avro")
-        with pytest.raises(ValueError, match="wire_format"):
-            QueryOptions(wire_format=2)
         with pytest.raises(ValueError, match="stream_chunk_size"):
             QueryOptions(stream_chunk_size=0)
         with pytest.raises(ValueError, match="stream_chunk_size"):
             QueryOptions(stream_chunk_size=True)
 
     def test_override_chain_defaults_session_submit(self):
-        defaults = QueryOptions(stream_chunk_size=500, wire_format="json")
+        defaults = QueryOptions(stream_chunk_size=500, fetch_size=7)
         with _federation(defaults=defaults) as federation:
             session = federation.session(stream_chunk_size=200)
             assert session.defaults.stream_chunk_size == 200  # session wins
-            assert session.defaults.wire_format == "json"  # inherited
+            assert session.defaults.fetch_size == 7  # inherited
             # submit-level override wins over both; chunk size 2 must show
             # up as several small batches.
             handle = session.submit(SPINE_SQL, stream_chunk_size=2)
@@ -124,14 +120,39 @@ class TestStreamingOptions:
             assert len(batches) > 1
             assert all(batch.cardinality <= 2 for batch in batches)
 
-    def test_wire_format_choices_agree_in_process(self):
+    def test_wire_format_is_not_a_query_option(self):
+        # The encoding belongs to the connection (RemoteLQP / register).
+        with pytest.raises(ValueError, match="wire_format"):
+            QueryOptions().replace(wire_format="json")
+
+    def test_connection_wire_formats_agree_with_in_process(self):
+        from repro.net import LQPServer
+
         with _federation() as federation, federation.session() as session:
-            results = {
-                fmt: session.execute(SPINE_SQL, wire_format=fmt, timeout=30)
-                for fmt in ("auto", "json", "binary")
-            }
-        relations = [r.relation for r in results.values()]
-        assert relations[0] == relations[1] == relations[2]
+            expected = session.execute(SPINE_SQL, timeout=30).relation
+        servers = [
+            LQPServer(RelationalLQP(database), chunk_size=2).start()
+            for database in paper_databases().values()
+        ]
+        try:
+            for fmt in ("auto", "json", "binary"):
+                registry = LQPRegistry()
+                for server in servers:
+                    registry.register(server.url, wire_format=fmt)
+                with PolygenFederation(
+                    paper_polygen_schema(), registry, resolver=paper_identity_resolver()
+                ) as federation, federation.session(stream_chunk_size=2) as session:
+                    handle = session.submit(SPINE_SQL)
+                    batches = list(handle.stream().chunks(timeout=30))
+                    assert handle.result(timeout=30).relation == expected, fmt
+                    assert len(batches) > 1, fmt
+                    binary_chunks = sum(
+                        lqp.inner.transport_stats().binary_chunks for lqp in registry
+                    )
+                assert (binary_chunks > 0) == (fmt != "json"), fmt
+        finally:
+            for server in servers:
+                server.stop()
 
 
 class TestClosedAndCancelled:

@@ -35,13 +35,6 @@ def test_distinct_pairs_distinct_ids():
     assert pool.intermediates(b) == sources("AD")
 
 
-def test_intern_iterables_normalizes():
-    pool = TagPool()
-    assert pool.intern_iterables(["AD", "AD"], ()) == pool.intern(
-        sources("AD"), frozenset()
-    )
-
-
 def test_merge_is_componentwise_union_and_memoized():
     pool = TagPool()
     a = pool.intern(sources("AD"), sources("PD"))
