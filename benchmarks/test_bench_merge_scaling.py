@@ -3,8 +3,10 @@
 Merge is the polygen model's distinctive operator — the fold of Outer
 Natural Total Joins that fuses overlapping autonomous databases into one
 tagged relation.  This bench scales the number of databases and measures
-plan execution; EXPERIMENTS.md records how cost grows with the number of
-sources (each extra database adds one retrieve + one ONTJ pass).
+plan execution.  Each extra database adds one Retrieve to the plan and one
+operand to the single n-ary Merge (``storage/kernels.py:hash_merge``),
+which partitions all operands' rows by key in one pass; no database adds
+an Outer Natural Total Join of its own.
 """
 
 import pytest

@@ -17,6 +17,7 @@ coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
 hash_join          ``add_intermediates`` lookups per matched cell
 outer_join         ditto; nil pads interned once
+hash_merge         ``merge`` per folded cell, one stamp per output cell
 =================  =====================================================
 
 Join, the outer joins and Merge match rows through one key index, which
@@ -31,15 +32,15 @@ Operands are brought onto the left operand's pool via
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from itertools import count, repeat
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
 from repro.core.heading import Heading
 from repro.core.predicate import Theta
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 from repro.errors import CoalesceConflictError, InvalidOperandError
-from repro.storage.columnar import ColumnarRelation, _from_keys
+from repro.storage.columnar import ColumnarRelation, _from_keys, _transpose
 from repro.storage.keyed import buckets, key_rows
 
 __all__ = [
@@ -124,16 +125,16 @@ def _rows(store: ColumnarRelation):
 
 
 def project(store: ColumnarRelation, positions: Sequence[int], heading: Heading) -> ColumnarRelation:
-    """``p[X]`` — gather the selected columns, dedup on data, merge tags."""
+    """``p[X]`` — gather the selected columns, dedup on data, merge tags.
+    When no two picked data rows are equal (one set pass), the picked
+    columns are the answer as they stand."""
     pool = store.pool
-    selected_data = list(
-        zip(*(store.columns[i] for i in positions))
-    ) if store.cardinality else []
-    selected_tags = list(
-        zip(*(store.tags[i] for i in positions))
-    ) if store.cardinality else []
+    data = tuple(store.columns[i] for i in positions)
+    tags = tuple(store.tags[i] for i in positions)
+    if len(set(zip(*data))) == store.cardinality:
+        return ColumnarRelation(heading, data, tags, pool)
     out_data, out_tags = _merge_rows_by_data(
-        pool, len(positions), [zip(selected_data, selected_tags)]
+        pool, len(positions), [zip(zip(*data), zip(*tags))]
     )
     return ColumnarRelation.from_row_major(heading, out_data, out_tags, pool)
 
@@ -532,46 +533,147 @@ def outer_join(
     return _equijoin(s1, s2, heading, left_pos, right_pos, outer=True)
 
 
+def _partitions(keyed: Sequence[List[Optional[tuple]]]) -> Tuple[list, list, set]:
+    """Per operand, each row's partition and the slot vector (partition →
+    a row there, or -1); and the partitions some operand has two rows in.
+    Keyed partitions number in first-encounter order; each row with a nil
+    or NaN in its key (it matches nothing) is one more, in operand and row
+    order."""
+    ids: Dict[tuple, int] = {}
+    parts = [[-1 if key is None else ids.setdefault(key, len(ids)) for key in keys]
+             for keys in keyed]
+    loners = count(len(ids))
+    parts = [[at if at >= 0 else next(loners) for at in part] if -1 in part else part
+             for part in parts]
+    size, slots, repeated = next(loners), [], set()
+    for part in parts:
+        slot = [-1] * size
+        for row, at in enumerate(part):
+            if slot[at] < 0:
+                slot[at] = row
+            else:
+                repeated.add(at)
+        slots.append(slot)
+    return parts, slots, repeated
+
+
+def _gather_slots(values: Sequence[Any], slot: List[int], missing: Any) -> List[Any]:
+    """``values`` at each slot's row; ``missing`` where the slot is -1."""
+    return list(map([*values, missing].__getitem__, slot))
+
+
+def _fold_columns(stores, slots, names, policy) -> Tuple[list, list, set]:
+    """The column path: per output attribute, the operands carrying it
+    gathered through their slot vectors and folded left to right by
+    :func:`_fold_cells` (a missing row is a nil cell with the empty tag,
+    which the fold passes over).  A conflict ``DROP`` or ``ERROR`` must act
+    on is only marked: its partition is returned for the row path."""
+    pool = stores[0].pool
+    if policy is ConflictPolicy.ERROR:
+        policy = ConflictPolicy.DROP  # whose None tag marks the conflict
+    conflicted: set = set()
+    data_columns, tag_columns = [], []
+    owned = [dict(zip(s.heading, zip(s.columns, s.tags))) for s in stores]
+    for name in names:
+        folded = None
+        for own, slot in zip(owned, slots):
+            if name not in own:
+                continue
+            cells = (_gather_slots(own[name][0], slot, None),
+                     _gather_slots(own[name][1], slot, pool.EMPTY_ID))
+            if folded is not None:
+                data, tags = _fold_cells(pool, policy, repeat(name), *folded, *cells)
+                if None in tags:
+                    conflicted.update(i for i, tag in enumerate(tags) if tag is None)
+                    tags = [pool.EMPTY_ID if tag is None else tag for tag in tags]
+                cells = data, tags
+            folded = cells
+        data_columns.append(folded[0])
+        tag_columns.append(folded[1])
+    return data_columns, tag_columns, conflicted
+
+
+def _row_groups(stores, names, keyed, parts, rerun) -> Dict[int, Dict[int, list]]:
+    """Per ``rerun`` partition, in order: operand → its rows there, as
+    partials — (full-width data, full-width raw tags, key-cell origins),
+    where an attribute the operand lacks is a nil cell with the empty tag."""
+    groups: Dict[int, Dict[int, list]] = {at: {} for at in sorted(rerun)}
+    for operand, (store, (_, sources), part) in enumerate(zip(stores, keyed, parts)):
+        nil = ([None] * len(part), [store.pool.EMPTY_ID] * len(part))
+        own = dict(zip(store.heading.attributes, zip(store.columns, store.tags)))
+        data, tags = zip(*(own.get(name, nil) for name in names))
+        for row, at in enumerate(part):
+            if at in groups:
+                partial = tuple(column[row] for column in data), tuple(
+                    column[row] for column in tags), sources[row]
+                groups[at].setdefault(operand, []).append(partial)
+    return groups
+
+
+def _merge_partition(pool, policy, names, groups) -> list:
+    """The row path: one partition's partials, grouped by operand in
+    operand order, folded as the fold does — each accumulated partial
+    crossed with the operand's rows and coalesced under ``policy``."""
+
+    def coalesce_pair(acc, row) -> Optional[Tuple[list, list, SourceSet]]:
+        """One accumulated partial × one operand row, attribute-wise
+        coalesce on raw tags; ``None`` when the ``DROP`` policy kills it."""
+        data, tags = _fold_cells(pool, policy, names, acc[0], acc[1], row[0], row[1])
+        return None if None in tags else (data, tags, acc[2] | row[2])
+
+    accumulated: List[Tuple[Sequence, Sequence, SourceSet]] = []
+    for contributed in groups:
+        if not accumulated:
+            # First contributor — or every pairing died under DROP, in
+            # which case the fold's accumulator is empty and these rows
+            # enter unmatched, as fresh partials.
+            accumulated = contributed
+            continue
+        accumulated = [
+            combined
+            for acc in accumulated
+            for row in contributed
+            if (combined := coalesce_pair(acc, row)) is not None
+        ]
+    return accumulated
+
+
 def hash_merge(
     stores: Sequence[ColumnarRelation],
     key: Sequence[str],
     policy: ConflictPolicy,
 ) -> ColumnarRelation:
-    """N-way Merge as hash partitioning on the key columns.
+    """N-way Merge as a hash partition on the key columns.
 
     The fold of Outer Natural Total Joins (:func:`repro.core.derived.merge`)
-    re-joins the *accumulated* result against each operand — the
-    accumulated relation is rebuilt, re-hashed and re-coalesced N−1 times.
-    Because the fold order is immaterial (paper, §II), the same answer
-    falls out of a single partition-and-coalesce pass:
+    re-joins the accumulated result against each operand; since the fold
+    order is immaterial (paper, §II), one pass over partitions — the rows
+    sharing key data, by the key index (:mod:`repro.storage.keyed`) — gives
+    the same answer.  A partition's cells fold operand by operand, in
+    operand order, through Coalesce's cell fold; then each output cell is
+    stamped once with the partition's mediators, the union of its rows'
+    key-cell origins (the fold adds them per join; the union is the same),
+    and an attribute no row supplied becomes the nil pad carrying them.
 
-    1. partition every operand's rows by key data through the key index
-       (:mod:`repro.storage.keyed`; interned tag ids stay ids throughout),
-    2. per partition, walk the operands *in order*, crossing the
-       accumulated partial rows with the operand's rows and coalescing
-       attribute-wise under ``policy`` — exactly the pairwise coalesce the
-       fold performs, minus the joins that carried it there,
-    3. stamp each surviving row once: every cell's intermediate set gains
-       the union of its constituents' key-cell origins (the fold adds
-       these mediators piecemeal per join; the union is the same), and
-       attributes no constituent supplied become nil pads carrying those
-       mediators,
-    4. concatenate partitions in first-encounter order and dedup.
+    Two paths run that fold, chosen per partition from its input:
 
-    Tag identity with the fold is property-tested in
-    ``tests/property/test_hash_merge.py`` across all conflict policies.
+    - **column path**, when every operand has at most one row there: each
+      operand gets a slot vector (partition → its row, or -1) and each
+      output attribute is a column, the operands' columns gathered through
+      their slot vectors and folded left to right;
+    - **row path**, for the fold's general semantics: a key repeated in an
+      operand crosses every accumulated partial with every matching row,
+      and under ``DROP``, once every pairing dies at operand *j*, operand
+      *j+1*'s rows re-enter as fresh partials, as in the emptied fold.  A
+      partition with a repeated key, or with a conflict ``DROP`` or
+      ``ERROR`` must act on, is re-run row at a time.
 
-    Subtleties the fold semantics force and step 2 preserves:
-
-    - rows whose key data contain nil or NaN never match anything — they
-      pass through individually, mediated by their own key-cell origins;
-    - under ``DROP``, when *every* pairing of a partition dies at operand
-      *j*, operand *j+1*'s rows enter unmatched (fresh partials), exactly
-      as they would re-enter the emptied fold;
-    - an attribute absent from a partial behaves as a nil cell with the
-      empty tag: coalescing it against a real cell adopts that cell, and
-      the final mediator stamp turns any still-empty slot into the pad
-      the fold would have interned.
+    Output order: partitions in first-encounter order across the operands,
+    then rows with a nil or NaN in their key (they match nothing; each is
+    mediated by its own key-cell origins), in operand and row order; exact
+    duplicates collapse.  Under ``ERROR`` the first conflicting partition
+    raises.  ``tests/property/test_hash_merge.py`` holds this equal to the
+    fold (as bags) and to the all-rows kernel it replaced (row for row).
     """
     if not stores:
         raise ValueError("hash_merge requires at least one operand")
@@ -589,57 +691,35 @@ def hash_merge(
     if len(translated) == 1:
         return first
 
-    # Every operand row widened to a partial — (full-width data, full-width
-    # raw tags, key-cell origins) — under one global row id.  An attribute
-    # the operand lacks is a nil cell with the empty tag.
-    entries: List[Tuple[tuple, tuple, SourceSet]] = []
-    operand_of: List[int] = []
-    keys: list = []
-    for operand_index, store in enumerate(translated):
-        n = store.cardinality
-        store_keys, sources = key_rows(store, store.heading.indices(key))
-        keys += store_keys
-        operand_of += [operand_index] * n
-        nil = ([None] * n, [pool.EMPTY_ID] * n)
-        own = dict(zip(store.heading.attributes, zip(store.columns, store.tags)))
-        data, tags = zip(*(own.get(name, nil) for name in names))
-        entries += zip(zip(*data), zip(*tags), sources)
-
-    def coalesce_pair(
-        acc: Tuple[tuple, tuple, SourceSet], row: Tuple[tuple, tuple, SourceSet]
-    ) -> Optional[Tuple[list, list, SourceSet]]:
-        """One accumulated partial × one operand row, attribute-wise
-        coalesce on raw tags; ``None`` when the ``DROP`` policy kills it."""
-        data, tags = _fold_cells(pool, policy, names, acc[0], acc[1], row[0], row[1])
-        return None if None in tags else (data, tags, acc[2] | row[2])
-
-    # A partition's row ids ascend, so they come grouped by operand, in
-    # operand order.
-    merged: List[Tuple[Sequence, Sequence, SourceSet]] = []
-    for rows in buckets(keys).values():
-        accumulated: List[Tuple[Sequence, Sequence, SourceSet]] = []
-        for _, group in groupby(rows, key=operand_of.__getitem__):
-            contributed = [entries[row] for row in group]
-            if not accumulated:
-                # First contributor — or every pairing died under DROP, in
-                # which case the fold's accumulator is empty and these rows
-                # enter unmatched, as fresh partials.
-                accumulated = contributed
-                continue
-            accumulated = [
-                combined
-                for acc in accumulated
-                for row in contributed
-                if (combined := coalesce_pair(acc, row)) is not None
-            ]
-        merged += accumulated
-    merged += [entries[row] for row, key_data in enumerate(keys) if key_data is None]
-
-    if not merged:
-        return ColumnarRelation.empty(heading, pool)
-    # The mediator stamp; on an empty slot it interns the nil pad.
+    keyed = [key_rows(store, store.heading.indices(key)) for store in translated]
+    parts, slots, repeated = _partitions([keys for keys, _ in keyed])
+    data_columns, tag_columns, conflicted = _fold_columns(
+        translated, slots, names, policy
+    )
+    # The mediator stamp; on an empty slot it interns the nil pad.  The
+    # fold merged each partition's key cells, so their tags' origins are
+    # the union of its rows' key-cell origins (one union per id tuple).
+    key_tags = list(zip(*(tag_columns[names.index(name)] for name in key)))
+    union = {ids: EMPTY_SOURCES.union(*map(pool.origins, ids)) for ids in set(key_tags)}
     add = pool.add_intermediates
-    columns = list(zip(*(data for data, _, _ in merged)))
-    tag_rows = ([add(tag, sources) for tag in tags] for _, tags, sources in merged)
-    tag_columns = [list(column) for column in zip(*tag_rows)]
-    return _build_deduped(heading, columns, tag_columns, pool)
+    mediators = list(map(union.__getitem__, key_tags))
+    tag_columns = [list(map(add, column, mediators)) for column in tag_columns]
+
+    rerun = repeated | conflicted
+    if rerun:
+        merged = [[row] for row in zip(zip(*data_columns), zip(*tag_columns))]
+        for at, groups in _row_groups(translated, names, keyed, parts, rerun).items():
+            merged[at] = [
+                (tuple(data), tuple(map(add, tags, repeat(extra))))
+                for data, tags, extra
+                in _merge_partition(pool, policy, names, list(groups.values()))
+            ]
+        rows = [row for group in merged for row in group]
+        data_columns = _transpose([data for data, _ in rows], len(names))
+        tag_columns = _transpose([tags for _, tags in rows], len(names))
+    elif not any(None in keys for keys, _ in keyed):
+        # Each row is the one row of a keyed partition, and partitions differ
+        # in key data: there are no duplicates to collapse.
+        data_columns, tag_columns = map(tuple, data_columns), map(tuple, tag_columns)
+        return ColumnarRelation(heading, tuple(data_columns), tuple(tag_columns), pool)
+    return _build_deduped(heading, data_columns, tag_columns, pool)

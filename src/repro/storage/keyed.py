@@ -33,14 +33,13 @@ def key_rows(
     """
     if not store.cardinality:
         return [], []
-    columns = [store.columns[i] for i in positions]
-    keys: List[Optional[Key]] = [
-        None if None in key else key for key in zip(*columns)
-    ]
-    for column in columns:
-        for row, value in enumerate(column):
-            if value != value:  # NaN: equal to nothing, itself included
-                keys[row] = None
+    keys: List[Optional[Key]] = []
+    for key in zip(*(store.columns[i] for i in positions)):
+        for value in key:
+            if value is None or value != value:  # NaN: unequal even to itself
+                key = None
+                break
+        keys.append(key)
     origins = store.pool.origins
     memo: Dict[Tuple[int, ...], SourceSet] = {}
     sources: List[SourceSet] = []

@@ -10,15 +10,17 @@ tuples — so a passing run means the storage refactor is bit-identical at
 the logical level.
 """
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import algebra, derived
-from repro.core.cell import ConflictPolicy
+from repro.core.cell import Cell, ConflictPolicy
 from repro.core.predicate import AttributeRef, Literal, Theta
+from repro.core.relation import PolygenRelation
+from repro.core.row import PolygenTuple
 from repro.errors import CoalesceConflictError, IncomparableTypesError
 
-from tests.property.strategies import VALUES, relation_pairs, relations
+from tests.property.strategies import VALUES, relation_pairs, relations, tag_sets
 from tests.reference import rowpath
 
 
@@ -54,6 +56,39 @@ def test_project_equivalence(relation, data):
     assert_same_outcome(
         lambda: algebra.project(relation, attributes),
         lambda: rowpath.project(relation, attributes),
+    )
+
+
+def in_order(relation):
+    """Rows in order, each cell as (datum type, datum, origins, intermediates)."""
+    return relation.attributes, [
+        tuple((type(c.datum), c.datum, c.origins, c.intermediates) for c in row)
+        for row in relation
+    ]
+
+
+@settings(max_examples=50)
+@given(relations(min_rows=0, max_rows=8), st.data())
+def test_project_matches_row_path_in_order(relation, data):
+    # Copies of some rows' data under fresh tags: equal data rows that the
+    # projection must still merge, even when it keeps every attribute.
+    tags = st.lists(st.tuples(tag_sets(), tag_sets()), min_size=4, max_size=4)
+    copies = data.draw(st.lists(
+        st.tuples(st.sampled_from(relation.tuples), tags), max_size=3
+    )) if relation.tuples else []
+    relation = PolygenRelation(relation.attributes, list(relation.tuples) + [
+        PolygenTuple(
+            Cell(old.datum, frozenset() if old.is_nil else origins, intermediates)
+            for old, (origins, intermediates) in zip(row, fresh)
+        )
+        for row, fresh in copies
+    ])
+    attributes = data.draw(st.lists(
+        st.sampled_from(relation.attributes), min_size=1, unique=True,
+        max_size=relation.degree,
+    ))
+    assert in_order(algebra.project(relation, attributes)) == in_order(
+        rowpath.project(relation, attributes)
     )
 
 
