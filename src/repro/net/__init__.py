@@ -9,11 +9,11 @@ that gap, in the polystore-middleware tradition (BigDAWG's engine shims):
 - :mod:`repro.net.protocol` — a versioned, length-prefixed wire protocol
   carrying LQP operations, catalog/schema payloads, tuples in bounded
   chunks, errors, and cancellation; JSON control frames throughout, with
-  chunk frames negotiated per connection between JSON v1 and the v2
+  chunk frames negotiated per connection between JSON v1 and the v3
   binary columnar encoding;
-- :mod:`repro.net.binary` — the v2 chunk encoding itself: per-column
-  typed vectors of untagged local data, so a shipped relation reaches
-  the columnar engine without rowification;
+- :mod:`repro.net.binary` — the v3 chunk encoding itself: per-column
+  typed vectors of untagged local data, each written and read whole, so
+  a shipped relation reaches the columnar engine without rowification;
 - :mod:`repro.net.server` — :class:`~repro.net.server.LQPServer`, a
   threaded TCP server exposing any existing
   :class:`~repro.lqp.base.LocalQueryProcessor` at an address;

@@ -38,7 +38,7 @@ from repro.catalog.serialize import schema_from_dict
 from repro.core.predicate import Theta
 from repro.errors import ProtocolError, RemoteQueryError
 from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
-from repro.net import protocol
+from repro.net import binary, protocol
 from repro.net.transport import ConnectionMux, TransportStats
 from repro.obs.trace import current_span
 from repro.relational.relation import Relation
@@ -201,7 +201,7 @@ class RemoteLQP(LocalQueryProcessor):
         :class:`~repro.net.transport.ConnectionMux`).  ``wire_format``
         picks the chunk encoding for every relation result on this
         connection — the only place it is chosen: ``"auto"`` (binary when
-        the server negotiated protocol v2, JSON otherwise), ``"json"``
+        the server negotiated protocol v3, JSON otherwise), ``"json"``
         (force v1 frames), or ``"binary"`` (refuse, here, to connect to a
         JSON-only server)."""
         if wire_format not in ("auto", "json", "binary"):
@@ -227,8 +227,10 @@ class RemoteLQP(LocalQueryProcessor):
             )
             if wire_format == "binary" and not self._binary:
                 raise ProtocolError(
-                    f"LQP server at {host}:{port} cannot speak the binary "
-                    'wire format and this client was built with wire_format="binary"'
+                    f"LQP server at {host}:{port} speaks protocol "
+                    f"{hello.get('protocol')}, not the binary wire format of "
+                    f"protocol {binary.BINARY_VERSION} this client speaks, and "
+                    'this client was built with wire_format="binary"'
                 )
         except BaseException:
             # A failed handshake (dead port, version mismatch) must not
@@ -236,10 +238,11 @@ class RemoteLQP(LocalQueryProcessor):
             self._mux.close()
             raise
         #: The chunk-encoding request key every relation request carries.
-        #: Never sent to a v1 server: such peers negotiated JSON and, being
-        #: older, would ignore the key anyway.
+        #: Never sent to a v1 or v2 server: such peers negotiated JSON.
         self._format: Dict[str, Any] = (
-            {"format": "binary"} if self._binary and wire_format != "json" else {}
+            {"format": "binary", "binary_version": binary.BINARY_VERSION}
+            if self._binary and wire_format != "json"
+            else {}
         )
         self._name: str = hello["database"]
         self._relations: Tuple[str, ...] = tuple(hello.get("relations", ()))

@@ -5,10 +5,11 @@ LQPServer` is one **frame**: a 4-byte big-endian payload length followed by
 the payload.  Control messages are UTF-8 JSON objects — JSON keeps the
 protocol inspectable (``tcpdump`` of a federation is readable) and exactly
 matches the catalog's existing serialization (:mod:`repro.catalog.
-serialize`), which rides along as the ``schema`` payload.  From protocol
-version 2, *chunk* frames may instead use the binary columnar encoding of
-:mod:`repro.net.binary` when both ends negotiated it at hello time (the
-first payload byte discriminates; see :func:`decode_payload`).  The length
+serialize`), which rides along as the ``schema`` payload.  *Chunk* frames
+may instead use the binary columnar encoding of :mod:`repro.net.binary`
+when both ends speak its layout — protocol 3; version 2's layout is gone,
+so a v2 peer is served JSON — and the request asks for it (the first
+payload byte discriminates; see :func:`decode_payload`).  The length
 prefix makes framing trivial in both the threaded server and the asyncio
 client, and lets either side reject an oversized or garbage frame before
 parsing it.
@@ -17,7 +18,7 @@ Message vocabulary (``kind`` discriminates server→client frames, ``op``
 client→server requests)::
 
     server → client on connect:
-      {"kind": "hello", "protocol": 2, "min_protocol": 1,
+      {"kind": "hello", "protocol": 3, "min_protocol": 1,
        "formats": ["binary", "json"], "trace": true,
        "database": "AD", "relations": [...]}
 
@@ -28,6 +29,8 @@ client→server requests)::
       {"id": 9, "op": "retrieve_range", "relation": ..., "attribute": ...,
                                      "lower": ..., "upper": ...,
                                      "include_nil": false}
+      any relation request may add {"format": "binary",
+                                    "binary_version": 3, "chunk_size": 64}
       {"id": 10, "op": "relation_names" | "cardinality" | "relation_stats"
                                      | "capabilities" | "catalog"
                                      | "schema" | "ping"}
@@ -83,6 +86,7 @@ __all__ = [
     "negotiate_version",
     "peer_formats",
     "supports_binary",
+    "binary_request",
     "supports_trace",
     "request_message",
     "cancel_message",
@@ -103,14 +107,15 @@ __all__ = [
 ]
 
 #: The newest protocol this build speaks.  Version 2 added the binary
-#: columnar chunk encoding (:mod:`repro.net.binary`); the hello frame
-#: advertises both ends' ranges and the connection runs at the highest
-#: version both speak.
-PROTOCOL_VERSION = 2
+#: columnar chunk encoding and the trace capability; version 3 replaced the
+#: binary layout by whole-vector columns (:mod:`repro.net.binary`).  The
+#: hello frame advertises both ends' ranges and the connection runs at the
+#: highest version both speak.
+PROTOCOL_VERSION = 3
 
-#: The oldest protocol this build still accepts.  Version 1 (JSON-only
-#: chunks) remains fully supported: a v1 peer negotiates down to JSON
-#: frames and never sees a binary payload.
+#: The oldest protocol this build still accepts.  Versions 1 and 2 remain
+#: fully supported on JSON chunk frames: such a peer never sees a binary
+#: payload in a layout it would misread.
 MIN_PROTOCOL_VERSION = 1
 
 #: Chunk encodings this build can produce and consume, in preference
@@ -129,6 +134,12 @@ DEFAULT_CHUNK_TUPLES = 256
 URL_SCHEME = "polygen"
 
 _LENGTH = struct.Struct(">I")
+
+# ``parse_constant=float`` gives every NaN cell its own float, as a local
+# relation and the binary decoder do.  The stock decoder hands back one
+# shared NaN object, so two rows (nan, x) would compare equal and the
+# reassembled relation would keep only one of them.
+_JSON_DECODER = json.JSONDecoder(parse_constant=float)
 
 #: The JSON-native scalar types — identical to the local engines' value
 #: domain (bool listed before int since bool is an int subclass).
@@ -164,7 +175,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     """Payload bytes → message dict (framing already stripped).
 
     Routes on the first payload byte: :data:`repro.net.binary.MAGIC_BYTE`
-    selects the v2 binary chunk decoder, anything else is parsed as the
+    selects the binary chunk decoder, anything else is parsed as the
     JSON v1 message shape.  Either way a ``chunk`` message comes out
     columnar (``columns`` + ``count``), so nothing past this function has
     two shapes to handle; only binary ones carry ``"binary": True``.
@@ -172,7 +183,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     if payload[:1] == bytes((binary.MAGIC_BYTE,)):
         return binary.decode_chunk_payload(payload)
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _JSON_DECODER.decode(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict):
@@ -272,8 +283,23 @@ def peer_formats(message: Dict[str, Any]) -> Tuple[str, ...]:
 
 
 def supports_binary(message: Dict[str, Any], where: str = "peer") -> bool:
-    """Whether binary columnar chunks may flow on this connection."""
-    return negotiate_version(message, where) >= 2 and "binary" in peer_formats(message)
+    """Whether binary columnar chunks may flow on this connection: both
+    ends speak this build's binary layout, which protocol 3 introduced."""
+    return (
+        negotiate_version(message, where) >= binary.BINARY_VERSION
+        and "binary" in peer_formats(message)
+    )
+
+
+def binary_request(message: Dict[str, Any]) -> bool:
+    """Whether a relation request asks for binary chunk frames in this
+    build's layout.  A v2-era client asks with ``"format": "binary"``
+    alone, meaning a layout this build no longer writes, and is served
+    JSON."""
+    return (
+        message.get("format") == "binary"
+        and message.get("binary_version") == binary.BINARY_VERSION
+    )
 
 
 def supports_trace(message: Dict[str, Any], where: str = "peer") -> bool:

@@ -455,11 +455,12 @@ class LQPServer:
         if cancel.is_set():
             raise QueryCancelledError(f"request {request_id} cancelled by client")
         attributes = list(relation.attributes)
-        # A v2 client may ask for binary chunk frames and/or its own chunk
+        # A client may ask for binary chunk frames and/or its own chunk
         # granularity per request (a pipelined scan wants smaller chunks
-        # than a bulk fetch).  v1 clients send neither key and get the JSON
-        # default — the request shape is fully backward compatible.
-        use_binary = message.get("format") == "binary"
+        # than a bulk fetch).  v1 clients send neither key and v2 clients
+        # ask for a binary layout this build no longer writes; both get
+        # the JSON default — the request shape is fully backward compatible.
+        use_binary = protocol.binary_request(message)
         chunk_size = self._chunk_size
         requested = message.get("chunk_size")
         if isinstance(requested, int) and not isinstance(requested, bool) and requested >= 1:

@@ -193,6 +193,18 @@ class TestRelationPayloads:
         )
         assert rebuilt == relation
 
+    def test_json_nan_rows_stay_distinct(self):
+        # NaN never equals NaN, so a relation keeps both rows; the JSON
+        # decoder must not fold them into one by sharing a NaN object.
+        relation = Relation(["A", "B"], [(float("nan"), 0), (float("nan"), 0)])
+        messages = _decoded_chunks(relation, chunk_size=2)
+        column = messages[0]["columns"][0]
+        assert column[0] is not column[1]
+        rebuilt = protocol.relation_from_wire(
+            list(relation.attributes), _concatenated(messages)
+        )
+        assert len(rebuilt.rows) == 2
+
     def test_bad_chunk_size_refused(self):
         with pytest.raises(ProtocolError, match="chunk_size"):
             list(protocol.relation_chunks(Relation(["A"], [(1,)]), chunk_size=0))

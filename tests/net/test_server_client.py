@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.lqp.cost import AccountingLQP, LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
-from repro.net import LQPServer, RemoteLQP, protocol
+from repro.net import LQPServer, RemoteLQP, binary, protocol
 
 #: Transport timeout used throughout: long enough for a loaded CI runner,
 #: short enough that a hung socket fails fast.
@@ -50,6 +50,46 @@ def wait_for(predicate, deadline=TIMEOUT):
             return True
         time.sleep(0.01)
     return False
+
+
+def _reader(sock):
+    """``read_exactly(n)`` over a blocking socket, for ``read_frame``."""
+
+    def read_exactly(count: int) -> bytes:
+        data = b""
+        while len(data) < count:
+            piece = sock.recv(count - len(data))
+            if not piece:
+                raise ConnectionError("peer hung up")
+            data += piece
+        return data
+
+    return read_exactly
+
+
+def _raw_exchange(url: str, request: dict):
+    """Play a hand-written client: read the hello, send one request, and
+    collect its reply frames up to the first non-chunk frame."""
+    with socket.create_connection(protocol.parse_url(url), timeout=TIMEOUT) as sock:
+        read_exactly = _reader(sock)
+        hello = protocol.read_frame(read_exactly)
+        sock.sendall(protocol.encode_frame(request))
+        frames = [protocol.read_frame(read_exactly)]
+        while frames[-1]["kind"] == "chunk":
+            frames.append(protocol.read_frame(read_exactly))
+    return hello, frames
+
+
+#: A protocol-2 server's hello: binary advertised, in the v2 layout.
+V2_HELLO = {
+    "kind": "hello",
+    "protocol": 2,
+    "min_protocol": 1,
+    "formats": ["binary", "json"],
+    "trace": True,
+    "database": "XX",
+    "relations": ["T"],
+}
 
 
 class _ScriptedServer:
@@ -87,16 +127,7 @@ class _ScriptedServer:
                 sock.close()
 
     def read_frame(self, sock) -> dict:
-        def read_exactly(count: int) -> bytes:
-            data = b""
-            while len(data) < count:
-                piece = sock.recv(count - len(data))
-                if not piece:
-                    raise ConnectionError("peer hung up")
-                data += piece
-            return data
-
-        frame = protocol.read_frame(read_exactly)
+        frame = protocol.read_frame(_reader(sock))
         self.frames_read.append(frame)
         return frame
 
@@ -428,7 +459,7 @@ class TestFaults:
             }
             sock.sendall(protocol.encode_frame(hello))
             request = scripted.read_frame(sock)
-            # The v2 client must not ask a v1 peer for binary frames.
+            # The client must not ask a v1 peer for binary frames.
             assert "format" not in request
             sock.sendall(
                 protocol.encode_frame(
@@ -472,6 +503,109 @@ class TestFaults:
             )
         finally:
             scripted.close()
+
+    def test_truncated_binary_chunk_fails_the_call_inside_its_timeout(self):
+        # A frame cut inside its attribute table used to raise struct.error
+        # in the mux's reader task, which died; the caller then waited out
+        # its whole timeout for frames nobody would read.
+        def truncated_chunk(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            request = scripted.read_frame(sock)
+            assert request["binary_version"] == binary.BINARY_VERSION
+            payload = binary.encode_chunk_payload(
+                request["id"], 0, ["ALPHA", "BETA"], [[1, 2], [3, 4]], 2
+            )
+            header = struct.calcsize("<BBBBQIIH")
+            sock.sendall(protocol.frame_raw(payload[: header + 4]))
+            scripted.read_frame(sock)  # until the client hangs up
+
+        timeout = 3.0
+        scripted = _ScriptedServer(truncated_chunk)
+        try:
+            remote = RemoteLQP(scripted.url, timeout=timeout, retries=0)
+            began = time.monotonic()
+            with pytest.raises(ProtocolError, match="truncated or corrupt"):
+                remote.retrieve("T")
+            assert time.monotonic() - began < timeout / 3
+            remote.close()
+        finally:
+            scripted.close()
+
+    def test_v2_server_is_served_json_by_this_client(self):
+        def v2_server(scripted, sock):
+            sock.sendall(protocol.encode_frame(V2_HELLO))
+            request = scripted.read_frame(sock)
+            # Its binary layout is not ours: the client must not ask for it.
+            assert "format" not in request
+            sock.sendall(
+                protocol.encode_frame(
+                    protocol.chunk_message(request["id"], 0, ["A"], [[1], [2]])
+                )
+            )
+            sock.sendall(
+                protocol.encode_frame(protocol.end_message(request["id"], 1, 2, ["A"]))
+            )
+            scripted.read_frame(sock)  # block until the client closes
+
+        scripted = _ScriptedServer(v2_server)
+        try:
+            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
+            assert not remote.binary_negotiated
+            assert sorted(remote.retrieve("T").rows) == [(1,), (2,)]
+            assert remote.transport_stats().binary_chunks == 0
+            remote.close()
+        finally:
+            scripted.close()
+
+    def test_v2_layout_binary_frame_is_refused_naming_both_versions(self):
+        # A v2 server that sends its own binary layout regardless gets a
+        # ProtocolError, never column data read under the wrong layout.
+        def stubborn_v2_server(scripted, sock):
+            sock.sendall(protocol.encode_frame(V2_HELLO))
+            request = scripted.read_frame(sock)
+            payload = bytearray(
+                binary.encode_chunk_payload(request["id"], 0, ["A"], [[1, 2]], 2)
+            )
+            payload[1] = 2  # the v2 version byte
+            sock.sendall(protocol.frame_raw(bytes(payload)))
+            scripted.read_frame(sock)
+
+        scripted = _ScriptedServer(stubborn_v2_server)
+        try:
+            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
+            with pytest.raises(ProtocolError, match="version 2; this peer speaks 3"):
+                remote.retrieve("T")
+            assert remote.transport_stats().binary_chunks == 0
+            remote.close()
+        finally:
+            scripted.close()
+
+    def test_binary_only_client_names_both_versions_for_a_v2_server(self):
+        def v2_server(scripted, sock):
+            sock.sendall(protocol.encode_frame(V2_HELLO))
+            scripted.read_frame(sock)  # until the refusing client hangs up
+
+        scripted = _ScriptedServer(v2_server)
+        try:
+            with pytest.raises(ProtocolError, match="protocol 2, not .* protocol 3"):
+                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
+        finally:
+            scripted.close()
+
+    def test_v2_era_client_asking_for_binary_is_served_json(self, server):
+        # A v2 client asks with "format": "binary" alone, meaning a layout
+        # this server no longer writes: every chunk it gets is JSON.
+        request = {"id": 1, "op": "retrieve", "relation": "ALUMNUS", "format": "binary"}
+        hello, frames = _raw_exchange(server.url, request)
+        assert hello["protocol"] == protocol.PROTOCOL_VERSION == 3
+        assert [frame["kind"] for frame in frames] == ["chunk"] * 3 + ["end"]
+        assert not any(frame.get("binary") for frame in frames)
+        assert server.stats.binary_chunks_sent == 0
+        # The same request naming this build's layout gets binary chunks.
+        request["binary_version"] = binary.BINARY_VERSION
+        _, frames = _raw_exchange(server.url, request)
+        assert all(frame.get("binary") for frame in frames[:-1])
+        assert server.stats.binary_chunks_sent == 3
 
     def test_connection_dropped_mid_stream_raises_typed_error(self):
         def drop_mid_stream(scripted, sock):
