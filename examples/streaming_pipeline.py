@@ -9,7 +9,7 @@ The demo measures what the streaming pipeline buys:
    select/project → cursor), while the whole-result path must wait for
    the entire scan to cross the wire;
 2. **negotiated binary wire format** — the connection speaks binary
-   columnar v2 frames (negotiated at hello, JSON v1 kept as fallback),
+   columnar v3 frames (negotiated at hello, JSON v1 kept as fallback),
    and the transport counters show the byte savings against a JSON-forced
    connection carrying identical rows.
 
@@ -107,13 +107,13 @@ def main() -> None:
                     pass
                 stats = remote.transport_stats()
                 sizes[wire_format] = stats.bytes_received
-                label = "binary v2" if stats.binary_chunks else "JSON v1  "
+                label = "binary v3" if stats.binary_chunks else "JSON v1  "
                 print(
                     f"{label} scan: {stats.bytes_received:,} bytes received "
                     f"({stats.chunks} chunks, {stats.binary_chunks} binary)"
                 )
         print(
-            f"Bytes-on-wire reduction from the v2 format: "
+            f"Bytes-on-wire reduction from the v3 format: "
             f"{sizes['json'] / sizes['binary']:.1f}x"
         )
 

@@ -109,7 +109,9 @@ class GlobalQueryProcessor:
     ):
         self.schema = schema
         self.registry = registry
-        self._resolver = resolver or IdentityResolver.identity()
+        self._resolver = (
+            resolver if resolver is not None else IdentityResolver.identity()
+        )
         self._transforms = transforms or default_registry()
         self._analyzer = SyntaxAnalyzer()
         self._interpreter = PolygenOperationInterpreter(schema)

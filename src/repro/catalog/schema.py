@@ -20,6 +20,8 @@ class PolygenSchema:
 
     def __init__(self, schemes: Iterable[PolygenScheme] = ()):
         self._schemes: Dict[str, PolygenScheme] = {}
+        #: Bumped by every :meth:`add` — plans built earlier are stale.
+        self._version = 0
         for scheme in schemes:
             self.add(scheme)
 
@@ -27,7 +29,13 @@ class PolygenSchema:
         if scheme.name in self._schemes:
             raise SchemaValidationError(f"duplicate polygen scheme {scheme.name!r}")
         self._schemes[scheme.name] = scheme
+        self._version += 1
         return self
+
+    @property
+    def version(self) -> int:
+        """How many schemes were ever added (plan-memo epoch)."""
+        return self._version
 
     # -- lookup ----------------------------------------------------------------
 

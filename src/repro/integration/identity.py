@@ -32,6 +32,9 @@ class IdentityResolver:
 
     def __init__(self, synonym_groups: Mapping[str, Iterable[str]] | None = None):
         self._canonical: Dict[Any, Any] = {}
+        #: Bumped by every :meth:`add_group`: pushdown decisions made
+        #: against the old groups are stale.
+        self._version = 0
         if synonym_groups:
             for canonical, variants in synonym_groups.items():
                 self.add_group(canonical, variants)
@@ -47,6 +50,9 @@ class IdentityResolver:
         Every variant (and the canonical spelling itself) resolves to
         ``canonical``.  A variant may belong to at most one group.
         """
+        # Bumped first: a group rejected halfway has still remapped the
+        # variants before the conflicting one.
+        self._version += 1
         for variant in tuple(variants) + (canonical,):
             existing = self._canonical.get(variant)
             if existing is not None and existing != canonical:
@@ -55,6 +61,11 @@ class IdentityResolver:
                     f"cannot remap to {canonical!r}"
                 )
             self._canonical[variant] = canonical
+
+    @property
+    def version(self) -> int:
+        """How many synonym groups were ever added (plan-memo epoch)."""
+        return self._version
 
     def resolve(self, value: Any) -> Any:
         """Canonical form of ``value`` (itself when unregistered)."""

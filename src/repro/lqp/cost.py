@@ -118,6 +118,56 @@ class CalibratedCostModel(CostModel):
             residual=residual,
         )
 
+    @classmethod
+    def from_sums(
+        cls,
+        count: int,
+        sum_t: int,
+        sum_tt: int,
+        sum_d: float,
+        sum_td: float,
+        sum_dd: float,
+    ) -> "CalibratedCostModel":
+        """:meth:`fit` from running sums instead of the samples: O(1).
+
+        ``sum_t``/``sum_tt`` (Σt, Σt²) are exact integers, so the
+        single-distinct-count case (``var_t == 0``) is decided exactly;
+        ``sum_d``/``sum_td``/``sum_dd`` are Σd, Σt·d, Σd².  Same branches
+        as :meth:`fit`, which stays the reference the two are tested
+        against."""
+        if count <= 0:
+            raise ValueError("cannot fit a cost model to zero observations")
+        mean_t = sum_t / count
+        mean_d = sum_d / count
+        # Centered sums: n·Var and n·Cov, not the raw second moments.
+        var_t = (count * sum_tt - sum_t * sum_t) / count
+        var_d = max(sum_dd - sum_d * mean_d, 0.0)
+        cov = sum_td - sum_t * mean_d
+        if var_t == 0:
+            per_query, per_tuple = max(mean_d, 0.0), 0.0
+        else:
+            per_tuple = cov / var_t
+            per_query = mean_d - per_tuple * mean_t
+            if per_tuple < 0.0:
+                per_query, per_tuple = max(mean_d, 0.0), 0.0
+            elif per_query < 0.0:
+                per_query = 0.0
+                per_tuple = sum_td / sum_tt if sum_tt else 0.0
+        # Σ(d − a − b·t)² = Σ(d − d̄)² − 2b·Cov + b²·Var + n·(d̄ − a − b·t̄)²
+        offset = mean_d - per_query - per_tuple * mean_t
+        squares = (
+            var_d
+            - 2.0 * per_tuple * cov
+            + per_tuple * per_tuple * var_t
+            + count * offset * offset
+        )
+        return cls(
+            per_query=per_query,
+            per_tuple=per_tuple,
+            observations=count,
+            residual=(max(squares, 0.0) / count) ** 0.5,
+        )
+
 
 @dataclass
 class TransferStats:

@@ -39,6 +39,10 @@ class LQPRegistry:
         #: database is the ultimate data change.  The federation's semantic
         #: result cache subscribes its invalidator here.
         self._listeners: list = []
+        #: Bumped by every registration: what a plan may depend on (the
+        #: databases present, their capabilities) changed.  Data changes
+        #: (:meth:`notify_refresh`) leave it alone.
+        self._version = 0
         self._lock = threading.Lock()
 
     def register(
@@ -87,6 +91,7 @@ class LQPRegistry:
                     )
                 wrapped = AccountingLQP(lqp)
                 self._lqps[lqp.name] = wrapped
+                self._version += 1
                 if dialed is not None:
                     self._dialed.append(dialed)
         except BaseException:
@@ -138,6 +143,11 @@ class LQPRegistry:
 
     def __contains__(self, database: str) -> bool:
         return database in self._lqps
+
+    @property
+    def version(self) -> int:
+        """How many registrations this registry has seen (plan-memo epoch)."""
+        return self._version
 
     def __iter__(self) -> Iterator[AccountingLQP]:
         with self._lock:

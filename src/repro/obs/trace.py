@@ -29,9 +29,9 @@ clocks disagree, which is the property the tests pin.
 from __future__ import annotations
 
 import contextvars
+import random
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
@@ -67,7 +67,9 @@ def now() -> float:
 
 
 def _new_id(bits: int = 64) -> str:
-    return uuid.uuid4().hex[: bits // 4]
+    # Ids need uniqueness, not secrecy: the module PRNG (reseeded after a
+    # fork) costs a tenth of ``uuid4``'s per-call ``urandom`` syscall.
+    return f"{random.getrandbits(bits):0{bits // 4}x}"
 
 
 class _TraceBook:

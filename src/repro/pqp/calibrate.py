@@ -16,7 +16,8 @@ per-source costing:
   a through-origin fit of the PQP's per-tuple processing rate,
 - models are re-fit lazily (least squares, see
   :meth:`~repro.lqp.cost.CalibratedCostModel.fit`) whenever new evidence
-  arrived since the last read,
+  arrived since the last read — from running sums each window keeps, so a
+  refit costs O(databases), not O(window),
 - after every observation the calibrator also *scores itself*: it predicts
   the observed plan's makespan with its current models and records the
   relative error against the measured wall clock — the number
@@ -32,10 +33,11 @@ observe concurrently while other threads read models for planning.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.lqp.cost import CalibratedCostModel
 from repro.pqp.executor import ExecutionTrace
@@ -55,6 +57,77 @@ _SCORE_WARMUP = 16
 _SCORE_INTERVAL = 4
 
 
+class _Window:
+    """A bounded window of ``(tuples, seconds)`` observations plus the
+    running sums a least-squares fit reads, so a refit costs O(1) instead
+    of a pass over the window.
+
+    Σt and Σt² are exact integers; Σd, Σt·d and Σd² are floats, updated on
+    every append and eviction and re-summed exactly from the samples once
+    per ``maxlen`` appends, so eviction rounding cannot accumulate (still
+    O(1) amortized)."""
+
+    __slots__ = (
+        "samples", "sum_t", "sum_tt", "sum_d", "sum_td", "sum_dd", "_appends",
+    )
+
+    def __init__(self, maxlen: int):
+        self.samples: Deque[Tuple[int, float]] = deque(maxlen=maxlen)
+        self.sum_t = self.sum_tt = 0
+        self.sum_d = self.sum_td = self.sum_dd = 0.0
+        self._appends = 0
+
+    def append(self, tuples: int, seconds: float) -> None:
+        samples = self.samples
+        if len(samples) == samples.maxlen:
+            old_t, old_d = samples[0]
+            self.sum_t -= old_t
+            self.sum_tt -= old_t * old_t
+            self.sum_d -= old_d
+            self.sum_td -= old_t * old_d
+            self.sum_dd -= old_d * old_d
+        samples.append((tuples, seconds))
+        self.sum_t += tuples
+        self.sum_tt += tuples * tuples
+        self.sum_d += seconds
+        self.sum_td += tuples * seconds
+        self.sum_dd += seconds * seconds
+        self._appends += 1
+        if self._appends == samples.maxlen:
+            self._resum()
+
+    def extend(self, observations: Iterable[Tuple[int, float]]) -> None:
+        for tuples, seconds in observations:
+            self.append(tuples, seconds)
+
+    def _resum(self) -> None:
+        samples = self.samples
+        self.sum_d = math.fsum(d for _, d in samples)
+        self.sum_td = math.fsum(t * d for t, d in samples)
+        self.sum_dd = math.fsum(d * d for _, d in samples)
+        self._appends = 0
+
+    def fit(self) -> CalibratedCostModel:
+        return CalibratedCostModel.from_sums(
+            len(self.samples),
+            self.sum_t,
+            self.sum_tt,
+            self.sum_d,
+            self.sum_td,
+            self.sum_dd,
+        )
+
+    def origin_rate(self) -> float:
+        """The through-origin least-squares slope Σt·d / Σt²."""
+        return self.sum_td / self.sum_tt if self.sum_tt else 0.0
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return iter(self.samples)
+
+
 class CostCalibrator:
     """Accumulates execution evidence and fits per-LQP cost models."""
 
@@ -63,10 +136,10 @@ class CostCalibrator:
             raise ValueError(f"window must be >= 2 observations, got {window}")
         self._window = window
         self._lock = threading.Lock()
-        #: database → (tuples shipped, seconds) ring buffer.
-        self._local: Dict[str, Deque[Tuple[int, float]]] = {}
-        #: (tuples consumed, seconds) of PQP rows, one shared ring buffer.
-        self._pqp: Deque[Tuple[int, float]] = deque(maxlen=window)
+        #: database → (tuples shipped, seconds) window.
+        self._local: Dict[str, _Window] = {}
+        #: (tuples consumed, seconds) of PQP rows, one shared window.
+        self._pqp = _Window(window)
         self._models: Dict[str, CalibratedCostModel] = {}
         self._pqp_rate: Optional[float] = None
         self._dirty = False
@@ -85,30 +158,30 @@ class CostCalibrator:
         plan during warm-up, a deterministic sample afterwards, so the
         intake path stays cheap for federations that never plan by cost.
         """
+        timings, results = trace.timings, trace.results
         with self._lock:
             for row in iom:
                 index = row.result.index
-                timing = trace.timings.get(index)
-                relation = trace.results.get(index)
+                timing = timings.get(index)
+                relation = results.get(index)
                 if timing is None or relation is None:
                     continue
                 if row.is_local:
                     samples = self._local.get(row.el)
                     if samples is None:
-                        samples = deque(maxlen=self._window)
-                        self._local[row.el] = samples
-                    samples.append((relation.cardinality, timing.duration))
+                        samples = self._local[row.el] = _Window(self._window)
+                    samples.append(relation.cardinality, timing.duration)
                 else:
-                    inputs = [
-                        trace.results[ref.index].cardinality
-                        for ref in row.referenced_results()
-                        if ref.index in trace.results
-                    ]
                     # Every PQP row — Merge included, now one hash pass —
                     # is observed at the sum of its inputs, the same
                     # x-variable the simulator charges, so the fitted rate
                     # and the predictions stay consistent.
-                    self._pqp.append((sum(inputs), timing.duration))
+                    inputs = sum(
+                        results[ref.index].cardinality
+                        for ref in row.referenced_results()
+                        if ref.index in results
+                    )
+                    self._pqp.append(inputs, timing.duration)
             self._dirty = True
             self._observed_plans += 1
             plan_number = self._observed_plans
@@ -139,19 +212,15 @@ class CostCalibrator:
     # -- fitted models ------------------------------------------------------
 
     def _refit(self) -> None:
-        """Re-fit every stale model (caller holds the lock)."""
+        """Re-fit every stale model from its window's running sums — O(1)
+        per database (caller holds the lock)."""
         if not self._dirty:
             return
         self._models = {
-            name: CalibratedCostModel.fit(tuple(samples))
-            for name, samples in self._local.items()
-            if samples
+            name: samples.fit() for name, samples in self._local.items() if samples
         }
         if self._pqp:
-            total_work = sum(t * t for t, _ in self._pqp)
-            self._pqp_rate = (
-                sum(t * d for t, d in self._pqp) / total_work if total_work else 0.0
-            )
+            self._pqp_rate = self._pqp.origin_rate()
         self._dirty = False
 
     def local_costs(self) -> Dict[str, CalibratedCostModel]:
@@ -193,7 +262,7 @@ class CostCalibrator:
     def from_dict(self, snapshot: dict) -> None:
         """Fold a :meth:`to_dict` snapshot's evidence into this calibrator.
 
-        Appends after any evidence already held (each deque's ``maxlen``
+        Appends after any evidence already held (each window's ``maxlen``
         keeps windows bounded), so a federation can both restore a saved
         state at startup and merge a peer's observations.  The calibrator's
         own ``window`` size wins over the snapshot's."""
@@ -207,7 +276,7 @@ class CostCalibrator:
             for name, samples in local.items():
                 window = self._local.get(name)
                 if window is None:
-                    window = self._local[name] = deque(maxlen=self._window)
+                    window = self._local[name] = _Window(self._window)
                 window.extend(samples)
             self._pqp.extend(pqp)
             self._observed_plans += plans

@@ -348,7 +348,9 @@ class Executor:
         keeps the process-wide default pool."""
         self._schema = schema
         self._registry = registry
-        self._resolver = resolver or IdentityResolver.identity()
+        self._resolver = (
+            resolver if resolver is not None else IdentityResolver.identity()
+        )
         self._transforms = transforms or default_registry()
         self._policy = policy
         self._tag_pool = tag_pool

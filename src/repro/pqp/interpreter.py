@@ -32,7 +32,7 @@ Two normalizations relative to the figures, both recorded in README.md
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.catalog.schema import PolygenSchema
 from repro.catalog.scheme import PolygenScheme
@@ -57,15 +57,19 @@ _ATTRIBUTE_DRIVEN = (Operation.SELECT, Operation.JOIN, Operation.RESTRICT)
 
 
 class _Emitter:
-    """Appends rows to a matrix with automatic R(#) numbering."""
+    """Collects IOM rows with automatic R(#) numbering; :meth:`matrix`
+    builds the (immutable) matrix once every row is in."""
 
-    def __init__(self, matrix: IntermediateOperationMatrix):
-        self.matrix = matrix
+    def __init__(self) -> None:
+        self.rows: List[MatrixRow] = []
 
     def emit(self, **fields) -> ResultOperand:
-        result = ResultOperand(len(self.matrix) + 1)
-        self.matrix.append(MatrixRow(result=result, **fields))
+        result = ResultOperand(len(self.rows) + 1)
+        self.rows.append(MatrixRow(result=result, **fields))
         return result
+
+    def matrix(self) -> IntermediateOperationMatrix:
+        return IntermediateOperationMatrix(self.rows)
 
     def retrieve(self, relation: str, database: str, scheme: str) -> ResultOperand:
         return self.emit(
@@ -122,8 +126,7 @@ class PolygenOperationInterpreter:
     # ------------------------------------------------------------------
 
     def pass_one(self, pom: PolygenOperationMatrix) -> IntermediateOperationMatrix:
-        half = IntermediateOperationMatrix()
-        emitter = _Emitter(half)
+        emitter = _Emitter()
         mapping: Dict[int, int] = {}  # POM R(#) → H R(#)
 
         for row in pom:
@@ -143,7 +146,7 @@ class PolygenOperationInterpreter:
             else:  # pragma: no cover - the analyzer never emits other shapes
                 raise TranslationError(f"unexpected LHR operand {row.lhr!r}")
             mapping[row.result.index] = produced.index
-        return half
+        return emitter.matrix()
 
     def _pass_one_scheme_lhr(
         self, row: MatrixRow, emitter: _Emitter, mapping: Dict[int, int]
@@ -198,8 +201,7 @@ class PolygenOperationInterpreter:
     # ------------------------------------------------------------------
 
     def pass_two(self, half: IntermediateOperationMatrix) -> IntermediateOperationMatrix:
-        iom = IntermediateOperationMatrix()
-        emitter = _Emitter(iom)
+        emitter = _Emitter()
         mapping: Dict[int, int] = {}  # H R(#) → IOM R(#)
 
         for row in half:
@@ -238,7 +240,7 @@ class PolygenOperationInterpreter:
                     output=row.output,
                 )
             mapping[row.result.index] = produced.index
-        return iom
+        return emitter.matrix()
 
     def _pass_two_scheme_rhr(
         self, row: MatrixRow, emitter: _Emitter, mapping: Dict[int, int]

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.predicate import Literal, Theta
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (plandag imports this module)
+    from repro.pqp.plandag import PlanDAG
 
 __all__ = [
     "Operation",
@@ -256,21 +259,28 @@ class MatrixRow:
 
 
 class _Matrix:
-    """Common container behaviour for POM and IOM."""
+    """Common container behaviour for POM and IOM.
+
+    A matrix is a value: its rows are fixed at construction (the analyzer
+    and interpreter collect a list, then make the matrix), so one plan
+    can be shared across sessions and threads — the federation's plan
+    memo hands the same optimized IOM to every caller of a query text.
+    """
+
+    __slots__ = ("_rows",)
 
     HEADERS: Tuple[str, ...] = ()
     WITH_EL = False
 
     def __init__(self, rows: Sequence[MatrixRow] = ()):
-        self._rows: List[MatrixRow] = list(rows)
+        object.__setattr__(self, "_rows", tuple(rows))
 
-    def append(self, row: MatrixRow) -> MatrixRow:
-        self._rows.append(row)
-        return row
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def rows(self) -> Tuple[MatrixRow, ...]:
-        return tuple(self._rows)
+        return self._rows
 
     def __iter__(self) -> Iterator[MatrixRow]:
         return iter(self._rows)
@@ -303,6 +313,7 @@ class _Matrix:
 class PolygenOperationMatrix(_Matrix):
     """The Syntax Analyzer's output (paper, Table 1)."""
 
+    __slots__ = ()
     HEADERS = ("PR", "OP", "LHR", "LHA", "0", "RHA", "RHR")
     WITH_EL = False
 
@@ -310,8 +321,13 @@ class PolygenOperationMatrix(_Matrix):
 class IntermediateOperationMatrix(_Matrix):
     """The Polygen Operation Interpreter's output (paper, Tables 2 and 3)."""
 
+    __slots__ = ("_dag",)
     HEADERS = ("PR", "OP", "LHR", "LHA", "0", "RHA", "RHR", "EL")
     WITH_EL = True
+
+    def __init__(self, rows: Sequence[MatrixRow] = ()):
+        super().__init__(rows)
+        object.__setattr__(self, "_dag", None)
 
     def linear_chain(self) -> Optional[Tuple[MatrixRow, ...]]:
         """The plan as a single dependency chain, or ``None``.
@@ -330,6 +346,17 @@ class IntermediateOperationMatrix(_Matrix):
             if len(references) != 1 or references[0].index != previous.result.index:
                 return None
         return rows
+
+    def dag(self) -> "PlanDAG":
+        """The plan's dataflow DAG, built on first use and then shared: the
+        matrix cannot change, so neither can its dependency structure."""
+        dag = self._dag
+        if dag is None:
+            from repro.pqp.plandag import PlanDAG
+
+            dag = PlanDAG(self)
+            object.__setattr__(self, "_dag", dag)
+        return dag
 
     def local_rows(self) -> Tuple[MatrixRow, ...]:
         return tuple(row for row in self if row.is_local)

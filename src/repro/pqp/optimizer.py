@@ -169,7 +169,9 @@ class QueryOptimizer:
         registry: Optional[LQPRegistry] = None,
     ):
         self._schema = schema
-        self._resolver = resolver or IdentityResolver.identity()
+        self._resolver = (
+            resolver if resolver is not None else IdentityResolver.identity()
+        )
         self._pushdown = pushdown
         self._prune_projections = prune_projections
         self._registry = registry

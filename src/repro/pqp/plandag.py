@@ -53,7 +53,9 @@ class PlanDAG:
 
     @classmethod
     def from_iom(cls, iom: IntermediateOperationMatrix) -> "PlanDAG":
-        return cls(iom)
+        """``iom``'s DAG, shared by every caller (see
+        :meth:`IntermediateOperationMatrix.dag`)."""
+        return iom.dag()
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -8,6 +8,8 @@ refer to polygen schemes by name or to earlier rows as ``R(#)``.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.expression import (
     Coalesce,
     Difference,
@@ -46,24 +48,24 @@ class SyntaxAnalyzer:
         >>> pom.rows[0].cells(with_el=False)
         ('R(1)', 'Select', 'PALUMNUS', 'DEGREE', '=', '"MBA"', 'nil')
         """
-        matrix = PolygenOperationMatrix()
-        self._visit(expression, matrix)
-        if not len(matrix):
+        rows: List[MatrixRow] = []
+        self._visit(expression, rows)
+        if not rows:
             raise TranslationError(
                 "a bare scheme reference is not an executable polygen query; "
                 "project or restrict it"
             )
-        return matrix
+        return PolygenOperationMatrix(rows)
 
     # -- traversal -------------------------------------------------------------
 
-    def _visit(self, node: Expression, matrix: PolygenOperationMatrix) -> Operand:
+    def _visit(self, node: Expression, rows: List[MatrixRow]) -> Operand:
         if isinstance(node, SchemeRef):
             return SchemeOperand(node.name)
 
-        emit = self._emitter(matrix)
+        emit = self._emitter(rows)
         if isinstance(node, Select):
-            child = self._visit(node.child, matrix)
+            child = self._visit(node.child, rows)
             return emit(
                 Operation.SELECT,
                 lhr=child,
@@ -72,7 +74,7 @@ class SyntaxAnalyzer:
                 rha=Literal(node.value),
             )
         if isinstance(node, Restrict):
-            child = self._visit(node.child, matrix)
+            child = self._visit(node.child, rows)
             return emit(
                 Operation.RESTRICT,
                 lhr=child,
@@ -81,8 +83,8 @@ class SyntaxAnalyzer:
                 rha=node.right_attribute,
             )
         if isinstance(node, Join):
-            left = self._visit(node.left, matrix)
-            right = self._visit(node.right, matrix)
+            left = self._visit(node.left, rows)
+            right = self._visit(node.right, rows)
             return emit(
                 Operation.JOIN,
                 lhr=left,
@@ -92,10 +94,10 @@ class SyntaxAnalyzer:
                 rhr=right,
             )
         if isinstance(node, Project):
-            child = self._visit(node.child, matrix)
+            child = self._visit(node.child, rows)
             return emit(Operation.PROJECT, lhr=child, lha=tuple(node.attributes))
         if isinstance(node, Coalesce):
-            child = self._visit(node.child, matrix)
+            child = self._visit(node.child, rows)
             return emit(
                 Operation.COALESCE,
                 lhr=child,
@@ -110,13 +112,13 @@ class SyntaxAnalyzer:
             Intersect: Operation.INTERSECT,
         }.get(type(node))
         if binary is not None:
-            left = self._visit(node.left, matrix)
-            right = self._visit(node.right, matrix)
+            left = self._visit(node.left, rows)
+            right = self._visit(node.right, rows)
             return emit(binary, lhr=left, rhr=right)
         raise TranslationError(f"cannot analyze expression node {node!r}")
 
     @staticmethod
-    def _emitter(matrix: PolygenOperationMatrix):
+    def _emitter(rows: List[MatrixRow]):
         def emit(
             op: Operation,
             lhr: Operand,
@@ -126,8 +128,8 @@ class SyntaxAnalyzer:
             rhr: Operand = None,
             output: str | None = None,
         ) -> ResultOperand:
-            result = ResultOperand(len(matrix) + 1)
-            matrix.append(
+            result = ResultOperand(len(rows) + 1)
+            rows.append(
                 MatrixRow(
                     result=result,
                     op=op,

@@ -46,7 +46,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; service never needs
     # to import the network layer unless remote LQPs are registered.
@@ -62,7 +62,7 @@ from repro.lqp.cost import CalibratedCostModel
 from repro.lqp.registry import LQPRegistry
 from repro.obs.events import EventLog, slow_query_event
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, use_span
+from repro.obs.trace import Span, Tracer, use_span
 from repro.pqp.calibrate import CostCalibrator
 from repro.pqp.executor import ExecutionTrace, Executor
 from repro.pqp.fingerprint import PlanFingerprints, fingerprint_plan, splice_cached
@@ -75,12 +75,13 @@ from repro.pqp.matrix import (
 from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
 from repro.pqp.result import QueryResult
 from repro.pqp.runtime import ConcurrentExecutor
-from repro.pqp.shard import shard_retrieves
+from repro.pqp.shard import ShardReport, shard_retrieves
 from repro.pqp.syntax_analyzer import SyntaxAnalyzer
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.cursor import Cursor
 from repro.service.handle import QueryHandle
 from repro.service.options import QueryOptions
+from repro.service.plan_memo import PlanMemo, PreparedPlan
 from repro.pqp.pool import WorkerPool
 from repro.service.session import Session
 from repro.storage.tag_pool import GLOBAL_TAG_POOL, TagPool
@@ -227,7 +228,11 @@ class PolygenFederation:
             raise ValueError("source_max_age must be positive seconds or None")
         self.schema = schema
         self.registry = registry
-        self.resolver = resolver or IdentityResolver.identity()
+        # Not `resolver or ...`: an empty resolver is falsy, and a fresh
+        # one would not see groups added to the caller's later.
+        self.resolver = (
+            resolver if resolver is not None else IdentityResolver.identity()
+        )
         self.transforms = transforms or default_registry()
         self.defaults = defaults or QueryOptions()
         self.tag_pool = tag_pool or GLOBAL_TAG_POOL
@@ -263,6 +268,8 @@ class PolygenFederation:
         self._interpreters: Dict[bool, PolygenOperationInterpreter] = {}
         self._optimizers: Dict[Tuple[bool, bool], QueryOptimizer] = {}
         self._executors: Dict[Tuple[str, object], Executor] = {}
+        #: Prepared plans: query text → optimized plan, per epoch.
+        self._plans = PlanMemo()
         #: Weak: a session a client drops without close() must not be
         #: pinned (with its last handles and results) for the life of a
         #: long-running federation.
@@ -310,6 +317,10 @@ class PolygenFederation:
         )
         self._m_sessions_opened = self.metrics.counter(
             "polygen_sessions_opened_total", "Sessions opened."
+        )
+        self._m_plan_memo = self.metrics.counter(
+            "polygen_plan_memo_total",
+            "Plan-memo lookups by outcome (hit/miss).",
         )
         self.metrics.add_collector(self._collect_metrics)
 
@@ -622,7 +633,10 @@ class PolygenFederation:
             if cancel is not None and cancel.is_set():
                 raise QueryCancelledError("query cancelled before it started")
             with use_span(root):
-                result = self._run_pipeline(query, kind, options, cancel, cursor)
+                prepared = self._prepare(query, kind, options, root)
+                result, fingerprints = self._run_pipeline(
+                    prepared, kind, options, cancel, cursor
+                )
         except BaseException as exc:
             root.end(exc)
             if cursor is not None:
@@ -630,43 +644,88 @@ class PolygenFederation:
             raise
         root.set(tuples=len(result.relation)).end()
         result.trace.spans = root.trace_spans()
-        self._observe_query(result, began, options, session)
+        self._observe_query(
+            result,
+            began,
+            options,
+            session,
+            lambda: fingerprints or prepared.fingerprints_for(result.iom),
+        )
         return result
 
-    def _run_pipeline(
-        self,
-        query: Query,
-        kind: str,
-        options: QueryOptions,
-        cancel: threading.Event | None,
-        cursor: Cursor | None,
-    ) -> QueryResult:
-        """The full pipeline for one query, feeding the cursor (when one
-        exists) the moment the plan's result node completes.  Runs with
-        the query's root span ambient, so each stage opens a child."""
-        sql = translation = tree = pom = report = None
+    def _prepare(
+        self, query: Query, kind: str, options: QueryOptions, root: Span
+    ) -> PreparedPlan:
+        """The front end — translate, analyze, plan, optimize — run once
+        per query text and epoch (see :mod:`repro.service.plan_memo`); a
+        memo hit marks the root span ``plan="memo"`` instead of opening
+        the four stage spans."""
         if kind == "plan":
             # A pre-built IOM executes as given — the paper's
             # "Table 3 as the execution plan, without further
             # optimization"; optimize explicitly first if wanted.
-            iom = query
+            return PreparedPlan(iom=query, policy=options.policy)
+        key = None
+        if isinstance(query, str):
+            epoch = (self.schema.version, self.registry.version, self.resolver.version)
+            key = PlanMemo.key(query, kind, options, epoch)
+        if key is not None:
+            prepared = self._plans.get(key)
+            if prepared is not None:
+                self._m_plan_memo.inc(outcome="hit")
+                root.set(plan="memo")
+                return prepared
+            self._m_plan_memo.inc(outcome="miss")
+        prepared = self._front_end(query, kind, options)
+        if key is not None:
+            self._plans.put(key, prepared)
+        return prepared
+
+    def _front_end(
+        self, query: Query, kind: str, options: QueryOptions
+    ) -> PreparedPlan:
+        """Query text or tree → optimized IOM, one stage span each."""
+        sql = translation = None
+        if kind == "sql":
+            sql = query
+            with self.tracer.span("translate"):
+                translation = translate_sql(query, self.schema)
+            expression = translation.expression
         else:
-            if kind == "sql":
-                sql = query
-                with self.tracer.span("translate"):
-                    translation = translate_sql(query, self.schema)
-                expression = translation.expression
-            else:
-                expression = query
-            with self.tracer.span("analyze"):
-                tree, pom = self.analyze(expression)
-            with self.tracer.span("plan"):
-                iom = self.plan(pom, options)
-            with self.tracer.span("optimize") as opt_span:
-                iom, report = self.optimize(iom, options)
-                chosen = getattr(report, "chosen", None)
-                if chosen is not None:
-                    opt_span.set(shape=chosen)
+            expression = query
+        with self.tracer.span("analyze"):
+            tree, pom = self.analyze(expression)
+        with self.tracer.span("plan"):
+            iom = self.plan(pom, options)
+        with self.tracer.span("optimize") as opt_span:
+            iom, report = self.optimize(iom, options)
+            chosen = getattr(report, "chosen", None)
+            if chosen is not None:
+                opt_span.set(shape=chosen)
+        return PreparedPlan(
+            iom=iom,
+            policy=options.policy,
+            sql=sql,
+            translation=translation,
+            expression=tree,
+            pom=pom,
+            report=report,
+        )
+
+    def _run_pipeline(
+        self,
+        prepared: PreparedPlan,
+        kind: str,
+        options: QueryOptions,
+        cancel: threading.Event | None,
+        cursor: Cursor | None,
+    ) -> Tuple[QueryResult, Optional[PlanFingerprints]]:
+        """Everything after the front end, feeding the cursor (when one
+        exists) the moment the plan's result node completes.  Runs with
+        the query's root span ambient, so each stage opens a child.
+        Returns the result and the final plan's fingerprints when the
+        cache probe computed them."""
+        iom = prepared.iom
         sharding = None
         if options.shard_width and kind != "plan":
             # Pre-built plans stay verbatim (the paper's "Table 3 as
@@ -685,7 +744,7 @@ class PolygenFederation:
                 # Fingerprint the final (optimized, sharded) plan: results
                 # cached under one shape key only that shape, and the
                 # conflict policy salts every hash.
-                fingerprints = fingerprint_plan(iom, options.policy)
+                fingerprints = prepared.fingerprints_for(iom)
                 cache_epoch = self.cache.tick()
                 hit = (
                     self.cache.lookup(fingerprints.final)
@@ -718,18 +777,8 @@ class PolygenFederation:
                 )
                 if cursor is not None:
                     cursor._feed(hit.relation)
-                return QueryResult(
-                    relation=hit.relation,
-                    expression=tree,
-                    pom=pom,
-                    iom=iom,
-                    trace=trace,
-                    sql=sql,
-                    translation=translation,
-                    optimization=report,
-                    sharding=sharding,
-                    cache_hit=True,
-                )
+                result = self._result(prepared, iom, trace, sharding, cache_hit=True)
+                return result, fingerprints
         executor = self.executor_for(options)
         with self.tracer.span("execute", engine=options.engine) as exec_span:
             trace = executor.execute(
@@ -746,17 +795,30 @@ class PolygenFederation:
         if options.cache != "off":
             with self.tracer.span("cache.store"):
                 self._store_results(iom, trace, fingerprints, cache_epoch)
+        result = self._result(prepared, iom, trace, sharding, caching=caching)
+        return result, fingerprints
+
+    @staticmethod
+    def _result(
+        prepared: PreparedPlan,
+        iom: IntermediateOperationMatrix,
+        trace: ExecutionTrace,
+        sharding: Optional[ShardReport],
+        **outcome,
+    ) -> QueryResult:
+        """The answer plus every pipeline artifact (``outcome``: the cache
+        hit flag or splice report)."""
         return QueryResult(
             relation=trace.relation,
-            expression=tree,
-            pom=pom,
+            expression=prepared.expression,
+            pom=prepared.pom,
             iom=iom,
             trace=trace,
-            sql=sql,
-            translation=translation,
-            optimization=report,
+            sql=prepared.sql,
+            translation=prepared.translation,
+            optimization=prepared.report,
             sharding=sharding,
-            caching=caching,
+            **outcome,
         )
 
     def _store_results(
@@ -878,8 +940,12 @@ class PolygenFederation:
         began: float,
         options: QueryOptions,
         session: str | None,
+        fingerprints: Callable[[], PlanFingerprints],
     ) -> None:
-        """Per-query metrics and the slow-query log, on the success path."""
+        """Per-query metrics and the slow-query log, on the success path.
+        ``fingerprints`` yields the executed plan's fingerprints — ones an
+        earlier step already holds when it can — and is called only for a
+        slow query."""
         elapsed = time.perf_counter() - began
         self._m_latency.observe(elapsed)
         if session:
@@ -900,7 +966,7 @@ class PolygenFederation:
                 query=self._query_text(result),
                 elapsed_ms=elapsed * 1000.0,
                 threshold_ms=threshold,
-                fingerprint=fingerprint_plan(result.iom, options.policy).final,
+                fingerprint=fingerprints().final,
                 shape=self._shape_of(result),
                 cache=self._cache_disposition(result, options),
                 busy_by_location=busy,

@@ -104,8 +104,8 @@ class TestExamples:
         output = run_example("streaming_pipeline.py")
         assert "Remote source serving 50,000 tuples" in output
         assert "First-row latency improvement" in output
-        assert "binary v2 scan" in output and "JSON v1" in output
-        assert "Bytes-on-wire reduction from the v2 format" in output
+        assert "binary v3 scan" in output and "JSON v1" in output
+        assert "Bytes-on-wire reduction from the v3 format" in output
 
     def test_federation_service(self):
         output = run_example("federation_service.py")

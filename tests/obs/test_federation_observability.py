@@ -52,9 +52,10 @@ def distributed_federation():
         yield federation
 
 
-@pytest.fixture(scope="module", params=["json", "binary"])
+@pytest.fixture(params=["json", "binary"])
 def wire_federation(request):
-    """A distributed federation whose connections speak one encoding."""
+    """A fresh distributed federation (so its plan memo starts empty)
+    whose connections speak one encoding."""
     with _distributed(request.param) as federation:
         yield request.param, federation
 
@@ -70,44 +71,71 @@ def local_federation():
         yield federation
 
 
+FRONT_END_STAGES = {"translate", "analyze", "plan", "optimize"}
+
+
+def _assert_stitched(federation, wire_format, result):
+    """One trace across coordinator and servers; returns its root and the
+    names of the spans directly under it."""
+    assert len(result.relation) == 3  # still the paper's answer
+    # The connection's encoding is the one every chunk travelled in.
+    for database in ("AD", "CD"):
+        stats = federation.registry.get(database).inner.transport_stats()
+        assert (stats.binary_chunks > 0) == (wire_format == "binary"), database
+    spans = result.trace.spans
+    # ONE trace: every span — coordinator and server-side — shares id.
+    assert len({span.trace_id for span in spans}) == 1
+    ids = {span.span_id for span in spans}
+    roots = [span for span in spans if span.parent_id is None]
+    assert [root.name for root in roots] == ["query"]
+    # The two remote sources shipped their server-side spans back.
+    serve = [span for span in spans if span.name.startswith("serve.")]
+    engine_spans = [span for span in spans if span.name.startswith("engine.")]
+    assert serve and engine_spans
+    assert all(span.remote for span in serve + engine_spans)
+    # Correct parenting via the propagated ids: serve spans hang off
+    # coordinator row spans, engine spans off their serve span.
+    row_ids = {span.span_id for span in spans if span.name.startswith("row ")}
+    assert all(span.parent_id in row_ids for span in serve)
+    serve_ids = {span.span_id for span in serve}
+    assert all(span.parent_id in serve_ids for span in engine_spans)
+    # Everything is reachable: no orphan parents.
+    assert all(
+        span.parent_id in ids for span in spans if span.parent_id is not None
+    )
+    stage_names = {
+        span.name for span in spans if span.parent_id == roots[0].span_id
+    }
+    return roots[0], stage_names
+
+
 class TestStitchedTrace:
     @pytest.mark.parametrize("engine", ["serial", "concurrent"])
     def test_one_trace_spans_coordinator_and_servers(self, wire_federation, engine):
         wire_format, federation = wire_federation
-        result = federation.run(PAPER_SQL, federation.defaults.replace(engine=engine))
-        assert len(result.relation) == 3  # still the paper's answer
-        # The connection's encoding is the one every chunk travelled in.
-        for database in ("AD", "CD"):
-            stats = federation.registry.get(database).inner.transport_stats()
-            assert (stats.binary_chunks > 0) == (wire_format == "binary"), database
-        spans = result.trace.spans
-        # ONE trace: every span — coordinator and server-side — shares id.
-        assert len({span.trace_id for span in spans}) == 1
-        ids = {span.span_id for span in spans}
-        roots = [span for span in spans if span.parent_id is None]
-        assert [root.name for root in roots] == ["query"]
-        # The two remote sources shipped their server-side spans back.
-        serve = [span for span in spans if span.name.startswith("serve.")]
-        engine_spans = [span for span in spans if span.name.startswith("engine.")]
-        assert serve and engine_spans
-        assert all(span.remote for span in serve + engine_spans)
-        # Correct parenting via the propagated ids: serve spans hang off
-        # coordinator row spans, engine spans off their serve span.
-        row_ids = {
-            span.span_id for span in spans if span.name.startswith("row ")
-        }
-        assert all(span.parent_id in row_ids for span in serve)
-        serve_ids = {span.span_id for span in serve}
-        assert all(span.parent_id in serve_ids for span in engine_spans)
-        # Everything is reachable: no orphan parents.
-        assert all(
-            span.parent_id in ids for span in spans if span.parent_id is not None
+        options = federation.defaults.replace(engine=engine)
+        # Cold: the federation has never planned this text, so the root
+        # covers every pipeline stage.
+        root, stages = _assert_stitched(
+            federation, wire_format, federation.run(PAPER_SQL, options)
         )
-        # The root covers the pipeline stages.
-        stage_names = {
-            span.name for span in spans if span.parent_id == roots[0].span_id
-        }
-        assert {"analyze", "plan", "optimize", "execute"} <= stage_names
+        assert FRONT_END_STAGES | {"execute"} <= stages
+        assert "plan" not in root.attributes
+
+    @pytest.mark.parametrize("engine", ["serial", "concurrent"])
+    def test_repeated_query_reuses_the_prepared_plan(self, wire_federation, engine):
+        wire_format, federation = wire_federation
+        options = federation.defaults.replace(engine=engine)
+        federation.run(PAPER_SQL, options)
+        # Repeat: the memoized plan runs; the front end opens no spans,
+        # the root says where the plan came from, and the trace is still
+        # one stitched tree.
+        root, stages = _assert_stitched(
+            federation, wire_format, federation.run(PAPER_SQL, options)
+        )
+        assert root.attributes["plan"] == "memo"
+        assert "execute" in stages
+        assert not stages & FRONT_END_STAGES
 
     def test_spans_are_closed_and_timestamped(self, distributed_federation):
         result = distributed_federation.run(PAPER_SQL)

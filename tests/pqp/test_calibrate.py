@@ -166,6 +166,48 @@ class TestCostCalibrator:
         assert calibrator.observed_plans == 2
         assert "plans observed" in calibrator.render()
 
+    def test_concurrent_observers_lose_no_update(self):
+        """Eight threads observe at once under a tiny switch interval; the
+        running sums must still fit exactly like the window they hold."""
+        import sys
+        import threading
+
+        calibrator = CostCalibrator(window=64)
+        threads_n, plans_each = 8, 40
+
+        def observer(worker):
+            for run in range(plans_each):
+                cards = {db: 10 + worker * 7 + run for db in self.CARDS}
+                iom = _merge_plan(cards)
+                calibrator.observe(
+                    iom, _trace_for(iom, cards, self.MODELS.__getitem__, self.PQP_RATE)
+                )
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=observer, args=(n,)) for n in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calibrator.observed_plans == threads_n * plans_each
+        windows = calibrator.to_dict()["local"]
+        for name, model in calibrator.local_costs().items():
+            oracle = CalibratedCostModel.fit([tuple(s) for s in windows[name]])
+            assert model.observations == oracle.observations == 64
+            assert model.per_query == pytest.approx(
+                oracle.per_query, rel=1e-6, abs=1e-9
+            )
+            assert model.per_tuple == pytest.approx(
+                oracle.per_tuple, rel=1e-6, abs=1e-12
+            )
+
     def test_window_bounds_samples(self):
         calibrator = CostCalibrator(window=4)
         self._observe(calibrator, runs=9)

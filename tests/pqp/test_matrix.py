@@ -74,12 +74,21 @@ class TestMatrixRow:
 
 
 class TestMatrices:
-    def test_append_and_lookup(self):
-        pom = PolygenOperationMatrix()
-        first = pom.append(row(1))
+    def test_lookup(self):
+        first = row(1)
+        pom = PolygenOperationMatrix([first])
         assert pom.row_for(ResultOperand(1)) is first
         assert len(pom) == 1
         assert pom[0] is first
+
+    def test_built_matrix_is_immutable(self):
+        iom = IntermediateOperationMatrix([row(1, el=PQP_LOCATION)])
+        assert not hasattr(iom, "append")
+        with pytest.raises(AttributeError):
+            iom._rows = ()
+        with pytest.raises(TypeError):
+            iom.rows[0] = row(2)
+        assert isinstance(iom.rows, tuple) and len(iom) == 1
 
     def test_render_contains_headers_and_rows(self):
         pom = PolygenOperationMatrix([row(1)])
