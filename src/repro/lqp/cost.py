@@ -1,9 +1,8 @@
 """Cost models, traffic accounting and latency injection for LQP traffic.
 
 A :class:`CostModel` prices one local query as ``per_query + per_tuple ·
-tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) and the
-optimizer's cost-based mode use it, and :class:`CalibratedCostModel` fits
-one to observed executions.
+tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) uses it,
+and :class:`CalibratedCostModel` fits one to observed executions.
 
 LQP decorators subclass :class:`ForwardingLQP`, which writes the
 delegation and the four relation verbs once and hands each shipped

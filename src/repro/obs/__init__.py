@@ -26,8 +26,8 @@ touches.  This package is that missing layer, in three parts:
 
 ``obs.events``
     A structured JSONL event log with a slow-query log: any query over
-    the ``slow_query_ms`` threshold records its plan fingerprint, shape
-    choice, cache disposition, per-LQP busy time and consulted source
+    the ``slow_query_ms`` threshold records its plan fingerprint, plan
+    shape, cache disposition, per-LQP busy time and consulted source
     tags.
 
 In the spirit of the paper, telemetry is *source-tagged*: query counters

@@ -11,8 +11,9 @@ time crosses the ``slow_query_ms`` threshold (a
 :class:`~repro.service.options.QueryOptions` knob with a federation
 default), the federation emits a ``slow_query`` event carrying
 everything needed to debug it after the fact — the structural plan
-fingerprint, the chosen plan shape, the cache disposition
-(hit/miss/spliced), per-LQP busy time and the consulted source tags.
+fingerprint, the plan shape (``"rewritten"`` when the optimizer ran,
+else ``None``), the cache disposition (hit/miss/spliced), per-LQP busy
+time and the consulted source tags.
 :func:`slow_query_event` builds that payload so the federation and the
 tests agree on its schema.
 """

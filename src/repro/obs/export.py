@@ -97,6 +97,13 @@ class MetricsExporter:
 
     def close(self) -> None:
         self._closed.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the port leaves LISTEN and the
+        # serving thread exits before the join.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

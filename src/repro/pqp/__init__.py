@@ -44,17 +44,14 @@ from repro.pqp.matrix import (
     ResultOperand,
     SchemeOperand,
 )
-from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
+from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.pqp.plandag import PlanDAG
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.result import QueryResult
 from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.schedule import (
     PlanSchedule,
-    PlanShape,
     ScheduleValidation,
-    decompose_merges,
-    rank_plan_shapes,
     schedule_plan,
     validate_against_trace,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "PolygenOperationInterpreter",
     "QueryOptimizer",
     "OptimizationReport",
-    "ShapeChoice",
     "CostCalibrator",
     "Executor",
     "ConcurrentExecutor",
@@ -82,10 +78,7 @@ __all__ = [
     "PolygenQueryProcessor",
     "QueryResult",
     "PlanSchedule",
-    "PlanShape",
     "ScheduleValidation",
-    "decompose_merges",
-    "rank_plan_shapes",
     "schedule_plan",
     "validate_against_trace",
 ]

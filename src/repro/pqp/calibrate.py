@@ -17,44 +17,30 @@ per-source costing:
 - models are re-fit lazily (least squares, see
   :meth:`~repro.lqp.cost.CalibratedCostModel.fit`) whenever new evidence
   arrived since the last read — from running sums each window keeps, so a
-  refit costs O(databases), not O(window),
-- after every observation the calibrator also *scores itself*: it predicts
-  the observed plan's makespan with its current models and records the
-  relative error against the measured wall clock — the number
-  :meth:`~repro.service.federation.PolygenFederation.stats` reports so an
-  operator can tell whether the learned models have converged.
+  refit costs O(databases), not O(window).
+
+The federation's result cache weighs each entry's recompute cost with the
+fitted models (GreedyDual eviction keeps what is expensive to rebuild),
+and :meth:`~repro.service.federation.PolygenFederation.stats` reports them.
 
 Windows are bounded (``window`` observations per database) so a long-lived
 federation adapts when a source's performance drifts instead of averaging
 over its whole history.  All methods are thread-safe: coordinator threads
-observe concurrently while other threads read models for planning.
+observe concurrently while other threads read the models.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import threading
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.lqp.cost import CalibratedCostModel
 from repro.pqp.executor import ExecutionTrace
 from repro.pqp.matrix import IntermediateOperationMatrix
-from repro.pqp.schedule import schedule_plan
 
 __all__ = ["CostCalibrator"]
-
-#: Fallback PQP per-tuple rate (seconds) before any PQP row was observed.
-_DEFAULT_PQP_RATE = 0.0
-
-#: Self-scoring cadence: every plan while the models are young, then a
-#: deterministic sample.  Scoring forces a refit plus a plan simulation, so
-#: an always-on federation that never reads the models shouldn't pay it per
-#: query; a 1-in-N sample keeps the reported error fresh at bounded cost.
-_SCORE_WARMUP = 16
-_SCORE_INTERVAL = 4
 
 
 class _Window:
@@ -96,10 +82,6 @@ class _Window:
         if self._appends == samples.maxlen:
             self._resum()
 
-    def extend(self, observations: Iterable[Tuple[int, float]]) -> None:
-        for tuples, seconds in observations:
-            self.append(tuples, seconds)
-
     def _resum(self) -> None:
         samples = self.samples
         self.sum_d = math.fsum(d for _, d in samples)
@@ -124,9 +106,6 @@ class _Window:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __iter__(self) -> Iterator[Tuple[int, float]]:
-        return iter(self.samples)
-
 
 class CostCalibrator:
     """Accumulates execution evidence and fits per-LQP cost models."""
@@ -143,8 +122,6 @@ class CostCalibrator:
         self._models: Dict[str, CalibratedCostModel] = {}
         self._pqp_rate: Optional[float] = None
         self._dirty = False
-        #: |predicted − measured| / measured makespan, recent plans.
-        self._errors: Deque[float] = deque(maxlen=window)
         self._observed_plans = 0
 
     # -- evidence intake ----------------------------------------------------
@@ -153,10 +130,7 @@ class CostCalibrator:
         """Fold one executed plan's measurements into the windows.
 
         Rows without a timing or a materialized result (a cancelled plan's
-        stragglers) are skipped.  The plan is then re-simulated under the
-        updated models and the makespan prediction error recorded — every
-        plan during warm-up, a deterministic sample afterwards, so the
-        intake path stays cheap for federations that never plan by cost.
+        stragglers) are skipped.
         """
         timings, results = trace.timings, trace.results
         with self._lock:
@@ -172,10 +146,9 @@ class CostCalibrator:
                         samples = self._local[row.el] = _Window(self._window)
                     samples.append(relation.cardinality, timing.duration)
                 else:
-                    # Every PQP row — Merge included, now one hash pass —
-                    # is observed at the sum of its inputs, the same
-                    # x-variable the simulator charges, so the fitted rate
-                    # and the predictions stay consistent.
+                    # Every PQP row — Merge included, one hash pass — is
+                    # observed at the sum of its inputs, the x-variable the
+                    # scheduling model (repro.pqp.schedule) charges.
                     inputs = sum(
                         results[ref.index].cardinality
                         for ref in row.referenced_results()
@@ -184,30 +157,6 @@ class CostCalibrator:
                     self._pqp.append(inputs, timing.duration)
             self._dirty = True
             self._observed_plans += 1
-            plan_number = self._observed_plans
-        if plan_number <= _SCORE_WARMUP or plan_number % _SCORE_INTERVAL == 0:
-            self._score_prediction(iom, trace)
-
-    def _score_prediction(
-        self, iom: IntermediateOperationMatrix, trace: ExecutionTrace
-    ) -> None:
-        """Predict the observed plan's makespan with the current models and
-        log the relative error against the measured wall clock."""
-        measured = trace.wall_clock
-        if measured <= 0.0:
-            return
-        local_costs = self.local_costs()
-        if not local_costs:
-            return
-        predicted = schedule_plan(
-            iom,
-            trace,
-            local_costs=local_costs,
-            default_cost=CalibratedCostModel(per_query=0.0, per_tuple=0.0),
-            pqp_cost_per_tuple=self.pqp_cost_per_tuple() or _DEFAULT_PQP_RATE,
-        ).makespan
-        with self._lock:
-            self._errors.append(abs(predicted - measured) / measured)
 
     # -- fitted models ------------------------------------------------------
 
@@ -241,76 +190,6 @@ class CostCalibrator:
             self._refit()
             return self._pqp_rate
 
-    # -- persistence --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot of every observation window.
-
-        Models are *not* serialized — they are derived state, re-fit from
-        the windows on the first read after :meth:`from_dict`."""
-        with self._lock:
-            return {
-                "window": self._window,
-                "local": {
-                    name: [[int(t), float(d)] for t, d in samples]
-                    for name, samples in self._local.items()
-                },
-                "pqp": [[int(t), float(d)] for t, d in self._pqp],
-                "observed_plans": self._observed_plans,
-            }
-
-    def from_dict(self, snapshot: dict) -> None:
-        """Fold a :meth:`to_dict` snapshot's evidence into this calibrator.
-
-        Appends after any evidence already held (each window's ``maxlen``
-        keeps windows bounded), so a federation can both restore a saved
-        state at startup and merge a peer's observations.  The calibrator's
-        own ``window`` size wins over the snapshot's."""
-        local = {
-            str(name): [(int(t), float(d)) for t, d in samples]
-            for name, samples in dict(snapshot.get("local", {})).items()
-        }
-        pqp = [(int(t), float(d)) for t, d in snapshot.get("pqp", ())]
-        plans = int(snapshot.get("observed_plans", 0))
-        with self._lock:
-            for name, samples in local.items():
-                window = self._local.get(name)
-                if window is None:
-                    window = self._local[name] = _Window(self._window)
-                window.extend(samples)
-            self._pqp.extend(pqp)
-            self._observed_plans += plans
-            self._dirty = True
-
-    def save(self, path: str) -> None:
-        """Write the observation windows to ``path`` as JSON (atomically:
-        a temp file in the same directory, then ``os.replace``)."""
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        temporary = f"{path}.tmp.{os.getpid()}"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(temporary, path)
-
-    def load(self, path: str) -> bool:
-        """Restore evidence saved by :meth:`save`; ``False`` (and no state
-        change) when ``path`` does not exist."""
-        if not os.path.exists(path):
-            return False
-        with open(path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        self.from_dict(snapshot)
-        return True
-
-    # -- self-assessment ----------------------------------------------------
-
-    def prediction_error(self) -> Optional[float]:
-        """Mean relative makespan error of recent predictions (lower is
-        better; ``None`` before the first scored plan)."""
-        with self._lock:
-            if not self._errors:
-                return None
-            return sum(self._errors) / len(self._errors)
-
     def sample_counts(self) -> Dict[str, int]:
         """database → observations currently in its window."""
         with self._lock:
@@ -322,15 +201,7 @@ class CostCalibrator:
 
     def render(self) -> str:
         models = self.local_costs()
-        lines = [
-            f"calibration: {self.observed_plans} plans observed, "
-            f"prediction error "
-            + (
-                f"{self.prediction_error():.1%}"
-                if self.prediction_error() is not None
-                else "n/a"
-            )
-        ]
+        lines = [f"calibration: {self.observed_plans} plans observed"]
         for name in sorted(models):
             model = models[name]
             lines.append(

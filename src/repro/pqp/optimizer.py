@@ -43,16 +43,6 @@ records what changed so benchmarks can quantify the effect.  The two new
 rewrites need schema knowledge: a :class:`QueryOptimizer` built without a
 ``schema`` (the historical constructor) performs only the dedup/prune
 rewrites.
-
-Beyond the unconditional rewrites, :meth:`QueryOptimizer.optimize_cost_based`
-is the *cost-based* mode: instead of assuming every rewrite always helps,
-it enumerates alternative plan shapes (rewrites on/off, n-ary Merges
-decomposed into availability-ordered binary chains), scores each by
-simulated makespan under per-LQP cost models — calibrated from observed
-executions when the federation has them
-(:class:`~repro.pqp.calibrate.CostCalibrator`) — and returns the cheapest.
-Every candidate is built from the same tag-preserving rewrites, so the
-choice changes *when* work happens, never what the query answers.
 """
 
 from __future__ import annotations
@@ -63,7 +53,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.catalog.schema import PolygenSchema
 from repro.core.predicate import Literal, Theta
 from repro.integration.identity import IdentityResolver
-from repro.lqp.cost import CostModel
 from repro.lqp.registry import LQPRegistry
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -73,7 +62,7 @@ from repro.pqp.matrix import (
     ResultOperand,
 )
 
-__all__ = ["QueryOptimizer", "OptimizationReport", "ShapeChoice"]
+__all__ = ["QueryOptimizer", "OptimizationReport"]
 
 #: Operations whose conservative demand is "every attribute of every input":
 #: Merge's conflict detection and the set operators' compatibility/dedup
@@ -104,40 +93,6 @@ class OptimizationReport:
     @property
     def rows_saved(self) -> int:
         return self.original_rows - self.optimized_rows
-
-
-@dataclass(frozen=True)
-class ShapeChoice:
-    """Outcome of a cost-based optimization: which shape won and why.
-
-    Carries the winning shape's rewrite :class:`OptimizationReport` (so the
-    explainer and benchmarks read the same counters in either mode) plus
-    the simulated evidence — every candidate's name and predicted makespan.
-    """
-
-    chosen: str
-    predicted_makespan: float
-    #: (shape name, simulated makespan), best first.
-    considered: Tuple[Tuple[str, float], ...]
-    report: OptimizationReport
-    #: Whether the winner's Merges were decomposed into binary chains.
-    merges_decomposed: bool = False
-
-    @property
-    def runner_up_makespan(self) -> Optional[float]:
-        if len(self.considered) < 2:
-            return None
-        return self.considered[1][1]
-
-    def render(self) -> str:
-        lines = [
-            f"cost-based choice: {self.chosen} "
-            f"(predicted makespan {self.predicted_makespan:.4f})"
-        ]
-        for name, makespan in self.considered:
-            marker = "*" if name == self.chosen else " "
-            lines.append(f"  {marker} {name:32s} {makespan:.4f}")
-        return "\n".join(lines)
 
 
 class QueryOptimizer:
@@ -180,25 +135,15 @@ class QueryOptimizer:
         self, iom: IntermediateOperationMatrix
     ) -> Tuple[IntermediateOperationMatrix, OptimizationReport]:
         """Apply all rewrites; returns the new plan and a report."""
-        return self._apply(iom, self._pushdown, self._prune_projections)
-
-    def _apply(
-        self,
-        iom: IntermediateOperationMatrix,
-        pushdown: bool,
-        prune_projections: bool,
-    ) -> Tuple[IntermediateOperationMatrix, OptimizationReport]:
-        """The rewrite pipeline under explicit gates (the cost-based mode
-        runs it several times with different gates to build candidates)."""
         rows = list(iom.rows)
         rows, retrieves = self._dedupe(rows, self._retrieve_key)
         rows, merges = self._dedupe(rows, self._merge_key)
         # Through-merge replication runs first so the per-branch selections
         # it creates are then candidates for LQP pushdown below.
-        rows, through = self._push_through_merges(rows, pushdown)
-        rows, pushed = self._push_selections(rows, pushdown)
+        rows, through = self._push_through_merges(rows)
+        rows, pushed = self._push_selections(rows)
         rows, pruned = self._prune(rows)
-        rows, attributes = self._prune_materializations(rows, prune_projections)
+        rows, attributes = self._prune_materializations(rows)
         optimized = IntermediateOperationMatrix(rows)
         report = OptimizationReport(
             original_rows=len(iom),
@@ -211,62 +156,6 @@ class QueryOptimizer:
             selects_pushed_through_merge=through,
         )
         return optimized, report
-
-    def optimize_cost_based(
-        self,
-        iom: IntermediateOperationMatrix,
-        local_costs: Optional[Dict[str, CostModel]] = None,
-        default_cost: CostModel = CostModel(per_query=1.0, per_tuple=0.01),
-        pqp_cost_per_tuple: float = 0.002,
-        registry: Optional[LQPRegistry] = None,
-    ) -> Tuple[IntermediateOperationMatrix, ShapeChoice]:
-        """Pick the cheapest plan shape by simulated makespan.
-
-        Candidates are the rewrite pipeline's meaningful gate combinations
-        (dedup only; + pushdown; + projection pruning, when this optimizer
-        has the schema for them) and, via
-        :func:`repro.pqp.schedule.rank_plan_shapes`, each candidate's
-        Merge-chain decomposition ordered by predicted source finish times.
-        ``local_costs`` is where calibration plugs in: pass
-        :meth:`repro.pqp.calibrate.CostCalibrator.local_costs` and the
-        ranking reflects how the federation's sources *measured*, not how
-        the static defaults guess.  Every candidate produces tag-identical
-        results (property-tested), so only timing is at stake.
-        """
-        from repro.pqp.schedule import rank_plan_shapes
-
-        candidates: List[Tuple[str, IntermediateOperationMatrix]] = []
-
-        def add(name: str, pushdown: bool, prune: bool) -> None:
-            shaped, report = self._apply(iom, pushdown, prune)
-            candidates.append((name, shaped))
-            reports[name] = report
-
-        reports: Dict[str, OptimizationReport] = {}
-        add("dedup", pushdown=False, prune=False)
-        if self._schema is not None:
-            if self._pushdown:
-                add("pushdown", pushdown=True, prune=False)
-                add("pushdown+prune", pushdown=True, prune=True)
-            else:
-                add("prune", pushdown=False, prune=True)
-        ranked = rank_plan_shapes(
-            candidates,
-            local_costs=local_costs,
-            default_cost=default_cost,
-            pqp_cost_per_tuple=pqp_cost_per_tuple,
-            registry=registry,
-        )
-        winner = ranked[0]
-        base_name = winner.name.removesuffix("+merge-chain")
-        choice = ShapeChoice(
-            chosen=winner.name,
-            predicted_makespan=winner.makespan,
-            considered=tuple((shape.name, shape.makespan) for shape in ranked),
-            report=reports[base_name],
-            merges_decomposed=winner.name.endswith("+merge-chain"),
-        )
-        return winner.iom, choice
 
     # -- keys ------------------------------------------------------------------
 
@@ -325,10 +214,8 @@ class QueryOptimizer:
 
     # -- selection pushdown ---------------------------------------------------
 
-    def _push_selections(
-        self, rows: List[MatrixRow], pushdown: bool
-    ) -> Tuple[List[MatrixRow], int]:
-        if self._schema is None or not pushdown:
+    def _push_selections(self, rows: List[MatrixRow]) -> Tuple[List[MatrixRow], int]:
+        if self._schema is None or not self._pushdown:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
         consumers: Dict[int, int] = {}
@@ -417,7 +304,7 @@ class QueryOptimizer:
     # -- through-merge selection pushdown --------------------------------------
 
     def _push_through_merges(
-        self, rows: List[MatrixRow], pushdown: bool
+        self, rows: List[MatrixRow]
     ) -> Tuple[List[MatrixRow], int]:
         """Replicate a primary-key selection over a Merge into every branch.
 
@@ -437,7 +324,7 @@ class QueryOptimizer:
         then eligible for LQP pushdown (:meth:`_push_selections` runs
         next), moving the filter all the way into the autonomous database.
         """
-        if self._schema is None or not pushdown:
+        if self._schema is None or not self._pushdown:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
         consumers: Dict[int, int] = {}
@@ -528,9 +415,9 @@ class QueryOptimizer:
     # -- projection pruning ---------------------------------------------------
 
     def _prune_materializations(
-        self, rows: List[MatrixRow], prune_projections: bool
+        self, rows: List[MatrixRow]
     ) -> Tuple[List[MatrixRow], int]:
-        if self._schema is None or not prune_projections or not rows:
+        if self._schema is None or not self._prune_projections or not rows:
             return rows, 0
         demand = self._demanded_attributes(rows)
         pruned_attributes = 0

@@ -30,7 +30,7 @@ sessions, future-like handles, streaming cursors, service stats) lives on
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.catalog.schema import PolygenSchema
 from repro.core.cell import ConflictPolicy
@@ -40,7 +40,7 @@ from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
 from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
-from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
+from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.translate.translator import translate_sql
 
 if TYPE_CHECKING:  # pragma: no cover - the service imports this package's
@@ -61,7 +61,7 @@ class PolygenQueryProcessor:
         resolver: IdentityResolver | None = None,
         transforms: TransformRegistry | None = None,
         policy: ConflictPolicy = ConflictPolicy.DROP,
-        optimize: bool | str = True,
+        optimize: bool = True,
         materialize_full_scheme: bool = False,
         concurrent: bool = False,
         pushdown: bool = True,
@@ -76,10 +76,7 @@ class PolygenQueryProcessor:
         optimizer's semantic rewrites; both produce tag-identical final
         results, but projection pruning narrows intermediate relations, so
         it defaults off to keep the paper's printed intermediate tables
-        reproducible.  ``optimize="cost"`` selects the cost-based mode:
-        plan shapes are scored by simulated makespan under the private
-        federation's calibrated per-LQP cost models — learned from this
-        processor's own completed queries — and the cheapest executes."""
+        reproducible."""
         # Imported here, not at module scope: the service layer imports
         # pqp submodules, and this facade is part of the pqp package.
         from repro.service.federation import PolygenFederation
@@ -107,13 +104,9 @@ class PolygenQueryProcessor:
         # The historical (private, but poked-at) optimizer slot: assigning
         # ``None`` disables optimization, assigning a QueryOptimizer swaps
         # the rewrite set — run_* stages the pipeline through this slot on
-        # the calling thread, exactly as the pre-service facade did.  The
-        # cost-based mode plans through the federation instead (it needs
-        # the calibrator), so the slot stays empty there.
+        # the calling thread, exactly as the pre-service facade did.
         self._optimizer: Optional[QueryOptimizer] = (
-            self._federation._optimizer_for(self._options)
-            if (optimize and optimize != "cost")
-            else None
+            self._federation._optimizer_for(self._options) if optimize else None
         )
 
     @property
@@ -156,11 +149,7 @@ class PolygenQueryProcessor:
 
     def optimize(
         self, iom: IntermediateOperationMatrix
-    ) -> Tuple[
-        IntermediateOperationMatrix, Union[OptimizationReport, ShapeChoice, None]
-    ]:
-        if self._options.optimize == "cost":
-            return self._federation.optimize(iom, self._options)
+    ) -> Tuple[IntermediateOperationMatrix, Optional[OptimizationReport]]:
         if self._optimizer is None:
             return iom, None
         return self._optimizer.optimize(iom)

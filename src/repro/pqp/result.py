@@ -9,14 +9,14 @@ without either importing the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.expression import Expression
 from repro.core.relation import PolygenRelation
 from repro.pqp.executor import ExecutionTrace
 from repro.pqp.fingerprint import SpliceReport
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
-from repro.pqp.optimizer import OptimizationReport, ShapeChoice
+from repro.pqp.optimizer import OptimizationReport
 from repro.pqp.shard import ShardReport
 from repro.translate.translator import TranslationResult
 
@@ -34,10 +34,8 @@ class QueryResult:
     trace: ExecutionTrace
     sql: Optional[str] = None
     translation: Optional[TranslationResult] = None
-    #: The rewrite report, or — under ``optimize="cost"`` — the
-    #: :class:`~repro.pqp.optimizer.ShapeChoice` (its ``.report`` holds the
-    #: winning shape's rewrite counters).
-    optimization: Optional[Union[OptimizationReport, ShapeChoice]] = None
+    #: What the optimizer's rewrites did (``None`` when ``optimize=False``).
+    optimization: Optional[OptimizationReport] = None
     #: What scan sharding did to the plan (``None`` unless the query ran
     #: with ``QueryOptions.shard_width`` set).
     sharding: Optional[ShardReport] = None

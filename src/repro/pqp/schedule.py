@@ -24,21 +24,10 @@ reality.  :func:`validate_against_trace` compares the two: a trace's
 measured per-row timings yield a measured makespan and busy time, the
 direct analogues of the simulated makespan and serial cost.
 
-The module is also the federation's *what-if* engine: the same plan can be
-shaped several ways — rewrites on or off, an n-ary Merge decomposed into a
-chain of binary Merges ordered by when each source is predicted to land —
-and :func:`rank_plan_shapes` scores every candidate by simulated makespan
-so a cost-based optimizer can pick the cheapest
-(:meth:`repro.pqp.optimizer.QueryOptimizer.optimize_cost_based`).  Merge
-rows are charged one hash-partitioned pass over the sum of their inputs
-(:func:`repro.storage.kernels.hash_merge` — the executor no longer folds),
-and a Merge's *output* is estimated by containment (the largest input):
-overlapping sources coalesce rather than accumulate.  That is why a
-binary chain can still beat the flat n-ary Merge when sources are skewed —
-the partial merges of early arrivals both shrink and run *during* the
-straggler's shipping, leaving a smaller final link after it lands —
-while under uniform costs every source lands together and the flat
-one-pass Merge wins on total work.
+Merge rows are charged one hash-partitioned pass over the sum of their
+inputs (:func:`repro.storage.kernels.hash_merge`), and a Merge's *output*
+is estimated by containment (the largest input): overlapping sources
+coalesce rather than accumulate.
 
 Local resources are simulated width-aware: each database offers
 ``native_concurrency`` parallel servers (a remote LQP multiplexes that
@@ -50,8 +39,8 @@ serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.lqp.cost import CostModel
 from repro.lqp.registry import LQPRegistry
@@ -60,17 +49,13 @@ from repro.pqp.matrix import (
     IntermediateOperationMatrix,
     MatrixRow,
     Operation,
-    ResultOperand,
 )
 from repro.pqp.plandag import PlanDAG
 
 __all__ = [
     "PlanSchedule",
-    "PlanShape",
     "ScheduledRow",
     "ScheduleValidation",
-    "decompose_merges",
-    "rank_plan_shapes",
     "schedule_plan",
     "validate_against_trace",
 ]
@@ -354,146 +339,3 @@ def validate_against_trace(
             measured_busy / measured_makespan if measured_makespan > 0 else 1.0
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Plan shapes: alternative formulations of the same query
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanShape:
-    """One candidate formulation of a plan, with its simulated schedule."""
-
-    name: str
-    iom: IntermediateOperationMatrix
-    schedule: PlanSchedule
-
-    @property
-    def makespan(self) -> float:
-        return self.schedule.makespan
-
-
-def decompose_merges(
-    iom: IntermediateOperationMatrix,
-    finish_times: Mapping[int, float],
-) -> Optional[IntermediateOperationMatrix]:
-    """Rewrite every n-ary (n ≥ 3) Merge into a left-deep chain of binary
-    Merges, ordered by predicted input availability (earliest first).
-
-    The result relation is unchanged — the paper proves Merge's fold order
-    immaterial (§II, property-tested in ``tests/property``) — but the
-    *schedule* is not: each binary Merge becomes dispatchable the moment
-    its two inputs land, so the fold over fast sources overlaps the slow
-    sources' shipping instead of waiting for the whole input set.  Putting
-    the latest-predicted source last minimizes the work remaining after it
-    arrives, which is where calibrated per-LQP models earn their keep: they
-    know which source is *actually* slow.
-
-    ``finish_times`` maps the plan's ``R(#)`` indices to predicted finish
-    times (e.g. from :func:`schedule_plan`'s rows).  Returns ``None`` when
-    the plan has no Merge wide enough to decompose.  Row numbering is
-    rebuilt, so the returned matrix's indices differ from the input's.
-    """
-    wide = [
-        row
-        for row in iom
-        if row.op is Operation.MERGE
-        and isinstance(row.lhr, tuple)
-        and len(row.lhr) >= 3
-    ]
-    if not wide:
-        return None
-    mapping: Dict[int, int] = {}
-    out: List[MatrixRow] = []
-    next_index = 1
-
-    def remapped(ref: ResultOperand) -> ResultOperand:
-        return ResultOperand(mapping.get(ref.index, ref.index))
-
-    for row in iom:
-        if row in wide:
-            ordered = sorted(
-                row.lhr,
-                key=lambda ref: (finish_times.get(ref.index, 0.0), ref.index),
-            )
-            left = remapped(ordered[0])
-            for part in ordered[1:-1]:
-                out.append(
-                    replace(
-                        row,
-                        result=ResultOperand(next_index),
-                        lhr=(left, remapped(part)),
-                    )
-                )
-                left = ResultOperand(next_index)
-                next_index += 1
-            out.append(
-                replace(
-                    row,
-                    result=ResultOperand(next_index),
-                    lhr=(left, remapped(ordered[-1])),
-                )
-            )
-            mapping[row.result.index] = next_index
-            next_index += 1
-        else:
-            rewired = row.with_remapped_results(mapping)
-            mapping[row.result.index] = next_index
-            out.append(replace(rewired, result=ResultOperand(next_index)))
-            next_index += 1
-    return IntermediateOperationMatrix(out)
-
-
-def rank_plan_shapes(
-    candidates: Iterable[Tuple[str, IntermediateOperationMatrix]],
-    local_costs: Optional[Dict[str, CostModel]] = None,
-    default_cost: CostModel = CostModel(per_query=1.0, per_tuple=0.01),
-    pqp_cost_per_tuple: float = 0.002,
-    registry: Optional[LQPRegistry] = None,
-    decompose: bool = True,
-) -> Tuple[PlanShape, ...]:
-    """Score alternative plan shapes by simulated makespan, best first.
-
-    Each named candidate is scheduled under the supplied cost models
-    (calibrated per-LQP models when the caller has them, the static default
-    otherwise) with catalog cardinalities from ``registry``.  With
-    ``decompose`` (the default), every candidate containing an n-ary Merge
-    also contributes a ``<name>+merge-chain`` variant — the Merge unrolled
-    into binary steps ordered by that candidate's own predicted source
-    finish times, so different cost models genuinely produce *different*
-    chains.  Ties prefer fewer rows, then earlier candidates.
-    """
-    shapes: List[PlanShape] = []
-    for name, candidate in candidates:
-        schedule = schedule_plan(
-            candidate,
-            local_costs=local_costs,
-            default_cost=default_cost,
-            pqp_cost_per_tuple=pqp_cost_per_tuple,
-            registry=registry,
-        )
-        shapes.append(PlanShape(name=name, iom=candidate, schedule=schedule))
-        if not decompose:
-            continue
-        finishes = {item.row.result.index: item.finish for item in schedule.rows}
-        chained = decompose_merges(candidate, finishes)
-        if chained is None:
-            continue
-        shapes.append(
-            PlanShape(
-                name=f"{name}+merge-chain",
-                iom=chained,
-                schedule=schedule_plan(
-                    chained,
-                    local_costs=local_costs,
-                    default_cost=default_cost,
-                    pqp_cost_per_tuple=pqp_cost_per_tuple,
-                    registry=registry,
-                ),
-            )
-        )
-    order = {id(shape): position for position, shape in enumerate(shapes)}
-    shapes.sort(key=lambda shape: (shape.makespan, len(shape.iom), order[id(shape)]))
-    return tuple(shapes)
-

@@ -174,8 +174,7 @@ def shard_retrieves(
     else — unregistered or statless sources, tiny relations — passes
     through untouched.
 
-    Returns the rewritten matrix (row numbering rebuilt, like
-    :func:`~repro.pqp.schedule.decompose_merges`) and a
+    Returns the rewritten matrix (row numbering rebuilt) and a
     :class:`ShardReport`.  The rewrite is semantics-preserving row by row:
     each family's Union result is cell-for-cell the original Retrieve's
     result, so it composes with any optimizer state.

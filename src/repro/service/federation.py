@@ -72,7 +72,7 @@ from repro.pqp.matrix import (
     Operation,
     PolygenOperationMatrix,
 )
-from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
+from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.pqp.result import QueryResult
 from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.shard import ShardReport, shard_retrieves
@@ -127,9 +127,6 @@ class FederationStats:
     remote_transports: Dict[str, "TransportStats"] = dataclasses.field(
         default_factory=dict
     )
-    #: Mean relative error of the calibrated model's makespan predictions
-    #: over recent queries (``None`` before the first calibrated query).
-    cost_model_error: Optional[float] = None
     #: Queries whose traces have fed the calibrator so far.
     plans_calibrated: int = 0
     #: Semantic result cache counters: hits, misses, subtree splices,
@@ -168,14 +165,9 @@ class FederationStats:
                 f"{self.pool_occupancy.get(location, 0)} queued"
             )
         if self.calibrated_models:
-            error = (
-                f"{self.cost_model_error:.1%}"
-                if self.cost_model_error is not None
-                else "n/a"
-            )
             lines.append(
                 f"cost models: {len(self.calibrated_models)} calibrated over "
-                f"{self.plans_calibrated} plans, makespan prediction error {error}"
+                f"{self.plans_calibrated} plans"
             )
             for name in sorted(self.calibrated_models):
                 model = self.calibrated_models[name]
@@ -207,7 +199,6 @@ class PolygenFederation:
         defaults: QueryOptions | None = None,
         max_concurrent_queries: int = 8,
         tag_pool: TagPool | None = None,
-        calibration_path: str | None = None,
         result_cache: ResultCache | None = None,
         source_max_age: Optional[float] = 60.0,
         event_log: EventLog | None = None,
@@ -240,15 +231,8 @@ class PolygenFederation:
 
         self._analyzer = SyntaxAnalyzer()
         #: Learns per-LQP cost models from every completed query's trace;
-        #: the cost-based optimizer (``optimize="cost"``) plans with them.
-        #: With a ``calibration_path``, evidence survives restarts: loaded
-        #: here, saved on :meth:`close` — so a freshly started federation
-        #: plans with its predecessor's measured models instead of the
-        #: static defaults.
-        self.calibration_path = calibration_path
+        #: the result cache weighs its entries' recompute cost with them.
         self.calibrator = CostCalibrator()
-        if calibration_path is not None:
-            self.calibrator.load(calibration_path)
         #: The semantic result cache (queries opt in via
         #: ``QueryOptions.cache``).  Subscribed to the registry's refresh
         #: notifications, so any ``notify_refresh(D)`` — a write hook, a
@@ -355,12 +339,6 @@ class PolygenFederation:
         # The registry may be shared with (or outlive) this federation:
         # detach our cache's invalidator rather than poking a dead cache.
         self.registry.unsubscribe(self._cache_listener)
-        if self.calibration_path is not None:
-            try:
-                self.calibrator.save(self.calibration_path)
-            except OSError:
-                # Best-effort: losing the snapshot only costs re-learning.
-                pass
         self.registry.close()
 
     def __enter__(self) -> "PolygenFederation":
@@ -427,45 +405,12 @@ class PolygenFederation:
 
     def optimize(
         self, iom: IntermediateOperationMatrix, options: QueryOptions | None = None
-    ) -> Tuple[
-        IntermediateOperationMatrix, Union[OptimizationReport, ShapeChoice, None]
-    ]:
-        """Optimize a plan under ``options`` (no-op when ``optimize=False``).
-
-        ``optimize="cost"`` runs the cost-based mode: candidate shapes are
-        scored by simulated makespan under this federation's *calibrated*
-        per-LQP cost models (static defaults before any query has been
-        observed) and the cheapest is executed.  Returns a
-        :class:`~repro.pqp.optimizer.ShapeChoice` as the report then.
-        """
+    ) -> Tuple[IntermediateOperationMatrix, Optional[OptimizationReport]]:
+        """Optimize a plan under ``options`` (no-op when ``optimize=False``)."""
         options = options or self.defaults
         if not options.optimize:
             return iom, None
-        optimizer = self._optimizer_for(options)
-        if options.optimize != "cost":
-            return optimizer.optimize(iom)
-        local_costs = self.calibrator.local_costs()
-        kwargs = {"registry": self.registry}
-        if local_costs:
-            kwargs["local_costs"] = local_costs
-            # Unobserved databases get the fleet average rather than the
-            # static default, keeping every cost in measured seconds.
-            kwargs["default_cost"] = CalibratedCostModel(
-                per_query=sum(m.per_query for m in local_costs.values())
-                / len(local_costs),
-                per_tuple=sum(m.per_tuple for m in local_costs.values())
-                / len(local_costs),
-            )
-        rate = self.calibrator.pqp_cost_per_tuple()
-        if rate is not None:
-            kwargs["pqp_cost_per_tuple"] = rate
-        elif local_costs:
-            # Calibrated local models are in measured seconds; mixing in
-            # the static (abstract-unit) PQP default would let bogus PQP
-            # cost dominate the ranking.  With no PQP row observed yet,
-            # charge the PQP nothing rather than something in wrong units.
-            kwargs["pqp_cost_per_tuple"] = 0.0
-        return optimizer.optimize_cost_based(iom, **kwargs)
+        return self._optimizer_for(options).optimize(iom)
 
     def _interpreter_for(self, options: QueryOptions) -> PolygenOperationInterpreter:
         key = options.materialize_full_scheme
@@ -669,7 +614,6 @@ class PolygenFederation:
         if isinstance(query, str):
             epoch = (self.schema.version, self.registry.version, self.resolver.version)
             key = PlanMemo.key(query, kind, options, epoch)
-        if key is not None:
             prepared = self._plans.get(key)
             if prepared is not None:
                 self._m_plan_memo.inc(outcome="hit")
@@ -697,11 +641,8 @@ class PolygenFederation:
             tree, pom = self.analyze(expression)
         with self.tracer.span("plan"):
             iom = self.plan(pom, options)
-        with self.tracer.span("optimize") as opt_span:
+        with self.tracer.span("optimize"):
             iom, report = self.optimize(iom, options)
-            chosen = getattr(report, "chosen", None)
-            if chosen is not None:
-                opt_span.set(shape=chosen)
         return PreparedPlan(
             iom=iom,
             policy=options.policy,
@@ -789,8 +730,8 @@ class PolygenFederation:
                 stream_chunk_size=options.stream_chunk_size,
             )
             exec_span.set(rows=len(iom), tuples=len(trace.relation))
-        # Feed the completed trace back into the calibrator so the next
-        # cost-based plan is scheduled with fresher models.
+        # Feed the completed trace to the calibrator, whose models weigh
+        # the cache's recompute costs (_recompute_costs).
         self.calibrator.observe(iom, trace)
         if options.cache != "off":
             with self.tracer.span("cache.store"):
@@ -998,11 +939,7 @@ class PolygenFederation:
 
     @staticmethod
     def _shape_of(result: QueryResult) -> Optional[str]:
-        report = result.optimization
-        if report is None:
-            return None
-        chosen = getattr(report, "chosen", None)
-        return chosen if chosen is not None else "rewritten"
+        return None if result.optimization is None else "rewritten"
 
     @staticmethod
     def _cache_disposition(result: QueryResult, options: QueryOptions) -> str:
@@ -1087,12 +1024,6 @@ class PolygenFederation:
                     f"polygen_transport_{field}",
                     f"Remote transport {field.replace('_', ' ')} per database.",
                 ).set(getattr(stats, field), database=name)
-        error = self.calibrator.prediction_error()
-        if error is not None:
-            registry.gauge(
-                "polygen_cost_model_error",
-                "Mean relative makespan prediction error.",
-            ).set(error)
         registry.gauge(
             "polygen_plans_calibrated", "Traces that have fed the calibrator."
         ).set(self.calibrator.observed_plans)
@@ -1142,7 +1073,6 @@ class PolygenFederation:
         lqp_stats = self.registry.stats()
         remote_transports = self._remote_transport_stats()
         calibrated = self.calibrator.local_costs()
-        model_error = self.calibrator.prediction_error()
         plans_calibrated = self.calibrator.observed_plans
         with self._lock:
             return FederationStats(
@@ -1161,7 +1091,6 @@ class PolygenFederation:
                     name: s.tuples_shipped for name, s in lqp_stats.items()
                 },
                 calibrated_models=calibrated,
-                cost_model_error=model_error,
                 plans_calibrated=plans_calibrated,
                 remote_transports=remote_transports,
                 cache=self.cache.stats(),

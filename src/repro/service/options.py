@@ -22,9 +22,8 @@ __all__ = ["QueryOptions"]
 #: The two execution engines a query can request.
 _ENGINES = ("serial", "concurrent")
 
-#: Valid ``optimize`` settings: the rewrite pipeline on/off, or the
-#: cost-based mode that picks the cheapest simulated plan shape.
-_OPTIMIZE_MODES = (True, False, "cost")
+#: Valid ``optimize`` settings: the rewrite pipeline on or off.
+_OPTIMIZE_MODES = (True, False)
 
 #: Valid ``cache`` settings for the semantic result cache
 #: (:mod:`repro.service.cache`).
@@ -41,12 +40,7 @@ class QueryOptions:
       paper describes.
     - ``optimize`` / ``pushdown`` / ``prune_projections`` — the optimizer
       master switch and its two semantic rewrites (selection pushdown into
-      LQPs; dead-column pruning at materialization).  ``optimize="cost"``
-      selects the cost-based mode: candidate plan shapes (rewrites on/off,
-      Merge chains ordered by predicted source availability) are scored by
-      simulated makespan under the federation's calibrated per-LQP cost
-      models and the cheapest wins; ``pushdown`` still gates whether
-      pushdown shapes are candidates at all.
+      LQPs; dead-column pruning at materialization).
     - ``policy`` — the Merge/Coalesce conflict policy.
     - ``materialize_full_scheme`` — interpreter fidelity knob: retrieve
       every relation a scheme maps even when the probe needs only some.
@@ -77,7 +71,7 @@ class QueryOptions:
     """
 
     engine: str = "concurrent"
-    optimize: Union[bool, str] = True
+    optimize: bool = True
     pushdown: bool = True
     prune_projections: bool = False
     policy: ConflictPolicy = ConflictPolicy.DROP

@@ -16,9 +16,8 @@ federation keeps one bounded memo from query text to its optimized plan:
   — everything a plan is built from.  A data change
   (``notify_refresh``) is not a plan change and leaves the memo alone;
   the result cache stays the only thing that caches *data*.
-- **Not memoized:** ``optimize="cost"`` (its calibrated models move with
-  every query), expression-tree and pre-built IOM inputs, and anything
-  that raised.
+- **Not memoized:** expression-tree and pre-built IOM inputs, and
+  anything that raised.
 
 Shared plans are values: matrices and their rows are immutable, so the
 IOM one caller receives cannot change another caller's hit.
@@ -30,13 +29,13 @@ import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple, Union
+from typing import Hashable, Optional, Tuple
 
 from repro.core.cell import ConflictPolicy
 from repro.core.expression import Expression
 from repro.pqp.fingerprint import PlanFingerprints, fingerprint_plan
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
-from repro.pqp.optimizer import OptimizationReport, ShapeChoice
+from repro.pqp.optimizer import OptimizationReport
 from repro.service.options import QueryOptions
 from repro.translate.translator import TranslationResult
 
@@ -56,7 +55,7 @@ class PreparedPlan:
     translation: Optional[TranslationResult] = None
     expression: Optional[Expression] = None
     pom: Optional[PolygenOperationMatrix] = None
-    report: Union[OptimizationReport, ShapeChoice, None] = None
+    report: Optional[OptimizationReport] = None
 
     @functools.cached_property
     def fingerprints(self) -> PlanFingerprints:
@@ -85,11 +84,8 @@ class PlanMemo:
     @staticmethod
     def key(
         text: str, kind: str, options: QueryOptions, epoch: Tuple[int, ...]
-    ) -> Optional[Hashable]:
-        """The memo key for ``text`` under ``options``, or ``None`` when
-        the plan must not be memoized (cost-based optimization)."""
-        if options.optimize == "cost":
-            return None
+    ) -> Hashable:
+        """The memo key for ``text`` under ``options``."""
         return (
             epoch,
             text,

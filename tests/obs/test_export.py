@@ -1,6 +1,8 @@
 """Tests for the TCP metrics exposition endpoint."""
 
 import socket
+import threading
+import time
 
 from repro.obs.export import MetricsExporter
 from repro.obs.metrics import MetricsRegistry
@@ -51,3 +53,16 @@ class TestMetricsExporter:
         exporter.close()
         rebound = MetricsExporter(registry, port=address[1])
         rebound.close()
+
+    def test_close_stops_the_serving_thread(self):
+        before = set(threading.enumerate())
+        exporter = MetricsExporter(MetricsRegistry())
+        began = time.perf_counter()
+        exporter.close()
+        assert time.perf_counter() - began < 1.0
+        leaked = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name == "metrics-exporter"
+        ]
+        assert leaked == []

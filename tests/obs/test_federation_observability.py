@@ -222,6 +222,16 @@ class TestSlowQueryLog:
         assert "PQP" in entry["busy_by_location"]
         assert "SELECT" in entry["query"]
 
+    @pytest.mark.parametrize("optimize, shape", [(True, "rewritten"), (False, None)])
+    def test_shape_says_whether_the_plan_was_rewritten(
+        self, local_federation, optimize, shape
+    ):
+        federation = local_federation
+        session = federation.session("shape", slow_query_ms=0.0, optimize=optimize)
+        session.execute(PAPER_SQL)
+        [entry] = federation.events.records("slow_query")
+        assert entry["shape"] == shape
+
     def test_cache_disposition_tracks_hits(self, local_federation):
         federation = local_federation
         session = federation.session("cached", slow_query_ms=0.0, cache="on")
@@ -250,7 +260,6 @@ class TestStatsShapeStability:
         "lqp_tuples_shipped",
         "calibrated_models",
         "remote_transports",
-        "cost_model_error",
         "plans_calibrated",
         "cache",
     ]
@@ -260,6 +269,18 @@ class TestStatsShapeStability:
 
         names = [field.name for field in dataclasses.fields(FederationStats)]
         assert names == self.PINNED_FIELDS
+
+    def test_calibration_reports_models_not_a_prediction_error(
+        self, local_federation
+    ):
+        federation = local_federation
+        federation.run(PAPER_SQL)
+        stats = federation.stats()
+        assert stats.plans_calibrated == 1
+        assert set(stats.calibrated_models) == {"AD", "CD", "PD"}
+        assert "cost models: 3 calibrated over 1 plans" in stats.render()
+        assert "prediction error" not in stats.render()
+        assert "polygen_cost_model_error" not in federation.metrics_text()
 
     def test_stats_mirror_the_registry(self, local_federation):
         federation = local_federation

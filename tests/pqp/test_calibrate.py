@@ -1,9 +1,8 @@
-"""Unit tests for trace-driven cost calibration and the cost-based mode."""
+"""Unit tests for trace-driven cost calibration."""
 
 import pytest
 
 from repro.datasets.paper import (
-    build_paper_federation,
     paper_databases,
     paper_identity_resolver,
     paper_polygen_schema,
@@ -20,7 +19,7 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
 )
-from repro.pqp.optimizer import ShapeChoice
+from repro.pqp.optimizer import OptimizationReport
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.service.options import QueryOptions
 
@@ -153,18 +152,8 @@ class TestCostCalibrator:
         assert calibrator.pqp_cost_per_tuple() == pytest.approx(self.PQP_RATE)
         assert calibrator.model_for("A") == models["A"]
         assert calibrator.model_for("unknown") is None
-
-    def test_prediction_error_is_tracked(self):
-        calibrator = CostCalibrator()
-        self._observe(calibrator, runs=2, jitter=40)
-        error = calibrator.prediction_error()
-        assert error is not None
-        # Timings obey the models exactly, so the serialized prediction of
-        # this serial synthetic trace is close (fold-model approximation
-        # aside).
-        assert error < 0.5
-        assert calibrator.observed_plans == 2
-        assert "plans observed" in calibrator.render()
+        assert calibrator.observed_plans == 3
+        assert "3 plans observed" in calibrator.render()
 
     def test_concurrent_observers_lose_no_update(self):
         """Eight threads observe at once under a tiny switch interval; the
@@ -197,9 +186,8 @@ class TestCostCalibrator:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert calibrator.observed_plans == threads_n * plans_each
-        windows = calibrator.to_dict()["local"]
         for name, model in calibrator.local_costs().items():
-            oracle = CalibratedCostModel.fit([tuple(s) for s in windows[name]])
+            oracle = CalibratedCostModel.fit(list(calibrator._local[name].samples))
             assert model.observations == oracle.observations == 64
             assert model.per_query == pytest.approx(
                 oracle.per_query, rel=1e-6, abs=1e-9
@@ -218,82 +206,7 @@ class TestCostCalibrator:
             CostCalibrator(window=1)
 
 
-class TestPersistence:
-    CARDS = TestCostCalibrator.CARDS
-    MODELS = TestCostCalibrator.MODELS
-    PQP_RATE = TestCostCalibrator.PQP_RATE
-
-    def _seeded(self, runs=3):
-        calibrator = CostCalibrator()
-        for run in range(runs):
-            cards = {db: c + 40 * run for db, c in self.CARDS.items()}
-            iom = _merge_plan(cards)
-            calibrator.observe(
-                iom, _trace_for(iom, cards, self.MODELS.__getitem__, self.PQP_RATE)
-            )
-        return calibrator
-
-    def test_save_load_roundtrip_refits_models(self, tmp_path):
-        saved = self._seeded()
-        path = str(tmp_path / "calibration.json")
-        saved.save(path)
-        restored = CostCalibrator()
-        assert restored.load(path) is True
-        assert restored.sample_counts() == saved.sample_counts()
-        assert restored.observed_plans == saved.observed_plans
-        for name, model in saved.local_costs().items():
-            fresh = restored.model_for(name)
-            assert fresh.per_query == pytest.approx(model.per_query)
-            assert fresh.per_tuple == pytest.approx(model.per_tuple)
-        assert restored.pqp_cost_per_tuple() == pytest.approx(self.PQP_RATE)
-
-    def test_load_missing_path_is_a_noop(self, tmp_path):
-        calibrator = CostCalibrator()
-        assert calibrator.load(str(tmp_path / "absent.json")) is False
-        assert calibrator.sample_counts() == {}
-        assert calibrator.observed_plans == 0
-
-    def test_from_dict_merges_and_window_bounds(self, tmp_path):
-        # Restoring into a narrower window keeps only the newest evidence;
-        # restoring on top of live evidence appends, it does not replace.
-        snapshot = self._seeded(runs=5).to_dict()
-        narrow = CostCalibrator(window=4)
-        narrow.from_dict(snapshot)
-        assert all(n <= 4 for n in narrow.sample_counts().values())
-        merged = self._seeded(runs=1)
-        before = merged.sample_counts()
-        merged.from_dict(snapshot)
-        assert all(
-            merged.sample_counts()[name] >= count for name, count in before.items()
-        )
-
-    def test_federation_persists_across_restart(self, tmp_path):
-        from repro.service.federation import PolygenFederation
-
-        path = str(tmp_path / "calibration.json")
-
-        def run_once():
-            registry = LQPRegistry()
-            for database in paper_databases().values():
-                registry.register(RelationalLQP(database))
-            federation = PolygenFederation(
-                paper_polygen_schema(),
-                registry,
-                resolver=paper_identity_resolver(),
-                calibration_path=path,
-            )
-            with federation, federation.session() as session:
-                session.execute(PAPER_SQL)
-                return federation.calibrator.observed_plans
-
-        first = run_once()
-        assert first >= 1
-        # The next "process" starts with the saved evidence preloaded.
-        second = run_once()
-        assert second >= first + 1
-
-
-class TestCostBasedFacade:
+class TestFacade:
     def _processor(self, **kwargs):
         registry = LQPRegistry()
         for database in paper_databases().values():
@@ -305,41 +218,62 @@ class TestCostBasedFacade:
             **kwargs,
         )
 
-    def test_cost_mode_matches_baseline_and_reports_choice(self):
-        baseline = build_paper_federation().run_sql(PAPER_SQL)
-        pqp = self._processor(optimize="cost")
-        first = pqp.run_sql(PAPER_SQL)
-        assert first.relation == baseline.relation
-        assert isinstance(first.optimization, ShapeChoice)
-        assert first.optimization.chosen in dict(first.optimization.considered)
-        assert first.optimization.report.original_rows >= len(first.iom) - 2
-        # Second run plans under calibrated models; result is unchanged.
-        second = pqp.run_sql(PAPER_SQL)
-        assert second.relation == baseline.relation
-        stats = pqp.federation.stats()
-        assert stats.plans_calibrated == 2
-        assert set(stats.calibrated_models) == {"AD", "PD", "CD"}
-        assert stats.cost_model_error is not None
-
-    def test_choice_renders(self):
-        pqp = self._processor(optimize="cost")
-        run = pqp.run_sql(PAPER_SQL)
-        text = run.optimization.render()
-        assert "cost-based choice" in text
-        assert run.optimization.chosen in text
-
     def test_options_validate_cost_mode(self):
-        assert QueryOptions(optimize="cost").optimize == "cost"
-        with pytest.raises(ValueError):
-            QueryOptions(optimize="fastest")
+        # optimize is the rewrite pipeline on or off; there is no other mode.
+        for mode in ("cost", "fastest"):
+            with pytest.raises(ValueError, match="optimize"):
+                QueryOptions(optimize=mode)
+
+    def test_processor_rejects_cost_mode(self):
+        with pytest.raises(ValueError, match="optimize"):
+            self._processor(optimize="cost")
+
+    def test_session_and_submit_reject_cost_mode(self):
+        pqp = self._processor()
+        try:
+            with pytest.raises(ValueError, match="optimize"):
+                pqp.federation.session(optimize="cost")
+            with pqp.federation.session() as session:
+                with pytest.raises(ValueError, match="optimize"):
+                    session.submit(PAPER_SQL, optimize="cost")
+        finally:
+            pqp.close()
 
     def test_truthy_optimize_still_enables_rewrites(self):
         # The historical facade accepted any truthy optimize; 1 == True
         # passes QueryOptions validation and must keep optimizing.
         pqp = self._processor(optimize=1)
         run = pqp.run_sql(PAPER_SQL)
-        assert run.optimization is not None
-        assert not isinstance(run.optimization, ShapeChoice)
+        assert isinstance(run.optimization, OptimizationReport)
+
+    def test_unoptimized_run_reports_no_optimization(self):
+        optimized = self._processor().run_sql(PAPER_SQL)
+        plain = self._processor(optimize=False).run_sql(PAPER_SQL)
+        assert plain.optimization is None
+        assert plain.relation == optimized.relation
+        assert plain.lineage == optimized.lineage
+
+    def test_observing_a_run_never_simulates_its_schedule(self, monkeypatch):
+        # Calibration fits measured rows; it does not replay the plan
+        # through the scheduler to score itself.
+        import repro.pqp.calibrate as calibrate
+        import repro.pqp.schedule as schedule
+
+        calls = []
+        real = schedule.schedule_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schedule, "schedule_plan", counting)
+        monkeypatch.setattr(calibrate, "schedule_plan", counting, raising=False)
+        pqp = self._processor()
+        for _ in range(5):
+            pqp.run_sql(PAPER_SQL)
+        assert calls == []
+        assert pqp.calibrator.observed_plans == 5
+        assert set(pqp.calibrator.local_costs()) == {"AD", "PD", "CD"}
 
     def test_latency_lqp_parameters_recovered_from_real_traces(self):
         """The integration version of the recovery property: real sleeps,

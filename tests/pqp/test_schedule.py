@@ -1,16 +1,10 @@
-"""Unit tests for the plan scheduling simulator and plan-shape ranking."""
+"""Unit tests for the plan scheduling simulator."""
 
 import pytest
 
 from repro.datasets.paper import build_paper_federation
 from repro.lqp.cost import CostModel
-from repro.pqp.matrix import Operation
-from repro.pqp.schedule import (
-    decompose_merges,
-    rank_plan_shapes,
-    schedule_plan,
-    validate_against_trace,
-)
+from repro.pqp.schedule import schedule_plan, validate_against_trace
 
 from tests.integration.conftest import PAPER_SQL
 
@@ -169,64 +163,3 @@ class TestScheduling:
         assert "critical path:" in text
         assert "speedup" in text
         assert "R(10)" in text
-
-
-class TestPlanShapes:
-    def test_decompose_merges_builds_binary_chain(self, paper_run):
-        schedule = schedule_plan(paper_run.iom, paper_run.trace)
-        finishes = {item.row.result.index: item.finish for item in schedule.rows}
-        chained = decompose_merges(paper_run.iom, finishes)
-        assert chained is not None
-        merges = [row for row in chained if row.op is Operation.MERGE]
-        # The paper's 3-way Merge unrolls into two binary Merges.
-        assert len(merges) == 2
-        assert all(len(row.lhr) == 2 for row in merges)
-        # One extra row overall; every reference still resolves (PlanDAG
-        # validates on construction inside schedule_plan).
-        assert len(chained) == len(paper_run.iom) + 1
-        schedule_plan(chained)
-
-    def test_decomposed_chain_is_result_identical(self, paper_run):
-        pqp = build_paper_federation()
-        schedule = schedule_plan(paper_run.iom, paper_run.trace)
-        finishes = {item.row.result.index: item.finish for item in schedule.rows}
-        chained = decompose_merges(paper_run.iom, finishes)
-        rerun = pqp.run_plan(chained)
-        assert rerun.relation == paper_run.relation
-        assert rerun.lineage == paper_run.lineage
-
-    def test_chain_orders_latest_source_last(self, paper_run):
-        # Make CD by far the slowest source: it must merge last.
-        slow = {"CD": CostModel(per_query=100.0, per_tuple=0.0)}
-        schedule = schedule_plan(paper_run.iom, paper_run.trace, local_costs=slow)
-        finishes = {item.row.result.index: item.finish for item in schedule.rows}
-        chained = decompose_merges(paper_run.iom, finishes)
-        final_merge = [row for row in chained if row.op is Operation.MERGE][-1]
-        by_index = {row.result.index: row for row in chained}
-        last_input = by_index[final_merge.lhr[-1].index]
-        assert last_input.el == "CD"
-
-    def test_no_wide_merge_means_no_decomposition(self, paper_run):
-        narrow = build_paper_federation().run_algebra('PALUMNUS [DEGREE = "MBA"]')
-        assert decompose_merges(narrow.iom, {}) is None
-
-    def test_rank_plan_shapes_orders_by_makespan(self, paper_run):
-        shapes = rank_plan_shapes(
-            [("original", paper_run.iom)],
-            local_costs={"CD": CostModel(per_query=100.0, per_tuple=0.0)},
-        )
-        names = [shape.name for shape in shapes]
-        assert "original" in names and "original+merge-chain" in names
-        makespans = [shape.makespan for shape in shapes]
-        assert makespans == sorted(makespans)
-        # With CD the straggler, the chain merges the fast sources while
-        # CD is still shipping; under the containment output estimate its
-        # final link touches max(fast)+CD tuples — less than the flat
-        # Merge's one pass over all 26 — so the chain strictly wins.
-        assert shapes[0].name == "original+merge-chain"
-        by_name = {shape.name: shape.makespan for shape in shapes}
-        assert by_name["original+merge-chain"] < by_name["original"]
-
-    def test_rank_without_decomposition(self, paper_run):
-        shapes = rank_plan_shapes([("original", paper_run.iom)], decompose=False)
-        assert [shape.name for shape in shapes] == ["original"]

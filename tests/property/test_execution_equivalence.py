@@ -1,16 +1,12 @@
 """Executor-equivalence properties.
 
-The concurrent runtime, the optimizer's semantic rewrites (selection
-pushdown, projection pruning) and the cost-based shape selection must be
-invisible in the answer: for any query, the relation they produce — data,
-headings, *and tags* — equals the serial, unoptimized pipeline's.
-Hypothesis drives randomized polygen queries over the paper's federation
-(whose identity resolver and domain transforms are exactly the hazards
-pushdown must respect) through five differently-configured processors and
-asserts tag-identical results.  The cost-based engine re-plans every query
-under models calibrated from its own preceding queries — so across a run
-its *shapes* drift (flat Merges become availability-ordered chains) while
-its answers must not.
+The concurrent runtime and the optimizer's semantic rewrites (selection
+pushdown, projection pruning) must be invisible in the answer: for any
+query, the relation they produce — data, headings, *and tags* — equals the
+serial, unoptimized pipeline's.  Hypothesis drives randomized polygen
+queries over the paper's federation (whose identity resolver and domain
+transforms are exactly the hazards pushdown must respect) through four
+differently-configured processors and asserts tag-identical results.
 """
 
 import pytest
@@ -141,7 +137,6 @@ def engines():
         "concurrent_optimized": _processor(
             concurrent=True, pushdown=True, prune_projections=True
         ),
-        "cost_optimized": _processor(concurrent=True, optimize="cost"),
     }
 
 
@@ -149,7 +144,6 @@ _VARIANTS = (
     "optimized",
     "concurrent",
     "concurrent_optimized",
-    "cost_optimized",
 )
 
 

@@ -99,14 +99,23 @@ class TestHitsAndMisses:
             )
             assert _memoized(serial)
 
-    def test_cost_mode_is_never_memoized(self):
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_every_optimize_setting_is_memoized(self, optimize):
         with _federation() as federation:
-            options = federation.defaults.replace(optimize="cost")
-            for _ in range(3):
-                result = federation.run(PAPER_SQL, options)
-                assert not _memoized(result)
-                assert "optimize" in _stages(result)
-            assert _lookups(federation, "hit") == _lookups(federation, "miss") == 0
+            options = federation.defaults.replace(optimize=optimize)
+            cold = federation.run(PAPER_SQL, options)
+            warm = federation.run(PAPER_SQL, options)
+            assert not _memoized(cold) and _memoized(warm)
+            assert warm.relation == cold.relation
+            assert (warm.optimization is None) is (not optimize)
+            assert (_lookups(federation, "miss"), _lookups(federation, "hit")) == (1, 1)
+
+    def test_key_separates_optimize_settings(self):
+        with _federation() as federation:
+            on = federation.defaults.replace(optimize=True)
+            off = federation.defaults.replace(optimize=False)
+            keys = {PlanMemo.key(PAPER_SQL, "sql", o, (0,)) for o in (on, off)}
+            assert None not in keys and len(keys) == 2
 
     def test_expression_trees_are_not_memoized(self):
         with _federation() as federation:
