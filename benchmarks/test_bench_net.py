@@ -131,10 +131,6 @@ def test_remote_concurrency_beats_single_connection(record_bench):
             began = time.perf_counter()
             concurrent_run = wide.run_plan(plan)
             concurrent_seconds = time.perf_counter() - began
-
-            # The calibrator has now seen real network+injected latency:
-            # its fitted per-query component must recover the injection.
-            model = wide.calibrator.model_for("XD")
         finally:
             for processor in (narrow, wide):
                 for lqp in processor.registry:
@@ -150,13 +146,16 @@ def test_remote_concurrency_beats_single_connection(record_bench):
         concurrency1_seconds=round(serial_seconds, 4),
         concurrency4_seconds=round(concurrent_seconds, 4),
         remote_concurrency_speedup=round(speedup, 2),
-        calibrated_per_query_ms=round(model.per_query * 1e3, 2),
     )
     # Four delays serialized vs overlapped: ideal ratio FANOUT, gate at 2x.
     assert speedup >= 2.0
-    # The fit sees delay+network per request; it must be dominated by the
-    # injection (network on loopback is sub-millisecond).
-    assert model is not None and model.per_query + model.per_tuple * 25 >= DELAY * 0.8
+    # Each local row's measured time is delay+network for its request; it
+    # must be dominated by the injection (loopback is sub-millisecond).
+    local_rows = [row.result.index for row in concurrent_run.iom if row.is_local]
+    assert all(
+        concurrent_run.trace.timings[index].duration >= DELAY * 0.8
+        for index in local_rows
+    )
 
 
 def test_chunked_streaming_beats_whole_result_first_row(record_bench):

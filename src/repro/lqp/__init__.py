@@ -17,7 +17,6 @@ behaves as a local relational system" (paper, §I).  This package provides:
 from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.lqp.cost import (
     AccountingLQP,
-    CalibratedCostModel,
     CostModel,
     LatencyLQP,
     TransferStats,
@@ -34,7 +33,6 @@ __all__ = [
     "CsvLQP",
     "LQPRegistry",
     "CostModel",
-    "CalibratedCostModel",
     "AccountingLQP",
     "LatencyLQP",
     "TransferStats",

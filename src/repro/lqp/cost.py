@@ -1,8 +1,7 @@
 """Cost models, traffic accounting and latency injection for LQP traffic.
 
 A :class:`CostModel` prices one local query as ``per_query + per_tuple ·
-tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) uses it,
-and :class:`CalibratedCostModel` fits one to observed executions.
+tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) uses it.
 
 LQP decorators subclass :class:`ForwardingLQP`, which writes the
 delegation and the four relation verbs once and hands each shipped
@@ -23,14 +22,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
 from repro.relational.relation import Relation
 
 __all__ = [
     "CostModel",
-    "CalibratedCostModel",
     "TransferStats",
     "ForwardingLQP",
     "AccountingLQP",
@@ -52,120 +50,6 @@ class CostModel:
 
     def cost(self, queries: int, tuples: int) -> float:
         return self.per_query * queries + self.per_tuple * tuples
-
-
-@dataclass(frozen=True)
-class CalibratedCostModel(CostModel):
-    """A :class:`CostModel` fitted to *observed* executions of one LQP.
-
-    The paper's sources are autonomous: the PQP cannot inspect their
-    optimizers or catalogs, so the only honest cost model is one learned
-    from the traffic the federation itself observed.  Each observation is
-    one local query — ``(tuples shipped, measured seconds)`` — and the fit
-    is ordinary least squares of ``duration ≈ per_query + per_tuple·tuples``
-    (units are therefore *seconds*, unlike the static model's abstract
-    milliseconds).  Degenerate sample sets fall back gracefully: a single
-    distinct tuple count cannot separate the two components, so the
-    per-tuple rate collapses to zero and the per-query intercept absorbs
-    the mean; negative components are re-fit with the offending component
-    pinned at zero (a latency cannot be negative).
-
-    ``observations`` and ``residual`` (root-mean-square error of the fit,
-    seconds) let callers judge how much to trust the model.
-    """
-
-    observations: int = 0
-    residual: float = 0.0
-
-    @classmethod
-    def fit(cls, samples: Sequence[Tuple[int, float]]) -> "CalibratedCostModel":
-        """Least-squares fit over ``(tuples, seconds)`` observations."""
-        if not samples:
-            raise ValueError("cannot fit a cost model to zero observations")
-        count = len(samples)
-        mean_t = sum(t for t, _ in samples) / count
-        mean_d = sum(d for _, d in samples) / count
-        var_t = sum((t - mean_t) ** 2 for t, _ in samples)
-        if var_t == 0.0:
-            per_query, per_tuple = max(mean_d, 0.0), 0.0
-        else:
-            cov = sum((t - mean_t) * (d - mean_d) for t, d in samples)
-            per_tuple = cov / var_t
-            per_query = mean_d - per_tuple * mean_t
-            if per_tuple < 0.0:
-                # Slower for *fewer* tuples is noise, not physics.
-                per_query, per_tuple = max(mean_d, 0.0), 0.0
-            elif per_query < 0.0:
-                # Through-origin refit: all latency is per-tuple.
-                denominator = sum(t * t for t, _ in samples)
-                per_query = 0.0
-                per_tuple = (
-                    sum(t * d for t, d in samples) / denominator
-                    if denominator
-                    else 0.0
-                )
-        residual = (
-            sum(
-                (d - (per_query + per_tuple * t)) ** 2 for t, d in samples
-            )
-            / count
-        ) ** 0.5
-        return cls(
-            per_query=per_query,
-            per_tuple=per_tuple,
-            observations=count,
-            residual=residual,
-        )
-
-    @classmethod
-    def from_sums(
-        cls,
-        count: int,
-        sum_t: int,
-        sum_tt: int,
-        sum_d: float,
-        sum_td: float,
-        sum_dd: float,
-    ) -> "CalibratedCostModel":
-        """:meth:`fit` from running sums instead of the samples: O(1).
-
-        ``sum_t``/``sum_tt`` (Σt, Σt²) are exact integers, so the
-        single-distinct-count case (``var_t == 0``) is decided exactly;
-        ``sum_d``/``sum_td``/``sum_dd`` are Σd, Σt·d, Σd².  Same branches
-        as :meth:`fit`, which stays the reference the two are tested
-        against."""
-        if count <= 0:
-            raise ValueError("cannot fit a cost model to zero observations")
-        mean_t = sum_t / count
-        mean_d = sum_d / count
-        # Centered sums: n·Var and n·Cov, not the raw second moments.
-        var_t = (count * sum_tt - sum_t * sum_t) / count
-        var_d = max(sum_dd - sum_d * mean_d, 0.0)
-        cov = sum_td - sum_t * mean_d
-        if var_t == 0:
-            per_query, per_tuple = max(mean_d, 0.0), 0.0
-        else:
-            per_tuple = cov / var_t
-            per_query = mean_d - per_tuple * mean_t
-            if per_tuple < 0.0:
-                per_query, per_tuple = max(mean_d, 0.0), 0.0
-            elif per_query < 0.0:
-                per_query = 0.0
-                per_tuple = sum_td / sum_tt if sum_tt else 0.0
-        # Σ(d − a − b·t)² = Σ(d − d̄)² − 2b·Cov + b²·Var + n·(d̄ − a − b·t̄)²
-        offset = mean_d - per_query - per_tuple * mean_t
-        squares = (
-            var_d
-            - 2.0 * per_tuple * cov
-            + per_tuple * per_tuple * var_t
-            + count * offset * offset
-        )
-        return cls(
-            per_query=per_query,
-            per_tuple=per_tuple,
-            observations=count,
-            residual=(max(squares, 0.0) / count) ** 0.5,
-        )
 
 
 @dataclass

@@ -21,9 +21,8 @@ Construction connects eagerly: the server's hello frame names the
 database (needed by ``registry.register``) and lists its relations, so a
 bad address fails at registration time, not mid-query.  The transport's
 measured latency flows into every :class:`~repro.pqp.executor.RowTiming`
-exactly as local compute does, so the federation's
-:class:`~repro.pqp.calibrate.CostCalibrator` fits *network-inclusive*
-cost models for remote sources without any new wiring.
+exactly as local compute does, so the result cache weighs a remote
+subtree by its *network-inclusive* recompute time without any new wiring.
 """
 
 from __future__ import annotations

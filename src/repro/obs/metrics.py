@@ -19,7 +19,7 @@ use of a label combination.  A family's updates take its own lock —
 per-chunk call sites.
 
 **Collectors** bridge pull-style components (cache, transports, worker
-pool, calibrator) without making them depend on this module: a
+pool) without making them depend on this module: a
 collector is a callable invoked with the registry at scrape time, which
 ``set()``\\ s gauges from the component's own snapshot.  ``render()``
 runs the collectors and emits the Prometheus text exposition format

@@ -32,7 +32,6 @@ in :mod:`repro.service`; the facade is now a single-session federation
 under the hood.
 """
 
-from repro.pqp.calibrate import CostCalibrator
 from repro.pqp.executor import ExecutionTrace, Executor, RowTiming
 from repro.pqp.interpreter import PolygenOperationInterpreter
 from repro.pqp.matrix import (
@@ -69,7 +68,6 @@ __all__ = [
     "PolygenOperationInterpreter",
     "QueryOptimizer",
     "OptimizationReport",
-    "CostCalibrator",
     "Executor",
     "ConcurrentExecutor",
     "ExecutionTrace",

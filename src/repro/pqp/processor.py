@@ -119,12 +119,6 @@ class PolygenQueryProcessor:
         """The private single-session federation this facade fronts."""
         return self._federation
 
-    @property
-    def calibrator(self):
-        """The federation's trace-driven cost calibrator
-        (:class:`~repro.pqp.calibrate.CostCalibrator`)."""
-        return self._federation.calibrator
-
     def close(self) -> None:
         """Release the private federation's worker threads.  Optional —
         the facade itself spawns none, and the concurrent engine's pool

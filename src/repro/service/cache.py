@@ -15,10 +15,10 @@ hit can serve a whole query *or* any subtree of a larger plan (the
 federation splices subtree hits back into the matrix as pre-materialized
 :attr:`~repro.pqp.matrix.Operation.CACHED` rows).
 
-Eviction is **GreedyDual** — LRU blended with calibrated recompute cost.
+Eviction is **GreedyDual** — LRU blended with measured recompute time.
 Each entry's priority is ``clock + cost`` where ``cost`` is the seconds the
-federation's :class:`~repro.pqp.calibrate.CostCalibrator` predicts (or the
-trace measured) recomputing the subtree would take; the clock advances to
+trace measured computing the subtree (its rows' summed
+:class:`~repro.pqp.executor.RowTiming` durations); the clock advances to
 the evicted priority, so cheap entries age out first while an expensive
 straggler-heavy plan outlives many touches of cheaper neighbours.  A hit
 refreshes the entry's priority, giving the LRU half of the blend.

@@ -58,12 +58,10 @@ from repro.core.expression import Expression
 from repro.errors import ExecutionError, QueryCancelledError, ServiceClosedError
 from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
-from repro.lqp.cost import CalibratedCostModel
 from repro.lqp.registry import LQPRegistry
 from repro.obs.events import EventLog, slow_query_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, use_span
-from repro.pqp.calibrate import CostCalibrator
 from repro.pqp.executor import ExecutionTrace, Executor
 from repro.pqp.fingerprint import PlanFingerprints, fingerprint_plan, splice_cached
 from repro.pqp.interpreter import PolygenOperationInterpreter
@@ -117,18 +115,12 @@ class FederationStats:
     lqp_queries: Dict[str, int]
     #: database → tuples shipped to the PQP.
     lqp_tuples_shipped: Dict[str, int]
-    #: database → cost model fitted from this federation's own traces.
-    calibrated_models: Dict[str, CalibratedCostModel] = dataclasses.field(
-        default_factory=dict
-    )
     #: database → transport counters, for every network-backed LQP
     #: (:class:`~repro.net.client.RemoteLQP`) in the registry: requests,
     #: bytes, chunks, retries/timeouts, in-flight high-water mark.
     remote_transports: Dict[str, "TransportStats"] = dataclasses.field(
         default_factory=dict
     )
-    #: Queries whose traces have fed the calibrator so far.
-    plans_calibrated: int = 0
     #: Semantic result cache counters: hits, misses, subtree splices,
     #: evictions, precise invalidations, resident entries and bytes.
     cache: Optional[CacheStats] = None
@@ -164,18 +156,6 @@ class FederationStats:
                 f"{self.lqp_tuples_shipped.get(location, 0)} tuples shipped, "
                 f"{self.pool_occupancy.get(location, 0)} queued"
             )
-        if self.calibrated_models:
-            lines.append(
-                f"cost models: {len(self.calibrated_models)} calibrated over "
-                f"{self.plans_calibrated} plans"
-            )
-            for name in sorted(self.calibrated_models):
-                model = self.calibrated_models[name]
-                lines.append(
-                    f"  {name:>4s}: per_query {model.per_query * 1e3:.2f}ms, "
-                    f"per_tuple {model.per_tuple * 1e6:.2f}us "
-                    f"({model.observations} obs)"
-                )
         if self.remote_transports:
             lines.append(f"remote transports: {len(self.remote_transports)}")
             for name in sorted(self.remote_transports):
@@ -230,9 +210,6 @@ class PolygenFederation:
         self.max_concurrent_queries = max_concurrent_queries
 
         self._analyzer = SyntaxAnalyzer()
-        #: Learns per-LQP cost models from every completed query's trace;
-        #: the result cache weighs its entries' recompute cost with them.
-        self.calibrator = CostCalibrator()
         #: The semantic result cache (queries opt in via
         #: ``QueryOptions.cache``).  Subscribed to the registry's refresh
         #: notifications, so any ``notify_refresh(D)`` — a write hook, a
@@ -730,9 +707,6 @@ class PolygenFederation:
                 stream_chunk_size=options.stream_chunk_size,
             )
             exec_span.set(rows=len(iom), tuples=len(trace.relation))
-        # Feed the completed trace to the calibrator, whose models weigh
-        # the cache's recompute costs (_recompute_costs).
-        self.calibrator.observe(iom, trace)
         if options.cache != "off":
             with self.tracer.span("cache.store"):
                 self._store_results(iom, trace, fingerprints, cache_epoch)
@@ -777,15 +751,15 @@ class PolygenFederation:
         shipped/consulted databases — the superset matters, because a
         result whose rows from ``D`` were all filtered out still *depends*
         on ``D`` and must be evicted when ``D`` changes.  Entries are
-        weighted by recompute cost — the measured trace duration or the
-        calibrated estimate, whichever is larger — summed over the subtree,
-        so GreedyDual eviction keeps what is expensive to rebuild.
+        weighted by recompute cost — the summed measured durations
+        (:class:`~repro.pqp.executor.RowTiming`) of the subtree's rows — so
+        GreedyDual eviction keeps what is expensive to rebuild.
         ``as_of`` guards against the stale-fill race (see
         :meth:`ResultCache.put`); entries whose sources include an engine
         that cannot signal its writes additionally carry a TTL
         (:meth:`_staleness_bound`).
         """
-        costs = self._recompute_costs(iom, trace)
+        timings = trace.timings
         for row in iom:
             if row.op is Operation.CACHED:
                 continue
@@ -797,7 +771,9 @@ class PolygenFederation:
             sources = set(fingerprints.sources[index])
             sources.update(relation.contributing_sources())
             cost = sum(
-                costs.get(member, 0.0) for member in fingerprints.subtrees[index]
+                timings[member].duration
+                for member in fingerprints.subtrees[index]
+                if member in timings
             )
             self.cache.put(
                 fingerprints.by_index[index],
@@ -832,31 +808,6 @@ class PolygenFederation:
             if bound is None or self.source_max_age < bound:
                 bound = self.source_max_age
         return bound
-
-    def _recompute_costs(
-        self, iom: IntermediateOperationMatrix, trace: ExecutionTrace
-    ) -> Dict[int, float]:
-        """Per-row recompute-cost estimates in seconds (cache weighting)."""
-        rate = self.calibrator.pqp_cost_per_tuple() or 0.0
-        costs: Dict[int, float] = {}
-        for row in iom:
-            index = row.result.index
-            timing = trace.timings.get(index)
-            measured = timing.duration if timing is not None else 0.0
-            estimated = 0.0
-            if row.is_local:
-                model = self.calibrator.model_for(row.el)
-                relation = trace.results.get(index)
-                if model is not None and relation is not None:
-                    estimated = model.cost(1, relation.cardinality)
-            else:
-                estimated = rate * sum(
-                    trace.results[ref.index].cardinality
-                    for ref in row.referenced_results()
-                    if ref.index in trace.results
-                )
-            costs[index] = max(measured, estimated)
-        return costs
 
     def _settle(self, future) -> None:
         """Done-callback classifying every query's outcome (including ones
@@ -959,7 +910,7 @@ class PolygenFederation:
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
         """Scrape-time collector: gauges mirroring the pull-style
-        components (pool, cache, LQP accounting, transports, calibrator)
+        components (pool, cache, LQP accounting, transports)
         so one ``render()`` shows the whole federation without those
         components ever importing :mod:`repro.obs`."""
         registry.gauge(
@@ -1024,9 +975,6 @@ class PolygenFederation:
                     f"polygen_transport_{field}",
                     f"Remote transport {field.replace('_', ' ')} per database.",
                 ).set(getattr(stats, field), database=name)
-        registry.gauge(
-            "polygen_plans_calibrated", "Traces that have fed the calibrator."
-        ).set(self.calibrator.observed_plans)
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition of every federation metric
@@ -1072,8 +1020,6 @@ class PolygenFederation:
         """
         lqp_stats = self.registry.stats()
         remote_transports = self._remote_transport_stats()
-        calibrated = self.calibrator.local_costs()
-        plans_calibrated = self.calibrator.observed_plans
         with self._lock:
             return FederationStats(
                 queries_submitted=int(self._m_submitted.total()),
@@ -1090,8 +1036,6 @@ class PolygenFederation:
                 lqp_tuples_shipped={
                     name: s.tuples_shipped for name, s in lqp_stats.items()
                 },
-                calibrated_models=calibrated,
-                plans_calibrated=plans_calibrated,
                 remote_transports=remote_transports,
                 cache=self.cache.stats(),
             )

@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.datasets.paper import build_paper_federation, paper_polygen_schema
+from repro.datasets.paper import (
+    build_paper_federation,
+    paper_databases,
+    paper_identity_resolver,
+    paper_polygen_schema,
+)
+from repro.lqp.registry import LQPRegistry
+from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.explain import explain_cell, explain_result, explain_tuple, source_summary
+from repro.pqp.optimizer import OptimizationReport
+from repro.pqp.processor import PolygenQueryProcessor
+from repro.service.options import QueryOptions
 
 from tests.integration.conftest import PAPER_SQL
 
@@ -37,11 +47,6 @@ class TestFacade:
         assert [r.cells(False) for r in pom] == [r.cells(False) for r in pom2]
 
     def test_optimize_disabled(self):
-        from repro.datasets.paper import paper_databases, paper_identity_resolver
-        from repro.lqp.registry import LQPRegistry
-        from repro.lqp.relational_lqp import RelationalLQP
-        from repro.pqp.processor import PolygenQueryProcessor
-
         registry = LQPRegistry()
         for database in paper_databases().values():
             registry.register(RelationalLQP(database))
@@ -65,6 +70,72 @@ class TestFacade:
         by_name = {row.data[0]: row.data[1] for row in result.relation}
         assert by_name["Citicorp"] == pytest.approx(1.7e9)
         assert by_name["AT&T"] == pytest.approx(-1.7e9)
+
+
+class TestFacadeOptions:
+    def _processor(self, **kwargs):
+        registry = LQPRegistry()
+        for database in paper_databases().values():
+            registry.register(RelationalLQP(database))
+        return PolygenQueryProcessor(
+            schema=paper_polygen_schema(),
+            registry=registry,
+            resolver=paper_identity_resolver(),
+            **kwargs,
+        )
+
+    def test_options_validate_cost_mode(self):
+        # optimize is the rewrite pipeline on or off; there is no other mode.
+        for mode in ("cost", "fastest"):
+            with pytest.raises(ValueError, match="optimize"):
+                QueryOptions(optimize=mode)
+
+    def test_processor_rejects_cost_mode(self):
+        with pytest.raises(ValueError, match="optimize"):
+            self._processor(optimize="cost")
+
+    def test_session_and_submit_reject_cost_mode(self):
+        pqp = self._processor()
+        try:
+            with pytest.raises(ValueError, match="optimize"):
+                pqp.federation.session(optimize="cost")
+            with pqp.federation.session() as session:
+                with pytest.raises(ValueError, match="optimize"):
+                    session.submit(PAPER_SQL, optimize="cost")
+        finally:
+            pqp.close()
+
+    def test_truthy_optimize_still_enables_rewrites(self):
+        # The historical facade accepted any truthy optimize; 1 == True
+        # passes QueryOptions validation and must keep optimizing.
+        pqp = self._processor(optimize=1)
+        run = pqp.run_sql(PAPER_SQL)
+        assert isinstance(run.optimization, OptimizationReport)
+
+    def test_unoptimized_run_reports_no_optimization(self):
+        optimized = self._processor().run_sql(PAPER_SQL)
+        plain = self._processor(optimize=False).run_sql(PAPER_SQL)
+        assert plain.optimization is None
+        assert plain.relation == optimized.relation
+        assert plain.lineage == optimized.lineage
+
+    def test_observing_a_run_never_simulates_its_schedule(self, monkeypatch):
+        # A run records its measured rows; it does not replay the plan
+        # through the scheduler to score itself.
+        import repro.pqp.schedule as schedule
+
+        calls = []
+        real = schedule.schedule_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(schedule, "schedule_plan", counting)
+        pqp = self._processor()
+        for _ in range(5):
+            pqp.run_sql(PAPER_SQL)
+        assert calls == []
 
 
 class TestExplain:

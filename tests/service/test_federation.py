@@ -177,7 +177,7 @@ class TestSubmission:
                 handle.result(timeout=30)
             assert isinstance(handle.exception(), TranslationError)
 
-    def test_sessions_feed_the_calibrator(self, reference):
+    def test_concurrent_and_serial_sessions_agree(self, reference):
         with _federation() as federation:
             with federation.session() as session:
                 first = session.execute(PAPER_SQL)
@@ -186,9 +186,7 @@ class TestSubmission:
         for result in (first, second):
             assert result.relation == reference.relation
             assert result.lineage == reference.lineage
-        assert stats.plans_calibrated == 2
-        assert set(stats.calibrated_models) == {"AD", "PD", "CD"}
-        assert "3 calibrated over 2 plans" in stats.render()
+        assert stats.queries_completed == 2
 
 
 class TestStreamingCursor:
