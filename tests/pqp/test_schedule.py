@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.datasets.paper import build_paper_federation
-from repro.lqp.cost import CostModel
+from repro.datasets.paper import (
+    build_paper_federation,
+    paper_databases,
+    paper_identity_resolver,
+    paper_polygen_schema,
+)
+from repro.lqp.cost import CostModel, LatencyLQP
+from repro.lqp.registry import LQPRegistry
+from repro.lqp.relational_lqp import RelationalLQP
+from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.schedule import schedule_plan, validate_against_trace
 
 from tests.integration.conftest import PAPER_SQL
@@ -163,3 +171,27 @@ class TestScheduling:
         assert "critical path:" in text
         assert "speedup" in text
         assert "R(10)" in text
+
+
+def test_injected_latency_lower_bounds_the_measured_rows():
+    """A LatencyLQP's delays are real: every row it serves measures at
+    least what its :meth:`~LatencyLQP.cost_model` charges for the tuples
+    shipped — the measured record the result cache weighs entries by."""
+    databases = paper_databases()
+    slow = LatencyLQP(RelationalLQP(databases.pop("AD")), per_query=0.01, per_tuple=0.001)
+    registry = LQPRegistry()
+    registry.register(slow)
+    for database in databases.values():
+        registry.register(RelationalLQP(database))
+    assert slow.cost_model() == CostModel(per_query=0.01, per_tuple=0.001)
+    run = PolygenQueryProcessor(
+        schema=paper_polygen_schema(),
+        registry=registry,
+        resolver=paper_identity_resolver(),
+    ).run_sql(PAPER_SQL)
+    served = [row for row in run.iom if row.el == "AD"]
+    assert served
+    for row in served:
+        index = row.result.index
+        charged = slow.cost_model().cost(1, run.trace.results[index].cardinality)
+        assert run.trace.timings[index].duration >= charged
