@@ -1,12 +1,10 @@
 """Runtime benchmark: measured concurrency and pushdown effect.
 
-Where :mod:`benchmarks.test_bench_scheduling` *simulates* the makespan a
-parallel federation could achieve, this bench *measures* it: four
-autonomous databases are wrapped in :class:`~repro.lqp.cost.LatencyLQP`
-(a real per-query delay, the wall-clock realization of the scheduling
-cost model) and the same merge plan runs through the serial executor and
-the DAG-driven concurrent runtime.  The simulated schedule is then
-validated against the measured trace.
+Four autonomous databases are wrapped in
+:class:`~repro.lqp.cost.LatencyLQP` (a real per-query delay) and the same
+merge plan runs through the serial executor and the DAG-driven concurrent
+runtime.  The overlap is read straight off the concurrent run's measured
+trace: its makespan against its summed busy time.
 
 The pushdown bench executes the paper's Table-3 plan in its naive form —
 ``Retrieve ALUMNUS`` shipped whole, selection applied at the PQP, which is
@@ -28,7 +26,7 @@ from repro.datasets.paper import (
     paper_identity_resolver,
     paper_polygen_schema,
 )
-from repro.lqp.cost import CostModel, LatencyLQP
+from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.matrix import (
@@ -39,7 +37,6 @@ from repro.pqp.matrix import (
     ResultOperand,
 )
 from repro.pqp.processor import PolygenQueryProcessor
-from repro.pqp.schedule import schedule_plan, validate_against_trace
 
 #: Injected per-query latency (seconds) and federation width.
 DELAY = 0.05
@@ -95,40 +92,26 @@ def test_concurrent_runtime_beats_serial_wall_clock(record_bench):
     assert speedup >= 2.0
 
 
-def test_simulated_schedule_matches_measured_trace(record_bench):
-    """The scheduling model, fed the LatencyLQP delays as its cost model,
-    predicts the measured concurrent makespan to the right order."""
+def test_concurrent_trace_shows_overlap(record_bench):
+    """The concurrent run's trace: one retrieve per database, overlapped,
+    so the makespan is about one DELAY and busy time is several."""
     federation = _federation()
     pqp = _latency_processor(federation, concurrent=True)
-    run = pqp.run_algebra(MERGE_QUERY)
-
-    costs = {
-        name: CostModel(per_query=DELAY, per_tuple=0.0)
-        for name in federation.database_names()
-    }
-    schedule = schedule_plan(
-        run.iom,
-        run.trace,
-        local_costs=costs,
-        pqp_cost_per_tuple=0.0,
-        registry=pqp.registry,
-    )
-    validation = validate_against_trace(schedule, run.trace)
+    trace = pqp.run_algebra(MERGE_QUERY).trace
+    overlap = trace.busy_time / trace.wall_clock
+    # Record key kept so the gated ``measured_overlap`` keeps its history.
     record_bench(
         "simulated_vs_measured",
-        simulated_makespan_s=round(validation.simulated_makespan, 4),
-        measured_makespan_s=round(validation.measured_makespan, 4),
-        simulated_speedup=round(validation.simulated_speedup, 2),
-        measured_overlap=round(validation.measured_speedup, 2),
+        measured_makespan_s=round(trace.wall_clock, 4),
+        measured_overlap=round(overlap, 2),
     )
-    # The sleeps floor the measured makespan at the simulated one; thread
-    # and merge overhead should not blow it past a small multiple.  The
-    # envelopes are generous because CI runners schedule threads lazily
-    # under load — this guards the model's order of magnitude, not ±10%.
-    assert validation.measured_makespan >= validation.simulated_makespan * 0.9
-    assert validation.measured_makespan <= validation.simulated_makespan * 5 + 0.25
+    # The sleeps floor the makespan at one DELAY; thread and merge
+    # overhead should not blow it past a small multiple.  The envelope is
+    # generous because CI runners schedule threads lazily under load.
+    assert trace.wall_clock >= DELAY * 0.9
+    assert trace.wall_clock <= DELAY * 5 + 0.25
     # Real overlap happened: the runtime did more work than wall-clock time.
-    assert validation.measured_speedup > 1.2
+    assert overlap > 1.2
 
 
 def _naive_table3_plan() -> IntermediateOperationMatrix:

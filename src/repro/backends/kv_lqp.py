@@ -207,9 +207,6 @@ class KVStoreLQP(LocalQueryProcessor):
             return None
         return [table.rows[(value,)] for value in keys[start:stop]]
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return len(self._table(relation_name).rows)
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         table = self._table(relation_name)
         cached = self._stats.get(relation_name)

@@ -326,9 +326,6 @@ class LogStoreLQP(LocalQueryProcessor):
     ) -> Relation:
         return algebra.select(self._relation(relation_name), attribute, theta, value)
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return self._relation(relation_name).cardinality
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         relation = self._relation(relation_name)
         cached = self._stats.get(relation_name)

@@ -487,14 +487,6 @@ class SqliteLQP(LocalQueryProcessor):
         ).fetchone()
         return (self._mutations, data_version)
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        with self._lock:
-            self._schema_record(relation_name)
-            (count,) = self._connection.execute(
-                f"SELECT COUNT(*) FROM {quote_identifier(relation_name)}"
-            ).fetchone()
-        return count
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         """Catalog summary computed by SQL aggregates — no tuples shipped.
 

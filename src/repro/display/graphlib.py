@@ -2,8 +2,8 @@
 
 Just enough of the classic ``DiGraph``/``Graph`` surface for the plan and
 source views — node/edge attribute dicts, adjacency queries, acyclicity —
-with no third-party dependency.  The PQP's own scheduling and runtime use
-the purpose-built :class:`~repro.pqp.plandag.PlanDAG`; these classes serve
+with no third-party dependency.  The PQP's own runtime uses the
+purpose-built :class:`~repro.pqp.plandag.PlanDAG`; these classes serve
 rendering, where nodes are heterogeneous (attributes, databases) and edges
 carry display attributes.
 """

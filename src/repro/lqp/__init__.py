@@ -8,8 +8,8 @@ behaves as a local relational system" (paper, §I).  This package provides:
 - an LQP over the in-memory relational engine (:mod:`repro.lqp.relational_lqp`),
 - an LQP over CSV documents (:mod:`repro.lqp.csv_lqp`) demonstrating the
   encapsulation of a non-relational access interface,
-- cost models and the LQP wrappers — traffic accounting, injected latency
-  — over one forwarding base (:mod:`repro.lqp.cost`),
+- the LQP wrappers — traffic accounting, injected latency — over one
+  forwarding base (:mod:`repro.lqp.cost`),
 - the registry the PQP routes local operations through (:mod:`repro.lqp.registry`),
 - tagging/materialization of retrieved data (:mod:`repro.lqp.tagging`).
 """
@@ -17,7 +17,6 @@ behaves as a local relational system" (paper, §I).  This package provides:
 from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.lqp.cost import (
     AccountingLQP,
-    CostModel,
     LatencyLQP,
     TransferStats,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "RelationalLQP",
     "CsvLQP",
     "LQPRegistry",
-    "CostModel",
     "AccountingLQP",
     "LatencyLQP",
     "TransferStats",

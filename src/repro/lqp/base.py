@@ -16,8 +16,8 @@ Two optional verbs split one hot scan into disjoint partial operations
 (:mod:`repro.pqp.shard`): **retrieve_range** / **select_range** restrict a
 Retrieve (or a Select) to a half-open key interval ``[lower, upper)``.
 The defaults here filter a full Retrieve/Select; engines with real indexes
-override them.  **relation_stats** and **cardinality_estimate** are catalog
-metadata the planners read without shipping data.
+override them.  **relation_stats** is catalog metadata the shard planner
+reads without shipping data.
 
 Everything else an engine can or cannot do is stated once, in its
 :class:`Capabilities` (:meth:`LocalQueryProcessor.capabilities`); the
@@ -281,22 +281,13 @@ class LocalQueryProcessor(abc.ABC):
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
         """Execute ``relation[attribute θ value]`` locally and ship the result."""
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        """How many tuples ``relation_name`` holds, if cheaply known.
-
-        Catalog metadata for the scheduling simulator — answering must not
-        ship any data.  ``None`` (the default) means this engine cannot say;
-        the simulator falls back to its guess.
-        """
-        return None
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         """Catalog summary for the shard planner, if cheaply known.
 
-        Like :meth:`cardinality_estimate` this is metadata, not data: the
-        answer must not ship tuples to the PQP.  ``None`` (the default)
-        means this engine keeps no such summary — the shard planner then
-        leaves the relation's Retrieve unsplit.
+        This is metadata, not data: the answer must not ship tuples to the
+        PQP.  ``None`` (the default) means this engine keeps no such
+        summary — the shard planner then leaves the relation's Retrieve
+        unsplit.
         """
         return None
 

@@ -1,7 +1,4 @@
-"""Cost models, traffic accounting and latency injection for LQP traffic.
-
-A :class:`CostModel` prices one local query as ``per_query + per_tuple ·
-tuples``; the scheduling simulator (:mod:`repro.pqp.schedule`) uses it.
+"""Traffic accounting and latency injection for LQP traffic.
 
 LQP decorators subclass :class:`ForwardingLQP`, which writes the
 delegation and the four relation verbs once and hands each shipped
@@ -28,28 +25,11 @@ from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
 from repro.relational.relation import Relation
 
 __all__ = [
-    "CostModel",
     "TransferStats",
     "ForwardingLQP",
     "AccountingLQP",
     "LatencyLQP",
 ]
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """A linear cost model for PQP↔LQP traffic.
-
-    ``per_query`` models round-trip/setup latency of one local query;
-    ``per_tuple`` models marshalling + transfer of one result tuple.
-    Units are arbitrary (call them milliseconds).
-    """
-
-    per_query: float = 1.0
-    per_tuple: float = 0.01
-
-    def cost(self, queries: int, tuples: int) -> float:
-        return self.per_query * queries + self.per_tuple * tuples
 
 
 @dataclass
@@ -191,11 +171,8 @@ class ForwardingLQP(LocalQueryProcessor):
     def relation_names(self) -> Tuple[str, ...]:
         return self._inner.relation_names()
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return self._inner.cardinality_estimate(relation_name)
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
-        # Catalog metadata, like cardinality_estimate: never traffic.
+        # Catalog metadata: never traffic.
         return self._inner.relation_stats(relation_name)
 
     def _shipped(self, kind: str, result: Relation) -> Relation:
@@ -252,10 +229,10 @@ class LatencyLQP(ForwardingLQP):
     """Wraps an LQP, sleeping a configurable delay on every request.
 
     ``per_query`` seconds model round-trip/setup latency; ``per_tuple``
-    seconds model marshalling + transfer of each shipped tuple — the
-    wall-clock realization of :class:`CostModel`.  Catalog lookups stay
-    free, as metadata would be, and whole verbs are delayed: there are no
-    chunk-stream verbs.
+    seconds model marshalling + transfer of each shipped tuple, so a
+    request costs ``per_query + per_tuple · tuples`` seconds of real wall
+    clock.  Catalog lookups stay free, as metadata would be, and whole
+    verbs are delayed: there are no chunk-stream verbs.
     """
 
     def __init__(
@@ -264,11 +241,6 @@ class LatencyLQP(ForwardingLQP):
         super().__init__(inner)
         self.per_query = per_query
         self.per_tuple = per_tuple
-
-    def cost_model(self) -> CostModel:
-        """The injected delays as a :class:`CostModel` (units: seconds), so
-        a simulated schedule can be compared against measured wall clock."""
-        return CostModel(per_query=self.per_query, per_tuple=self.per_tuple)
 
     def _shipped(self, kind: str, result: Relation) -> Relation:
         pause = self.per_query + self.per_tuple * result.cardinality

@@ -104,9 +104,6 @@ class CsvLQP(LocalQueryProcessor):
             row for row in relation if theta.evaluate(row[position], value)
         )
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return self.retrieve(relation_name).cardinality
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         stats = self._stats.get(relation_name)
         if stats is None:

@@ -45,9 +45,6 @@ class RelationalLQP(LocalQueryProcessor):
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
         return self._database.select(relation_name, attribute, theta, value)
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        return self._database.relation(relation_name).cardinality
-
     def relation_stats(self, relation_name: str) -> RelationStats | None:
         relation = self._database.relation(relation_name)
         cached = self._stats.get(relation_name)

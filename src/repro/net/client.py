@@ -2,9 +2,9 @@
 
 The drop-in client of the wire protocol: a :class:`RemoteLQP` implements
 the exact :class:`~repro.lqp.base.LocalQueryProcessor` contract —
-``retrieve`` / ``select`` / ``relation_names`` / ``cardinality_estimate``
-— against an :class:`~repro.net.server.LQPServer`, so the registry, the
-executors, the optimizer and the scheduling simulator all treat a remote
+``retrieve`` / ``select`` / ``relation_names`` / ``relation_stats`` —
+against an :class:`~repro.net.server.LQPServer`, so the registry, the
+executors, the optimizer and the shard planner all treat a remote
 database exactly like an in-process one.  Results are tag-identical by
 construction: the wire carries the same *untagged* local rows an
 in-process LQP returns, and tagging still happens at the PQP boundary
@@ -245,14 +245,12 @@ class RemoteLQP(LocalQueryProcessor):
         )
         self._name: str = hello["database"]
         self._relations: Tuple[str, ...] = tuple(hello.get("relations", ()))
-        #: relation → cardinality served by the remote catalog op.  The
-        #: reproduction's sources are static, so first answer wins; a
-        #: drifting source would want a TTL here.
-        self._cardinalities: Dict[str, Optional[int]] = {}
-        self._cardinality_lock = threading.Lock()
-        #: relation → stats summary, cached like cardinalities (static
-        #: sources; first answer wins) so the shard pass costs at most one
-        #: round trip per relation per process.
+        #: Guards the stats and capabilities caches below.
+        self._catalog_lock = threading.Lock()
+        #: relation → stats summary.  The reproduction's sources are
+        #: static, so first answer wins (a drifting source would want a TTL
+        #: here) and the shard pass costs at most one round trip per
+        #: relation per process.
         self._stats: Dict[str, Optional[RelationStats]] = {}
         #: The server-side engine's capability descriptor, fetched once —
         #: capabilities are fixed for an engine's lifetime, unlike stats.
@@ -275,22 +273,13 @@ class RemoteLQP(LocalQueryProcessor):
     def relation_names(self) -> Tuple[str, ...]:
         return self._relations
 
-    def cardinality_estimate(self, relation_name: str) -> int | None:
-        with self._cardinality_lock:
-            if relation_name in self._cardinalities:
-                return self._cardinalities[relation_name]
-        value = self._mux.request("cardinality", relation=relation_name)["value"]
-        with self._cardinality_lock:
-            self._cardinalities[relation_name] = value
-        return value
-
     def relation_stats(self, relation_name: str) -> Optional[RelationStats]:
-        with self._cardinality_lock:
+        with self._catalog_lock:
             if relation_name in self._stats:
                 return self._stats[relation_name]
         payload = self._mux.request("relation_stats", relation=relation_name)["value"]
         stats = protocol.stats_from_payload(payload)
-        with self._cardinality_lock:
+        with self._catalog_lock:
             self._stats[relation_name] = stats
         return stats
 
@@ -305,7 +294,7 @@ class RemoteLQP(LocalQueryProcessor):
         — "native" here means "on the far side of the wire" (see the
         server's ``capabilities`` op).
         """
-        with self._cardinality_lock:
+        with self._catalog_lock:
             if self._capabilities is not None:
                 return self._capabilities
         try:
@@ -316,17 +305,10 @@ class RemoteLQP(LocalQueryProcessor):
         capabilities = replace(
             capabilities, native_select=True, native_projection=True
         )
-        with self._cardinality_lock:
+        with self._catalog_lock:
             if self._capabilities is None:
                 self._capabilities = capabilities
             return self._capabilities
-
-    def catalog(self) -> Dict[str, Optional[int]]:
-        """relation → remote cardinality estimate, in one round trip."""
-        catalog = self._mux.request("catalog")["value"]
-        with self._cardinality_lock:
-            self._cardinalities.update(catalog)
-        return catalog
 
     def fetch_schema(self) -> PolygenSchema:
         """The polygen schema the server was configured to publish —

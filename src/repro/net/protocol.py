@@ -31,9 +31,8 @@ client→server requests)::
                                      "include_nil": false}
       any relation request may add {"format": "binary",
                                     "binary_version": 3, "chunk_size": 64}
-      {"id": 10, "op": "relation_names" | "cardinality" | "relation_stats"
-                                     | "capabilities" | "catalog"
-                                     | "schema" | "ping"}
+      {"id": 10, "op": "relation_names" | "relation_stats"
+                                     | "capabilities" | "schema" | "ping"}
       {"op": "cancel", "target": 7}            # no id: fire-and-forget
 
 Any request may carry ``"trace": {"id": <trace-id>, "span": <span-id>}``
@@ -429,21 +428,34 @@ def stats_payload(stats: RelationStats | None) -> Dict[str, Any] | None:
     }
 
 
+def _count_field(value: Any, what: str, payload: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProtocolError(f"malformed relation_stats payload ({what}): {payload!r}")
+    return value
+
+
 def stats_from_payload(payload: Dict[str, Any] | None) -> RelationStats | None:
-    """Inverse of :func:`stats_payload`."""
+    """Inverse of :func:`stats_payload`.  The payload comes from a peer,
+    so any malformed shape raises :class:`~repro.errors.ProtocolError`."""
     if payload is None:
         return None
     if not isinstance(payload, dict) or "cardinality" not in payload:
         raise ProtocolError(f"malformed relation_stats payload: {payload!r}")
+    cardinality = _count_field(payload["cardinality"], "cardinality", payload)
+    columns = payload.get("columns", {})
+    if not isinstance(columns, dict) or not all(
+        isinstance(column, dict) for column in columns.values()
+    ):
+        raise ProtocolError(f"malformed relation_stats payload (columns): {payload!r}")
     return RelationStats(
-        cardinality=int(payload["cardinality"]),
+        cardinality=cardinality,
         columns={
             str(name): ColumnStats(
-                minimum=column.get("min"),
-                maximum=column.get("max"),
-                nils=int(column.get("nils", 0)),
+                minimum=wire_value(column.get("min")),
+                maximum=wire_value(column.get("max")),
+                nils=_count_field(column.get("nils", 0), "nils", payload),
             )
-            for name, column in dict(payload.get("columns", {})).items()
+            for name, column in columns.items()
         },
     )
 

@@ -506,11 +506,6 @@ class LQPServer:
     def _scalar_result(self, op: str, message: Dict[str, Any]) -> Any:
         if op == "relation_names":
             return list(self._lqp.relation_names())
-        if op == "cardinality":
-            relation_name = message.get("relation")
-            if not isinstance(relation_name, str):
-                raise ProtocolError("cardinality request lacks a relation name")
-            return self._lqp.cardinality_estimate(relation_name)
         if op == "relation_stats":
             relation_name = message.get("relation")
             if not isinstance(relation_name, str):
@@ -527,11 +522,6 @@ class LQPServer:
             return protocol.capabilities_payload(
                 replace(inner, native_select=True, native_projection=True)
             )
-        if op == "catalog":
-            return {
-                name: self._lqp.cardinality_estimate(name)
-                for name in self._lqp.relation_names()
-            }
         if op == "schema":
             if self._schema is None:
                 raise ProtocolError(

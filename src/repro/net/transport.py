@@ -1,13 +1,12 @@
 """``ConnectionMux``: N in-flight requests over one LQP connection.
 
-The paper (and the scheduling model it implies) assumes **one connection
-per local database**.  This module keeps that wire-level assumption while
-lifting the *one request at a time* limitation above it: a
-:class:`ConnectionMux` owns a single TCP connection to an
-:class:`~repro.net.server.LQPServer`, driven by a private asyncio event
-loop on a background thread, and multiplexes up to ``concurrency``
-concurrent requests over it — frames interleave on the socket, responses
-are routed back to their callers by request id.
+The paper assumes **one connection per local database**.  This module
+keeps that wire-level assumption while lifting the *one request at a
+time* limitation above it: a :class:`ConnectionMux` owns a single TCP
+connection to an :class:`~repro.net.server.LQPServer`, driven by a
+private asyncio event loop on a background thread, and multiplexes up to
+``concurrency`` concurrent requests over it — frames interleave on the
+socket, responses are routed back to their callers by request id.
 
 The callers are ordinary *threads* (the worker pool's per-database
 workers), so the public API is blocking: :meth:`request` submits a

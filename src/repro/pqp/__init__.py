@@ -18,10 +18,10 @@ The paper's query-translation pipeline (§III, Figure 2):
    rows to per-database worker threads as their inputs become ready.
 
 The shared dependency structure lives in
-:class:`~repro.pqp.plandag.PlanDAG`; the scheduling simulator
-(:mod:`repro.pqp.schedule`) predicts a plan's makespan over the same DAG
-the runtime actually drives, and measured per-row timings flow back via
-:class:`~repro.pqp.executor.ExecutionTrace` to validate the model.
+:class:`~repro.pqp.plandag.PlanDAG`, which the runtime drives; measured
+per-row timings come back in the
+:class:`~repro.pqp.executor.ExecutionTrace`, the one record of how a plan
+ran.
 
 :class:`~repro.pqp.processor.PolygenQueryProcessor` is the blocking,
 single-user facade over the whole pipeline; its ``concurrent`` flag
@@ -48,12 +48,6 @@ from repro.pqp.plandag import PlanDAG
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.result import QueryResult
 from repro.pqp.runtime import ConcurrentExecutor
-from repro.pqp.schedule import (
-    PlanSchedule,
-    ScheduleValidation,
-    schedule_plan,
-    validate_against_trace,
-)
 from repro.pqp.syntax_analyzer import SyntaxAnalyzer
 
 __all__ = [
@@ -75,8 +69,4 @@ __all__ = [
     "PlanDAG",
     "PolygenQueryProcessor",
     "QueryResult",
-    "PlanSchedule",
-    "ScheduleValidation",
-    "schedule_plan",
-    "validate_against_trace",
 ]

@@ -71,8 +71,9 @@ class RowTiming:
     """Measured wall-clock interval of one plan row.
 
     ``start``/``finish`` are seconds relative to the moment the executor
-    began the plan, so timings of one trace are directly comparable and the
-    scheduling simulator can validate its model against them.
+    began the plan, so timings of one trace are directly comparable: the
+    trace's wall clock, busy time and per-location busy time all derive
+    from them.
     """
 
     start: float

@@ -1,12 +1,10 @@
 """The plan DAG: dependency structure of an Intermediate Operation Matrix.
 
-Every consumer of a plan's *shape* — the cost simulator
-(:mod:`repro.pqp.schedule`), the concurrent runtime
-(:mod:`repro.pqp.runtime`), the plan-graph renderer — needs the same three
-things: which rows feed which, a dependency-respecting evaluation order,
-and the longest cost-weighted chain that bounds any parallel execution.
-This module provides them in-house (Kahn's algorithm and a longest-path
-sweep), with no third-party graph dependency.
+Every consumer of a plan's *shape* — the concurrent runtime
+(:mod:`repro.pqp.runtime`), the plan-graph renderer — needs the same two
+things: which rows feed which, and a dependency-respecting evaluation
+order.  This module provides them in-house (Kahn's algorithm), with no
+third-party graph dependency.
 
 Nodes are the plan's ``R(#)`` indices; an edge ``j → i`` means row ``i``
 consumes ``R(j)``.  Construction validates the plan: every reference must
@@ -15,7 +13,7 @@ name a row of the matrix and the dependency graph must be acyclic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ExecutionError
 from repro.pqp.matrix import IntermediateOperationMatrix, MatrixRow
@@ -116,35 +114,3 @@ class PlanDAG:
     def topological_order(self) -> Tuple[int, ...]:
         """A dependency-respecting evaluation order (computed once)."""
         return self._order
-
-    # -- critical path ------------------------------------------------------------
-
-    def critical_path(
-        self, costs: Mapping[int, float]
-    ) -> Tuple[float, Tuple[int, ...]]:
-        """The longest cost-weighted dependency chain.
-
-        Returns ``(length, path)`` where ``length`` is the summed node cost
-        along the heaviest root→sink chain — the lower bound on any
-        schedule's makespan under unlimited parallelism.
-        """
-        longest: Dict[int, float] = {}
-        best_pred: Dict[int, int | None] = {}
-        for index in self._order:
-            best, pred = 0.0, None
-            for predecessor in self._preds[index]:
-                if longest[predecessor] >= best:
-                    best = longest[predecessor]
-                    pred = predecessor
-            longest[index] = best + costs.get(index, 0.0)
-            best_pred[index] = pred
-        if not longest:
-            return 0.0, ()
-        tail = max(longest, key=longest.__getitem__)
-        path: List[int] = []
-        cursor: int | None = tail
-        while cursor is not None:
-            path.append(cursor)
-            cursor = best_pred[cursor]
-        path.reverse()
-        return longest[tail], tuple(path)

@@ -1,16 +1,15 @@
 """The shared per-database worker pool.
 
 The paper's Figure-1 architecture gives every autonomous local database its
-own connection; the scheduling model and the concurrent runtime both assume
-**one in-flight request per database** (rows at the same LQP queue, rows at
+own connection; the concurrent runtime assumes **one in-flight request
+per database** (rows at the same LQP queue, rows at
 different LQPs overlap).  :class:`WorkerPool` realizes that assumption as a
 set of long-lived worker threads — one *group* per local database name,
 created lazily the first time work is routed there and kept alive until the
 pool is closed.
 
 A group normally holds exactly one thread: the paper's single-connection
-assumption, and the serialization the cost model
-(:func:`repro.pqp.schedule.schedule_plan`) charges for.  Network-backed
+assumption.  Network-backed
 LQPs break that ceiling: a :class:`~repro.net.client.RemoteLQP` multiplexes
 N concurrent requests over its one connection, so its database's group
 grows to ``width == native_concurrency`` threads, all draining the same

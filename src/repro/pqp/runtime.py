@@ -7,9 +7,9 @@ Operation Matrix row by row and therefore waits on every local round-trip;
 :class:`ConcurrentExecutor` instead drives the plan DAG
 (:class:`~repro.pqp.plandag.PlanDAG`) event-driven:
 
-- every local database gets **one worker thread** (matching the
-  single-connection assumption of the scheduling model: rows at the same
-  LQP queue, rows at different LQPs overlap) — unless its LQP advertises
+- every local database gets **one worker thread** (matching the paper's
+  single-connection assumption: rows at the same LQP queue, rows at
+  different LQPs overlap) — unless its LQP advertises
   ``native_concurrency > 1`` (a network-multiplexed
   :class:`~repro.net.client.RemoteLQP`), in which case its worker group
   widens to that many threads and same-database rows overlap in flight
@@ -18,8 +18,7 @@ Operation Matrix row by row and therefore waits on every local round-trip;
   database's worker the moment every ``R(#)`` it consumes is ready,
 - PQP rows (the polygen algebra over earlier results) run on the
   coordinating thread as their inputs complete — within one plan the PQP
-  is a serial resource, exactly as :func:`repro.pqp.schedule.schedule_plan`
-  models it.
+  is a serial resource.
 
 The worker threads live in a :class:`~repro.pqp.pool.WorkerPool`.  A
 standalone ``ConcurrentExecutor`` builds a private pool per ``execute()``
@@ -36,8 +35,8 @@ same lineage — because both engines run every row through the one run
 record (:class:`~repro.pqp.executor._PlanRun`); this module only decides
 when and on which thread, so only the wall-clock interleaving differs.  The returned
 :class:`~repro.pqp.executor.ExecutionTrace` carries measured per-row
-timings, so a simulated :class:`~repro.pqp.schedule.PlanSchedule` can be
-validated against what actually happened.
+timings: its ``wall_clock`` against its ``busy_time`` is the overlap the
+runtime actually achieved.
 
 Two keyword hooks support the service layer's handles and cursors:
 ``cancel`` (a :class:`threading.Event`) aborts cooperatively — checked

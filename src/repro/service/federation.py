@@ -25,15 +25,12 @@ headings *and tags* — are bit-for-bit what the blocking
 :class:`~repro.pqp.processor.PolygenQueryProcessor` produces (that facade
 is, in fact, now a single-session federation).  What changes is
 *inter-query* behaviour: plans from many sessions execute concurrently,
-their local rows interleaving on the shared per-database workers, which is
-exactly the serialization the scheduling model charges for.
+their local rows interleaving on the shared per-database workers, one
+request per database at a time.
 
 :meth:`PolygenFederation.stats` reports queries served, per-LQP busy-time
 utilization (aggregated from every completed trace's measured row timings)
-and live pool occupancy; :meth:`PolygenFederation.validate` feeds a
-finished query's trace straight into
-:func:`repro.pqp.schedule.validate_against_trace` so the cost model can be
-checked against what the service actually did.
+and live pool occupancy.
 """
 
 from __future__ import annotations
@@ -1039,18 +1036,6 @@ class PolygenFederation:
                 remote_transports=remote_transports,
                 cache=self.cache.stats(),
             )
-
-    def validate(self, result: QueryResult, **schedule_kwargs):
-        """Check the scheduling model against a finished query's measured
-        trace: simulates ``result.iom`` with :func:`repro.pqp.schedule.
-        schedule_plan` (catalog cardinalities from this federation's
-        registry) and compares via :func:`repro.pqp.schedule.
-        validate_against_trace`."""
-        from repro.pqp.schedule import schedule_plan, validate_against_trace
-
-        schedule_kwargs.setdefault("registry", self.registry)
-        schedule = schedule_plan(result.iom, result.trace, **schedule_kwargs)
-        return validate_against_trace(schedule, result.trace)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -6,6 +6,8 @@ unchanged, the wire serves it (with the two wire-forced flags), and the
 registry can open sqlite/log stores straight from URLs.
 """
 
+import time
+
 import pytest
 
 from repro.backends import KVStoreLQP, LogStoreLQP, SqliteLQP
@@ -64,6 +66,33 @@ class TestDescriptor:
     def test_csv_lqp_reports_no_projection_capability(self):
         lqp = CsvLQP("CSV", {"R": "K,V\n1,a\n"})
         assert lqp.capabilities() == Capabilities()
+
+
+class TestCatalogStats:
+    """``relation_stats`` is the one catalog verb: its cardinality is the
+    relation's, and through the registry's wrappers it ships nothing and
+    waits for no injected latency."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda db, tmp: SqliteLQP.from_database(db),
+            lambda db, tmp: LogStoreLQP.from_database(db, str(tmp / "log")),
+            lambda db, tmp: KVStoreLQP.from_database(db),
+            lambda db, tmp: RelationalLQP(db),
+            lambda db, tmp: CsvLQP("XD", {"R": "K,V\n1,a\n2,b\n"}),
+        ],
+        ids=["sqlite", "log", "kv", "relational", "csv"],
+    )
+    def test_stats_cardinality_is_free_metadata(self, tmp_path, factory):
+        engine = factory(_database(), tmp_path)
+        wrapped = AccountingLQP(LatencyLQP(engine, per_query=5.0))
+        began = time.perf_counter()
+        stats = wrapped.relation_stats("R")
+        assert time.perf_counter() - began < 2.0
+        assert stats.cardinality == engine.retrieve("R").cardinality == 2
+        assert wrapped.stats.queries == 0
+        assert wrapped.stats.tuples_shipped == 0
 
 
 class TestWrapperDelegation:

@@ -71,7 +71,7 @@ class TestSchema:
 class TestPut:
     def test_put_upserts_by_key(self, store):
         store.put("USERS", [(2, "bob", 28)])
-        assert store.cardinality_estimate("USERS") == 3
+        assert store.relation_stats("USERS").cardinality == 3
         assert store.select("USERS", "UID", Theta.EQ, 2).rows == ((2, "bob", 28),)
 
     def test_nil_key_is_refused(self, store):

@@ -64,7 +64,7 @@ class TestLifecycle:
         store.append("EVENTS", [(4, "put", 9)])
         store.close()
         reopened = LogStoreLQP.open(path)
-        assert reopened.cardinality_estimate("EVENTS") == 4
+        assert reopened.relation_stats("EVENTS").cardinality == 4
         reopened.close()
 
     def test_capabilities_declare_the_weak_engine(self, store):
@@ -83,10 +83,10 @@ class TestSegments:
         for i in range(8):
             store.append("E", [(i,)])
         assert store.segment_count() > 1
-        assert store.cardinality_estimate("E") == 8
+        assert store.relation_stats("E").cardinality == 8
         store.close()
         reopened = LogStoreLQP.open(str(tmp_path / "log"))
-        assert reopened.cardinality_estimate("E") == 8
+        assert reopened.relation_stats("E").cardinality == 8
         reopened.close()
 
     def test_segments_are_one_json_record_per_line(self, store):
@@ -114,7 +114,7 @@ class TestSegments:
                 + "\n"
             )
         reopened = LogStoreLQP.open(path)
-        assert reopened.cardinality_estimate("EVENTS") == 4
+        assert reopened.relation_stats("EVENTS").cardinality == 4
         reopened.close()
 
 

@@ -221,7 +221,7 @@ class TestProjectionAndRanges:
 
 class TestCatalog:
     def test_cardinality(self, store):
-        assert store.cardinality_estimate("R") == 4
+        assert store.relation_stats("R").cardinality == 4
 
     def test_relation_stats_match_the_python_computation(self, store, reference):
         assert store.relation_stats("R") == reference.relation_stats("R")

@@ -247,6 +247,47 @@ class TestStatsPayloads:
         with pytest.raises(ProtocolError):
             protocol.stats_from_payload(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"cardinality": "x"},
+            {"cardinality": None},
+            {"cardinality": 1, "columns": [1]},
+            {"cardinality": 1, "columns": {"A": 5}},
+            {"cardinality": 1, "columns": {"A": {"nils": "many"}}},
+            {"cardinality": True},
+            {"cardinality": 1.5},
+            {"cardinality": -1},
+            {"cardinality": 1, "columns": {"A": {"nils": -2}}},
+            {"cardinality": 1, "columns": {"A": {"min": [1]}}},
+            {"cardinality": 1, "columns": {"A": {"max": {"x": 1}}}},
+        ],
+        ids=[
+            "text-cardinality",
+            "nil-cardinality",
+            "list-columns",
+            "scalar-column",
+            "text-nils",
+            "bool-cardinality",
+            "float-cardinality",
+            "negative-cardinality",
+            "negative-nils",
+            "list-min",
+            "object-max",
+        ],
+    )
+    def test_mistyped_payload_raises_only_protocol_error(self, bad):
+        # A peer's payload: decoding it may raise ProtocolError and nothing else.
+        with pytest.raises(ProtocolError):
+            protocol.stats_from_payload(bad)
+
+    def test_optional_fields_default(self):
+        from repro.lqp.base import ColumnStats
+
+        assert protocol.stats_from_payload({"cardinality": 0}).columns == {}
+        rebuilt = protocol.stats_from_payload({"cardinality": 2, "columns": {"A": {}}})
+        assert rebuilt.columns == {"A": ColumnStats(minimum=None, maximum=None, nils=0)}
+
 
 class TestUrls:
     def test_round_trip(self):

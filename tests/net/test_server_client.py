@@ -163,17 +163,16 @@ class TestLoopbackEquivalence:
             assert empty.cardinality == 0
             assert empty.attributes == ("AID#", "ANAME", "DEG", "MAJ")
 
-    def test_cardinality_and_catalog(self, server):
-        direct = ad_lqp()
-        with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            assert remote.cardinality_estimate("ALUMNUS") == direct.cardinality_estimate(
-                "ALUMNUS"
-            )
-            catalog = remote.catalog()
-            assert catalog == {
-                name: direct.cardinality_estimate(name)
-                for name in direct.relation_names()
-            }
+    def test_retired_catalog_ops_fail_typed(self, server):
+        # ``cardinality`` and ``catalog`` are no longer wire ops: each gets
+        # the server's typed error frame, and the connection stays usable.
+        with RemoteLQP(server.url, timeout=TIMEOUT, retries=0) as remote:
+            with pytest.raises(RemoteQueryError, match="unknown wire operation"):
+                remote._mux.request("cardinality", relation="ALUMNUS")
+            with pytest.raises(RemoteQueryError, match="unknown wire operation"):
+                remote._mux.request("catalog")
+            assert remote.retrieve("ALUMNUS") == ad_lqp().retrieve("ALUMNUS")
+            assert remote.transport_stats().reconnects == 0
 
     def test_retrieve_range_matches_in_process(self):
         from repro.relational.database import LocalDatabase

@@ -13,7 +13,7 @@ from repro.datasets.paper import (
 from repro.errors import ExecutionError, UnknownDatabaseError
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
-from repro.pqp.executor import Executor
+from repro.pqp.executor import ExecutionTrace, Executor, RowTiming
 from repro.pqp.matrix import (
     PQP_LOCATION,
     IntermediateOperationMatrix,
@@ -209,3 +209,31 @@ class TestCoalesceRow:
         # conflicting non-nil pairs drop under the paper's Coalesce
         assert trace.relation.cardinality == 0
         assert trace.lineage["MIXED"] == frozenset({"PORGANIZATION"})
+
+
+class TestTraceTimings:
+    """The trace's makespan and busy times derive from its row timings."""
+
+    def _trace(self, timings):
+        return ExecutionTrace(relation=None, results={}, lineage={}, timings=timings)
+
+    def test_overlapped_rows(self):
+        trace = self._trace(
+            {
+                1: RowTiming(0.0, 2.0, "AD"),
+                2: RowTiming(0.5, 1.5, "PD"),
+                3: RowTiming(2.0, 3.0, "AD"),
+                4: RowTiming(3.0, 3.5, PQP_LOCATION),
+            }
+        )
+        assert trace.wall_clock == pytest.approx(3.5)
+        assert trace.busy_time == pytest.approx(4.5)
+        assert trace.busy_by_location() == pytest.approx(
+            {"AD": 3.0, "PD": 1.0, PQP_LOCATION: 0.5}
+        )
+
+    def test_untimed_trace_is_zero(self):
+        trace = self._trace({})
+        assert trace.wall_clock == 0.0
+        assert trace.busy_time == 0.0
+        assert trace.busy_by_location() == {}

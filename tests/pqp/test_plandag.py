@@ -110,33 +110,3 @@ class TestTopologicalOrder:
         iom = IntermediateOperationMatrix([select_on_self, other])
         with pytest.raises(ExecutionError, match="cycle"):
             PlanDAG.from_iom(iom)
-
-
-class TestCriticalPath:
-    def test_longest_chain_wins(self):
-        rows = [
-            _retrieve(1, "T", el="AD"),
-            _retrieve(2, "U", el="PD"),
-            _join(3, 1, 2),
-        ]
-        dag = PlanDAG.from_iom(IntermediateOperationMatrix(rows))
-        length, path = dag.critical_path({1: 5.0, 2: 1.0, 3: 2.0})
-        assert length == pytest.approx(7.0)
-        assert path == (1, 3)
-
-    def test_matches_schedule_makespan_lower_bound(self, paper_iom):
-        from repro.datasets.paper import build_paper_federation
-        from repro.pqp.schedule import schedule_plan
-
-        run = build_paper_federation().run_sql(PAPER_SQL)
-        schedule = schedule_plan(run.iom, run.trace)
-        dag = PlanDAG.from_iom(run.iom)
-        costs = {item.row.result.index: item.cost for item in schedule.rows}
-        length, _ = dag.critical_path(costs)
-        # The critical path ignores resource contention, so it lower-bounds
-        # the resource-constrained makespan.
-        assert length <= schedule.makespan + 1e-9
-
-    def test_empty(self):
-        dag = PlanDAG.from_iom(IntermediateOperationMatrix())
-        assert dag.critical_path({}) == (0.0, ())

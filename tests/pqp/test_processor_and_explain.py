@@ -119,24 +119,6 @@ class TestFacadeOptions:
         assert plain.relation == optimized.relation
         assert plain.lineage == optimized.lineage
 
-    def test_observing_a_run_never_simulates_its_schedule(self, monkeypatch):
-        # A run records its measured rows; it does not replay the plan
-        # through the scheduler to score itself.
-        import repro.pqp.schedule as schedule
-
-        calls = []
-        real = schedule.schedule_plan
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(schedule, "schedule_plan", counting)
-        pqp = self._processor()
-        for _ in range(5):
-            pqp.run_sql(PAPER_SQL)
-        assert calls == []
-
 
 class TestExplain:
     def test_explain_cell_reverse_maps_to_local_columns(self, result):

@@ -321,13 +321,6 @@ class TestLifecycleAndStats:
         assert len(stats.worker_threads) == 3
         assert stats.render()
 
-    def test_validate_feeds_schedule_model(self):
-        with _federation() as federation:
-            result = federation.session().execute(PAPER_SQL)
-            validation = federation.validate(result)
-        assert validation.measured_makespan > 0
-        assert validation.simulated_makespan > 0
-
     def test_empty_plan_raises_execution_error(self):
         from repro.pqp.matrix import IntermediateOperationMatrix
 
