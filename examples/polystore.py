@@ -5,8 +5,8 @@ The paper's premise is that the PQP never cares what a local database
 This example makes that concrete with three genuinely different engines:
 
 1. **AD lives in SQLite** (:class:`~repro.backends.SqliteLQP`): a real
-   SQL engine in a real file; selections, ranges and projections compile
-   to ``WHERE`` clauses and run inside the engine;
+   SQL engine in a real file; selections and projections compile to
+   ``WHERE`` clauses and ``SELECT`` lists and run inside the engine;
 2. **PD lives in an append-only log**
    (:class:`~repro.backends.LogStoreLQP`): JSONL segments replayed into
    an index, every query a scan-filter;
@@ -47,9 +47,7 @@ WHERE CEO = ANAME AND ONAME IN
 
 CAPABILITY_COLUMNS = (
     "native_select",
-    "native_range",
     "native_projection",
-    "splittable_scans",
     "signals_writes",
 )
 

@@ -6,19 +6,19 @@ power, each speaking the same
 :class:`~repro.lqp.base.LocalQueryProcessor` contract and describing
 itself through :class:`~repro.lqp.base.Capabilities`:
 
-======================  ======  =====  ==========  =====  =======
-engine                  select  range  projection  split  signals
-======================  ======  =====  ==========  =====  =======
-:class:`SqliteLQP`      native  native  native     yes    memory-only
-:class:`LogStoreLQP`    scan    scan    no         no     no
-:class:`KVStoreLQP`     scan    native  no         yes    yes
-======================  ======  =====  ==========  =====  =======
+======================  ======  ==========  =======
+engine                  select  projection  signals
+======================  ======  ==========  =======
+:class:`SqliteLQP`      native  native      memory-only
+:class:`LogStoreLQP`    scan    no          no
+:class:`KVStoreLQP`     scan    no          yes
+======================  ======  ==========  =======
 
-``SqliteLQP`` compiles selections, key ranges and projections to SQL the
-engine runs itself; ``LogStoreLQP`` is an append-only JSONL log that can
-only replay and scan; ``KVStoreLQP`` keeps key→row maps whose only
-native access paths go through the primary key.  The planner reads the
-matrix above through ``capabilities()`` and pushes each fragment only
+``SqliteLQP`` compiles selections and projections to SQL the engine runs
+itself; ``LogStoreLQP`` is an append-only JSONL log that can only replay
+and scan; ``KVStoreLQP`` keeps key→row maps whose only native access
+path is a point lookup by primary key.  The planner reads the matrix
+above through ``capabilities()`` and pushes each fragment only
 where it can actually run.
 """
 

@@ -1,38 +1,25 @@
-"""A key-value local engine: dict-of-dicts with key-only access paths.
+"""A key-value local engine: dict-of-dicts with a key-only access path.
 
 :class:`KVStoreLQP` models the NoSQL member of a heterogeneous
 federation — a store that maps primary keys to rows and can natively do
-exactly two things: **point lookups** and **ordered scans by primary
-key**.  Everything else (general selections, projections) is a full
-scan filtered in Python, and the engine's
-:class:`~repro.lqp.base.Capabilities` say so: ``native_select`` is
-False (the optimizer gains nothing pushing a non-key selection here),
-``native_range`` is True (the sorted key index serves shard intervals
-without scanning), and ``splittable_scans`` is True (disjoint key
-ranges read disjoint index slices).
+exactly one thing: a **point lookup** by primary key.  Everything else
+(general selections, projections) is a full scan filtered in Python, and
+the engine's :class:`~repro.lqp.base.Capabilities` say so:
+``native_select`` is False (the optimizer gains nothing pushing a
+non-key selection here) and ``native_projection`` is False.
 
-A relation is one table: ``key tuple → row tuple``.  Single-attribute
-keys additionally keep a sorted index over *comparable* key values so
-``retrieve_range``/``select_range`` slice rather than scan;
-equality selections on the key attribute short-circuit to a point
-lookup.  Keys are non-nil and unique, as in every other engine here.
+A relation is one table: ``key tuple → row tuple``.  Equality selections
+on a single-attribute key short-circuit to a point lookup.  Keys are
+non-nil and unique, as in every other engine here.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
-from repro.core.heading import Heading
 from repro.core.predicate import Theta
 from repro.errors import ConstraintViolationError, UnknownRelationError
-from repro.lqp.base import (
-    Capabilities,
-    LocalQueryProcessor,
-    RelationStats,
-    compute_relation_stats,
-    project_columns,
-)
+from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
@@ -42,7 +29,7 @@ __all__ = ["KVStoreLQP"]
 
 
 class _Table:
-    """One keyed map plus (for single-attribute keys) a sorted key index."""
+    """One keyed map: primary-key tuple → row tuple."""
 
     def __init__(self, heading: Sequence[str], key: Sequence[str]):
         if not key:
@@ -57,18 +44,6 @@ class _Table:
     def key_of(self, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
         return tuple(row[p] for p in self.key_positions)
 
-    def sorted_keys(self) -> Optional[List[Any]]:
-        """Single-attribute key values in sort order, or ``None`` when the
-        key is composite or its values do not share a total order."""
-        if len(self.key_positions) != 1:
-            return None
-        values = [key[0] for key in self.rows]
-        try:
-            values.sort()
-        except TypeError:
-            return None
-        return values
-
 
 class KVStoreLQP(LocalQueryProcessor):
     """An in-process key→row store with key-only native access paths."""
@@ -76,7 +51,6 @@ class KVStoreLQP(LocalQueryProcessor):
     def __init__(self, database: str):
         self._name = database
         self._tables: Dict[str, _Table] = {}
-        self._stats: Dict[str, Tuple[int, RelationStats]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -96,9 +70,7 @@ class KVStoreLQP(LocalQueryProcessor):
     def capabilities(self) -> Capabilities:
         return Capabilities(
             native_select=False,
-            native_range=True,
             native_projection=False,
-            splittable_scans=True,
             signals_writes=True,
         )
 
@@ -167,51 +139,3 @@ class KVStoreLQP(LocalQueryProcessor):
                 row = None
             return Relation(table.heading, () if row is None else (row,))
         return algebra.select(self._relation(table), attribute, theta, value)
-
-    def retrieve_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        table = self._table(relation_name)
-        Heading(table.heading).index(attribute)
-        if table.key == [attribute] and not include_nil:
-            keys = table.sorted_keys()
-            if keys is not None:
-                sliced = self._slice(table, keys, lower, upper)
-                if sliced is not None:
-                    relation = Relation(table.heading, sliced)
-                    if columns is not None:
-                        relation = project_columns(relation, columns)
-                    return relation
-        return super().retrieve_range(
-            relation_name, attribute, lower, upper, include_nil, columns
-        )
-
-    @staticmethod
-    def _slice(
-        table: _Table, keys: List[Any], lower: Any, upper: Any
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """Rows whose key lies in ``[lower, upper)`` via the sorted index.
-        ``None`` when a bound does not order against the keys (the scan
-        fallback then applies :func:`~repro.lqp.base.key_in_range`'s
-        non-comparable routing exactly)."""
-        try:
-            start = 0 if lower is None else bisect.bisect_left(keys, lower)
-            stop = len(keys) if upper is None else bisect.bisect_left(keys, upper)
-        except TypeError:
-            return None
-        return [table.rows[(value,)] for value in keys[start:stop]]
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        table = self._table(relation_name)
-        cached = self._stats.get(relation_name)
-        if cached is not None and cached[0] == len(table.rows):
-            return cached[1]
-        stats = compute_relation_stats(self._relation(table))
-        self._stats[relation_name] = (len(table.rows), stats)
-        return stats

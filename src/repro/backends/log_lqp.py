@@ -10,15 +10,12 @@ reaches ``segment_rows`` records, so a long-lived store stays a series
 of bounded immutable files plus one live tail.
 
 The engine has essentially no native query power, and says so through
-its :class:`~repro.lqp.base.Capabilities`: selections and ranges
-scan-filter the
-replayed rows in Python, there is no native projection, scans are not
-worth splitting (every shard would re-scan the same in-memory list
-behind one engine), and — crucially — nothing stops another process
-from appending to the same directory, so the store *cannot signal
-writes*.  The federation's result cache reads that last flag and bounds
-staleness with a TTL instead of trusting invalidation
-(:mod:`repro.service.cache`).
+its :class:`~repro.lqp.base.Capabilities`: selections scan-filter the
+replayed rows in Python, there is no native projection, and — crucially
+— nothing stops another process from appending to the same directory,
+so the store *cannot signal writes*.  The federation's result cache
+reads that last flag and bounds staleness with a TTL instead of
+trusting invalidation (:mod:`repro.service.cache`).
 
 Record grammar, one JSON object per line::
 
@@ -47,12 +44,7 @@ from repro.errors import (
     LocalEngineError,
     UnknownRelationError,
 )
-from repro.lqp.base import (
-    Capabilities,
-    LocalQueryProcessor,
-    RelationStats,
-    compute_relation_stats,
-)
+from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
@@ -91,7 +83,6 @@ class LogStoreLQP(LocalQueryProcessor):
         self._headings: Dict[str, List[str]] = {}
         self._keys: Dict[str, List[str]] = {}
         self._rows: Dict[str, List[Tuple[Any, ...]]] = {}
-        self._stats: Dict[str, Tuple[int, RelationStats]] = {}
         self._active = None
         self._active_records = 0
         self._segment_index = 0
@@ -216,9 +207,7 @@ class LogStoreLQP(LocalQueryProcessor):
     def capabilities(self) -> Capabilities:
         return Capabilities(
             native_select=False,
-            native_range=False,
             native_projection=False,
-            splittable_scans=False,
             signals_writes=False,
         )
 
@@ -325,12 +314,3 @@ class LogStoreLQP(LocalQueryProcessor):
         self, relation_name: str, attribute: str, theta: Theta, value: Any
     ) -> Relation:
         return algebra.select(self._relation(relation_name), attribute, theta, value)
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        relation = self._relation(relation_name)
-        cached = self._stats.get(relation_name)
-        if cached is not None and cached[0] == relation.cardinality:
-            return cached[1]
-        stats = compute_relation_stats(relation)
-        self._stats[relation_name] = (relation.cardinality, stats)
-        return stats

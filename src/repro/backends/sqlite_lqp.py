@@ -4,8 +4,7 @@
 and the interned source-tag atoms its data carries — in a single SQLite
 file (or ``:memory:``) and answers every LQP verb by *compiling it to
 SQL* through :mod:`repro.sql.render`: selections become parameterized
-``WHERE`` clauses, key ranges become ``typeof()``-guarded interval
-predicates, and column projection becomes the ``SELECT`` list.  The
+``WHERE`` clauses and column projection becomes the ``SELECT`` list.  The
 filtering happens inside the engine, not in Python loops — this is the
 backend the pushdown optimizer and the transfer benchmarks exercise.
 
@@ -55,12 +54,7 @@ from repro.errors import (
     LocalEngineError,
     UnknownRelationError,
 )
-from repro.lqp.base import (
-    Capabilities,
-    ColumnStats,
-    LocalQueryProcessor,
-    RelationStats,
-)
+from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
@@ -70,7 +64,6 @@ from repro.sql.render import (
     comparison_sql,
     probe_sql,
     quote_identifier,
-    range_sql,
     render_select,
 )
 
@@ -103,18 +96,13 @@ class SqliteLQP(LocalQueryProcessor):
     store recovers the database name from its metadata; creating a fresh
     one requires ``database``.  The connection is shared across the
     executor's worker threads behind a lock — SQLite serializes writers
-    anyway, and the capability descriptor advertises
-    ``splittable_scans`` so the planner may still issue concurrent
-    range shards (they queue briefly at the lock, but ship and tag in
-    parallel at the PQP).
+    anyway.
     """
 
     def __init__(self, path: str = ":memory:", database: Optional[str] = None):
         self._path = path
         self._lock = threading.RLock()
         self._connection = sqlite3.connect(path, check_same_thread=False)
-        self._mutations = 0
-        self._stats: Dict[str, Tuple[Tuple[int, int], RelationStats]] = {}
         with self._lock:
             self._connection.execute(
                 f"CREATE TABLE IF NOT EXISTS {_META} "
@@ -179,9 +167,7 @@ class SqliteLQP(LocalQueryProcessor):
         # enough for invalidation-only caching.
         return Capabilities(
             native_select=True,
-            native_range=True,
             native_projection=True,
-            splittable_scans=True,
             signals_writes=self._path == ":memory:",
         )
 
@@ -271,7 +257,6 @@ class SqliteLQP(LocalQueryProcessor):
             }
             self._meta_set(f"schema:{schema.name}", json.dumps(record))
             self._connection.commit()
-            self._mutations += 1
         return self
 
     def insert(self, relation_name: str, rows: Iterable[Sequence[Any]]) -> None:
@@ -313,7 +298,6 @@ class SqliteLQP(LocalQueryProcessor):
                     f"duplicate key for relation {relation_name!r}: {error}"
                 ) from None
             self._connection.commit()
-            self._mutations += 1
 
     def load(
         self, schema: RelationSchema, rows: Iterable[Sequence[Any]]
@@ -413,123 +397,3 @@ class SqliteLQP(LocalQueryProcessor):
                 (ComparisonPredicate(attribute, theta, value),),
             )
             return self._run(shipped, *render_select(statement))
-
-    def retrieve_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        with self._lock:
-            heading = self._heading(relation_name)
-            Heading(heading).index(attribute)
-            clause = range_sql(attribute, lower, upper, include_nil)
-            if clause is None:
-                return super().retrieve_range(
-                    relation_name, attribute, lower, upper, include_nil, columns
-                )
-            shipped = self._projection(heading, columns)
-            statement = SelectStatement(tuple(shipped), (relation_name,))
-            sql, params = render_select(statement, extra_where=(clause,))
-            return self._run(shipped, sql, params)
-
-    def select_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        key_attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        with self._lock:
-            heading = self._heading(relation_name)
-            full = Heading(heading)
-            full.index(attribute)
-            full.index(key_attribute)
-            range_clause = range_sql(key_attribute, lower, upper, include_nil)
-            rendered = (
-                None
-                if value is None or (isinstance(value, float) and math.isnan(value))
-                else comparison_sql(attribute, theta, value)
-            )
-            if range_clause is None or rendered is None:
-                # Compose the exact paths: select() handles its own
-                # fallbacks, then the default filters the key interval.
-                return super().select_range(
-                    relation_name, attribute, theta, value,
-                    key_attribute, lower, upper, include_nil, columns,
-                )
-            if theta in (Theta.LT, Theta.LE, Theta.GT, Theta.GE):
-                # The default select_range filters a full select, which
-                # probes the whole relation — match that scope.
-                self._probe_ordering(relation_name, attribute, value)
-            shipped = self._projection(heading, columns)
-            statement = SelectStatement(
-                tuple(shipped),
-                (relation_name,),
-                (ComparisonPredicate(attribute, theta, value),),
-            )
-            sql, params = render_select(statement, extra_where=(range_clause,))
-            return self._run(shipped, sql, params)
-
-    # -- catalog -------------------------------------------------------------
-
-    def _version(self) -> Tuple[int, int]:
-        (data_version,) = self._connection.execute(
-            "PRAGMA data_version"
-        ).fetchone()
-        return (self._mutations, data_version)
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        """Catalog summary computed by SQL aggregates — no tuples shipped.
-
-        Mirrors :func:`~repro.lqp.base.compute_relation_stats`: a column
-        mixing text with numeric non-nil values has no polygen total
-        order, so its extrema are ``None``.  Results are cached against
-        both this connection's mutation count and SQLite's
-        ``data_version`` (which observes other writers of a shared file).
-        """
-        with self._lock:
-            record = self._schema_record(relation_name)
-            version = self._version()
-            cached = self._stats.get(relation_name)
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            table = quote_identifier(relation_name)
-            (cardinality,) = self._connection.execute(
-                f"SELECT COUNT(*) FROM {table}"
-            ).fetchone()
-            columns: Dict[str, ColumnStats] = {}
-            for attribute in record["heading"]:
-                column = quote_identifier(attribute)
-                numeric, text, nils = self._connection.execute(
-                    f"SELECT "
-                    f"COUNT(CASE WHEN typeof({column}) IN ('integer', 'real') "
-                    f"THEN 1 END), "
-                    f"COUNT(CASE WHEN typeof({column}) = 'text' THEN 1 END), "
-                    f"COUNT(*) - COUNT({column}) FROM {table}"
-                ).fetchone()
-                if numeric and not text:
-                    minimum, maximum = self._connection.execute(
-                        f"SELECT MIN({column}), MAX({column}) FROM {table}"
-                    ).fetchone()
-                elif text and not numeric:
-                    minimum, maximum = self._connection.execute(
-                        f"SELECT MIN({column}), MAX({column}) FROM {table} "
-                        f"WHERE typeof({column}) = 'text'"
-                    ).fetchone()
-                else:  # empty column, or mixed classes with no total order
-                    minimum = maximum = None
-                columns[attribute] = ColumnStats(
-                    minimum=minimum, maximum=maximum, nils=nils
-                )
-            stats = RelationStats(cardinality=cardinality, columns=columns)
-            self._stats[relation_name] = (version, stats)
-            return stats

@@ -1,7 +1,7 @@
 """Traffic accounting and latency injection for LQP traffic.
 
 LQP decorators subclass :class:`ForwardingLQP`, which writes the
-delegation and the four relation verbs once and hands each shipped
+delegation and the two relation verbs once and hands each shipped
 relation to a single hook.  :class:`AccountingLQP` — the wrapper every
 registered LQP sits behind — counts queries and shipped tuples in
 :class:`TransferStats` (chunk streams included, as their chunks arrive);
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
+from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -47,8 +47,6 @@ class TransferStats:
     queries: int = 0
     retrieves: int = 0
     selects: int = 0
-    range_retrieves: int = 0
-    range_selects: int = 0
     tuples_shipped: int = 0
 
     def __post_init__(self) -> None:
@@ -73,10 +71,6 @@ class TransferStats:
         self.queries += 1
         if kind == "retrieve":
             self.retrieves += 1
-        elif kind == "retrieve_range":
-            self.range_retrieves += 1
-        elif kind == "select_range":
-            self.range_selects += 1
         else:
             self.selects += 1
 
@@ -87,8 +81,6 @@ class TransferStats:
                 queries=self.queries,
                 retrieves=self.retrieves,
                 selects=self.selects,
-                range_retrieves=self.range_retrieves,
-                range_selects=self.range_selects,
                 tuples_shipped=self.tuples_shipped,
             )
 
@@ -98,15 +90,12 @@ class TransferStats:
             queries=mine.queries + theirs.queries,
             retrieves=mine.retrieves + theirs.retrieves,
             selects=mine.selects + theirs.selects,
-            range_retrieves=mine.range_retrieves + theirs.range_retrieves,
-            range_selects=mine.range_selects + theirs.range_selects,
             tuples_shipped=mine.tuples_shipped + theirs.tuples_shipped,
         )
 
     def reset(self) -> None:
         with self._lock:
-            self.queries = self.retrieves = self.selects = 0
-            self.range_retrieves = self.range_selects = self.tuples_shipped = 0
+            self.queries = self.retrieves = self.selects = self.tuples_shipped = 0
 
 
 class _AccountedChunkStream:
@@ -144,7 +133,7 @@ class ForwardingLQP(LocalQueryProcessor):
 
     The base of every decorator: identity, capabilities, concurrency and
     catalog calls pass straight through, so decoration never masks the
-    wrapped engine; the four relation verbs forward their arguments
+    wrapped engine; the two relation verbs forward their arguments
     unchanged (``columns=`` included, which the caller only sends to an
     engine reporting ``native_projection``) and hand the shipped relation
     to :meth:`_shipped` — the one hook a subclass overrides.
@@ -171,10 +160,6 @@ class ForwardingLQP(LocalQueryProcessor):
     def relation_names(self) -> Tuple[str, ...]:
         return self._inner.relation_names()
 
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        # Catalog metadata: never traffic.
-        return self._inner.relation_stats(relation_name)
-
     def _shipped(self, kind: str, result: Relation) -> Relation:
         """Called with each verb's result (``kind`` is the verb name)."""
         return result
@@ -184,12 +169,6 @@ class ForwardingLQP(LocalQueryProcessor):
 
     def select(self, *args, **kwargs) -> Relation:
         return self._shipped("select", self._inner.select(*args, **kwargs))
-
-    def retrieve_range(self, *args, **kwargs) -> Relation:
-        return self._shipped("retrieve_range", self._inner.retrieve_range(*args, **kwargs))
-
-    def select_range(self, *args, **kwargs) -> Relation:
-        return self._shipped("select_range", self._inner.select_range(*args, **kwargs))
 
 
 class AccountingLQP(ForwardingLQP):

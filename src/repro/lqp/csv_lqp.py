@@ -16,7 +16,7 @@ from typing import Any, Mapping, Tuple
 
 from repro.core.predicate import Theta
 from repro.errors import LocalEngineError, UnknownRelationError
-from repro.lqp.base import LocalQueryProcessor, RelationStats, compute_relation_stats
+from repro.lqp.base import LocalQueryProcessor
 from repro.relational.relation import Relation
 
 __all__ = ["CsvLQP"]
@@ -56,8 +56,6 @@ class CsvLQP(LocalQueryProcessor):
     ):
         self._name = name
         self._relations: dict[str, Relation] = {}
-        # Documents are parsed once and never change, so stats cache forever.
-        self._stats: dict[str, RelationStats] = {}
         for relation_name, text in documents.items():
             self._relations[relation_name] = self._parse(relation_name, text, infer_types)
 
@@ -103,10 +101,3 @@ class CsvLQP(LocalQueryProcessor):
         return relation.replace_rows(
             row for row in relation if theta.evaluate(row[position], value)
         )
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        stats = self._stats.get(relation_name)
-        if stats is None:
-            stats = compute_relation_stats(self.retrieve(relation_name))
-            self._stats[relation_name] = stats
-        return stats

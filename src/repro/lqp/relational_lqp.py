@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from repro.core.predicate import Theta
-from repro.lqp.base import LocalQueryProcessor, RelationStats, compute_relation_stats
+from repro.lqp.base import LocalQueryProcessor
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
 
@@ -24,9 +24,6 @@ class RelationalLQP(LocalQueryProcessor):
 
     def __init__(self, database: LocalDatabase):
         self._database = database
-        # relation name → (id(relation) it was computed from, stats);
-        # the id guards against the backing relation being swapped out.
-        self._stats: Dict[str, Tuple[int, RelationStats]] = {}
 
     @property
     def name(self) -> str:
@@ -44,12 +41,3 @@ class RelationalLQP(LocalQueryProcessor):
 
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
         return self._database.select(relation_name, attribute, theta, value)
-
-    def relation_stats(self, relation_name: str) -> RelationStats | None:
-        relation = self._database.relation(relation_name)
-        cached = self._stats.get(relation_name)
-        if cached is not None and cached[0] == id(relation):
-            return cached[1]
-        stats = compute_relation_stats(relation)
-        self._stats[relation_name] = (id(relation), stats)
-        return stats

@@ -2,13 +2,12 @@
 
 The drop-in client of the wire protocol: a :class:`RemoteLQP` implements
 the exact :class:`~repro.lqp.base.LocalQueryProcessor` contract —
-``retrieve`` / ``select`` / ``relation_names`` / ``relation_stats`` —
+``retrieve`` / ``select`` / ``relation_names`` / ``capabilities`` —
 against an :class:`~repro.net.server.LQPServer`, so the registry, the
-executors, the optimizer and the shard planner all treat a remote
-database exactly like an in-process one.  Results are tag-identical by
-construction: the wire carries the same *untagged* local rows an
-in-process LQP returns, and tagging still happens at the PQP boundary
-(:mod:`repro.lqp.tagging`).
+executors and the optimizer all treat a remote database exactly like an
+in-process one.  Results are tag-identical by construction: the wire
+carries the same *untagged* local rows an in-process LQP returns, and
+tagging still happens at the PQP boundary (:mod:`repro.lqp.tagging`).
 
 What changes is the concurrency contract.  An in-process LQP advertises
 ``native_concurrency == 1`` (the paper's single-connection assumption); a
@@ -36,7 +35,7 @@ from repro.catalog.schema import PolygenSchema
 from repro.catalog.serialize import schema_from_dict
 from repro.core.predicate import Theta
 from repro.errors import ProtocolError, RemoteQueryError
-from repro.lqp.base import Capabilities, LocalQueryProcessor, RelationStats
+from repro.lqp.base import Capabilities, LocalQueryProcessor
 from repro.net import binary, protocol
 from repro.net.transport import ConnectionMux, TransportStats
 from repro.obs.trace import current_span
@@ -245,15 +244,10 @@ class RemoteLQP(LocalQueryProcessor):
         )
         self._name: str = hello["database"]
         self._relations: Tuple[str, ...] = tuple(hello.get("relations", ()))
-        #: Guards the stats and capabilities caches below.
+        #: Guards the capabilities cache below.
         self._catalog_lock = threading.Lock()
-        #: relation → stats summary.  The reproduction's sources are
-        #: static, so first answer wins (a drifting source would want a TTL
-        #: here) and the shard pass costs at most one round trip per
-        #: relation per process.
-        self._stats: Dict[str, Optional[RelationStats]] = {}
         #: The server-side engine's capability descriptor, fetched once —
-        #: capabilities are fixed for an engine's lifetime, unlike stats.
+        #: capabilities are fixed for an engine's lifetime.
         self._capabilities: Optional[Capabilities] = None
 
     # -- identity / catalog -------------------------------------------------
@@ -272,16 +266,6 @@ class RemoteLQP(LocalQueryProcessor):
 
     def relation_names(self) -> Tuple[str, ...]:
         return self._relations
-
-    def relation_stats(self, relation_name: str) -> Optional[RelationStats]:
-        with self._catalog_lock:
-            if relation_name in self._stats:
-                return self._stats[relation_name]
-        payload = self._mux.request("relation_stats", relation=relation_name)["value"]
-        stats = protocol.stats_from_payload(payload)
-        with self._catalog_lock:
-            self._stats[relation_name] = stats
-        return stats
 
     def capabilities(self) -> Capabilities:
         """The remote engine's capabilities, served over the wire and
@@ -387,50 +371,6 @@ class RemoteLQP(LocalQueryProcessor):
             attribute=attribute,
             theta=theta.symbol,
             value=protocol.wire_value(value),
-        )
-
-    def retrieve_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        return self._ship(
-            "retrieve_range",
-            columns,
-            relation=relation_name,
-            attribute=attribute,
-            lower=protocol.wire_value(lower),
-            upper=protocol.wire_value(upper),
-            include_nil=include_nil,
-        )
-
-    def select_range(
-        self,
-        relation_name: str,
-        attribute: str,
-        theta: Theta,
-        value: Any,
-        key_attribute: str,
-        lower: Any = None,
-        upper: Any = None,
-        include_nil: bool = False,
-        columns=None,
-    ) -> Relation:
-        return self._ship(
-            "select_range",
-            columns,
-            relation=relation_name,
-            attribute=attribute,
-            theta=theta.symbol,
-            value=protocol.wire_value(value),
-            key_attribute=key_attribute,
-            lower=protocol.wire_value(lower),
-            upper=protocol.wire_value(upper),
-            include_nil=include_nil,
         )
 
     def retrieve_chunks(

@@ -26,13 +26,10 @@ client→server requests)::
       {"id": 7, "op": "retrieve",    "relation": "ALUMNUS"}
       {"id": 8, "op": "select",      "relation": ..., "attribute": ...,
                                      "theta": "=", "value": ...}
-      {"id": 9, "op": "retrieve_range", "relation": ..., "attribute": ...,
-                                     "lower": ..., "upper": ...,
-                                     "include_nil": false}
       any relation request may add {"format": "binary",
                                     "binary_version": 3, "chunk_size": 64}
-      {"id": 10, "op": "relation_names" | "relation_stats"
-                                     | "capabilities" | "schema" | "ping"}
+      {"id": 9, "op": "relation_names" | "capabilities" | "schema"
+                                     | "ping"}
       {"op": "cancel", "target": 7}            # no id: fire-and-forget
 
 Any request may carry ``"trace": {"id": <trace-id>, "span": <span-id>}``
@@ -65,7 +62,7 @@ import struct
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import ProtocolError
-from repro.lqp.base import Capabilities, ColumnStats, RelationStats
+from repro.lqp.base import Capabilities
 from repro.net import binary
 from repro.relational.relation import Relation
 
@@ -95,8 +92,6 @@ __all__ = [
     "error_message",
     "wire_value",
     "wire_rows",
-    "stats_payload",
-    "stats_from_payload",
     "capabilities_payload",
     "capabilities_from_payload",
     "relation_chunks",
@@ -410,56 +405,6 @@ def wire_rows(rows: Sequence[Sequence[Any]]) -> List[List[Any]]:
     return [[wire_value(value) for value in row] for row in rows]
 
 
-def stats_payload(stats: RelationStats | None) -> Dict[str, Any] | None:
-    """A :class:`~repro.lqp.base.RelationStats` as a ``relation_stats``
-    result value (``None`` travels as JSON null: the LQP keeps none)."""
-    if stats is None:
-        return None
-    return {
-        "cardinality": stats.cardinality,
-        "columns": {
-            name: {
-                "min": wire_value(column.minimum),
-                "max": wire_value(column.maximum),
-                "nils": column.nils,
-            }
-            for name, column in stats.columns.items()
-        },
-    }
-
-
-def _count_field(value: Any, what: str, payload: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ProtocolError(f"malformed relation_stats payload ({what}): {payload!r}")
-    return value
-
-
-def stats_from_payload(payload: Dict[str, Any] | None) -> RelationStats | None:
-    """Inverse of :func:`stats_payload`.  The payload comes from a peer,
-    so any malformed shape raises :class:`~repro.errors.ProtocolError`."""
-    if payload is None:
-        return None
-    if not isinstance(payload, dict) or "cardinality" not in payload:
-        raise ProtocolError(f"malformed relation_stats payload: {payload!r}")
-    cardinality = _count_field(payload["cardinality"], "cardinality", payload)
-    columns = payload.get("columns", {})
-    if not isinstance(columns, dict) or not all(
-        isinstance(column, dict) for column in columns.values()
-    ):
-        raise ProtocolError(f"malformed relation_stats payload (columns): {payload!r}")
-    return RelationStats(
-        cardinality=cardinality,
-        columns={
-            str(name): ColumnStats(
-                minimum=wire_value(column.get("min")),
-                maximum=wire_value(column.get("max")),
-                nils=_count_field(column.get("nils", 0), "nils", payload),
-            )
-            for name, column in columns.items()
-        },
-    )
-
-
 def capabilities_payload(capabilities: Capabilities) -> Dict[str, Any]:
     """A :class:`~repro.lqp.base.Capabilities` as a ``capabilities``
     result value (plain flag mapping; unknown future flags ride along)."""
@@ -467,12 +412,16 @@ def capabilities_payload(capabilities: Capabilities) -> Dict[str, Any]:
 
 
 def capabilities_from_payload(payload: Dict[str, Any]) -> Capabilities:
-    """Inverse of :func:`capabilities_payload`.  Tolerant by design:
+    """Inverse of :func:`capabilities_payload`.  Tolerant of versions:
     unknown flags are dropped and missing ones default, so a newer peer
-    never breaks an older one."""
+    never breaks an older one.  Strict on types: a known flag must be a
+    JSON boolean, or the payload raises :class:`~repro.errors.ProtocolError`."""
     if not isinstance(payload, dict):
         raise ProtocolError(f"malformed capabilities payload: {payload!r}")
-    return Capabilities.from_dict(payload)
+    try:
+        return Capabilities.from_dict(payload)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed capabilities payload: {exc}") from None
 
 
 def relation_chunks(

@@ -355,7 +355,7 @@ class LQPServer:
         try:
             try:
                 with use_span(span):
-                    if op in ("retrieve", "select", "retrieve_range", "select_range"):
+                    if op in ("retrieve", "select"):
                         self._serve_relation(
                             connection, request_id, op, message, cancel, span
                         )
@@ -417,28 +417,6 @@ class LQPServer:
         )
         if op == "retrieve":
             relation = self._lqp.retrieve(relation_name, **kwargs)
-        elif op == "retrieve_range":
-            relation = self._lqp.retrieve_range(
-                relation_name,
-                message.get("attribute"),
-                lower=message.get("lower"),
-                upper=message.get("upper"),
-                include_nil=bool(message.get("include_nil", False)),
-                **kwargs,
-            )
-        elif op == "select_range":
-            theta = Theta.from_symbol(message.get("theta", ""))
-            relation = self._lqp.select_range(
-                relation_name,
-                message.get("attribute"),
-                theta,
-                message.get("value"),
-                message.get("key_attribute"),
-                lower=message.get("lower"),
-                upper=message.get("upper"),
-                include_nil=bool(message.get("include_nil", False)),
-                **kwargs,
-            )
         else:
             theta = Theta.from_symbol(message.get("theta", ""))
             relation = self._lqp.select(
@@ -506,18 +484,13 @@ class LQPServer:
     def _scalar_result(self, op: str, message: Dict[str, Any]) -> Any:
         if op == "relation_names":
             return list(self._lqp.relation_names())
-        if op == "relation_stats":
-            relation_name = message.get("relation")
-            if not isinstance(relation_name, str):
-                raise ProtocolError("relation_stats request lacks a relation name")
-            return protocol.stats_payload(self._lqp.relation_stats(relation_name))
         if op == "capabilities":
             # From the client's seat "native" means "executed on this side
             # of the wire": selections and projections both run here before
             # any tuple ships (the engine's own power or _serve_relation's
-            # fallback), so those two flags are forced True.  Range access
-            # paths, scan splitting and write signalling are properties of
-            # the engine itself and pass through untouched.
+            # fallback), so those two flags are forced True.  Write
+            # signalling is a property of the engine itself and passes
+            # through untouched.
             inner = self._lqp.capabilities()
             return protocol.capabilities_payload(
                 replace(inner, native_select=True, native_projection=True)

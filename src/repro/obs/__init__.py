@@ -4,7 +4,7 @@ The polygen stack grew introspection organically — per-row timings on
 :class:`~repro.pqp.executor.ExecutionTrace`, frozen counter snapshots on
 the transports and the result cache, a bespoke accumulator behind
 ``federation.stats()`` — but nothing that follows *one query* across the
-coordinator, the cache, the shard workers and the remote LQP servers it
+coordinator, the cache, the worker pool and the remote LQP servers it
 touches.  This package is that missing layer, in three parts:
 
 ``obs.trace``

@@ -50,7 +50,6 @@ from repro.lqp.registry import LQPRegistry
 from repro.lqp.tagging import materialize
 from repro.obs.trace import Span, current_span, now
 from repro.relational.relation import Relation
-from repro.storage import kernels
 from repro.pqp import stream as pqp_stream
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -446,44 +445,14 @@ class Executor:
         kwargs = {} if columns is None else {"columns": columns}
         if row.op is Operation.RETRIEVE:
             shipped = lqp.retrieve(row.lhr.relation, **kwargs)
-        elif row.op is Operation.RETRIEVE_RANGE:
-            if row.key_range is None:
-                raise ExecutionError(
-                    f"RetrieveRange row {row.result} carries no key range"
-                )
-            key_range = row.key_range
-            shipped = lqp.retrieve_range(
-                row.lhr.relation,
-                key_range.attribute,
-                key_range.lower,
-                key_range.upper,
-                key_range.include_nil,
-                **kwargs,
-            )
         elif row.op is Operation.SELECT:
             if not isinstance(row.rha, Literal):
                 raise ExecutionError(
                     f"local Select {row.result} requires a literal comparand"
                 )
-            if row.key_range is not None:
-                # One key-range shard of a local Select (pqp/shard.py): the
-                # LQP evaluates the predicate, then keeps its key interval.
-                key_range = row.key_range
-                shipped = lqp.select_range(
-                    row.lhr.relation,
-                    row.lha,
-                    row.theta,
-                    row.rha.value,
-                    key_range.attribute,
-                    key_range.lower,
-                    key_range.upper,
-                    key_range.include_nil,
-                    **kwargs,
-                )
-            else:
-                shipped = lqp.select(
-                    row.lhr.relation, row.lha, row.theta, row.rha.value, **kwargs
-                )
+            shipped = lqp.select(
+                row.lhr.relation, row.lha, row.theta, row.rha.value, **kwargs
+            )
         else:
             raise ExecutionError(
                 f"operation {row.op.value} cannot execute at LQP {row.el!r}"
@@ -538,9 +507,9 @@ class Executor:
         Projection pruning (``row.project``) historically narrowed columns
         only at materialization; when the LQP's capabilities advertise
         ``native_projection`` the pruned set travels with the verb call
-        instead, so dead columns never cross the wire.  Selection and
-        key-range predicates are evaluated at the source *before* its
-        projection, so the probed columns need not ship.
+        instead, so dead columns never cross the wire.  Selection
+        predicates are evaluated at the source *before* its projection,
+        so the probed columns need not ship.
         """
         if row.project is None or not lqp.capabilities().native_projection:
             return None
@@ -573,20 +542,6 @@ class Executor:
                     f"scheme {scheme.name!r} has no primary key; Merge undefined"
                 )
             return derived.merge(inputs, scheme.primary_key, policy=self._policy)
-
-        if op is Operation.UNION and isinstance(row.lhr, tuple):
-            # N-ary reassembly union (pqp/shard.py): one hash pass over all
-            # shards instead of a fold of binary unions.
-            first, *rest = [resolve(part) for part in row.lhr]
-            aligned = [first] + [_align(relation, first) for relation in rest]
-            for relation in aligned[1:]:
-                if relation.heading != first.heading:
-                    raise ExecutionError(
-                        f"Union row {row.result} has incompatible operand headings"
-                    )
-            return PolygenRelation.from_store(
-                kernels.union_all([relation.store for relation in aligned])
-            )
 
         left = resolve(row.lhr)
         if op is Operation.SELECT:

@@ -9,16 +9,13 @@ regardless of how the optimizer happened to number their ``R(#)`` rows,
 while any semantic difference (a literal, a pushed-down location, a pruned
 projection, the federation's conflict policy) changes the hash.
 
-Three deliberate choices:
+Two deliberate choices:
 
 - **Operand order is preserved.**  Merge and the set operators are only
   order-insensitive under some conflict policies, so canonicalization never
   sorts operand lists — a reordered Merge is a different plan.  The
   optimizer already normalizes shapes deterministically, so equal queries
   still collide where it matters.
-- **Shard labels are excluded.**  ``MatrixRow.shard`` is display metadata;
-  the :class:`~repro.pqp.matrix.KeyRange` that does the real work *is*
-  hashed.
 - **Cached rows hash as what they replaced.**  An :attr:`Operation.CACHED`
   row contributes the fingerprint its payload carries, so re-fingerprinting
   a spliced plan reproduces the original hashes and downstream rows remain
@@ -143,7 +140,6 @@ def fingerprint_plan(
                 return ("scheme", operand.name)
             return ("other", repr(operand))
 
-        key_range = row.key_range
         canonical = (
             _FINGERPRINT_VERSION,
             policy.name,
@@ -158,14 +154,6 @@ def fingerprint_plan(
             row.output or "nil",
             ("project",) + tuple(row.project) if row.project is not None else "nil",
             ("consulted",) + tuple(sorted(row.consulted)),
-            (
-                key_range.attribute,
-                repr(key_range.lower),
-                repr(key_range.upper),
-                key_range.include_nil,
-            )
-            if key_range is not None
-            else "nil",
         )
         by_index[index] = hashlib.sha256(repr(canonical).encode()).hexdigest()
 

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (plandag imports this module
 
 __all__ = [
     "Operation",
-    "KeyRange",
     "CachedResult",
     "SchemeOperand",
     "LocalOperand",
@@ -64,9 +63,6 @@ class Operation(Enum):
     JOIN = "Join"
     PROJECT = "Project"
     RETRIEVE = "Retrieve"
-    #: One key-range partial scan of a sharded Retrieve (pqp/shard.py);
-    #: the range itself rides in :attr:`MatrixRow.key_range`.
-    RETRIEVE_RANGE = "RetrieveRange"
     MERGE = "Merge"
     UNION = "Union"
     DIFFERENCE = "Difference"
@@ -77,27 +73,6 @@ class Operation(Enum):
     #: (service/cache.py): the row consumes nothing and yields the cached
     #: polygen relation carried in :attr:`MatrixRow.cached`.
     CACHED = "Cached"
-
-
-@dataclass(frozen=True, slots=True)
-class KeyRange:
-    """The half-open key interval ``[lower, upper)`` of one partial scan.
-
-    A ``None`` bound is unbounded on that side; the single shard with
-    ``include_nil=True`` additionally owns nil and non-comparable key
-    values, so a shard family partitions its relation exactly.
-    """
-
-    attribute: str
-    lower: Any = None
-    upper: Any = None
-    include_nil: bool = False
-
-    def __str__(self) -> str:
-        low = "-inf" if self.lower is None else repr(self.lower)
-        high = "+inf" if self.upper is None else repr(self.upper)
-        nil = " +nil" if self.include_nil else ""
-        return f"{self.attribute} in [{low}, {high}){nil}"
 
 
 @dataclass(frozen=True)
@@ -197,14 +172,6 @@ class MatrixRow:
     #: cell's intermediate-source set, exactly as the PQP-side Restrict
     #: would have done.
     consulted: Tuple[str, ...] = ()
-    #: The key interval of a RETRIEVE_RANGE row (pqp/shard.py).  A range is
-    #: a *physical* partition of the scan, not a semantic Restrict, so it
-    #: adds nothing to ``consulted``.
-    key_range: Optional[KeyRange] = None
-    #: ``(index, of)`` shard membership for RETRIEVE_RANGE rows — purely
-    #: informational (display, runtime dispatch width), the range does the
-    #: real work.
-    shard: Optional[Tuple[int, int]] = None
     #: The pre-materialized payload of a :attr:`Operation.CACHED` row
     #: (semantic result cache splice); ``None`` everywhere else.
     cached: Optional[CachedResult] = None

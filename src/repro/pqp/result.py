@@ -17,7 +17,6 @@ from repro.pqp.executor import ExecutionTrace
 from repro.pqp.fingerprint import SpliceReport
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
 from repro.pqp.optimizer import OptimizationReport
-from repro.pqp.shard import ShardReport
 from repro.translate.translator import TranslationResult
 
 __all__ = ["QueryResult"]
@@ -36,9 +35,6 @@ class QueryResult:
     translation: Optional[TranslationResult] = None
     #: What the optimizer's rewrites did (``None`` when ``optimize=False``).
     optimization: Optional[OptimizationReport] = None
-    #: What scan sharding did to the plan (``None`` unless the query ran
-    #: with ``QueryOptions.shard_width`` set).
-    sharding: Optional[ShardReport] = None
     #: Whether the whole answer was served from the semantic result cache
     #: (no executor dispatch at all).
     cache_hit: bool = False

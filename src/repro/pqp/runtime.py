@@ -95,13 +95,8 @@ class ConcurrentExecutor(Executor):
         """How many pool workers a local row's database should have.  An
         in-process LQP stays at the paper's single connection (width 1); a
         RemoteLQP advertises its multiplexer's concurrency and gets that
-        many, so same-database rows overlap in flight; a shard family
-        widens its database's group to K so all K partial scans are in
-        flight together (pqp/shard.py)."""
-        width = max(1, self._registry.get(row.el).native_concurrency)
-        if row.shard:
-            width = max(width, row.shard[1])
-        return width
+        many, so same-database rows overlap in flight."""
+        return max(1, self._registry.get(row.el).native_concurrency)
 
     def execute(
         self,

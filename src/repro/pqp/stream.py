@@ -10,10 +10,9 @@ flight.
 **The streamable spine.**  A plan streams when it is one linear chain
 (:meth:`~repro.pqp.matrix.IntermediateOperationMatrix.linear_chain`):
 
-- the head is a local ``Retrieve`` or literal ``Select`` — unsharded, no
-  key range — whose LQP ships the relation (chunked over the wire when the
-  LQP exposes ``retrieve_chunks``/``select_chunks``, sliced locally
-  otherwise), and
+- the head is a local ``Retrieve`` or literal ``Select`` whose LQP ships
+  the relation (chunked over the wire when the LQP exposes
+  ``retrieve_chunks``/``select_chunks``, sliced locally otherwise), and
 - every later row is a PQP ``Select``/``Restrict``/``Project`` consuming
   exactly the previous result.
 
@@ -74,7 +73,7 @@ def streamable_spine(
     if chain is None:
         return None
     head = chain[0]
-    if not head.is_local or head.key_range is not None or head.shard is not None:
+    if not head.is_local:
         return None
     if head.op is Operation.SELECT:
         if not isinstance(head.rha, Literal):

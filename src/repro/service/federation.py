@@ -70,7 +70,6 @@ from repro.pqp.matrix import (
 from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.pqp.result import QueryResult
 from repro.pqp.runtime import ConcurrentExecutor
-from repro.pqp.shard import ShardReport, shard_retrieves
 from repro.pqp.syntax_analyzer import SyntaxAnalyzer
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.cursor import Cursor
@@ -554,7 +553,7 @@ class PolygenFederation:
             with use_span(root):
                 prepared = self._prepare(query, kind, options, root)
                 result, fingerprints = self._run_pipeline(
-                    prepared, kind, options, cancel, cursor
+                    prepared, options, cancel, cursor
                 )
         except BaseException as exc:
             root.end(exc)
@@ -568,7 +567,7 @@ class PolygenFederation:
             began,
             options,
             session,
-            lambda: fingerprints or prepared.fingerprints_for(result.iom),
+            lambda: fingerprints or prepared.fingerprints,
         )
         return result
 
@@ -630,7 +629,6 @@ class PolygenFederation:
     def _run_pipeline(
         self,
         prepared: PreparedPlan,
-        kind: str,
         options: QueryOptions,
         cancel: threading.Event | None,
         cursor: Cursor | None,
@@ -641,25 +639,13 @@ class PolygenFederation:
         Returns the result and the final plan's fingerprints when the
         cache probe computed them."""
         iom = prepared.iom
-        sharding = None
-        if options.shard_width and kind != "plan":
-            # Pre-built plans stay verbatim (the paper's "Table 3 as
-            # the execution plan"); shard explicitly via
-            # repro.pqp.shard for those.
-            with self.tracer.span("shard"):
-                iom, sharding = shard_retrieves(
-                    iom,
-                    self.registry,
-                    width=options.shard_width,
-                    schema=self.schema,
-                )
         caching = fingerprints = cache_epoch = None
         if options.cache != "off":
             with self.tracer.span("cache.probe") as probe:
-                # Fingerprint the final (optimized, sharded) plan: results
-                # cached under one shape key only that shape, and the
-                # conflict policy salts every hash.
-                fingerprints = prepared.fingerprints_for(iom)
+                # Fingerprint the prepared plan: results cached under one
+                # shape key only that shape, and the conflict policy salts
+                # every hash.
+                fingerprints = prepared.fingerprints
                 cache_epoch = self.cache.tick()
                 hit = (
                     self.cache.lookup(fingerprints.final)
@@ -692,7 +678,7 @@ class PolygenFederation:
                 )
                 if cursor is not None:
                     cursor._feed(hit.relation)
-                result = self._result(prepared, iom, trace, sharding, cache_hit=True)
+                result = self._result(prepared, iom, trace, cache_hit=True)
                 return result, fingerprints
         executor = self.executor_for(options)
         with self.tracer.span("execute", engine=options.engine) as exec_span:
@@ -707,7 +693,7 @@ class PolygenFederation:
         if options.cache != "off":
             with self.tracer.span("cache.store"):
                 self._store_results(iom, trace, fingerprints, cache_epoch)
-        result = self._result(prepared, iom, trace, sharding, caching=caching)
+        result = self._result(prepared, iom, trace, caching=caching)
         return result, fingerprints
 
     @staticmethod
@@ -715,7 +701,6 @@ class PolygenFederation:
         prepared: PreparedPlan,
         iom: IntermediateOperationMatrix,
         trace: ExecutionTrace,
-        sharding: Optional[ShardReport],
         **outcome,
     ) -> QueryResult:
         """The answer plus every pipeline artifact (``outcome``: the cache
@@ -729,7 +714,6 @@ class PolygenFederation:
             sql=prepared.sql,
             translation=prepared.translation,
             optimization=prepared.report,
-            sharding=sharding,
             **outcome,
         )
 

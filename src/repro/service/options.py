@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cell import ConflictPolicy
 
@@ -52,10 +52,6 @@ class QueryOptions:
       a remote source encodes those chunks is not a query option: its
       connection chose that when it was made
       (:class:`~repro.net.client.RemoteLQP`'s ``wire_format``).
-    - ``shard_width`` — scan sharding (:mod:`repro.pqp.shard`): ``0`` (the
-      default) leaves every Retrieve whole; ``"auto"`` splits large
-      retrieves into one key-range shard per server the LQP advertises
-      (``native_concurrency``); an integer ≥ 2 forces that many shards.
     - ``cache`` — the semantic result cache (:mod:`repro.service.cache`):
       ``"off"`` (the default) bypasses it entirely; ``"on"`` consults it
       before execution (whole-plan hits return instantly, cached subtrees
@@ -77,10 +73,19 @@ class QueryOptions:
     policy: ConflictPolicy = ConflictPolicy.DROP
     materialize_full_scheme: bool = False
     fetch_size: int = 64
-    shard_width: Union[int, str] = 0
     cache: str = "off"
     stream_chunk_size: int = 1024
     slow_query_ms: Optional[float] = None
+
+    def __new__(cls, *args, **kwargs):
+        # An unknown keyword (a typo, or a retired knob) is a ValueError
+        # naming it, not the dataclass's TypeError; replace() lands here too.
+        unknown = set(kwargs) - _FIELD_NAMES
+        if unknown:
+            raise ValueError(
+                f"unknown QueryOptions field(s): {', '.join(sorted(unknown))}"
+            )
+        return super().__new__(cls)
 
     def __post_init__(self):
         """Validate every field at construction.
@@ -122,15 +127,6 @@ class QueryOptions:
             )
         if self.fetch_size < 1:
             raise ValueError(f"fetch_size must be >= 1, got {self.fetch_size}")
-        if isinstance(self.shard_width, bool) or not (
-            self.shard_width == 0
-            or self.shard_width == "auto"
-            or (isinstance(self.shard_width, int) and self.shard_width >= 2)
-        ):
-            raise ValueError(
-                "shard_width must be 0 (off), 'auto', or an int >= 2, "
-                f"got {self.shard_width!r}"
-            )
         if not isinstance(self.cache, str) or self.cache not in _CACHE_MODES:
             raise ValueError(
                 f"cache must be one of {_CACHE_MODES}, got {self.cache!r}"
@@ -171,9 +167,7 @@ class QueryOptions:
         """
         if not overrides:
             return self
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ValueError(
-                f"unknown QueryOptions field(s): {', '.join(sorted(unknown))}"
-            )
         return dataclasses.replace(self, **overrides)
+
+
+_FIELD_NAMES = frozenset(field.name for field in dataclasses.fields(QueryOptions))

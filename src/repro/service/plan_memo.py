@@ -63,14 +63,6 @@ class PreparedPlan:
         by every hit."""
         return fingerprint_plan(self.iom, self.policy)
 
-    def fingerprints_for(self, iom: IntermediateOperationMatrix) -> PlanFingerprints:
-        """``iom``'s fingerprints: the memoized ones when ``iom`` is this
-        plan unchanged, a fresh computation for a rewrite of it (sharded,
-        spliced)."""
-        if iom is self.iom:
-            return self.fingerprints
-        return fingerprint_plan(iom, self.policy)
-
 
 class PlanMemo:
     """A bounded, thread-safe LRU map from memo key to :class:`PreparedPlan`."""

@@ -3,9 +3,9 @@
 :mod:`repro.sql.ast` renders the polygen SQL *surface* syntax (display
 form, polygen quoting).  This module renders the same AST the other way
 — into SQL an actual engine executes — so
-:class:`repro.backends.sqlite_lqp.SqliteLQP` can compile ``select`` /
-``select_range`` / column projections down to statements SQLite runs
-natively instead of filtering shipped tuples in Python loops.
+:class:`repro.backends.sqlite_lqp.SqliteLQP` can compile ``select`` and
+column projections down to statements SQLite runs natively instead of
+filtering shipped tuples in Python loops.
 
 The subtlety is semantic, not syntactic.  Polygen comparison semantics
 (:class:`repro.core.predicate.Theta`) differ from SQLite's in exactly
@@ -23,9 +23,6 @@ two places, and every clause built here is shaped to close the gap:
   an **incomparability probe** (:func:`probe_sql`) the engine runs
   first: count the non-nil cells outside the literal's storage classes
   (:func:`storage_classes`) and raise before selecting if any exist.
-  Key-range clauses (:func:`range_sql`) instead route non-orderable
-  cells to the ``include_nil`` shard with ``typeof()`` guards, mirroring
-  :func:`repro.lqp.base.key_in_range`'s TypeError branch.
 
 Values that cannot be bound faithfully (bools in ordering position,
 ints beyond SQLite's 64 bits, arbitrary objects) make the helpers
@@ -44,7 +41,6 @@ __all__ = [
     "comparison_sql",
     "probe_sql",
     "quote_identifier",
-    "range_sql",
     "render_select",
     "storage_classes",
 ]
@@ -141,64 +137,13 @@ def probe_sql(
     return sql, []
 
 
-def range_sql(
-    attribute: str,
-    lower: Any,
-    upper: Any,
-    include_nil: bool,
-) -> Optional[Tuple[str, List[Any]]]:
-    """A WHERE clause reproducing :func:`repro.lqp.base.key_in_range`.
-
-    Nil keys and keys whose storage class cannot be ordered against the
-    bounds belong to the ``include_nil`` shard (``key_in_range``'s
-    TypeError branch), so the clause guards the bound comparisons with
-    ``typeof()`` and routes everything else by ``include_nil``.  Bounds
-    of conflicting classes — where Python's verdict would depend on
-    evaluation order — return ``None``: fall back to the Python filter.
-    """
-    column = quote_identifier(attribute)
-    bound_classes = [storage_classes(b) for b in (lower, upper) if b is not None]
-    if lower is None and upper is None:
-        # No comparison ever runs: every non-nil key passes, nil follows
-        # include_nil.
-        return ("1", []) if include_nil else (f"{column} IS NOT NULL", [])
-    if any(classes is None for classes in bound_classes):
-        return None
-    if len(bound_classes) == 2 and bound_classes[0] != bound_classes[1]:
-        return None
-    if not all(_bindable(b) for b in (lower, upper) if b is not None):
-        return None
-    classes = bound_classes[0]
-    checks, params = [], []
-    if lower is not None:
-        checks.append(f"{column} >= ?")
-        params.append(lower)
-    if upper is not None:
-        checks.append(f"{column} < ?")
-        params.append(upper)
-    comparable = f"{_classes_in(column, classes)} AND " + " AND ".join(checks)
-    if include_nil:
-        clause = (
-            f"({column} IS NULL OR NOT {_classes_in(column, classes)} "
-            f"OR ({comparable}))"
-        )
-    else:
-        clause = f"({column} IS NOT NULL AND {comparable})"
-    return clause, params
-
-
-def render_select(
-    statement: SelectStatement,
-    extra_where: Sequence[Tuple[str, Sequence[Any]]] = (),
-) -> Tuple[str, List[Any]]:
+def render_select(statement: SelectStatement) -> Tuple[str, List[Any]]:
     """Render a :class:`~repro.sql.ast.SelectStatement` as parameterized
     SQLite.
 
-    Literal comparisons become ``?`` placeholders; ``extra_where`` takes
-    pre-rendered ``(clause, params)`` pairs (the typeof-guarded range
-    clauses, which the AST cannot express) and ANDs them in.  Attribute
-    right-hand sides and ``IN`` subqueries never reach the engines —
-    single-comparison Select is the whole LQP contract — so they raise.
+    Literal comparisons become ``?`` placeholders.  Attribute right-hand
+    sides and ``IN`` subqueries never reach the engines — single-comparison
+    Select is the whole LQP contract — so they raise.
     """
     columns = (
         ", ".join(quote_identifier(name) for name in statement.select_list)
@@ -223,9 +168,6 @@ def render_select(
                 "the engine must fall back to a Python filter"
             )
         clause, clause_params = rendered
-        clauses.append(clause)
-        params.extend(clause_params)
-    for clause, clause_params in extra_where:
         clauses.append(clause)
         params.extend(clause_params)
     sql = f"SELECT {columns} FROM {tables}"

@@ -48,7 +48,6 @@ __all__ = [
     "product",
     "restrict",
     "union",
-    "union_all",
     "difference",
     "coalesce",
     "intersect",
@@ -267,26 +266,6 @@ def union(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
         s1.pool, s1.degree, [_rows(s1), _rows(s2)]
     )
     return ColumnarRelation.from_row_major(s1.heading, out_data, out_tags, s1.pool)
-
-
-def union_all(stores: Sequence[ColumnarRelation]) -> ColumnarRelation:
-    """N-ary ``∪`` in one hash pass — the reassembly kernel for sharded
-    scans (:mod:`repro.pqp.shard`).
-
-    All operands must share the first operand's heading exactly (shards of
-    one Retrieve always do).  Equivalent to folding :func:`union`, since
-    merging by data portion is associative; one pass touches every row
-    once instead of re-hashing the accumulated result per operand.
-    """
-    if not stores:
-        raise ValueError("union_all requires at least one operand")
-    first = stores[0]
-    pool = first.pool
-    translated = [first] + [store.translated(pool) for store in stores[1:]]
-    out_data, out_tags = _merge_rows_by_data(
-        pool, first.degree, [_rows(store) for store in translated]
-    )
-    return ColumnarRelation.from_row_major(first.heading, out_data, out_tags, pool)
 
 
 def difference(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:

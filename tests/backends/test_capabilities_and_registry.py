@@ -6,8 +6,6 @@ unchanged, the wire serves it (with the two wire-forced flags), and the
 registry can open sqlite/log stores straight from URLs.
 """
 
-import time
-
 import pytest
 
 from repro.backends import KVStoreLQP, LogStoreLQP, SqliteLQP
@@ -32,17 +30,13 @@ class TestDescriptor:
     def test_defaults_match_the_historical_contract(self):
         capabilities = Capabilities()
         assert capabilities.native_select
-        assert not capabilities.native_range
         assert not capabilities.native_projection
-        assert capabilities.splittable_scans
         assert capabilities.signals_writes
 
     def test_round_trips_through_dict(self):
         original = Capabilities(
             native_select=False,
-            native_range=True,
             native_projection=True,
-            splittable_scans=False,
             signals_writes=False,
         )
         assert Capabilities.from_dict(original.to_dict()) == original
@@ -51,9 +45,9 @@ class TestDescriptor:
         # Forward compatibility: an older client reading a newer server's
         # payload (extra keys) or vice versa (missing keys) must not break.
         capabilities = Capabilities.from_dict(
-            {"native_range": True, "future_power": True}
+            {"native_projection": True, "future_power": True}
         )
-        assert capabilities.native_range
+        assert capabilities.native_projection
         assert capabilities.native_select  # default fills the gap
 
     def test_relational_lqp_reports_no_projection_capability(self):
@@ -66,33 +60,6 @@ class TestDescriptor:
     def test_csv_lqp_reports_no_projection_capability(self):
         lqp = CsvLQP("CSV", {"R": "K,V\n1,a\n"})
         assert lqp.capabilities() == Capabilities()
-
-
-class TestCatalogStats:
-    """``relation_stats`` is the one catalog verb: its cardinality is the
-    relation's, and through the registry's wrappers it ships nothing and
-    waits for no injected latency."""
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda db, tmp: SqliteLQP.from_database(db),
-            lambda db, tmp: LogStoreLQP.from_database(db, str(tmp / "log")),
-            lambda db, tmp: KVStoreLQP.from_database(db),
-            lambda db, tmp: RelationalLQP(db),
-            lambda db, tmp: CsvLQP("XD", {"R": "K,V\n1,a\n2,b\n"}),
-        ],
-        ids=["sqlite", "log", "kv", "relational", "csv"],
-    )
-    def test_stats_cardinality_is_free_metadata(self, tmp_path, factory):
-        engine = factory(_database(), tmp_path)
-        wrapped = AccountingLQP(LatencyLQP(engine, per_query=5.0))
-        began = time.perf_counter()
-        stats = wrapped.relation_stats("R")
-        assert time.perf_counter() - began < 2.0
-        assert stats.cardinality == engine.retrieve("R").cardinality == 2
-        assert wrapped.stats.queries == 0
-        assert wrapped.stats.tuples_shipped == 0
 
 
 class TestWrapperDelegation:
@@ -116,6 +83,29 @@ class TestWrapperDelegation:
             AccountingLQP(LatencyLQP(inner)).capabilities()
             == inner.capabilities()
         )
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda db, tmp: SqliteLQP.from_database(db),
+            lambda db, tmp: LogStoreLQP.from_database(db, str(tmp / "log")),
+            lambda db, tmp: KVStoreLQP.from_database(db),
+            lambda db, tmp: RelationalLQP(db),
+            lambda db, tmp: CsvLQP("XD", {"R": "K,V\n1,a\n2,b\n"}),
+        ],
+        ids=["sqlite", "log", "kv", "relational", "csv"],
+    )
+    def test_wrappers_pass_answers_through_and_count_them(self, tmp_path, factory):
+        engine = factory(_database(), tmp_path)
+        wrapped = AccountingLQP(LatencyLQP(engine, per_query=0.0))
+        assert wrapped.retrieve("R") == engine.retrieve("R")
+        assert wrapped.select("R", "K", Theta.EQ, 1) == (
+            engine.select("R", "K", Theta.EQ, 1)
+        )
+        assert wrapped.stats.queries == 2
+        assert wrapped.stats.retrieves == 1
+        assert wrapped.stats.selects == 1
+        assert wrapped.stats.tuples_shipped == 3
 
     def test_registry_wrapper_serves_the_inner_capabilities(self):
         registry = LQPRegistry()
@@ -191,12 +181,8 @@ class TestWireCapabilities:
         # happen server-side, which is what the flags mean to the planner.
         assert remote.native_select
         assert remote.native_projection
-        # Honest pass-through for powers the wire cannot confer.
-        assert remote.native_range == inner.capabilities().native_range
+        # Honest pass-through for the power the wire cannot confer.
         assert remote.signals_writes == inner.capabilities().signals_writes
-        assert (
-            remote.splittable_scans == inner.capabilities().splittable_scans
-        )
 
     def test_remote_capabilities_are_cached(self, loopback):
         _, client = loopback

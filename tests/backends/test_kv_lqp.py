@@ -2,15 +2,19 @@
 
 Federation-level equivalence lives in
 ``tests/property/test_backend_equivalence.py``; this module pins the
-store's own contract — point lookups, sorted-index range slicing with
-its fallbacks, and the upsert/key-integrity rules.
+store's own contract — point lookups with their scan fallbacks (ordered
+θs included), and the upsert/key-integrity rules.
 """
 
 import pytest
 
 from repro.backends import KVStoreLQP
 from repro.core.predicate import Theta
-from repro.errors import ConstraintViolationError, UnknownRelationError
+from repro.errors import (
+    ConstraintViolationError,
+    IncomparableTypesError,
+    UnknownRelationError,
+)
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
@@ -62,16 +66,14 @@ class TestSchema:
     def test_capabilities_declare_key_only_power(self, store):
         capabilities = store.capabilities()
         assert not capabilities.native_select
-        assert capabilities.native_range
         assert not capabilities.native_projection
-        assert capabilities.splittable_scans
         assert capabilities.signals_writes
 
 
 class TestPut:
     def test_put_upserts_by_key(self, store):
         store.put("USERS", [(2, "bob", 28)])
-        assert store.relation_stats("USERS").cardinality == 3
+        assert store.retrieve("USERS").cardinality == 3
         assert store.select("USERS", "UID", Theta.EQ, 2).rows == ((2, "bob", 28),)
 
     def test_nil_key_is_refused(self, store):
@@ -107,49 +109,33 @@ class TestSelect:
         )
 
 
-class TestRanges:
+class TestOrderedSelect:
+    """Only ``=`` on a single-column key is a point lookup; every ordered
+    θ is a scan filter and must answer exactly as the reference does."""
+
     @pytest.mark.parametrize(
-        "lower,upper,include_nil",
-        [(1, 3, False), (None, 2, False), (2, None, False), (None, None, True)],
+        "theta",
+        [Theta.LT, Theta.LE, Theta.GT, Theta.GE, Theta.NE],
+        ids=lambda theta: theta.name,
     )
-    def test_key_range_slices_match_the_reference(
-        self, store, reference, lower, upper, include_nil
-    ):
-        expected = reference.retrieve_range(
-            "USERS", "UID", lower=lower, upper=upper, include_nil=include_nil
-        )
-        got = store.retrieve_range(
-            "USERS", "UID", lower=lower, upper=upper, include_nil=include_nil
-        )
-        assert got == expected
+    def test_key_column_matches_the_reference(self, store, reference, theta):
+        for value in (0, 1, 2, 2.5, 3, 99):
+            assert store.select("USERS", "UID", theta, value) == (
+                reference.select("USERS", "UID", theta, value)
+            )
 
-    def test_non_key_range_falls_back_to_the_scan(self, store, reference):
-        expected = reference.retrieve_range(
-            "USERS", "AGE", lower=30, upper=40, include_nil=True
-        )
-        assert (
-            store.retrieve_range("USERS", "AGE", lower=30, upper=40, include_nil=True)
-            == expected
-        )
+    def test_composite_key_ordering_scan_filters(self, store, reference):
+        for theta in (Theta.LT, Theta.GE):
+            assert store.select("GRANTS", "ROLE", theta, "dev") == (
+                reference.select("GRANTS", "ROLE", theta, "dev")
+            )
 
-    def test_composite_key_range_falls_back_to_the_scan(self, store, reference):
-        expected = reference.retrieve_range("GRANTS", "UID", lower=1, upper=2)
-        assert store.retrieve_range("GRANTS", "UID", lower=1, upper=2) == expected
+    def test_incomparable_ordering_raises(self, store):
+        with pytest.raises(IncomparableTypesError):
+            store.select("USERS", "UID", Theta.LT, "a")
 
-    def test_incomparable_bound_falls_back_to_the_scan(self, store, reference):
-        expected = reference.retrieve_range("USERS", "UID", lower="a")
-        assert store.retrieve_range("USERS", "UID", lower="a") == expected
-
-    def test_range_projection(self, store, reference):
-        expected = reference.retrieve_range(
-            "USERS", "UID", lower=1, upper=3, columns=["NAME"]
-        )
-        got = store.retrieve_range("USERS", "UID", lower=1, upper=3, columns=["NAME"])
-        assert got == expected
-
-
-class TestCatalog:
-    def test_stats_match_and_refresh(self, store, reference):
-        assert store.relation_stats("USERS") == reference.relation_stats("USERS")
-        store.put("USERS", [(9, "zed", 70)])
-        assert store.relation_stats("USERS").columns["AGE"].maximum == 70
+    def test_upsert_moves_a_row_across_a_predicate(self, store):
+        assert store.select("USERS", "AGE", Theta.GE, 40).rows == ((3, "carol", 41),)
+        store.put("USERS", [(3, "carol", 39), (9, "zed", 70)])
+        assert store.select("USERS", "AGE", Theta.GE, 40).rows == ((9, "zed", 70),)
+        assert store.select("USERS", "UID", Theta.GT, 3).rows == ((9, "zed", 70),)

@@ -64,15 +64,13 @@ class TestLifecycle:
         store.append("EVENTS", [(4, "put", 9)])
         store.close()
         reopened = LogStoreLQP.open(path)
-        assert reopened.relation_stats("EVENTS").cardinality == 4
+        assert reopened.retrieve("EVENTS").cardinality == 4
         reopened.close()
 
     def test_capabilities_declare_the_weak_engine(self, store):
         capabilities = store.capabilities()
         assert not capabilities.native_select
-        assert not capabilities.native_range
         assert not capabilities.native_projection
-        assert not capabilities.splittable_scans
         assert not capabilities.signals_writes
 
 
@@ -83,10 +81,10 @@ class TestSegments:
         for i in range(8):
             store.append("E", [(i,)])
         assert store.segment_count() > 1
-        assert store.relation_stats("E").cardinality == 8
+        assert store.retrieve("E").cardinality == 8
         store.close()
         reopened = LogStoreLQP.open(str(tmp_path / "log"))
-        assert reopened.relation_stats("E").cardinality == 8
+        assert reopened.retrieve("E").cardinality == 8
         reopened.close()
 
     def test_segments_are_one_json_record_per_line(self, store):
@@ -114,7 +112,7 @@ class TestSegments:
                 + "\n"
             )
         reopened = LogStoreLQP.open(path)
-        assert reopened.relation_stats("EVENTS").cardinality == 4
+        assert reopened.retrieve("EVENTS").cardinality == 4
         reopened.close()
 
 
@@ -159,9 +157,8 @@ class TestQuerySurface:
                 reference.select("EVENTS", "KIND", theta, value)
             )
 
-    def test_stats_refresh_as_the_log_grows(self, store):
-        assert store.relation_stats("EVENTS").cardinality == 3
+    def test_appends_are_visible_to_the_next_select(self, store):
+        assert store.select("EVENTS", "SIZE", Theta.GT, 50).cardinality == 0
         store.append("EVENTS", [(4, "put", 99)])
-        stats = store.relation_stats("EVENTS")
-        assert stats.cardinality == 4
-        assert stats.columns["SIZE"].maximum == 99
+        assert store.select("EVENTS", "SIZE", Theta.GT, 50).rows == ((4, "put", 99),)
+        assert store.retrieve("EVENTS").cardinality == 4

@@ -18,6 +18,7 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownRelationError,
 )
+from repro.lqp.base import project_columns
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
@@ -92,7 +93,6 @@ class TestLifecycle:
         # be trusted, and the cache must bound staleness with a TTL.
         assert not on_disk.capabilities().signals_writes
         assert on_disk.capabilities().native_select
-        assert on_disk.capabilities().native_range
         assert on_disk.capabilities().native_projection
         on_disk.close()
 
@@ -144,6 +144,11 @@ class TestSelectSemantics:
             ("N", Theta.EQ, "10"),  # int/str equality does not
             ("K", Theta.EQ, None),  # nil satisfies no θ
             ("N", Theta.NE, None),
+            ("N", Theta.LT, 10),
+            ("N", Theta.GE, 7.5),  # int column against a float bound
+            ("S", Theta.LE, "beta"),
+            ("S", Theta.LT, "gamma"),
+            ("K", Theta.GE, 2),
         ],
     )
     def test_matches_reference(self, store, reference, attribute, theta, value):
@@ -178,77 +183,45 @@ class TestSelectSemantics:
             store.select("R", "NOPE", Theta.EQ, 1)
 
 
-class TestProjectionAndRanges:
+class TestProjection:
     def test_retrieve_projection(self, store, reference):
         # The in-memory reference has no native projection: narrow its
-        # full retrieve the way the default range verbs would.
-        assert store.retrieve("R", columns=["S", "K"]) == reference.retrieve_range(
-            "R", "K", include_nil=True, columns=["S", "K"]
+        # full retrieve the way the PQP would.
+        assert store.retrieve("R", columns=["S", "K"]) == project_columns(
+            reference.retrieve("R"), ["S", "K"]
         )
 
     def test_projection_of_absent_column_raises(self, store):
         with pytest.raises(UnknownAttributeError):
             store.retrieve("R", columns=["NOPE"])
 
-    @pytest.mark.parametrize(
-        "lower,upper,include_nil",
-        [(2, 4, False), (None, 3, True), (2, None, False), (None, None, True)],
-    )
-    def test_retrieve_range_matches(self, store, reference, lower, upper, include_nil):
-        expected = reference.retrieve_range(
-            "R", "K", lower=lower, upper=upper, include_nil=include_nil
-        )
-        got = store.retrieve_range(
-            "R", "K", lower=lower, upper=upper, include_nil=include_nil
-        )
-        assert got == expected
-
-    def test_nil_owning_shard_includes_nil_cells(self, store, reference):
-        expected = reference.retrieve_range("R", "N", upper=10, include_nil=True)
-        got = store.retrieve_range("R", "N", upper=10, include_nil=True)
-        assert got == expected
-        assert any(row[1] is None for row in got.rows)
-
-    def test_select_range_composes_predicate_and_interval(self, store, reference):
-        expected = reference.select_range(
-            "R", "S", Theta.NE, "gamma", "K", lower=1, upper=4
-        )
-        got = store.select_range(
-            "R", "S", Theta.NE, "gamma", "K", lower=1, upper=4
-        )
-        assert got == expected
+    def test_select_projection(self, store, reference):
+        expected = project_columns(reference.select("R", "N", Theta.GT, 8), ["S"])
+        assert store.select("R", "N", Theta.GT, 8, columns=["S"]) == expected
 
 
 class TestCatalog:
-    def test_cardinality(self, store):
-        assert store.relation_stats("R").cardinality == 4
-
-    def test_relation_stats_match_the_python_computation(self, store, reference):
-        assert store.relation_stats("R") == reference.relation_stats("R")
-        assert store.relation_stats("MIXED") == reference.relation_stats("MIXED")
-
-    def test_stats_refresh_after_insert(self, store):
-        assert store.relation_stats("R").cardinality == 4
-        store.insert("R", [(5, 100, "delta")])
-        stats = store.relation_stats("R")
-        assert stats.cardinality == 5
-        assert stats.columns["N"].maximum == 100
-
-    def test_stats_observe_external_writers_of_a_shared_file(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        ours = SqliteLQP.from_database(_database(), path)
-        assert ours.relation_stats("R").cardinality == 4
-        other = SqliteLQP.open(path)
-        other.insert("R", [(6, 1, "ext")])
-        other.close()
-        # PRAGMA data_version keys the cache, so the foreign write shows.
-        assert ours.relation_stats("R").cardinality == 5
-        ours.close()
-
     def test_empty_relation_round_trips(self, store):
         store.create(RelationSchema("EMPTY", ["A", "B"], key=["A"]))
         assert store.retrieve("EMPTY") == Relation(["A", "B"])
-        assert store.relation_stats("EMPTY").cardinality == 0
+        assert store.select("EMPTY", "B", Theta.GE, 0) == Relation(["A", "B"])
+
+    def test_insert_is_visible_to_the_next_select(self, store):
+        assert store.select("R", "N", Theta.GT, 50).cardinality == 0
+        store.insert("R", [(5, 100, "delta")])
+        assert store.select("R", "N", Theta.GT, 50).rows == ((5, 100, "delta"),)
+        assert store.retrieve("R").cardinality == 5
+
+    def test_external_writer_of_a_shared_file_is_visible(self, tmp_path):
+        path = str(tmp_path / "shared.db")
+        ours = SqliteLQP.from_database(_database(), path)
+        assert ours.retrieve("R").cardinality == 4
+        other = SqliteLQP.open(path)
+        other.insert("R", [(6, 1, "ext")])
+        other.close()
+        assert ours.retrieve("R").cardinality == 5
+        assert ours.select("R", "S", Theta.EQ, "ext").rows == ((6, 1, "ext"),)
+        ours.close()
 
 
 class TestConcurrency:

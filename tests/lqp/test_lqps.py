@@ -169,19 +169,11 @@ class TestColumnProjection:
         assert out.attributes == ("AID#",)
         assert out.rows == (("012",),)
 
-    def test_unknown_column_rejected(self, alumni_lqp):
+    def test_unknown_column_rejected(self, sqlite_alumni):
         from repro.errors import UnknownAttributeError
 
         with pytest.raises(UnknownAttributeError):
-            alumni_lqp.retrieve_range("ALUMNUS", "AID#", columns=["NOPE"])
-
-    def test_retrieve_range_projects_after_filtering(self, alumni_lqp):
-        # The key attribute need not survive the projection.
-        out = alumni_lqp.retrieve_range(
-            "ALUMNUS", "AID#", lower="500", columns=["ANAME"]
-        )
-        assert out.attributes == ("ANAME",)
-        assert out.rows == (("Ken Olsen",),)
+            sqlite_alumni.retrieve("ALUMNUS", columns=["NOPE"])
 
     def test_wrappers_advertise_inner_capability(self, alumni_lqp, sqlite_alumni):
         assert AccountingLQP(sqlite_alumni).capabilities().native_projection
@@ -192,41 +184,6 @@ class TestColumnProjection:
         out = wrapped.select("ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["MAJ"])
         assert out.attributes == ("MAJ",)
         assert wrapped.stats.selects == 1
-
-
-class TestSelectRange:
-    """The default ``select_range`` verb: predicate ∧ key interval."""
-
-    def test_filters_both_ways(self, alumni_lqp):
-        out = alumni_lqp.select_range(
-            "ALUMNUS", "DEG", Theta.NE, "PhD", "AID#", lower="500"
-        )
-        assert out.rows == (("789", "Ken Olsen", "MS", "EE"),)
-
-    def test_family_partitions_the_selection(self, alumni_lqp):
-        whole = alumni_lqp.select("ALUMNUS", "DEG", Theta.NE, "PhD")
-        low = alumni_lqp.select_range(
-            "ALUMNUS", "DEG", Theta.NE, "PhD", "AID#",
-            upper="500", include_nil=True,
-        )
-        high = alumni_lqp.select_range(
-            "ALUMNUS", "DEG", Theta.NE, "PhD", "AID#", lower="500"
-        )
-        assert sorted(low.rows + high.rows) == sorted(whole.rows)
-
-    def test_accounting_counts_range_selects(self, alumni_lqp):
-        wrapped = AccountingLQP(alumni_lqp)
-        wrapped.select_range("ALUMNUS", "DEG", Theta.EQ, "MBA", "AID#")
-        assert wrapped.stats.queries == 1
-        assert wrapped.stats.range_selects == 1
-        assert wrapped.stats.selects == 0
-
-    def test_columns_narrow_the_shipped_shard(self, alumni_lqp):
-        out = alumni_lqp.select_range(
-            "ALUMNUS", "DEG", Theta.EQ, "MBA", "AID#", columns=["ANAME"]
-        )
-        assert out.attributes == ("ANAME",)
-        assert out.rows == (("John McCauley",),)
 
 
 class TestRefreshNotifications:

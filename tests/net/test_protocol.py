@@ -1,5 +1,6 @@
 """Unit tests of the wire protocol: framing, messages, payloads, URLs."""
 
+import dataclasses
 import io
 import json
 import struct
@@ -7,6 +8,7 @@ import struct
 import pytest
 
 from repro.errors import ProtocolError
+from repro.lqp.base import Capabilities
 from repro.net import protocol
 from repro.relational.relation import Relation
 
@@ -210,83 +212,59 @@ class TestRelationPayloads:
             list(protocol.relation_chunks(Relation(["A"], [(1,)]), chunk_size=0))
 
 
-class TestStatsPayloads:
+#: The capability flags a peer may send, each checked on its own.
+FLAGS = [field.name for field in dataclasses.fields(Capabilities)]
+
+
+class TestCapabilityPayloads:
     def test_round_trip(self):
-        from repro.lqp.base import ColumnStats, RelationStats
-
-        stats = RelationStats(
-            cardinality=42,
-            columns={
-                "K": ColumnStats(minimum=0, maximum=41, nils=3),
-                "NAME": ColumnStats(minimum=None, maximum=None, nils=0),
-            },
+        original = Capabilities(
+            native_select=False, native_projection=True, signals_writes=False
         )
-        payload = protocol.stats_payload(stats)
-        rebuilt = protocol.stats_from_payload(payload)
-        assert rebuilt.cardinality == 42
-        assert rebuilt.columns["K"] == stats.columns["K"]
-        assert rebuilt.columns["K"].splittable
-        assert rebuilt.columns["NAME"] == stats.columns["NAME"]
-        assert not rebuilt.columns["NAME"].splittable
+        payload = protocol.capabilities_payload(original)
+        protocol.encode_frame({"value": payload})
+        assert protocol.capabilities_from_payload(payload) == original
 
-    def test_none_stats_survive(self):
-        # A statless engine's None answer must stay None across the wire.
-        assert protocol.stats_payload(None) is None
-        assert protocol.stats_from_payload(None) is None
+    def test_missing_flags_default(self):
+        assert protocol.capabilities_from_payload({}) == Capabilities()
 
-    def test_payload_is_wire_representable(self):
-        from repro.lqp.base import ColumnStats, RelationStats
-
-        stats = RelationStats(
-            cardinality=1, columns={"K": ColumnStats(minimum=1.5, maximum=2.5, nils=0)}
+    def test_old_peer_payload_with_retired_flags_parses(self):
+        # A peer built while the scan-sharding pass existed still sends its
+        # two flags; unknown keys are dropped, the rest is read as sent.
+        payload = {
+            "native_select": False,
+            "native_range": True,
+            "native_projection": False,
+            "splittable_scans": True,
+            "signals_writes": False,
+        }
+        assert protocol.capabilities_from_payload(payload) == Capabilities(
+            native_select=False, native_projection=False, signals_writes=False
         )
-        protocol.encode_frame({"value": protocol.stats_payload(stats)})
 
-    @pytest.mark.parametrize("bad", [[1], "stats", {"columns": {}}])
+    @pytest.mark.parametrize("field", FLAGS)
+    @pytest.mark.parametrize("value", [True, False])
+    def test_each_flag_is_read_as_sent(self, field, value):
+        # One flag per payload: the decoder may not read a flag from, or
+        # default it by, any of its neighbours.
+        expected = dataclasses.replace(Capabilities(), **{field: value})
+        assert protocol.capabilities_from_payload({field: value}) == expected
+
+    @pytest.mark.parametrize("field", FLAGS)
+    @pytest.mark.parametrize(
+        "flag", ["false", 0, None, []], ids=["text", "int", "nil", "list"]
+    )
+    def test_non_boolean_flag_raises_only_protocol_error(self, field, flag):
+        # bool("false") is True: coercing would read a source that said it
+        # cannot signal writes as one that can, and skip the cache's TTL.
+        payload = dict(protocol.capabilities_payload(Capabilities()), **{field: flag})
+        with pytest.raises(ProtocolError, match=field):
+            protocol.capabilities_from_payload(payload)
+
+    @pytest.mark.parametrize("bad", [[1], "capabilities", None])
     def test_malformed_payload_refused(self, bad):
         with pytest.raises(ProtocolError):
-            protocol.stats_from_payload(bad)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"cardinality": "x"},
-            {"cardinality": None},
-            {"cardinality": 1, "columns": [1]},
-            {"cardinality": 1, "columns": {"A": 5}},
-            {"cardinality": 1, "columns": {"A": {"nils": "many"}}},
-            {"cardinality": True},
-            {"cardinality": 1.5},
-            {"cardinality": -1},
-            {"cardinality": 1, "columns": {"A": {"nils": -2}}},
-            {"cardinality": 1, "columns": {"A": {"min": [1]}}},
-            {"cardinality": 1, "columns": {"A": {"max": {"x": 1}}}},
-        ],
-        ids=[
-            "text-cardinality",
-            "nil-cardinality",
-            "list-columns",
-            "scalar-column",
-            "text-nils",
-            "bool-cardinality",
-            "float-cardinality",
-            "negative-cardinality",
-            "negative-nils",
-            "list-min",
-            "object-max",
-        ],
-    )
-    def test_mistyped_payload_raises_only_protocol_error(self, bad):
-        # A peer's payload: decoding it may raise ProtocolError and nothing else.
-        with pytest.raises(ProtocolError):
-            protocol.stats_from_payload(bad)
-
-    def test_optional_fields_default(self):
-        from repro.lqp.base import ColumnStats
-
-        assert protocol.stats_from_payload({"cardinality": 0}).columns == {}
-        rebuilt = protocol.stats_from_payload({"cardinality": 2, "columns": {"A": {}}})
-        assert rebuilt.columns == {"A": ColumnStats(minimum=None, maximum=None, nils=0)}
+            protocol.capabilities_from_payload(bad)
 
 
 class TestUrls:

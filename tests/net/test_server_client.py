@@ -164,17 +164,39 @@ class TestLoopbackEquivalence:
             assert empty.attributes == ("AID#", "ANAME", "DEG", "MAJ")
 
     def test_retired_catalog_ops_fail_typed(self, server):
-        # ``cardinality`` and ``catalog`` are no longer wire ops: each gets
-        # the server's typed error frame, and the connection stays usable.
+        # Retired wire ops each get the server's typed error frame, and the
+        # connection stays usable.
+        retired = [
+            ("cardinality", {"relation": "ALUMNUS"}),
+            ("catalog", {}),
+            ("relation_stats", {"relation": "ALUMNUS"}),
+            ("retrieve_range", {"relation": "ALUMNUS", "attribute": "AID#"}),
+            (
+                "select_range",
+                {
+                    "relation": "ALUMNUS",
+                    "attribute": "DEG",
+                    "theta": "=",
+                    "value": "MBA",
+                    "key_attribute": "AID#",
+                },
+            ),
+        ]
         with RemoteLQP(server.url, timeout=TIMEOUT, retries=0) as remote:
-            with pytest.raises(RemoteQueryError, match="unknown wire operation"):
-                remote._mux.request("cardinality", relation="ALUMNUS")
-            with pytest.raises(RemoteQueryError, match="unknown wire operation"):
-                remote._mux.request("catalog")
-            assert remote.retrieve("ALUMNUS") == ad_lqp().retrieve("ALUMNUS")
+            for op, fields in retired:
+                with pytest.raises(RemoteQueryError, match="unknown wire operation"):
+                    remote._mux.request(op, **fields)
+                assert remote.retrieve("ALUMNUS") == ad_lqp().retrieve("ALUMNUS")
             assert remote.transport_stats().reconnects == 0
 
-    def test_retrieve_range_matches_in_process(self):
+    @pytest.mark.parametrize(
+        "theta",
+        [Theta.LT, Theta.LE, Theta.GT, Theta.GE],
+        ids=lambda theta: theta.name,
+    )
+    def test_ordered_select_matches_in_process(self, theta):
+        # Interval scans ride on ``select``: bounds inside, between, at and
+        # past the data, over a nil-bearing column shipped in small chunks.
         from repro.relational.database import LocalDatabase
         from repro.relational.schema import RelationSchema
 
@@ -184,37 +206,12 @@ class TestLoopbackEquivalence:
             [(f"i{n}", n if n % 5 else None) for n in range(30)],
         )
         direct = RelationalLQP(db)
-        windows = [
-            (None, 10, True),
-            (10, 20, False),
-            (20, None, False),
-            (None, None, True),
-            (100, 200, False),  # empty shard
-        ]
         with LQPServer(direct, chunk_size=4) as running:
             with RemoteLQP(running.url, timeout=TIMEOUT) as remote:
-                for lower, upper, include_nil in windows:
-                    assert remote.retrieve_range(
-                        "NUMS", "K", lower=lower, upper=upper, include_nil=include_nil
-                    ) == direct.retrieve_range(
-                        "NUMS", "K", lower=lower, upper=upper, include_nil=include_nil
+                for bound in (-1, 0, 10, 12.5, 29, 100):
+                    assert remote.select("NUMS", "K", theta, bound) == (
+                        direct.select("NUMS", "K", theta, bound)
                     )
-
-    def test_select_range_matches_in_process(self, server):
-        direct = ad_lqp()
-        with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            for lower, upper, include_nil in [
-                (None, "500", True),
-                ("500", None, False),
-                (None, None, True),
-            ]:
-                assert remote.select_range(
-                    "ALUMNUS", "DEG", Theta.NE, "PhD", "AID#",
-                    lower=lower, upper=upper, include_nil=include_nil,
-                ) == direct.select_range(
-                    "ALUMNUS", "DEG", Theta.NE, "PhD", "AID#",
-                    lower=lower, upper=upper, include_nil=include_nil,
-                )
 
     def test_columns_narrow_over_the_wire(self, server):
         from repro.lqp.base import project_columns
@@ -251,27 +248,8 @@ class TestLoopbackEquivalence:
                     "ALUMNUS", "DEG", Theta.EQ, "MBA", columns=["ANAME"]
                 )
                 assert selected.attributes == ("ANAME",)
-                ranged = remote.retrieve_range(
-                    "ALUMNUS", "AID#", lower="500", columns=["ANAME"]
-                )
-                assert ranged.attributes == ("ANAME",)
                 streamed = list(remote.retrieve_chunks("ALUMNUS", columns=["MAJ"]))
                 assert {chunk.attributes for chunk in streamed} == {("MAJ",)}
-
-    def test_relation_stats_served_and_cached(self, server):
-        direct = ad_lqp()
-        with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            for name in direct.relation_names():
-                assert remote.relation_stats(name) == direct.relation_stats(name)
-            requests = remote.transport_stats().requests
-            # Static sources: the second ask is answered from the cache.
-            remote.relation_stats("ALUMNUS")
-            assert remote.transport_stats().requests == requests
-
-    def test_relation_stats_unknown_relation_is_a_remote_error(self, server):
-        with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
-            with pytest.raises(RemoteQueryError):
-                remote.relation_stats("NOPE")
 
     def test_remote_error_carries_server_side_type(self, server):
         with RemoteLQP(server.url, timeout=TIMEOUT) as remote:

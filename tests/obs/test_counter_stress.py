@@ -40,14 +40,12 @@ class TestTransferStatsAtomicity:
 
         def work(_):
             for i in range(rounds):
-                stats.record(("retrieve", "select", "retrieve_range")[i % 3], _Result())
+                stats.record(("retrieve", "select")[i % 2], _Result())
 
         _run_threads(work, workers)
         assert stats.queries == workers * rounds
         assert stats.tuples_shipped == workers * rounds * 3
-        assert stats.retrieves + stats.selects + stats.range_retrieves == (
-            workers * rounds
-        )
+        assert stats.retrieves + stats.selects == workers * rounds
 
     def test_count_and_add_tuples_interleave_exactly(self):
         stats = TransferStats()
@@ -81,13 +79,7 @@ class TestTransferStatsAtomicity:
                 snap = stats.snapshot()
                 # Internal consistency: the kind counters always sum to
                 # queries inside one snapshot, even mid-hammering.
-                assert (
-                    snap.retrieves
-                    + snap.selects
-                    + snap.range_retrieves
-                    + snap.range_selects
-                    == snap.queries
-                )
+                assert snap.retrieves + snap.selects == snap.queries
                 assert snap.tuples_shipped == snap.queries
         finally:
             stop.set()

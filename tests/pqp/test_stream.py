@@ -136,16 +136,6 @@ class TestSpineDetection:
         )
         assert streamable_spine(plan) is not None
 
-    def test_sharded_head_does_not_stream(self):
-        head = retrieve(1, "ALUMNUS", "AD", "PALUMNUS")
-        import dataclasses
-
-        plan = iom(
-            dataclasses.replace(head, shard=(0, 2)),
-            pqp_project(2, 1, ("ANAME",)),
-        )
-        assert streamable_spine(plan) is None
-
     def test_single_retrieve_streams(self):
         assert streamable_spine(iom(retrieve(1, "ALUMNUS", "AD", "PALUMNUS"))) is not None
 

@@ -14,11 +14,11 @@ tags.  Hypothesis drives the same randomized polygen queries as
 
 and asserts every configuration equals the in-process serial baseline.
 Capability differences (native vs scan-filter selection, projection
-pushdown, range splitting) may move work around — they must never move
-a single tuple or tag.
+pushdown) may move work around — they must never move a single tuple or
+tag.
 
 Backend-internal semantics (SQLite type faithfulness, log replay, KV
-slicing) live in ``tests/backends/``; this module is the federation-level
+point lookups) live in ``tests/backends/``; this module is the federation-level
 half of the backends' contract.
 """
 
@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.backends import KVStoreLQP, LogStoreLQP, SqliteLQP
 from repro.core.predicate import Theta
+from repro.errors import IncomparableTypesError
 from repro.datasets.paper import (
     paper_databases,
     paper_identity_resolver,
@@ -44,6 +45,9 @@ TIMEOUT = 5.0
 #: database name → backend factory for the mixed polystore: one of each
 #: capability tier across the paper's three sources.
 POLYSTORE = ("sqlite", "log", "kv")
+
+#: The order-comparing θs: the ones that can raise on mixed types.
+ORDERINGS = [Theta.LT, Theta.LE, Theta.GT, Theta.GE]
 
 
 def _backend_lqp(kind, database, tmp_path):
@@ -191,7 +195,8 @@ def test_polystore_remote_actually_used_the_network(harness):
 
 class TestDirectVerbParity:
     """The raw LQP verbs agree with RelationalLQP on the awkward inputs:
-    nil keys in predicates, nil-owning ranges, empty relations."""
+    nil keys in predicates, ordered key and nullable-column selects,
+    incomparable literals, empty relations."""
 
     @pytest.fixture(scope="class")
     def trio(self, tmp_path_factory):
@@ -232,19 +237,58 @@ class TestDirectVerbParity:
         assert all(row[1] is not None for row in got.rows)
 
     @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
-    @pytest.mark.parametrize(
-        "lower,upper,include_nil",
-        [(None, 3, True), (2, None, False), (None, None, True), (2, 2, False)],
-    )
-    def test_retrieve_range_matches(self, trio, kind, lower, upper, include_nil):
+    @pytest.mark.parametrize("theta", list(Theta), ids=lambda theta: theta.name)
+    def test_select_on_the_key_matches(self, trio, kind, theta):
+        # A key interval is a pair of ordered selects: every bound, inside,
+        # between and outside the stored keys, across int and float.
         reference, backends = trio
-        expected = reference.retrieve_range(
-            "R", "K", lower=lower, upper=upper, include_nil=include_nil
-        )
-        got = backends[kind].retrieve_range(
-            "R", "K", lower=lower, upper=upper, include_nil=include_nil
-        )
-        assert got == expected
+        for value in (0, 1, 2, 2.5, 4, 4.0, 10, -1.5):
+            expected = reference.select("R", "K", theta, value)
+            assert backends[kind].select("R", "K", theta, value) == expected
+
+    @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
+    @pytest.mark.parametrize("theta", ORDERINGS, ids=lambda theta: theta.name)
+    def test_ordered_select_on_a_nullable_column_matches(self, trio, kind, theta):
+        reference, backends = trio
+        for value in ("", "a", "b", "c", "d", "z"):
+            expected = reference.select("R", "V", theta, value)
+            got = backends[kind].select("R", "V", theta, value)
+            assert got == expected
+            assert all(row[1] is not None for row in got.rows)
+
+    @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
+    @pytest.mark.parametrize("theta", ORDERINGS, ids=lambda theta: theta.name)
+    def test_ordering_against_an_incomparable_literal_raises(self, trio, kind, theta):
+        # Python's rule, not SQLite's type affinity: int keys do not order
+        # against text, so no engine may answer with a guess.
+        reference, backends = trio
+        with pytest.raises(IncomparableTypesError):
+            reference.select("R", "K", theta, "x")
+        with pytest.raises(IncomparableTypesError):
+            backends[kind].select("R", "K", theta, "x")
+
+    @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
+    @pytest.mark.parametrize("theta", [Theta.EQ, Theta.NE], ids=["EQ", "NE"])
+    def test_equality_against_an_incomparable_literal_matches(
+        self, trio, kind, theta
+    ):
+        reference, backends = trio
+        for value in ("x", "1", 1.5):
+            expected = reference.select("R", "K", theta, value)
+            assert backends[kind].select("R", "K", theta, value) == expected
+
+    @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
+    def test_split_point_selects_partition_the_relation(self, trio, kind):
+        # Below and at-or-above a split point, plus the nil cells no
+        # predicate selects, is the whole relation exactly once.
+        reference, backends = trio
+        backend = backends[kind]
+        whole = sorted(reference.retrieve("R").rows, key=repr)
+        for pivot in ("", "a", "b", "c", "zz"):
+            low = backend.select("R", "V", Theta.LT, pivot).rows
+            high = backend.select("R", "V", Theta.GE, pivot).rows
+            nils = [row for row in backend.retrieve("R").rows if row[1] is None]
+            assert sorted(low + high + tuple(nils), key=repr) == whole
 
     @pytest.mark.parametrize("kind", ["sqlite", "log", "kv"])
     def test_empty_relation_round_trips(self, trio, kind):

@@ -4,7 +4,7 @@ Outer Natural Total Joins.
 :func:`repro.core.derived.merge` runs the same operator as one
 hash-partitioned pass (:func:`repro.storage.kernels.hash_merge`) and must
 match this fold — ``tests/property/test_hash_merge.py`` holds the two equal,
-and ``benchmarks/test_bench_shard.py`` measures the hash pass against it.
+and ``benchmarks/test_bench_merge_scaling.py`` measures the hash pass against it.
 """
 
 from __future__ import annotations

@@ -112,6 +112,15 @@ class TestQueryOptions:
         base = QueryOptions()
         with pytest.raises(ValueError, match="engin"):
             base.replace(engin="serial")
+        # A retired knob (scan sharding) is refused by name at every level.
+        with pytest.raises(ValueError, match="shard_width"):
+            QueryOptions(shard_width=4)
+        with _federation() as federation:
+            with pytest.raises(ValueError, match="shard_width"):
+                federation.session(shard_width=4)
+            with federation.session() as session:
+                with pytest.raises(ValueError, match="shard_width"):
+                    session.submit(PAPER_SQL, shard_width="auto")
 
 
 class TestSubmission:
