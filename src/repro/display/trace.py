@@ -17,7 +17,7 @@ just works.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import Span
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs.metrics import MetricsRegistry
 

@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; service never needs
 from repro.algebra_lang.parser import parse_expression
 from repro.catalog.schema import PolygenSchema
 from repro.core.expression import Expression
-from repro.errors import ExecutionError, QueryCancelledError, ServiceClosedError
+from repro.errors import QueryCancelledError, ServiceClosedError
 from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
@@ -279,7 +279,17 @@ class PolygenFederation:
             "polygen_plan_memo_total",
             "Plan-memo lookups by outcome (hit/miss).",
         )
-        self.metrics.add_collector(self._collect_metrics)
+        # The federation owns this registry, so a bound method in it would be
+        # a reference cycle: a closed federation, with every source its LQP
+        # registry holds, would live on until a full garbage collection.
+        collect_metrics = weakref.WeakMethod(self._collect_metrics)
+
+        def collector(registry: MetricsRegistry) -> None:
+            method = collect_metrics()
+            if method is not None:
+                method(registry)
+
+        self.metrics.add_collector(collector)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.predicate import Theta
-from repro.sql.ast import ComparisonPredicate, InPredicate, SelectStatement
+from repro.sql.ast import InPredicate, SelectStatement
 
 __all__ = [
     "comparison_sql",

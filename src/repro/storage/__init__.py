@@ -16,6 +16,11 @@ lazily, so the logical model (and every ``tests/core`` semantic) is
 unchanged while the hot path runs columnar end-to-end.
 """
 
+# The core model and this engine import each other: core relations wrap a
+# ColumnarRelation, and columnar rows materialize core cells.  Loading core
+# first makes it the one way into that cycle, whichever module is imported
+# first.
+import repro.core  # noqa: F401
 from repro.storage.columnar import ColumnarRelation
 from repro.storage.tag_pool import GLOBAL_TAG_POOL, TagPair, TagPool
 

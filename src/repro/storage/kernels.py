@@ -17,12 +17,13 @@ coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
 hash_join          ``add_intermediates`` lookups per matched cell
 outer_join         ditto; nil pads interned once
-hash_merge         ``merge`` per folded cell, one stamp per output cell
+hash_merge         ``merge`` per folded cell, in place; one stamp per
+                   distinct (key tag, tag) pair, a dict probe per cell
 =================  =====================================================
 
 Join, the outer joins and Merge match rows through one key index, which
 holds the key rule (:mod:`repro.storage.keyed`); Coalesce and Merge fold
-cells through one function, :func:`_fold_cells`.  The row-at-a-time
+cells through one function, :func:`_fold`.  The row-at-a-time
 reference implementations live in ``tests/reference``; ``tests/property``
 asserts every kernel is bit-identical to its reference on random relations.
 
@@ -41,7 +42,7 @@ from repro.core.predicate import Theta
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 from repro.errors import CoalesceConflictError, InvalidOperandError
 from repro.storage.columnar import ColumnarRelation, _from_keys, _transpose
-from repro.storage.keyed import buckets, key_rows
+from repro.storage.keyed import buckets, key_data, key_origins, key_rows
 
 __all__ = [
     "project",
@@ -285,47 +286,53 @@ def difference(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
     return _build_deduped(s1.heading, data_columns, tag_columns, pool)
 
 
-def _fold_cells(
+def _fold(
     pool,
     policy: ConflictPolicy,
-    attributes: Iterable[str],
-    x_data: Sequence[Any],
-    x_tags: Sequence[int],
-    y_data: Sequence[Any],
-    y_tags: Sequence[int],
-) -> Tuple[List[Any], List[Optional[int]]]:
-    """Coalesce aligned cell pairs (paper, §II): equal data union their
-    tags, a nil side yields the other side verbatim, and conflicting data
-    are settled by ``policy``.  The one cell fold behind :func:`coalesce`
-    (a column pair) and :func:`hash_merge` (a row pair).
+    data: List[Any],
+    tags: List[int],
+    positions: Iterable[int],
+    y_data: Iterable[Any],
+    y_tags: Iterable[int],
+) -> List[int]:
+    """Coalesce cells into accumulators (paper, §II): each ``y`` cell folds
+    in place into ``data``/``tags`` at the matching ``positions`` entry.
+    Equal data union their tags, a nil side yields the other side verbatim,
+    and conflicting data are settled by ``policy``.  The one cell fold
+    behind :func:`coalesce` (a column pair), Merge's column path (an
+    operand's column into its partitions) and its row path (a row pair).
 
-    Returns the folded data and tag ids; a pair ``DROP`` discards gets the
-    tag ``None``.  ``attributes`` names each pair for a conflict error.
+    Returns the positions of the conflicts ``DROP`` or ``ERROR`` must act
+    on, in ``positions`` order, their accumulators left as they were.
     """
     merge = pool.merge
     absorb = pool.absorb
-    data: List[Any] = []
-    tags: List[Optional[int]] = []
-    for attribute, x_datum, x_tag, y_datum, y_tag in zip(
-        attributes, x_data, x_tags, y_data, y_tags
-    ):
+    merged: Dict[Tuple[int, int], int] = {}  # pool.merge, minus the call
+    prefer_left = policy is ConflictPolicy.PREFER_LEFT
+    prefer_right = policy is ConflictPolicy.PREFER_RIGHT
+    conflicts: List[int] = []
+    for at, y_datum, y_tag in zip(positions, y_data, y_tags):
+        x_datum = data[at]
         if x_datum == y_datum:
-            datum, tag = x_datum, merge(x_tag, y_tag)
+            x_tag = tags[at]
+            if x_tag != y_tag:
+                tag = merged.get((x_tag, y_tag))
+                if tag is None:
+                    tag = merged[x_tag, y_tag] = merge(x_tag, y_tag)
+                tags[at] = tag
         elif y_datum is None:
-            datum, tag = x_datum, x_tag
+            continue
         elif x_datum is None:
-            datum, tag = y_datum, y_tag
-        elif policy is ConflictPolicy.DROP:
-            datum, tag = None, None
-        elif policy is ConflictPolicy.ERROR:
-            raise CoalesceConflictError(x_datum, y_datum, attribute)
-        elif policy is ConflictPolicy.PREFER_LEFT:
-            datum, tag = x_datum, absorb(x_tag, y_tag)
+            data[at] = y_datum
+            tags[at] = y_tag
+        elif prefer_left:
+            tags[at] = absorb(tags[at], y_tag)
+        elif prefer_right:
+            data[at] = y_datum
+            tags[at] = absorb(y_tag, tags[at])
         else:
-            datum, tag = y_datum, absorb(y_tag, x_tag)
-        data.append(datum)
-        tags.append(tag)
-    return data, tags
+            conflicts.append(at)
+    return conflicts
 
 
 def coalesce(
@@ -336,14 +343,18 @@ def coalesce(
     attribute: str,
     policy: ConflictPolicy,
 ) -> ColumnarRelation:
-    """``p[x © y : w]`` — fold two columns into one at ``x``'s position."""
-    x_data, y_data = store.columns[x_pos], store.columns[y_pos]
-    x_tags, y_tags = store.tags[x_pos], store.tags[y_pos]
-    data, tags = _fold_cells(
-        store.pool, policy, repeat(attribute), x_data, x_tags, y_data, y_tags
+    """``p[x © y : w]`` — fold ``y``'s column into ``x``'s, at ``x``'s position."""
+    data, tags = list(store.columns[x_pos]), list(store.tags[x_pos])
+    y_data = store.columns[y_pos]
+    conflicts = _fold(
+        store.pool, policy, data, tags, range(store.cardinality), y_data, store.tags[y_pos]
     )
-    survivors = [i for i, tag in enumerate(tags) if tag is not None]
-    if len(survivors) < store.cardinality:  # DROP discarded conflicting rows
+    if conflicts:
+        if policy is ConflictPolicy.ERROR:
+            first = conflicts[0]
+            raise CoalesceConflictError(data[first], y_data[first], attribute)
+        dropped = set(conflicts)  # DROP discards the conflicting rows
+        survivors = [i for i in range(store.cardinality) if i not in dropped]
         store = store.take_rows(survivors)
         data = [data[i] for i in survivors]
         tags = [tags[i] for i in survivors]
@@ -512,80 +523,116 @@ def outer_join(
     return _equijoin(s1, s2, heading, left_pos, right_pos, outer=True)
 
 
-def _partitions(keyed: Sequence[List[Optional[tuple]]]) -> Tuple[list, list, set]:
-    """Per operand, each row's partition and the slot vector (partition →
-    a row there, or -1); and the partitions some operand has two rows in.
-    Keyed partitions number in first-encounter order; each row with a nil
-    or NaN in its key (it matches nothing) is one more, in operand and row
-    order."""
-    ids: Dict[tuple, int] = {}
-    parts = [[-1 if key is None else ids.setdefault(key, len(ids)) for key in keys]
-             for keys in keyed]
+def _partitions(keyed: Sequence[List[Any]]) -> Tuple[List[Sequence[int]], int, set]:
+    """Per operand, each row's partition; the partition count; and the
+    partitions some operand has two rows in.  Keyed partitions number in
+    first-encounter order; each row with a nil or NaN in its key (it
+    matches nothing) is one more, in operand and row order.  When the first
+    operand's keys are unique and non-nil, its rows are partitions 0, 1, …
+    and its map is that ``range``."""
+    ids: Dict[Any, int] = dict(zip(keyed[0], count()))
+    identity = len(ids) == len(keyed[0]) and None not in ids
+    if not identity:
+        ids = {}
+    listed = [
+        [None if key is None else ids.setdefault(key, len(ids)) for key in keys]
+        for keys in (keyed[1:] if identity else keyed)
+    ]
     loners = count(len(ids))
-    parts = [[at if at >= 0 else next(loners) for at in part] if -1 in part else part
-             for part in parts]
-    size, slots, repeated = next(loners), [], set()
-    for part in parts:
-        slot = [-1] * size
-        for row, at in enumerate(part):
-            if slot[at] < 0:
-                slot[at] = row
-            else:
-                repeated.add(at)
-        slots.append(slot)
-    return parts, slots, repeated
+    listed = [[next(loners) if at is None else at for at in part] if None in part else part
+              for part in listed]
+    repeated: set = set()
+    for part in listed:
+        if len(set(part)) < len(part):
+            seen: set = set()
+            for at in part:
+                (repeated if at in seen else seen).add(at)
+    parts = [range(len(keyed[0])), *listed] if identity else listed
+    return parts, next(loners), repeated
 
 
-def _gather_slots(values: Sequence[Any], slot: List[int], missing: Any) -> List[Any]:
-    """``values`` at each slot's row; ``missing`` where the slot is -1."""
-    return list(map([*values, missing].__getitem__, slot))
-
-
-def _fold_columns(stores, slots, names, policy) -> Tuple[list, list, set]:
-    """The column path: per output attribute, the operands carrying it
-    gathered through their slot vectors and folded left to right by
-    :func:`_fold_cells` (a missing row is a nil cell with the empty tag,
-    which the fold passes over).  A conflict ``DROP`` or ``ERROR`` must act
-    on is only marked: its partition is returned for the row path."""
+def _fold_columns(stores, parts, size, names, policy) -> Tuple[list, list, set]:
+    """The column path: per output attribute, a ``data`` and a ``tags``
+    accumulator indexed by partition, into which each operand carrying the
+    attribute folds its rows in place, in operand order.  A partition the
+    operand has no row in is not visited: a missing row is a nil cell with
+    the empty tag, which the fold passes over.  Returns the accumulators
+    and the partitions with a conflict ``DROP`` or ``ERROR`` must act on,
+    left for the row path."""
     pool = stores[0].pool
-    if policy is ConflictPolicy.ERROR:
-        policy = ConflictPolicy.DROP  # whose None tag marks the conflict
     conflicted: set = set()
     data_columns, tag_columns = [], []
     owned = [dict(zip(s.heading, zip(s.columns, s.tags))) for s in stores]
     for name in names:
-        folded = None
-        for own, slot in zip(owned, slots):
+        data = None
+        for own, part in zip(owned, parts):
             if name not in own:
                 continue
-            cells = (_gather_slots(own[name][0], slot, None),
-                     _gather_slots(own[name][1], slot, pool.EMPTY_ID))
-            if folded is not None:
-                data, tags = _fold_cells(pool, policy, repeat(name), *folded, *cells)
-                if None in tags:
-                    conflicted.update(i for i, tag in enumerate(tags) if tag is None)
-                    tags = [pool.EMPTY_ID if tag is None else tag for tag in tags]
-                cells = data, tags
-            folded = cells
-        data_columns.append(folded[0])
-        tag_columns.append(folded[1])
+            column, column_tags = own[name]
+            if data is None:
+                if type(part) is range:  # the first operand's rows, in place
+                    pad = size - len(column)
+                    data = [*column, *repeat(None, pad)]
+                    tags = [*column_tags, *repeat(pool.EMPTY_ID, pad)]
+                    continue
+                data, tags = [None] * size, [pool.EMPTY_ID] * size
+            conflicted.update(_fold(pool, policy, data, tags, part, column, column_tags))
+        data_columns.append(data)
+        tag_columns.append(tags)
     return data_columns, tag_columns, conflicted
 
 
-def _row_groups(stores, names, keyed, parts, rerun) -> Dict[int, Dict[int, list]]:
+class _Stamps(dict):
+    """(key tags, tag) → the tag stamped with the key tags' ``mediators``,
+    resolved on first sight; looked up through ``map``, so a pair seen
+    before costs one C-level dict probe."""
+
+    def __init__(self, add, mediators) -> None:
+        super().__init__()
+        self.add = add
+        self.mediators = mediators
+
+    def __missing__(self, pair: tuple) -> int:
+        keys, tag = pair
+        stamped = self[pair] = self.add(tag, self.mediators(keys))
+        return stamped
+
+
+def _stamp(pool, key_tags: Sequence[List[int]], tag_columns: List[list]) -> List[list]:
+    """The mediator stamp: each cell's intermediates gain the union of its
+    partition's key cells' origins — on an empty cell, the nil pad.  The
+    fold merged each partition's key cells, so ``key_tags`` carry that
+    union; it is resolved once per distinct (key tags, tag) pair."""
+    origins = pool.origins
+    if len(key_tags) == 1:
+        keys, mediators = key_tags[0], origins
+    else:
+        keys = list(zip(*key_tags))
+
+        def mediators(ids: Tuple[int, ...]) -> SourceSet:
+            return EMPTY_SOURCES.union(*map(origins, ids))
+
+    stamped = _Stamps(pool.add_intermediates, mediators)
+    return [list(map(stamped.__getitem__, zip(keys, column))) for column in tag_columns]
+
+
+def _row_groups(stores, names, key, parts, rerun) -> Dict[int, Dict[int, list]]:
     """Per ``rerun`` partition, in order: operand → its rows there, as
     partials — (full-width data, full-width raw tags, key-cell origins),
     where an attribute the operand lacks is a nil cell with the empty tag."""
     groups: Dict[int, Dict[int, list]] = {at: {} for at in sorted(rerun)}
-    for operand, (store, (_, sources), part) in enumerate(zip(stores, keyed, parts)):
+    for operand, (store, part) in enumerate(zip(stores, parts)):
+        rows = [row for row, at in enumerate(part) if at in groups]
+        if not rows:
+            continue
+        sources = key_origins(store, store.heading.indices(key), rows)
         nil = ([None] * len(part), [store.pool.EMPTY_ID] * len(part))
         own = dict(zip(store.heading.attributes, zip(store.columns, store.tags)))
         data, tags = zip(*(own.get(name, nil) for name in names))
-        for row, at in enumerate(part):
-            if at in groups:
-                partial = tuple(column[row] for column in data), tuple(
-                    column[row] for column in tags), sources[row]
-                groups[at].setdefault(operand, []).append(partial)
+        for row, extra in zip(rows, sources):
+            partial = tuple(column[row] for column in data), tuple(
+                column[row] for column in tags), extra
+            groups[part[row]].setdefault(operand, []).append(partial)
     return groups
 
 
@@ -593,12 +640,19 @@ def _merge_partition(pool, policy, names, groups) -> list:
     """The row path: one partition's partials, grouped by operand in
     operand order, folded as the fold does — each accumulated partial
     crossed with the operand's rows and coalesced under ``policy``."""
+    positions = range(len(names))
 
     def coalesce_pair(acc, row) -> Optional[Tuple[list, list, SourceSet]]:
         """One accumulated partial × one operand row, attribute-wise
         coalesce on raw tags; ``None`` when the ``DROP`` policy kills it."""
-        data, tags = _fold_cells(pool, policy, names, acc[0], acc[1], row[0], row[1])
-        return None if None in tags else (data, tags, acc[2] | row[2])
+        data, tags = list(acc[0]), list(acc[1])
+        conflicts = _fold(pool, policy, data, tags, positions, row[0], row[1])
+        if not conflicts:
+            return data, tags, acc[2] | row[2]
+        if policy is ConflictPolicy.ERROR:
+            first = conflicts[0]
+            raise CoalesceConflictError(data[first], row[0][first], names[first])
+        return None
 
     accumulated: List[Tuple[Sequence, Sequence, SourceSet]] = []
     for contributed in groups:
@@ -636,16 +690,17 @@ def hash_merge(
 
     Two paths run that fold, chosen per partition from its input:
 
-    - **column path**, when every operand has at most one row there: each
-      operand gets a slot vector (partition → its row, or -1) and each
-      output attribute is a column, the operands' columns gathered through
-      their slot vectors and folded left to right;
+    - **column path**, when every operand has at most one row there: per
+      output attribute, each operand's rows fold in place into partition-
+      indexed accumulators, and the stamp is resolved once per distinct
+      (key tag, tag) pair;
     - **row path**, for the fold's general semantics: a key repeated in an
       operand crosses every accumulated partial with every matching row,
       and under ``DROP``, once every pairing dies at operand *j*, operand
       *j+1*'s rows re-enter as fresh partials, as in the emptied fold.  A
       partition with a repeated key, or with a conflict ``DROP`` or
-      ``ERROR`` must act on, is re-run row at a time.
+      ``ERROR`` must act on, is re-run row at a time.  Only its rows'
+      key-cell origins are ever computed.
 
     Output order: partitions in first-encounter order across the operands,
     then rows with a nil or NaN in their key (they match nothing; each is
@@ -670,24 +725,20 @@ def hash_merge(
     if len(translated) == 1:
         return first
 
-    keyed = [key_rows(store, store.heading.indices(key)) for store in translated]
-    parts, slots, repeated = _partitions([keys for keys, _ in keyed])
+    keyed = [key_data(store, store.heading.indices(key)) for store in translated]
+    parts, size, repeated = _partitions(keyed)
     data_columns, tag_columns, conflicted = _fold_columns(
-        translated, slots, names, policy
+        translated, parts, size, names, policy
     )
-    # The mediator stamp; on an empty slot it interns the nil pad.  The
-    # fold merged each partition's key cells, so their tags' origins are
-    # the union of its rows' key-cell origins (one union per id tuple).
-    key_tags = list(zip(*(tag_columns[names.index(name)] for name in key)))
-    union = {ids: EMPTY_SOURCES.union(*map(pool.origins, ids)) for ids in set(key_tags)}
-    add = pool.add_intermediates
-    mediators = list(map(union.__getitem__, key_tags))
-    tag_columns = [list(map(add, column, mediators)) for column in tag_columns]
+    tag_columns = _stamp(
+        pool, [tag_columns[names.index(name)] for name in key], tag_columns
+    )
 
     rerun = repeated | conflicted
     if rerun:
+        add = pool.add_intermediates
         merged = [[row] for row in zip(zip(*data_columns), zip(*tag_columns))]
-        for at, groups in _row_groups(translated, names, keyed, parts, rerun).items():
+        for at, groups in _row_groups(translated, names, key, parts, rerun).items():
             merged[at] = [
                 (tuple(data), tuple(map(add, tags, repeat(extra))))
                 for data, tags, extra
@@ -696,7 +747,7 @@ def hash_merge(
         rows = [row for group in merged for row in group]
         data_columns = _transpose([data for data, _ in rows], len(names))
         tag_columns = _transpose([tags for _, tags in rows], len(names))
-    elif not any(None in keys for keys, _ in keyed):
+    elif not any(None in keys for keys in keyed):
         # Each row is the one row of a keyed partition, and partitions differ
         # in key data: there are no duplicates to collapse.
         data_columns, tag_columns = map(tuple, data_columns), map(tuple, tag_columns)

@@ -17,22 +17,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 from repro.storage.columnar import ColumnarRelation
 
-__all__ = ["key_rows", "buckets"]
+__all__ = ["key_data", "key_origins", "key_rows", "buckets"]
 
-Key = Tuple[object, ...]
+#: Key data: the bare value for a one-attribute key, a tuple otherwise.
+Key = object
 
 
-def key_rows(
-    store: ColumnarRelation, positions: Sequence[int]
-) -> Tuple[List[Optional[Key]], List[SourceSet]]:
-    """Per row: its key data (``None`` when it can never match) and the
-    union of its key cells' origins — the mediators a match records.
+def key_data(store: ColumnarRelation, positions: Sequence[int]) -> List[Optional[Key]]:
+    """Per row: its key data, ``None`` when it can never match.
 
-    Origin unions are memoized per tag-id tuple; rows overwhelmingly share
-    a handful of them.
+    A one-attribute key is the value itself, one comprehension: ``v != v``
+    holds just for NaN, and a nil value is already ``None``.
     """
-    if not store.cardinality:
-        return [], []
+    if len(positions) == 1:
+        return [None if value != value else value for value in store.columns[positions[0]]]
     keys: List[Optional[Key]] = []
     for key in zip(*(store.columns[i] for i in positions)):
         for value in key:
@@ -40,18 +38,40 @@ def key_rows(
                 key = None
                 break
         keys.append(key)
+    return keys
+
+
+def key_origins(
+    store: ColumnarRelation,
+    positions: Sequence[int],
+    rows: Optional[Sequence[int]] = None,
+) -> List[SourceSet]:
+    """Per row (every row, or just ``rows``): the union of its key cells'
+    origins — the mediators a match records.
+
+    Origin unions are memoized per tag-id tuple; rows overwhelmingly share
+    a handful of them.
+    """
+    tag_columns = [store.tags[i] for i in positions]
+    if rows is not None:
+        tag_columns = [[column[row] for row in rows] for column in tag_columns]
     origins = store.pool.origins
     memo: Dict[Tuple[int, ...], SourceSet] = {}
     sources: List[SourceSet] = []
-    for tags in zip(*(store.tags[i] for i in positions)):
+    for tags in zip(*tag_columns):
         found = memo.get(tags)
         if found is None:
-            found = EMPTY_SOURCES
-            for tag in tags:
-                found |= origins(tag)
-            memo[tags] = found
+            found = memo[tags] = EMPTY_SOURCES.union(*map(origins, tags))
         sources.append(found)
-    return keys, sources
+    return sources
+
+
+def key_rows(
+    store: ColumnarRelation, positions: Sequence[int]
+) -> Tuple[List[Optional[Key]], List[SourceSet]]:
+    """Per row: its key data (:func:`key_data`) and its key cells' origins
+    (:func:`key_origins`)."""
+    return key_data(store, positions), key_origins(store, positions)
 
 
 def buckets(keys: Sequence[Optional[Key]]) -> Dict[Key, List[int]]:

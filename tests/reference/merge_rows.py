@@ -1,26 +1,71 @@
 """Merge as the row-at-a-time hash partition it was before the column
 gather: every operand row widened to a full-width partial, each partition
-folded pairwise through the shared cell fold, each output cell stamped.
+folded pairwise through a cell fold, each output cell stamped.
 
 Kept verbatim as an ordered oracle: :func:`repro.storage.kernels.hash_merge`
 must return the same heading, columns, tags and row order on every input
 (``tests/property/test_hash_merge.py``), and raise the same
-:class:`~repro.errors.CoalesceConflictError` where this one does.
+:class:`~repro.errors.CoalesceConflictError` where this one does.  It has
+its own pairwise cell fold, so it shares no fold with the kernel it
+checks.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
 from repro.core.heading import Heading
 from repro.core.tags import SourceSet
 from repro.storage.columnar import ColumnarRelation
-from repro.storage.kernels import _build_deduped, _fold_cells
+from repro.errors import CoalesceConflictError
+from repro.storage.kernels import _build_deduped
 from repro.storage.keyed import buckets, key_rows
 
 __all__ = ["hash_merge"]
+
+
+def _fold_cells(
+    pool,
+    policy: ConflictPolicy,
+    attributes: Iterable[str],
+    x_data: Sequence[Any],
+    x_tags: Sequence[int],
+    y_data: Sequence[Any],
+    y_tags: Sequence[int],
+) -> Tuple[List[Any], List[Optional[int]]]:
+    """Coalesce aligned cell pairs (paper, §II): equal data union their
+    tags, a nil side yields the other side verbatim, and conflicting data
+    are settled by ``policy``.
+
+    Returns the folded data and tag ids; a pair ``DROP`` discards gets the
+    tag ``None``.  ``attributes`` names each pair for a conflict error.
+    """
+    merge = pool.merge
+    absorb = pool.absorb
+    data: List[Any] = []
+    tags: List[Optional[int]] = []
+    for attribute, x_datum, x_tag, y_datum, y_tag in zip(
+        attributes, x_data, x_tags, y_data, y_tags
+    ):
+        if x_datum == y_datum:
+            datum, tag = x_datum, merge(x_tag, y_tag)
+        elif y_datum is None:
+            datum, tag = x_datum, x_tag
+        elif x_datum is None:
+            datum, tag = y_datum, y_tag
+        elif policy is ConflictPolicy.DROP:
+            datum, tag = None, None
+        elif policy is ConflictPolicy.ERROR:
+            raise CoalesceConflictError(x_datum, y_datum, attribute)
+        elif policy is ConflictPolicy.PREFER_LEFT:
+            datum, tag = x_datum, absorb(x_tag, y_tag)
+        else:
+            datum, tag = y_datum, absorb(y_tag, x_tag)
+        data.append(datum)
+        tags.append(tag)
+    return data, tags
 
 
 def hash_merge(

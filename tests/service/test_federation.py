@@ -282,6 +282,25 @@ class TestLifecycleAndStats:
         alive = {t.name for t in threading.enumerate()}
         assert not (set(workers) & alive)
 
+    def test_a_closed_federation_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        registry = _registry()
+        federation = PolygenFederation(paper_polygen_schema(), registry)
+        federation.session().execute(PAPER_SQL)
+        assert "polygen_sessions_open" in federation.metrics_text()
+        freed = weakref.ref(federation), weakref.ref(registry)
+        gc.disable()
+        try:
+            federation.close()
+            del federation, registry
+            # The federation and the sources its registry holds go with the
+            # last reference, not at some later full collection.
+            assert [ref() for ref in freed] == [None, None]
+        finally:
+            gc.enable()
+
     def test_dropped_sessions_are_not_pinned(self):
         import gc
 
