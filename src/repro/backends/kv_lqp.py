@@ -9,8 +9,9 @@ the engine's :class:`~repro.lqp.base.Capabilities` say so:
 non-key selection here) and ``native_projection`` is False.
 
 A relation is one table: ``key tuple → row tuple``.  Equality selections
-on a single-attribute key short-circuit to a point lookup.  Keys are
-non-nil and unique, as in every other engine here.
+on a single-attribute key short-circuit to a point lookup, and a SelectIn
+on it to one lookup per key.  Keys are non-nil and unique, as in every
+other engine here.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from repro.core.predicate import Theta
 from repro.errors import ConstraintViolationError, UnknownRelationError
-from repro.lqp.base import Capabilities, LocalQueryProcessor
+from repro.lqp.base import Capabilities, LocalQueryProcessor, filter_in, project_columns
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.storage.keyed import key_set
 
 __all__ = ["KVStoreLQP"]
 
@@ -139,3 +141,14 @@ class KVStoreLQP(LocalQueryProcessor):
                 row = None
             return Relation(table.heading, () if row is None else (row,))
         return algebra.select(self._relation(table), attribute, theta, value)
+
+    def select_in(
+        self, relation_name: str, attribute: str, values: Iterable[Any], columns=None
+    ) -> Relation:
+        table = self._table(relation_name)
+        if table.key != [attribute]:
+            return filter_in(self._relation(table), attribute, values, columns)
+        # Point gets, one per distinct matchable key.
+        found = (table.rows.get((key,)) for key in key_set(values))
+        result = Relation(table.heading, (row for row in found if row is not None))
+        return result if columns is None else project_columns(result, columns)

@@ -24,6 +24,13 @@ silently change answers, so the adapter closes every gap:
 - Literals that cannot be *bound* faithfully (NaN, big ints, bools in
   ordering position, arbitrary objects) fall back to the Python-side
   filter, which is always semantics-exact.
+- A SelectIn's value set travels as one JSON array parameter
+  (``IN (SELECT value FROM json_each(?))``), so a key set of any size
+  is one statement.  SQLite's JSON reads ``true`` as ``1`` and compares
+  ``1.0`` equal to ``1``, which is the key rule; an integral float
+  travels as its int.  A set holding anything JSON cannot carry exactly
+  (a fractional or non-finite float, an int beyond 64 bits, a string
+  with a NUL) takes the Python-side filter instead.
 
 Text comparisons agree for free: SQLite's default BINARY collation
 orders UTF-8 bytes, which is exactly Python's code-point order.
@@ -54,12 +61,13 @@ from repro.errors import (
     LocalEngineError,
     UnknownRelationError,
 )
-from repro.lqp.base import Capabilities, LocalQueryProcessor
+from repro.lqp.base import Capabilities, LocalQueryProcessor, filter_in
 from repro.relational import algebra
 from repro.relational.database import LocalDatabase
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.sql.ast import ComparisonPredicate, SelectStatement
+from repro.storage.keyed import key_set
 from repro.sql.render import (
     comparison_sql,
     probe_sql,
@@ -74,6 +82,47 @@ _TAGS = "__polygen_tags__"
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
+
+
+def _json_keys(keys) -> Optional[str]:
+    """A :func:`~repro.storage.keyed.key_set` as the JSON array
+    ``json_each`` hands SQLite, or ``None`` when a member cannot travel
+    exactly."""
+    if set(map(type, keys)) <= {str}:
+        out: List[Any] = list(keys)
+    else:
+        out = []
+        for key in keys:
+            normal = _json_key(key)
+            if normal is None:
+                return None
+            out.append(normal)
+    array = json.dumps(out, ensure_ascii=False)
+    if "\\u0000" in array:
+        return None  # json_each's text ends at a NUL
+    try:
+        array.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate cannot be bound
+        return None
+    return array
+
+
+def _json_key(key: Any) -> Any:
+    """One key as ``json_each`` must hand it to SQLite, or ``None``.
+
+    JSON's ``true`` reaches SQLite as ``1``, so a bool needs nothing.  An
+    integral float travels as its int, which SQLite parses exactly and
+    compares equal to a stored ``1.0`` or ``1``; other floats do not
+    travel."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        if not key.is_integer():
+            return None  # inf, or a fraction whose parse might round
+        key = int(key)
+    elif not isinstance(key, int):
+        return None
+    return key if _INT64_MIN <= key <= _INT64_MAX else None
 
 
 def _storable(value: Any) -> bool:
@@ -397,3 +446,24 @@ class SqliteLQP(LocalQueryProcessor):
                 (ComparisonPredicate(attribute, theta, value),),
             )
             return self._run(shipped, *render_select(statement))
+
+    def select_in(
+        self, relation_name: str, attribute: str, values, columns=None
+    ) -> Relation:
+        keys = key_set(values)
+        with self._lock:
+            heading = self._heading(relation_name)
+            Heading(heading).index(attribute)  # raise as the base filter would
+            shipped = self._projection(heading, columns)
+            if not keys:
+                return Relation(shipped)
+            array = _json_keys(keys)
+            if array is None:
+                return filter_in(self.retrieve(relation_name), attribute, keys, columns)
+            sql = (
+                f"SELECT {', '.join(quote_identifier(name) for name in shipped)} "
+                f"FROM {quote_identifier(relation_name)} "
+                f"WHERE {quote_identifier(attribute)} "
+                "IN (SELECT value FROM json_each(?))"
+            )
+            return self._run(shipped, sql, (array,))

@@ -22,7 +22,7 @@ from typing import Any, Iterable
 from repro.core.tags import EMPTY_SOURCES, SourceSet, render_sources
 from repro.errors import CoalesceConflictError
 
-__all__ = ["Cell", "NIL", "ConflictPolicy"]
+__all__ = ["Cell", "NIL", "ConflictPolicy", "pooled_cells"]
 
 
 class ConflictPolicy(Enum):
@@ -188,3 +188,24 @@ class Cell:
 
 #: A shared, fully empty nil cell.
 NIL = Cell(None, EMPTY_SOURCES, EMPTY_SOURCES)
+
+
+_new = object.__new__
+_set_datum = Cell.__dict__["datum"].__set__
+_set_origins = Cell.__dict__["origins"].__set__
+_set_intermediates = Cell.__dict__["intermediates"].__set__
+
+
+def pooled_cells(data: Iterable[Any], tags: Iterable[tuple]) -> list:
+    """One :class:`Cell` per ``datum`` and ``(origins, intermediates)``
+    pair, where the tag sets are frozensets already (a tag pool's): the
+    slots are filled directly, without :meth:`Cell.__post_init__`'s
+    normalization."""
+    cells = []
+    for datum, (origins, intermediates) in zip(data, tags):
+        cell = _new(Cell)
+        _set_datum(cell, datum)
+        _set_origins(cell, origins)
+        _set_intermediates(cell, intermediates)
+        cells.append(cell)
+    return cells

@@ -34,6 +34,15 @@ class PolygenTuple:
         self._cells: Tuple[Cell, ...] = tuple(cells)
         self._data: Tuple[Any, ...] = tuple(cell.datum for cell in self._cells)
 
+    @classmethod
+    def from_parts(cls, cells: Tuple[Cell, ...], data: Tuple[Any, ...]) -> "PolygenTuple":
+        """A tuple from its cells and its data row (each cell's datum, in
+        order), for a caller that holds both already."""
+        row = object.__new__(cls)
+        row._cells = cells
+        row._data = data
+        return row
+
     # -- container protocol -------------------------------------------------
 
     @property

@@ -27,12 +27,13 @@ __all__ = ["plan_graph", "source_graph", "to_dot"]
 def plan_graph(iom: IntermediateOperationMatrix) -> DiGraph:
     """The dataflow DAG of a plan.
 
-    Node attributes: ``label`` (e.g. ``"R(7) Merge"``), ``location`` (the
-    EL), ``local`` (bool).
+    Node attributes: ``label`` (e.g. ``"R(7) Merge"``, or for a SelectIn
+    its producers too: ``"R(2) SelectIn ORG.NAME ∈ R(1).EMPLOYER @ D00"``),
+    ``location`` (the EL), ``local`` (bool).
     """
     graph = DiGraph()
     for row in iom:
-        label = f"{row.result} {row.op.value}"
+        label = f"{row.result} {row.describe()}"
         if row.is_local:
             label += f" @ {row.el}"
         graph.add_node(

@@ -1,11 +1,17 @@
 """The abstract Local Query Processor interface.
 
-The PQP needs exactly two operations from an LQP (paper, §III, Table 3):
+The paper's PQP needs exactly two operations from an LQP (§III, Table 3):
 
 - **Retrieve** — "an LQP Restrict operation without any restricting
   condition": ship a whole local relation to the PQP, and
 - **Select** — execute a single-comparison restriction locally and ship the
   result (Table 3, row 1: ``Select ALUMNUS DEG = "MBA"`` at AD).
+
+A third verb serves the optimizer's key-set passing: **SelectIn** ships
+the rows whose attribute matches one of a set of values, by the key index's
+rule (:mod:`repro.storage.keyed`).  The base class answers it by filtering
+a Retrieve, so every engine has it; engines that can look keys up
+(SQLite, a key-value store, a server across the wire) override it.
 
 Concrete LQPs encapsulate however their backing store answers those two
 requests — an in-memory engine, CSV documents, SQLite, a server across the
@@ -33,14 +39,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from repro.core.predicate import Theta
 from repro.relational.relation import Relation
+from repro.storage.keyed import key_set
 
 __all__ = [
     "Capabilities",
     "LocalQueryProcessor",
+    "filter_in",
     "project_columns",
 ]
 
@@ -111,6 +119,20 @@ def project_columns(relation: Relation, columns) -> Relation:
     return Relation.from_columns(names, [relation.column(name) for name in names])
 
 
+def filter_in(relation: Relation, attribute: str, values: Iterable[Any], columns=None) -> Relation:
+    """``relation``'s rows whose ``attribute`` matches a member of
+    ``values`` (the :meth:`LocalQueryProcessor.select_in` rule), narrowed
+    to ``columns`` when given."""
+    keys = key_set(values)
+    kept = [
+        row
+        for row, value in zip(relation.rows, relation.column(attribute))
+        if value in keys
+    ]
+    result = Relation(relation.heading, kept)
+    return result if columns is None else project_columns(result, columns)
+
+
 class LocalQueryProcessor(abc.ABC):
     """Interface every local query processor implements."""
 
@@ -150,6 +172,18 @@ class LocalQueryProcessor(abc.ABC):
     @abc.abstractmethod
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
         """Execute ``relation[attribute θ value]`` locally and ship the result."""
+
+    def select_in(
+        self, relation_name: str, attribute: str, values: Iterable[Any], columns=None
+    ) -> Relation:
+        """Ship the rows whose ``attribute`` matches a member of ``values``.
+
+        Matching is the key index's (:func:`repro.storage.keyed.key_set`):
+        Python ``==`` with hashing, so ``1``, ``True`` and ``1.0`` are one
+        value, and nil or NaN matches nothing.  This default filters a
+        Retrieve; ``columns`` narrows the result afterwards.
+        """
+        return filter_in(self.retrieve(relation_name), attribute, values, columns)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

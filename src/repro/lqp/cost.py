@@ -1,7 +1,7 @@
 """Traffic accounting and latency injection for LQP traffic.
 
 LQP decorators subclass :class:`ForwardingLQP`, which writes the
-delegation and the two relation verbs once and hands each shipped
+delegation and the three relation verbs once and hands each shipped
 relation to a single hook.  :class:`AccountingLQP` — the wrapper every
 registered LQP sits behind — counts queries and shipped tuples in
 :class:`TransferStats` (chunk streams included, as their chunks arrive);
@@ -133,7 +133,7 @@ class ForwardingLQP(LocalQueryProcessor):
 
     The base of every decorator: identity, capabilities, concurrency and
     catalog calls pass straight through, so decoration never masks the
-    wrapped engine; the two relation verbs forward their arguments
+    wrapped engine; the three relation verbs forward their arguments
     unchanged (``columns=`` included, which the caller only sends to an
     engine reporting ``native_projection``) and hand the shipped relation
     to :meth:`_shipped` — the one hook a subclass overrides.
@@ -169,6 +169,9 @@ class ForwardingLQP(LocalQueryProcessor):
 
     def select(self, *args, **kwargs) -> Relation:
         return self._shipped("select", self._inner.select(*args, **kwargs))
+
+    def select_in(self, *args, **kwargs) -> Relation:
+        return self._shipped("select_in", self._inner.select_in(*args, **kwargs))
 
 
 class AccountingLQP(ForwardingLQP):

@@ -249,6 +249,8 @@ class RemoteLQP(LocalQueryProcessor):
         #: The server-side engine's capability descriptor, fetched once —
         #: capabilities are fixed for an engine's lifetime.
         self._capabilities: Optional[Capabilities] = None
+        #: False once the server turned ``select_in`` down as unknown.
+        self._select_in = True
 
     # -- identity / catalog -------------------------------------------------
 
@@ -372,6 +374,28 @@ class RemoteLQP(LocalQueryProcessor):
             theta=theta.symbol,
             value=protocol.wire_value(value),
         )
+
+    def select_in(
+        self, relation_name: str, attribute: str, values, columns=None
+    ) -> Relation:
+        """One ``select_in`` request carrying the matchable values.  A
+        server that predates the op answers "unknown wire operation"; the
+        base class's filtered Retrieve then serves this connection."""
+        values = [protocol.wire_value(value) for value in values]
+        if self._select_in:
+            try:
+                return self._ship(
+                    "select_in",
+                    columns,
+                    relation=relation_name,
+                    attribute=attribute,
+                    values=values,
+                )
+            except RemoteQueryError as error:
+                if "unknown wire operation" not in str(error):
+                    raise
+                self._select_in = False
+        return super().select_in(relation_name, attribute, values, columns)
 
     def retrieve_chunks(
         self,

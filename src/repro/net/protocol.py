@@ -26,9 +26,11 @@ client→server requests)::
       {"id": 7, "op": "retrieve",    "relation": "ALUMNUS"}
       {"id": 8, "op": "select",      "relation": ..., "attribute": ...,
                                      "theta": "=", "value": ...}
+      {"id": 9, "op": "select_in",   "relation": ..., "attribute": ...,
+                                     "values": [...]}
       any relation request may add {"format": "binary",
                                     "binary_version": 3, "chunk_size": 64}
-      {"id": 9, "op": "relation_names" | "capabilities" | "schema"
+      {"id": 10, "op": "relation_names" | "capabilities" | "schema"
                                      | "ping"}
       {"op": "cancel", "target": 7}            # no id: fire-and-forget
 
@@ -40,7 +42,7 @@ its spans under that parent and ships them back on the closing frame.
       {"id": 7, "kind": "chunk",  "seq": 0, "attributes": [...], "rows": [...]}
       {"id": 7, "kind": "end",    "chunks": 3, "tuples": 700,
                                   "spans": [...]}   # when tracing
-      {"id": 9, "kind": "result", "value": ..., "spans": [...]}
+      {"id": 10, "kind": "result", "value": ..., "spans": [...]}
       {"id": 8, "kind": "error",  "error_type": "UnknownRelationError",
                                   "message": "..."}
 

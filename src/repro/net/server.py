@@ -355,7 +355,7 @@ class LQPServer:
         try:
             try:
                 with use_span(span):
-                    if op in ("retrieve", "select"):
+                    if op in ("retrieve", "select", "select_in"):
                         self._serve_relation(
                             connection, request_id, op, message, cancel, span
                         )
@@ -417,6 +417,13 @@ class LQPServer:
         )
         if op == "retrieve":
             relation = self._lqp.retrieve(relation_name, **kwargs)
+        elif op == "select_in":
+            values = message.get("values")
+            if not isinstance(values, list):
+                raise ProtocolError("select_in request lacks a values list")
+            relation = self._lqp.select_in(
+                relation_name, message.get("attribute"), values, **kwargs
+            )
         else:
             theta = Theta.from_symbol(message.get("theta", ""))
             relation = self._lqp.select(

@@ -9,12 +9,13 @@ that reaches remote LQPs — *server-side* spans created inside the
 
 Spans of one trace share a :class:`_TraceBook`, an append-only,
 lock-guarded list capped at :data:`MAX_SPANS` (a runaway plan degrades
-to dropped spans, never unbounded memory).  The ambient span is carried
-in a :class:`contextvars.ContextVar`, so nested instrumentation finds
-its parent without plumbing arguments through every layer; code that
-hops threads explicitly (worker pools, the chunk-stream reader) captures
-:func:`current_span` at submission time and re-enters it with
-:func:`use_span` on the worker.
+to dropped spans, never unbounded memory).  Ending the root seals the
+book: the root keeps the span list, and the spans drop the book.  The
+ambient span is carried in a :class:`contextvars.ContextVar`, so nested
+instrumentation finds its parent without plumbing arguments through every
+layer; code that hops threads explicitly (worker pools, the chunk-stream
+reader) captures :func:`current_span` at submission time and re-enters it
+with :func:`use_span` on the worker.
 
 Propagation over the wire is deliberately tiny: a request carries
 ``{"id": trace_id, "span": parent_span_id}``; the server opens spans
@@ -94,6 +95,22 @@ class _TraceBook:
         with self._lock:
             return list(self._spans)
 
+    def opened_by(self, span: "Span") -> bool:
+        """Whether ``span`` is this trace's root (the first span added;
+        one list read, so no lock)."""
+        spans = self._spans
+        return bool(spans) and spans[0] is span
+
+    def seal(self) -> List["Span"]:
+        """Every span recorded, and no more recording: each span lets go
+        of the book, so a finished trace is a tree of plain references
+        that frees by refcount, not a cycle left to the cyclic GC."""
+        with self._lock:
+            spans, self._spans = self._spans, []
+        for span in spans:
+            span._book = None
+        return spans
+
 
 @dataclass
 class Span:
@@ -119,6 +136,10 @@ class Span:
     _book: Optional[_TraceBook] = field(
         default=None, repr=False, compare=False
     )
+    #: A closed root's trace, itself excluded (see :meth:`end`).
+    _sealed: Optional[List["Span"]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- lifecycle ---------------------------------------------------
 
@@ -138,12 +159,19 @@ class Span:
         return span
 
     def end(self, error: Optional[BaseException] = None) -> "Span":
-        """Close the span; idempotent (the first close wins)."""
+        """Close the span; idempotent (the first close wins).
+
+        Closing a trace's root seals its book: the root keeps the spans
+        for :meth:`trace_spans`, and no span refers back to it, so the
+        trace frees as soon as its last holder lets go.  Spans a running
+        row opens after that are not recorded."""
         if self.finish is None:
             self.finish = now()
             if error is not None:
                 self.status = "error"
                 self.attributes.setdefault("error", repr(error))
+            if self._book is not None and self._book.opened_by(self):
+                self._sealed = self._book.seal()[1:]
         return self
 
     def __enter__(self) -> "Span":
@@ -152,6 +180,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _ACTIVE.reset(self._token)
+        self._token = None  # the token holds the parent span
         self.end(exc)
 
     # -- annotation --------------------------------------------------
@@ -177,6 +206,8 @@ class Span:
 
     def trace_spans(self) -> List["Span"]:
         """Every span recorded in this trace so far (self included)."""
+        if self._sealed is not None:
+            return [self] + self._sealed
         if self._book is None:
             return [self]
         return self._book.spans()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import PolygenSchema
 from repro.core import algebra, derived
@@ -46,10 +46,12 @@ from repro.core.relation import PolygenRelation
 from repro.errors import ExecutionError, QueryCancelledError
 from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
+from repro.lqp.base import project_columns
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.tagging import materialize
 from repro.obs.trace import Span, current_span, now
 from repro.relational.relation import Relation
+from repro.storage.keyed import key_set, unkeyed
 from repro.pqp import stream as pqp_stream
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -406,7 +408,10 @@ class Executor:
             relation, inputs = row.cached.relation, ()
         elif row.is_local:
             lqp, scheme, columns = self._source(row)
-            shipped = self._ship_local(row, lqp, columns)
+            if row.op is Operation.SELECT_IN:
+                shipped = self._select_in(row, lqp, columns, results)
+            else:
+                shipped = self._ship_local(row, lqp, columns)
             relation, inputs = self._materialize(row, scheme, shipped), ()
         else:
             relation = self._execute_at_pqp(row, results)
@@ -458,6 +463,38 @@ class Executor:
                 f"operation {row.op.value} cannot execute at LQP {row.el!r}"
             )
         return shipped
+
+    @staticmethod
+    def _select_in(
+        row: MatrixRow, lqp, columns, results: Dict[int, PolygenRelation]
+    ) -> Relation:
+        """Run a SelectIn at its LQP.  The key set is attribute ``RHA`` of
+        every producer in ``RHR``; its size lands on the row span as
+        ``keys=``.  With an ``unkeyed`` comparison, a producer's nil or
+        NaN key says some branch row the key set cannot reach may pass
+        it, so the LQP's Select fetches those rows too."""
+        values: Set[object] = set()
+        for ref in row.rhr:
+            producer = results[ref.index]
+            values.update(producer.store.columns[producer.heading.index(row.rha)])
+        keys = key_set(values)
+        span = current_span()
+        if span is not None:
+            span.set(keys=len(keys))
+        kwargs = {} if columns is None else {"columns": columns}
+        shipped = lqp.select_in(row.lhr.relation, row.lha, keys, **kwargs)
+        # Only nil and NaN leave a distinct value out of the key set.
+        if row.unkeyed is None or len(keys) == len(values):
+            return shipped
+        attribute, theta, literal = row.unkeyed
+        passing = lqp.select(row.lhr.relation, attribute, theta, literal.value)
+        extra = [
+            data
+            for data, key in zip(passing.rows, passing.column(row.lha))
+            if unkeyed(key)
+        ]
+        extra = project_columns(Relation(passing.heading, extra), shipped.attributes)
+        return Relation(shipped.heading, shipped.rows + extra.rows)
 
     # -- pipelined streaming -------------------------------------------
 

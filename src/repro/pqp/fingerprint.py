@@ -3,11 +3,14 @@
 The semantic result cache (:mod:`repro.service.cache`) keys entries on a
 *structural fingerprint* of each optimized-plan subtree: a sha256 over the
 row's operation, execution location, operands, predicate, scheme context
-and — recursively — the fingerprints of the subtrees it consumes.  Two
-plans that compute the same thing through the same shape hash identically
-regardless of how the optimizer happened to number their ``R(#)`` rows,
-while any semantic difference (a literal, a pushed-down location, a pruned
-projection, the federation's conflict policy) changes the hash.
+and — recursively — the fingerprints of the subtrees it consumes.  (A
+SelectIn row consumes the rows its key set comes from, so its hash covers
+theirs and its source set holds theirs: a write to any source of the key
+set invalidates the entry.)  Two plans that compute the same thing
+through the same shape hash identically regardless of how the optimizer
+happened to number their ``R(#)`` rows, while any semantic difference (a
+literal, a pushed-down location, a pruned projection, the federation's
+conflict policy) changes the hash.
 
 Two deliberate choices:
 
@@ -50,7 +53,7 @@ __all__ = ["PlanFingerprints", "SpliceReport", "fingerprint_plan", "splice_cache
 
 #: Bumping this invalidates every fingerprint ever computed — do so whenever
 #: the canonical form below changes shape.
-_FINGERPRINT_VERSION = "polygen-fp-v1"
+_FINGERPRINT_VERSION = "polygen-fp-v2"
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,13 @@ def _canonical_attribute(value) -> object:
     if isinstance(value, tuple):
         return ("attrs",) + tuple(value)
     return str(value)
+
+
+def _canonical_unkeyed(unkeyed) -> object:
+    if unkeyed is None:
+        return "nil"
+    attribute, theta, literal = unkeyed
+    return ("unkeyed", attribute, theta.symbol, _canonical_attribute(literal))
 
 
 def fingerprint_plan(
@@ -154,6 +164,7 @@ def fingerprint_plan(
             row.output or "nil",
             ("project",) + tuple(row.project) if row.project is not None else "nil",
             ("consulted",) + tuple(sorted(row.consulted)),
+            _canonical_unkeyed(row.unkeyed),
         )
         by_index[index] = hashlib.sha256(repr(canonical).encode()).hexdigest()
 

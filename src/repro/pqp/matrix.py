@@ -73,6 +73,10 @@ class Operation(Enum):
     #: (service/cache.py): the row consumes nothing and yields the cached
     #: polygen relation carried in :attr:`MatrixRow.cached`.
     CACHED = "Cached"
+    #: A local row that ships only the rows whose ``LHA`` value is in a key
+    #: set taken from earlier results: attribute ``RHA`` of every ``R(#)``
+    #: in ``RHR`` (the optimizer's key-set passing, pqp/optimizer.py).
+    SELECT_IN = "SelectIn"
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,10 @@ class MatrixRow:
     #: The pre-materialized payload of a :attr:`Operation.CACHED` row
     #: (semantic result cache splice); ``None`` everywhere else.
     cached: Optional[CachedResult] = None
+    #: :attr:`Operation.SELECT_IN` rows only: a ``(local attribute, θ,
+    #: Literal)`` comparison.  Rows whose key is nil or NaN never join a
+    #: Merge group, so the row also ships those of them that satisfy it.
+    unkeyed: Optional[Tuple[str, Theta, Literal]] = None
 
     @property
     def is_local(self) -> bool:
@@ -211,14 +219,30 @@ class MatrixRow:
             rhr=remap(self.rhr),
         )
 
+    def describe(self) -> str:
+        """The row's operation, with its key set's producers for a
+        SelectIn: ``SelectIn ORG.NAME ∈ R(1).EMPLOYER``."""
+        if self.op is not Operation.SELECT_IN:
+            return self.op.value
+        producers = " ∪ ".join(str(part) for part in self.rhr)
+        text = f"SelectIn {self.lhr}.{self.lha} ∈ {producers}.{self.rha}"
+        if self.unkeyed is not None:
+            attribute, theta, literal = self.unkeyed
+            text += f", nil keys where {attribute} {theta.symbol} {literal}"
+        return text
+
     def cells(self, with_el: bool) -> Tuple[str, ...]:
         """The row rendered as display cells (paper column order)."""
+        if self.op is Operation.SELECT_IN:
+            theta = "∈"
+        else:
+            theta = self.theta.symbol if self.theta else "nil"
         base = (
             str(self.result),
             self.op.value,
             _render_operand(self.lhr),
             _render_attribute(self.lha),
-            self.theta.symbol if self.theta else "nil",
+            theta,
             _render_attribute(self.rha),
             _render_operand(self.rhr),
         )

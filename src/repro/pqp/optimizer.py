@@ -28,6 +28,15 @@ preserves the result relation *including its tags*:
   atomically, so the result — tags included — is unchanged); the per-branch
   copies then qualify for LQP pushdown above, so the filter can travel from
   above the Merge all the way into each autonomous database,
+- **key-set passing** — over a Merge whose scheme has a one-attribute
+  primary key ``K``, a key equijoin ``L ⋈ M`` on ``L.A = M.K`` whose ``L``
+  is filtered runs ``L`` first and gives every branch of ``M`` a SelectIn
+  keeping only the rows whose ``K`` is in ``π_A(L)``; a non-key equality
+  ``σ A = lit`` first
+  ships each branch's ``π_K σ`` and then SelectIns every branch on the
+  union of those keys.  It is the semijoin program of the classic
+  distributed query processors, and safe for the reason replication is:
+  a key group reaches the Merge whole or not at all,
 - **projection pruning** — attributes no downstream row ever consumes are
   dropped at materialization, so dead columns are never transformed,
   resolved or tagged.  Demand is propagated conservatively through the
@@ -51,8 +60,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.catalog.schema import PolygenSchema
+from repro.core.cell import ConflictPolicy
 from repro.core.predicate import Literal, Theta
 from repro.integration.identity import IdentityResolver
+from repro.lqp.base import Capabilities
 from repro.lqp.registry import LQPRegistry
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -89,10 +100,59 @@ class OptimizationReport:
     selects_pushed_down: int = 0
     attributes_pruned: int = 0
     selects_pushed_through_merge: int = 0
+    key_sets_passed: int = 0
 
     @property
     def rows_saved(self) -> int:
         return self.original_rows - self.optimized_rows
+
+
+def _as_names(value) -> Set[str]:
+    """The attribute names a row's LHA/RHA/output column holds."""
+    if isinstance(value, tuple):
+        return {name for name in value if isinstance(name, str)}
+    if isinstance(value, str):
+        return {value}
+    return set()
+
+
+def _consumer_counts(rows: List[MatrixRow]) -> Dict[int, int]:
+    """R(#) index → how many references the plan's rows make to it."""
+    consumers: Dict[int, int] = {}
+    for row in rows:
+        for ref in row.referenced_results():
+            consumers[ref.index] = consumers.get(ref.index, 0) + 1
+    return consumers
+
+
+def _filtered(index: int, by_index: Dict[int, MatrixRow]) -> bool:
+    """Whether ``R(index)`` passed a selection on a literal (or a SelectIn)
+    on its way: the plan's own sign that its values are few."""
+    row = by_index[index]
+    if row.op is Operation.SELECT_IN or (
+        row.op is Operation.SELECT and isinstance(row.rha, Literal)
+    ):
+        return True
+    return any(_filtered(ref.index, by_index) for ref in row.referenced_results())
+
+
+def _topological(rows: List[MatrixRow]) -> List[MatrixRow]:
+    """``rows`` renumbered ``R(1)…`` in an order where every row follows
+    the rows it consumes: the given order, with a producer moved up to
+    just before its first consumer."""
+    by_index = {row.result.index: row for row in rows}
+    ordered: Dict[int, MatrixRow] = {}
+
+    def place(row: MatrixRow) -> None:
+        if row.result.index not in ordered:
+            for ref in row.referenced_results():
+                place(by_index[ref.index])
+            ordered[row.result.index] = row
+
+    for row in rows:
+        place(row)
+    renumber = {index: position + 1 for position, index in enumerate(ordered)}
+    return [row.with_remapped_results(renumber) for row in ordered.values()]
 
 
 class QueryOptimizer:
@@ -105,6 +165,10 @@ class QueryOptimizer:
     because it narrows *intermediate* relations (the final result is always
     untouched); callers reproducing the paper's printed intermediate tables
     keep it off, throughput-oriented callers switch it on.
+
+    ``policy`` is the conflict policy the plan's Merges run under: key-set
+    passing stays off under ``ERROR``, where a conflict in a key group the
+    query never reads must still raise.
 
     ``registry`` lets the pushdown rewrite consult each target engine's
     :class:`~repro.lqp.base.Capabilities`: a selection is only pushed to a
@@ -122,6 +186,7 @@ class QueryOptimizer:
         pushdown: bool = True,
         prune_projections: bool = False,
         registry: Optional[LQPRegistry] = None,
+        policy: ConflictPolicy = ConflictPolicy.DROP,
     ):
         self._schema = schema
         self._resolver = (
@@ -130,6 +195,7 @@ class QueryOptimizer:
         self._pushdown = pushdown
         self._prune_projections = prune_projections
         self._registry = registry
+        self._policy = policy
 
     def optimize(
         self, iom: IntermediateOperationMatrix
@@ -141,6 +207,7 @@ class QueryOptimizer:
         # Through-merge replication runs first so the per-branch selections
         # it creates are then candidates for LQP pushdown below.
         rows, through = self._push_through_merges(rows)
+        rows, passed = self._pass_key_sets(rows)
         rows, pushed = self._push_selections(rows)
         rows, pruned = self._prune(rows)
         rows, attributes = self._prune_materializations(rows)
@@ -154,6 +221,7 @@ class QueryOptimizer:
             selects_pushed_down=pushed,
             attributes_pruned=attributes,
             selects_pushed_through_merge=through,
+            key_sets_passed=passed,
         )
         return optimized, report
 
@@ -218,10 +286,7 @@ class QueryOptimizer:
         if self._schema is None or not self._pushdown:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
-        consumers: Dict[int, int] = {}
-        for row in rows:
-            for ref in row.referenced_results():
-                consumers[ref.index] = consumers.get(ref.index, 0) + 1
+        consumers = _consumer_counts(rows)
         pushed = 0
         out: List[MatrixRow] = []
         for row in rows:
@@ -266,22 +331,13 @@ class QueryOptimizer:
             # tuples, not fewer.  Push only when this selection is the sole
             # consumer, so dead-row pruning deletes the Retrieve.
             return None
-        if self._registry is not None and producer.el in self._registry:
+        if not self._capabilities(producer.el).native_select:
             # An engine that cannot run the selection natively would
             # scan-filter it in an adapter loop — no tuples saved over
             # the wire that the PQP's own filter wouldn't save.
-            if not self._registry.get(producer.el).capabilities().native_select:
-                return None
-        scheme = self._schema.scheme(producer.scheme)
-        if row.lha not in scheme:
             return None
-        location = (producer.el, producer.lhr.relation)
-        candidates = [
-            mapping
-            for mapping in scheme.mappings(row.lha)
-            if mapping.location == location
-        ]
-        if len(candidates) != 1 or candidates[0].transform:
+        local = self._sole_mapping(self._schema.scheme(producer.scheme), row.lha, producer)
+        if local is None:
             return None
         if row.theta in (Theta.EQ, Theta.NE):
             if not self._resolver.is_unaliased(row.rha.value):
@@ -292,7 +348,7 @@ class QueryOptimizer:
             row,
             op=Operation.SELECT,
             lhr=LocalOperand(producer.lhr.relation),
-            lha=candidates[0].attribute,
+            lha=local,
             el=producer.el,
             scheme=producer.scheme,
             # The PQP-side Restrict would have recorded the probed cells'
@@ -300,6 +356,31 @@ class QueryOptimizer:
             # materialization reproduces that.
             consulted=(producer.el,),
         )
+
+    def _capabilities(self, database: str) -> Capabilities:
+        """What ``database``'s engine runs itself.  Without a registry, or
+        for an unregistered database, every engine counts as native."""
+        if self._registry is None or database not in self._registry:
+            return Capabilities(native_select=True, native_projection=True)
+        return self._registry.get(database).capabilities()
+
+    @staticmethod
+    def _sole_mapping(scheme, attribute: str, retrieve: MatrixRow) -> Optional[str]:
+        """The local attribute ``attribute`` maps to at ``retrieve``'s
+        relation, or ``None`` unless there is exactly one mapping there and
+        it declares no domain transform (so raw local values are the
+        polygen values)."""
+        if attribute not in scheme:
+            return None
+        location = (retrieve.el, retrieve.lhr.relation)
+        candidates = [
+            mapping
+            for mapping in scheme.mappings(attribute)
+            if mapping.location == location
+        ]
+        if len(candidates) != 1 or candidates[0].transform:
+            return None
+        return candidates[0].attribute
 
     # -- through-merge selection pushdown --------------------------------------
 
@@ -327,10 +408,7 @@ class QueryOptimizer:
         if self._schema is None or not self._pushdown:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
-        consumers: Dict[int, int] = {}
-        for row in rows:
-            for ref in row.referenced_results():
-                consumers[ref.index] = consumers.get(ref.index, 0) + 1
+        consumers = _consumer_counts(rows)
         #: Merge result index → the selection row to replicate into it.
         planned: Dict[int, MatrixRow] = {}
         for row in rows:
@@ -412,6 +490,182 @@ class QueryOptimizer:
             return None
         return producer
 
+    # -- key-set passing --------------------------------------------------------
+
+    def _pass_key_sets(self, rows: List[MatrixRow]) -> Tuple[List[MatrixRow], int]:
+        """Give every branch of a keyed Merge a SelectIn on the keys that
+        can survive the row above it (see the module docstring).
+
+        ``(a)`` For ``L ⋈ M`` on ``L.A = M.K``, where ``L`` passed a
+        selection on a literal, each branch Retrieve of ``M`` becomes
+        ``SelectIn K ∈ π_A(L)``.  A row of ``M`` whose key is not in
+        ``π_A(L)`` — nil and NaN included — joins nothing.  An unfiltered
+        ``L``'s join attribute is as a rule a foreign key covering much
+        of ``M``'s keys, so its key set would save little shipping for a
+        second pass; with no statistics to say otherwise, the plan's own
+        filter is the sign that the key set is small.
+
+        ``(b)`` For ``σ A = lit`` over ``M``, each branch first ships
+        ``π_K σ A = lit`` (phase 1), and each branch Retrieve becomes a
+        SelectIn on the union of those keys (phase 2).  A merged row's
+        ``A`` is one of its group's branch values, so it passes only if
+        some branch row of its group passes, and that row's key is in the
+        union.  A nil- or NaN-keyed row forms a group of its own, so phase
+        2 also ships each branch's such rows that pass ``σ`` themselves.
+
+        The Merge, the Join or Restrict, and the tags run as before: a
+        SelectIn decides which rows ship, it does not mediate them, and the
+        groups that reach the Merge are whole.  The guards are
+        :meth:`_pushable`'s on every branch (a native select, and exactly
+        one untransformed mapping for ``K`` and ``A``), an identity
+        resolver (so raw local keys are the merged keys), and a conflict
+        policy other than ``ERROR``.  For ``(b)`` every branch's engine
+        must also project natively: phase 1 is to ship keys, and an
+        engine that ships the matching rows whole would ship them twice.
+        ``θ`` other than ``=`` stays as it is: ``<>`` keeps nearly every
+        row, and an ordering can raise on a branch value the Merge would
+        have dropped.
+        """
+        if (
+            self._schema is None
+            or not self._pushdown
+            or not self._resolver.is_identity
+            or self._policy is ConflictPolicy.ERROR
+        ):
+            return rows, 0
+        by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
+        consumers = _consumer_counts(rows)
+        fresh = max(by_index) + 1
+        #: branch Retrieve index → the SelectIn that replaces it.
+        replaced: Dict[int, MatrixRow] = {}
+        #: phase-1 rows; the renumbering moves each up to its first consumer.
+        phase_one: List[MatrixRow] = []
+        passed = 0
+        for row in rows:
+            plan = self._key_set_plan(row, by_index, consumers)
+            if plan is None:
+                continue
+            passed += 1
+            key, branches, joined = plan
+            if joined is not None:  # (a): the key set is π_A(L)
+                producers, attribute, unkeyed = (joined[0],), joined[1], None
+            else:  # (b): phase 1 ships each branch's π_K σ A = lit
+                first = len(phase_one)
+                for branch, _, local_probe in branches:
+                    phase_one.append(
+                        replace(
+                            branch,
+                            result=ResultOperand(fresh),
+                            op=Operation.SELECT,
+                            lha=local_probe,
+                            theta=row.theta,
+                            rha=row.rha,
+                            consulted=(branch.el,),
+                            project=(key,),
+                        )
+                    )
+                    fresh += 1
+                producers = tuple(added.result for added in phase_one[first:])
+                attribute, unkeyed = key, (row.theta, row.rha)
+            for branch, local_key, local_probe in branches:
+                replaced[branch.result.index] = replace(
+                    branch,
+                    op=Operation.SELECT_IN,
+                    lha=local_key,
+                    rha=attribute,
+                    rhr=producers,
+                    unkeyed=None if unkeyed is None else (local_probe,) + unkeyed,
+                )
+        if not passed:
+            return rows, 0
+        out = [replaced.get(row.result.index, row) for row in rows] + phase_one
+        return _topological(out), passed
+
+    def _key_set_plan(
+        self,
+        row: MatrixRow,
+        by_index: Dict[int, MatrixRow],
+        consumers: Dict[int, int],
+    ):
+        """``(K, branches, joined)`` when key-set passing applies to
+        ``row``, else ``None``.  ``branches`` are the Merge's
+        ``(Retrieve, local K, local A)``; ``joined`` is ``(R(L), A)`` for a
+        join and ``None`` for a selection."""
+        if (
+            row.is_local
+            or row.theta is not Theta.EQ
+            or not isinstance(row.lhr, ResultOperand)
+            or not isinstance(row.lha, str)
+        ):
+            return None
+        if row.op is Operation.SELECT and isinstance(row.rha, Literal):
+            merge = by_index.get(row.lhr.index)
+            found = self._keyed_branches(merge, row.lha, by_index, consumers)
+            return None if found is None else found + (None,)
+        if row.op is not Operation.JOIN or not isinstance(row.rhr, ResultOperand):
+            return None
+        sides = ((row.rhr, row.rha, row.lhr, row.lha), (row.lhr, row.lha, row.rhr, row.rha))
+        for merge_ref, merge_attribute, other_ref, other_attribute in sides:
+            if not _filtered(other_ref.index, by_index):
+                continue
+            found = self._keyed_branches(
+                by_index.get(merge_ref.index), None, by_index, consumers
+            )
+            if found is not None and found[0] == merge_attribute:
+                return found + ((other_ref, other_attribute),)
+        return None
+
+    def _keyed_branches(
+        self,
+        merge: Optional[MatrixRow],
+        probe: Optional[str],
+        by_index: Dict[int, MatrixRow],
+        consumers: Dict[int, int],
+    ):
+        """``(K, [(Retrieve, local K, local probe)])`` for a sole-consumer
+        Merge of sole-consumer Retrieves at native-select engines whose
+        scheme has the one-attribute primary key ``K``; ``None`` when any
+        guard fails.  ``probe=None`` probes nothing beyond ``K``; a probe
+        is a phase-1 select, which must ship keys only, so its engines
+        must also project natively."""
+        if (
+            merge is None
+            or merge.op is not Operation.MERGE
+            or merge.is_local
+            or not isinstance(merge.lhr, tuple)
+            or merge.scheme not in self._schema
+            or consumers.get(merge.result.index, 0) != 1
+        ):
+            return None
+        scheme = self._schema.scheme(merge.scheme)
+        if len(scheme.primary_key) != 1:
+            return None
+        (key,) = scheme.primary_key
+        branches = []
+        for part in merge.lhr:
+            branch = by_index.get(part.index)
+            if (
+                branch is None
+                or branch.op is not Operation.RETRIEVE
+                or not branch.is_local
+                or not isinstance(branch.lhr, LocalOperand)
+                or branch.scheme != merge.scheme
+                or branch.project is not None
+                or consumers.get(part.index, 0) != 1
+            ):
+                return None
+            capabilities = self._capabilities(branch.el)
+            if not capabilities.native_select or (
+                probe is not None and not capabilities.native_projection
+            ):
+                return None
+            local_key = self._sole_mapping(scheme, key, branch)
+            local_probe = local_key if probe is None else self._sole_mapping(scheme, probe, branch)
+            if local_key is None or local_probe is None:
+                return None
+            branches.append((branch, local_key, local_probe))
+        return key, branches
+
     # -- projection pruning ---------------------------------------------------
 
     def _prune_materializations(
@@ -462,13 +716,6 @@ class QueryOptimizer:
             else:
                 demand[index] = current | attributes
 
-        def as_names(value) -> Set[str]:
-            if isinstance(value, tuple):
-                return {name for name in value if isinstance(name, str)}
-            if isinstance(value, str):
-                return {value}
-            return set()
-
         for row in reversed(rows):
             refs = row.referenced_results()
             if not refs:
@@ -478,14 +725,14 @@ class QueryOptimizer:
                 for ref in refs:
                     require(ref.index, None)
             elif row.op is Operation.PROJECT:
-                require(refs[0].index, as_names(row.lha))
+                require(refs[0].index, _as_names(row.lha))
             elif (
                 row.op is Operation.JOIN
                 and isinstance(row.lhr, ResultOperand)
                 and isinstance(row.rhr, ResultOperand)
             ):
-                left = None if observed is None else observed | as_names(row.lha)
-                right = None if observed is None else observed | as_names(row.rha)
+                left = None if observed is None else observed | _as_names(row.lha)
+                right = None if observed is None else observed | _as_names(row.rha)
                 require(row.lhr.index, left)
                 require(row.rhr.index, right)
             elif row.op is Operation.COALESCE:
@@ -493,13 +740,16 @@ class QueryOptimizer:
                 needs = (
                     None
                     if observed is None
-                    else (observed - as_names(output)) | as_names(row.lha) | as_names(row.rha)
+                    else (observed - _as_names(output)) | _as_names(row.lha) | _as_names(row.rha)
                 )
                 require(refs[0].index, needs)
+            elif row.op is Operation.SELECT_IN:
+                for ref in refs:
+                    require(ref.index, {row.rha})
             elif row.op in (Operation.SELECT, Operation.RESTRICT):
-                probe = as_names(row.lha)
+                probe = _as_names(row.lha)
                 if row.op is Operation.RESTRICT:
-                    probe |= as_names(row.rha)
+                    probe |= _as_names(row.rha)
                 require(refs[0].index, None if observed is None else observed | probe)
             else:  # unknown/extension operations: demand everything
                 for ref in refs:

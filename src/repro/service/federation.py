@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; service never needs
 
 from repro.algebra_lang.parser import parse_expression
 from repro.catalog.schema import PolygenSchema
+from repro.core.cell import ConflictPolicy
 from repro.core.expression import Expression
 from repro.errors import QueryCancelledError, ServiceClosedError
 from repro.integration.domains import TransformRegistry, default_registry
@@ -223,7 +224,7 @@ class PolygenFederation:
         )
         self._lock = threading.Lock()
         self._interpreters: Dict[bool, PolygenOperationInterpreter] = {}
-        self._optimizers: Dict[Tuple[bool, bool], QueryOptimizer] = {}
+        self._optimizers: Dict[Tuple[bool, bool, ConflictPolicy], QueryOptimizer] = {}
         self._executors: Dict[Tuple[str, object], Executor] = {}
         #: Prepared plans: query text → optimized plan, per epoch.
         self._plans = PlanMemo()
@@ -407,7 +408,7 @@ class PolygenFederation:
             return interpreter
 
     def _optimizer_for(self, options: QueryOptions) -> QueryOptimizer:
-        key = (options.pushdown, options.prune_projections)
+        key = (options.pushdown, options.prune_projections, options.policy)
         with self._lock:
             optimizer = self._optimizers.get(key)
             if optimizer is None:
@@ -419,6 +420,7 @@ class PolygenFederation:
                     # Capability-aware pushdown: selections stay at the PQP
                     # for registered engines without native selection.
                     registry=self.registry,
+                    policy=options.policy,
                 )
                 self._optimizers[key] = optimizer
             return optimizer

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.core.cell import Cell
+from repro.core.cell import Cell, pooled_cells
 from repro.core.heading import Heading
 from repro.core.row import PolygenTuple
 from repro.core.tags import EMPTY_SOURCES, SourceSet
@@ -202,17 +202,22 @@ class ColumnarRelation:
             yield Cell(value, origins, intermediates)
 
     def to_tuples(self) -> Tuple[PolygenTuple, ...]:
-        """Materialize the classic row-of-cells view (paper notation)."""
+        """Materialize the classic row-of-cells view (paper notation),
+        one column of cells at a time from the pool's own tag sets."""
         if not self.cardinality:
             return ()
-        pair = self._pool.pair
-        rows = zip(zip(*self._columns), zip(*self._tags))
+        pairs = {
+            tag_id: tuple(map(frozenset, self._pool.pair(tag_id)))
+            for tag_id in self.distinct_tag_ids()
+        }
+        cell_columns = [
+            pooled_cells(values, map(pairs.__getitem__, tags))
+            for values, tags in zip(self._columns, self._tags)
+        ]
+        make = PolygenTuple.from_parts
         return tuple(
-            PolygenTuple(
-                Cell(value, *pair(tag_id))
-                for value, tag_id in zip(data_row, tag_row)
-            )
-            for data_row, tag_row in rows
+            make(cells, data)
+            for cells, data in zip(zip(*cell_columns), zip(*self._columns))
         )
 
     def distinct_tag_ids(self) -> set:

@@ -12,12 +12,20 @@ use this index: there nil matches nil, as equal data portions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 from repro.storage.columnar import ColumnarRelation
 
-__all__ = ["key_data", "key_origins", "key_rows", "buckets"]
+__all__ = [
+    "key_data",
+    "key_origins",
+    "key_rows",
+    "buckets",
+    "key_set",
+    "matching_rows",
+    "unkeyed",
+]
 
 #: Key data: the bare value for a one-attribute key, a tuple otherwise.
 Key = object
@@ -86,3 +94,24 @@ def buckets(keys: Sequence[Optional[Key]]) -> Dict[Key, List[int]]:
             else:
                 found.append(row)
     return index
+
+
+def unkeyed(value: Any) -> bool:
+    """Whether a one-attribute key value can never match: nil or NaN."""
+    return value is None or value != value
+
+
+def key_set(values: Iterable[Any]) -> FrozenSet[Any]:
+    """The values of ``values`` a key can match, as a set: nil and NaN are
+    left out, and ``1``, ``True`` and ``1.0`` are one member, as in
+    :func:`buckets`."""
+    keys = set(values)
+    keys.discard(None)
+    return frozenset(keys.difference([value for value in keys if value != value]))
+
+
+def matching_rows(column: Sequence[Any], keys: FrozenSet[Any]) -> List[int]:
+    """The positions in ``column`` whose value matches a member of ``keys``
+    (a :func:`key_set`).  A nil or NaN value matches nothing: neither is
+    ever a member."""
+    return [row for row, value in enumerate(column) if value in keys]

@@ -1,8 +1,11 @@
 """Unit tests for the tracing core: spans, ambient context, wire
 payloads, adoption, and the bounded trace book."""
 
+import gc
 import threading
+import weakref
 
+from repro import build_paper_federation
 from repro.obs.trace import (
     MAX_EVENTS,
     MAX_SPANS,
@@ -13,6 +16,8 @@ from repro.obs.trace import (
     spans_from_payloads,
     use_span,
 )
+
+from tests.integration.conftest import PAPER_SQL
 
 
 class TestSpanLifecycle:
@@ -165,3 +170,32 @@ class TestWirePayloads:
         span = Tracer().continue_remote("serve.retrieve", {})
         assert span.parent_id is None
         assert len(span.trace_id) == 32
+
+
+class TestSealedTrace:
+    def test_a_closed_root_still_lists_its_trace(self):
+        root = Tracer().start("query")
+        child = root.child("stage")
+        child.end()
+        root.end()
+        assert root.trace_spans() == [root, child]
+        assert child._book is None
+        child.child("late")  # opened after the root closed: not recorded
+        assert root.trace_spans() == [root, child]
+
+    def test_a_finished_query_frees_by_refcount(self):
+        # Without the seal, Span → book → span list → Span is a cycle only
+        # the cyclic collector frees; with it, dropping the result is enough.
+        federation = build_paper_federation().federation
+        federation.run(PAPER_SQL)  # plan memo warm: the steady-state path
+        gc.collect()
+        gc.disable()
+        try:
+            result = federation.run(PAPER_SQL)
+            spans = result.trace.spans
+            assert len(spans) > 1 and spans[0].name == "query"
+            root, last = weakref.ref(spans[0]), weakref.ref(spans[-1])
+            del result, spans
+            assert root() is None and last() is None
+        finally:
+            gc.enable()

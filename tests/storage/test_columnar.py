@@ -1,6 +1,7 @@
 """Unit tests for the columnar relation store and its facade round-trips."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.cell import Cell
 from repro.core.heading import Heading
@@ -10,6 +11,8 @@ from repro.core.tags import sources
 from repro.errors import DegreeMismatchError
 from repro.storage.columnar import ColumnarRelation
 from repro.storage.tag_pool import GLOBAL_TAG_POOL, TagPool
+
+from tests.property.strategies import relations
 
 
 def cell(datum, origins=(), intermediates=()):
@@ -170,3 +173,24 @@ class TestFacadeViews:
     def test_global_pool_is_default(self):
         r = PolygenRelation.from_data(["A"], [["x"]])
         assert r.store.pool is GLOBAL_TAG_POOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation=relations(keyed=("A",)))
+def test_to_tuples_builds_what_the_cell_constructor_builds(relation):
+    # to_tuples fills each Cell's slots from the pool's frozensets and hands
+    # PolygenTuple its data row; the constructors would normalize and
+    # rebuild both.  The answers must not differ in any cell or data row.
+    store = relation.store
+    pair = store.pool.pair
+    expected = tuple(
+        PolygenTuple(Cell(value, *pair(tag)) for value, tag in zip(data, tags))
+        for data, tags in zip(store.data_rows(), store.tag_rows())
+    )
+    built = store.to_tuples()
+    assert built == expected
+    for mine, theirs in zip(built, expected):
+        assert mine.data == theirs.data
+        assert [type(cell.origins) for cell in mine] == [frozenset] * len(mine)
+        assert [type(cell.intermediates) for cell in mine] == [frozenset] * len(mine)
+        assert hash(mine) == hash(theirs)
