@@ -199,7 +199,7 @@ class RemoteLQP(LocalQueryProcessor):
         :class:`~repro.net.transport.ConnectionMux`).  ``wire_format``
         picks the chunk encoding for every relation result on this
         connection — the only place it is chosen: ``"auto"`` (binary when
-        the server negotiated protocol v3, JSON otherwise), ``"json"``
+        the server negotiated protocol v3 or later, JSON otherwise), ``"json"``
         (force v1 frames), or ``"binary"`` (refuse, here, to connect to a
         JSON-only server)."""
         if wire_format not in ("auto", "json", "binary"):
@@ -221,6 +221,9 @@ class RemoteLQP(LocalQueryProcessor):
                 hello, f"LQP server at {host}:{port}"
             )
             self._trace = protocol.supports_trace(
+                hello, f"LQP server at {host}:{port}"
+            )
+            self._select_in = protocol.supports_select_in(
                 hello, f"LQP server at {host}:{port}"
             )
             if wire_format == "binary" and not self._binary:
@@ -249,8 +252,6 @@ class RemoteLQP(LocalQueryProcessor):
         #: The server-side engine's capability descriptor, fetched once —
         #: capabilities are fixed for an engine's lifetime.
         self._capabilities: Optional[Capabilities] = None
-        #: False once the server turned ``select_in`` down as unknown.
-        self._select_in = True
 
     # -- identity / catalog -------------------------------------------------
 
@@ -379,23 +380,17 @@ class RemoteLQP(LocalQueryProcessor):
         self, relation_name: str, attribute: str, values, columns=None
     ) -> Relation:
         """One ``select_in`` request carrying the matchable values.  A
-        server that predates the op answers "unknown wire operation"; the
-        base class's filtered Retrieve then serves this connection."""
-        values = [protocol.wire_value(value) for value in values]
-        if self._select_in:
-            try:
-                return self._ship(
-                    "select_in",
-                    columns,
-                    relation=relation_name,
-                    attribute=attribute,
-                    values=values,
-                )
-            except RemoteQueryError as error:
-                if "unknown wire operation" not in str(error):
-                    raise
-                self._select_in = False
-        return super().select_in(relation_name, attribute, values, columns)
+        server that negotiated a protocol before 4 does not know the op;
+        the base class's filtered Retrieve serves the verb there."""
+        if not self._select_in:
+            return super().select_in(relation_name, attribute, values, columns)
+        return self._ship(
+            "select_in",
+            columns,
+            relation=relation_name,
+            attribute=attribute,
+            values=[protocol.wire_value(value) for value in values],
+        )
 
     def retrieve_chunks(
         self,

@@ -86,6 +86,7 @@ __all__ = [
     "supports_binary",
     "binary_request",
     "supports_trace",
+    "supports_select_in",
     "request_message",
     "cancel_message",
     "chunk_message",
@@ -104,10 +105,10 @@ __all__ = [
 
 #: The newest protocol this build speaks.  Version 2 added the binary
 #: columnar chunk encoding and the trace capability; version 3 replaced the
-#: binary layout by whole-vector columns (:mod:`repro.net.binary`).  The
-#: hello frame advertises both ends' ranges and the connection runs at the
-#: highest version both speak.
-PROTOCOL_VERSION = 3
+#: binary layout by whole-vector columns (:mod:`repro.net.binary`); version
+#: 4 added the ``select_in`` operation.  The hello frame advertises both
+#: ends' ranges and the connection runs at the highest version both speak.
+PROTOCOL_VERSION = 4
 
 #: The oldest protocol this build still accepts.  Versions 1 and 2 remain
 #: fully supported on JSON chunk frames: such a peer never sees a binary
@@ -311,6 +312,13 @@ def supports_trace(message: Dict[str, Any], where: str = "peer") -> bool:
         negotiate_version(message, where) >= 2
         and message.get("trace") is True
     )
+
+
+def supports_select_in(message: Dict[str, Any], where: str = "peer") -> bool:
+    """Whether the hello's sender serves the ``select_in`` operation,
+    which protocol 4 introduced.  Against an older peer a client serves
+    the verb itself, from a filtered Retrieve."""
+    return negotiate_version(message, where) >= 4
 
 
 def check_hello(message: Dict[str, Any], where: str) -> Dict[str, Any]:

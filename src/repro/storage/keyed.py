@@ -23,7 +23,6 @@ __all__ = [
     "key_rows",
     "buckets",
     "key_set",
-    "matching_rows",
     "unkeyed",
 ]
 
@@ -108,10 +107,3 @@ def key_set(values: Iterable[Any]) -> FrozenSet[Any]:
     keys = set(values)
     keys.discard(None)
     return frozenset(keys.difference([value for value in keys if value != value]))
-
-
-def matching_rows(column: Sequence[Any], keys: FrozenSet[Any]) -> List[int]:
-    """The positions in ``column`` whose value matches a member of ``keys``
-    (a :func:`key_set`).  A nil or NaN value matches nothing: neither is
-    ever a member."""
-    return [row for row, value in enumerate(column) if value in keys]

@@ -115,8 +115,10 @@ def test_remote_columns_narrow_over_the_wire(remote_engine):
 
 
 class _OldServer(LQPServer):
-    """A server from before the select_in op: it answers as any server
-    answers an op it does not know."""
+    """A protocol-3 server, from before the select_in op."""
+
+    def _hello(self):
+        return {**super()._hello(), "protocol": 3}
 
     def _serve_relation(self, connection, request_id, op, message, cancel, span=None):
         if op == "select_in":
@@ -124,12 +126,15 @@ class _OldServer(LQPServer):
         return super()._serve_relation(connection, request_id, op, message, cancel, span)
 
 
-def test_remote_falls_back_against_an_older_server():
+def test_remote_serves_select_in_itself_against_an_older_server():
     with _OldServer(RelationalLQP(_database())).start() as server:
         with RemoteLQP(server.url) as remote:
+            assert remote.binary_negotiated
             assert remote.select_in("T", "K", [True, "é"]) == _reference([True, "é"])
             assert remote.select_in("T", "K", ["1"]) == _reference(["1"])
-            assert remote.transport_stats().requests >= 2
+            # Each call was one Retrieve; no select_in reached the server.
+            assert remote.transport_stats().requests == 2
+            assert server.stats.errors == 0
 
 
 @pytest.mark.parametrize(

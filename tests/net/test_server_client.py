@@ -574,7 +574,7 @@ class TestFaults:
         # this server no longer writes: every chunk it gets is JSON.
         request = {"id": 1, "op": "retrieve", "relation": "ALUMNUS", "format": "binary"}
         hello, frames = _raw_exchange(server.url, request)
-        assert hello["protocol"] == protocol.PROTOCOL_VERSION == 3
+        assert hello["protocol"] == protocol.PROTOCOL_VERSION == 4
         assert [frame["kind"] for frame in frames] == ["chunk"] * 3 + ["end"]
         assert not any(frame.get("binary") for frame in frames)
         assert server.stats.binary_chunks_sent == 0

@@ -11,7 +11,6 @@ operators add nothing.
 
 import ast
 import re
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,8 +24,13 @@ def _ci_paths():
 
 
 def _ceiling() -> int:
-    with open(ROOT / "pyproject.toml", "rb") as handle:
-        return tomllib.load(handle)["tool"]["ruff"]["lint"]["mccabe"]["max-complexity"]
+    # A regex, not tomllib: the suite also runs on Python 3.10.
+    config = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[tool\.ruff\.lint\.mccabe\]$(.*?)(?=^\[|\Z)", config, re.M | re.S)
+    assert section, "pyproject.toml has no [tool.ruff.lint.mccabe] table"
+    ceiling = re.search(r"^max-complexity\s*=\s*(\d+)\s*$", section.group(1), re.M)
+    assert ceiling, "[tool.ruff.lint.mccabe] sets no max-complexity"
+    return int(ceiling.group(1))
 
 
 def _branches(statements) -> int:
