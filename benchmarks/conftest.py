@@ -6,36 +6,14 @@ worthless.  Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Benchmarks that report scalar results (speedups, tuple counts, makespans)
-record them through the ``record_bench`` fixture; pass ``--bench-json``
-(optionally with a path; default ``BENCH_runtime.json``) to write them as
-machine-readable JSON::
-
-    pytest benchmarks/test_bench_runtime.py --bench-json
-
-Besides overwriting that snapshot, every ``--bench-json`` run also appends
-a timestamped entry to ``BENCH_history.json`` (next to the snapshot),
-keyed by the current git SHA *and* python major.minor (``<sha>@<py>``) —
-runs on the same SHA and python merge their result dicts — so successive
-PRs accumulate a tracked performance trajectory instead of each
-overwriting the last, and CI matrix jobs on different interpreters don't
-clobber each other's entries.  ``benchmarks/report.py`` renders the
-history as a trend table; ``benchmarks/check_regression.py`` gates CI on
-it.
+The ``test_bench_*`` files that measure a ratio or a wall-clock budget
+(columnar, merge scaling, backends, net, stream, trace) assert their
+floors in-test, so a plain ``pytest benchmarks/<file>`` fails on a
+breach.  Tracking performance across commits is the end-to-end referee's
+job (``benchmarks/e2e``: ``run.py`` and ``compare.py``).
 """
 
-import datetime
-import json
-import platform
-import sys
-from pathlib import Path
-
 import pytest
-
-try:
-    from benchmarks.bench_history import git_sha, python_series
-except ImportError:  # collected with benchmarks/ itself as rootdir
-    from bench_history import git_sha, python_series
 
 from repro.algebra_lang import parse_expression
 from repro.datasets.paper import (
@@ -57,73 +35,6 @@ PAPER_ALGEBRA = (
     '((((PALUMNUS [DEGREE = "MBA"]) [AID# = AID#] PCAREER)'
     " [ONAME = ONAME] PORGANIZATION) [CEO = ANAME]) [ONAME, CEO]"
 )
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        nargs="?",
-        const="BENCH_runtime.json",
-        default=None,
-        metavar="PATH",
-        help="write recorded benchmark results as JSON (default path "
-        "BENCH_runtime.json when the flag is given without a value)",
-    )
-
-
-def _append_history(snapshot_path: Path, payload: dict) -> None:
-    """Merge this run's results into BENCH_history.json.
-
-    Entries are keyed ``<sha>@<python major.minor>`` — the SHA alone would
-    make CI matrix jobs on different interpreters merge (and clobber) one
-    another's numbers — and each entry also records both components as
-    fields so consumers never need to parse keys.
-    """
-    history_path = snapshot_path.with_name("BENCH_history.json")
-    try:
-        history = json.loads(history_path.read_text())
-    except (OSError, ValueError):
-        history = {}
-    sha = git_sha()
-    key = f"{sha}@{python_series(payload['python'])}"
-    entry = history.get(key) or {"results": {}}
-    entry["timestamp"] = (
-        datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    )
-    entry["sha"] = sha
-    entry["python"] = payload["python"]
-    entry["platform"] = payload["platform"]
-    entry["results"].update(payload["results"])
-    history[key] = entry
-    history_path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.fixture(scope="session")
-def bench_records(request):
-    """Session-wide result store, dumped to JSON when --bench-json is set."""
-    records = {}
-    yield records
-    path = request.config.getoption("--bench-json")
-    if path and records:
-        payload = {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "results": records,
-        }
-        snapshot = Path(path)
-        snapshot.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _append_history(snapshot, payload)
-
-
-@pytest.fixture
-def record_bench(bench_records):
-    """``record_bench(name, **metrics)`` — stash one benchmark's numbers."""
-
-    def record(name, **metrics):
-        bench_records[name] = metrics
-
-    return record
 
 
 @pytest.fixture(scope="session")

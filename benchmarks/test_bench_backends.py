@@ -13,11 +13,9 @@ selection.
   rewrite: the selection compiles to a ``WHERE`` clause and runs inside
   the engine, so only the matching tuples cross the boundary.
 
-Metric naming follows the conventions in ``check_regression.py``:
-``backend_pushdown.speedup`` is gated as a higher-is-better ratio, and
-``backend_pushdown.pushdown_s`` is held under an absolute ``--max-seconds``
-budget in CI.  ``tuple_reduction`` (shipped-tuple ratio) is asserted
-in-test — it is a correctness-of-routing floor, not a timing.
+Asserted in-test: ``tuple_reduction`` (shipped-tuple ratio, a
+correctness-of-routing floor) and ``speedup`` at least 2x each, and the
+pushdown run inside an absolute 1 s wall-clock budget.
 
 Correctness is asserted before any ratio is reported: both plans must
 return the identical relation.
@@ -106,7 +104,7 @@ def _processor(store: SqliteLQP) -> PolygenQueryProcessor:
     return PolygenQueryProcessor(_schema(), registry)
 
 
-def test_sql_pushdown_beats_ship_and_filter(record_bench, tmp_path):
+def test_sql_pushdown_beats_ship_and_filter(tmp_path):
     """Pushing the selection into SQLite must ship >= 2x fewer tuples than
     retrieving the relation whole (the real ratio is ~100x at 1%
     selectivity) and win on wall clock."""
@@ -138,18 +136,8 @@ def test_sql_pushdown_beats_ship_and_filter(record_bench, tmp_path):
 
     tuple_reduction = naive_shipped / pushed_shipped
     speedup = ship_all_s / pushdown_s
-    record_bench(
-        "backend_pushdown",
-        rows=ROWS,
-        selectivity=1.0 / HOT_EVERY,
-        shipped_naive=naive_shipped,
-        shipped_pushed=pushed_shipped,
-        tuple_reduction=round(tuple_reduction, 1),
-        ship_all_s=round(ship_all_s, 4),
-        pushdown_s=round(pushdown_s, 4),
-        speedup=round(speedup, 2),
-    )
     assert naive_shipped == ROWS
     assert pushed_shipped == ROWS // HOT_EVERY
     assert tuple_reduction >= 2.0
     assert speedup >= 2.0
+    assert pushdown_s <= 1.0

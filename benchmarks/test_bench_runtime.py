@@ -1,32 +1,20 @@
-"""Runtime benchmark: measured concurrency and pushdown effect.
-
-Four autonomous databases are wrapped in
-:class:`~repro.lqp.cost.LatencyLQP` (a real per-query delay) and the same
-merge plan runs through the serial executor and the DAG-driven concurrent
-runtime.  The overlap is read straight off the concurrent run's measured
-trace: its makespan against its summed busy time.
+"""Runtime benchmark: the optimizer's effect on the paper's Table-3 plan.
 
 The pushdown bench executes the paper's Table-3 plan in its naive form —
 ``Retrieve ALUMNUS`` shipped whole, selection applied at the PQP, which is
 exactly what a planner without local routing emits — and shows the
 optimizer's selection pushdown restoring the paper's local ``Select``,
-shipping only the matching tuples.
-
-Results are recorded for ``--bench-json`` (see conftest).
+shipping only the matching tuples.  The pruning bench counts the cells
+projection pruning keeps out of the columnar store on the paper's query.
+Both are counts, asserted in-test, not timings.
 """
 
-import time
-
-import pytest
-
 from repro.core.predicate import Literal, Theta
-from repro.datasets.generators import FederationSpec, generate_federation
 from repro.datasets.paper import (
     paper_databases,
     paper_identity_resolver,
     paper_polygen_schema,
 )
-from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.matrix import (
@@ -37,81 +25,6 @@ from repro.pqp.matrix import (
     ResultOperand,
 )
 from repro.pqp.processor import PolygenQueryProcessor
-
-#: Injected per-query latency (seconds) and federation width.
-DELAY = 0.05
-WIDTH = 4
-
-MERGE_QUERY = "GORGANIZATION [NAME, INDUSTRY]"
-
-
-def _federation():
-    return generate_federation(
-        FederationSpec(
-            databases=WIDTH,
-            organizations=80,
-            coverage=0.5,
-            people_per_database=5,
-            seed=11,
-        )
-    )
-
-
-def _latency_processor(federation, **kwargs) -> PolygenQueryProcessor:
-    registry = LQPRegistry()
-    for database in federation.databases.values():
-        registry.register(LatencyLQP(RelationalLQP(database), per_query=DELAY))
-    return PolygenQueryProcessor(federation.schema, registry, **kwargs)
-
-
-def test_concurrent_runtime_beats_serial_wall_clock(record_bench):
-    """With 4 latency-wrapped databases the concurrent runtime overlaps
-    the retrieves: ≥ 2x measured wall-clock speedup over serial."""
-    federation = _federation()
-    serial_pqp = _latency_processor(federation)
-    concurrent_pqp = _latency_processor(federation, concurrent=True)
-
-    began = time.perf_counter()
-    serial = serial_pqp.run_algebra(MERGE_QUERY)
-    serial_seconds = time.perf_counter() - began
-
-    began = time.perf_counter()
-    concurrent = concurrent_pqp.run_algebra(MERGE_QUERY)
-    concurrent_seconds = time.perf_counter() - began
-
-    assert concurrent.relation == serial.relation
-    speedup = serial_seconds / concurrent_seconds
-    record_bench(
-        "concurrent_vs_serial_makespan",
-        databases=WIDTH,
-        per_query_delay_s=DELAY,
-        serial_seconds=round(serial_seconds, 4),
-        concurrent_seconds=round(concurrent_seconds, 4),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= 2.0
-
-
-def test_concurrent_trace_shows_overlap(record_bench):
-    """The concurrent run's trace: one retrieve per database, overlapped,
-    so the makespan is about one DELAY and busy time is several."""
-    federation = _federation()
-    pqp = _latency_processor(federation, concurrent=True)
-    trace = pqp.run_algebra(MERGE_QUERY).trace
-    overlap = trace.busy_time / trace.wall_clock
-    # Record key kept so the gated ``measured_overlap`` keeps its history.
-    record_bench(
-        "simulated_vs_measured",
-        measured_makespan_s=round(trace.wall_clock, 4),
-        measured_overlap=round(overlap, 2),
-    )
-    # The sleeps floor the makespan at one DELAY; thread and merge
-    # overhead should not blow it past a small multiple.  The envelope is
-    # generous because CI runners schedule threads lazily under load.
-    assert trace.wall_clock >= DELAY * 0.9
-    assert trace.wall_clock <= DELAY * 5 + 0.25
-    # Real overlap happened: the runtime did more work than wall-clock time.
-    assert overlap > 1.2
 
 
 def _naive_table3_plan() -> IntermediateOperationMatrix:
@@ -146,7 +59,7 @@ def _paper_processor(**kwargs) -> PolygenQueryProcessor:
     )
 
 
-def test_pushdown_reduces_tuples_shipped_on_table3(record_bench):
+def test_pushdown_reduces_tuples_shipped_on_table3():
     """Selection pushdown on the paper's Table-3 plan: the ALUMNUS
     restriction runs at AD again, shipping 5 tuples instead of 8."""
     naive_plan = _naive_table3_plan()
@@ -167,16 +80,8 @@ def test_pushdown_reduces_tuples_shipped_on_table3(record_bench):
     first = optimized[0]
     assert first.op is Operation.SELECT and first.el == "AD"
 
-    record_bench(
-        "pushdown_table3_tuples_shipped",
-        naive=naive_shipped,
-        pushed_down=pushed_shipped,
-        saved=naive_shipped - pushed_shipped,
-        selects_pushed_down=report.selects_pushed_down,
-    )
 
-
-def test_projection_pruning_reduces_cells_materialized(record_bench):
+def test_projection_pruning_reduces_cells_materialized():
     """Projection pruning on the paper's query: dead columns (MAJOR,
     DEGREE post-selection, POSITION) never enter the columnar store."""
     from benchmarks.conftest import PAPER_ALGEBRA
@@ -198,9 +103,3 @@ def test_projection_pruning_reduces_cells_materialized(record_bench):
     base_cells = materialized_cells(base_run)
     pruned_cells = materialized_cells(pruned_run)
     assert pruned_cells < base_cells
-    record_bench(
-        "projection_pruning_table3_cells",
-        baseline_cells=base_cells,
-        pruned_cells=pruned_cells,
-        attributes_pruned=pruned_run.optimization.attributes_pruned,
-    )

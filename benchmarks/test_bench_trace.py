@@ -8,9 +8,8 @@ twice — bare, and under a root span — and asserts the traced run costs
 less than 5% extra wall-clock.  The interleaved min-of-N protocol keeps
 the comparison robust to scheduler noise.
 
-``test_traced_scan_overhead_under_5_percent`` is the CI gate: it fails the
-build outright on a breach, and records both timings plus the ratio
-through ``--bench-json`` so BENCH_history.json tracks the trajectory.
+``test_traced_scan_overhead_under_5_percent`` fails outright on a breach,
+and also holds the best traced scan within an absolute 8 s budget.
 """
 
 import time
@@ -41,7 +40,7 @@ def _timed(callable_):
     return time.perf_counter() - began, result
 
 
-def test_traced_scan_overhead_under_5_percent(record_bench):
+def test_traced_scan_overhead_under_5_percent():
     federation = generate_federation(SPEC)
     pqp = federation.processor()
 
@@ -95,14 +94,8 @@ def test_traced_scan_overhead_under_5_percent(record_bench):
     ratios.sort()
     bare, with_trace = min(bare_times), min(traced_times)
     overhead = ratios[len(ratios) // 2] - 1.0
-    record_bench(
-        "tracing_overhead",
-        tuples=scanned,
-        untraced_scan_s=round(bare, 4),
-        traced_scan_s=round(with_trace, 4),
-        overhead_fraction=round(overhead, 4),
-    )
     assert overhead < OVERHEAD_BUDGET, (
         f"tracing cost {overhead:.1%} on a {expected_tuples}-tuple scan "
         f"(budget {OVERHEAD_BUDGET:.0%}): {bare:.4f}s -> {with_trace:.4f}s"
     )
+    assert with_trace <= 8.0

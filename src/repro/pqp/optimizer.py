@@ -460,9 +460,12 @@ class QueryOptimizer:
         consumers: Dict[int, int],
     ) -> Optional[MatrixRow]:
         """The Merge row whose branches should absorb this selection, or
-        ``None`` when any safety condition fails."""
+        ``None`` when any safety condition fails.  Under ``ERROR`` a
+        conflict in a key group the query never reads must still raise,
+        so every group has to reach the Merge."""
         if (
-            row.is_local
+            self._policy is ConflictPolicy.ERROR
+            or row.is_local
             or row.op is not Operation.SELECT
             or not isinstance(row.lhr, ResultOperand)
             or not isinstance(row.rha, Literal)

@@ -20,15 +20,12 @@ Operation Matrix row by row and therefore waits on every local round-trip;
   coordinating thread as their inputs complete — within one plan the PQP
   is a serial resource.
 
-The worker threads live in a :class:`~repro.pqp.pool.WorkerPool`.  A
-standalone ``ConcurrentExecutor`` builds a private pool per ``execute()``
-call and tears it down afterwards (the historical behaviour, and the
-baseline the service benchmark measures against); an executor constructed
-with a shared ``pool`` — how :class:`~repro.service.federation.
-PolygenFederation` runs it — dispatches into long-lived workers that
-survive across queries, so many plans execute at once with zero thread
-churn and same-database rows of *different* queries queue on that
-database's single connection.
+The worker threads live in the :class:`~repro.pqp.pool.WorkerPool` the
+executor is given — the one a :class:`~repro.service.federation.
+PolygenFederation` shares across every query — so its long-lived workers
+survive across queries, many plans execute at once with zero thread churn,
+and same-database rows of *different* queries queue on that database's
+single connection.  The pool's owner closes it, never ``execute()``.
 
 Results are bit-for-bit the serial executor's — same relations, same tags,
 same lineage — because both engines run every row through the one run
@@ -70,7 +67,7 @@ class ConcurrentExecutor(Executor):
     """DAG-driven executor dispatching local rows to per-database workers.
 
     Drop-in for :class:`~repro.pqp.executor.Executor`: same constructor
-    (plus an optional shared ``pool``), same ``execute(iom) ->
+    (plus the required worker ``pool``), same ``execute(iom) ->
     ExecutionTrace`` contract, tag-identical results.  Unlike the serial
     executor it evaluates rows in DAG order, so a plan whose rows are
     listed out of dependency order still runs — but the *query result*
@@ -81,14 +78,13 @@ class ConcurrentExecutor(Executor):
     coordinator threads, each call keeping its state on its own stack.
     """
 
-    def __init__(self, *args, pool: WorkerPool | None = None, **kwargs):
+    def __init__(self, *args, pool: WorkerPool, **kwargs):
         super().__init__(*args, **kwargs)
         self._pool = pool
 
     @property
-    def pool(self) -> WorkerPool | None:
-        """The shared worker pool, or ``None`` when per-execute pools are
-        built (the standalone, churn-per-query configuration)."""
+    def pool(self) -> WorkerPool:
+        """The worker pool local rows are dispatched into."""
         return self._pool
 
     def _width(self, row: MatrixRow) -> int:
@@ -122,7 +118,6 @@ class ConcurrentExecutor(Executor):
         ready_pqp: deque = deque()
         #: (row, error) — one finished local row, reported by its worker.
         completions: queue.Queue = queue.Queue()
-        pool = WorkerPool() if self._pool is None else self._pool
 
         def run_local(row: MatrixRow) -> None:
             try:
@@ -135,7 +130,9 @@ class ConcurrentExecutor(Executor):
         def dispatch(index: int) -> None:
             row = dag.row(index)
             if row.is_local:
-                pool.submit(row.el, partial(run_local, row), width=self._width(row))
+                self._pool.submit(
+                    row.el, partial(run_local, row), width=self._width(row)
+                )
             else:
                 ready_pqp.append(row)
 
@@ -171,7 +168,4 @@ class ConcurrentExecutor(Executor):
         except BaseException:
             run.halted = True
             raise
-        finally:
-            if pool is not self._pool:
-                pool.close(wait=True)
         return run.trace()

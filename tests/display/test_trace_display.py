@@ -15,8 +15,10 @@ def _sample_trace():
             "trace": root.trace_id,
             "span": "srv-1",
             "parent": row.span_id,
-            "start": row.start,
-            "finish": row.start + 0.001,
+            # Covers the root's whole extent and outlasts it, so its bar
+            # fills the strip however long the root's setup took.
+            "start": root.start,
+            "finish": root.start + 1.0,
             "status": "ok",
         }
     )

@@ -1,11 +1,11 @@
 """The execution-engine contract, asserted once for every scheduler.
 
 A plan row is run in exactly one place (the executor's per-plan run
-record); the inline, pooled (owned and shared pool) and pipelined
-schedulers differ only in when and where they call it.  Everything a
-caller can observe about *how a row ran* — cancellation, error wrapping,
-``on_result``, spans, timings, worker labels — is therefore asserted here
-against all of them, instead of once per engine in each engine's own file.
+record); the inline, pooled and pipelined schedulers differ only in when
+and where they call it.  Everything a caller can observe about *how a
+row ran* — cancellation, error wrapping, ``on_result``, spans, timings,
+worker labels — is therefore asserted here against all of them, instead
+of once per engine in each engine's own file.
 """
 
 import threading
@@ -122,7 +122,6 @@ class Scheduler:
 
     name: str
     engine: type
-    shared_pool: bool
     #: builds the plan this scheduler is exercised on.
     plan: Callable[..., IntermediateOperationMatrix]
     streams: bool
@@ -142,11 +141,10 @@ class Scheduler:
 
 
 SCHEDULERS = [
-    Scheduler("inline", Executor, False, merge_plan, False, ("R(4)", "Project")),
-    Scheduler("pooled-owned", ConcurrentExecutor, False, merge_plan, False, ("R(4)", "Project")),
-    Scheduler("pooled-shared", ConcurrentExecutor, True, merge_plan, False, ("R(4)", "Project")),
-    Scheduler("pipelined-inline", Executor, False, spine_plan, True, ("R(1)", "Retrieve")),
-    Scheduler("pipelined-pooled", ConcurrentExecutor, True, spine_plan, True, ("R(1)", "Retrieve")),
+    Scheduler("inline", Executor, merge_plan, False, ("R(4)", "Project")),
+    Scheduler("pooled", ConcurrentExecutor, merge_plan, False, ("R(4)", "Project")),
+    Scheduler("pipelined-inline", Executor, spine_plan, True, ("R(1)", "Retrieve")),
+    Scheduler("pipelined-pooled", ConcurrentExecutor, spine_plan, True, ("R(1)", "Retrieve")),
 ]
 
 
@@ -162,7 +160,7 @@ class Harness:
         self.registry.register(source_url or self.probe)
         for database in databases.values():
             self.registry.register(RelationalLQP(database))
-        kwargs = {"pool": pool} if scheduler.shared_pool else {}
+        kwargs = {"pool": pool} if scheduler.engine is ConcurrentExecutor else {}
         self.executor = scheduler.engine(
             paper_polygen_schema(),
             self.registry,

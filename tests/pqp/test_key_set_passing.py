@@ -22,6 +22,7 @@ from repro.datasets.paper import (
     paper_polygen_schema,
 )
 from repro.display.graph import plan_graph
+from repro.errors import ExecutionError
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.matrix import Operation
@@ -33,6 +34,7 @@ from tests.property.test_key_set_equivalence import (
     POINT_JOIN,
     SELECT,
     Sources,
+    answer,
     key_set_schema,
 )
 
@@ -124,7 +126,26 @@ class TestGuards:
         # still raise, so every group has to reach the Merge.
         with PolygenFederation(key_set_schema(), sources.registry) as federation:
             iom, _ = _optimized(federation, 'GORG [IND = "x"]', policy=ConflictPolicy.ERROR)
-        assert not _select_ins(iom)
+            assert not _select_ins(iom)
+
+    @pytest.mark.parametrize("key", ['"a"', '"b"', '"c"', '"only1"', "1", '"absent"'])
+    def test_error_policy_key_select_answers_as_unoptimized(self, sources, key):
+        # Keys "a" and "b" conflict on IND (and 1 with True), so under ERROR
+        # a select of any key — one that agrees, or none at all — raises
+        # as the unoptimized plan does, instead of answering from the
+        # branches' copies of the select.
+        with PolygenFederation(key_set_schema(), sources.registry) as federation:
+            answers = {
+                optimize: answer(
+                    federation,
+                    f"GORG [NAME = {key}]",
+                    policy=ConflictPolicy.ERROR,
+                    optimize=optimize,
+                )
+                for optimize in (False, True)
+            }
+        assert answers[False] is ExecutionError
+        assert answers[True] is ExecutionError
 
     def test_an_engine_without_native_select_blocks_it(self):
         sources = Sources(ORGS, PERSONS, ("projecting", "kv", "projecting"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra_lang import parse_expression
+from repro.core.cell import ConflictPolicy
 from repro.core.predicate import Literal, Theta
 from repro.datasets.paper import (
     build_paper_federation,
@@ -261,11 +262,18 @@ class TestThroughMergeReplication:
         assert report.merges_deduplicated == 1
         assert report.selects_pushed_through_merge == 0
 
-    def test_no_schema_or_no_pushdown_blocked(self):
-        iom = plan(self.KEY_SELECT)
-        _, report = QueryOptimizer().optimize(iom)
-        assert report.selects_pushed_through_merge == 0
-        _, report = _schema_optimizer(pushdown=False).optimize(iom)
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            QueryOptimizer(),
+            _schema_optimizer(pushdown=False),
+            # A conflict in a key group the select drops must still raise.
+            _schema_optimizer(policy=ConflictPolicy.ERROR),
+        ],
+        ids=["no-schema", "no-pushdown", "error-policy"],
+    )
+    def test_guards_block_replication(self, optimizer):
+        _, report = optimizer.optimize(plan(self.KEY_SELECT))
         assert report.selects_pushed_through_merge == 0
 
     def test_result_and_tags_identical_and_ships_fewer_tuples(self):

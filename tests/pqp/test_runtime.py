@@ -64,6 +64,12 @@ class TestEquivalence:
         assert not isinstance(_processor().executor, ConcurrentExecutor)
 
 
+class TestPool:
+    def test_a_pool_is_required(self):
+        with pytest.raises(TypeError, match="pool"):
+            ConcurrentExecutor(paper_polygen_schema(), _processor().registry)
+
+
 class TestTimings:
     def test_dependencies_respected_in_time(self):
         run = _processor(concurrent=True).run_sql(PAPER_SQL)

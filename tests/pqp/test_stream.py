@@ -23,6 +23,7 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
 )
+from repro.pqp.pool import WorkerPool
 from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.stream import streamable_spine
 from repro.storage.tag_pool import TagPool
@@ -86,17 +87,27 @@ def join_plan():
     )
 
 
-def make_executor(concurrent=False, pool=None):
+def make_executor(workers=None):
+    """The serial executor, or the concurrent one dispatching into
+    ``workers``."""
     registry = LQPRegistry()
     for database in paper_databases().values():
         registry.register(RelationalLQP(database))
-    cls = ConcurrentExecutor if concurrent else Executor
+    kwargs = {} if workers is None else {"pool": workers}
+    cls = Executor if workers is None else ConcurrentExecutor
     return cls(
         paper_polygen_schema(),
         registry,
         resolver=paper_identity_resolver(),
-        tag_pool=pool or TagPool(),
+        tag_pool=TagPool(),
+        **kwargs,
     )
+
+
+@pytest.fixture(scope="module")
+def workers():
+    with WorkerPool() as pool:
+        yield pool
 
 
 class TestSpineDetection:
@@ -143,11 +154,11 @@ class TestSpineDetection:
 @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
 @pytest.mark.parametrize("chunk_size", [1, 2, 1000])
 class TestStreamedEquivalence:
-    def test_trace_matches_whole_relation_execution(self, concurrent, chunk_size):
+    def test_trace_matches_whole_relation_execution(self, concurrent, chunk_size, workers):
         plan = spine_plan()
         baseline = make_executor().execute(plan)
         chunks = []
-        trace = make_executor(concurrent=concurrent).execute(
+        trace = make_executor(workers if concurrent else None).execute(
             plan, on_chunk=chunks.append, stream_chunk_size=chunk_size
         )
         assert trace.relation.attributes == baseline.relation.attributes
@@ -169,11 +180,13 @@ class TestStreamedEquivalence:
         assert trace.results[1].cardinality == baseline.results[1].cardinality
         assert trace.lineage == baseline.lineage
 
-    def test_multiple_chunks_arrive_for_small_chunk_size(self, concurrent, chunk_size):
+    def test_multiple_chunks_arrive_for_small_chunk_size(
+        self, concurrent, chunk_size, workers
+    ):
         if chunk_size >= 1000:
             pytest.skip("single-chunk configuration")
         chunks = []
-        make_executor(concurrent=concurrent).execute(
+        make_executor(workers if concurrent else None).execute(
             spine_plan(), on_chunk=chunks.append, stream_chunk_size=chunk_size
         )
         assert len(chunks) > 1
