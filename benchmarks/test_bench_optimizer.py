@@ -7,8 +7,6 @@ and without optimization, and reports the traffic difference that
 EXPERIMENTS.md records.
 """
 
-import pytest
-
 from repro.datasets.paper import (
     paper_databases,
     paper_identity_resolver,

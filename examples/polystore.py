@@ -90,7 +90,6 @@ def main() -> None:
         schema=paper_polygen_schema(),
         registry=registry,
         resolver=paper_identity_resolver(),
-        pushdown=True,
         prune_projections=True,
     )
     result = polystore.run_sql(PAPER_SQL)

@@ -205,6 +205,10 @@ class LQPServer:
             return
         self._stopping.set()
         if self._listener is not None:
+            try:  # wakes a blocked accept() now, not at its next poll
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         for connection in list(self._connections):
             connection.close()

@@ -100,20 +100,14 @@ class _Emitter:
 class PolygenOperationInterpreter:
     """POM + polygen schema → Intermediate Operation Matrix.
 
-    ``materialize_full_scheme`` controls the multi-mapping branch: Figure 3
-    iterates over the probed attribute's ``MAi`` only, so a Select on
-    PORGANIZATION.INDUSTRY merges just BUSINESS and CORPORATION — and the
-    resulting polygen relation has no CEO column.  That is faithful to the
-    paper (whose example always probes ONAME, mapped by all three local
-    relations) and is the default.  Setting ``materialize_full_scheme=True``
-    merges *every* local relation of the scheme instead, preserving the full
-    polygen relation at the cost of extra retrievals; the ablation benchmark
-    quantifies the difference.
+    The multi-mapping branch follows Figure 3, which iterates over the
+    probed attribute's ``MAi`` only: a Select on PORGANIZATION.INDUSTRY
+    merges just BUSINESS and CORPORATION, and the resulting polygen
+    relation has no CEO column.
     """
 
-    def __init__(self, schema: PolygenSchema, materialize_full_scheme: bool = False):
+    def __init__(self, schema: PolygenSchema):
         self._schema = schema
-        self._full_scheme = materialize_full_scheme
 
     def interpret(self, pom: PolygenOperationMatrix) -> IntermediateOperationMatrix:
         """Run both passes (paper: "a two-pass Polygen Operation
@@ -162,7 +156,6 @@ class PolygenOperationInterpreter:
             lha_is_attribute
             and scheme.is_single_source(row.lha)
             and row.op is not Operation.RESTRICT
-            and (not self._full_scheme or len(scheme.local_relations()) == 1)
         )
         if route_locally:
             # Figure 3, single-mapping case: rewrite to the local attribute
@@ -180,7 +173,7 @@ class PolygenOperationInterpreter:
                 el=local.database,
                 scheme=scheme.name,
             )
-        if lha_is_attribute and not self._full_scheme:
+        if lha_is_attribute:
             locations = scheme.relations_for(row.lha)
         else:
             locations = scheme.local_relations()
@@ -277,7 +270,7 @@ class PolygenOperationInterpreter:
                 el=PQP_LOCATION,
             )
 
-        if rha_is_attribute and not self._full_scheme:
+        if rha_is_attribute:
             locations = scheme.relations_for(row.rha)
         else:
             locations = scheme.local_relations()

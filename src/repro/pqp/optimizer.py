@@ -184,7 +184,6 @@ class QueryOptimizer:
         self,
         schema: Optional[PolygenSchema] = None,
         resolver: Optional[IdentityResolver] = None,
-        pushdown: bool = True,
         prune_projections: bool = False,
         registry: Optional[LQPRegistry] = None,
         policy: ConflictPolicy = ConflictPolicy.DROP,
@@ -193,7 +192,6 @@ class QueryOptimizer:
         self._resolver = (
             resolver if resolver is not None else IdentityResolver.identity()
         )
-        self._pushdown = pushdown
         self._prune_projections = prune_projections
         self._registry = registry
         self._policy = policy
@@ -284,7 +282,7 @@ class QueryOptimizer:
     # -- selection pushdown ---------------------------------------------------
 
     def _push_selections(self, rows: List[MatrixRow]) -> Tuple[List[MatrixRow], int]:
-        if self._schema is None or not self._pushdown:
+        if self._schema is None:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
         consumers = _consumer_counts(rows)
@@ -406,7 +404,7 @@ class QueryOptimizer:
         then eligible for LQP pushdown (:meth:`_push_selections` runs
         next), moving the filter all the way into the autonomous database.
         """
-        if self._schema is None or not self._pushdown:
+        if self._schema is None:
             return rows, 0
         by_index: Dict[int, MatrixRow] = {row.result.index: row for row in rows}
         consumers = _consumer_counts(rows)
@@ -535,7 +533,6 @@ class QueryOptimizer:
         """
         if (
             self._schema is None
-            or not self._pushdown
             or not self._resolver.is_identity
             or self._policy is ConflictPolicy.ERROR
         ):

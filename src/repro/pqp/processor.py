@@ -62,9 +62,7 @@ class PolygenQueryProcessor:
         transforms: TransformRegistry | None = None,
         policy: ConflictPolicy = ConflictPolicy.DROP,
         optimize: bool = True,
-        materialize_full_scheme: bool = False,
         concurrent: bool = False,
-        pushdown: bool = True,
         prune_projections: bool = False,
     ):
         """``concurrent`` selects the execution engine behind the shared
@@ -72,11 +70,10 @@ class PolygenQueryProcessor:
         :class:`~repro.pqp.executor.Executor` (default, and what the paper
         describes) or the DAG-driven
         :class:`~repro.pqp.runtime.ConcurrentExecutor` that overlaps
-        autonomous LQPs.  ``pushdown``/``prune_projections`` gate the
-        optimizer's semantic rewrites; both produce tag-identical final
-        results, but projection pruning narrows intermediate relations, so
-        it defaults off to keep the paper's printed intermediate tables
-        reproducible."""
+        autonomous LQPs.  ``prune_projections`` gates the optimizer's
+        dead-column rewrite; it leaves the final result tag-identical, but
+        it narrows intermediate relations, so it defaults off to keep the
+        paper's printed intermediate tables reproducible."""
         # Imported here, not at module scope: the service layer imports
         # pqp submodules, and this facade is part of the pqp package.
         from repro.service.federation import PolygenFederation
@@ -88,10 +85,8 @@ class PolygenQueryProcessor:
         self._options = QueryOptions(
             engine="concurrent" if concurrent else "serial",
             optimize=optimize,
-            pushdown=pushdown,
             prune_projections=prune_projections,
             policy=policy,
-            materialize_full_scheme=materialize_full_scheme,
         )
         self._federation = PolygenFederation(
             schema,
@@ -139,7 +134,7 @@ class PolygenQueryProcessor:
 
     def plan(self, pom: PolygenOperationMatrix) -> IntermediateOperationMatrix:
         """POM → IOM via the two-pass interpreter (paper, Tables 2–3)."""
-        return self._federation.plan(pom, self._options)
+        return self._federation.plan(pom)
 
     def optimize(
         self, iom: IntermediateOperationMatrix

@@ -17,7 +17,7 @@ face:
   ``done()``, ``cancel()``) with a streaming
   :class:`~repro.service.cursor.Cursor` (``fetchmany`` / iteration) that
   hands out rows the instant the plan's result node completes.
-- :class:`~repro.service.options.QueryOptions` — the engine / pushdown /
+- :class:`~repro.service.options.QueryOptions` — the engine / optimizer /
   pruning / conflict-policy knobs as one immutable dataclass, defaulted on
   the federation and overridable per submit.
 

@@ -223,8 +223,8 @@ class PolygenFederation:
             max_workers=max_concurrent_queries, thread_name_prefix="pqp-coordinator"
         )
         self._lock = threading.Lock()
-        self._interpreters: Dict[bool, PolygenOperationInterpreter] = {}
-        self._optimizers: Dict[Tuple[bool, bool, ConflictPolicy], QueryOptimizer] = {}
+        self._interpreter = PolygenOperationInterpreter(schema)
+        self._optimizers: Dict[Tuple[bool, ConflictPolicy], QueryOptimizer] = {}
         self._executors: Dict[Tuple[str, object], Executor] = {}
         #: Prepared plans: query text → optimized plan, per epoch.
         self._plans = PlanMemo()
@@ -380,12 +380,9 @@ class PolygenFederation:
         tree = parse_expression(expression) if isinstance(expression, str) else expression
         return tree, self._analyzer.analyze(tree)
 
-    def plan(
-        self, pom: PolygenOperationMatrix, options: QueryOptions | None = None
-    ) -> IntermediateOperationMatrix:
+    def plan(self, pom: PolygenOperationMatrix) -> IntermediateOperationMatrix:
         """POM → IOM via the two-pass interpreter (paper, Tables 2–3)."""
-        options = options or self.defaults
-        return self._interpreter_for(options).interpret(pom)
+        return self._interpreter.interpret(pom)
 
     def optimize(
         self, iom: IntermediateOperationMatrix, options: QueryOptions | None = None
@@ -396,26 +393,14 @@ class PolygenFederation:
             return iom, None
         return self._optimizer_for(options).optimize(iom)
 
-    def _interpreter_for(self, options: QueryOptions) -> PolygenOperationInterpreter:
-        key = options.materialize_full_scheme
-        with self._lock:
-            interpreter = self._interpreters.get(key)
-            if interpreter is None:
-                interpreter = PolygenOperationInterpreter(
-                    self.schema, materialize_full_scheme=key
-                )
-                self._interpreters[key] = interpreter
-            return interpreter
-
     def _optimizer_for(self, options: QueryOptions) -> QueryOptimizer:
-        key = (options.pushdown, options.prune_projections, options.policy)
+        key = (options.prune_projections, options.policy)
         with self._lock:
             optimizer = self._optimizers.get(key)
             if optimizer is None:
                 optimizer = QueryOptimizer(
                     schema=self.schema,
                     resolver=self.resolver,
-                    pushdown=options.pushdown,
                     prune_projections=options.prune_projections,
                     # Capability-aware pushdown: selections stay at the PQP
                     # for registered engines without native selection.
@@ -625,7 +610,7 @@ class PolygenFederation:
         with self.tracer.span("analyze"):
             tree, pom = self.analyze(expression)
         with self.tracer.span("plan"):
-            iom = self.plan(pom, options)
+            iom = self.plan(pom)
         with self.tracer.span("optimize"):
             iom, report = self.optimize(iom, options)
         return PreparedPlan(

@@ -1,7 +1,7 @@
 """Per-query execution options, collapsed into one immutable dataclass.
 
 The historical :class:`~repro.pqp.processor.PolygenQueryProcessor` grew a
-pile of constructor flags (``optimize``, ``concurrent``, ``pushdown``,
+pile of constructor flags (``optimize``, ``concurrent``,
 ``prune_projections``, …) that froze one behaviour into each processor
 instance.  A federation serves many users with different needs, so the same
 knobs live here instead: a :class:`QueryOptions` is defaulted on the
@@ -38,12 +38,10 @@ class QueryOptions:
       per-database worker pool (the service default); ``"serial"`` walks
       the matrix row by row on the coordinating thread, exactly as the
       paper describes.
-    - ``optimize`` / ``pushdown`` / ``prune_projections`` — the optimizer
-      master switch and its two semantic rewrites (selection pushdown into
-      LQPs; dead-column pruning at materialization).
+    - ``optimize`` / ``prune_projections`` — the optimizer master switch
+      and its one optional rewrite (dead-column pruning at
+      materialization).
     - ``policy`` — the Merge/Coalesce conflict policy.
-    - ``materialize_full_scheme`` — interpreter fidelity knob: retrieve
-      every relation a scheme maps even when the probe needs only some.
     - ``fetch_size`` — how many result tuples a streaming cursor hands out
       per batch.
     - ``stream_chunk_size`` — tuples per chunk when a streamable-spine
@@ -68,10 +66,8 @@ class QueryOptions:
 
     engine: str = "concurrent"
     optimize: bool = True
-    pushdown: bool = True
     prune_projections: bool = False
     policy: ConflictPolicy = ConflictPolicy.DROP
-    materialize_full_scheme: bool = False
     fetch_size: int = 64
     cache: str = "off"
     stream_chunk_size: int = 1024
@@ -93,7 +89,7 @@ class QueryOptions:
         A typo'd or ill-typed knob must fail loudly *here*: these options
         flow through three levels of defaulting (federation → session →
         submit), and a value that merely truthy-coerces — ``engine=0``,
-        ``pushdown="no"`` — would otherwise silently run the query with
+        ``prune_projections="no"`` — would otherwise silently run the query with
         behaviour the caller never asked for.  Every rejection names the
         offending field.
         """
@@ -108,13 +104,11 @@ class QueryOptions:
             raise ValueError(
                 f"optimize must be one of {_OPTIMIZE_MODES}, got {self.optimize!r}"
             )
-        for flag in ("pushdown", "prune_projections", "materialize_full_scheme"):
-            value = getattr(self, flag)
-            if not isinstance(value, bool):
-                raise ValueError(
-                    f"{flag} must be a bool, got {value!r} "
-                    f"({type(value).__name__})"
-                )
+        if not isinstance(self.prune_projections, bool):
+            raise ValueError(
+                f"prune_projections must be a bool, got {self.prune_projections!r} "
+                f"({type(self.prune_projections).__name__})"
+            )
         if not isinstance(self.policy, ConflictPolicy):
             raise ValueError(
                 f"policy must be a ConflictPolicy, got {self.policy!r} "

@@ -7,8 +7,7 @@ federation keeps one bounded memo from query text to its optimized plan:
 
 - **Key:** the query *text* (SQL or algebra), its kind, the plan-shaping
   :class:`~repro.service.options.QueryOptions` fields (``optimize``,
-  ``pushdown``, ``prune_projections``, ``materialize_full_scheme``,
-  ``policy``) and the federation's *epoch*.
+  ``prune_projections``, ``policy``) and the federation's *epoch*.
 - **Epoch:** the version counters of the polygen schema
   (:meth:`~repro.catalog.schema.PolygenSchema.add`), the LQP registry
   (:meth:`~repro.lqp.registry.LQPRegistry.register`) and the identity
@@ -83,9 +82,7 @@ class PlanMemo:
             text,
             kind,
             options.optimize,
-            options.pushdown,
             options.prune_projections,
-            options.materialize_full_scheme,
             options.policy,
         )
 

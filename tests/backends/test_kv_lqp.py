@@ -1,7 +1,7 @@
 """KVStoreLQP unit tests: key-only native access paths.
 
-Federation-level equivalence lives in
-``tests/property/test_backend_equivalence.py``; this module pins the
+Federation-level equivalence is the configuration lattice
+(``tests/lattice/test_lattice.py``); this module pins the
 store's own contract — point lookups with their scan fallbacks (ordered
 θs included), and the upsert/key-integrity rules.
 """

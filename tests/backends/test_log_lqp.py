@@ -1,7 +1,7 @@
 """LogStoreLQP unit tests: append, rotate, replay.
 
-The scan-filter query semantics are covered federation-wide in
-``tests/property/test_backend_equivalence.py``; here we pin the log's
+The scan-filter query semantics are covered federation-wide by the
+configuration lattice (``tests/lattice/test_lattice.py``); here we pin the log's
 own mechanics — segment rotation, replay-on-open, the append-only
 constraint set, and the JSON-safety domain.
 """

@@ -1,7 +1,7 @@
 """SqliteLQP unit tests: SQL pushdown with polygen-exact semantics.
 
 The federation-level equivalence (tag-identical answers through the PQP)
-lives in ``tests/property/test_backend_equivalence.py``; this module pins
+is the configuration lattice (``tests/lattice/test_lattice.py``); this module pins
 the adapter's engine-level contract — the type-faithfulness gaps between
 SQLite and :class:`~repro.core.predicate.Theta` that the adapter must
 close, persistence across reopen, and the catalog surface.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datasets.generators import FederationSpec, GeneratedFederation, generate_federation
+from repro.datasets.generators import FederationSpec, generate_federation
 
 
 class TestSpecValidation:

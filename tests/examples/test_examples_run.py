@@ -5,10 +5,7 @@ artifacts.  The examples are documentation; broken documentation fails CI.
 import io
 import pathlib
 import runpy
-import sys
 from contextlib import redirect_stdout
-
-import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 

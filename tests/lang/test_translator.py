@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.expression import Join, Product, Project, Restrict, SchemeRef, Select
-from repro.core.predicate import Theta
 from repro.datasets.paper import paper_polygen_schema
 from repro.errors import TranslationError
 from repro.translate.translator import translate_sql

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.predicate import Literal, Theta
 from repro.datasets.paper import (
-    build_paper_federation,
     paper_databases,
     paper_identity_resolver,
     paper_polygen_schema,

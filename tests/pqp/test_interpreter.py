@@ -72,48 +72,6 @@ class TestPassOneRouting:
             plan(interpreter, 'NOPE [A = "x"]')
 
 
-class TestFullSchemeMode:
-    """The ``materialize_full_scheme`` extension (documented deviation from
-    Figure 3, which iterates over the probed attribute's MAi only)."""
-
-    @pytest.fixture(scope="class")
-    def full(self):
-        return PolygenOperationInterpreter(
-            paper_polygen_schema(), materialize_full_scheme=True
-        )
-
-    def test_select_on_multi_source_scheme_keeps_all_attributes(self, full):
-        iom = plan(full, 'PORGANIZATION [INDUSTRY = "Banking"]')
-        retrieves = [row for row in iom if row.op is Operation.RETRIEVE]
-        assert len(retrieves) == 3  # BUSINESS, CORPORATION *and* FIRM
-
-    def test_single_source_attr_of_multi_source_scheme_not_routed_locally(self, full):
-        # Figure 3 would run Select FIRM CEO = … at CD, losing INDUSTRY;
-        # full-scheme mode merges everything first.
-        iom = plan(full, 'PORGANIZATION [CEO = "John Reed"]')
-        assert [row.op for row in iom] == [
-            Operation.RETRIEVE,
-            Operation.RETRIEVE,
-            Operation.RETRIEVE,
-            Operation.MERGE,
-            Operation.SELECT,
-        ]
-
-    def test_single_relation_scheme_still_routes_locally(self, full):
-        iom = plan(full, 'PALUMNUS [DEGREE = "MBA"]')
-        assert len(iom) == 1
-        assert iom.rows[0].el == "AD"
-
-    def test_paper_example_plan_is_unchanged(self, full, interpreter):
-        # ONAME maps to all three local relations, so both modes agree on
-        # the Table 3 plan.
-        from tests.integration.conftest import PAPER_ALGEBRA
-
-        default_plan = plan(interpreter, PAPER_ALGEBRA)
-        full_plan = plan(full, PAPER_ALGEBRA)
-        assert [r.cells(True) for r in full_plan] == [r.cells(True) for r in default_plan]
-
-
 class TestPassTwoRouting:
     def test_rhr_single_source_retrieve_then_join(self, interpreter):
         iom = plan(interpreter, '(PALUMNUS [DEGREE = "MBA"]) [AID# = AID#] PCAREER')

@@ -1,7 +1,7 @@
 """Key-set passing through Merge: plan shapes, guards, rendering, spans.
 
-The differential property over generated data is
-``tests/property/test_key_set_equivalence.py``; the cases here pin the
+The differential property over generated data is the configuration
+lattice (``tests/lattice/test_lattice.py``); the cases here pin the
 plan the rewrite builds, where it must not fire, and the corners the
 property may draw only rarely (nil and NaN keys that pass the select,
 a write to the source a cached key set came from).
@@ -29,14 +29,15 @@ from repro.pqp.matrix import Operation
 from repro.service.federation import PolygenFederation
 from repro.service.options import QueryOptions
 
-from tests.property.test_key_set_equivalence import (
+from tests.lattice.harness import (
     FILTERED_JOIN,
     POINT_JOIN,
     SELECT,
     Sources,
-    answer,
+    key_set_databases,
     key_set_schema,
 )
+from tests.reference.answers import Answer
 
 ORGS = (
     [("a", "x"), ("b", "y"), (None, "x"), (math.nan, "x"), (None, "y")],
@@ -47,9 +48,13 @@ PERSONS = [(0, "a"), (1, "c"), (2, None), (3, 1.0)]
 FILTERED = "GPERSON [PID = 1] [EMPLOYER = NAME] GORG"
 
 
+def _sources(kinds=("projecting",) * 3):
+    return Sources(key_set_databases(ORGS, PERSONS, kinds), kinds)
+
+
 @pytest.fixture
 def sources():
-    built = Sources(ORGS, PERSONS, ("projecting",) * 3)
+    built = _sources()
     yield built
     built.close()
 
@@ -57,7 +62,7 @@ def sources():
 def _optimized(federation, algebra, **options):
     options = QueryOptions(**options)
     _, pom = federation.analyze(algebra)
-    return federation.optimize(federation.plan(pom, options), options)
+    return federation.optimize(federation.plan(pom), options)
 
 
 def _select_ins(iom):
@@ -136,19 +141,19 @@ class TestGuards:
         # branches' copies of the select.
         with PolygenFederation(key_set_schema(), sources.registry) as federation:
             answers = {
-                optimize: answer(
-                    federation,
-                    f"GORG [NAME = {key}]",
-                    policy=ConflictPolicy.ERROR,
-                    optimize=optimize,
+                optimize: Answer.of(
+                    lambda: federation.run(
+                        f"GORG [NAME = {key}]",
+                        QueryOptions(policy=ConflictPolicy.ERROR, optimize=optimize),
+                    )
                 )
                 for optimize in (False, True)
             }
-        assert answers[False] is ExecutionError
-        assert answers[True] is ExecutionError
+        assert answers[False].error is ExecutionError
+        assert answers[True].error is ExecutionError
 
     def test_an_engine_without_native_select_blocks_it(self):
-        sources = Sources(ORGS, PERSONS, ("projecting", "kv", "projecting"))
+        sources = _sources(("projecting", "kv", "projecting"))
         try:
             assert isinstance(sources.engines["D1"], KVStoreLQP)
             with PolygenFederation(key_set_schema(), sources.registry) as federation:
@@ -161,7 +166,7 @@ class TestGuards:
     def test_an_engine_without_native_projection_blocks_the_select(self):
         # Phase 1 is meant to ship keys; an engine that cannot narrow would
         # ship every matching row whole, and phase 2 ships it again.
-        sources = Sources(ORGS, PERSONS, ("projecting", "memory", "projecting"))
+        sources = _sources(("projecting", "memory", "projecting"))
         try:
             with PolygenFederation(key_set_schema(), sources.registry) as federation:
                 selected, _ = _optimized(federation, 'GORG [IND = "x"]')

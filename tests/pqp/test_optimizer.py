@@ -266,11 +266,10 @@ class TestThroughMergeReplication:
         "optimizer",
         [
             QueryOptimizer(),
-            _schema_optimizer(pushdown=False),
             # A conflict in a key group the select drops must still raise.
             _schema_optimizer(policy=ConflictPolicy.ERROR),
         ],
-        ids=["no-schema", "no-pushdown", "error-policy"],
+        ids=["no-schema", "error-policy"],
     )
     def test_guards_block_replication(self, optimizer):
         _, report = optimizer.optimize(plan(self.KEY_SELECT))

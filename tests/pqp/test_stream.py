@@ -7,7 +7,7 @@ fallback behaviour for plans that cannot stream.
 
 import pytest
 
-from repro.core.predicate import AttributeRef, Literal, Theta
+from repro.core.predicate import Literal, Theta
 from repro.datasets.paper import (
     paper_databases,
     paper_identity_resolver,

@@ -1,17 +1,14 @@
 """Property-based tests: algebraic laws and tag invariants of the polygen
 algebra (hypothesis)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra import coalesce, difference, product, project, restrict, union
 from repro.core.derived import RHS_SUFFIX, intersect, join, merge, outer_join
 from repro.core.predicate import AttributeRef, Literal, Theta
-from repro.core.relation import PolygenRelation
 
 from tests.property.strategies import (
-    DATABASES,
     relation_pairs,
     relations,
     keyed_relation_sets,

@@ -1,7 +1,5 @@
 """Unit tests for cross-database referential integrity diagnostics."""
 
-import pytest
-
 from repro.core.relation import PolygenRelation
 from repro.datasets.paper import build_paper_federation
 from repro.quality.diagnostics import dangling_references

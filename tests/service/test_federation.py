@@ -59,7 +59,7 @@ class TestQueryOptions:
     def test_defaults(self):
         options = QueryOptions()
         assert options.engine == "concurrent"
-        assert options.optimize and options.pushdown
+        assert options.optimize
         assert not options.prune_projections
         assert options.policy is ConflictPolicy.DROP
 
@@ -77,14 +77,14 @@ class TestQueryOptions:
             QueryOptions(fetch_size=0)
         with pytest.raises(ValueError, match="no_such_flag"):
             QueryOptions().replace(no_such_flag=True)
+        with pytest.raises(ValueError, match="pushdown"):  # a retired knob
+            QueryOptions(pushdown=False)
 
     def test_ill_typed_fields_rejected_by_name(self):
         # A knob that would merely truthy-coerce must fail loudly, naming
         # the field: these options flow through three defaulting levels,
         # so a silent coercion is a query running with behaviour nobody
         # asked for.
-        with pytest.raises(ValueError, match="pushdown"):
-            QueryOptions(pushdown="no")
         with pytest.raises(ValueError, match="prune_projections"):
             QueryOptions(prune_projections=1)
         with pytest.raises(ValueError, match="policy"):

@@ -7,8 +7,6 @@ Complements ``test_pool_and_cursor.py`` (cursor internals) and
 chunk-wise surface end to end through sessions and handles.
 """
 
-import threading
-
 import pytest
 
 from repro.core.relation import PolygenRelation

@@ -1,9 +1,10 @@
-"""Import hygiene for ``src/repro``.
+"""Import hygiene.
 
-Two checks the linter in CI does not make: every import a module makes is
-used, and every ``repro.<package>`` can be the first ``repro`` module an
-interpreter loads, so an import cycle between packages cannot hide behind
-the order in which ``import repro`` happens to load them.
+Two checks the linter in CI does not make: every import a module of
+``src/repro``, ``tests``, ``benchmarks`` or ``examples`` makes is used, and
+every ``repro.<package>`` can be the first ``repro`` module an interpreter
+loads, so an import cycle between packages cannot hide behind the order in
+which ``import repro`` happens to load them.
 """
 
 import ast
@@ -12,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+#: Every tree whose modules must use what they import.
+CHECKED = (SRC, ROOT / "tests", ROOT / "benchmarks", ROOT / "examples")
 
 
 def _module_name(path: Path) -> str:
@@ -40,7 +44,7 @@ def _unused_imports(source: str):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 quoted = ast.parse(node.value, mode="eval")
-            except SyntaxError:
+            except (SyntaxError, ValueError):  # not source, or not UTF-8
                 continue
             used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
     return sorted((line, name) for name, line in imported.items() if name not in used)
@@ -49,8 +53,9 @@ def _unused_imports(source: str):
 def test_no_module_imports_a_name_it_does_not_use():
     # Package ``__init__`` modules re-export by importing; they are exempt.
     unused = [
-        f"{_module_name(path)}:{line} {name}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for tree in CHECKED
+        for path in sorted(tree.rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in _unused_imports(path.read_text(encoding="utf-8"))
     ]
@@ -65,7 +70,7 @@ def test_the_checker_sees_unused_and_used_imports():
         "from x import Quoted, Exported, Idle\n"
         "__all__ = ['Exported']\n"
         "def f(a: 'Quoted') -> Any:\n"
-        "    return os.path.join(a)\n"
+        "    return os.path.join(a, '\\ud800')\n"
     )
     assert _unused_imports(source) == [(3, "Optional"), (4, "Idle")]
 
