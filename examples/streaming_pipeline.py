@@ -8,10 +8,10 @@ The demo measures what the streaming pipeline buys:
    chunk's work at every layer (server slice → wire frame → executor
    select/project → cursor), while the whole-result path must wait for
    the entire scan to cross the wire;
-2. **negotiated binary wire format** — the connection speaks binary
-   columnar v3 frames (negotiated at hello, JSON v1 kept as fallback),
-   and the transport counters show the byte savings against a JSON-forced
-   connection carrying identical rows.
+2. **binary wire format** — the connection speaks binary columnar v3
+   frames (the default; JSON frames remain an option), and the transport
+   counters show the byte savings against a JSON-forced connection
+   carrying identical rows.
 
 Run with::
 

@@ -97,7 +97,7 @@ class LQPRegistry:
         except BaseException:
             # A connection we dialed ourselves must not outlive a failed
             # registration (the name was taken): close it rather than
-            # leaking the socket and its event-loop thread until GC.
+            # leaking the socket and its reader thread until GC.
             if dialed is not None:
                 dialed.close()
             raise

@@ -9,8 +9,8 @@ that gap, in the polystore-middleware tradition (BigDAWG's engine shims):
 - :mod:`repro.net.protocol` — a versioned, length-prefixed wire protocol
   carrying LQP operations, catalog/schema payloads, tuples in bounded
   chunks, errors, and cancellation; JSON control frames throughout, with
-  chunk frames negotiated per connection between JSON v1 and the v3
-  binary columnar encoding;
+  chunk frames chosen per connection between JSON and the v3 binary
+  columnar encoding;
 - :mod:`repro.net.binary` — the v3 chunk encoding itself: per-column
   typed vectors of untagged local data, each written and read whole, so
   a shipped relation reaches the columnar engine without rowification;
@@ -18,7 +18,7 @@ that gap, in the polystore-middleware tradition (BigDAWG's engine shims):
   threaded TCP server exposing any existing
   :class:`~repro.lqp.base.LocalQueryProcessor` at an address;
 - :mod:`repro.net.transport` — :class:`~repro.net.transport.ConnectionMux`,
-  an asyncio multiplexer driving N in-flight requests over one connection;
+  one connection and its reader thread, carrying N in-flight requests;
 - :mod:`repro.net.client` — :class:`~repro.net.client.RemoteLQP`, a
   drop-in ``LocalQueryProcessor`` backed by that multiplexer, registrable
   straight into an :class:`~repro.lqp.registry.LQPRegistry` by

@@ -26,7 +26,6 @@ subtree by its *network-inclusive* recompute time without any new wiring.
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -36,7 +35,7 @@ from repro.catalog.serialize import schema_from_dict
 from repro.core.predicate import Theta
 from repro.errors import ProtocolError, RemoteQueryError
 from repro.lqp.base import Capabilities, LocalQueryProcessor
-from repro.net import binary, protocol
+from repro.net import protocol
 from repro.net.transport import ConnectionMux, TransportStats
 from repro.obs.trace import current_span
 from repro.relational.relation import Relation
@@ -47,8 +46,8 @@ __all__ = ["RemoteLQP", "RelationChunkStream", "WireChunk"]
 @dataclass(frozen=True)
 class WireChunk:
     """One streamed chunk of a remote relation: the per-attribute value
-    vectors as decoded off the wire (a binary frame's own, a JSON v1
-    frame's transposed at the codec) and the frame's tuple count."""
+    vectors as decoded off the wire (a binary frame's own, a JSON frame's
+    transposed at the codec) and the frame's tuple count."""
 
     attributes: Tuple[str, ...]
     seq: int
@@ -62,32 +61,16 @@ class WireChunk:
         return Relation.from_columns(self.attributes, self.columns)
 
 
-class _EitherEvent:
-    """``is_set()`` over several optional events — the transport's abort
-    handle only ever polls ``is_set``, so a caller's cancel event and the
-    stream's own early-exit guard compose without extra threads."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, *events):
-        self._events = tuple(event for event in events if event is not None)
-
-    def is_set(self) -> bool:
-        return any(event.is_set() for event in self._events)
-
-
 class RelationChunkStream:
     """A pull-style, one-shot iterator over a streamed relation request.
 
-    The blocking transport request runs on a private worker thread; its
-    chunk messages cross to the consumer through a queue, so iteration
-    happens on the *caller's* thread with chunks arriving as the server
-    ships them.  Abandoning the iterator early (``break``, an exception,
-    garbage collection) aborts the wire stream — the transport sends the
-    server a ``cancel`` so it stops shipping tuples nobody will read.
-
-    Transport retries replay a stream from its first chunk; delivered
-    ``seq`` numbers are tracked and replayed chunks are skipped, so the
+    Iterating runs the transport's :meth:`~repro.net.transport.
+    ConnectionMux.stream` on the caller's own thread: the request is sent
+    on first iteration and each chunk is handed over as it lands, before
+    the stream is complete.  Abandoning the iterator early (``break``, an
+    exception, garbage collection) sends the server a ``cancel`` so it
+    stops shipping tuples nobody will read.  A transport retry replays
+    the stream, and the transport skips chunks already delivered, so the
     consumer sees every chunk exactly once.
     """
 
@@ -98,36 +81,15 @@ class RelationChunkStream:
         params: Dict[str, Any],
         abort: threading.Event | None = None,
     ):
-        self._queue: _queue.Queue = _queue.Queue()
-        self._guard = threading.Event()
+        self._mux = mux
+        self._op = op
+        self._params = params
+        self._abort = abort
         self._attributes: Optional[Tuple[str, ...]] = None
-        self._finished = False
         self._iterated = False
-        # The blocking request runs on a private thread, where the
-        # caller's contextvar span is invisible — capture it here so the
-        # end frame's server spans stitch into the right trace.
+        # The span the end frame's server spans stitch into: the one
+        # ambient where the stream was opened, wherever it is iterated.
         self._span = current_span()
-        composite = _EitherEvent(abort, self._guard)
-        sink = self._queue.put
-
-        def run() -> None:
-            try:
-                reply = mux.request(
-                    op,
-                    on_chunk_message=lambda message: sink(("chunk", message)),
-                    abort=composite,
-                    **params,
-                )
-                sink(("end", reply))
-            except BaseException as exc:
-                sink(("error", exc))
-
-        self._worker = threading.Thread(
-            target=run,
-            name=f"lqp-chunk-stream-{params.get('relation')}",
-            daemon=True,
-        )
-        self._worker.start()
 
     @property
     def attributes(self) -> Optional[Tuple[str, ...]]:
@@ -139,39 +101,17 @@ class RelationChunkStream:
         if self._iterated:
             raise RuntimeError("RelationChunkStream supports a single iteration")
         self._iterated = True
-        next_seq = 0
-        try:
-            while True:
-                kind, payload = self._queue.get()
-                if kind == "chunk":
-                    seq = payload.get("seq")
-                    seq = next_seq if not isinstance(seq, int) else seq
-                    if seq < next_seq:
-                        continue  # a transport retry replaying delivered chunks
-                    next_seq = seq + 1
-                    self._attributes = tuple(payload.get("attributes") or ())
-                    yield WireChunk(
-                        self._attributes, seq, payload["columns"], payload["count"]
-                    )
-                elif kind == "end":
-                    if self._attributes is None and payload.get("attributes") is not None:
-                        self._attributes = tuple(payload["attributes"])
-                    if self._span is not None and payload.get("spans"):
-                        self._span.adopt(payload["spans"])
-                    self._finished = True
-                    return
-                else:
-                    self._finished = True
-                    raise payload
-        finally:
-            if not self._finished:
-                # The consumer bailed mid-stream: flag the transport's
-                # abort handle so the request cancels server-side instead
-                # of streaming into a queue nobody drains.
-                self._guard.set()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        self._guard.set()
+        for message in self._mux.stream(self._op, abort=self._abort, **self._params):
+            if message["kind"] == "chunk":
+                self._attributes = tuple(message.get("attributes") or ())
+                yield WireChunk(
+                    self._attributes, message["seq"], message["columns"], message["count"]
+                )
+                continue
+            if self._attributes is None and message.get("attributes") is not None:
+                self._attributes = tuple(message["attributes"])
+            if self._span is not None and message.get("spans"):
+                self._span.adopt(message["spans"])
 
 
 class RemoteLQP(LocalQueryProcessor):
@@ -190,7 +130,7 @@ class RemoteLQP(LocalQueryProcessor):
         concurrency: int = 4,
         timeout: float = 10.0,
         retries: int = 1,
-        wire_format: str = "auto",
+        wire_format: str = "binary",
     ):
         """Address either as a ``polygen://host:port`` URL or as
         ``host=``/``port=``.  ``concurrency`` is this LQP's native
@@ -198,13 +138,12 @@ class RemoteLQP(LocalQueryProcessor):
         flight at once; ``timeout``/``retries`` govern the transport (see
         :class:`~repro.net.transport.ConnectionMux`).  ``wire_format``
         picks the chunk encoding for every relation result on this
-        connection — the only place it is chosen: ``"auto"`` (binary when
-        the server negotiated protocol v3 or later, JSON otherwise), ``"json"``
-        (force v1 frames), or ``"binary"`` (refuse, here, to connect to a
-        JSON-only server)."""
-        if wire_format not in ("auto", "json", "binary"):
+        connection — the only place it is chosen: ``"binary"`` (columnar
+        frames; a server that does not advertise them is refused here) or
+        ``"json"``."""
+        if wire_format not in ("json", "binary"):
             raise ValueError(
-                f'wire_format must be "auto", "json" or "binary", got {wire_format!r}'
+                f'wire_format must be "json" or "binary", got {wire_format!r}'
             )
         if url is not None:
             if host is not None or port is not None:
@@ -217,34 +156,20 @@ class RemoteLQP(LocalQueryProcessor):
         )
         try:
             hello = self._mux.hello()
-            self._binary = protocol.supports_binary(
-                hello, f"LQP server at {host}:{port}"
-            )
-            self._trace = protocol.supports_trace(
-                hello, f"LQP server at {host}:{port}"
-            )
-            self._select_in = protocol.supports_select_in(
-                hello, f"LQP server at {host}:{port}"
-            )
-            if wire_format == "binary" and not self._binary:
+            self._binary = wire_format == "binary"
+            if self._binary and not protocol.supports_binary(hello):
                 raise ProtocolError(
-                    f"LQP server at {host}:{port} speaks protocol "
-                    f"{hello.get('protocol')}, not the binary wire format of "
-                    f"protocol {binary.BINARY_VERSION} this client speaks, and "
-                    'this client was built with wire_format="binary"'
+                    f"LQP server at {host}:{port} does not advertise binary "
+                    'chunk frames, and this client was built with wire_format="binary"'
                 )
         except BaseException:
             # A failed handshake (dead port, version mismatch) must not
-            # strand the mux's event-loop thread behind the raise.
+            # strand the mux's reader thread behind the raise.
             self._mux.close()
             raise
+        self._trace = protocol.supports_trace(hello)
         #: The chunk-encoding request key every relation request carries.
-        #: Never sent to a v1 or v2 server: such peers negotiated JSON.
-        self._format: Dict[str, Any] = (
-            {"format": "binary", "binary_version": binary.BINARY_VERSION}
-            if self._binary and wire_format != "json"
-            else {}
-        )
+        self._format: Dict[str, Any] = {"format": "binary"} if self._binary else {}
         self._name: str = hello["database"]
         self._relations: Tuple[str, ...] = tuple(hello.get("relations", ()))
         #: Guards the capabilities cache below.
@@ -311,7 +236,8 @@ class RemoteLQP(LocalQueryProcessor):
 
     @property
     def binary_negotiated(self) -> bool:
-        """Whether the server negotiated binary chunk frames at hello."""
+        """Whether relation results on this connection travel as binary
+        chunk frames."""
         return self._binary
 
     @property
@@ -332,9 +258,8 @@ class RemoteLQP(LocalQueryProcessor):
 
     def _request_keys(self, columns) -> Dict[str, Any]:
         """The keys every relation request shares: the projection (omitted
-        entirely when not narrowing — old servers ignore unknown keys, but
-        there is no reason to send one), the connection's chunk encoding
-        and the trace context."""
+        entirely when not narrowing), the connection's chunk encoding and
+        the trace context."""
         keys = {} if columns is None else {"columns": list(columns)}
         return {**keys, **self._format, **self._trace_param()}
 
@@ -379,11 +304,7 @@ class RemoteLQP(LocalQueryProcessor):
     def select_in(
         self, relation_name: str, attribute: str, values, columns=None
     ) -> Relation:
-        """One ``select_in`` request carrying the matchable values.  A
-        server that negotiated a protocol before 4 does not know the op;
-        the base class's filtered Retrieve serves the verb there."""
-        if not self._select_in:
-            return super().select_in(relation_name, attribute, values, columns)
+        """One ``select_in`` request carrying the matchable values."""
         return self._ship(
             "select_in",
             columns,

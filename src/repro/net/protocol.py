@@ -7,18 +7,17 @@ protocol inspectable (``tcpdump`` of a federation is readable) and exactly
 matches the catalog's existing serialization (:mod:`repro.catalog.
 serialize`), which rides along as the ``schema`` payload.  *Chunk* frames
 may instead use the binary columnar encoding of :mod:`repro.net.binary`
-when both ends speak its layout — protocol 3; version 2's layout is gone,
-so a v2 peer is served JSON — and the request asks for it (the first
-payload byte discriminates; see :func:`decode_payload`).  The length
-prefix makes framing trivial in both the threaded server and the asyncio
-client, and lets either side reject an oversized or garbage frame before
-parsing it.
+when the request asks for it (the first payload byte discriminates; see
+:func:`decode_payload`).  The length prefix makes framing trivial at both
+ends — the threaded server and the client's reader thread read frames
+with the same :func:`read_frame` over :func:`recv_exactly` — and lets
+either side reject an oversized or garbage frame before parsing it.
 
 Message vocabulary (``kind`` discriminates server→client frames, ``op``
 client→server requests)::
 
     server → client on connect:
-      {"kind": "hello", "protocol": 3, "min_protocol": 1,
+      {"kind": "hello", "protocol": 4, "min_protocol": 4,
        "formats": ["binary", "json"], "trace": true,
        "database": "AD", "relations": [...]}
 
@@ -28,8 +27,7 @@ client→server requests)::
                                      "theta": "=", "value": ...}
       {"id": 9, "op": "select_in",   "relation": ..., "attribute": ...,
                                      "values": [...]}
-      any relation request may add {"format": "binary",
-                                    "binary_version": 3, "chunk_size": 64}
+      any relation request may add {"format": "binary", "chunk_size": 64}
       {"id": 10, "op": "relation_names" | "capabilities" | "schema"
                                      | "ping"}
       {"op": "cancel", "target": 7}            # no id: fire-and-forget
@@ -60,6 +58,7 @@ paper's nil).  Anything else is refused *before* transmission with a
 from __future__ import annotations
 
 import json
+import socket
 import struct
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
@@ -78,15 +77,13 @@ __all__ = [
     "encode_frame",
     "frame_raw",
     "decode_payload",
+    "recv_exactly",
     "read_frame",
     "hello_message",
     "check_hello",
     "negotiate_version",
-    "peer_formats",
     "supports_binary",
-    "binary_request",
     "supports_trace",
-    "supports_select_in",
     "request_message",
     "cancel_message",
     "chunk_message",
@@ -103,20 +100,19 @@ __all__ = [
     "format_url",
 ]
 
-#: The newest protocol this build speaks.  Version 2 added the binary
-#: columnar chunk encoding and the trace capability; version 3 replaced the
-#: binary layout by whole-vector columns (:mod:`repro.net.binary`); version
-#: 4 added the ``select_in`` operation.  The hello frame advertises both
-#: ends' ranges and the connection runs at the highest version both speak.
+#: The protocol this build speaks.  Version 2 added the binary columnar
+#: chunk encoding and the trace capability; version 3 replaced the binary
+#: layout by whole-vector columns (:mod:`repro.net.binary`); version 4
+#: added the ``select_in`` operation.
 PROTOCOL_VERSION = 4
 
-#: The oldest protocol this build still accepts.  Versions 1 and 2 remain
-#: fully supported on JSON chunk frames: such a peer never sees a binary
-#: payload in a layout it would misread.
-MIN_PROTOCOL_VERSION = 1
+#: The oldest protocol this build accepts: only its own.  Both ends run
+#: one build, so no peer speaks an older version, and every connection
+#: has the binary layout, the trace capability and ``select_in``.
+MIN_PROTOCOL_VERSION = PROTOCOL_VERSION
 
 #: Chunk encodings this build can produce and consume, in preference
-#: order.  Advertised in the hello frame from protocol 2 onward.
+#: order.  Advertised in the hello frame.
 WIRE_FORMATS = ("binary", "json")
 
 #: Hard ceiling on one frame's JSON payload.  Generous for chunked tuples
@@ -173,7 +169,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 
     Routes on the first payload byte: :data:`repro.net.binary.MAGIC_BYTE`
     selects the binary chunk decoder, anything else is parsed as the
-    JSON v1 message shape.  Either way a ``chunk`` message comes out
+    JSON message shape.  Either way a ``chunk`` message comes out
     columnar (``columns`` + ``count``), so nothing past this function has
     two shapes to handle; only binary ones carry ``"binary": True``.
     """
@@ -193,7 +189,7 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 
 
 def _transpose_chunk(message: Dict[str, Any]) -> None:
-    """Replace a JSON v1 chunk's row-major ``rows`` by ``columns`` +
+    """Replace a JSON chunk's row-major ``rows`` by ``columns`` +
     ``count`` — the one transpose JSON-shipped data ever gets."""
     rows = message.pop("rows", None) or ()
     attributes = message.get("attributes") or ()
@@ -211,13 +207,26 @@ def _transpose_chunk(message: Dict[str, Any]) -> None:
     message["count"] = len(rows)
 
 
+def recv_exactly(sock: socket.socket, count: int) -> bytes:
+    """Exactly ``count`` bytes off a blocking socket, received into one
+    buffer; raises :class:`ConnectionError` when the peer hangs up first."""
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    filled = 0
+    while filled < count:
+        received = sock.recv_into(view[filled:])
+        if not received:
+            raise ConnectionError("peer hung up")
+        filled += received
+    return bytes(buffer)
+
+
 def read_frame(read_exactly: Callable[[int], bytes]) -> Dict[str, Any]:
     """Read one frame through ``read_exactly(n) -> n bytes``.
 
-    Shared by the threaded server (a blocking socket reader) and any
-    synchronous client; the asyncio transport reads frames with the same
-    logic over ``StreamReader.readexactly``.  Raises :class:`ProtocolError`
-    on a length prefix beyond :data:`MAX_FRAME_BYTES`.
+    Shared by the threaded server and the client's reader thread, both
+    over :func:`recv_exactly`.  Raises :class:`ProtocolError` on a length
+    prefix beyond :data:`MAX_FRAME_BYTES`.
     """
     (length,) = _LENGTH.unpack(read_exactly(_LENGTH.size))
     if length > MAX_FRAME_BYTES:
@@ -247,10 +256,9 @@ def negotiate_version(message: Dict[str, Any], where: str = "peer") -> int:
     """The protocol version this connection will run at.
 
     Both ends advertise ``[min_protocol, protocol]`` and the connection
-    runs at ``min(ours, theirs)`` — refused only when that falls below
-    either end's floor.  A v1 hello carries no ``min_protocol``; such
-    peers speak exactly their advertised version, so the fallback keeps
-    them connectable (at JSON v1) without any change on their side.
+    runs at ``min(ours, theirs)`` — refused when that falls below either
+    end's floor, which for this build is :data:`PROTOCOL_VERSION` itself.
+    A hello without ``min_protocol`` speaks exactly its ``protocol``.
     """
     version = message.get("protocol")
     if not isinstance(version, int) or isinstance(version, bool):
@@ -267,58 +275,15 @@ def negotiate_version(message: Dict[str, Any], where: str = "peer") -> int:
     return negotiated
 
 
-def peer_formats(message: Dict[str, Any]) -> Tuple[str, ...]:
-    """Chunk encodings the hello's sender can speak.
-
-    Peers that predate format negotiation (protocol 1) advertise nothing
-    and are JSON-only.
-    """
-    formats = message.get("formats")
-    if not isinstance(formats, (list, tuple)):
-        return ("json",)
-    return tuple(str(name) for name in formats)
+def supports_binary(message: Dict[str, Any]) -> bool:
+    """Whether the hello's sender advertises binary columnar chunks."""
+    return "binary" in (message.get("formats") or ())
 
 
-def supports_binary(message: Dict[str, Any], where: str = "peer") -> bool:
-    """Whether binary columnar chunks may flow on this connection: both
-    ends speak this build's binary layout, which protocol 3 introduced."""
-    return (
-        negotiate_version(message, where) >= binary.BINARY_VERSION
-        and "binary" in peer_formats(message)
-    )
-
-
-def binary_request(message: Dict[str, Any]) -> bool:
-    """Whether a relation request asks for binary chunk frames in this
-    build's layout.  A v2-era client asks with ``"format": "binary"``
-    alone, meaning a layout this build no longer writes, and is served
-    JSON."""
-    return (
-        message.get("format") == "binary"
-        and message.get("binary_version") == binary.BINARY_VERSION
-    )
-
-
-def supports_trace(message: Dict[str, Any], where: str = "peer") -> bool:
+def supports_trace(message: Dict[str, Any]) -> bool:
     """Whether the hello's sender accepts trace contexts on requests and
-    ships server-side spans back on ``end``/``result`` frames.
-
-    A hello that predates the capability simply lacks the ``trace`` key
-    — such peers never see a ``trace`` request param (old servers would
-    ignore it anyway, but not sending it keeps frames minimal) and never
-    send ``spans``.
-    """
-    return (
-        negotiate_version(message, where) >= 2
-        and message.get("trace") is True
-    )
-
-
-def supports_select_in(message: Dict[str, Any], where: str = "peer") -> bool:
-    """Whether the hello's sender serves the ``select_in`` operation,
-    which protocol 4 introduced.  Against an older peer a client serves
-    the verb itself, from a filtered Retrieve."""
-    return negotiate_version(message, where) >= 4
+    ships server-side spans back on ``end``/``result`` frames."""
+    return message.get("trace") is True
 
 
 def check_hello(message: Dict[str, Any], where: str) -> Dict[str, Any]:

@@ -30,6 +30,7 @@ dead peer cannot wedge shutdown (nor CI).
 
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 from dataclasses import dataclass, replace
@@ -262,24 +263,14 @@ class LQPServer:
             self._track(thread)
             thread.start()
 
-    def _read_exactly(self, connection: _Connection, count: int) -> bytes:
-        # Blocking reads; stop() closes the connection (shutdown()), which
-        # makes recv return b"" or raise OSError — the wake-up mechanism.
-        chunks = b""
-        while len(chunks) < count:
-            piece = connection.sock.recv(count - len(chunks))
-            if not piece:
-                raise ConnectionError("client hung up")
-            chunks += piece
-        return chunks
-
     def _connection_loop(self, connection: _Connection) -> None:
         # Blocking socket: reads are woken by close()'s shutdown() when the
-        # server stops, and sends must honour TCP backpressure — a short
-        # socket timeout here would also cap sendall(), and a timed-out
-        # sendall leaves an undefined number of bytes written, desyncing
-        # every later frame on the connection.
+        # server stops (recv returns b"" or raises OSError), and sends must
+        # honour TCP backpressure — a short socket timeout here would also
+        # cap sendall(), and a timed-out sendall leaves an undefined number
+        # of bytes written, desyncing every later frame on the connection.
         connection.sock.settimeout(None)
+        read_exactly = functools.partial(protocol.recv_exactly, connection.sock)
         try:
             try:
                 connection.send(self._hello())
@@ -287,9 +278,7 @@ class LQPServer:
                 return  # connected and dropped before reading (port scanner)
             while not self._stopping.is_set() and not connection.closed.is_set():
                 try:
-                    message = protocol.read_frame(
-                        lambda n: self._read_exactly(connection, n)
-                    )
+                    message = protocol.read_frame(read_exactly)
                 except (ConnectionError, OSError):
                     return
                 except ProtocolError:
@@ -446,10 +435,8 @@ class LQPServer:
         attributes = list(relation.attributes)
         # A client may ask for binary chunk frames and/or its own chunk
         # granularity per request (a pipelined scan wants smaller chunks
-        # than a bulk fetch).  v1 clients send neither key and v2 clients
-        # ask for a binary layout this build no longer writes; both get
-        # the JSON default — the request shape is fully backward compatible.
-        use_binary = protocol.binary_request(message)
+        # than a bulk fetch); JSON frames are the default.
+        use_binary = message.get("format") == "binary"
         chunk_size = self._chunk_size
         requested = message.get("chunk_size")
         if isinstance(requested, int) and not isinstance(requested, bool) and requested >= 1:

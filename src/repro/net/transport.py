@@ -1,47 +1,53 @@
 """``ConnectionMux``: N in-flight requests over one LQP connection.
 
-The paper assumes **one connection per local database**.  This module
-keeps that wire-level assumption while lifting the *one request at a
-time* limitation above it: a :class:`ConnectionMux` owns a single TCP
-connection to an :class:`~repro.net.server.LQPServer`, driven by a
-private asyncio event loop on a background thread, and multiplexes up to
-``concurrency`` concurrent requests over it — frames interleave on the
-socket, responses are routed back to their callers by request id.
+The paper assumes **one connection per local database**.  A
+:class:`ConnectionMux` keeps that wire-level assumption while lifting the
+*one request at a time* limitation above it, on the model of
+:class:`~repro.net.server.LQPServer`: blocking sockets and threads.
 
-The callers are ordinary *threads* (the worker pool's per-database
-workers), so the public API is blocking: :meth:`request` submits a
-coroutine to the loop and waits.  Inside the loop:
+- One TCP connection carries every request, and one **reader thread** on
+  it (``lqp-mux-{host}:{port}``) reads frames with
+  :func:`~repro.net.protocol.read_frame`, decodes them, and routes each
+  by request id to its caller's queue.  Frames for an id nobody waits on
+  belong to a timed-out or abandoned request and are dropped.
+- Callers are ordinary threads (the worker pool's per-database workers).
+  Each takes one of ``concurrency`` slots — the transport-level
+  realization of a remote LQP's ``native_concurrency`` — sends under the
+  write lock, and waits on its own queue.  The slot is freed when the
+  request leaves the wire (its closing frame is routed, the connection
+  drops, or the caller gives up), not at the consumer's pace.  Every
+  frame must arrive within ``timeout`` seconds (timed per frame, so a
+  long chunk stream is fine as long as it keeps flowing).  A timeout, the
+  caller's ``abort`` handle or an abandoned stream sends the server a
+  best-effort ``cancel``.
+- :meth:`ConnectionMux.stream` is the one request path.  It connects and
+  reconnects, retries a dropped connection up to ``retries`` times on a
+  fresh one (every LQP op is a pure read), skips the chunks a retry
+  replays, and keeps the :class:`TransportStats` counts, which
+  ``federation.stats()`` surfaces per remote database.
+  :meth:`~ConnectionMux.request` is that stream drained;
+  :class:`~repro.net.client.RelationChunkStream` iterates it on the
+  consumer's own thread.
 
-- a bounded :class:`asyncio.Semaphore` enforces the concurrency level —
-  the transport-level realization of a remote LQP's ``native_concurrency``;
-- every response frame must arrive within ``timeout`` seconds (timed per
-  frame, so a long chunk stream is fine as long as it keeps flowing);
-  a timeout sends a best-effort ``cancel`` to the server and surfaces as
-  :class:`~repro.errors.RemoteTimeoutError`;
-- a dropped connection fails every pending request with
-  :class:`~repro.errors.ConnectionLostError`; the *blocking* wrapper then
-  retries idempotent requests (every LQP op is a pure read) up to
-  ``retries`` times over a fresh connection before giving up.
-
-The mux keeps :class:`TransportStats` — requests, bytes, chunks, retries,
-reconnects and the in-flight high-water mark — which
-``federation.stats()`` surfaces per remote database.
+``close()`` — or the GC finalizer of a mux dropped without it — shuts
+the socket down, fails pending requests with
+:class:`~repro.errors.ConnectionLostError` and joins the reader.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import itertools
+import queue
+import socket
 import threading
+import time
 import weakref
-from concurrent.futures import TimeoutError as _FutureTimeoutError
-from time import monotonic as _monotonic
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import (
     ConnectionLostError,
-    NetworkError,
     ProtocolError,
     QueryCancelledError,
     RemoteQueryError,
@@ -52,13 +58,8 @@ from repro.net import protocol
 
 __all__ = ["ConnectionMux", "TransportStats"]
 
-#: Slack added to the outer (cross-thread) wait so the in-loop timeout is
-#: what actually fires; the outer bound only guards against a wedged loop.
-_OUTER_SLACK = 10.0
-
-
-class _AbortedByCaller(Exception):
-    """Internal: the caller's abort handle was set mid-stream."""
+#: How often a caller waiting on a frame checks its ``abort`` handle.
+_ABORT_POLL = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,26 +90,141 @@ class TransportStats:
         )
 
 
-def _stop_loop(loop: asyncio.AbstractEventLoop) -> None:
-    """GC finalizer: a mux dropped without close() must not strand its
-    event-loop thread in run_forever."""
-    try:
-        if not loop.is_closed():
-            loop.call_soon_threadsafe(loop.stop)
-    except RuntimeError:
-        pass  # lost the race with the loop closing; nothing to stop
+class _Channel:
+    """The socket side of one mux: the live connection (replaced on a
+    reconnect), its reader thread, the routing table, the concurrency
+    slots and the counters.
 
+    Neither this object nor the reader thread refers to the mux, so a mux
+    dropped without ``close()`` is still collected, and its finalizer —
+    :meth:`close` — reaps the thread."""
 
-def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
-    """The event-loop thread's body.  A module function taking only the
-    loop — were it a bound method, the running thread would hold a strong
-    reference to the mux, the mux could never become unreachable, and the
-    GC finalizer above would never fire for an abandoned mux."""
-    asyncio.set_event_loop(loop)
-    try:
-        loop.run_forever()
-    finally:
-        loop.close()
+    def __init__(self, where: str, concurrency: int):
+        self.where = where
+        self.slots = threading.BoundedSemaphore(concurrency)
+        # Reentrant: an abandoned stream's clean-up may run from the
+        # garbage collector on a thread that already holds either lock.
+        self.lock = threading.RLock()
+        self.write_lock = threading.RLock()
+        self.sock: Optional[socket.socket] = None
+        self.reader: Optional[threading.Thread] = None
+        self.pending: Dict[int, queue.SimpleQueue] = {}
+        self.in_flight = 0
+        self.counts = dict.fromkeys((field.name for field in fields(TransportStats)), 0)
+        self.closed = False
+
+    def count(self, **deltas: int) -> None:
+        with self.lock:
+            for name, delta in deltas.items():
+                self.counts[name] += delta
+
+    def recv(self, sock: socket.socket, count: int) -> bytes:
+        data = protocol.recv_exactly(sock, count)
+        self.count(bytes_received=count)
+        return data
+
+    def attach(self, sock: socket.socket) -> None:
+        """Make ``sock``, handshake done, the live connection and start
+        its reader (after the previous one, already woken, has exited)."""
+        if self.reader is not None:
+            self.reader.join(timeout=5.0)
+        with self.lock:
+            if self.closed:
+                sock.close()
+                raise ServiceClosedError(f"transport to {self.where} is closed")
+            self.sock = sock
+            self.reader = threading.Thread(
+                target=self._read_loop,
+                args=(sock,),
+                name=f"lqp-mux-{self.where}",
+                daemon=True,
+            )
+            self.reader.start()
+
+    def _read_loop(self, sock: socket.socket) -> None:
+        read_exactly = functools.partial(self.recv, sock)
+        try:
+            while True:
+                message = protocol.read_frame(read_exactly)
+                if message.get("kind") == "chunk":
+                    inbox = self.pending.get(message.get("id"))
+                else:  # a closing frame: the request leaves the wire
+                    inbox = self.retire(message.get("id"))
+                if inbox is not None:
+                    inbox.put(message)
+        except OSError as exc:
+            error = ConnectionLostError(f"connection to {self.where} dropped: {exc}")
+        except ProtocolError as exc:
+            error = exc
+        self.drop(sock, error)
+        sock.close()
+
+    def drop(self, sock: socket.socket, error: Exception) -> None:
+        """Retire ``sock``: fail every request waiting on it with ``error``
+        and shut it down, which wakes its reader (the reader closes it)."""
+        with self.lock:
+            if self.sock is not sock:
+                return
+            self.sock = None
+            waiting = list(self.pending)
+        for request_id in waiting:
+            inbox = self.retire(request_id)
+            if inbox is not None:
+                inbox.put(error)
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def open(self, request_id: int) -> queue.SimpleQueue:
+        """Take a slot, waiting for one, and route ``request_id``'s frames
+        to a fresh queue."""
+        self.slots.acquire()
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        with self.lock:
+            if self.sock is None:
+                self.slots.release()
+                raise ConnectionLostError(f"connection to {self.where} is gone")
+            self.pending[request_id] = inbox
+            self.in_flight += 1
+            if self.in_flight > self.counts["in_flight_hwm"]:
+                self.counts["in_flight_hwm"] = self.in_flight
+        return inbox
+
+    def retire(self, request_id: Any) -> Optional[queue.SimpleQueue]:
+        """Take ``request_id`` off the wire and free its slot; its queue,
+        or ``None`` when it was already retired."""
+        with self.lock:
+            inbox = self.pending.pop(request_id, None)
+            if inbox is None:
+                return None
+            self.in_flight -= 1
+        self.slots.release()
+        return inbox
+
+    def send(self, message: Dict[str, Any]) -> None:
+        frame = protocol.encode_frame(message)
+        with self.write_lock:
+            sock = self.sock
+            if sock is None:
+                raise ConnectionLostError(f"connection to {self.where} is gone")
+            try:
+                sock.sendall(frame)
+            except OSError as exc:
+                # A partial write desyncs every later frame: retire the socket.
+                error = ConnectionLostError(f"write to {self.where} failed: {exc}")
+                self.drop(sock, error)
+                raise error from exc
+        self.count(bytes_sent=len(frame))
+
+    def close(self) -> None:
+        with self.lock:
+            self.closed = True
+            sock, reader = self.sock, self.reader
+        if sock is not None:
+            self.drop(sock, ConnectionLostError(f"transport to {self.where} closed"))
+        if reader is not None and reader is not threading.current_thread():
+            reader.join(timeout=5.0)
 
 
 class ConnectionMux:
@@ -135,131 +251,106 @@ class ConnectionMux:
         self.timeout = timeout
         self.retries = retries
 
+        self._where = f"{host}:{port}"
         self._ids = itertools.count(1)
         self._closed = False
         self._hello: Optional[Dict[str, Any]] = None
-
-        # Everything below is touched only on the loop thread.
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._pending: Dict[int, asyncio.Queue] = {}
-        self._connect_lock: Optional[asyncio.Lock] = None
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._in_flight = 0
-
-        self._stats = TransportStats()
-        self._stats_lock = threading.Lock()
-        #: Liveness heartbeat for the _call watchdog: touched on request
-        #: starts, every received frame, and every in-loop timeout — the
-        #: events that prove the event loop is processing.
-        self._last_activity = _monotonic()
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=_run_loop,
-            args=(self._loop,),
-            name=f"lqp-mux-{host}:{port}",
-            daemon=True,
-        )
-        self._thread.start()
-        self._finalizer = weakref.finalize(self, _stop_loop, self._loop)
-
-    # -- blocking API (called from worker threads) --------------------------
+        self._connect_lock = threading.Lock()
+        self._channel = _Channel(self._where, concurrency)
+        self._finalizer = weakref.finalize(self, self._channel.close)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def stats(self) -> TransportStats:
-        with self._stats_lock:
-            return self._stats
+        with self._channel.lock:
+            return TransportStats(**self._channel.counts)
 
     def hello(self) -> Dict[str, Any]:
         """The server's hello frame, connecting on first use."""
         if self._hello is None:
-            self._call(self._ensure_connected())
+            self._connect()
         return dict(self._hello)
 
-    def request(
-        self,
-        op: str,
-        *,
-        on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
-        abort: Optional[threading.Event] = None,
-        **params: Any,
-    ) -> Dict[str, Any]:
-        """Execute one request; blocks until its final frame.
+    def stream(
+        self, op: str, *, abort: Optional[threading.Event] = None, **params: Any
+    ) -> Iterator[Dict[str, Any]]:
+        """One request's reply frames, as they land: its chunk messages
+        (columnar, whichever format carried them), then its closing
+        ``end`` or ``result`` message.
+
+        An ``error`` frame raises :class:`~repro.errors.RemoteQueryError`.
+        ``abort`` (any object with ``is_set()``) cancels the request from
+        the caller's side: the server gets a ``cancel`` and this raises
+        :class:`~repro.errors.QueryCancelledError`; closing the generator
+        early cancels the same way.
+
+        A :class:`ConnectionLostError` is retried ``retries`` times on a
+        fresh connection; the server then replays the stream from its
+        first chunk, and chunks whose ``seq`` was already yielded are
+        skipped, so each is seen once.
+        """
+        next_seq = 0
+        for attempt in range(self.retries + 1):
+            try:
+                for message in self._attempt(op, params, abort):
+                    if message["kind"] == "chunk":
+                        seq = message.get("seq")
+                        if not isinstance(seq, int):
+                            seq = message["seq"] = next_seq
+                        if seq < next_seq:
+                            continue  # replayed by a retry: already yielded
+                        next_seq = seq + 1
+                    yield message
+                return
+            except ConnectionLostError:
+                if attempt == self.retries:
+                    raise
+                self._channel.count(retries=1)
+
+    def request(self, op: str, **params: Any) -> Dict[str, Any]:
+        """:meth:`stream` drained: blocks until the closing frame.
 
         Returns ``{"value": ...}`` for scalar ops, or ``{"attributes": ...,
-        "columns": [...], "chunks": n}`` for streamed relation ops — the
-        chunks' column vectors concatenated, ``None`` when no chunk flowed;
-        either shape gains a ``"spans"`` key when the server shipped
-        server-side trace spans back (see :mod:`repro.obs.trace`).
-        ``on_chunk_message(message)`` fires as each chunk lands — before
-        the stream is complete — with the decoded chunk message
-        (``attributes``, ``columns``, ``count``, whichever format carried
-        it); when given, the reply accumulates no columns — the callback
-        is the stream's only consumer.
-
-        **The callback runs on this mux's event-loop thread.**  It must
-        not block: every other in-flight request on this connection shares
-        that loop, so a slow callback starves their frame reads into
-        spurious timeouts.  Record/enqueue and return; do heavy work on
-        the consuming thread (:class:`~repro.net.client.RelationChunkStream`
-        is that hand-off).
-
-        ``abort`` (any object with ``is_set()``) cancels the stream from
-        the caller's side mid-flight: the mux sends a best-effort server
-        ``cancel`` and raises :class:`~repro.errors.QueryCancelledError`.
-
-        Every LQP op is a pure read, so a :class:`ConnectionLostError` is
-        retried (``retries`` times) on a fresh connection; the chunk
-        callback then restarts from the first chunk (consumers that must
-        not re-process rows dedup on the chunk ``seq``).
+        "columns": [...]}`` for relation ops — the chunks' column vectors
+        concatenated, ``None`` when no chunk flowed; either shape gains a
+        ``"spans"`` key when the server shipped server-side trace spans
+        back (see :mod:`repro.obs.trace`).
         """
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            # Checked per attempt: a close() racing a request fails the
-            # pending call with ConnectionLostError, and the retry must
-            # surface the closure rather than dial a fresh connection
-            # nobody will ever tear down.
-            if self._closed:
-                raise ServiceClosedError(
-                    f"transport to {self.host}:{self.port} is closed"
-                )
-            try:
-                return self._call(
-                    self._roundtrip(op, params, on_chunk_message, abort)
-                )
-            except ConnectionLostError:
-                if attempt == attempts - 1:
-                    raise
-                self._count(retries=1)
-        raise AssertionError("unreachable")  # pragma: no cover
+        attributes = columns = None
+        for message in self.stream(op, **params):
+            if message["kind"] != "chunk":
+                break
+            attributes = message.get("attributes")
+            if columns is None:
+                columns = message["columns"]
+            else:
+                # A chunk of another degree leaves ragged columns, which
+                # Relation.from_columns refuses when the reply is built.
+                for column, more in zip(columns, message["columns"]):
+                    column.extend(more)
+        if message["kind"] == "result":
+            reply = {"value": message.get("value")}
+        else:
+            if attributes is None:  # empty result: no chunk flowed
+                attributes = message.get("attributes")
+            reply = {"attributes": attributes, "columns": columns}
+        if message.get("spans"):
+            reply["spans"] = message["spans"]
+        return reply
 
     def ping(self) -> float:
         """Round-trip one ping; returns measured seconds."""
-        import time
-
         began = time.perf_counter()
         self.request("ping")
         return time.perf_counter() - began
 
     def close(self) -> None:
-        """Tear the connection down and stop the loop thread.  Idempotent."""
-        if self._closed:
-            return
+        """Shut the connection down, fail pending requests with
+        :class:`ConnectionLostError` and join the reader.  Idempotent."""
         self._closed = True
-        if self._loop.is_closed():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
-            future.result(timeout=5.0)
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
+        self._finalizer()
 
     def __enter__(self) -> "ConnectionMux":
         return self
@@ -270,313 +361,116 @@ class ConnectionMux:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return (
-            f"ConnectionMux({self.host}:{self.port}, "
+            f"ConnectionMux({self._where}, "
             f"concurrency={self.concurrency}, {state})"
         )
 
     # -- plumbing -----------------------------------------------------------
 
-    def _count(self, **deltas: int) -> None:
-        with self._stats_lock:
-            updates = {
-                name: getattr(self._stats, name) + delta
-                for name, delta in deltas.items()
-            }
-            self._stats = replace(self._stats, **updates)
-
-    def _touch(self) -> None:
-        self._last_activity = _monotonic()
-
-    def _note_in_flight(self, now: int) -> None:
-        with self._stats_lock:
-            if now > self._stats.in_flight_hwm:
-                self._stats = replace(self._stats, in_flight_hwm=now)
-
-    def _call(self, coroutine) -> Any:
-        """Run ``coroutine`` on the loop thread; block with a watchdog.
-
-        Timeouts are enforced *inside* the loop, per frame — a healthy
-        chunk stream may legitimately run for minutes, as long as frames
-        keep flowing.  The outer wait therefore polls in slices and only
-        gives up when the loop itself shows no life: the thread died, or
-        no frame (nor in-loop timeout, which would have settled the
-        future) has happened for the per-frame timeout plus slack.  That
-        is what keeps a wedged event loop from hanging the calling worker
-        (and CI) without capping the duration of healthy requests.
-        """
-        if self._loop.is_closed():
-            raise ServiceClosedError(
-                f"transport to {self.host}:{self.port} is closed"
-            )
-        self._touch()
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        while True:
-            try:
-                return future.result(timeout=0.5)
-            except (_FutureTimeoutError, TimeoutError):
-                stalled = not self._thread.is_alive() or (
-                    _monotonic() - self._last_activity
-                    > self.timeout + _OUTER_SLACK
-                )
-                if not stalled:
-                    continue
-                future.cancel()
-                self._count(timeouts=1)
-                raise RemoteTimeoutError(
-                    f"no reply from {self.host}:{self.port} and no event-loop "
-                    f"activity within {self.timeout + _OUTER_SLACK:.1f}s "
-                    "(event loop stalled)"
-                ) from None
-
-    async def _ensure_connected(self) -> None:
-        if self._connect_lock is None:
-            self._connect_lock = asyncio.Lock()
-            self._semaphore = asyncio.Semaphore(self.concurrency)
-        async with self._connect_lock:
+    def _connect(self) -> None:
+        """Dial and handshake unless a connection is live."""
+        with self._connect_lock:
             if self._closed:
-                # close() may still be joining: never dial a connection
-                # that teardown would not see.
-                raise ServiceClosedError(
-                    f"transport to {self.host}:{self.port} is closed"
-                )
-            if self._writer is not None:
+                raise ServiceClosedError(f"transport to {self._where} is closed")
+            if self._channel.sock is not None:
                 return
             try:
-                self._reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    timeout=self.timeout,
+                sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout
                 )
-            except (OSError, asyncio.TimeoutError) as exc:
+            except OSError as exc:
                 raise ConnectionLostError(
-                    f"cannot connect to LQP server at {self.host}:{self.port}: {exc}"
+                    f"cannot connect to LQP server at {self._where}: {exc}"
                 ) from exc
-            sock = self._writer.get_extra_info("socket")
-            if sock is not None:
-                import socket as _socket
-
+            try:
                 # Request frames are tiny; Nagle + delayed ACK would cost
                 # ~40ms per round trip.
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-            try:
-                hello = await asyncio.wait_for(
-                    self._read_one_frame(), timeout=self.timeout
-                )
-                protocol.check_hello(
-                    hello, f"LQP server at {self.host}:{self.port}"
-                )
-            except (asyncio.IncompleteReadError, OSError, asyncio.TimeoutError) as exc:
-                await self._drop_connection()
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                hello = protocol.read_frame(functools.partial(self._channel.recv, sock))
+                protocol.check_hello(hello, f"LQP server at {self._where}")
+            except OSError as exc:
+                sock.close()
                 raise ConnectionLostError(
-                    f"no hello from {self.host}:{self.port}: {exc}"
+                    f"no hello from {self._where}: {exc}"
                 ) from exc
             except ProtocolError:
                 # A bad hello (wrong version, garbage frame) must not leave
-                # a half-open connection behind: _writer would stay set
-                # with no read loop running, and every later request would
-                # stall to its timeout instead of failing loudly here.
-                await self._drop_connection()
+                # a half-open connection behind.
+                sock.close()
                 raise
-            first = self._hello is None
+            sock.settimeout(None)  # the reader blocks until a frame or shutdown
+            self._channel.attach(sock)
+            if self._hello is not None:
+                self._channel.count(reconnects=1)
             self._hello = hello
-            if not first:
-                self._count(reconnects=1)
-            self._reader_task = asyncio.ensure_future(self._read_loop())
 
-    async def _read_one_frame(self) -> Dict[str, Any]:
-        header = await self._reader.readexactly(4)
-        length = int.from_bytes(header, "big")
-        if length > protocol.MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"incoming frame announces {length} bytes "
-                f"(limit {protocol.MAX_FRAME_BYTES})"
-            )
-        payload = await self._reader.readexactly(length)
-        self._count(bytes_received=4 + length)
-        self._touch()
-        return protocol.decode_payload(payload)
-
-    async def _read_loop(self) -> None:
+    def _attempt(
+        self, op: str, params: Dict[str, Any], abort
+    ) -> Iterator[Dict[str, Any]]:
+        """One send of the request: its chunk frames, then its closing
+        frame."""
+        self._connect()
+        channel = self._channel
+        request_id = next(self._ids)
+        inbox = channel.open(request_id)
         try:
+            channel.send(protocol.request_message(request_id, op, **params))
+            channel.count(requests=1)
             while True:
-                message = await self._read_one_frame()
-                queue = self._pending.get(message.get("id"))
-                if queue is not None:
-                    queue.put_nowait(message)
-                # Frames for unknown ids are stale streams of timed-out or
-                # cancelled requests; dropping them is the protocol.
-        except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:
-            await self._fail_pending(
-                ConnectionLostError(
-                    f"connection to {self.host}:{self.port} dropped: {exc}"
-                )
-            )
-        except asyncio.CancelledError:
-            raise
-        except ProtocolError as exc:
-            await self._fail_pending(exc)
-
-    async def _fail_pending(self, error: NetworkError) -> None:
-        for queue in list(self._pending.values()):
-            queue.put_nowait(error)
-        self._pending.clear()
-        await self._drop_connection()
-
-    async def _drop_connection(self) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        task, self._reader_task = self._reader_task, None
-        if task is not None and not task.done():
-            task.cancel()
-        if writer is not None:
-            writer.close()
-
-    async def _send(self, message: Dict[str, Any]) -> None:
-        frame = protocol.encode_frame(message)
-        if self._writer is None:
-            raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} is gone"
-            )
-        try:
-            self._writer.write(frame)
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise ConnectionLostError(
-                f"write to {self.host}:{self.port} failed: {exc}"
-            ) from exc
-        self._count(bytes_sent=len(frame))
-
-    async def _roundtrip(
-        self,
-        op: str,
-        params: Dict[str, Any],
-        on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
-        abort: Optional[threading.Event] = None,
-    ) -> Dict[str, Any]:
-        await self._ensure_connected()
-        async with self._semaphore:
-            self._touch()  # waiting on the semaphore is not a stall
-            self._in_flight += 1
-            self._note_in_flight(self._in_flight)
-            request_id = next(self._ids)
-            queue: asyncio.Queue = asyncio.Queue()
-            self._pending[request_id] = queue
-            try:
-                await self._send(protocol.request_message(request_id, op, **params))
-                self._count(requests=1)
-                return await self._collect(
-                    request_id, queue, on_chunk_message, abort
-                )
-            finally:
-                self._pending.pop(request_id, None)
-                self._in_flight -= 1
-
-    async def _next_frame(
-        self, queue: asyncio.Queue, abort: Optional[threading.Event]
-    ) -> Any:
-        """The next routed frame, or :class:`_AbortedByCaller` / timeout.
-
-        With an abort handle the wait runs in short slices so a caller-side
-        cancel is noticed promptly; each empty slice touches the liveness
-        heartbeat (polling is activity, not a stall)."""
-        if abort is None:
-            return await asyncio.wait_for(queue.get(), timeout=self.timeout)
-        deadline = _monotonic() + self.timeout
-        while True:
-            if abort.is_set():
-                raise _AbortedByCaller()
-            remaining = deadline - _monotonic()
-            if remaining <= 0:
-                raise asyncio.TimeoutError()
-            try:
-                return await asyncio.wait_for(
-                    queue.get(), timeout=min(0.05, remaining)
-                )
-            except asyncio.TimeoutError:
-                self._touch()
-
-    async def _collect(
-        self,
-        request_id: int,
-        queue: asyncio.Queue,
-        on_chunk_message: Optional[Callable[[Dict[str, Any]], None]] = None,
-        abort: Optional[threading.Event] = None,
-    ) -> Dict[str, Any]:
-        attributes: Optional[List[str]] = None
-        # The reply's column vectors: the first chunk's own lists, extended
-        # by every later chunk's.  A chunk-message sink is the stream's
-        # sole consumer instead: accumulating here too would double the
-        # peak memory of every large scan.
-        columns: Optional[List[List[Any]]] = None
-        chunks = 0
-        while True:
-            try:
-                message = await self._next_frame(queue, abort)
-            except _AbortedByCaller:
-                # Tell the server to stop streaming a reply nobody wants.
-                try:
-                    await self._send(protocol.cancel_message(request_id))
-                except ConnectionLostError:
-                    pass
-                raise QueryCancelledError(
-                    f"request {request_id} to {self.host}:{self.port} "
-                    "aborted by the caller"
-                ) from None
-            except asyncio.TimeoutError:
-                self._touch()  # the in-loop timeout firing IS loop activity
-                self._count(timeouts=1)
-                # Tell the server to stop streaming a reply nobody will read.
-                try:
-                    await self._send(protocol.cancel_message(request_id))
-                except ConnectionLostError:
-                    pass
-                raise RemoteTimeoutError(
-                    f"request {request_id} to {self.host}:{self.port} got no "
-                    f"frame within {self.timeout:.1f}s"
-                ) from None
-            if isinstance(message, BaseException):
-                raise message
-            kind = message.get("kind")
-            if kind == "chunk":
-                chunks += 1
-                attributes = message.get("attributes")
-                self._count(
+                message = self._next_frame(request_id, inbox, abort)
+                if message.get("kind") != "chunk":
+                    break
+                channel.count(
                     chunks=1,
                     tuples=message["count"],
                     binary_chunks=1 if message.get("binary") else 0,
                 )
-                if on_chunk_message is not None:
-                    on_chunk_message(message)
-                elif columns is None:
-                    columns = message["columns"]
-                else:
-                    # A chunk of another degree leaves ragged columns, which
-                    # Relation.from_columns refuses when the reply is built.
-                    for column, more in zip(columns, message["columns"]):
-                        column.extend(more)
-            elif kind == "end":
-                if attributes is None:  # empty result: no chunk flowed
-                    attributes = message.get("attributes")
-                reply = {"attributes": attributes, "columns": columns, "chunks": chunks}
-                spans = message.get("spans")
-                if spans:
-                    reply["spans"] = spans
-                return reply
-            elif kind == "result":
-                reply = {"value": message.get("value")}
-                spans = message.get("spans")
-                if spans:
-                    reply["spans"] = spans
-                return reply
-            elif kind == "error":
-                hello = self._hello or {}
-                raise RemoteQueryError(
-                    message.get("error_type", "ExecutionError"),
-                    message.get("message", ""),
-                    database=hello.get("database"),
-                )
-            else:
-                raise ProtocolError(f"unexpected frame kind {kind!r}")
+                yield message
+        except (RemoteTimeoutError, QueryCancelledError, GeneratorExit):
+            # Tell the server to stop streaming a reply nobody will read.
+            try:
+                channel.send(protocol.cancel_message(request_id))
+            except ConnectionLostError:
+                pass
+            raise
+        finally:
+            channel.retire(request_id)
+        kind = message.get("kind")
+        if kind == "error":
+            raise RemoteQueryError(
+                message.get("error_type", "ExecutionError"),
+                message.get("message", ""),
+                database=self._hello.get("database"),
+            )
+        if kind not in ("end", "result"):
+            raise ProtocolError(f"unexpected frame kind {kind!r}")
+        yield message
 
-    async def _shutdown(self) -> None:
-        await self._fail_pending(
-            ConnectionLostError(f"transport to {self.host}:{self.port} closed")
-        )
+    def _next_frame(
+        self, request_id: int, inbox: queue.SimpleQueue, abort
+    ) -> Dict[str, Any]:
+        """The request's next frame within the per-frame timeout, checking
+        ``abort`` every :data:`_ABORT_POLL` seconds; a failure the reader
+        routed here (a dropped connection, a garbage frame) is raised."""
+        deadline = time.monotonic() + self.timeout
+        while True:
+            if abort is not None and abort.is_set():
+                raise QueryCancelledError(
+                    f"request {request_id} to {self._where} aborted by the caller"
+                )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self._channel.count(timeouts=1)
+                raise RemoteTimeoutError(
+                    f"request {request_id} to {self._where} got no "
+                    f"frame within {self.timeout:.1f}s"
+                )
+            try:
+                message = inbox.get(
+                    timeout=remaining if abort is None else min(remaining, _ABORT_POLL)
+                )
+            except queue.Empty:
+                continue
+            if isinstance(message, BaseException):
+                raise message
+            return message

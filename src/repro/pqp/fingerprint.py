@@ -47,6 +47,7 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
     SchemeOperand,
+    prune_dead_rows,
 )
 
 __all__ = ["PlanFingerprints", "SpliceReport", "fingerprint_plan", "splice_cached"]
@@ -239,7 +240,7 @@ def splice_cached(
                 cached=payload,
             )
         )
-    pruned_rows, pruned = _prune(spliced)
+    pruned_rows, pruned = prune_dead_rows(spliced)
     report = SpliceReport(
         rows_spliced=len(chosen),
         rows_pruned=pruned,
@@ -250,18 +251,3 @@ def splice_cached(
         ),
     )
     return IntermediateOperationMatrix(pruned_rows), report
-
-
-def _prune(rows: List[MatrixRow]) -> Tuple[List[MatrixRow], int]:
-    """Drop rows never consumed (keeping the final row) and renumber —
-    the optimizer's dead-row prune, local so splicing needs no optimizer."""
-    needed = {rows[-1].result.index}
-    for row in reversed(rows):
-        if row.result.index in needed:
-            for ref in row.referenced_results():
-                needed.add(ref.index)
-    kept = [row for row in rows if row.result.index in needed]
-    pruned = len(rows) - len(kept)
-    renumber = {row.result.index: position + 1 for position, row in enumerate(kept)}
-    renumbered = [row.with_remapped_results(renumber) for row in kept]
-    return renumbered, pruned

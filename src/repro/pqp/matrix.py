@@ -44,6 +44,7 @@ __all__ = [
     "PolygenOperationMatrix",
     "IntermediateOperationMatrix",
     "PQP_LOCATION",
+    "prune_dead_rows",
 ]
 
 #: The execution-location marker for operations performed by the PQP itself.
@@ -247,6 +248,21 @@ class MatrixRow:
             _render_operand(self.rhr),
         )
         return base + ((self.el or "nil",) if with_el else ())
+
+
+def prune_dead_rows(rows: Sequence[MatrixRow]) -> Tuple[List[MatrixRow], int]:
+    """Drop rows never consumed (keeping the final row) and renumber the
+    survivors from 1; returns them and how many rows went."""
+    if not rows:
+        return list(rows), 0
+    needed = {rows[-1].result.index}
+    for row in reversed(rows):
+        if row.result.index in needed:
+            for ref in row.referenced_results():
+                needed.add(ref.index)
+    kept = [row for row in rows if row.result.index in needed]
+    renumber = {row.result.index: position + 1 for position, row in enumerate(kept)}
+    return [row.with_remapped_results(renumber) for row in kept], len(rows) - len(kept)
 
 
 class _Matrix:

@@ -71,6 +71,7 @@ from repro.pqp.matrix import (
     MatrixRow,
     Operation,
     ResultOperand,
+    prune_dead_rows,
 )
 
 __all__ = ["QueryOptimizer", "OptimizationReport"]
@@ -208,7 +209,7 @@ class QueryOptimizer:
         rows, through = self._push_through_merges(rows)
         rows, passed = self._pass_key_sets(rows)
         rows, pushed = self._push_selections(rows)
-        rows, pruned = self._prune(rows)
+        rows, pruned = prune_dead_rows(rows)
         rows, attributes = self._prune_materializations(rows)
         optimized = IntermediateOperationMatrix(rows)
         report = OptimizationReport(
@@ -262,22 +263,6 @@ class QueryOptimizer:
                 seen[key] = row.result.index
             out.append(row)
         return out, deduplicated
-
-    @staticmethod
-    def _prune(rows: List[MatrixRow]) -> Tuple[List[MatrixRow], int]:
-        """Drop rows never consumed (keeping the final row) and renumber."""
-        if not rows:
-            return rows, 0
-        needed = {rows[-1].result.index}
-        for row in reversed(rows):
-            if row.result.index in needed:
-                for ref in row.referenced_results():
-                    needed.add(ref.index)
-        kept = [row for row in rows if row.result.index in needed]
-        pruned = len(rows) - len(kept)
-        renumber = {row.result.index: position + 1 for position, row in enumerate(kept)}
-        renumbered = [row.with_remapped_results(renumber) for row in kept]
-        return renumbered, pruned
 
     # -- selection pushdown ---------------------------------------------------
 

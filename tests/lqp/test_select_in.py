@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.backends.kv_lqp import KVStoreLQP
 from repro.backends.sqlite_lqp import SqliteLQP
-from repro.errors import ProtocolError
 from repro.lqp.base import filter_in
 from repro.lqp.cost import AccountingLQP, ForwardingLQP, LatencyLQP
 from repro.lqp.relational_lqp import RelationalLQP
@@ -112,29 +111,6 @@ def test_remote_binary_matches_in_process(remote_engine, values):
 def test_remote_columns_narrow_over_the_wire(remote_engine):
     shipped = remote_engine.select_in("T", "K", [1, "é"], columns=["LABEL"])
     assert shipped == _reference([1, "é"], columns=["LABEL"])
-
-
-class _OldServer(LQPServer):
-    """A protocol-3 server, from before the select_in op."""
-
-    def _hello(self):
-        return {**super()._hello(), "protocol": 3}
-
-    def _serve_relation(self, connection, request_id, op, message, cancel, span=None):
-        if op == "select_in":
-            raise ProtocolError(f"unknown wire operation {op!r}")
-        return super()._serve_relation(connection, request_id, op, message, cancel, span)
-
-
-def test_remote_serves_select_in_itself_against_an_older_server():
-    with _OldServer(RelationalLQP(_database())).start() as server:
-        with RemoteLQP(server.url) as remote:
-            assert remote.binary_negotiated
-            assert remote.select_in("T", "K", [True, "é"]) == _reference([True, "é"])
-            assert remote.select_in("T", "K", ["1"]) == _reference(["1"])
-            # Each call was one Retrieve; no select_in reached the server.
-            assert remote.transport_stats().requests == 2
-            assert server.stats.errors == 0
 
 
 @pytest.mark.parametrize(

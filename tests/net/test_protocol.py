@@ -79,18 +79,12 @@ class TestHello:
         hello["min_protocol"] = protocol.PROTOCOL_VERSION + 7
         with pytest.raises(ProtocolError, match="no common protocol version"):
             protocol.check_hello(hello, "server")
-
-    def test_v1_peer_negotiates_json(self):
-        # A v1 hello has no min_protocol/formats: it speaks exactly 1,
-        # JSON only — and stays connectable.
+        # No overlap either: a v3 peer tops out below our only version.
         hello = protocol.hello_message("AD", [])
-        hello["protocol"] = 1
-        del hello["min_protocol"]
-        del hello["formats"]
-        assert protocol.check_hello(hello, "server") is hello
-        assert protocol.negotiate_version(hello) == 1
-        assert protocol.peer_formats(hello) == ("json",)
-        assert not protocol.supports_binary(hello)
+        hello["protocol"] = 3
+        hello["min_protocol"] = 1
+        with pytest.raises(ProtocolError, match="no common protocol version"):
+            protocol.check_hello(hello, "server")
 
     def test_current_hello_supports_binary(self):
         hello = protocol.hello_message("AD", [])

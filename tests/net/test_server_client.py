@@ -7,6 +7,7 @@ every polling loop a deadline, so a regression can fail these tests but
 never hang them — CI must survive a dead socket.
 """
 
+import functools
 import socket
 import struct
 import threading
@@ -52,46 +53,6 @@ def wait_for(predicate, deadline=TIMEOUT):
     return False
 
 
-def _reader(sock):
-    """``read_exactly(n)`` over a blocking socket, for ``read_frame``."""
-
-    def read_exactly(count: int) -> bytes:
-        data = b""
-        while len(data) < count:
-            piece = sock.recv(count - len(data))
-            if not piece:
-                raise ConnectionError("peer hung up")
-            data += piece
-        return data
-
-    return read_exactly
-
-
-def _raw_exchange(url: str, request: dict):
-    """Play a hand-written client: read the hello, send one request, and
-    collect its reply frames up to the first non-chunk frame."""
-    with socket.create_connection(protocol.parse_url(url), timeout=TIMEOUT) as sock:
-        read_exactly = _reader(sock)
-        hello = protocol.read_frame(read_exactly)
-        sock.sendall(protocol.encode_frame(request))
-        frames = [protocol.read_frame(read_exactly)]
-        while frames[-1]["kind"] == "chunk":
-            frames.append(protocol.read_frame(read_exactly))
-    return hello, frames
-
-
-#: A protocol-2 server's hello: binary advertised, in the v2 layout.
-V2_HELLO = {
-    "kind": "hello",
-    "protocol": 2,
-    "min_protocol": 1,
-    "formats": ["binary", "json"],
-    "trace": True,
-    "database": "XX",
-    "relations": ["T"],
-}
-
-
 class _ScriptedServer:
     """A hand-driven TCP peer for fault injection: each accepted
     connection runs the next handler from ``scripts`` — full control over
@@ -127,7 +88,7 @@ class _ScriptedServer:
                 sock.close()
 
     def read_frame(self, sock) -> dict:
-        frame = protocol.read_frame(_reader(sock))
+        frame = protocol.read_frame(functools.partial(protocol.recv_exactly, sock))
         self.frames_read.append(frame)
         return frame
 
@@ -367,6 +328,22 @@ class TestConcurrency:
         assert elapsed >= 3 * delay * 0.9
         assert stats.in_flight_hwm == 1
 
+    def test_a_held_stream_frees_its_slot_when_its_end_frame_lands(self, server):
+        # A slot counts requests on the wire, not streams a consumer has
+        # yet to drain: with one slot, a request still gets through while
+        # another thread's stream sits unconsumed.
+        with RemoteLQP(server.url, concurrency=1, timeout=TIMEOUT) as remote:
+            held = iter(remote.retrieve_chunks("ALUMNUS"))
+            first = next(held)
+            shipped = []
+            worker = threading.Thread(
+                target=lambda: shipped.append(remote.retrieve("ALUMNUS"))
+            )
+            worker.start()
+            worker.join(timeout=TIMEOUT)
+            assert shipped == [ad_lqp().retrieve("ALUMNUS")]
+            assert [first.seq] + [chunk.seq for chunk in held] == [0, 1, 2]
+
     def test_native_concurrency_survives_wrapper_chain(self, server):
         with RemoteLQP(server.url, concurrency=6, timeout=TIMEOUT) as remote:
             wrapped = AccountingLQP(LatencyLQP(remote, per_query=0.0))
@@ -425,59 +402,25 @@ class TestFaults:
         finally:
             scripted.close()
 
-    def test_v1_server_negotiates_json_fallback(self):
-        def v1_hello(scripted, sock):
-            # A PR-5-era server: protocol 1, no min_protocol, no formats.
-            hello = {
-                "kind": "hello",
-                "protocol": 1,
-                "database": "XX",
-                "relations": ["T"],
-            }
-            sock.sendall(protocol.encode_frame(hello))
-            request = scripted.read_frame(sock)
-            # The client must not ask a v1 peer for binary frames.
-            assert "format" not in request
-            sock.sendall(
-                protocol.encode_frame(
-                    protocol.chunk_message(request["id"], 0, ["A"], [[1], [2]])
-                )
-            )
-            sock.sendall(
-                protocol.encode_frame(
-                    protocol.end_message(request["id"], 1, 2, ["A"])
-                )
-            )
-            scripted.read_frame(sock)  # block until the client closes
-
-        scripted = _ScriptedServer(v1_hello)
-        try:
-            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
-            assert not remote.binary_negotiated
-            relation = remote.retrieve("T")
-            assert sorted(relation.rows) == [(1,), (2,)]
-            assert remote.transport_stats().binary_chunks == 0
-            remote.close()
-        finally:
-            scripted.close()
-
-    def test_binary_only_client_refuses_a_v1_server_at_construction(self):
+    def test_binary_client_refuses_a_server_without_binary_frames(self):
         # The encoding is chosen where the connection is made, so a client
-        # that insists on binary frames fails there — not on its first
-        # query — and takes its event-loop thread down with it.
-        def v1_hello(scripted, sock):
-            hello = {"kind": "hello", "protocol": 1, "database": "XX", "relations": ["T"]}
+        # that asks for binary frames (the default) fails there — not on
+        # its first query — and takes its reader thread down with it.
+        def json_only_hello(scripted, sock):
+            hello = protocol.hello_message("XX", ["T"])
+            hello["formats"] = ["json"]
             sock.sendall(protocol.encode_frame(hello))
-            scripted.read_frame(sock)  # until the refusing client hangs up
+            scripted.read_frame(sock)  # until the client hangs up
 
-        scripted = _ScriptedServer(v1_hello)
+        scripted = _ScriptedServer(json_only_hello, json_only_hello)
         before = _mux_threads()
         try:
             with pytest.raises(ProtocolError, match='wire_format="binary"'):
-                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
+                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
             assert wait_for(lambda: _mux_threads() == before), (
-                "the refused connection stranded the mux's event-loop thread"
+                "the refused connection stranded the mux's reader thread"
             )
+            RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="json").close()
         finally:
             scripted.close()
 
@@ -488,7 +431,7 @@ class TestFaults:
         def truncated_chunk(scripted, sock):
             sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
             request = scripted.read_frame(sock)
-            assert request["binary_version"] == binary.BINARY_VERSION
+            assert request["format"] == "binary"
             payload = binary.encode_chunk_payload(
                 request["id"], 0, ["ALPHA", "BETA"], [[1, 2], [3, 4]], 2
             )
@@ -508,37 +451,11 @@ class TestFaults:
         finally:
             scripted.close()
 
-    def test_v2_server_is_served_json_by_this_client(self):
-        def v2_server(scripted, sock):
-            sock.sendall(protocol.encode_frame(V2_HELLO))
-            request = scripted.read_frame(sock)
-            # Its binary layout is not ours: the client must not ask for it.
-            assert "format" not in request
-            sock.sendall(
-                protocol.encode_frame(
-                    protocol.chunk_message(request["id"], 0, ["A"], [[1], [2]])
-                )
-            )
-            sock.sendall(
-                protocol.encode_frame(protocol.end_message(request["id"], 1, 2, ["A"]))
-            )
-            scripted.read_frame(sock)  # block until the client closes
-
-        scripted = _ScriptedServer(v2_server)
-        try:
-            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
-            assert not remote.binary_negotiated
-            assert sorted(remote.retrieve("T").rows) == [(1,), (2,)]
-            assert remote.transport_stats().binary_chunks == 0
-            remote.close()
-        finally:
-            scripted.close()
-
     def test_v2_layout_binary_frame_is_refused_naming_both_versions(self):
-        # A v2 server that sends its own binary layout regardless gets a
-        # ProtocolError, never column data read under the wrong layout.
+        # A server that sends the v2 binary layout gets a ProtocolError,
+        # never column data read under the wrong layout.
         def stubborn_v2_server(scripted, sock):
-            sock.sendall(protocol.encode_frame(V2_HELLO))
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
             request = scripted.read_frame(sock)
             payload = bytearray(
                 binary.encode_chunk_payload(request["id"], 0, ["A"], [[1, 2]], 2)
@@ -556,33 +473,6 @@ class TestFaults:
             remote.close()
         finally:
             scripted.close()
-
-    def test_binary_only_client_names_both_versions_for_a_v2_server(self):
-        def v2_server(scripted, sock):
-            sock.sendall(protocol.encode_frame(V2_HELLO))
-            scripted.read_frame(sock)  # until the refusing client hangs up
-
-        scripted = _ScriptedServer(v2_server)
-        try:
-            with pytest.raises(ProtocolError, match="protocol 2, not .* protocol 3"):
-                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
-        finally:
-            scripted.close()
-
-    def test_v2_era_client_asking_for_binary_is_served_json(self, server):
-        # A v2 client asks with "format": "binary" alone, meaning a layout
-        # this server no longer writes: every chunk it gets is JSON.
-        request = {"id": 1, "op": "retrieve", "relation": "ALUMNUS", "format": "binary"}
-        hello, frames = _raw_exchange(server.url, request)
-        assert hello["protocol"] == protocol.PROTOCOL_VERSION == 4
-        assert [frame["kind"] for frame in frames] == ["chunk"] * 3 + ["end"]
-        assert not any(frame.get("binary") for frame in frames)
-        assert server.stats.binary_chunks_sent == 0
-        # The same request naming this build's layout gets binary chunks.
-        request["binary_version"] = binary.BINARY_VERSION
-        _, frames = _raw_exchange(server.url, request)
-        assert all(frame.get("binary") for frame in frames[:-1])
-        assert server.stats.binary_chunks_sent == 3
 
     def test_connection_dropped_mid_stream_raises_typed_error(self):
         def drop_mid_stream(scripted, sock):
@@ -632,6 +522,41 @@ class TestFaults:
             assert stats.retries == 1
             assert stats.reconnects == 1
             remote.close()
+        finally:
+            scripted.close()
+
+    def test_stream_retried_after_a_drop_skips_replayed_chunks(self):
+        def drop_after_chunk_zero(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            request = scripted.read_frame(sock)
+            sock.sendall(
+                protocol.encode_frame(
+                    protocol.chunk_message(request["id"], 0, ["A"], [[0]])
+                )
+            )
+
+        def serve_two_chunks(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            request = scripted.read_frame(sock)
+            for seq in (0, 1):
+                sock.sendall(
+                    protocol.encode_frame(
+                        protocol.chunk_message(request["id"], seq, ["A"], [[seq]])
+                    )
+                )
+            sock.sendall(
+                protocol.encode_frame(protocol.end_message(request["id"], 2, 2, ["A"]))
+            )
+            scripted.read_frame(sock)  # block until the client closes
+
+        scripted = _ScriptedServer(drop_after_chunk_zero, serve_two_chunks)
+        try:
+            with RemoteLQP(scripted.url, timeout=TIMEOUT, retries=1) as remote:
+                chunks = list(remote.retrieve_chunks("T"))
+                stats = remote.transport_stats()
+            assert [chunk.seq for chunk in chunks] == [0, 1]
+            assert [chunk.columns for chunk in chunks] == [[[0]], [[1]]]
+            assert (stats.retries, stats.reconnects) == (1, 1)
         finally:
             scripted.close()
 
@@ -691,16 +616,10 @@ class TestFaults:
 class TestReviewRegressions:
     """Pinned behaviours for bugs found in review."""
 
-    def test_long_healthy_chunk_stream_outlives_the_watchdog_window(
-        self, monkeypatch
-    ):
+    def test_long_healthy_chunk_stream_outlives_the_watchdog_window(self):
         # Per-frame timeouts only: a stream whose frames keep flowing may
-        # run far longer than timeout + slack without tripping the outer
-        # watchdog (which fires on *inactivity*, not duration).
-        from repro.net import transport as transport_module
-
-        monkeypatch.setattr(transport_module, "_OUTER_SLACK", 0.5)
-        pause, chunks = 0.25, 6  # total 1.5s >> timeout 0.4 + slack 0.5
+        # run far longer than its timeout.
+        pause, chunks = 0.25, 6  # total 1.5s >> timeout 0.4
 
         def slow_stream(scripted, sock):
             sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
@@ -756,7 +675,7 @@ class TestReviewRegressions:
         before = mux_threads()
         with pytest.raises(Exception, match="already registered"):
             registry.register(server.url, timeout=TIMEOUT)
-        # The losing RemoteLQP's event-loop thread must be gone, not
+        # The losing RemoteLQP's reader thread must be gone, not
         # leaked until GC.
         assert wait_for(lambda: mux_threads() == before)
         registry.get("AD").inner.close()
@@ -799,7 +718,7 @@ def _mux_threads() -> int:
 
 
 class TestLifecycleLeaks:
-    """Connections and event-loop threads must die with their owners."""
+    """Connections and reader threads must die with their owners."""
 
     def test_failed_remote_lqp_construction_leaks_no_loop_thread(self):
         probe = socket.socket()
@@ -810,7 +729,7 @@ class TestLifecycleLeaks:
         with pytest.raises(ConnectionLostError):
             RemoteLQP(host="127.0.0.1", port=port, timeout=1.0, retries=0)
         assert wait_for(lambda: _mux_threads() == before), (
-            "a failed handshake stranded the mux's event-loop thread"
+            "a failed handshake stranded the mux's reader thread"
         )
 
     def test_abandoned_mux_is_reaped_by_gc(self, server):
@@ -823,11 +742,57 @@ class TestLifecycleLeaks:
         mux = ConnectionMux(host, port, timeout=TIMEOUT)
         mux.hello()
         assert _mux_threads() == before + 1
-        del mux  # no close(): the GC finalizer must stop the loop
+        del mux  # no close(): the GC finalizer must reap the reader
         gc.collect()
         assert wait_for(lambda: _mux_threads() == before), (
-            "the loop thread kept the abandoned mux alive forever"
+            "the reader thread kept the abandoned mux alive forever"
         )
+
+    def test_chunk_streams_start_no_thread(self):
+        # The reader thread is the connection's only thread: a stream is
+        # read on its consumer's thread, drained or abandoned.
+        def serve_three_chunks(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            while True:
+                request = scripted.read_frame(sock)
+                if request.get("op") == "cancel":
+                    continue
+                for seq in range(3):
+                    sock.sendall(
+                        protocol.encode_frame(
+                            protocol.chunk_message(request["id"], seq, ["A"], [[seq]])
+                        )
+                    )
+                sock.sendall(
+                    protocol.encode_frame(
+                        protocol.end_message(request["id"], 3, 3, ["A"])
+                    )
+                )
+
+        scripted = _ScriptedServer(serve_three_chunks)
+        try:
+            with RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0) as remote:
+                host, port = protocol.parse_url(scripted.url)
+                assert [
+                    thread.name
+                    for thread in threading.enumerate()
+                    if thread.name.startswith(f"lqp-mux-{host}:{port}")
+                ] == [f"lqp-mux-{host}:{port}"]
+                # Threads other tests left behind may exit meanwhile: count
+                # only threads that were not there before.
+                before = set(threading.enumerate())
+                started = lambda: set(threading.enumerate()) - before  # noqa: E731
+                during = []
+                for chunk in remote.retrieve_chunks("T"):
+                    during.append(started())
+                assert during == [set()] * 3 and not started()
+                for chunk in remote.retrieve_chunks("T"):
+                    assert not started()
+                    break
+                assert not started()
+                assert [c.seq for c in remote.retrieve_chunks("T")] == [0, 1, 2]
+        finally:
+            scripted.close()
 
     def test_federation_close_closes_url_dialed_transports(self, server):
         from repro.datasets.paper import paper_polygen_schema
@@ -954,44 +919,8 @@ class TestTransportFaultCounters:
 
 
 class TestWireTraceNegotiation:
-    """Trace-context propagation is capability-gated: v2 peers that
-    advertise ``trace`` receive the context and ship spans back; v1
-    peers must never see the key."""
-
-    def test_v1_peer_never_receives_trace_context(self):
-        from repro.obs.trace import Tracer, use_span
-
-        def v1_hello(scripted, sock):
-            hello = {
-                "kind": "hello",
-                "protocol": 1,
-                "database": "XX",
-                "relations": ["T"],
-            }
-            sock.sendall(protocol.encode_frame(hello))
-            request = scripted.read_frame(sock)
-            sock.sendall(
-                protocol.encode_frame(
-                    protocol.end_message(request["id"], 0, 0, ["A"])
-                )
-            )
-            scripted.read_frame(sock)  # block until the client closes
-
-        scripted = _ScriptedServer(v1_hello)
-        try:
-            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
-            assert not remote.trace_negotiated
-            root = Tracer().start("query")
-            with use_span(root):
-                remote.retrieve("T")
-            requests = [
-                frame for frame in scripted.frames_read
-                if frame.get("op") == "retrieve"
-            ]
-            assert requests and all("trace" not in f for f in requests)
-            remote.close()
-        finally:
-            scripted.close()
+    """Trace-context propagation: a peer that advertises ``trace``
+    receives the context and ships spans back."""
 
     def test_trace_context_sent_and_shipped_spans_adopted(self):
         from repro.obs.trace import Tracer, use_span

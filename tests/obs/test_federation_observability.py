@@ -22,7 +22,7 @@ TIMEOUT = 5.0
 
 
 @contextlib.contextmanager
-def _distributed(wire_format="auto"):
+def _distributed(wire_format="binary"):
     """AD and CD behind real TCP servers, dialed with ``wire_format``; PD
     in-process."""
     databases = paper_databases()

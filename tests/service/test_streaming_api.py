@@ -133,7 +133,7 @@ class TestStreamingOptions:
             for database in paper_databases().values()
         ]
         try:
-            for fmt in ("auto", "json", "binary"):
+            for fmt in ("json", "binary"):
                 registry = LQPRegistry()
                 for server in servers:
                     registry.register(server.url, wire_format=fmt)
