@@ -2,8 +2,11 @@
 
 import dataclasses
 import io
+import functools
 import json
+import socket
 import struct
+import threading
 
 import pytest
 
@@ -57,6 +60,33 @@ class TestFraming:
     def test_unserializable_message_rejected(self):
         with pytest.raises(ProtocolError, match="not JSON-serializable"):
             protocol.encode_frame({"value": object()})
+
+
+class TestRecvExactly:
+    def test_fills_one_buffer_across_partial_sends(self):
+        left, right = socket.socketpair()
+        with left, right:
+            frame = protocol.encode_frame({"id": 1, "op": "ping"})
+
+            def send_in_pieces():
+                for start in range(0, len(frame), 3):
+                    right.sendall(frame[start : start + 3])
+
+            sender = threading.Thread(target=send_in_pieces)
+            sender.start()
+            left.settimeout(5.0)
+            message = protocol.read_frame(functools.partial(protocol.recv_exactly, left))
+            sender.join(timeout=5.0)
+        assert message == {"id": 1, "op": "ping"}
+
+    def test_peer_hanging_up_mid_read_raises_connection_error(self):
+        left, right = socket.socketpair()
+        with left:
+            left.settimeout(5.0)
+            right.sendall(b"abc")
+            right.close()
+            with pytest.raises(ConnectionError, match="hung up"):
+                protocol.recv_exactly(left, 4)
 
 
 class TestHello:

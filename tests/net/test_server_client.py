@@ -53,6 +53,26 @@ def wait_for(predicate, deadline=TIMEOUT):
     return False
 
 
+#: A protocol-2 server's hello: binary advertised, in the v2 layout.
+V2_HELLO = {
+    "kind": "hello",
+    "protocol": 2,
+    "min_protocol": 1,
+    "formats": ["binary", "json"],
+    "trace": True,
+    "database": "XX",
+    "relations": ["T"],
+}
+
+
+def _v1_hello(scripted, sock):
+    """A PR-5-era server: protocol 1, no min_protocol, no formats; reads
+    until the client hangs up."""
+    hello = {"kind": "hello", "protocol": 1, "database": "XX", "relations": ["T"]}
+    sock.sendall(protocol.encode_frame(hello))
+    scripted.read_frame(sock)
+
+
 class _ScriptedServer:
     """A hand-driven TCP peer for fault injection: each accepted
     connection runs the next handler from ``scripts`` — full control over
@@ -421,6 +441,37 @@ class TestFaults:
                 "the refused connection stranded the mux's reader thread"
             )
             RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="json").close()
+        finally:
+            scripted.close()
+
+    def test_binary_only_client_refuses_a_v1_server_at_construction(self):
+        # Both ends speak protocol 4 only: a v1 server is refused where the
+        # connection is made, not on the first query, and no reader thread
+        # is left behind.
+        scripted = _ScriptedServer(_v1_hello)
+        before = _mux_threads()
+        try:
+            with pytest.raises(ProtocolError, match="no common protocol version"):
+                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
+            assert wait_for(lambda: _mux_threads() == before), (
+                "the refused connection stranded the mux's reader thread"
+            )
+            assert scripted.frames_read == []
+        finally:
+            scripted.close()
+
+    def test_binary_only_client_names_both_versions_for_a_v2_server(self):
+        def v2_server(scripted, sock):
+            sock.sendall(protocol.encode_frame(V2_HELLO))
+            scripted.read_frame(sock)  # until the refusing client hangs up
+
+        scripted = _ScriptedServer(v2_server)
+        try:
+            with pytest.raises(
+                ProtocolError,
+                match=r"speaks 1\.\.2, this peer speaks 4\.\.4",
+            ):
+                RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary")
         finally:
             scripted.close()
 
@@ -794,6 +845,40 @@ class TestLifecycleLeaks:
         finally:
             scripted.close()
 
+    def test_close_fails_a_pending_request_with_connection_lost(self):
+        # close() does not leave a caller waiting out its timeout: the
+        # request it has in flight fails at once, typed, and the reader
+        # thread is joined.
+        def hello_then_silence(scripted, sock):
+            sock.sendall(protocol.encode_frame(protocol.hello_message("XX", ["T"])))
+            scripted.read_frame(sock)  # the request, never answered
+            scripted.read_frame(sock)  # until the client hangs up
+
+        scripted = _ScriptedServer(hello_then_silence)
+        before = _mux_threads()
+        try:
+            remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
+            errors = []
+
+            def call():
+                try:
+                    remote.retrieve("T")
+                except Exception as exc:
+                    errors.append(exc)
+
+            worker = threading.Thread(target=call)
+            worker.start()
+            assert wait_for(lambda: scripted.frames_read)
+            began = time.perf_counter()
+            remote.close()
+            worker.join(timeout=TIMEOUT)
+            assert not worker.is_alive()
+            assert time.perf_counter() - began < TIMEOUT / 2
+            assert [type(error) for error in errors] == [ConnectionLostError]
+            assert _mux_threads() == before
+        finally:
+            scripted.close()
+
     def test_federation_close_closes_url_dialed_transports(self, server):
         from repro.datasets.paper import paper_polygen_schema
         from repro.service.federation import PolygenFederation
@@ -920,7 +1005,22 @@ class TestTransportFaultCounters:
 
 class TestWireTraceNegotiation:
     """Trace-context propagation: a peer that advertises ``trace``
-    receives the context and ships spans back."""
+    receives the context and ships spans back; a v1 peer never sees it."""
+
+    def test_v1_peer_never_receives_trace_context(self):
+        # A v1 peer is refused at its hello, so no request — and no trace
+        # context — ever reaches it, even under an ambient span.
+        from repro.obs.trace import Tracer, use_span
+
+        scripted = _ScriptedServer(_v1_hello)
+        try:
+            root = Tracer().start("query")
+            with use_span(root):
+                with pytest.raises(ProtocolError, match="no common protocol version"):
+                    RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
+            assert scripted.frames_read == []
+        finally:
+            scripted.close()
 
     def test_trace_context_sent_and_shipped_spans_adopted(self):
         from repro.obs.trace import Tracer, use_span

@@ -75,6 +75,20 @@ def test_the_checker_sees_unused_and_used_imports():
     assert _unused_imports(source) == [(3, "Optional"), (4, "Idle")]
 
 
+
+def test_no_module_under_src_imports_asyncio():
+    # The library has one concurrency model, blocking sockets and threads,
+    # on both ends of the wire.
+    importers = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "asyncio" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "asyncio"
+    ]
+    assert not importers, "asyncio imported at:\n" + "\n".join(importers)
 def test_every_package_imports_first_in_a_fresh_interpreter():
     modules = [
         _module_name(path)
