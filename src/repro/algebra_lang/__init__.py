@@ -18,6 +18,11 @@ set operators and Coalesce for completeness)::
               | NAME theta NAME                           -- restrict / join
               | NAME ("," NAME)*                          -- project
     theta    := "=" | "<>" | "!=" | "<" | "<=" | ">" | ">="
+
+:mod:`repro.algebra_lang.lexer` is the one scanner of both front-end
+languages: :func:`tokenize` binds it to the algebra's punctuation and its
+case-sensitive keywords, and :mod:`repro.sql.parser` binds the same
+scanner to SQL's.
 """
 
 from repro.algebra_lang.lexer import tokenize

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.algebra_lang.lexer import Token, TokenType, tokenize
+from repro.algebra_lang.lexer import ALGEBRA, TokenStream, TokenType
 from repro.core.expression import (
     Coalesce,
     Difference,
@@ -31,42 +29,9 @@ _SET_OPS = {
 }
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token], text: str):
-        self._tokens = tokens
-        self._text = text
-        self._pos = 0
-
-    # -- token plumbing -------------------------------------------------------
-
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def _expect(self, token_type: TokenType, value=None) -> Token:
-        token = self._peek()
-        if token.type is not token_type or (value is not None and token.value != value):
-            raise AlgebraParseError(
-                f"expected {value or token_type.name}, found {token.value!r}",
-                token.position,
-                self._text,
-            )
-        return self._advance()
-
-    # -- grammar -----------------------------------------------------------------
-
+class _Parser(TokenStream):
     def parse(self) -> Expression:
-        expression = self._expr()
-        end = self._peek()
-        if end.type is not TokenType.END:
-            raise AlgebraParseError(
-                f"unexpected trailing input {end.value!r}", end.position, self._text
-            )
-        return expression
+        return self._at_end(self._expr())
 
     def _expr(self) -> Expression:
         left = self._term()
@@ -143,4 +108,4 @@ def parse_expression(text: str) -> Expression:
     >>> parse_expression('PALUMNUS [DEGREE = "MBA"]').render()
     '(PALUMNUS [DEGREE = "MBA"])'
     """
-    return _Parser(tokenize(text), text).parse()
+    return _Parser(text, ALGEBRA).parse()

@@ -254,9 +254,10 @@ def paper_identity_resolver() -> IdentityResolver:
     return IdentityResolver({"Citicorp": ["CitiCorp"]})
 
 
-def build_paper_federation():
+def build_paper_federation(**options):
     """A ready-to-query :class:`~repro.pqp.processor.PolygenQueryProcessor`
-    over the paper's federation.
+    over the paper's federation (``options`` are the processor's keyword
+    flags, e.g. ``optimize=False``).
 
     >>> pqp = build_paper_federation()
     >>> result = pqp.run_sql('SELECT CEO FROM PORGANIZATION WHERE ONAME = "Genentech"')
@@ -274,4 +275,5 @@ def build_paper_federation():
         schema=paper_polygen_schema(),
         registry=registry,
         resolver=paper_identity_resolver(),
+        **options,
     )

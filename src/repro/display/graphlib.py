@@ -119,9 +119,6 @@ class Graph:
     def number_of_nodes(self) -> int:
         return len(self._nodes)
 
-    def number_of_edges(self) -> int:
-        return len(self._edges)
-
 
 class DiGraph(Graph):
     """A directed graph with predecessor/successor queries."""

@@ -74,10 +74,6 @@ class PlanFingerprints:
         """The whole plan's fingerprint (the final row's subtree)."""
         return self.by_index[self.final_index]
 
-    @property
-    def final_sources(self) -> Tuple[str, ...]:
-        return self.sources[self.final_index]
-
 
 @dataclass(frozen=True)
 class SpliceReport:

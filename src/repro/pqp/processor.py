@@ -19,7 +19,10 @@ constructor flags become that federation's default
 :class:`~repro.service.options.QueryOptions`, and each ``run_*`` call is
 the federation's synchronous :meth:`~repro.service.federation.
 PolygenFederation.run` on the calling thread — no coordinator threads are
-ever spawned by the facade.  Signature and behaviour are unchanged —
+ever spawned by the facade.  The federation's memoized front end prepares
+facade queries too: ``run_sql`` and ``run_algebra`` fix the query's kind,
+and a repeated text reuses its prepared plan, traced and counted like a
+session's query.  Signature and behaviour are unchanged —
 including the serial-by-default engine — with one improvement inherited
 from the service layer: a ``concurrent=True`` processor now keeps its
 per-database (daemon) worker threads warm across queries instead of
@@ -40,8 +43,7 @@ from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
 from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
-from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
-from repro.translate.translator import translate_sql
+from repro.pqp.optimizer import OptimizationReport
 
 if TYPE_CHECKING:  # pragma: no cover - the service imports this package's
     # submodules, so the runtime imports below stay inside __init__.
@@ -96,13 +98,6 @@ class PolygenQueryProcessor:
             defaults=self._options,
             max_concurrent_queries=1,
         )
-        # The historical (private, but poked-at) optimizer slot: assigning
-        # ``None`` disables optimization, assigning a QueryOptimizer swaps
-        # the rewrite set — run_* stages the pipeline through this slot on
-        # the calling thread, exactly as the pre-service facade did.
-        self._optimizer: Optional[QueryOptimizer] = (
-            self._federation._optimizer_for(self._options) if optimize else None
-        )
 
     @property
     def executor(self) -> Executor:
@@ -139,30 +134,18 @@ class PolygenQueryProcessor:
     def optimize(
         self, iom: IntermediateOperationMatrix
     ) -> Tuple[IntermediateOperationMatrix, Optional[OptimizationReport]]:
-        if self._optimizer is None:
-            return iom, None
-        return self._optimizer.optimize(iom)
+        """IOM → optimized IOM (no-op when built with ``optimize=False``)."""
+        return self._federation.optimize(iom, self._options)
 
     # -- entry points --------------------------------------------------------------
 
     def run_sql(self, sql: str) -> QueryResult:
         """Translate and execute a SQL polygen query."""
-        translation = translate_sql(sql, self.schema)
-        result = self.run_algebra(translation.expression)
-        result.sql = sql
-        result.translation = translation
-        return result
+        return self._federation._run(sql, "sql", self._options)
 
     def run_algebra(self, expression: Expression | str) -> QueryResult:
         """Execute a polygen algebraic expression."""
-        tree, pom = self.analyze(expression)
-        iom = self.plan(pom)
-        iom, report = self.optimize(iom)
-        result = self._federation.run(iom, self._options)
-        result.expression = tree
-        result.pom = pom
-        result.optimization = report
-        return result
+        return self._federation._run(expression, "algebra", self._options)
 
     def run_plan(self, iom: IntermediateOperationMatrix) -> QueryResult:
         """Execute a pre-built IOM without analysis or optimization.

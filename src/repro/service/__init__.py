@@ -44,7 +44,7 @@ _EXPORTS = {
     "QueryHandle": ("repro.service.handle", "QueryHandle"),
     "Cursor": ("repro.service.cursor", "Cursor"),
     "QueryOptions": ("repro.service.options", "QueryOptions"),
-    "WorkerPool": ("repro.service.pool", "WorkerPool"),
+    "WorkerPool": ("repro.pqp.pool", "WorkerPool"),
 }
 
 

@@ -41,7 +41,7 @@ import re
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
@@ -460,10 +460,7 @@ class PolygenFederation:
 
     def _submit(self, session: Session, query: Query, options: QueryOptions) -> QueryHandle:
         kind = self._classify(query)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("federation is closed")
-            query_id = next(self._query_counter)
+        query_id = self._admit()
         cancel = threading.Event()
         cursor = Cursor(fetch_size=options.fetch_size)
         handle = QueryHandle(query_id, session, cursor, cancel)
@@ -474,12 +471,10 @@ class PolygenFederation:
             )
         except RuntimeError:
             # Lost the race with close(): the coordinator pool shut down
-            # between our closed-check and the submit.  Nothing was counted
-            # yet (counters are monotone and only move after a successful
-            # dispatch), so just surface the service-level error.
-            raise ServiceClosedError("federation is closed") from None
-        self._m_submitted.inc()
-        self._m_active.inc()
+            # between the admission's closed-check and the submit.
+            error = ServiceClosedError("federation is closed")
+            self._conclude(error)
+            raise error from None
         future.add_done_callback(self._settle)
         handle._bind(future)
         return handle
@@ -493,31 +488,44 @@ class PolygenFederation:
         holds no service threads beyond the worker pool the concurrent
         engine warms up).  Counted in :meth:`stats` like any submission.
         """
-        options = options or self.defaults
-        kind = self._classify(query)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("federation is closed")
-            next(self._query_counter)
-        self._m_submitted.inc()
-        self._m_active.inc()
+        return self._run(query, self._classify(query), options or self.defaults)
+
+    def _run(self, query: Query, kind: str, options: QueryOptions) -> QueryResult:
+        """:meth:`run` with the query's ``kind`` fixed by the caller."""
+        self._admit()
         try:
             # No cursor (nobody could read it before this returns) and no
             # cancel event (nobody else holds a handle to set it) — the
             # executors then skip batch slicing and cancellation polling.
             result = self._run_query(query, kind, options, None, None)
         except BaseException as exc:
-            self._m_active.dec()
-            status = (
-                "cancelled"
-                if isinstance(exc, QueryCancelledError)
-                else "failed"
-            )
-            self._m_finished.inc(status=status)
+            self._conclude(exc)
             raise
-        self._m_active.dec()
-        self._m_finished.inc(status="completed")
+        self._conclude(None)
         return result
+
+    def _admit(self) -> int:
+        """Admission, shared by :meth:`run` and :meth:`_submit`: refuse
+        once closed, number the query, count it submitted and active."""
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("federation is closed")
+            query_id = next(self._query_counter)
+        self._m_submitted.inc()
+        self._m_active.inc()
+        return query_id
+
+    def _conclude(self, error: BaseException | None) -> None:
+        """Count an admitted query's outcome: completed (no ``error``),
+        cancelled or failed."""
+        self._m_active.dec()
+        if error is None:
+            status = "completed"
+        elif isinstance(error, (QueryCancelledError, CancelledError)):
+            status = "cancelled"
+        else:
+            status = "failed"
+        self._m_finished.inc(status=status)
 
     def _run_query(
         self,
@@ -790,17 +798,7 @@ class PolygenFederation:
     def _settle(self, future) -> None:
         """Done-callback classifying every query's outcome (including ones
         cancelled before their coordinator ever ran them)."""
-        self._m_active.dec()
-        if future.cancelled():
-            self._m_finished.inc(status="cancelled")
-            return
-        error = future.exception()
-        if error is None:
-            self._m_finished.inc(status="completed")
-        elif isinstance(error, QueryCancelledError):
-            self._m_finished.inc(status="cancelled")
-        else:
-            self._m_finished.inc(status="failed")
+        self._conclude(CancelledError() if future.cancelled() else future.exception())
 
     # -- observability ------------------------------------------------------
 

@@ -10,7 +10,8 @@ Supports the SQL subset the paper's polygen queries use (§I, §III)::
                | attr IN ( <nested SELECT> )
 
 Keywords are case-insensitive; string literals accept double or single
-quotes.  :func:`parse_sql` produces the AST in :mod:`repro.sql.ast`; the
+quotes.  The scanner is the algebra's (:mod:`repro.algebra_lang.lexer`),
+bound to SQL's punctuation and folded keywords.  :func:`parse_sql` produces the AST in :mod:`repro.sql.ast`; the
 translation to polygen algebra lives in :mod:`repro.translate`; the
 reverse direction — rendering LQP verbs to parameterized SQLite SQL for
 pushdown into a real SQL engine — lives in :mod:`repro.sql.render`.

@@ -4,72 +4,50 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.algebra_lang.lexer import Language, TokenStream, TokenType
 from repro.core.predicate import Theta
 from repro.errors import SqlParseError
 from repro.sql.ast import ComparisonPredicate, InPredicate, Predicate, SelectStatement
-from repro.sql.lexer import SqlToken, SqlTokenType, tokenize_sql
 
 __all__ = ["parse_sql"]
 
 
-class _Parser:
-    def __init__(self, tokens: List[SqlToken], text: str):
-        self._tokens = tokens
-        self._text = text
-        self._pos = 0
+#: The SQL subset's lexical binding; its keywords are case-insensitive.
+SQL = Language(
+    punctuation=frozenset("(),*"),
+    keywords=frozenset({"SELECT", "FROM", "WHERE", "AND", "IN"}),
+    fold=True,
+    error=SqlParseError,
+)
 
-    def _peek(self) -> SqlToken:
-        return self._tokens[self._pos]
 
-    def _advance(self) -> SqlToken:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def _expect(self, token_type: SqlTokenType, value=None) -> SqlToken:
-        token = self._peek()
-        if token.type is not token_type or (value is not None and token.value != value):
-            raise SqlParseError(
-                f"expected {value or token_type.name}, found {token.value!r}",
-                token.position,
-                self._text,
-            )
-        return self._advance()
-
-    # -- grammar ---------------------------------------------------------------
-
+class _Parser(TokenStream):
     def parse(self) -> SelectStatement:
-        statement = self._select()
-        end = self._peek()
-        if end.type is not SqlTokenType.END:
-            raise SqlParseError(
-                f"unexpected trailing input {end.value!r}", end.position, self._text
-            )
-        return statement
+        return self._at_end(self._select())
 
     def _select(self) -> SelectStatement:
-        self._expect(SqlTokenType.KEYWORD, "SELECT")
+        self._expect(TokenType.KEYWORD, "SELECT")
         select_list: List[str] = []
-        if self._peek().type is SqlTokenType.STAR:
+        if self._peek().type is TokenType.STAR:
             self._advance()
         else:
-            select_list.append(self._expect(SqlTokenType.NAME).value)
-            while self._peek().type is SqlTokenType.COMMA:
+            select_list.append(self._expect(TokenType.NAME).value)
+            while self._peek().type is TokenType.COMMA:
                 self._advance()
-                select_list.append(self._expect(SqlTokenType.NAME).value)
+                select_list.append(self._expect(TokenType.NAME).value)
 
-        self._expect(SqlTokenType.KEYWORD, "FROM")
-        tables = [self._expect(SqlTokenType.NAME).value]
-        while self._peek().type is SqlTokenType.COMMA:
+        self._expect(TokenType.KEYWORD, "FROM")
+        tables = [self._expect(TokenType.NAME).value]
+        while self._peek().type is TokenType.COMMA:
             self._advance()
-            tables.append(self._expect(SqlTokenType.NAME).value)
+            tables.append(self._expect(TokenType.NAME).value)
 
         predicates: List[Predicate] = []
-        if self._peek().type is SqlTokenType.KEYWORD and self._peek().value == "WHERE":
+        if self._peek().type is TokenType.KEYWORD and self._peek().value == "WHERE":
             self._advance()
             predicates.append(self._predicate())
             while (
-                self._peek().type is SqlTokenType.KEYWORD
+                self._peek().type is TokenType.KEYWORD
                 and self._peek().value == "AND"
             ):
                 self._advance()
@@ -78,21 +56,21 @@ class _Parser:
         return SelectStatement(tuple(select_list), tuple(tables), tuple(predicates))
 
     def _predicate(self) -> Predicate:
-        attribute = self._expect(SqlTokenType.NAME).value
+        attribute = self._expect(TokenType.NAME).value
         token = self._peek()
-        if token.type is SqlTokenType.KEYWORD and token.value == "IN":
+        if token.type is TokenType.KEYWORD and token.value == "IN":
             self._advance()
-            self._expect(SqlTokenType.LPAREN)
+            self._expect(TokenType.LPAREN)
             subquery = self._select()
-            self._expect(SqlTokenType.RPAREN)
+            self._expect(TokenType.RPAREN)
             return InPredicate(attribute, subquery)
-        if token.type is SqlTokenType.THETA:
+        if token.type is TokenType.THETA:
             theta = Theta.from_symbol(self._advance().value)
             operand = self._peek()
-            if operand.type in (SqlTokenType.STRING, SqlTokenType.NUMBER):
+            if operand.type in (TokenType.STRING, TokenType.NUMBER):
                 self._advance()
                 return ComparisonPredicate(attribute, theta, operand.value, False)
-            right = self._expect(SqlTokenType.NAME).value
+            right = self._expect(TokenType.NAME).value
             return ComparisonPredicate(attribute, theta, right, True)
         raise SqlParseError(
             f"expected a comparison or IN after {attribute!r}, found {token.value!r}",
@@ -107,4 +85,4 @@ def parse_sql(text: str) -> SelectStatement:
     >>> parse_sql('SELECT CEO FROM PORGANIZATION WHERE CEO = "John Reed"').render()
     'SELECT CEO FROM PORGANIZATION WHERE CEO = "John Reed"'
     """
-    return _Parser(tokenize_sql(text), text).parse()
+    return _Parser(text, SQL).parse()

@@ -78,16 +78,14 @@ class TestDeduplication:
 
 class TestSemanticsPreserved:
     def test_optimized_plan_gives_same_relation_and_tags(self):
-        pqp_naive = build_paper_federation()
-        pqp_naive._optimizer = None  # disable optimization
+        pqp_naive = build_paper_federation(optimize=False)
         pqp_opt = build_paper_federation()
         naive = pqp_naive.run_algebra(SELF_UNION)
         optimized = pqp_opt.run_algebra(SELF_UNION)
         assert naive.relation == optimized.relation
 
     def test_optimized_plan_ships_fewer_tuples(self):
-        pqp_naive = build_paper_federation()
-        pqp_naive._optimizer = None
+        pqp_naive = build_paper_federation(optimize=False)
         pqp_opt = build_paper_federation()
         pqp_naive.run_algebra(SELF_UNION)
         pqp_opt.run_algebra(SELF_UNION)
@@ -276,8 +274,7 @@ class TestThroughMergeReplication:
         assert report.selects_pushed_through_merge == 0
 
     def test_result_and_tags_identical_and_ships_fewer_tuples(self):
-        naive_pqp = build_paper_federation()
-        naive_pqp._optimizer = None
+        naive_pqp = build_paper_federation(optimize=False)
         opt_pqp = build_paper_federation()
         naive = naive_pqp.run_algebra(self.KEY_SELECT)
         optimized = opt_pqp.run_algebra(self.KEY_SELECT)
@@ -328,8 +325,7 @@ class TestProjectionPruning:
         from tests.integration.conftest import PAPER_ALGEBRA
 
         baseline = build_paper_federation()
-        pruned = build_paper_federation()
-        pruned._optimizer = self._optimizer()
+        pruned = build_paper_federation(prune_projections=True)
         base_run = baseline.run_algebra(PAPER_ALGEBRA)
         pruned_run = pruned.run_algebra(PAPER_ALGEBRA)
         assert pruned_run.relation == base_run.relation

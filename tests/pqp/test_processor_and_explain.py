@@ -8,6 +8,7 @@ from repro.datasets.paper import (
     paper_identity_resolver,
     paper_polygen_schema,
 )
+from repro.errors import AlgebraParseError, SqlParseError
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.explain import explain_cell, explain_result, explain_tuple, source_summary
@@ -15,7 +16,7 @@ from repro.pqp.optimizer import OptimizationReport
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.service.options import QueryOptions
 
-from tests.integration.conftest import PAPER_SQL
+from tests.integration.conftest import PAPER_ALGEBRA, PAPER_SQL
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,46 @@ class TestFacadeOptions:
         assert plain.optimization is None
         assert plain.relation == optimized.relation
         assert plain.lineage == optimized.lineage
+
+
+class TestFacadeFrontEnd:
+    """run_sql and run_algebra prepare through the federation's memoized
+    front end and are admitted and counted like a session's queries."""
+
+    @staticmethod
+    def _root(result):
+        [root] = [span for span in result.trace.spans if span.parent_id is None]
+        return root
+
+    def test_repeated_sql_is_planned_once(self):
+        pqp = build_paper_federation()
+        cold = pqp.run_sql(PAPER_SQL)
+        warm = pqp.run_sql(PAPER_SQL)
+        stages = {span.name for span in cold.trace.spans}
+        assert {"translate", "analyze", "plan", "optimize"} <= stages
+        assert self._root(warm).attributes["plan"] == "memo"
+        assert 'polygen_plan_memo_total{outcome="hit"} 1' in pqp.federation.metrics_text()
+        assert warm.relation == cold.relation and warm.lineage == cold.lineage
+        assert warm.sql == PAPER_SQL and warm.translation is cold.translation
+
+    def test_run_sql_keeps_its_kind(self):
+        pqp = build_paper_federation()
+        with pytest.raises(SqlParseError):
+            pqp.run_sql('PALUMNUS [DEGREE = "MBA"]')
+        stats = pqp.federation.stats()
+        assert (stats.queries_submitted, stats.queries_failed) == (1, 1)
+
+    def test_run_algebra_keeps_its_kind(self):
+        pqp = build_paper_federation()
+        with pytest.raises(AlgebraParseError):
+            pqp.run_algebra("SELECT CEO FROM PORGANIZATION")
+        assert pqp.federation.stats().queries_failed == 1
+
+    def test_no_private_optimizer_slot(self):
+        pqp = build_paper_federation(optimize=False)
+        assert not hasattr(pqp, "_optimizer")
+        iom = pqp.plan(pqp.analyze(PAPER_ALGEBRA)[1])
+        assert pqp.optimize(iom) == (iom, None)
 
 
 class TestExplain:

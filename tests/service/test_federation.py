@@ -15,6 +15,7 @@ from repro.errors import (
     ExecutionError,
     QueryCancelledError,
     ServiceClosedError,
+    SqlParseError,
     TranslationError,
 )
 from repro.lqp.cost import LatencyLQP
@@ -185,6 +186,13 @@ class TestSubmission:
             with pytest.raises(TranslationError):
                 handle.result(timeout=30)
             assert isinstance(handle.exception(), TranslationError)
+
+    def test_non_decimal_digit_is_a_parse_error_through_handles(self):
+        # "²" passes str.isdigit() but not int(); it is no digit of a number.
+        with _federation() as federation, federation.session() as session:
+            handle = session.submit("SELECT ONAME FROM PFINANCE WHERE YEAR = ²")
+            with pytest.raises(SqlParseError, match="unexpected character '²'"):
+                handle.result(timeout=30)
 
     def test_concurrent_and_serial_sessions_agree(self, reference):
         with _federation() as federation:

@@ -8,7 +8,7 @@ import pytest
 from repro.core.relation import PolygenRelation
 from repro.errors import ServiceClosedError
 from repro.service.cursor import Cursor
-from repro.service.pool import WorkerPool
+from repro.service import WorkerPool
 
 
 class TestWorkerPool:
