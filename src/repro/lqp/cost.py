@@ -131,9 +131,9 @@ class _AccountedChunkStream:
 class ForwardingLQP(LocalQueryProcessor):
     """An LQP that delegates everything to an inner LQP.
 
-    The base of every decorator: identity, capabilities, concurrency and
-    catalog calls pass straight through, so decoration never masks the
-    wrapped engine; the three relation verbs forward their arguments
+    The base of every decorator: identity, capabilities, concurrency,
+    overlap and catalog calls pass straight through, so decoration never
+    masks the wrapped engine; the three relation verbs forward their arguments
     unchanged (``columns=`` included, which the caller only sends to an
     engine reporting ``native_projection``) and hand the shipped relation
     to :meth:`_shipped` — the one hook a subclass overrides.
@@ -153,6 +153,10 @@ class ForwardingLQP(LocalQueryProcessor):
     @property
     def native_concurrency(self) -> int:
         return self._inner.native_concurrency
+
+    @property
+    def overlaps(self) -> bool:
+        return self._inner.overlaps
 
     def capabilities(self) -> Capabilities:
         return self._inner.capabilities()
@@ -214,8 +218,11 @@ class LatencyLQP(ForwardingLQP):
     seconds model marshalling + transfer of each shipped tuple, so a
     request costs ``per_query + per_tuple · tuples`` seconds of real wall
     clock.  Catalog lookups stay free, as metadata would be, and whole
-    verbs are delayed: there are no chunk-stream verbs.
+    verbs are delayed: there are no chunk-stream verbs.  The sleep
+    releases the interpreter lock, so the wrapped source ``overlaps``.
     """
+
+    overlaps = True
 
     def __init__(
         self, inner: LocalQueryProcessor, per_query: float = 0.01, per_tuple: float = 0.0

@@ -192,6 +192,9 @@ class RemoteLQP(LocalQueryProcessor):
     def native_concurrency(self) -> int:
         return self._mux.concurrency
 
+    #: A request waits on a socket, outside the interpreter lock.
+    overlaps = True
+
     def relation_names(self) -> Tuple[str, ...]:
         return self._relations
 

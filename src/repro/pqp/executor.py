@@ -179,6 +179,13 @@ class _PlanRun:
         self._parent = current_span()
         self._origin = time.perf_counter() if self._parent is None else now()
 
+    def scheduled(self, scheduler: str) -> None:
+        """Name the scheduler running this plan (``"inline"``,
+        ``"pooled"`` or ``"stream"``) on the ambient span, so a trace shows
+        which one ran it."""
+        if self._parent is not None:
+            self._parent.set(scheduler=scheduler)
+
     def check_cancel(self) -> None:
         if self.halted or (self._cancel is not None and self._cancel.is_set()):
             raise QueryCancelledError("query cancelled")
@@ -388,8 +395,10 @@ class Executor:
         if chain is not None:
             # The chunk pipeline runs inline on the submitting thread, so
             # this engine's spine rows keep its "serial" worker label.
+            run.scheduled("stream")
             run.stream(chain, "serial", on_chunk, stream_chunk_size)
         else:
+            run.scheduled("inline")
             for row in iom:
                 run.run(row, "serial")
         return run.trace()

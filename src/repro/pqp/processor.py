@@ -24,9 +24,10 @@ facade queries too: ``run_sql`` and ``run_algebra`` fix the query's kind,
 and a repeated text reuses its prepared plan, traced and counted like a
 session's query.  Signature and behaviour are unchanged —
 including the serial-by-default engine — with one improvement inherited
-from the service layer: a ``concurrent=True`` processor now keeps its
+from the service layer: a ``concurrent=True`` processor keeps its
 per-database (daemon) worker threads warm across queries instead of
-spawning and joining them per ``execute()``.  Multi-user work (concurrent
+spawning and joining them per ``execute()``, and over in-process sources,
+whose plans run inline, starts none.  Multi-user work (concurrent
 sessions, future-like handles, streaming cursors, service stats) lives on
 :class:`~repro.service.federation.PolygenFederation` directly.
 """

@@ -1,43 +1,51 @@
 """The concurrent federated execution runtime.
 
 The paper's Figure-1 architecture routes local operations to *autonomous*
-LQPs — engines that serve requests independently of one another.  The
-serial :class:`~repro.pqp.executor.Executor` walks the Intermediate
-Operation Matrix row by row and therefore waits on every local round-trip;
-:class:`ConcurrentExecutor` instead drives the plan DAG
-(:class:`~repro.pqp.plandag.PlanDAG`) event-driven:
+LQPs — engines that serve requests independently of one another.  In one
+Python process that independence pays only where a source's verbs run
+outside the interpreter lock (a socket, a file, a sleep): such a source
+says :attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`.
+:class:`ConcurrentExecutor` therefore chooses a scheduler per plan:
 
-- every local database gets **one worker thread** (matching the paper's
-  single-connection assumption: rows at the same LQP queue, rows at
-  different LQPs overlap) — unless its LQP advertises
-  ``native_concurrency > 1`` (a network-multiplexed
-  :class:`~repro.net.client.RemoteLQP`), in which case its worker group
-  widens to that many threads and same-database rows overlap in flight
-  over the LQP's single multiplexed connection,
-- a local row (Retrieve / single-comparison Select) is dispatched to its
-  database's worker the moment every ``R(#)`` it consumes is ready,
-- PQP rows (the polygen algebra over earlier results) run on the
-  coordinating thread as their inputs complete — within one plan the PQP
-  is a serial resource.
+- a plan with **fewer than two local rows at overlapping sources** runs
+  *inline* on the calling thread, row by row in
+  :meth:`~repro.pqp.plandag.PlanDAG.topological_order` (worker
+  ``"serial"``) — in-process sources cannot overlap, so a hand-off to a
+  pool worker and back would be pure cost;
+- every other plan is *pooled*: the executor drives the plan DAG
+  (:class:`~repro.pqp.plandag.PlanDAG`) event-driven, dispatching a local
+  row to its database's worker the moment every ``R(#)`` it consumes is
+  ready, while PQP rows (the polygen algebra over earlier results) run on
+  the coordinating thread as their inputs complete.  Every database gets
+  **one worker thread** (the paper's single-connection assumption: rows
+  at the same LQP queue, rows at different LQPs overlap) unless its LQP
+  advertises ``native_concurrency > 1`` (a network-multiplexed
+  :class:`~repro.net.client.RemoteLQP`), whose worker group widens to that
+  many threads over the LQP's single multiplexed connection;
+- a streamable spine with a chunk consumer streams (:mod:`repro.pqp.stream`)
+  whatever its sources.
 
 The worker threads live in the :class:`~repro.pqp.pool.WorkerPool` the
 executor is given — the one a :class:`~repro.service.federation.
 PolygenFederation` shares across every query — so its long-lived workers
 survive across queries, many plans execute at once with zero thread churn,
 and same-database rows of *different* queries queue on that database's
-single connection.  The pool's owner closes it, never ``execute()``.
+single connection.  A federation whose sources are all in-process never
+starts a worker.  The pool's owner closes it, never ``execute()``.
 
 Results are bit-for-bit the serial executor's — same relations, same tags,
-same lineage — because both engines run every row through the one run
+same lineage — because every scheduler runs each row through the one run
 record (:class:`~repro.pqp.executor._PlanRun`); this module only decides
-when and on which thread, so only the wall-clock interleaving differs.  The returned
-:class:`~repro.pqp.executor.ExecutionTrace` carries measured per-row
-timings: its ``wall_clock`` against its ``busy_time`` is the overlap the
-runtime actually achieved.
+when and on which thread, so only the wall-clock interleaving differs.  The
+returned :class:`~repro.pqp.executor.ExecutionTrace` carries measured
+per-row timings: its ``wall_clock`` against its ``busy_time`` is the
+overlap the runtime actually achieved.  The ambient span (the
+federation's ``execute`` stage) gets ``scheduler="inline" | "pooled" |
+"stream"``.
 
 Two keyword hooks support the service layer's handles and cursors:
 ``cancel`` (a :class:`threading.Event`) aborts cooperatively — checked
-before every dispatch and at the head of every queued local job, so a
+before every row and at the head of every queued local job, so a
 cancelled plan stops issuing LQP traffic without interrupting an in-flight
 local call — and ``on_result`` fires with the final relation the instant
 the plan's result row completes, before the remaining bookkeeping, which
@@ -64,15 +72,17 @@ __all__ = ["ConcurrentExecutor"]
 
 
 class ConcurrentExecutor(Executor):
-    """DAG-driven executor dispatching local rows to per-database workers.
+    """DAG-driven executor dispatching local rows to per-database workers
+    when two or more of them can overlap, and running the plan inline
+    otherwise.
 
     Drop-in for :class:`~repro.pqp.executor.Executor`: same constructor
     (plus the required worker ``pool``), same ``execute(iom) ->
     ExecutionTrace`` contract, tag-identical results.  Unlike the serial
-    executor it evaluates rows in DAG order, so a plan whose rows are
-    listed out of dependency order still runs — but the *query result*
-    remains the last **listed** row in either engine (the matrix
-    convention), so list the result row last.
+    executor it evaluates rows in DAG order under either scheduler, so a
+    plan whose rows are listed out of dependency order still runs — but
+    the *query result* remains the last **listed** row in either engine
+    (the matrix convention), so list the result row last.
 
     ``execute`` is reentrant: a federation shares one instance across many
     coordinator threads, each call keeping its state on its own stack.
@@ -94,6 +104,12 @@ class ConcurrentExecutor(Executor):
         many, so same-database rows overlap in flight."""
         return max(1, self._registry.get(row.el).native_concurrency)
 
+    def _overlapping_rows(self, iom: IntermediateOperationMatrix) -> int:
+        """How many of ``iom``'s local rows sit at sources that can
+        overlap (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`)."""
+        registry = self._registry
+        return sum(1 for row in iom if row.is_local and registry.get(row.el).overlaps)
+
     def execute(
         self,
         iom: IntermediateOperationMatrix,
@@ -109,9 +125,27 @@ class ConcurrentExecutor(Executor):
             # A streamable spine is a linear chain — it has no parallelism
             # for the DAG scheduler to exploit, so pipelined chunk flow
             # (first rows before the scan completes) strictly wins.
+            run.scheduled("stream")
             run.stream(chain, "stream", on_chunk, stream_chunk_size)
-            return run.trace()
-        dag = PlanDAG.from_iom(iom)
+        elif self._overlapping_rows(iom) < 2:
+            # In-process sources cannot overlap under the interpreter lock,
+            # so a hand-off to a pool worker and back buys nothing: run the
+            # rows here, in dependency order, as the DAG loop would.
+            run.scheduled("inline")
+            dag = PlanDAG.from_iom(iom)
+            for index in dag.topological_order():
+                run.run(dag.row(index), "serial")
+        else:
+            run.scheduled("pooled")
+            self._run_pooled(run, PlanDAG.from_iom(iom), cancel)
+        return run.trace()
+
+    def _run_pooled(
+        self, run: _PlanRun, dag: PlanDAG, cancel: threading.Event | None
+    ) -> None:
+        """Drive ``dag`` event-driven: local rows on the pool's workers,
+        PQP rows here on the coordinator, each the moment its inputs are
+        ready."""
         waiting: Dict[int, int] = {
             index: len(set(dag.predecessors(index))) for index in dag.indices
         }
@@ -168,4 +202,3 @@ class ConcurrentExecutor(Executor):
         except BaseException:
             run.halted = True
             raise
-        return run.trace()

@@ -12,7 +12,11 @@ local databases — realized as one long-lived object:
   :class:`~repro.pqp.pool.WorkerPool` (a single long-lived worker
   thread per local database — the paper's one-connection-per-source
   assumption, with zero per-query thread churn) and a bounded coordinator
-  pool that drives up to ``max_concurrent_queries`` plan DAGs at once;
+  pool that drives up to ``max_concurrent_queries`` plans at once.  Only
+  a plan with two or more local rows at sources that overlap (remote
+  servers, SQLite files) reaches the worker pool; every other plan runs
+  inline on its coordinator, so a federation of in-process sources never
+  starts a worker;
 - clients open lightweight :class:`~repro.service.session.Session`\\ s and
   ``submit()`` SQL text, algebra (text or tree), or pre-built plans;
   behaviour knobs are a per-call
@@ -24,9 +28,9 @@ very same serial or DAG-driven executor code path, so results — data,
 headings *and tags* — are bit-for-bit what the blocking
 :class:`~repro.pqp.processor.PolygenQueryProcessor` produces (that facade
 is, in fact, now a single-session federation).  What changes is
-*inter-query* behaviour: plans from many sessions execute concurrently,
-their local rows interleaving on the shared per-database workers, one
-request per database at a time.
+*inter-query* behaviour: plans from many sessions execute concurrently on
+their coordinators, and the local rows of pooled plans interleave on the
+shared per-database workers, one request per database at a time.
 
 :meth:`PolygenFederation.stats` reports queries served, per-LQP busy-time
 utilization (aggregated from every completed trace's measured row timings)
@@ -125,8 +129,9 @@ class FederationStats:
     def utilization(self) -> Dict[str, float]:
         """location → fraction of the federation's uptime it spent busy.
 
-        Can exceed 1.0: serial-engine queries run their local rows on the
-        coordinating thread rather than the pool, so several threads may
+        Can exceed 1.0: only pooled plans (two or more local rows at
+        overlapping sources) run their local rows on the pool; every other
+        plan runs them on its coordinating thread, so several threads may
         be inside the same location at once.
         """
         if self.uptime_seconds <= 0:
@@ -413,8 +418,10 @@ class PolygenFederation:
     def executor_for(self, options: QueryOptions | None = None) -> Executor:
         """The (cached, reentrant) execution engine ``options`` selects.
 
-        Concurrent engines dispatch into the federation's shared worker
-        pool; serial engines run on the submitting coordinator thread.
+        A concurrent engine dispatches into the federation's shared worker
+        pool the plans with two or more local rows at overlapping sources
+        and runs the rest on the coordinator; a serial engine runs every
+        plan on the coordinator.
         """
         options = options or self.defaults
         key = (options.engine, options.policy)
@@ -482,11 +489,12 @@ class PolygenFederation:
     def run(self, query: Query, options: QueryOptions | None = None) -> QueryResult:
         """Execute ``query`` synchronously on the *calling* thread.
 
-        The single-user path: no coordinator is involved (so a process
+        The single-user path: no coordinator is involved, so a process
         that only ever calls ``run`` — e.g. through the
         :class:`~repro.pqp.processor.PolygenQueryProcessor` facade —
-        holds no service threads beyond the worker pool the concurrent
-        engine warms up).  Counted in :meth:`stats` like any submission.
+        holds no service threads beyond the pool workers that plans with
+        two or more rows at overlapping sources start; over in-process
+        sources, none.  Counted in :meth:`stats` like any submission.
         """
         return self._run(query, self._classify(query), options or self.defaults)
 

@@ -34,10 +34,13 @@ _CACHE_MODES = ("off", "on", "refresh")
 class QueryOptions:
     """How one query should be planned and executed.
 
-    - ``engine`` — ``"concurrent"`` drives the plan DAG over the shared
-      per-database worker pool (the service default); ``"serial"`` walks
-      the matrix row by row on the coordinating thread, exactly as the
-      paper describes.
+    - ``engine`` — ``"concurrent"`` (the service default) runs a plan in
+      dependency order on the coordinating thread unless two or more of
+      its local rows sit at sources that overlap (a ``polygen://`` server,
+      a SQLite file, a :class:`~repro.lqp.cost.LatencyLQP`); only such a
+      plan drives its DAG over the shared per-database worker pool.
+      ``"serial"`` always walks the matrix row by row on the coordinating
+      thread, exactly as the paper describes.
     - ``optimize`` / ``prune_projections`` — the optimizer master switch
       and its one optional rewrite (dead-column pruning at
       materialization).

@@ -7,7 +7,8 @@ and a record of outstanding queries, while all heavy state — schema,
 registry, worker pool, coordinators, tag pool — stays on the shared
 federation.  Opening a session allocates no threads; closing one cancels
 whatever it still has in flight.  Many sessions submit concurrently; their
-plans interleave on the shared per-database workers.
+plans run on the federation's coordinators, and those with rows at
+overlapping sources interleave on the shared per-database workers.
 """
 
 from __future__ import annotations

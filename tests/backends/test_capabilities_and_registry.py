@@ -113,6 +113,42 @@ class TestWrapperDelegation:
         assert not registry.get("XD").capabilities().native_select
 
 
+class TestOverlaps:
+    """Whether a source's verbs run outside the interpreter lock: not a
+    capability of the engine but of the client's path to it, declared per
+    source kind and kept by every wrapper."""
+
+    @pytest.mark.parametrize(
+        "factory, overlaps",
+        [
+            (lambda db, tmp: RelationalLQP(db), False),
+            (lambda db, tmp: CsvLQP("XD", {"R": "K,V\n1,a\n"}), False),
+            (lambda db, tmp: KVStoreLQP.from_database(db), False),
+            # A log store replays its segments into memory when it opens.
+            (lambda db, tmp: LogStoreLQP.from_database(db, str(tmp / "log")), False),
+            (lambda db, tmp: SqliteLQP.from_database(db), False),
+            (lambda db, tmp: SqliteLQP.from_database(db, str(tmp / "x.db")), True),
+        ],
+        ids=["relational", "csv", "kv", "log", "sqlite-memory", "sqlite-file"],
+    )
+    def test_each_source_kind_through_its_wrappers(self, tmp_path, factory, overlaps):
+        inner = factory(_database(), tmp_path)
+        try:
+            registry = LQPRegistry()
+            registry.register(inner)
+            assert inner.overlaps is overlaps
+            assert AccountingLQP(inner).overlaps is overlaps
+            assert registry.get("XD").overlaps is overlaps
+            # The sleep releases the lock, whatever the engine underneath.
+            assert LatencyLQP(inner, per_query=0.0).overlaps is True
+            assert AccountingLQP(LatencyLQP(inner, per_query=0.0)).overlaps is True
+        finally:
+            getattr(inner, "close", lambda: None)()
+
+    def test_overlap_is_not_a_capability_flag(self):
+        assert "overlaps" not in Capabilities().to_dict()
+
+
 class TestRegistryUrls:
     def test_sqlite_url_opens_and_queries(self, tmp_path):
         path = tmp_path / "store.db"
@@ -183,6 +219,12 @@ class TestWireCapabilities:
         assert remote.native_projection
         # Honest pass-through for the power the wire cannot confer.
         assert remote.signals_writes == inner.capabilities().signals_writes
+
+    def test_a_remote_source_overlaps_whatever_it_serves(self, loopback):
+        inner, client = loopback
+        assert not inner.overlaps
+        assert client.overlaps is True
+        assert AccountingLQP(client).overlaps is True
 
     def test_remote_capabilities_are_cached(self, loopback):
         _, client = loopback

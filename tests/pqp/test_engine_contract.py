@@ -2,14 +2,17 @@
 
 A plan row is run in exactly one place (the executor's per-plan run
 record); the inline, pooled and pipelined schedulers differ only in when
-and where they call it.  Everything a caller can observe about *how a
-row ran* — cancellation, error wrapping, ``on_result``, spans, timings,
-worker labels — is therefore asserted here against all of them, instead
-of once per engine in each engine's own file.
+and where they call it.  The concurrent engine runs a plan inline unless
+two of its local rows sit at sources that overlap, so it appears twice:
+over an in-process probe, and over a probe that says it overlaps.
+Everything a caller can observe about *how a row ran* — cancellation,
+error wrapping, ``on_result``, spans, timings, worker labels — is
+therefore asserted here against all of them, instead of once per engine
+in each engine's own file.
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import pytest
@@ -101,8 +104,9 @@ def merge_plan(projected=("ANAME", "MAJOR")):
 class ProbeLQP(RelationalLQP):
     """Counts the verbs it serves; optionally runs a hook or fails first."""
 
-    def __init__(self, database, before=None, error=None):
+    def __init__(self, database, before=None, error=None, overlaps=False):
         super().__init__(database)
+        self.overlaps = overlaps
         self.calls = 0
         self.before = before
         self.error = error
@@ -129,11 +133,23 @@ class Scheduler:
     #: with: the row itself — except in a stream, which fails as the one
     #: unit its single span describes and is labelled by its head row.
     kernel_failure_label: Tuple[str, str]
+    #: whether the probe at AD overlaps; both of the plan's local rows
+    #: sit there, so the concurrent engine pools exactly when it does.
+    overlaps: bool = False
+
+    @property
+    def runs(self) -> str:
+        """The scheduler the engine picks, as the ambient span names it."""
+        if self.streams:
+            return "stream"
+        if self.engine is ConcurrentExecutor and self.overlaps:
+            return "pooled"
+        return "inline"
 
     def worker_ok(self, row, worker):
         if self.streams:
             return worker == ("stream" if self.engine is ConcurrentExecutor else "serial")
-        if self.engine is Executor:
+        if self.runs == "inline":
             return worker == "serial"
         if not row.is_local:
             return worker == "pqp"
@@ -142,7 +158,17 @@ class Scheduler:
 
 SCHEDULERS = [
     Scheduler("inline", Executor, merge_plan, False, ("R(4)", "Project")),
-    Scheduler("pooled", ConcurrentExecutor, merge_plan, False, ("R(4)", "Project")),
+    Scheduler(
+        "inline-concurrent", ConcurrentExecutor, merge_plan, False, ("R(4)", "Project")
+    ),
+    Scheduler(
+        "pooled",
+        ConcurrentExecutor,
+        merge_plan,
+        False,
+        ("R(4)", "Project"),
+        overlaps=True,
+    ),
     Scheduler("pipelined-inline", Executor, spine_plan, True, ("R(1)", "Retrieve")),
     Scheduler("pipelined-pooled", ConcurrentExecutor, spine_plan, True, ("R(1)", "Retrieve")),
 ]
@@ -156,7 +182,9 @@ class Harness:
         self.scheduler = scheduler
         self.registry = LQPRegistry()
         databases = paper_databases()
-        self.probe = ProbeLQP(databases.pop("AD"), **probe)
+        self.probe = ProbeLQP(
+            databases.pop("AD"), overlaps=scheduler.overlaps, **probe
+        )
         self.registry.register(source_url or self.probe)
         for database in databases.values():
             self.registry.register(RelationalLQP(database))
@@ -300,6 +328,12 @@ class TestRecord:
             assert timing.location == (row.el if row.is_local else "PQP")
             assert engine.scheduler.worker_ok(row, timing.worker)
 
+    def test_the_ambient_span_names_the_scheduler(self, harness):
+        engine = harness()
+        with Tracer().start("execute") as root:
+            engine.execute()
+        assert root.attributes["scheduler"] == engine.scheduler.runs
+
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS, ids=lambda s: s.name)
 def test_a_polygen_url_source_on_the_binary_wire_leaves_the_same_record(
@@ -326,9 +360,11 @@ def test_a_polygen_url_source_on_the_binary_wire_leaves_the_same_record(
     for row in scheduler.plan():
         timing = trace.timings[row.result.index]
         assert timing.location == (row.el if row.is_local else "PQP")
-        # A remote source multiplexes, so its pool workers are numbered
+        # A remote source overlaps, so the concurrent engine pools the
+        # plan, and multiplexes, so its pool workers are numbered
         # ("lqp-0-AD#2"); the label is otherwise the in-process one.
-        assert scheduler.worker_ok(row, timing.worker.split("#")[0])
+        remote = replace(scheduler, overlaps=True)
+        assert remote.worker_ok(row, timing.worker.split("#")[0])
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,9 @@ from repro.errors import ExecutionError
 from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
+from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix
+from repro.pqp.pool import WorkerPool
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.runtime import ConcurrentExecutor
 
@@ -68,6 +70,68 @@ class TestPool:
     def test_a_pool_is_required(self):
         with pytest.raises(TypeError, match="pool"):
             ConcurrentExecutor(paper_polygen_schema(), _processor().registry)
+
+
+def _registry(overlapping=()) -> LQPRegistry:
+    """The paper's databases in memory, those named in ``overlapping``
+    behind a zero-delay :class:`LatencyLQP` (a source that overlaps)."""
+    registry = LQPRegistry()
+    for name, database in paper_databases().items():
+        lqp = RelationalLQP(database)
+        registry.register(LatencyLQP(lqp, per_query=0.0) if name in overlapping else lqp)
+    return registry
+
+
+class TestSchedulerChoice:
+    """The engine pools a plan only when two of its local rows can overlap.
+    The paper query's plan has three local rows at AD, one at PD and one
+    at CD."""
+
+    @pytest.fixture()
+    def execute(self):
+        with WorkerPool() as pool:
+
+            def run(iom, overlapping=()):
+                executor = ConcurrentExecutor(
+                    paper_polygen_schema(),
+                    _registry(overlapping),
+                    resolver=paper_identity_resolver(),
+                    pool=pool,
+                )
+                return executor.execute(iom), pool.thread_names()
+
+            yield run
+
+    def test_one_overlapping_row_runs_inline(self, execute, serial_run):
+        trace, threads = execute(serial_run.iom, overlapping=("PD",))
+        assert trace.relation == serial_run.relation
+        assert {t.worker for t in trace.timings.values()} == {"serial"}
+        assert threads == ()
+
+    def test_two_overlapping_rows_are_pooled(self, execute, serial_run):
+        trace, threads = execute(serial_run.iom, overlapping=("PD", "CD"))
+        assert trace.relation == serial_run.relation
+        # A pooled plan sends every local row to the pool, AD's included.
+        assert len(threads) == 3
+        for timing in trace.timings.values():
+            expected = "pqp" if timing.location == "PQP" else f"-{timing.location}"
+            assert timing.worker.endswith(expected)
+
+    def test_a_plan_listed_out_of_order_still_answers_inline(self, execute, serial_run):
+        rows = serial_run.iom.rows
+        # Every row before the result, reversed: each is listed ahead of
+        # the rows it consumes, which the serial engine cannot run.
+        shuffled = IntermediateOperationMatrix(list(reversed(rows[:-1])) + [rows[-1]])
+        serial = Executor(
+            paper_polygen_schema(), _registry(), resolver=paper_identity_resolver()
+        )
+        with pytest.raises(ExecutionError):
+            serial.execute(shuffled)
+        trace, threads = execute(shuffled)
+        assert trace.relation == serial_run.relation
+        assert trace.lineage == serial_run.lineage
+        assert {t.worker for t in trace.timings.values()} == {"serial"}
+        assert threads == ()
 
 
 class TestTimings:

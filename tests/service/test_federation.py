@@ -33,15 +33,37 @@ PAPER_ALGEBRA = (
 )
 
 
-def _registry(latency=0.0) -> LQPRegistry:
+#: The eight texts of the benchmark's ``small_sql`` workload.
+_CEO_SQL = (
+    "SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND ONAME IN "
+    "(SELECT ONAME FROM PCAREER WHERE AID# IN "
+    '(SELECT AID# FROM PALUMNUS WHERE DEGREE = "{degree}"))'
+)
+SMALL_SQL = (
+    _CEO_SQL.format(degree="MBA"),
+    _CEO_SQL.format(degree="MS"),
+    _CEO_SQL.format(degree="SF"),
+    'SELECT ANAME, MAJOR FROM PALUMNUS WHERE DEGREE = "MBA"',
+    'SELECT ONAME, INDUSTRY, HEADQUARTERS FROM PORGANIZATION WHERE INDUSTRY = "High Tech"',
+    "SELECT ONAME, PROFIT FROM PFINANCE WHERE YEAR = 1989",
+    "SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME",
+    'SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND DEGREE = "MBA"',
+)
+SPINE_SQL = SMALL_SQL[3]
+
+
+def _registry(latency=None) -> LQPRegistry:
+    """The paper's databases in memory; with a ``latency`` (0.0 included)
+    each sits behind a :class:`LatencyLQP`, a source that overlaps, so
+    the concurrent engine pools plans over them."""
     registry = LQPRegistry()
     for database in paper_databases().values():
         lqp = RelationalLQP(database)
-        registry.register(LatencyLQP(lqp, per_query=latency) if latency else lqp)
+        registry.register(lqp if latency is None else LatencyLQP(lqp, per_query=latency))
     return registry
 
 
-def _federation(latency=0.0, **kwargs) -> PolygenFederation:
+def _federation(latency=None, **kwargs) -> PolygenFederation:
     return PolygenFederation(
         paper_polygen_schema(),
         _registry(latency),
@@ -163,7 +185,7 @@ class TestSubmission:
             assert result.relation.cardinality > 0
 
     def test_per_submit_engine_override(self, reference):
-        with _federation() as federation, federation.session() as session:
+        with _federation(latency=0.0) as federation, federation.session() as session:
             serial = session.execute(PAPER_SQL, engine="serial")
             concurrent = session.execute(PAPER_SQL, engine="concurrent")
         assert serial.relation == concurrent.relation == reference.relation
@@ -280,7 +302,7 @@ class TestLifecycleAndStats:
         federation.close()  # idempotent
 
     def test_close_joins_worker_threads(self):
-        federation = _federation()
+        federation = _federation(latency=0.0)
         session = federation.session()
         session.execute(PAPER_SQL)
         workers = federation.pool.thread_names()
@@ -345,7 +367,7 @@ class TestLifecycleAndStats:
         assert stats.uptime_seconds > 0
 
     def test_stats_report_utilization_and_traffic(self):
-        with _federation() as federation:
+        with _federation(latency=0.0) as federation:
             federation.session().execute(PAPER_SQL)
             stats = federation.stats()
         # Every location that did measured work shows up, including the PQP.
@@ -363,6 +385,48 @@ class TestLifecycleAndStats:
         with _federation() as federation, federation.session() as session:
             with pytest.raises(ExecutionError, match="empty"):
                 session.execute(IntermediateOperationMatrix())
+
+
+class TestSchedulerFollowsSources:
+    """The concurrent engine pools a plan only when two of its local rows
+    sit at sources that overlap; in-process sources never do."""
+
+    def test_an_in_memory_federation_starts_no_pool_thread(self):
+        concurrent = QueryOptions(engine="concurrent")
+        with _federation() as federation, federation.session() as session:
+            for text in SMALL_SQL:
+                expected = session.execute(text, engine="serial").relation
+                ran = federation.run(text, concurrent)
+                handle = session.submit(text, concurrent)
+                handle.cursor().fetchall()
+                fetched = handle.result(timeout=30)
+                assert ran.relation == fetched.relation == expected
+                assert {t.worker for t in ran.trace.timings.values()} == {"serial"}
+                # With a cursor a spine streams; no row reaches a pool worker.
+                workers = {t.worker for t in fetched.trace.timings.values()}
+                assert workers in ({"serial"}, {"stream"})
+            assert federation.pool.thread_names() == ()
+            assert federation.stats().worker_threads == ()
+
+    @pytest.mark.parametrize(
+        "latency, text, scheduler",
+        [
+            (None, PAPER_SQL, "inline"),
+            (0.0, PAPER_SQL, "pooled"),
+            (0.0, SPINE_SQL, "stream"),
+        ],
+        ids=["in-memory", "overlapping", "spine"],
+    )
+    def test_the_execute_span_names_the_scheduler(self, latency, text, scheduler):
+        with _federation(latency) as federation, federation.session() as session:
+            result = session.execute(text)
+            serial = session.execute(text, engine="serial")
+        (span,) = [span for span in result.trace.spans if span.name == "execute"]
+        assert span.attributes["scheduler"] == scheduler
+        (span,) = [span for span in serial.trace.spans if span.name == "execute"]
+        assert span.attributes["scheduler"] == (
+            "stream" if scheduler == "stream" else "inline"
+        )
 
 
 class TestSynchronousRun:

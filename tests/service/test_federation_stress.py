@@ -17,6 +17,7 @@ from repro.datasets.paper import (
     paper_identity_resolver,
     paper_polygen_schema,
 )
+from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.service.federation import PolygenFederation
@@ -39,10 +40,14 @@ WORKLOAD = [
 ]
 
 
-def _federation(**kwargs) -> PolygenFederation:
+def _federation(overlapping=False, **kwargs) -> PolygenFederation:
+    """The paper's federation in memory; ``overlapping`` puts each source
+    behind a zero-delay :class:`LatencyLQP`, which overlaps, so the
+    concurrent engine pools plans over them."""
     registry = LQPRegistry()
     for database in paper_databases().values():
-        registry.register(RelationalLQP(database))
+        lqp = RelationalLQP(database)
+        registry.register(LatencyLQP(lqp, per_query=0.0) if overlapping else lqp)
     return PolygenFederation(
         paper_polygen_schema(),
         registry,
@@ -103,7 +108,7 @@ def test_eight_sessions_concurrent_submits_are_tag_identical(serial_reference):
 def test_worker_pool_survives_across_queries_without_churn():
     """After one warmup query the pool owns exactly one thread per
     database, and many further queries reuse those same threads."""
-    with _federation() as federation:
+    with _federation(overlapping=True) as federation:
         session = federation.session()
         session.execute(PAPER_SQL)  # warmup: creates the per-DB workers
         warm_names = federation.pool.thread_names()
@@ -124,7 +129,7 @@ def test_worker_pool_survives_across_queries_without_churn():
 
 
 def test_context_manager_shutdown_is_clean():
-    with _federation() as federation:
+    with _federation(overlapping=True) as federation:
         with federation.session() as session:
             handles = [session.submit(q) for q in WORKLOAD]
             for handle in handles:
