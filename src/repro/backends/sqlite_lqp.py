@@ -220,12 +220,6 @@ class SqliteLQP(LocalQueryProcessor):
             signals_writes=self._path == ":memory:",
         )
 
-    @property
-    def overlaps(self) -> bool:
-        # SQLite releases the interpreter lock while it reads a file; a
-        # :memory: store is in-process work like any in-memory engine.
-        return self._path != ":memory:"
-
     # -- metadata ------------------------------------------------------------
 
     def _meta_get(self, key: str) -> Optional[str]:

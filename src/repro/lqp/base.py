@@ -146,10 +146,11 @@ class LocalQueryProcessor(abc.ABC):
     native_concurrency: int = 1
 
     #: Whether this LQP's verbs spend their time outside the interpreter
-    #: lock (a socket, a file, a sleep), so rows at it can overlap rows at
-    #: other sources.  The concurrent engine hands a plan to its worker
-    #: pool only when two or more of its local rows sit at such sources;
-    #: an in-process engine stays False and its plans run inline.  Like
+    #: lock (a socket, a sleep), so rows at it can overlap rows at other
+    #: sources.  The concurrent engine hands a plan to its worker pool
+    #: only when one of its local rows sits at such a source and another
+    #: local row can run beside it; an in-process engine stays False, and
+    #: plans over such engines alone run inline.  Like
     #: ``native_concurrency`` it describes the client's path to a source,
     #: not the engine behind it, so it is not a :class:`Capabilities`
     #: flag and never crosses the wire; wrappers delegate it.

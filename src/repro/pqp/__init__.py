@@ -16,8 +16,8 @@ The paper's query-translation pipeline (§III, Figure 2):
    row-by-row :class:`~repro.pqp.executor.Executor` or the DAG-driven
    :class:`~repro.pqp.runtime.ConcurrentExecutor`, which dispatches local
    rows to per-database worker threads as their inputs become ready when
-   two or more of them sit at sources that can overlap, and otherwise
-   runs the plan inline in dependency order.
+   one of them sits at a source that can overlap the others, and
+   otherwise runs the plan inline in dependency order.
 
 The shared dependency structure lives in
 :class:`~repro.pqp.plandag.PlanDAG`, which the runtime drives; measured

@@ -23,10 +23,11 @@ fine for one query, pure churn for a multi-user federation service.  A
 :class:`~repro.service.federation.PolygenFederation` owns one ``WorkerPool``
 and shares it across every session and every concurrently executing plan:
 jobs from different queries bound for the same database simply queue on
-that database's group.  Only plans with two or more local rows at sources
-that overlap (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`: a
-socket, a file, a sleep) reach the pool; every other plan runs inline on
-its coordinator, so a federation of in-process sources starts no worker.
+that database's group.  Only a plan with a local row at a source that
+overlaps (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`: a socket,
+a sleep) and another local row beside it reaches the pool; every other
+plan runs inline on its coordinator, so a federation of in-process
+sources starts no worker.
 
 Jobs are fire-and-forget callables: the runtime routes completions through
 its own queue, so the pool never holds results.  Workers are daemon threads

@@ -3,25 +3,27 @@
 The paper's Figure-1 architecture routes local operations to *autonomous*
 LQPs — engines that serve requests independently of one another.  In one
 Python process that independence pays only where a source's verbs run
-outside the interpreter lock (a socket, a file, a sleep): such a source
-says :attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`.
+outside the interpreter lock (a socket, a sleep): such a source says
+:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`.
 :class:`ConcurrentExecutor` therefore chooses a scheduler per plan:
 
-- a plan with **fewer than two local rows at overlapping sources** runs
-  *inline* on the calling thread, row by row in
-  :meth:`~repro.pqp.plandag.PlanDAG.topological_order` (worker
-  ``"serial"``) — in-process sources cannot overlap, so a hand-off to a
-  pool worker and back would be pure cost;
-- every other plan is *pooled*: the executor drives the plan DAG
-  (:class:`~repro.pqp.plandag.PlanDAG`) event-driven, dispatching a local
-  row to its database's worker the moment every ``R(#)`` it consumes is
-  ready, while PQP rows (the polygen algebra over earlier results) run on
-  the coordinating thread as their inputs complete.  Every database gets
+- a plan is *pooled* when **one of its local rows sits at an overlapping
+  source and another local row can run beside it** — a remote row's
+  socket wait then overlaps the other rows' work, in-process or not.  The
+  executor drives the plan DAG (:class:`~repro.pqp.plandag.PlanDAG`)
+  event-driven, dispatching a local row to its database's worker the
+  moment every ``R(#)`` it consumes is ready, while PQP rows (the polygen
+  algebra over earlier results) run on the coordinating thread as their
+  inputs complete.  Every database gets
   **one worker thread** (the paper's single-connection assumption: rows
   at the same LQP queue, rows at different LQPs overlap) unless its LQP
   advertises ``native_concurrency > 1`` (a network-multiplexed
   :class:`~repro.net.client.RemoteLQP`), whose worker group widens to that
   many threads over the LQP's single multiplexed connection;
+- every other plan runs *inline* on the calling thread, row by row in
+  :meth:`~repro.pqp.plandag.PlanDAG.topological_order` (worker
+  ``"serial"``) — in-process sources cannot overlap, nor can a lone local
+  row, so a hand-off to a pool worker and back would be pure cost;
 - a streamable spine with a chunk consumer streams (:mod:`repro.pqp.stream`)
   whatever its sources.
 
@@ -73,7 +75,7 @@ __all__ = ["ConcurrentExecutor"]
 
 class ConcurrentExecutor(Executor):
     """DAG-driven executor dispatching local rows to per-database workers
-    when two or more of them can overlap, and running the plan inline
+    when one of them can overlap another, and running the plan inline
     otherwise.
 
     Drop-in for :class:`~repro.pqp.executor.Executor`: same constructor
@@ -104,11 +106,12 @@ class ConcurrentExecutor(Executor):
         many, so same-database rows overlap in flight."""
         return max(1, self._registry.get(row.el).native_concurrency)
 
-    def _overlapping_rows(self, iom: IntermediateOperationMatrix) -> int:
-        """How many of ``iom``'s local rows sit at sources that can
-        overlap (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`)."""
-        registry = self._registry
-        return sum(1 for row in iom if row.is_local and registry.get(row.el).overlaps)
+    def _pools(self, iom: IntermediateOperationMatrix) -> bool:
+        """Whether a local row of ``iom`` sits at a source that overlaps
+        (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`) and the plan
+        has another local row to run beside it."""
+        local = [row for row in iom if row.is_local]
+        return len(local) > 1 and any(self._registry.get(row.el).overlaps for row in local)
 
     def execute(
         self,
@@ -127,10 +130,11 @@ class ConcurrentExecutor(Executor):
             # (first rows before the scan completes) strictly wins.
             run.scheduled("stream")
             run.stream(chain, "stream", on_chunk, stream_chunk_size)
-        elif self._overlapping_rows(iom) < 2:
+        elif not self._pools(iom):
             # In-process sources cannot overlap under the interpreter lock,
-            # so a hand-off to a pool worker and back buys nothing: run the
-            # rows here, in dependency order, as the DAG loop would.
+            # nor can a lone local row, so a hand-off to a pool worker and
+            # back buys nothing: run the rows here, in dependency order, as
+            # the DAG loop would.
             run.scheduled("inline")
             dag = PlanDAG.from_iom(iom)
             for index in dag.topological_order():

@@ -13,10 +13,10 @@ local databases — realized as one long-lived object:
   thread per local database — the paper's one-connection-per-source
   assumption, with zero per-query thread churn) and a bounded coordinator
   pool that drives up to ``max_concurrent_queries`` plans at once.  Only
-  a plan with two or more local rows at sources that overlap (remote
-  servers, SQLite files) reaches the worker pool; every other plan runs
-  inline on its coordinator, so a federation of in-process sources never
-  starts a worker;
+  a plan with a local row at a source that overlaps (a remote server)
+  and another local row beside it reaches the worker pool; every other
+  plan runs inline on its coordinator, so a federation of in-process
+  sources never starts a worker;
 - clients open lightweight :class:`~repro.service.session.Session`\\ s and
   ``submit()`` SQL text, algebra (text or tree), or pre-built plans;
   behaviour knobs are a per-call
@@ -129,10 +129,10 @@ class FederationStats:
     def utilization(self) -> Dict[str, float]:
         """location → fraction of the federation's uptime it spent busy.
 
-        Can exceed 1.0: only pooled plans (two or more local rows at
-        overlapping sources) run their local rows on the pool; every other
-        plan runs them on its coordinating thread, so several threads may
-        be inside the same location at once.
+        Can exceed 1.0: only pooled plans (a local row at an overlapping
+        source and another beside it) run their local rows on the pool;
+        every other plan runs them on its coordinating thread, so several
+        threads may be inside the same location at once.
         """
         if self.uptime_seconds <= 0:
             return {location: 0.0 for location in self.busy_by_location}
@@ -419,9 +419,9 @@ class PolygenFederation:
         """The (cached, reentrant) execution engine ``options`` selects.
 
         A concurrent engine dispatches into the federation's shared worker
-        pool the plans with two or more local rows at overlapping sources
-        and runs the rest on the coordinator; a serial engine runs every
-        plan on the coordinator.
+        pool the plans with a local row at an overlapping source and
+        another local row beside it, and runs the rest on the coordinator;
+        a serial engine runs every plan on the coordinator.
         """
         options = options or self.defaults
         key = (options.engine, options.policy)
@@ -492,9 +492,9 @@ class PolygenFederation:
         The single-user path: no coordinator is involved, so a process
         that only ever calls ``run`` — e.g. through the
         :class:`~repro.pqp.processor.PolygenQueryProcessor` facade —
-        holds no service threads beyond the pool workers that plans with
-        two or more rows at overlapping sources start; over in-process
-        sources, none.  Counted in :meth:`stats` like any submission.
+        holds no service threads beyond the pool workers that pooled plans
+        (a local row at an overlapping source and another beside it)
+        start; over in-process sources, none.  Counted in :meth:`stats` like any submission.
         """
         return self._run(query, self._classify(query), options or self.defaults)
 

@@ -35,10 +35,11 @@ class QueryOptions:
     """How one query should be planned and executed.
 
     - ``engine`` — ``"concurrent"`` (the service default) runs a plan in
-      dependency order on the coordinating thread unless two or more of
-      its local rows sit at sources that overlap (a ``polygen://`` server,
-      a SQLite file, a :class:`~repro.lqp.cost.LatencyLQP`); only such a
-      plan drives its DAG over the shared per-database worker pool.
+      dependency order on the coordinating thread unless one of its local
+      rows sits at a source that overlaps (a ``polygen://`` server, a
+      :class:`~repro.lqp.cost.LatencyLQP`) and another local row can run
+      beside it; only such a plan drives its DAG over the shared
+      per-database worker pool.
       ``"serial"`` always walks the matrix row by row on the coordinating
       thread, exactly as the paper describes.
     - ``optimize`` / ``prune_projections`` — the optimizer master switch

@@ -126,8 +126,10 @@ class TestOverlaps:
             (lambda db, tmp: KVStoreLQP.from_database(db), False),
             # A log store replays its segments into memory when it opens.
             (lambda db, tmp: LogStoreLQP.from_database(db, str(tmp / "log")), False),
+            # A SQLite file in the page cache is in-process work too: a
+            # pooled Merge over three file-backed stores ran slower than inline.
             (lambda db, tmp: SqliteLQP.from_database(db), False),
-            (lambda db, tmp: SqliteLQP.from_database(db, str(tmp / "x.db")), True),
+            (lambda db, tmp: SqliteLQP.from_database(db, str(tmp / "x.db")), False),
         ],
         ids=["relational", "csv", "kv", "log", "sqlite-memory", "sqlite-file"],
     )

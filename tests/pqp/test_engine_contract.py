@@ -3,8 +3,9 @@
 A plan row is run in exactly one place (the executor's per-plan run
 record); the inline, pooled and pipelined schedulers differ only in when
 and where they call it.  The concurrent engine runs a plan inline unless
-two of its local rows sit at sources that overlap, so it appears twice:
-over an in-process probe, and over a probe that says it overlaps.
+one of its local rows sits at a source that overlaps and another local
+row can run beside it, so it appears twice: over an in-process probe, and
+over a probe that says it overlaps.
 Everything a caller can observe about *how a row ran* — cancellation,
 error wrapping, ``on_result``, spans, timings, worker labels — is
 therefore asserted here against all of them, instead of once per engine

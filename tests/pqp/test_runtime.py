@@ -1,5 +1,7 @@
 """Unit tests for the concurrent federated execution runtime."""
 
+import time
+
 import pytest
 
 from repro.datasets.paper import (
@@ -9,7 +11,7 @@ from repro.datasets.paper import (
     paper_polygen_schema,
 )
 from repro.errors import ExecutionError
-from repro.lqp.cost import LatencyLQP
+from repro.lqp.cost import ForwardingLQP, LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.executor import Executor
@@ -19,6 +21,8 @@ from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.runtime import ConcurrentExecutor
 
 from tests.integration.conftest import PAPER_SQL
+
+LONE_ROW_SQL = 'SELECT ANAME, MAJOR FROM PALUMNUS WHERE DEGREE = "MBA"'
 
 
 def _processor(latency=0.0, **kwargs) -> PolygenQueryProcessor:
@@ -72,20 +76,42 @@ class TestPool:
             ConcurrentExecutor(paper_polygen_schema(), _processor().registry)
 
 
-def _registry(overlapping=()) -> LQPRegistry:
+class BusyLQP(ForwardingLQP):
+    """An in-process source whose every verb holds the interpreter lock
+    for ``seconds`` of work: it cannot overlap another in-process row, but
+    a row waiting on a sleep or a socket can overlap it."""
+
+    def __init__(self, inner, seconds):
+        super().__init__(inner)
+        self.seconds = seconds
+
+    def _shipped(self, kind, result):
+        deadline = time.perf_counter() + self.seconds
+        while time.perf_counter() < deadline:
+            pass
+        return result
+
+
+def _registry(overlapping=(), latency=0.0, busy=0.0) -> LQPRegistry:
     """The paper's databases in memory, those named in ``overlapping``
-    behind a zero-delay :class:`LatencyLQP` (a source that overlaps)."""
+    behind a :class:`LatencyLQP` of ``latency`` seconds (a source that
+    overlaps), the others behind a :class:`BusyLQP` when ``busy``."""
     registry = LQPRegistry()
     for name, database in paper_databases().items():
         lqp = RelationalLQP(database)
-        registry.register(LatencyLQP(lqp, per_query=0.0) if name in overlapping else lqp)
+        if name in overlapping:
+            lqp = LatencyLQP(lqp, per_query=latency)
+        elif busy:
+            lqp = BusyLQP(lqp, busy)
+        registry.register(lqp)
     return registry
 
 
 class TestSchedulerChoice:
-    """The engine pools a plan only when two of its local rows can overlap.
-    The paper query's plan has three local rows at AD, one at PD and one
-    at CD."""
+    """The engine pools a plan only when one of its local rows sits at a
+    source that overlaps and another local row can run beside it.  The
+    paper query's plan has three local rows at AD, one at PD and one at
+    CD."""
 
     @pytest.fixture()
     def execute(self):
@@ -102,14 +128,22 @@ class TestSchedulerChoice:
 
             yield run
 
-    def test_one_overlapping_row_runs_inline(self, execute, serial_run):
-        trace, threads = execute(serial_run.iom, overlapping=("PD",))
-        assert trace.relation == serial_run.relation
+    def test_a_lone_overlapping_row_runs_inline(self, execute):
+        # One local row at AD, then the PQP's projection: nothing to overlap.
+        reference = build_paper_federation().run_sql(LONE_ROW_SQL)
+        assert sum(row.is_local for row in reference.iom) == 1
+        trace, threads = execute(reference.iom, overlapping=("AD", "PD", "CD"))
+        assert trace.relation == reference.relation
         assert {t.worker for t in trace.timings.values()} == {"serial"}
         assert threads == ()
 
-    def test_two_overlapping_rows_are_pooled(self, execute, serial_run):
-        trace, threads = execute(serial_run.iom, overlapping=("PD", "CD"))
+    @pytest.mark.parametrize(
+        "overlapping", [("PD",), ("PD", "CD")], ids=["one-overlapping", "two-overlapping"]
+    )
+    def test_a_row_that_can_overlap_another_is_pooled(
+        self, execute, serial_run, overlapping
+    ):
+        trace, threads = execute(serial_run.iom, overlapping=overlapping)
         assert trace.relation == serial_run.relation
         # A pooled plan sends every local row to the pool, AD's included.
         assert len(threads) == 3
@@ -153,6 +187,22 @@ class TestTimings:
         assert trace.wall_clock < trace.busy_time
         locations = {t.location for t in trace.timings.values()}
         assert {"AD", "PD", "CD", "PQP"} <= locations
+
+    def test_a_waiting_row_overlaps_in_process_rows(self, serial_run):
+        # Only PD waits (a 30 ms sleep, as on a socket); AD's and CD's four
+        # rows each hold the interpreter lock for 10 ms.  The pool runs
+        # them while PD waits, which an inline run cannot.
+        registry = _registry(overlapping=("PD",), latency=0.03, busy=0.01)
+        with WorkerPool() as pool:
+            executor = ConcurrentExecutor(
+                paper_polygen_schema(),
+                registry,
+                resolver=paper_identity_resolver(),
+                pool=pool,
+            )
+            trace = executor.execute(serial_run.iom)
+        assert trace.relation == serial_run.relation
+        assert trace.wall_clock < trace.busy_time
 
     def test_same_database_rows_serialize(self):
         run = _processor(latency=0.01, concurrent=True).run_sql(PAPER_SQL)

@@ -388,8 +388,9 @@ class TestLifecycleAndStats:
 
 
 class TestSchedulerFollowsSources:
-    """The concurrent engine pools a plan only when two of its local rows
-    sit at sources that overlap; in-process sources never do."""
+    """The concurrent engine pools a plan only when one of its local rows
+    sits at a source that overlaps and another local row can run beside
+    it; in-process sources never overlap."""
 
     def test_an_in_memory_federation_starts_no_pool_thread(self):
         concurrent = QueryOptions(engine="concurrent")

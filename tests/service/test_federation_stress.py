@@ -66,11 +66,14 @@ def serial_reference():
     ]
 
 
-def test_eight_sessions_concurrent_submits_are_tag_identical(serial_reference):
+@pytest.mark.parametrize("overlapping", [False, True], ids=["inline", "pooled"])
+def test_eight_sessions_concurrent_submits_are_tag_identical(serial_reference, overlapping):
     """N session threads × M in-flight submits each: every result —
-    relation, tags, lineage — equals the serial executor's."""
+    relation, tags, lineage — equals the serial executor's, whether the
+    plans run inline on their coordinators or their same-database rows
+    queue on the shared worker pool."""
     failures = []
-    with _federation(max_concurrent_queries=SESSIONS) as federation:
+    with _federation(overlapping, max_concurrent_queries=SESSIONS) as federation:
 
         def user(user_index: int) -> None:
             try:
