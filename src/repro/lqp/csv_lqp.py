@@ -17,6 +17,7 @@ from typing import Any, Mapping, Tuple
 from repro.core.predicate import Theta
 from repro.errors import LocalEngineError, UnknownRelationError
 from repro.lqp.base import LocalQueryProcessor
+from repro.relational import algebra
 from repro.relational.relation import Relation
 
 __all__ = ["CsvLQP"]
@@ -96,8 +97,4 @@ class CsvLQP(LocalQueryProcessor):
             raise UnknownRelationError(relation_name, self._name) from None
 
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
-        relation = self.retrieve(relation_name)
-        position = relation.heading.index(attribute)
-        return relation.replace_rows(
-            row for row in relation if theta.evaluate(row[position], value)
-        )
+        return algebra.select(self.retrieve(relation_name), attribute, theta, value)

@@ -3,11 +3,13 @@
 A :class:`LocalDatabase` plays the role of one autonomous database in the
 federation — the paper's AD, PD and CD.  It owns named relations with
 schemas and (optionally) primary-key enforcement, and supports the small
-query surface an LQP needs: full retrieval and single-comparison selection.
+query surface an LQP needs: full retrieval, single-comparison selection
+and SelectIn.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from repro.core.predicate import Theta
@@ -16,12 +18,20 @@ from repro.relational import algebra
 from repro.relational.conditions import Condition
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.storage.keyed import key_set, unkeyed
 
 __all__ = ["LocalDatabase"]
 
 
 class LocalDatabase:
     """A named collection of local relations.
+
+    Like a source DBMS, it answers an equality natively: ``=``
+    :meth:`select` and :meth:`select_in` read the attribute's equality
+    index (:meth:`Relation.index`), built on the first such query and kept
+    until an :meth:`insert` replaces the relation.  ``<>``, the ordering
+    comparisons, an unhashable literal and :meth:`select_where` scan.
+    Either way the rows come back in the order a scan yields them.
 
     >>> db = LocalDatabase("AD")
     >>> _ = db.create(RelationSchema("BUSINESS", ["BNAME", "IND"], key=["BNAME"]))
@@ -108,8 +118,26 @@ class LocalDatabase:
         return self._relations[relation_name]
 
     def select(self, relation_name: str, attribute: str, theta: Theta, value: Any) -> Relation:
-        """Single-comparison selection executed locally."""
-        return algebra.select(self.relation(relation_name), attribute, theta, value)
+        """Single-comparison selection executed locally; ``=`` reads the
+        index, and a nil or NaN literal matches nothing, as under the scan."""
+        relation = self.relation(relation_name)
+        if theta is Theta.EQ:
+            index = relation.index(attribute)
+            try:
+                positions = () if unkeyed(value) else index.get(value, ())
+            except TypeError:  # an unhashable literal: the scan decides
+                pass
+            else:
+                return relation.take(positions)
+        return algebra.select(relation, attribute, theta, value)
+
+    def select_in(self, relation_name: str, attribute: str, values: Iterable[Any]) -> Relation:
+        """The rows whose ``attribute`` matches a member of ``values`` under
+        :func:`~repro.storage.keyed.key_set`'s rule, read from the index."""
+        relation = self.relation(relation_name)
+        index = relation.index(attribute)
+        hits = chain.from_iterable(index.get(key, ()) for key in key_set(values))
+        return relation.take(sorted(hits))
 
     def select_where(self, relation_name: str, condition: Condition) -> Relation:
         return algebra.select_where(self.relation(relation_name), condition)

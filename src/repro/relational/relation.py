@@ -11,14 +11,24 @@ and :attr:`Relation.columns` (what the wire decodes into and what
 by the constructor, from columns by :meth:`Relation.from_columns` — and
 the other is derived by a single transpose the first time it is read,
 then kept, so a long-lived base relation is transposed at most once.
+
+An equality index per attribute is built and kept the same way: the
+first :meth:`Relation.index` of an attribute maps each of its values to
+the ascending positions of the rows holding it.  A relation never
+changes (a :class:`~repro.relational.database.LocalDatabase` insert
+replaces it), so an index never goes stale, and two threads building the
+same one at once build equal maps.  The local database answers ``=``
+Select and SelectIn from it; ``<>``, the ordering comparisons and
+condition trees still scan (:mod:`repro.relational.algebra`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.core.heading import Heading
 from repro.errors import DegreeMismatchError
+from repro.storage.keyed import buckets
 
 __all__ = ["Relation"]
 
@@ -31,7 +41,7 @@ class Relation:
     1
     """
 
-    __slots__ = ("_heading", "_rows", "_columns")
+    __slots__ = ("_heading", "_rows", "_columns", "_indexes")
 
     def __init__(self, heading: Heading | Sequence[str], rows: Iterable[Sequence[Any]] = ()):
         if not isinstance(heading, Heading):
@@ -48,6 +58,7 @@ class Relation:
             seen.setdefault(row_tuple, None)
         self._rows: Tuple[Tuple[Any, ...], ...] | None = tuple(seen)
         self._columns: Tuple[Tuple[Any, ...], ...] | None = None
+        self._indexes: Dict[int, Dict[Any, List[int]]] | None = None
 
     @classmethod
     def from_columns(
@@ -83,6 +94,7 @@ class Relation:
         self._columns = tuple(
             zip(*distinct) if len(distinct) != cardinality else map(tuple, columns)
         )
+        self._indexes = None
         return self
 
     # -- accessors -----------------------------------------------------------
@@ -132,6 +144,20 @@ class Relation:
     def column(self, attribute: str) -> Tuple[Any, ...]:
         return self.columns[self._heading.index(attribute)]
 
+    def index(self, attribute: str) -> Mapping[Any, List[int]]:
+        """``attribute``'s equality index: each value → the ascending
+        positions of the rows holding it, nil left out.  Values equal
+        under ``==`` share one entry (``1``, ``True`` and ``1.0``); a NaN
+        cell is found only by its own object.  Built on first use, then
+        kept; read it, never change it."""
+        position = self._heading.index(attribute)
+        if self._indexes is None:
+            self._indexes = {}
+        found = self._indexes.get(position)
+        if found is None:
+            found = self._indexes[position] = buckets(self.columns[position])
+        return found
+
     def row_dict(self, row: Sequence[Any]) -> Mapping[str, Any]:
         """A name → value view of one row (used by condition evaluation)."""
         return dict(zip(self._heading.attributes, row))
@@ -154,10 +180,25 @@ class Relation:
         renamed._heading = self._heading.rename(mapping)
         renamed._rows = self._rows
         renamed._columns = self._columns
+        renamed._indexes = None
         return renamed
 
     def replace_rows(self, rows: Iterable[Sequence[Any]]) -> "Relation":
         return Relation(self._heading, rows)
+
+    def take(self, positions: Iterable[int]) -> "Relation":
+        """The rows at ``positions``, in that order.  Distinct positions
+        pick distinct rows, so there is no deduplication pass.
+
+        >>> Relation(["A"], [(1,), (2,), (3,)]).take([2, 0]).rows
+        ((3,), (1,))
+        """
+        taken = object.__new__(Relation)
+        taken._heading = self._heading
+        taken._rows = tuple(map(self.rows.__getitem__, positions))
+        taken._columns = None
+        taken._indexes = None
+        return taken
 
     def __repr__(self) -> str:
         return f"Relation({list(self._heading.attributes)!r}, cardinality={self.cardinality})"

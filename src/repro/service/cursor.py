@@ -88,9 +88,7 @@ class Cursor:
             if not self._chunked:
                 store = relation.store
                 for start in range(0, store.cardinality, self.fetch_size):
-                    piece = store.take_rows(
-                        range(start, min(start + self.fetch_size, store.cardinality))
-                    )
+                    piece = store.slice_rows(start, start + self.fetch_size)
                     self._batches.append(PolygenRelation.from_store(piece))
             self._exhausted = True
             self._cond.notify_all()

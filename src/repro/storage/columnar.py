@@ -268,6 +268,16 @@ class ColumnarRelation:
             self._pool,
         )
 
+    def slice_rows(self, start: int, stop: int) -> "ColumnarRelation":
+        """A new relation keeping the rows ``start`` to ``stop`` (one slice
+        per column, not a gather)."""
+        return ColumnarRelation(
+            self._heading,
+            tuple(column[start:stop] for column in self._columns),
+            tuple(column[start:stop] for column in self._tags),
+            self._pool,
+        )
+
     def translated(self, pool: TagPool) -> "ColumnarRelation":
         """Re-intern every tag id into ``pool`` (no-op when already there).
 

@@ -126,12 +126,15 @@ def _rows(store: ColumnarRelation):
 
 def project(store: ColumnarRelation, positions: Sequence[int], heading: Heading) -> ColumnarRelation:
     """``p[X]`` — gather the selected columns, dedup on data, merge tags.
-    When no two picked data rows are equal (one set pass), the picked
-    columns are the answer as they stand."""
+    When no two picked data rows are equal, the picked columns are the
+    answer as they stand.  A first column with no repeated value proves
+    that in one pass over single values; otherwise a pass over the picked
+    rows decides."""
     pool = store.pool
     data = tuple(store.columns[i] for i in positions)
     tags = tuple(store.tags[i] for i in positions)
-    if len(set(zip(*data))) == store.cardinality:
+    cardinality = store.cardinality
+    if len(set(data[0])) == cardinality or len(set(zip(*data))) == cardinality:
         return ColumnarRelation(heading, data, tags, pool)
     out_data, out_tags = _merge_rows_by_data(
         pool, len(positions), [zip(zip(*data), zip(*tags))]

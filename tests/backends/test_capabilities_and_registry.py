@@ -6,6 +6,8 @@ unchanged, the wire serves it (with the two wire-forced flags), and the
 registry can open sqlite/log stores straight from URLs.
 """
 
+import contextlib
+
 import pytest
 
 from repro.backends import KVStoreLQP, LogStoreLQP, SqliteLQP
@@ -62,6 +64,16 @@ class TestDescriptor:
         assert lqp.capabilities() == Capabilities()
 
 
+@contextlib.contextmanager
+def _opened(engine):
+    """Yield ``engine``, closing it afterwards if it holds a file."""
+    try:
+        yield engine
+    finally:
+        if hasattr(engine, "close"):
+            engine.close()
+
+
 class TestWrapperDelegation:
     """Accounting/latency decoration must not change the declared powers."""
 
@@ -76,13 +88,13 @@ class TestWrapperDelegation:
         ids=["sqlite", "log", "kv", "relational"],
     )
     def test_wrappers_pass_capabilities_through(self, tmp_path, factory):
-        inner = factory(_database(), tmp_path)
-        assert AccountingLQP(inner).capabilities() == inner.capabilities()
-        assert LatencyLQP(inner).capabilities() == inner.capabilities()
-        assert (
-            AccountingLQP(LatencyLQP(inner)).capabilities()
-            == inner.capabilities()
-        )
+        with _opened(factory(_database(), tmp_path)) as inner:
+            assert AccountingLQP(inner).capabilities() == inner.capabilities()
+            assert LatencyLQP(inner).capabilities() == inner.capabilities()
+            assert (
+                AccountingLQP(LatencyLQP(inner)).capabilities()
+                == inner.capabilities()
+            )
 
     @pytest.mark.parametrize(
         "factory",
@@ -96,16 +108,16 @@ class TestWrapperDelegation:
         ids=["sqlite", "log", "kv", "relational", "csv"],
     )
     def test_wrappers_pass_answers_through_and_count_them(self, tmp_path, factory):
-        engine = factory(_database(), tmp_path)
-        wrapped = AccountingLQP(LatencyLQP(engine, per_query=0.0))
-        assert wrapped.retrieve("R") == engine.retrieve("R")
-        assert wrapped.select("R", "K", Theta.EQ, 1) == (
-            engine.select("R", "K", Theta.EQ, 1)
-        )
-        assert wrapped.stats.queries == 2
-        assert wrapped.stats.retrieves == 1
-        assert wrapped.stats.selects == 1
-        assert wrapped.stats.tuples_shipped == 3
+        with _opened(factory(_database(), tmp_path)) as engine:
+            wrapped = AccountingLQP(LatencyLQP(engine, per_query=0.0))
+            assert wrapped.retrieve("R") == engine.retrieve("R")
+            assert wrapped.select("R", "K", Theta.EQ, 1) == (
+                engine.select("R", "K", Theta.EQ, 1)
+            )
+            assert wrapped.stats.queries == 2
+            assert wrapped.stats.retrieves == 1
+            assert wrapped.stats.selects == 1
+            assert wrapped.stats.tuples_shipped == 3
 
     def test_registry_wrapper_serves_the_inner_capabilities(self):
         registry = LQPRegistry()

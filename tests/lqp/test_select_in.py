@@ -72,13 +72,21 @@ def test_the_base_rule():
     assert narrowed.attributes == ("LABEL",) and narrowed.rows == (("fraction",),)
 
 
+@pytest.fixture(scope="module", params=["sqlite", "relational"])
+def engine(request):
+    if request.param == "sqlite":
+        return request.getfixturevalue("sqlite_engine")
+    return RelationalLQP(_database())
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(st.sampled_from(VALUES), max_size=6))
-def test_sqlite_matches_the_base_rule(sqlite_engine, values):
-    # json_each carries the set; a value it cannot carry exactly (inf, a
-    # fraction, an int past 64 bits, a NUL) takes the Python filter.
-    assert sqlite_engine.select_in("T", "K", values) == _reference(values)
-    assert sqlite_engine.select_in("T", "K", values, columns=["TAG", "K"]) == (
+def test_engines_match_the_base_rule(engine, values):
+    # SQLite: json_each carries the set; a value it cannot carry exactly
+    # (inf, a fraction, an int past 64 bits, a NUL) takes the Python
+    # filter.  The in-memory engine reads its equality index.
+    assert engine.select_in("T", "K", values) == _reference(values)
+    assert engine.select_in("T", "K", values, columns=["TAG", "K"]) == (
         _reference(values, columns=["TAG", "K"])
     )
 

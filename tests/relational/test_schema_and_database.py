@@ -1,13 +1,24 @@
 """Unit tests for local relation schemas and the LocalDatabase engine."""
 
+import itertools
+import math
+import sys
+import threading
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.predicate import Theta
 from repro.errors import (
     ConstraintViolationError,
     SchemaValidationError,
+    UnknownAttributeError,
     UnknownRelationError,
 )
+from repro.lqp.base import filter_in
+from repro.lqp.relational_lqp import RelationalLQP
+from repro.relational import algebra
 from repro.relational.conditions import Comparison, Conjunction, TrueCondition
 from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
@@ -101,6 +112,104 @@ class TestLocalDatabase:
         db = LocalDatabase("CD")
         db.load(RelationSchema("FIRM", ["FNAME", "CEO"]), [("IBM", "John Ackers")])
         assert db.relation("FIRM").cardinality == 1
+
+    def test_insert_after_a_select_is_seen_by_the_next_select(self):
+        self.db.insert("BUSINESS", [("IBM", "High Tech")])
+        assert self.db.select("BUSINESS", "IND", Theta.EQ, "Energy").rows == ()
+        self.db.insert("BUSINESS", [("BP", "Energy")])
+        out = self.db.select("BUSINESS", "IND", Theta.EQ, "Energy")
+        assert out.rows == (("BP", "Energy"),)
+        assert self.db.select_in("BUSINESS", "BNAME", ["BP", "IBM"]).rows == (
+            ("IBM", "High Tech"),
+            ("BP", "Energy"),
+        )
+
+    def test_unknown_attribute_raises_as_under_the_scan(self):
+        with pytest.raises(UnknownAttributeError):
+            self.db.select("BUSINESS", "NOPE", Theta.EQ, None)
+        with pytest.raises(UnknownAttributeError):
+            self.db.select_in("BUSINESS", "NOPE", [])
+
+
+#: Cell values and literals, the awkward ones included: nil, NaN, the
+#: one key of ``1``/``True``/``1.0``, the equal zeros, and str beside int.
+AWKWARD = [None, math.nan, 1, True, 1.0, 0, False, 0.0, -0.0, "1", "0", "x", 2.5]
+
+
+class TestEqualityIndex:
+    """``=`` Select and SelectIn read the equality index, and must return
+    exactly the rows, in the order, of the scans they replace.  ``.rows``
+    is compared, not ``==``: relation equality ignores order."""
+
+    @staticmethod
+    def _database(values):
+        db = LocalDatabase("DB")
+        db.load(RelationSchema("T", ["ID", "V"], key=["ID"]), enumerate(values))
+        return db
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.sampled_from(AWKWARD), max_size=12))
+    @example(values=[math.nan, 1, None, True, 1.0])
+    def test_select_equals_the_scan(self, values):
+        # Every literal, an unhashable one included, against each table.
+        db = self._database(values)
+        for literal in AWKWARD + [[1], {"x": 1}]:
+            for theta, attribute in itertools.product((Theta.EQ, Theta.NE), ("V", "ID")):
+                scanned = algebra.select(db.relation("T"), attribute, theta, literal)
+                assert db.select("T", attribute, theta, literal).rows == scanned.rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from(AWKWARD), max_size=12),
+        keys=st.lists(st.sampled_from(AWKWARD), max_size=5),
+    )
+    @example(values=[math.nan, 1, None, True, 1.0, "1"], keys=[math.nan, 1.0, None])
+    def test_select_in_equals_filter_in(self, values, keys):
+        lqp = RelationalLQP(self._database(values))
+        relation = lqp.retrieve("T")
+        assert lqp.select_in("T", "V", keys).rows == filter_in(relation, "V", keys).rows
+        assert lqp.select_in("T", "V", keys, columns=["V"]).rows == (
+            filter_in(relation, "V", keys, columns=["V"]).rows
+        )
+
+    def test_one_index_per_attribute_is_built_once_and_kept(self):
+        relation = self._database([1, True, 2]).relation("T")
+        assert relation.index("V") is relation.index("V")
+        assert dict(relation.index("V")) == {1: [0, 1], 2: [2]}
+        assert relation.rename({"V": "W"}).index("W") == relation.index("V")
+
+    def test_threads_building_one_index_at_once_all_read_the_scan(self):
+        # A first build is unlocked: racing threads each build an equal
+        # map, and whichever is kept, every answer is the scan's.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                db = self._database([i % 7 for i in range(300)])
+                expected = [
+                    algebra.select(db.relation("T"), "V", Theta.EQ, k).rows for k in range(7)
+                ]
+                answers = [None] * 7
+
+                def probe(k):
+                    answers[k] = db.select("T", "V", Theta.EQ, k).rows
+
+                threads = [threading.Thread(target=probe, args=(k,)) for k in range(7)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert answers == expected
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_unhashable_keys_raise_as_under_filter_in(self):
+        lqp = RelationalLQP(self._database([1]))
+        with pytest.raises(TypeError):
+            filter_in(lqp.retrieve("T"), "V", [[1]])
+        with pytest.raises(TypeError):
+            lqp.select_in("T", "V", [[1]])
 
 
 class TestConditions:
