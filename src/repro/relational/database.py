@@ -10,6 +10,7 @@ and SelectIn.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Sequence, Tuple
 
 from repro.core.predicate import Theta
@@ -72,15 +73,23 @@ class LocalDatabase:
     # -- data management ---------------------------------------------------------
 
     def insert(self, relation_name: str, rows: Iterable[Sequence[Any]]) -> None:
-        """Insert rows, enforcing degree and primary-key uniqueness."""
+        """Insert rows, enforcing degree and primary-key uniqueness (also
+        within ``rows``); a failed insert changes nothing.
+
+        Only the inserted rows are checked row at a time: the current keys
+        are read in one C-level pass over the key columns, and the new rows
+        extend the current ones, since rows with distinct keys cannot
+        collapse.  Without a key, a row already present collapses into its
+        first occurrence, as in any relation.
+        """
         schema = self.schema(relation_name)
         current = self._relations[relation_name]
         key_positions = schema.key_indices()
-        existing_keys = {
-            tuple(row[i] for i in key_positions) for row in current
-        } if key_positions else set()
+        # One key is its bare value, several a tuple: itemgetter's own shape.
+        key_of = itemgetter(*key_positions) if key_positions else None
+        existing_keys = set(map(key_of, current.rows)) if key_positions else set()
 
-        new_rows = list(current.rows)
+        new_rows = []
         for row in rows:
             row_tuple = tuple(row)
             if len(row_tuple) != schema.degree:
@@ -89,18 +98,23 @@ class LocalDatabase:
                     f"{relation_name!r} of degree {schema.degree}"
                 )
             if key_positions:
-                key = tuple(row_tuple[i] for i in key_positions)
-                if any(part is None for part in key):
+                key = key_of(row_tuple)
+                shown = tuple(row_tuple[i] for i in key_positions)
+                if any(part is None for part in shown):
                     raise ConstraintViolationError(
-                        f"nil key value for relation {relation_name!r}: {key!r}"
+                        f"nil key value for relation {relation_name!r}: {shown!r}"
                     )
                 if key in existing_keys:
                     raise ConstraintViolationError(
-                        f"duplicate key {key!r} for relation {relation_name!r}"
+                        f"duplicate key {shown!r} for relation {relation_name!r}"
                     )
                 existing_keys.add(key)
             new_rows.append(row_tuple)
-        self._relations[relation_name] = Relation(schema.heading, new_rows)
+        if key_positions:
+            combined = current.rows + tuple(new_rows)
+        else:
+            combined = tuple(dict.fromkeys(chain(current.rows, new_rows)))
+        self._relations[relation_name] = Relation.from_distinct_rows(schema.heading, combined)
 
     def load(self, schema: RelationSchema, rows: Iterable[Sequence[Any]]) -> "LocalDatabase":
         """Create and populate a relation in one step (dataset builders)."""

@@ -97,6 +97,20 @@ class Relation:
         self._indexes = None
         return self
 
+    @classmethod
+    def from_distinct_rows(
+        cls, heading: Heading, rows: Tuple[Tuple[Any, ...], ...]
+    ) -> "Relation":
+        """Adopt ``rows`` as they are, with no deduplication pass: the
+        caller vouches that they are tuples of the heading's degree and
+        that no two are equal."""
+        self = object.__new__(cls)
+        self._heading = heading
+        self._rows = rows
+        self._columns = None
+        self._indexes = None
+        return self
+
     # -- accessors -----------------------------------------------------------
 
     @property
@@ -193,12 +207,9 @@ class Relation:
         >>> Relation(["A"], [(1,), (2,), (3,)]).take([2, 0]).rows
         ((3,), (1,))
         """
-        taken = object.__new__(Relation)
-        taken._heading = self._heading
-        taken._rows = tuple(map(self.rows.__getitem__, positions))
-        taken._columns = None
-        taken._indexes = None
-        return taken
+        return Relation.from_distinct_rows(
+            self._heading, tuple(map(self.rows.__getitem__, positions))
+        )
 
     def __repr__(self) -> str:
         return f"Relation({list(self._heading.attributes)!r}, cardinality={self.cardinality})"

@@ -45,6 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.pqp.executor import Lineage
@@ -292,7 +293,7 @@ class ResultCache:
     def _shrink(self) -> None:
         """Evict lowest-priority entries until within both bounds."""
         while len(self._entries) > self._max_entries or self._bytes > self._max_bytes:
-            victim = min(self._entries.values(), key=lambda entry: entry.priority)
+            victim = min(self._entries.values(), key=attrgetter("priority"))
             del self._entries[victim.fingerprint]
             self._bytes -= victim.bytes
             self._clock = max(self._clock, victim.priority)

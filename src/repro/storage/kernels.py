@@ -11,14 +11,20 @@ id arithmetic:
 Operator           Tag work per row
 =================  =====================================================
 project / union    one ``pool.merge`` id lookup per duplicate attribute
-restrict           one ``pool.add_intermediates`` id lookup per cell
-difference         ditto, with a single relation-wide mediator set
+restrict           one stamp per distinct (mediators, tag) pair, a dict
+                   probe per surviving cell
+difference         one ``pool.add_intermediates`` lookup per cell, with a
+                   single relation-wide mediator set
 coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
-hash_join          ``add_intermediates`` lookups per matched cell
-outer_join         ditto; nil pads interned once
-hash_merge         ``merge`` per folded cell, in place; one stamp per
-                   distinct (key tag, tag) pair, a dict probe per cell
+hash_join          as restrict, per matched cell
+outer_join         ditto; padded rows one lookup per cell, pads interned
+                   once
+hash_merge         uniformly tagged, uniquely keyed, agreeing operands:
+                   one table lookup per output cell, a tag per distinct
+                   set of contributing operands; otherwise ``merge`` per
+                   folded cell, in place, and one stamp per distinct
+                   (key tag, tag) pair, a dict probe per cell
 =================  =====================================================
 
 Join, the outer joins and Merge match rows through one key index, which
@@ -33,8 +39,10 @@ Operands are brought onto the left operand's pool via
 
 from __future__ import annotations
 
-from itertools import count, repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import eq, is_, is_not, itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
 from repro.core.heading import Heading
@@ -89,6 +97,35 @@ def _build_deduped(
         tuple(tuple(column) for column in tag_columns),
         pool,
     )
+
+
+def _picker(rows: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """A gather of ``rows``, in that order, from any column: built once,
+    then one C-level ``itemgetter`` call per column."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda column: tuple(column[row] for row in rows)
+
+
+def _same(sources: SourceSet) -> SourceSet:
+    return sources
+
+
+class _Stamps(dict):
+    """(key, tag) → the tag whose intermediates gain ``mediators(key)``,
+    resolved on first sight; looked up through ``map``, so a pair seen
+    before costs one C-level dict probe.  The key is a mediator set
+    itself unless ``mediators`` says how to derive one."""
+
+    def __init__(self, add, mediators=_same) -> None:
+        super().__init__()
+        self.add = add
+        self.mediators = mediators
+
+    def __missing__(self, pair: tuple) -> int:
+        keys, tag = pair
+        stamped = self[pair] = self.add(tag, self.mediators(keys))
+        return stamped
 
 
 def _merge_rows_by_data(
@@ -203,12 +240,11 @@ def restrict(
                     found = memo[key] = origins(key[0]) | origins(key[1])
                 mediators.append(found)
 
-    add = pool.add_intermediates
-    data_columns = [
-        [column[i] for i in survivors] for column in store.columns
-    ]
+    stamped = _Stamps(pool.add_intermediates)
+    pick = _picker(survivors)
+    data_columns = [pick(column) for column in store.columns]
     tag_columns = [
-        [add(column[i], extra) for i, extra in zip(survivors, mediators)]
+        tuple(map(stamped.__getitem__, zip(mediators, pick(column))))
         for column in store.tags
     ]
     return _build_deduped(store.heading, data_columns, tag_columns, pool)
@@ -428,10 +464,18 @@ def _gather(
     indices: Sequence[int],
     mediators: Sequence[SourceSet],
     pads: Sequence[int],
-) -> Tuple[List[list], List[list]]:
+    stamped: _Stamps,
+) -> Tuple[List[Sequence], List[Sequence]]:
     """``store``'s columns at row ``indices``, every cell's intermediates
     gaining the matching ``mediators``; an index of -1 is a nil cell
-    tagged with the matching ``pads`` id."""
+    tagged with the matching ``pads`` id.  Without one, the rows are
+    gathered whole and ``stamped`` resolves each distinct pair once."""
+    if -1 not in indices:
+        pick = _picker(indices)
+        return [pick(column) for column in store.columns], [
+            tuple(map(stamped.__getitem__, zip(mediators, pick(column))))
+            for column in store.tags
+        ]
     add = store.pool.add_intermediates
     data_columns = [
         [column[i] if i >= 0 else None for i in indices] for column in store.columns
@@ -497,8 +541,9 @@ def _equijoin(
                 mediators.append(right_sources[j])
                 pads.append(pool.intern(EMPTY_SOURCES, right_sources[j]))
 
-    left_data, left_tags = _gather(s1, left_idx, mediators, pads)
-    right_data, right_tags = _gather(s2, right_idx, mediators, pads)
+    stamped = _Stamps(pool.add_intermediates)
+    left_data, left_tags = _gather(s1, left_idx, mediators, pads, stamped)
+    right_data, right_tags = _gather(s2, right_idx, mediators, pads, stamped)
     return _build_deduped(heading, left_data + right_data, left_tags + right_tags, pool)
 
 
@@ -524,6 +569,99 @@ def outer_join(
     """Outer equijoin with Table A4 tag semantics (see
     :func:`repro.core.derived.outer_join` for the full contract)."""
     return _equijoin(s1, s2, heading, left_pos, right_pos, outer=True)
+
+
+def _uniform_tags(stores, names) -> Optional[List[List[int]]]:
+    """Per operand, per output attribute, the one tag id its column holds
+    (the empty tag for an empty operand); ``None`` when an operand lacks
+    an attribute or a column holds two ids."""
+    per_operand = []
+    for store in stores:
+        own = dict(zip(store.heading.attributes, store.tags))
+        if len(own) != len(names):
+            return None
+        tags = [own[name] for name in names]
+        if any(column.count(column[0]) != len(column) for column in tags if column):
+            return None
+        per_operand.append([column[0] if column else store.pool.EMPTY_ID for column in tags])
+    return per_operand
+
+
+def _agreed_columns(stores, names, keyed) -> Optional[Tuple[List[list], List[int]]]:
+    """The output data of operands whose keys are unique and non-nil, and
+    each partition's contributors as a bitmask (bit *j*: operand *j* has a
+    row there); ``None`` at the first shared cell that differs under
+    ``==`` from the cell already there — a NaN included, so the fold would
+    act on it.  Partitions number in first-encounter order, so the data
+    are operand 0's columns, then each later operand's rows that open a
+    partition, in row order."""
+    ids: Dict[Any, int] = dict(zip(keyed[0], count()))
+    data = [list(column) for column in stores[0].columns]
+    masks = [1] * len(keyed[0])
+    for operand in range(1, len(stores)):
+        keys, bit = keyed[operand], 1 << operand
+        at = list(map(ids.get, keys))
+        shared = list(compress(count(), map(is_not, at, repeat(None))))
+        fresh = list(compress(count(), map(is_, at, repeat(None))))
+        pick_shared, pick_fresh = _picker(shared), _picker(fresh)
+        parts = pick_shared(at)
+        pick_parts = _picker(parts)
+        own = dict(zip(stores[operand].heading.attributes, stores[operand].columns))
+        columns = [own[name] for name in names]
+        if not all(
+            all(map(eq, pick_parts(have), pick_shared(column)))
+            for have, column in zip(data, columns)
+        ):
+            return None
+        for part in parts:
+            masks[part] |= bit
+        ids.update(zip(pick_fresh(keys), count(len(ids))))
+        masks += repeat(bit, len(fresh))
+        for have, column in zip(data, columns):
+            have += pick_fresh(column)
+    return data, masks
+
+
+def _tag_tables(pool, tags, masks, key_positions) -> List[Tuple[int, ...]]:
+    """Per output attribute, the tag column of uniformly tagged operands
+    (``tags``, from :func:`_uniform_tags`).  A partition's cell is the
+    fold of its contributors' tags, stamped with the union of its key
+    cells' origins: a function of its contributor mask alone, so each
+    distinct mask is resolved once into a table, read per partition."""
+    merge, origins, add = pool.merge, pool.origins, pool.add_intermediates
+    tables: List[Dict[int, int]] = [{} for _ in tags[0]]
+    for mask in set(masks):
+        contributors = [own for operand, own in enumerate(tags) if mask >> operand & 1]
+        merged = [reduce(merge, column) for column in zip(*contributors)]
+        mediators = EMPTY_SOURCES.union(*(origins(merged[at]) for at in key_positions))
+        for table, tag in zip(tables, merged):
+            table[mask] = add(tag, mediators)
+    pick = _picker(masks)
+    return [pick(table) for table in tables]
+
+
+def _aligned_merge(stores, heading, key, keyed) -> Optional[ColumnarRelation]:
+    """The gather path: Merge without a fold, when every operand carries
+    every attribute with one tag id per column, its keys are unique and
+    non-nil, and shared cells agree.  Then each cell keeps its first
+    contributor's datum and its tag depends only on which operands
+    contribute; keys are unique per partition, so nothing collapses.
+    ``None`` for any other input."""
+    names = heading.attributes
+    tags = _uniform_tags(stores, names)
+    if tags is None:
+        return None
+    for keys in keyed:
+        distinct = set(keys)
+        if None in distinct or len(distinct) != len(keys):
+            return None
+    agreed = _agreed_columns(stores, names, keyed)
+    if agreed is None:
+        return None
+    data, masks = agreed
+    pool = stores[0].pool
+    tag_columns = _tag_tables(pool, tags, masks, [names.index(name) for name in key])
+    return ColumnarRelation(heading, tuple(map(tuple, data)), tuple(tag_columns), pool)
 
 
 def _partitions(keyed: Sequence[List[Any]]) -> Tuple[List[Sequence[int]], int, set]:
@@ -583,22 +721,6 @@ def _fold_columns(stores, parts, size, names, policy) -> Tuple[list, list, set]:
         data_columns.append(data)
         tag_columns.append(tags)
     return data_columns, tag_columns, conflicted
-
-
-class _Stamps(dict):
-    """(key tags, tag) → the tag stamped with the key tags' ``mediators``,
-    resolved on first sight; looked up through ``map``, so a pair seen
-    before costs one C-level dict probe."""
-
-    def __init__(self, add, mediators) -> None:
-        super().__init__()
-        self.add = add
-        self.mediators = mediators
-
-    def __missing__(self, pair: tuple) -> int:
-        keys, tag = pair
-        stamped = self[pair] = self.add(tag, self.mediators(keys))
-        return stamped
 
 
 def _stamp(pool, key_tags: Sequence[List[int]], tag_columns: List[list]) -> List[list]:
@@ -691,12 +813,21 @@ def hash_merge(
     key-cell origins (the fold adds them per join; the union is the same),
     and an attribute no row supplied becomes the nil pad carrying them.
 
-    Two paths run that fold, chosen per partition from its input:
+    Three paths give that answer, chosen from the input:
 
-    - **column path**, when every operand has at most one row there: per
-      output attribute, each operand's rows fold in place into partition-
-      indexed accumulators, and the stamp is resolved once per distinct
-      (key tag, tag) pair;
+    - **gather path**, for the whole Merge, when every operand carries
+      every attribute with one tag id per column (a shipped local
+      relation is tagged ``({LD}, {})`` throughout), its keys are unique
+      and non-nil, and wherever operands share a key their cells are
+      equal under ``==`` (a NaN is not).  Then nothing folds: the data
+      are operand 0's columns followed by each later operand's rows that
+      open a partition, gathered, and a cell's tag is a function of which
+      operands have a row in its partition — one table per attribute,
+      resolved once per distinct set of contributors, read per partition;
+    - **column path**, per partition, when every operand has at most one
+      row there: per output attribute, each operand's rows fold in place
+      into partition-indexed accumulators, and the stamp is resolved once
+      per distinct (key tag, tag) pair;
     - **row path**, for the fold's general semantics: a key repeated in an
       operand crosses every accumulated partial with every matching row,
       and under ``DROP``, once every pairing dies at operand *j*, operand
@@ -729,6 +860,9 @@ def hash_merge(
         return first
 
     keyed = [key_data(store, store.heading.indices(key)) for store in translated]
+    aligned = _aligned_merge(translated, heading, key, keyed)
+    if aligned is not None:
+        return aligned
     parts, size, repeated = _partitions(keyed)
     data_columns, tag_columns, conflicted = _fold_columns(
         translated, parts, size, names, policy

@@ -13,7 +13,9 @@ The kernel gathers columns for partitions with at most one row per operand
 and folds the rest row at a time; :mod:`tests.reference.merge_rows` keeps
 the all-rows kernel it replaced, and the two must agree row for row —
 order, data types and tag ids included — on operands whose keys are mostly
-unique, so that both paths run.
+unique, so that both paths run.  Operands tagged as a local database ships
+them (one tag id per column), uniquely keyed, mostly agreeing, drive the
+gather path that skips the fold; they are held to both oracles too.
 """
 
 import random
@@ -25,10 +27,12 @@ from hypothesis import strategies as st
 
 from repro.core.cell import Cell, ConflictPolicy
 from repro.core.derived import merge
+from repro.core.heading import Heading
 from repro.core.relation import PolygenRelation
 from repro.core.row import PolygenTuple
 from repro.errors import CoalesceConflictError
 from repro.storage import kernels
+from repro.storage.columnar import ColumnarRelation
 
 from tests.property.strategies import (
     DATABASES,
@@ -187,4 +191,78 @@ def test_hash_merge_matches_row_kernel_in_order(policy, operands):
     stores = [relation.store for relation in operands]
     assert _outcome(kernels.hash_merge, stores, policy) == _outcome(
         merge_rows.hash_merge, stores, policy
+    )
+
+
+#: Key choices, pairwise unequal under ``==`` whatever each draws: one of
+#: ``1``/``True``/``1.0``, one of ``0``/``-0.0``, and plain values.
+UNIQUE_KEYS = (
+    st.sampled_from((1, True, 1.0)), st.sampled_from((0, -0.0)),
+    st.just("a"), st.just("b"), st.just(2),
+)
+#: Data cells: plain values, ``1``/``True``/``1.0`` among them (equal
+#: across types); where a case allows odd cells, also nil, the shared NaN
+#: object and a fresh NaN (unequal even to themselves).
+PLAIN_DATA = st.sampled_from(("x", "y", 1, True, 1.0))
+ODD_DATA = st.one_of(
+    PLAIN_DATA, st.sampled_from((None, SHARED_NAN)), st.builds(float, st.just("nan"))
+)
+
+
+@st.composite
+def uniform_cases(draw):
+    """2..4 operands built as a local database's shipment is:
+    :meth:`ColumnarRelation.uniform` over ``K, V, W`` in a drawn order,
+    every data cell ``(origins, intermediates)`` alike (a nil cell too
+    when the origins are empty).  Keys are unique, drawn from
+    :data:`UNIQUE_KEYS`; now and then a nil or NaN key joins them.  Each
+    (key, attribute) has one drawn datum every operand repeats — equal, or
+    for a ``1`` maybe ``True`` or ``1.0`` — unless the case disagrees,
+    when a cell may draw its own.  Nil and NaN cells come in a third of
+    the cases, so that most cases take the gather path."""
+    count = draw(st.integers(min_value=2, max_value=4))
+    disagree = draw(st.integers(0, 3)) == 0
+    data = ODD_DATA if draw(st.integers(0, 2)) == 0 else PLAIN_DATA
+    shared = {}
+    operands = []
+    for _ in range(count):
+        names = draw(st.permutations(["K", "V", "W"]))
+        groups = draw(st.lists(st.integers(0, len(UNIQUE_KEYS) - 1), unique=True, max_size=5))
+        keys = [(group, draw(UNIQUE_KEYS[group])) for group in groups]
+        if draw(st.integers(0, 9)) == 0:
+            keys.append((None, draw(st.sampled_from((None, SHARED_NAN)))))
+        rows = []
+        for group, key in keys:
+            row = {"K": key}
+            for name in ("V", "W"):
+                if (group, name) not in shared:
+                    shared[group, name] = draw(data)
+                datum = shared[group, name]
+                if datum == 1:
+                    datum = draw(st.sampled_from((1, True, 1.0)))
+                if disagree and draw(st.integers(0, 3)) == 0:
+                    datum = draw(data)
+                row[name] = datum
+            rows.append(tuple(row[name] for name in names))
+        columns = tuple(zip(*rows)) if rows else ((),) * 3
+        operands.append(ColumnarRelation.uniform(
+            Heading(names), columns, draw(tag_sets()), draw(tag_sets())
+        ))
+    return operands
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
+@settings(max_examples=60, deadline=None)
+@given(stores=uniform_cases())
+def test_uniform_operands_match_both_oracles(policy, stores):
+    got = _outcome(kernels.hash_merge, stores, policy)
+    assert got == _outcome(merge_rows.hash_merge, stores, policy)
+    relations = [PolygenRelation.from_store(store) for store in stores]
+    try:
+        expected = merge_fold(relations, key=["K"], policy=policy)
+    except CoalesceConflictError:
+        assert got[0] == "raised"
+        return
+    assert normalize(PolygenRelation.from_store(kernels.hash_merge(stores, ["K"], policy))) == (
+        normalize(expected)
     )

@@ -82,6 +82,37 @@ class TestLocalDatabase:
         with pytest.raises(ConstraintViolationError):
             self.db.insert("BUSINESS", [("IBM", "a"), ("IBM", "b")])
 
+    def test_a_duplicate_key_inside_one_batch_raises_and_changes_nothing(self):
+        self.db.insert("BUSINESS", [("IBM", "High Tech")])
+        before = self.db.relation("BUSINESS")
+        for batch in (
+            [("BP", "Energy"), ("DEC", "High Tech"), ("BP", "Oil")],
+            [(1, "a"), (True, "b")],  # one key under ==, as in the index
+            [("GE", "x"), ("IBM", "y")],  # new, then one already present
+            [("GE", "x"), (None, "y")],
+        ):
+            with pytest.raises(ConstraintViolationError):
+                self.db.insert("BUSINESS", batch)
+            assert self.db.relation("BUSINESS") is before
+
+    def test_a_composite_key_is_checked_against_rows_and_batch(self):
+        db = LocalDatabase("AD")
+        db.load(RelationSchema("R", ["A", "B", "C"], key=["A", "B"]), [(1, "x", "c")])
+        db.insert("R", [(1, "y", "c"), (2, "x", "c")])
+        for batch in ([(1.0, "x", "d")], [(3, "z", "c"), (3, "z", "d")], [(3, None, "c")]):
+            with pytest.raises(ConstraintViolationError):
+                db.insert("R", batch)
+        assert db.relation("R").rows == ((1, "x", "c"), (1, "y", "c"), (2, "x", "c"))
+
+    def test_a_keyless_insert_of_an_existing_row_collapses(self):
+        db = LocalDatabase("CD")
+        db.load(RelationSchema("FIRM", ["FNAME", "CEO"]), [("IBM", "Ackers"), ("BP", "Browne")])
+        db.insert("FIRM", [("BP", "Browne"), ("DEC", "Olsen"), ("DEC", "Olsen"), ("IBM", None)])
+        assert db.relation("FIRM").rows == (
+            ("IBM", "Ackers"), ("BP", "Browne"), ("DEC", "Olsen"), ("IBM", None)
+        )
+        assert db.select("FIRM", "FNAME", Theta.EQ, "DEC").rows == (("DEC", "Olsen"),)
+
     def test_nil_key_rejected(self):
         with pytest.raises(ConstraintViolationError):
             self.db.insert("BUSINESS", [(None, "Energy")])

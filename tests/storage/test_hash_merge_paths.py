@@ -1,20 +1,29 @@
-"""Which of Merge's two paths a partition takes, and what each returns.
+"""Which of Merge's three paths an input takes, and what each returns.
 
-:func:`repro.storage.kernels.hash_merge` folds a partition as columns when
-every operand has at most one row in it, and row at a time (through
+:func:`repro.storage.kernels.hash_merge` gathers the whole Merge without a
+fold when every operand carries every attribute with one tag id per
+column, its keys are unique and non-nil, and shared cells agree; it never
+reaches ``_partitions`` then.  Otherwise it folds a partition as columns
+when every operand has at most one row in it, and row at a time (through
 ``_merge_partition``) when a key repeats inside one operand or a conflict
 ``DROP`` or ``ERROR`` must act on.  Each case is also checked row for row
 against the all-rows kernel in :mod:`tests.reference.merge_rows`.
 """
 
+import math
+
 import pytest
 
 from repro.core.cell import ConflictPolicy
 from repro.core.relation import PolygenRelation
+from repro.core.heading import Heading
 from repro.errors import CoalesceConflictError
 from repro.storage import kernels
+from repro.storage.columnar import ColumnarRelation
 
 from tests.reference import merge_rows
+
+POLICIES = tuple(ConflictPolicy)
 
 
 def stores(*operands):
@@ -192,3 +201,170 @@ def test_a_two_attribute_key_matches_1_true_and_1_0(policy):
         ("v", {"AD"}, mediators),
         ("x", {"CD"}, mediators),
     ]
+
+
+# -- the gather path -------------------------------------------------------
+
+
+@pytest.fixture
+def partition_calls(monkeypatch):
+    """How many Merges went past the gather path into ``_partitions``."""
+    calls = []
+    real = kernels._partitions
+
+    def counting(keyed):
+        calls.append(keyed)
+        return real(keyed)
+
+    monkeypatch.setattr(kernels, "_partitions", counting)
+    return calls
+
+
+def agreeing():
+    """Uniformly tagged operands (every column one tag id), unique keys,
+    shared cells equal under ``==`` — ``1``, ``True`` and ``1.0`` among
+    them — columns in differing orders, and k1 missing from the middle
+    operand."""
+    return [
+        (["K", "V", "W"], [("k1", 1, "a"), ("k2", "b", "c")], ["AD"]),
+        (["W", "K", "V"], [("c", "k2", "b"), ("d", "k3", True)], ["CD"]),
+        (["V", "W", "K"], [(1.0, "a", "k1"), (True, "d", "k3"), ("e", "f", "k4")], ["PD"]),
+    ]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+def test_uniform_unique_agreeing_operands_take_the_gather_path(partition_calls, policy):
+    operands = stores(*agreeing())
+    merged = kernels.hash_merge(operands, ["K"], policy)
+    assert partition_calls == []
+    assert exact(merged) == exact(merge_rows.hash_merge(operands, ["K"], policy))
+    # Each cell keeps its first contributor's datum, type included.
+    assert exact(merged)[1] == [
+        [(str, "k1"), (str, "k2"), (str, "k3"), (str, "k4")],
+        [(int, 1), (str, "b"), (bool, True), (str, "e")],
+        [(str, "a"), (str, "c"), (str, "d"), (str, "f")],
+    ]
+    k1, k2, k3, k4 = cells(merged)
+    assert k1[1] == (1, {"AD", "PD"}, {"AD", "PD"})
+    assert k2[2] == ("c", {"AD", "CD"}, {"AD", "CD"})
+    assert k3[0] == ("k3", {"CD", "PD"}, {"CD", "PD"})
+    assert k4 == [(datum, {"PD"}, {"PD"}) for datum in ("k4", "e", "f")]
+
+
+def test_the_gather_path_unions_intermediates_and_key_origins(partition_calls):
+    # A two-attribute key; the operands' own intermediates survive the
+    # merge, and the stamp adds every contributor's key-cell origins.
+    operands = [
+        PolygenRelation.from_data(heading, rows, origins, intermediates).store
+        for heading, rows, origins, intermediates in (
+            (["K1", "K2", "V"], [(1, "a", "v"), (2, "a", "w")], ["AD"], ["PD"]),
+            (["K2", "K1", "V"], [("a", 2, "w"), ("b", 1, "u")], ["CD"], []),
+        )
+    ]
+    merged = kernels.hash_merge(operands, ["K1", "K2"], ConflictPolicy.ERROR)
+    assert partition_calls == []
+    assert exact(merged) == exact(
+        merge_rows.hash_merge(operands, ["K1", "K2"], ConflictPolicy.ERROR)
+    )
+    assert cells(merged) == [
+        [(1, {"AD"}, {"AD", "PD"}), ("a", {"AD"}, {"AD", "PD"}), ("v", {"AD"}, {"AD", "PD"})],
+        [(2, {"AD", "CD"}, {"AD", "CD", "PD"}), ("a", {"AD", "CD"}, {"AD", "CD", "PD"}),
+         ("w", {"AD", "CD"}, {"AD", "CD", "PD"})],
+        [(1, {"CD"}, {"CD"}), ("b", {"CD"}, {"CD"}), ("u", {"CD"}, {"CD"})],
+    ]
+
+
+def test_nil_cells_under_one_tag_and_an_empty_operand_take_the_gather_path(partition_calls):
+    # With no origins a nil cell and a datum share one tag id, so the
+    # column is uniform; nil meets nil in k1, as equal data.
+    operands = [
+        PolygenRelation.from_data(["K", "V"], [("k1", None), ("k2", "x")], [], ["AD"]).store,
+        PolygenRelation(["K", "V"], ()).store,
+        PolygenRelation.from_data(["V", "K"], [(None, "k1"), (None, "k3")], [], ["CD"]).store,
+    ]
+    merged = kernels.hash_merge(operands, ["K"], ConflictPolicy.DROP)
+    assert partition_calls == []
+    assert exact(merged) == exact(
+        merge_rows.hash_merge(operands, ["K"], ConflictPolicy.DROP)
+    )
+    assert merged.columns == (("k1", "k2", "k3"), (None, "x", None))
+
+
+def _disagreeing():
+    cases = agreeing()
+    heading, rows, origins = cases[1]
+    cases[1] = (heading, [("c", "k2", "B"), rows[1]], origins)
+    return cases
+
+
+def _nil_key():
+    cases = agreeing()
+    heading, rows, origins = cases[2]
+    cases[2] = (heading, rows + [("g", "h", None)], origins)
+    return cases
+
+
+def _repeated_key():
+    cases = agreeing()
+    heading, rows, origins = cases[0]
+    cases[0] = (heading, rows + [("k1", 1, "z")], origins)
+    return cases
+
+
+def _lacking_attribute():
+    cases = agreeing()
+    cases[1] = (["K", "V"], [("k2", "b"), ("k3", True)], ["CD"])
+    return cases
+
+
+def _nil_in_a_fresh_row():
+    # The nil cell has empty origins, so its column holds two tag ids.
+    cases = agreeing()
+    heading, rows, origins = cases[2]
+    cases[2] = (heading, rows[:2] + [(None, "f", "k4")], origins)
+    return cases
+
+
+def _non_uniform_tags():
+    operands = stores(*agreeing())
+    first = operands[0]
+    pool = first.pool
+    other = pool.intern(frozenset({"AD"}), frozenset({"CD"}))
+    tags = (first.tags[0], first.tags[1], (first.tags[2][0], other))
+    operands[0] = ColumnarRelation(first.heading, first.columns, tags, pool)
+    return operands
+
+
+FALLBACKS = {
+    "one-disagreeing-cell": lambda: stores(*_disagreeing()),
+    "a-nil-key": lambda: stores(*_nil_key()),
+    "a-repeated-key": lambda: stores(*_repeated_key()),
+    "a-non-uniform-tag-column": _non_uniform_tags,
+    "an-operand-lacking-an-attribute": lambda: stores(*_lacking_attribute()),
+    "a-nil-cell-in-a-fresh-row": lambda: stores(*_nil_in_a_fresh_row()),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_other_inputs_fall_back_to_the_fold(partition_calls, case, policy):
+    operands = FALLBACKS[case]()
+    merged = outcome(kernels.hash_merge, operands, ["K"], policy)
+    assert len(partition_calls) == 1
+    assert merged == outcome(merge_rows.hash_merge, operands, ["K"], policy)
+
+
+@pytest.mark.parametrize("nan", [math.nan, float("nan")], ids=["shared", "fresh"])
+def test_a_shared_nan_cell_is_a_disagreement(partition_calls, nan):
+    # The same NaN object on both sides is unequal under ==, as in the
+    # fold, which settles it by policy; tuple equality would call it equal.
+    operands = [
+        ColumnarRelation.uniform(Heading(["K", "V"]), (("k",), (math.nan,)), ["AD"]),
+        ColumnarRelation.uniform(Heading(["K", "V"]), (("k",), (nan,)), ["CD"]),
+    ]
+    for policy in POLICIES:
+        merged = outcome(kernels.hash_merge, operands, ["K"], policy)
+        assert merged == outcome(merge_rows.hash_merge, operands, ["K"], policy)
+    assert len(partition_calls) == len(POLICIES)
+    dropped = kernels.hash_merge(operands, ["K"], ConflictPolicy.DROP)
+    assert dropped.cardinality == 0
