@@ -87,6 +87,7 @@ class LocalDatabase:
         key_positions = schema.key_indices()
         # One key is its bare value, several a tuple: itemgetter's own shape.
         key_of = itemgetter(*key_positions) if key_positions else None
+        single_key = len(key_positions) == 1
         existing_keys = set(map(key_of, current.rows)) if key_positions else set()
 
         new_rows = []
@@ -99,14 +100,12 @@ class LocalDatabase:
                 )
             if key_positions:
                 key = key_of(row_tuple)
-                shown = tuple(row_tuple[i] for i in key_positions)
-                if any(part is None for part in shown):
+                nil = (key is None) if single_key else (None in key)
+                if nil or key in existing_keys:
+                    shown = tuple(row_tuple[i] for i in key_positions)
                     raise ConstraintViolationError(
-                        f"nil key value for relation {relation_name!r}: {shown!r}"
-                    )
-                if key in existing_keys:
-                    raise ConstraintViolationError(
-                        f"duplicate key {shown!r} for relation {relation_name!r}"
+                        f"nil key value for relation {relation_name!r}: {shown!r}" if nil
+                        else f"duplicate key {shown!r} for relation {relation_name!r}"
                     )
                 existing_keys.add(key)
             new_rows.append(row_tuple)

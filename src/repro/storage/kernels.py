@@ -11,15 +11,12 @@ id arithmetic:
 Operator           Tag work per row
 =================  =====================================================
 project / union    one ``pool.merge`` id lookup per duplicate attribute
-restrict           one stamp per distinct (mediators, tag) pair, a dict
-                   probe per surviving cell
-difference         one ``pool.add_intermediates`` lookup per cell, with a
-                   single relation-wide mediator set
+restrict           one ``pool.add_intermediates`` id lookup per cell
+difference         ditto, with a single relation-wide mediator set
 coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
-hash_join          as restrict, per matched cell
-outer_join         ditto; padded rows one lookup per cell, pads interned
-                   once
+hash_join          ``add_intermediates`` lookups per matched cell
+outer_join         ditto; nil pads interned once
 hash_merge         uniformly tagged, uniquely keyed, agreeing operands:
                    one table lookup per output cell, a tag per distinct
                    set of contributing operands; otherwise ``merge`` per
@@ -40,8 +37,8 @@ Operands are brought onto the left operand's pool via
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import eq, is_, is_not, itemgetter
+from itertools import compress, count, filterfalse, repeat
+from operator import eq, itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
@@ -105,27 +102,6 @@ def _picker(rows: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
     if len(rows) > 1:
         return itemgetter(*rows)
     return lambda column: tuple(column[row] for row in rows)
-
-
-def _same(sources: SourceSet) -> SourceSet:
-    return sources
-
-
-class _Stamps(dict):
-    """(key, tag) → the tag whose intermediates gain ``mediators(key)``,
-    resolved on first sight; looked up through ``map``, so a pair seen
-    before costs one C-level dict probe.  The key is a mediator set
-    itself unless ``mediators`` says how to derive one."""
-
-    def __init__(self, add, mediators=_same) -> None:
-        super().__init__()
-        self.add = add
-        self.mediators = mediators
-
-    def __missing__(self, pair: tuple) -> int:
-        keys, tag = pair
-        stamped = self[pair] = self.add(tag, self.mediators(keys))
-        return stamped
 
 
 def _merge_rows_by_data(
@@ -240,11 +216,12 @@ def restrict(
                     found = memo[key] = origins(key[0]) | origins(key[1])
                 mediators.append(found)
 
-    stamped = _Stamps(pool.add_intermediates)
-    pick = _picker(survivors)
-    data_columns = [pick(column) for column in store.columns]
+    add = pool.add_intermediates
+    data_columns = [
+        [column[i] for i in survivors] for column in store.columns
+    ]
     tag_columns = [
-        tuple(map(stamped.__getitem__, zip(mediators, pick(column))))
+        [add(column[i], extra) for i, extra in zip(survivors, mediators)]
         for column in store.tags
     ]
     return _build_deduped(store.heading, data_columns, tag_columns, pool)
@@ -464,18 +441,10 @@ def _gather(
     indices: Sequence[int],
     mediators: Sequence[SourceSet],
     pads: Sequence[int],
-    stamped: _Stamps,
-) -> Tuple[List[Sequence], List[Sequence]]:
+) -> Tuple[List[list], List[list]]:
     """``store``'s columns at row ``indices``, every cell's intermediates
     gaining the matching ``mediators``; an index of -1 is a nil cell
-    tagged with the matching ``pads`` id.  Without one, the rows are
-    gathered whole and ``stamped`` resolves each distinct pair once."""
-    if -1 not in indices:
-        pick = _picker(indices)
-        return [pick(column) for column in store.columns], [
-            tuple(map(stamped.__getitem__, zip(mediators, pick(column))))
-            for column in store.tags
-        ]
+    tagged with the matching ``pads`` id."""
     add = store.pool.add_intermediates
     data_columns = [
         [column[i] if i >= 0 else None for i in indices] for column in store.columns
@@ -541,9 +510,8 @@ def _equijoin(
                 mediators.append(right_sources[j])
                 pads.append(pool.intern(EMPTY_SOURCES, right_sources[j]))
 
-    stamped = _Stamps(pool.add_intermediates)
-    left_data, left_tags = _gather(s1, left_idx, mediators, pads, stamped)
-    right_data, right_tags = _gather(s2, right_idx, mediators, pads, stamped)
+    left_data, left_tags = _gather(s1, left_idx, mediators, pads)
+    right_data, right_tags = _gather(s2, right_idx, mediators, pads)
     return _build_deduped(heading, left_data + right_data, left_tags + right_tags, pool)
 
 
@@ -587,35 +555,34 @@ def _uniform_tags(stores, names) -> Optional[List[List[int]]]:
     return per_operand
 
 
-def _agreed_columns(stores, names, keyed) -> Optional[Tuple[List[list], List[int]]]:
-    """The output data of operands whose keys are unique and non-nil, and
-    each partition's contributors as a bitmask (bit *j*: operand *j* has a
-    row there); ``None`` at the first shared cell that differs under
-    ``==`` from the cell already there — a NaN included, so the fold would
-    act on it.  Partitions number in first-encounter order, so the data
-    are operand 0's columns, then each later operand's rows that open a
-    partition, in row order."""
-    ids: Dict[Any, int] = dict(zip(keyed[0], count()))
+def _agreed_columns(stores, names, parts) -> Optional[Tuple[List[list], List[int]]]:
+    """The output data of operands whose keys are unique and non-nil
+    (``parts`` from :func:`_unique_partitions`), and each partition's
+    contributors as a bitmask (bit *j*: operand *j* has a row there);
+    ``None`` at the first shared cell that differs under ``==`` from the
+    cell already there — a NaN included, so the fold would act on it.
+    Partitions number in first-encounter order, so the data are operand
+    0's columns, then each later operand's rows that open a partition, in
+    row order."""
     data = [list(column) for column in stores[0].columns]
-    masks = [1] * len(keyed[0])
+    masks = [1] * len(parts[0])
     for operand in range(1, len(stores)):
-        keys, bit = keyed[operand], 1 << operand
-        at = list(map(ids.get, keys))
-        shared = list(compress(count(), map(is_not, at, repeat(None))))
-        fresh = list(compress(count(), map(is_, at, repeat(None))))
-        pick_shared, pick_fresh = _picker(shared), _picker(fresh)
-        parts = pick_shared(at)
-        pick_parts = _picker(parts)
+        at, bit, opened = parts[operand], 1 << operand, len(masks)
+        shared = list(compress(count(), map(opened.__gt__, at)))
+        pick_shared = _picker(shared)
+        met = pick_shared(at)
+        pick_met = _picker(met)
         own = dict(zip(stores[operand].heading.attributes, stores[operand].columns))
         columns = [own[name] for name in names]
         if not all(
-            all(map(eq, pick_parts(have), pick_shared(column)))
+            all(map(eq, pick_met(have), pick_shared(column)))
             for have, column in zip(data, columns)
         ):
             return None
-        for part in parts:
+        for part in met:
             masks[part] |= bit
-        ids.update(zip(pick_fresh(keys), count(len(ids))))
+        fresh = list(compress(count(), map(opened.__le__, at)))
+        pick_fresh = _picker(fresh)
         masks += repeat(bit, len(fresh))
         for have, column in zip(data, columns):
             have += pick_fresh(column)
@@ -640,28 +607,46 @@ def _tag_tables(pool, tags, masks, key_positions) -> List[Tuple[int, ...]]:
     return [pick(table) for table in tables]
 
 
-def _aligned_merge(stores, heading, key, keyed) -> Optional[ColumnarRelation]:
+def _aligned_merge(stores, heading, key, parts) -> Optional[ColumnarRelation]:
     """The gather path: Merge without a fold, when every operand carries
     every attribute with one tag id per column, its keys are unique and
-    non-nil, and shared cells agree.  Then each cell keeps its first
-    contributor's datum and its tag depends only on which operands
-    contribute; keys are unique per partition, so nothing collapses.
-    ``None`` for any other input."""
+    non-nil (``parts`` from :func:`_unique_partitions`), and shared cells
+    agree.  Then each cell keeps its first contributor's datum and its tag
+    depends only on which operands contribute; keys are unique per
+    partition, so nothing collapses.  ``None`` for any other input."""
     names = heading.attributes
     tags = _uniform_tags(stores, names)
     if tags is None:
         return None
-    for keys in keyed:
-        distinct = set(keys)
-        if None in distinct or len(distinct) != len(keys):
-            return None
-    agreed = _agreed_columns(stores, names, keyed)
+    agreed = _agreed_columns(stores, names, parts)
     if agreed is None:
         return None
     data, masks = agreed
     pool = stores[0].pool
     tag_columns = _tag_tables(pool, tags, masks, [names.index(name) for name in key])
     return ColumnarRelation(heading, tuple(map(tuple, data)), tuple(tag_columns), pool)
+
+
+def _unique_partitions(keyed: Sequence[List[Any]]) -> Optional[Tuple[List[Sequence[int]], int]]:
+    """:func:`_partitions`' answer when every operand's keys are unique and
+    non-nil, from C-level passes: per operand, each row's partition, in
+    first-encounter order (the first operand's map is a ``range``), and
+    the partition count.  ``None`` for any other input.  The gather path
+    and, when it declines, the fold both read it."""
+    first = keyed[0]
+    ids: Dict[Any, int] = dict(zip(first, count()))
+    if len(ids) != len(first):
+        return None
+    parts: List[Sequence[int]] = [range(len(first))]
+    for keys in keyed[1:]:
+        ids.update(zip(filterfalse(ids.__contains__, keys), count(len(ids))))
+        at = list(map(ids.__getitem__, keys))
+        if len(set(at)) != len(at):
+            return None
+        parts.append(at)
+    if None in ids:
+        return None
+    return parts, len(ids)
 
 
 def _partitions(keyed: Sequence[List[Any]]) -> Tuple[List[Sequence[int]], int, set]:
@@ -721,6 +706,22 @@ def _fold_columns(stores, parts, size, names, policy) -> Tuple[list, list, set]:
         data_columns.append(data)
         tag_columns.append(tags)
     return data_columns, tag_columns, conflicted
+
+
+class _Stamps(dict):
+    """(key tags, tag) → the tag stamped with the key tags' ``mediators``,
+    resolved on first sight; looked up through ``map``, so a pair seen
+    before costs one C-level dict probe."""
+
+    def __init__(self, add, mediators) -> None:
+        super().__init__()
+        self.add = add
+        self.mediators = mediators
+
+    def __missing__(self, pair: tuple) -> int:
+        keys, tag = pair
+        stamped = self[pair] = self.add(tag, self.mediators(keys))
+        return stamped
 
 
 def _stamp(pool, key_tags: Sequence[List[int]], tag_columns: List[list]) -> List[list]:
@@ -823,7 +824,10 @@ def hash_merge(
       are operand 0's columns followed by each later operand's rows that
       open a partition, gathered, and a cell's tag is a function of which
       operands have a row in its partition — one table per attribute,
-      resolved once per distinct set of contributors, read per partition;
+      resolved once per distinct set of contributors, read per partition.
+      Whether keys are unique and non-nil is settled first, by
+      :func:`_unique_partitions`, whose partition map a declined input's
+      fold reads too;
     - **column path**, per partition, when every operand has at most one
       row there: per output attribute, each operand's rows fold in place
       into partition-indexed accumulators, and the stamp is resolved once
@@ -860,10 +864,15 @@ def hash_merge(
         return first
 
     keyed = [key_data(store, store.heading.indices(key)) for store in translated]
-    aligned = _aligned_merge(translated, heading, key, keyed)
-    if aligned is not None:
-        return aligned
-    parts, size, repeated = _partitions(keyed)
+    unique = _unique_partitions(keyed)
+    if unique is None:
+        parts, size, repeated = _partitions(keyed)
+    else:
+        parts, size = unique
+        aligned = _aligned_merge(translated, heading, key, parts)
+        if aligned is not None:
+            return aligned
+        repeated = set()
     data_columns, tag_columns, conflicted = _fold_columns(
         translated, parts, size, names, policy
     )

@@ -3,7 +3,7 @@
 :func:`repro.storage.kernels.hash_merge` gathers the whole Merge without a
 fold when every operand carries every attribute with one tag id per
 column, its keys are unique and non-nil, and shared cells agree; it never
-reaches ``_partitions`` then.  Otherwise it folds a partition as columns
+reaches ``_fold_columns`` then.  Otherwise it folds a partition as columns
 when every operand has at most one row in it, and row at a time (through
 ``_merge_partition``) when a key repeats inside one operand or a conflict
 ``DROP`` or ``ERROR`` must act on.  Each case is also checked row for row
@@ -207,16 +207,16 @@ def test_a_two_attribute_key_matches_1_true_and_1_0(policy):
 
 
 @pytest.fixture
-def partition_calls(monkeypatch):
-    """How many Merges went past the gather path into ``_partitions``."""
+def fold_calls(monkeypatch):
+    """How many Merges went past the gather path into the fold."""
     calls = []
-    real = kernels._partitions
+    real = kernels._fold_columns
 
-    def counting(keyed):
-        calls.append(keyed)
-        return real(keyed)
+    def counting(stores, parts, size, names, policy):
+        calls.append(parts)
+        return real(stores, parts, size, names, policy)
 
-    monkeypatch.setattr(kernels, "_partitions", counting)
+    monkeypatch.setattr(kernels, "_fold_columns", counting)
     return calls
 
 
@@ -233,10 +233,10 @@ def agreeing():
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
-def test_uniform_unique_agreeing_operands_take_the_gather_path(partition_calls, policy):
+def test_uniform_unique_agreeing_operands_take_the_gather_path(fold_calls, policy):
     operands = stores(*agreeing())
     merged = kernels.hash_merge(operands, ["K"], policy)
-    assert partition_calls == []
+    assert fold_calls == []
     assert exact(merged) == exact(merge_rows.hash_merge(operands, ["K"], policy))
     # Each cell keeps its first contributor's datum, type included.
     assert exact(merged)[1] == [
@@ -251,7 +251,7 @@ def test_uniform_unique_agreeing_operands_take_the_gather_path(partition_calls, 
     assert k4 == [(datum, {"PD"}, {"PD"}) for datum in ("k4", "e", "f")]
 
 
-def test_the_gather_path_unions_intermediates_and_key_origins(partition_calls):
+def test_the_gather_path_unions_intermediates_and_key_origins(fold_calls):
     # A two-attribute key; the operands' own intermediates survive the
     # merge, and the stamp adds every contributor's key-cell origins.
     operands = [
@@ -262,7 +262,7 @@ def test_the_gather_path_unions_intermediates_and_key_origins(partition_calls):
         )
     ]
     merged = kernels.hash_merge(operands, ["K1", "K2"], ConflictPolicy.ERROR)
-    assert partition_calls == []
+    assert fold_calls == []
     assert exact(merged) == exact(
         merge_rows.hash_merge(operands, ["K1", "K2"], ConflictPolicy.ERROR)
     )
@@ -274,7 +274,7 @@ def test_the_gather_path_unions_intermediates_and_key_origins(partition_calls):
     ]
 
 
-def test_nil_cells_under_one_tag_and_an_empty_operand_take_the_gather_path(partition_calls):
+def test_nil_cells_under_one_tag_and_an_empty_operand_take_the_gather_path(fold_calls):
     # With no origins a nil cell and a datum share one tag id, so the
     # column is uniform; nil meets nil in k1, as equal data.
     operands = [
@@ -283,7 +283,7 @@ def test_nil_cells_under_one_tag_and_an_empty_operand_take_the_gather_path(parti
         PolygenRelation.from_data(["V", "K"], [(None, "k1"), (None, "k3")], [], ["CD"]).store,
     ]
     merged = kernels.hash_merge(operands, ["K"], ConflictPolicy.DROP)
-    assert partition_calls == []
+    assert fold_calls == []
     assert exact(merged) == exact(
         merge_rows.hash_merge(operands, ["K"], ConflictPolicy.DROP)
     )
@@ -347,15 +347,15 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
 @pytest.mark.parametrize("case", FALLBACKS)
-def test_other_inputs_fall_back_to_the_fold(partition_calls, case, policy):
+def test_other_inputs_fall_back_to_the_fold(fold_calls, case, policy):
     operands = FALLBACKS[case]()
     merged = outcome(kernels.hash_merge, operands, ["K"], policy)
-    assert len(partition_calls) == 1
+    assert len(fold_calls) == 1
     assert merged == outcome(merge_rows.hash_merge, operands, ["K"], policy)
 
 
 @pytest.mark.parametrize("nan", [math.nan, float("nan")], ids=["shared", "fresh"])
-def test_a_shared_nan_cell_is_a_disagreement(partition_calls, nan):
+def test_a_shared_nan_cell_is_a_disagreement(fold_calls, nan):
     # The same NaN object on both sides is unequal under ==, as in the
     # fold, which settles it by policy; tuple equality would call it equal.
     operands = [
@@ -365,6 +365,32 @@ def test_a_shared_nan_cell_is_a_disagreement(partition_calls, nan):
     for policy in POLICIES:
         merged = outcome(kernels.hash_merge, operands, ["K"], policy)
         assert merged == outcome(merge_rows.hash_merge, operands, ["K"], policy)
-    assert len(partition_calls) == len(POLICIES)
+    assert len(fold_calls) == len(POLICIES)
     dropped = kernels.hash_merge(operands, ["K"], ConflictPolicy.DROP)
     assert dropped.cardinality == 0
+
+
+@pytest.mark.parametrize(
+    "keyed",
+    [
+        [["a", "b"], ["b", "c", 1], [True, "d", "a"]],
+        [[], ["x"], ["x", "y"]],
+        [[(1, "a"), (2, "a")], [(2, "a"), (1.0, "a"), (3, "b")]],
+    ],
+    ids=["strings-and-1-true", "empty-first", "two-attribute"],
+)
+def test_unique_partitions_number_as_partitions_does(keyed):
+    # The gather path and a fold it declines share this one map.
+    parts, size = kernels._unique_partitions(keyed)
+    assert (parts, size, set()) == kernels._partitions(keyed)
+    assert type(parts[0]) is range
+
+
+@pytest.mark.parametrize(
+    "keyed",
+    [[["a", "a"], ["b"]], [["a"], ["b", "b"]], [["a"], ["b", "a", "b"]], [["a", None], ["b"]],
+     [["a"], [None, "b"]]],
+    ids=["repeat-first", "repeat-fresh", "repeat-shared", "nil-first", "nil-later"],
+)
+def test_unique_partitions_decline_repeated_or_nil_keys(keyed):
+    assert kernels._unique_partitions(keyed) is None
