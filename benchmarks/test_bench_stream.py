@@ -14,8 +14,9 @@ against its floor and its wall-clock budget:
 - **first_row_latency_improvement** — the same scan through the whole
   service stack (federation → session → handle), consumed via
   ``cursor.chunks()`` versus waiting for ``handle.result()``: pipelined
-  chunk delivery makes the first batch usable while the executor is still
-  shipping the tail.  The first batch must land within 0.5 s.
+  chunk delivery makes the first batch (one ``STREAM_CHUNK``-tuple chunk,
+  the server's size) usable while the executor is still shipping the
+  tail.  The first batch must land within 0.5 s.
 
 Every socket operation carries a hard timeout, so a dead peer fails the
 bench rather than hanging CI.
@@ -35,7 +36,9 @@ from repro.service.federation import PolygenFederation
 TIMEOUT = 15.0
 
 SCAN_ROWS = 100_000
+#: Tuples per chunk of the wire-format bench's scan.
 WIRE_CHUNK = 4096
+#: Tuples per chunk the streaming bench's server ships.
 STREAM_CHUNK = 256
 
 
@@ -82,9 +85,7 @@ def test_binary_columnar_frames_shrink_the_wire():
                 began = time.perf_counter()
                 shipped = sum(
                     chunk.count
-                    for chunk in remote.retrieve_chunks(
-                        "EVENTS", chunk_size=WIRE_CHUNK
-                    )
+                    for chunk in remote.retrieve_chunks("EVENTS")
                 )
                 seconds[wire_format] = time.perf_counter() - began
                 stats = remote.transport_stats()
@@ -114,11 +115,11 @@ def test_pipelined_streaming_first_row_latency():
     from repro.lqp.relational_lqp import RelationalLQP
 
     whole_best = first_best = None
-    with LQPServer(RelationalLQP(_scan_database()), chunk_size=WIRE_CHUNK) as server:
+    with LQPServer(RelationalLQP(_scan_database()), chunk_size=STREAM_CHUNK) as server:
         registry = LQPRegistry()
         registry.register(server.url, concurrency=4, timeout=TIMEOUT)
         with PolygenFederation(_bulk_schema(), registry) as federation:
-            with federation.session(stream_chunk_size=STREAM_CHUNK) as session:
+            with federation.session() as session:
                 query = "(PEVENT [EID, KIND])"
                 for _ in range(3):  # best-of-3 damps runner noise
                     began = time.perf_counter()

@@ -33,8 +33,8 @@ from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
 
 ROWS = int(os.environ.get("STREAMING_PIPELINE_ROWS", "1000000"))
-SERVER_CHUNK = 8192
-STREAM_CHUNK = 1024
+#: Tuples per chunk the server ships: a streamed batch is one chunk.
+SERVER_CHUNK = 1024
 
 
 def build_schema() -> PolygenSchema:
@@ -66,7 +66,7 @@ def main() -> None:
         print(f"Remote source serving {ROWS:,} tuples at {server.url}")
 
         # -- one call from URL to session: schema comes from the server ----
-        with repro.connect(server.url, stream_chunk_size=STREAM_CHUNK) as session:
+        with repro.connect(server.url) as session:
             query = "(PREADING [RID, VALUE])"
 
             began = time.perf_counter()
@@ -103,7 +103,7 @@ def main() -> None:
         sizes = {}
         for wire_format in ("binary", "json"):
             with RemoteLQP(server.url, wire_format=wire_format) as remote:
-                for _ in remote.retrieve_chunks("READINGS", chunk_size=SERVER_CHUNK):
+                for _ in remote.retrieve_chunks("READINGS"):
                     pass
                 stats = remote.transport_stats()
                 sizes[wire_format] = stats.bytes_received

@@ -6,7 +6,7 @@ Two graph views over a query run, built on the in-house
 - the **plan DAG** — IOM rows as nodes, dataflow as edges; useful for
   visualizing which databases feed which operations (the executable form
   of this structure is :class:`~repro.pqp.plandag.PlanDAG`, which the
-  concurrent runtime consumes);
+  executor drives);
 - the **source graph** — a bipartite graph connecting result attributes to
   the local databases that originate or mediate them, summarizing "who
   contributed what" for a whole answer (the federation-scale view of the

@@ -147,7 +147,7 @@ class LocalQueryProcessor(abc.ABC):
 
     #: Whether this LQP's verbs spend their time outside the interpreter
     #: lock (a socket, a sleep), so rows at it can overlap rows at other
-    #: sources.  The concurrent engine hands a plan to its worker pool
+    #: sources.  An executor holding a worker pool hands a plan to it
     #: only when one of its local rows sits at such a source and another
     #: local row can run beside it; an in-process engine stays False, and
     #: plans over such engines alone run inline.  Like

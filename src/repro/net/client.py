@@ -277,11 +277,9 @@ class RemoteLQP(LocalQueryProcessor):
         return protocol.relation_from_wire(reply.get("attributes"), reply.get("columns"))
 
     def _stream(
-        self, op: str, params: Dict[str, Any], columns, chunk_size, abort
+        self, op: str, params: Dict[str, Any], columns, abort
     ) -> "RelationChunkStream":
         params.update(self._request_keys(columns))
-        if chunk_size is not None:
-            params["chunk_size"] = int(chunk_size)
         return RelationChunkStream(self._mux, op, params, abort)
 
     def retrieve(self, relation_name: str, columns=None) -> Relation:
@@ -321,7 +319,6 @@ class RemoteLQP(LocalQueryProcessor):
         relation_name: str,
         *,
         columns: Sequence[str] | None = None,
-        chunk_size: int | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """A pull-style stream of a remote relation's chunks.
@@ -331,13 +328,11 @@ class RemoteLQP(LocalQueryProcessor):
         vectors) as they land, while later chunks are still in flight:
         first tuples are usable at first-chunk latency instead of
         whole-result latency.  This is the executor's pipelined-scan entry
-        point: ``chunk_size`` asks the server for a specific granularity,
-        and ``abort`` (any ``threading.Event``) cancels the stream
-        mid-flight from the consumer's side.
+        point: chunks hold the server's ``chunk_size`` tuples, and
+        ``abort`` (any ``threading.Event``) cancels the stream mid-flight
+        from the consumer's side.
         """
-        return self._stream(
-            "retrieve", {"relation": relation_name}, columns, chunk_size, abort
-        )
+        return self._stream("retrieve", {"relation": relation_name}, columns, abort)
 
     def select_chunks(
         self,
@@ -347,7 +342,6 @@ class RemoteLQP(LocalQueryProcessor):
         value: Any,
         *,
         columns: Sequence[str] | None = None,
-        chunk_size: int | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """Like :meth:`retrieve_chunks` for a pushed-down selection."""
@@ -357,7 +351,7 @@ class RemoteLQP(LocalQueryProcessor):
             "theta": theta.symbol,
             "value": protocol.wire_value(value),
         }
-        return self._stream("select", params, columns, chunk_size, abort)
+        return self._stream("select", params, columns, abort)
 
     # -- transport observability / lifecycle --------------------------------
 

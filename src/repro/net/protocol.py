@@ -27,7 +27,7 @@ client→server requests)::
                                      "theta": "=", "value": ...}
       {"id": 9, "op": "select_in",   "relation": ..., "attribute": ...,
                                      "values": [...]}
-      any relation request may add {"format": "binary", "chunk_size": 64}
+      any relation request may add {"format": "binary"}
       {"id": 10, "op": "relation_names" | "capabilities" | "schema"
                                      | "ping"}
       {"op": "cancel", "target": 7}            # no id: fire-and-forget
@@ -44,7 +44,8 @@ its spans under that parent and ships them back on the closing frame.
       {"id": 8, "kind": "error",  "error_type": "UnknownRelationError",
                                   "message": "..."}
 
-Relations travel as **bounded chunks** (``chunk_size`` tuples per frame),
+Relations travel as **bounded chunks** (the server's ``chunk_size``
+tuples per frame),
 so a large remote result streams instead of landing as one giant frame —
 the client can hand rows onward while later chunks are still in flight,
 and per-frame memory stays bounded on both sides.

@@ -433,14 +433,10 @@ class LQPServer:
         if cancel.is_set():
             raise QueryCancelledError(f"request {request_id} cancelled by client")
         attributes = list(relation.attributes)
-        # A client may ask for binary chunk frames and/or its own chunk
-        # granularity per request (a pipelined scan wants smaller chunks
-        # than a bulk fetch); JSON frames are the default.
+        # A client may ask for binary chunk frames; JSON frames are the
+        # default.  Either holds this server's chunk size.
         use_binary = message.get("format") == "binary"
         chunk_size = self._chunk_size
-        requested = message.get("chunk_size")
-        if isinstance(requested, int) and not isinstance(requested, bool) and requested >= 1:
-            chunk_size = requested
         chunks = tuples = 0
         if use_binary:
             stream = binary.relation_chunk_payloads(request_id, relation, chunk_size)

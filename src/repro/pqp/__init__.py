@@ -11,23 +11,22 @@ The paper's query-translation pipeline (§III, Figure 2):
    out of scope; ours performs safe, tag-preserving rewrites:
    retrieve/merge deduplication, selection pushdown into LQPs, projection
    pruning at materialization, and dead-row pruning),
-4. an **execution engine** evaluates the IOM, routing local rows to LQPs
-   and performing polygen operations in the PQP (§IV) — either the serial
-   row-by-row :class:`~repro.pqp.executor.Executor` or the DAG-driven
-   :class:`~repro.pqp.runtime.ConcurrentExecutor`, which dispatches local
-   rows to per-database worker threads as their inputs become ready when
-   one of them sits at a source that can overlap the others, and
-   otherwise runs the plan inline in dependency order.
+4. the **executor** (:class:`~repro.pqp.executor.Executor`) evaluates
+   the IOM, routing local rows to LQPs and performing polygen operations
+   in the PQP (§IV).  It reads how to run a plan off its sources: a spine
+   whose source ships chunks streams, a plan whose local rows can overlap
+   goes to per-database worker threads when the executor holds a pool,
+   and every other plan runs inline in dependency order.
 
 The shared dependency structure lives in
-:class:`~repro.pqp.plandag.PlanDAG`, which the runtime drives; measured
+:class:`~repro.pqp.plandag.PlanDAG`, which the executor drives; measured
 per-row timings come back in the
 :class:`~repro.pqp.executor.ExecutionTrace`, the one record of how a plan
 ran.
 
 :class:`~repro.pqp.processor.PolygenQueryProcessor` is the blocking,
 single-user facade over the whole pipeline; its ``concurrent`` flag
-chooses the engine.  The multi-user front door — long-lived
+gives the executor a worker pool.  The multi-user front door — long-lived
 :class:`~repro.service.federation.PolygenFederation`, sessions, query
 handles, streaming cursors, a worker pool shared across queries — lives
 in :mod:`repro.service`; the facade is now a single-session federation
@@ -49,7 +48,6 @@ from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.pqp.plandag import PlanDAG
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.result import QueryResult
-from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.syntax_analyzer import SyntaxAnalyzer
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "QueryOptimizer",
     "OptimizationReport",
     "Executor",
-    "ConcurrentExecutor",
     "ExecutionTrace",
     "RowTiming",
     "PlanDAG",

@@ -23,19 +23,41 @@ belongs to.
 
 There is **one way to run a row**: :meth:`_PlanRun.run`, on the per-plan
 run record that also owns the results, lineages and timings.  What varies
-is only *when and where* it is called — inline in plan order
-(:class:`Executor`), from a DAG ready-set across a worker pool
-(:class:`~repro.pqp.runtime.ConcurrentExecutor`), or, for a streamable
-spine with a chunk consumer, chunk-at-a-time through
-:meth:`_PlanRun.stream` — and every scheduler leaves the same record
-behind.
+is only *when and where* it is called, and :meth:`Executor.execute` reads
+that off the plan's sources:
+
+- a streamable spine (:mod:`repro.pqp.stream`) whose head source ships
+  chunks (``retrieve_chunks``/``select_chunks``: a ``polygen://`` server)
+  **streams** when the caller consumes chunks — rows flow through the PQP
+  stages in the batches the server ships, while later ones are in flight;
+- a plan is **pooled** when the executor holds a
+  :class:`~repro.pqp.pool.WorkerPool`, one of the plan's local rows sits
+  at a source that overlaps
+  (:attr:`~repro.lqp.base.LocalQueryProcessor.overlaps`: a socket, a
+  sleep) and another local row can run beside it.  The plan DAG
+  (:class:`~repro.pqp.plandag.PlanDAG`) is then driven event-driven: a
+  local row goes to its database's worker the moment every ``R(#)`` it
+  consumes is ready, PQP rows run on the coordinating thread as their
+  inputs complete;
+- every other plan runs **inline** on the calling thread, row by row in
+  :meth:`~repro.pqp.plandag.PlanDAG.topological_order` — in-process
+  sources cannot overlap under the interpreter lock, nor can a lone local
+  row, and an in-process source hands over its whole relation at once.
+
+Every scheduler leaves the same record behind, so results are
+tag-identical whichever ran; the ambient span (the federation's
+``execute`` stage) says which with ``scheduler="inline" | "pooled" |
+"stream"``.  The pool's owner closes it, never ``execute()``.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import PolygenSchema
@@ -60,6 +82,8 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
 )
+from repro.pqp.plandag import PlanDAG
+from repro.pqp.pool import WorkerPool
 
 __all__ = ["Executor", "ExecutionTrace", "RowTiming"]
 
@@ -204,39 +228,29 @@ class _PlanRun:
     def stream(
         self,
         chain: Sequence[MatrixRow],
-        worker: str,
+        opener: Callable[..., Iterator],
         on_chunk: Callable[[PolygenRelation], None],
-        chunk_size: Optional[int],
     ) -> None:
         """Execute a streamable spine chunk-at-a-time (:mod:`repro.pqp.stream`).
 
-        Chunks ship from the head LQP — over the wire via its
-        ``retrieve_chunks``/``select_chunks`` when it has them, otherwise
-        by slicing the whole shipped relation locally, so the caller's
-        ``on_chunk`` cadence is uniform across deployments — and flow
-        through the PQP stages as they arrive.  The record ends up
-        byte-identical to whole-relation execution: same intermediate
-        results, tags, lineages; only the timings differ.  One span covers
-        the whole pipelined spine (rows overlap in a stream, so per-row
-        spans would all be the same interval; chunk arrivals land on it as
-        capped events).  For the same reason the rows share the interval
-        instead of each claiming it: a PQP row is charged what its stage
-        clocked, the head row the rest, laid end to end — so busy time
+        ``opener`` is the head LQP's ``retrieve_chunks``/``select_chunks``;
+        its chunks flow through the PQP stages as they arrive.  The record
+        ends up byte-identical to whole-relation execution: same
+        intermediate results, tags, lineages; only the timings differ.  One
+        span covers the whole pipelined spine (rows overlap in a stream, so
+        per-row spans would all be the same interval; chunk arrivals land on
+        it as capped events).  For the same reason the rows share the
+        interval instead of each claiming it: a PQP row is charged what its
+        stage clocked, the head row the rest, laid end to end — so busy time
         never exceeds the stream's wall clock.
         """
         head = chain[0]
         executor = self._executor
-        lqp, scheme, columns = executor._source(head)
+        _, scheme, columns = executor._source(head)
         pipeline = pqp_stream.ChunkPipeline(
             chain, lambda chunk: executor._materialize(head, scheme, chunk)
         )
-        chunks = executor._chunks(
-            head,
-            lqp,
-            columns,
-            chunk_size or pqp_stream.DEFAULT_STREAM_CHUNK_TUPLES,
-            self._cancel,
-        )
+        chunks = executor._chunks(head, opener, columns, self._cancel)
         relation, start, finish = self._spanned(
             f"stream {head.result}",
             head,
@@ -254,7 +268,7 @@ class _PlanRun:
                 start=start,
                 finish=start + seconds,
                 location=row.el or "PQP",
-                worker=worker,
+                worker="stream",
             )
             start += seconds
         if self._on_result is not None:
@@ -340,7 +354,12 @@ class _PlanRun:
 
 
 class Executor:
-    """Evaluates Intermediate Operation Matrices."""
+    """Evaluates Intermediate Operation Matrices, picking each plan's
+    scheduler from its sources (see the module docstring).
+
+    ``execute`` is reentrant: a federation shares one instance across many
+    coordinator threads, each call keeping its state on its own stack.
+    """
 
     def __init__(
         self,
@@ -350,11 +369,14 @@ class Executor:
         transforms: TransformRegistry | None = None,
         policy: ConflictPolicy = ConflictPolicy.DROP,
         tag_pool=None,
+        pool: WorkerPool | None = None,
     ):
         """``tag_pool`` scopes materialization's tag interning to a caller-
         owned :class:`~repro.storage.tag_pool.TagPool` (a long-lived
         federation shares one across every session's queries); ``None``
-        keeps the process-wide default pool."""
+        keeps the process-wide default pool.  ``pool`` is the worker pool
+        plans whose local rows can overlap are dispatched into; without
+        one every plan that does not stream runs inline."""
         self._schema = schema
         self._registry = registry
         self._resolver = (
@@ -363,6 +385,12 @@ class Executor:
         self._transforms = transforms or default_registry()
         self._policy = policy
         self._tag_pool = tag_pool
+        self._pool = pool
+
+    @property
+    def pool(self) -> Optional[WorkerPool]:
+        """The worker pool local rows are dispatched into, if any."""
+        return self._pool
 
     # ------------------------------------------------------------------
 
@@ -373,35 +401,105 @@ class Executor:
         cancel: threading.Event | None = None,
         on_result: Optional[Callable[[PolygenRelation], None]] = None,
         on_chunk: Optional[Callable[[PolygenRelation], None]] = None,
-        stream_chunk_size: Optional[int] = None,
     ) -> ExecutionTrace:
-        """Evaluate every row in order; the last row is the query result.
+        """Evaluate every row in dependency order; the last **listed** row
+        is the query result (the matrix convention).
 
-        ``cancel`` aborts cooperatively between rows with
-        :class:`~repro.errors.QueryCancelledError`; ``on_result`` fires
-        with the final relation the moment the result row completes —
-        the same service-layer hooks the concurrent engine honours, so a
-        federation can drive either engine through one call shape.
-
-        ``on_chunk`` opts into pipelined streaming: when the plan is a
-        streamable spine (:mod:`repro.pqp.stream`) it fires with each
-        batch of fresh result rows *while the scan is still in flight*, and
-        ``stream_chunk_size`` sizes the batches (a remote head's chunk
-        encoding is its connection's).  Non-spine plans ignore both and
-        execute whole-relation as before — ``on_result`` still delivers.
+        ``cancel`` aborts cooperatively with
+        :class:`~repro.errors.QueryCancelledError` — checked before every
+        row, at the head of every queued local job and between streamed
+        chunks, so a cancelled plan stops issuing LQP traffic without
+        interrupting an in-flight local call.  ``on_result`` fires with the
+        final relation the moment the result row completes, before the
+        remaining bookkeeping.  ``on_chunk`` opts into streaming: a spine
+        whose head source ships chunks fires it with each batch of fresh
+        result rows *while the scan is still in flight*; any other plan
+        ignores it, and ``on_result`` still delivers.
         """
         run = _PlanRun(self, iom, cancel, on_result)
         chain = pqp_stream.streamable_spine(iom) if on_chunk is not None else None
-        if chain is not None:
-            # The chunk pipeline runs inline on the submitting thread, so
-            # this engine's spine rows keep its "serial" worker label.
+        opener = None if chain is None else self._chunk_opener(chain[0])
+        if opener is not None:
             run.scheduled("stream")
-            run.stream(chain, "serial", on_chunk, stream_chunk_size)
+            run.stream(chain, opener, on_chunk)
+        elif self._pool is not None and self._pools(iom):
+            run.scheduled("pooled")
+            self._run_pooled(run, PlanDAG.from_iom(iom), cancel)
         else:
             run.scheduled("inline")
-            for row in iom:
-                run.run(row, "serial")
+            dag = PlanDAG.from_iom(iom)
+            for index in dag.topological_order():
+                run.run(dag.row(index), "serial")
         return run.trace()
+
+    def _pools(self, iom: IntermediateOperationMatrix) -> bool:
+        """Whether a local row of ``iom`` sits at a source that overlaps
+        and the plan has another local row to run beside it."""
+        local = [row for row in iom if row.is_local]
+        return len(local) > 1 and any(self._registry.get(row.el).overlaps for row in local)
+
+    def _run_pooled(
+        self, run: _PlanRun, dag: PlanDAG, cancel: threading.Event | None
+    ) -> None:
+        """Drive ``dag`` event-driven: local rows on the pool's workers,
+        PQP rows here on the coordinator, each the moment its inputs are
+        ready."""
+        waiting: Dict[int, int] = {
+            index: len(set(dag.predecessors(index))) for index in dag.indices
+        }
+        ready_pqp: deque = deque()
+        #: (row, error) — one finished local row, reported by its worker.
+        completions: queue.Queue = queue.Queue()
+
+        def run_local(row: MatrixRow) -> None:
+            try:
+                run.run(row, threading.current_thread().name)
+            except BaseException as exc:  # re-raised by the coordinator
+                completions.put((row, exc))
+            else:
+                completions.put((row, None))
+
+        def dispatch(index: int) -> None:
+            row = dag.row(index)
+            if row.is_local:
+                # A RemoteLQP's multiplexer serves that many rows at once.
+                width = max(1, self._registry.get(row.el).native_concurrency)
+                self._pool.submit(row.el, partial(run_local, row), width=width)
+            else:
+                ready_pqp.append(row)
+
+        try:
+            for index in sorted(dag.roots()):
+                dispatch(index)
+            pending = len(dag)
+            while pending:
+                run.check_cancel()
+                # Finished local rows first, so freshly unblocked work
+                # reaches the (idle) LQP workers before the PQP computes.
+                if ready_pqp and completions.empty():
+                    row = ready_pqp.popleft()
+                    run.run(row, "pqp")
+                else:
+                    # Take a finished local row; with nothing runnable at
+                    # the PQP either, block until an LQP finishes (waking
+                    # periodically, when cancellable, so a cancel set from
+                    # another thread cannot be missed).
+                    try:
+                        row, error = completions.get(
+                            timeout=0.05 if cancel is not None else None
+                        )
+                    except queue.Empty:
+                        continue
+                    if error is not None:
+                        raise error
+                pending -= 1
+                for successor in dict.fromkeys(dag.successors(row.result.index)):
+                    waiting[successor] -= 1
+                    if waiting[successor] == 0:
+                        dispatch(successor)
+        except BaseException:
+            run.halted = True
+            raise
 
     # ------------------------------------------------------------------
 
@@ -507,30 +605,25 @@ class Executor:
 
     # -- pipelined streaming -------------------------------------------
 
-    @classmethod
+    def _chunk_opener(self, head: MatrixRow):
+        """The head LQP's chunk-stream verb, or ``None`` when the source
+        hands over whole relations (duck-typed: wrappers forward the verbs
+        exactly when the engine they wrap has them)."""
+        name = "retrieve_chunks" if head.op is Operation.RETRIEVE else "select_chunks"
+        return getattr(self._registry.get(head.el), name, None)
+
+    @staticmethod
     def _chunks(
-        cls, row: MatrixRow, lqp, columns, chunk_size: int, cancel
+        row: MatrixRow, opener: Callable[..., Iterator], columns, cancel
     ) -> Iterator[Relation]:
-        """What a spine's head row ships, as a stream of untagged chunks:
-        wire chunks when the LQP can stream (duck-typed: wrappers and
-        in-process engines simply lack the methods), else slices of the
-        whole shipped relation.  Always at least one chunk — an empty scan
-        yields an empty one, which is how every stage learns its heading."""
+        """What a spine's head row ships, as the stream of untagged chunks
+        its source sends.  Always at least one chunk — an empty scan yields
+        an empty one, which is how every stage learns its heading."""
         if row.op is Operation.RETRIEVE:
-            opener, operands = getattr(lqp, "retrieve_chunks", None), ()
+            operands = ()
         else:
-            opener = getattr(lqp, "select_chunks", None)
             operands = (row.lha, row.theta, row.rha.value)
-        if not callable(opener):
-            shipped = cls._ship_local(row, lqp, columns)
-            # ``or 1``: an empty relation still yields its one (empty) chunk.
-            for start in range(0, shipped.cardinality or 1, chunk_size):
-                yield Relation.from_columns(
-                    shipped.heading,
-                    [column[start : start + chunk_size] for column in shipped.columns],
-                )
-            return
-        kwargs = {"chunk_size": chunk_size, "abort": cancel}
+        kwargs = {"abort": cancel}
         if columns is not None:
             kwargs["columns"] = columns
         wire_stream = opener(row.lhr.relation, *operands, **kwargs)

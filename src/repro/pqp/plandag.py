@@ -1,7 +1,7 @@
 """The plan DAG: dependency structure of an Intermediate Operation Matrix.
 
-Every consumer of a plan's *shape* — the concurrent runtime
-(:mod:`repro.pqp.runtime`), the plan-graph renderer — needs the same two
+Every consumer of a plan's *shape* — the executor's schedulers
+(:mod:`repro.pqp.executor`), the plan-graph renderer — needs the same two
 things: which rows feed which, and a dependency-respecting evaluation
 order.  This module provides them in-house (Kahn's algorithm), with no
 third-party graph dependency.

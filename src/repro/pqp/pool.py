@@ -1,7 +1,7 @@
 """The shared per-database worker pool.
 
 The paper's Figure-1 architecture gives every autonomous local database its
-own connection; the concurrent runtime assumes **one in-flight request
+own connection; the executor's pooled scheduler assumes **one in-flight request
 per database** (rows at the same LQP queue, rows at
 different LQPs overlap).  :class:`WorkerPool` realizes that assumption as a
 set of long-lived worker threads — one *group* per local database name,
@@ -17,9 +17,9 @@ job queue — N rows for that database genuinely in flight at once while the
 wire-level one-connection-per-source invariant still holds (the
 concurrency lives in the multiplexer, not in extra sockets).
 
-Before this pool existed, :class:`~repro.pqp.runtime.ConcurrentExecutor`
-spawned and joined its per-database threads on every ``execute()`` call —
-fine for one query, pure churn for a multi-user federation service.  A
+An :class:`~repro.pqp.executor.Executor` given a pool dispatches into it;
+its long-lived workers spare a multi-user service the thread churn of
+spawning and joining per-database threads on every ``execute()`` call.  A
 :class:`~repro.service.federation.PolygenFederation` owns one ``WorkerPool``
 and shares it across every session and every concurrently executing plan:
 jobs from different queries bound for the same database simply queue on
@@ -29,7 +29,7 @@ a sleep) and another local row beside it reaches the pool; every other
 plan runs inline on its coordinator, so a federation of in-process
 sources starts no worker.
 
-Jobs are fire-and-forget callables: the runtime routes completions through
+Jobs are fire-and-forget callables: the executor routes completions through
 its own queue, so the pool never holds results.  Workers are daemon threads
 — an abandoned pool cannot block interpreter exit — but well-behaved owners
 call :meth:`close` (or use the pool as a context manager), which drains

@@ -68,12 +68,12 @@ class PolygenQueryProcessor:
         concurrent: bool = False,
         prune_projections: bool = False,
     ):
-        """``concurrent`` selects the execution engine behind the shared
-        ``execute(iom) -> ExecutionTrace`` API: the row-by-row serial
-        :class:`~repro.pqp.executor.Executor` (default, and what the paper
-        describes) or the DAG-driven
-        :class:`~repro.pqp.runtime.ConcurrentExecutor` that overlaps
-        autonomous LQPs.  ``prune_projections`` gates the optimizer's
+        """``concurrent`` gives the :class:`~repro.pqp.executor.Executor`
+        the federation's worker pool, so a plan whose local rows can
+        overlap (a remote or slow source beside another) runs them on
+        per-database workers; without it (the default, and what the paper
+        describes) every plan runs on the calling thread.
+        ``prune_projections`` gates the optimizer's
         dead-column rewrite; it leaves the final result tag-identical, but
         it narrows intermediate relations, so it defaults off to keep the
         paper's printed intermediate tables reproducible."""
@@ -102,7 +102,7 @@ class PolygenQueryProcessor:
 
     @property
     def executor(self) -> Executor:
-        """The execution engine (serial or concurrent) behind this PQP."""
+        """The executor behind this PQP (holding a pool when concurrent)."""
         return self._federation.executor_for(self._options)
 
     @property

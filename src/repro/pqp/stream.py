@@ -1,18 +1,18 @@
 """Pipelined chunk streaming through the executor.
 
-The executors normally materialize each shipped relation whole before any
-PQP row touches it; the first result tuple therefore waits on the *last*
-wire chunk.  This module lets a restricted — but common — plan shape
-evaluate incrementally instead: chunks flow through the plan as they
+The executor normally materializes each shipped relation whole before any
+PQP row touches it; over the wire the first result tuple therefore waits
+on the *last* chunk.  This module lets a restricted — but common — plan
+shape evaluate incrementally instead: chunks flow through the plan as they
 arrive, and the service cursor hands out rows while the scan is still in
 flight.
 
 **The streamable spine.**  A plan streams when it is one linear chain
 (:meth:`~repro.pqp.matrix.IntermediateOperationMatrix.linear_chain`):
 
-- the head is a local ``Retrieve`` or literal ``Select`` whose LQP ships
-  the relation (chunked over the wire when the LQP exposes
-  ``retrieve_chunks``/``select_chunks``, sliced locally otherwise), and
+- the head is a local ``Retrieve`` or literal ``Select`` (the executor
+  streams it only when its LQP ships chunks: ``retrieve_chunks``/
+  ``select_chunks``, in the server's ``chunk_size``), and
 - every later row is a PQP ``Select``/``Restrict``/``Project`` consuming
   exactly the previous result.
 
@@ -53,10 +53,7 @@ from repro.relational.relation import Relation
 from repro.storage import kernels
 from repro.storage.columnar import ColumnarRelation
 
-__all__ = ["DEFAULT_STREAM_CHUNK_TUPLES", "streamable_spine", "ChunkPipeline"]
-
-#: Rows per streamed batch when the caller does not say otherwise.
-DEFAULT_STREAM_CHUNK_TUPLES = 1024
+__all__ = ["streamable_spine", "ChunkPipeline"]
 
 #: PQP operations that are prefix-stable row filters/maps over one input.
 _PQP_STREAM_OPS = frozenset(

@@ -9,9 +9,10 @@ and SelectIn.
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Set, Tuple
 
 from repro.core.predicate import Theta
 from repro.errors import ConstraintViolationError, UnknownRelationError
@@ -45,6 +46,15 @@ class LocalDatabase:
         self.name = name
         self._schemas: Dict[str, RelationSchema] = {}
         self._relations: Dict[str, Relation] = {}
+        #: A keyed relation's key values, kept beside it once it takes a
+        #: second insert, so later inserts check their rows against a set
+        #: instead of reading every key.  A relation filled once and only
+        #: read holds none.
+        self._keys: Dict[str, Set[Any]] = {}
+        #: Serializes inserts: each reads, checks and replaces a relation
+        #: and its key set, and two at once would lose one's rows or keys.
+        #: Readers take no lock: a relation is replaced, never changed.
+        self._insert_lock = threading.Lock()
 
     # -- schema management ---------------------------------------------------
 
@@ -76,44 +86,52 @@ class LocalDatabase:
         """Insert rows, enforcing degree and primary-key uniqueness (also
         within ``rows``); a failed insert changes nothing.
 
-        Only the inserted rows are checked row at a time: the current keys
-        are read in one C-level pass over the key columns, and the new rows
-        extend the current ones, since rows with distinct keys cannot
+        Only the inserted rows are checked, against the relation's key set,
+        which takes the batch's keys once every row has passed; the new
+        rows extend the current ones, since rows with distinct keys cannot
         collapse.  Without a key, a row already present collapses into its
         first occurrence, as in any relation.
         """
         schema = self.schema(relation_name)
-        current = self._relations[relation_name]
+        new_rows = [tuple(row) for row in rows]
+        for row in new_rows:
+            if len(row) != schema.degree:
+                raise ConstraintViolationError(
+                    f"row of degree {len(row)} for relation "
+                    f"{relation_name!r} of degree {schema.degree}"
+                )
         key_positions = schema.key_indices()
         # One key is its bare value, several a tuple: itemgetter's own shape.
         key_of = itemgetter(*key_positions) if key_positions else None
         single_key = len(key_positions) == 1
-        existing_keys = set(map(key_of, current.rows)) if key_positions else set()
-
-        new_rows = []
-        for row in rows:
-            row_tuple = tuple(row)
-            if len(row_tuple) != schema.degree:
-                raise ConstraintViolationError(
-                    f"row of degree {len(row_tuple)} for relation "
-                    f"{relation_name!r} of degree {schema.degree}"
+        with self._insert_lock:
+            current = self._relations[relation_name]
+            if not key_positions:
+                combined = tuple(dict.fromkeys(chain(current.rows, new_rows)))
+                self._relations[relation_name] = Relation.from_distinct_rows(
+                    schema.heading, combined
                 )
-            if key_positions:
-                key = key_of(row_tuple)
+                return
+            existing_keys = self._keys.get(relation_name)
+            if existing_keys is None:
+                existing_keys = set(map(key_of, current.rows))
+            batch_keys = set()
+            for row in new_rows:
+                key = key_of(row)
                 nil = (key is None) if single_key else (None in key)
-                if nil or key in existing_keys:
-                    shown = tuple(row_tuple[i] for i in key_positions)
+                if nil or key in existing_keys or key in batch_keys:
+                    shown = tuple(row[i] for i in key_positions)
                     raise ConstraintViolationError(
                         f"nil key value for relation {relation_name!r}: {shown!r}" if nil
                         else f"duplicate key {shown!r} for relation {relation_name!r}"
                     )
-                existing_keys.add(key)
-            new_rows.append(row_tuple)
-        if key_positions:
-            combined = current.rows + tuple(new_rows)
-        else:
-            combined = tuple(dict.fromkeys(chain(current.rows, new_rows)))
-        self._relations[relation_name] = Relation.from_distinct_rows(schema.heading, combined)
+                batch_keys.add(key)
+            self._relations[relation_name] = Relation.from_distinct_rows(
+                schema.heading, current.rows + tuple(new_rows)
+            )
+            if current.cardinality:
+                existing_keys |= batch_keys
+                self._keys[relation_name] = existing_keys
 
     def load(self, schema: RelationSchema, rows: Iterable[Sequence[Any]]) -> "LocalDatabase":
         """Create and populate a relation in one step (dataset builders)."""

@@ -44,7 +44,7 @@ def connect(
     :meth:`~repro.lqp.registry.LQPRegistry.register` accepts).
     ``option_overrides`` specialize the session's default
     :class:`~repro.service.options.QueryOptions` — e.g.
-    ``connect(url, stream_chunk_size=256, fetch_size=128)``.  The wire
+    ``connect(url, fetch_size=128, cache="on")``.  The wire
     encoding is not a query option but a property of the connection: to
     pick one, register the URL with ``LQPRegistry.register(url,
     wire_format="json")``, build the federation on that registry and pass

@@ -74,7 +74,6 @@ from repro.pqp.matrix import (
 )
 from repro.pqp.optimizer import OptimizationReport, QueryOptimizer
 from repro.pqp.result import QueryResult
-from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.syntax_analyzer import SyntaxAnalyzer
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.cursor import Cursor
@@ -418,35 +417,26 @@ class PolygenFederation:
     def executor_for(self, options: QueryOptions | None = None) -> Executor:
         """The (cached, reentrant) execution engine ``options`` selects.
 
-        A concurrent engine dispatches into the federation's shared worker
-        pool the plans with a local row at an overlapping source and
-        another local row beside it, and runs the rest on the coordinator;
-        a serial engine runs every plan on the coordinator.
+        A concurrent engine holds the federation's shared worker pool and
+        dispatches into it the plans with a local row at an overlapping
+        source and another local row beside it; a serial engine holds no
+        pool.  Either runs every other plan on the coordinator, and either
+        streams a spine whose head source ships chunks.
         """
         options = options or self.defaults
         key = (options.engine, options.policy)
         with self._lock:
             executor = self._executors.get(key)
             if executor is None:
-                if options.engine == "concurrent":
-                    executor = ConcurrentExecutor(
-                        self.schema,
-                        self.registry,
-                        resolver=self.resolver,
-                        transforms=self.transforms,
-                        policy=options.policy,
-                        tag_pool=self.tag_pool,
-                        pool=self._pool,
-                    )
-                else:
-                    executor = Executor(
-                        self.schema,
-                        self.registry,
-                        resolver=self.resolver,
-                        transforms=self.transforms,
-                        policy=options.policy,
-                        tag_pool=self.tag_pool,
-                    )
+                executor = Executor(
+                    self.schema,
+                    self.registry,
+                    resolver=self.resolver,
+                    transforms=self.transforms,
+                    policy=options.policy,
+                    tag_pool=self.tag_pool,
+                    pool=self._pool if options.engine == "concurrent" else None,
+                )
                 self._executors[key] = executor
             return executor
 
@@ -504,7 +494,7 @@ class PolygenFederation:
         try:
             # No cursor (nobody could read it before this returns) and no
             # cancel event (nobody else holds a handle to set it) — the
-            # executors then skip batch slicing and cancellation polling.
+            # executor then neither streams nor polls for cancellation.
             result = self._run_query(query, kind, options, None, None)
         except BaseException as exc:
             self._conclude(exc)
@@ -700,7 +690,6 @@ class PolygenFederation:
                 cancel=cancel,
                 on_result=None if cursor is None else cursor._feed,
                 on_chunk=None if cursor is None else cursor._feed_chunk,
-                stream_chunk_size=options.stream_chunk_size,
             )
             exec_span.set(rows=len(iom), tuples=len(trace.relation))
         if options.cache != "off":

@@ -39,21 +39,19 @@ class QueryOptions:
       rows sits at a source that overlaps (a ``polygen://`` server, a
       :class:`~repro.lqp.cost.LatencyLQP`) and another local row can run
       beside it; only such a plan drives its DAG over the shared
-      per-database worker pool.
-      ``"serial"`` always walks the matrix row by row on the coordinating
-      thread, exactly as the paper describes.
+      per-database worker pool.  ``"serial"`` holds no pool, so every
+      plan runs on the coordinating thread.  Under either, a spine whose
+      head source ships chunks streams (:mod:`repro.pqp.stream`).
     - ``optimize`` / ``prune_projections`` — the optimizer master switch
       and its one optional rewrite (dead-column pruning at
       materialization).
     - ``policy`` — the Merge/Coalesce conflict policy.
     - ``fetch_size`` — how many result tuples a streaming cursor hands out
-      per batch.
-    - ``stream_chunk_size`` — tuples per chunk when a streamable-spine
-      plan pipelines through the executor
-      (:mod:`repro.pqp.stream`); plans that cannot stream ignore it.  How
-      a remote source encodes those chunks is not a query option: its
-      connection chose that when it was made
-      (:class:`~repro.net.client.RemoteLQP`'s ``wire_format``).
+      per batch of a result that did not stream.  A streamed batch is
+      what the source shipped: a ``polygen://`` server's ``chunk_size``,
+      in the encoding its connection chose
+      (:class:`~repro.net.client.RemoteLQP`'s ``wire_format``); neither
+      is a query option.
     - ``cache`` — the semantic result cache (:mod:`repro.service.cache`):
       ``"off"`` (the default) bypasses it entirely; ``"on"`` consults it
       before execution (whole-plan hits return instantly, cached subtrees
@@ -74,7 +72,6 @@ class QueryOptions:
     policy: ConflictPolicy = ConflictPolicy.DROP
     fetch_size: int = 64
     cache: str = "off"
-    stream_chunk_size: int = 1024
     slow_query_ms: Optional[float] = None
 
     def __new__(cls, *args, **kwargs):
@@ -128,17 +125,6 @@ class QueryOptions:
         if not isinstance(self.cache, str) or self.cache not in _CACHE_MODES:
             raise ValueError(
                 f"cache must be one of {_CACHE_MODES}, got {self.cache!r}"
-            )
-        if isinstance(self.stream_chunk_size, bool) or not isinstance(
-            self.stream_chunk_size, int
-        ):
-            raise ValueError(
-                f"stream_chunk_size must be an int, got {self.stream_chunk_size!r} "
-                f"({type(self.stream_chunk_size).__name__})"
-            )
-        if self.stream_chunk_size < 1:
-            raise ValueError(
-                f"stream_chunk_size must be >= 1, got {self.stream_chunk_size}"
             )
         if self.slow_query_ms is not None:
             if isinstance(self.slow_query_ms, bool) or not isinstance(

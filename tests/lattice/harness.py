@@ -419,7 +419,7 @@ def generated_data(draw) -> Dict[str, Any]:
 # -- reading and checking --------------------------------------------------
 
 
-def read(federation, query, options, reader: str, chunk_size: int) -> List[Answer]:
+def read(federation, query, options, reader: str, fetch_size: int) -> List[Answer]:
     """Every answer ``reader`` gets for ``query``."""
     if reader == "run":
         return [Answer.of(lambda: federation.run(query, options))]
@@ -428,7 +428,7 @@ def read(federation, query, options, reader: str, chunk_size: int) -> List[Answe
         if reader in ("result", "sessions"):
             handles = [session.submit(query, options) for session in sessions]
             return [Answer.of(lambda h=h: h.result(TIMEOUT)) for h in handles]
-        handle = sessions[0].submit(query, options.replace(stream_chunk_size=chunk_size))
+        handle = sessions[0].submit(query, options.replace(fetch_size=fetch_size))
         cursor = handle.cursor()
 
         def fetched():
@@ -453,7 +453,7 @@ def _passes_key_sets(federation, query: str, options: QueryOptions) -> bool:
     return any(row.op is Operation.SELECT_IN for row in iom)
 
 
-def check(config: Configuration, dataset: Dataset, chunk_size: int) -> None:
+def check(config: Configuration, dataset: Dataset, fetch_size: int) -> None:
     """Ask ``dataset``'s queries under ``config``; hold every answer to the
     oracle's, and the oracle to the paper."""
     sources = Sources(dataset.databases, config.kinds(len(dataset.databases)))
@@ -478,7 +478,7 @@ def check(config: Configuration, dataset: Dataset, chunk_size: int) -> None:
             oracle.forget()
         for query in dataset.queries:
             want = oracle.answer(query, config.policy)
-            for got in read(federation, query, options, config.reader, chunk_size):
+            for got in read(federation, query, options, config.reader, fetch_size):
                 assert got == want, f"{config} diverged from the oracle on {query!r}"
                 if config.cache == "warm" and want.error is None:
                     assert got.cache_hit, f"{config}: a repeat of {query!r} missed the cache"

@@ -34,8 +34,8 @@ def test_the_lattice_covers_every_pair_of_axis_values():
 @given(
     queries=st.lists(paper_queries(), min_size=1, max_size=2, unique=True),
     generated=generated_data(),
-    chunk_size=st.integers(min_value=1, max_value=2),
+    fetch_size=st.integers(min_value=1, max_value=2),
 )
-def test_every_configuration_answers_as_the_oracle(config, queries, generated, chunk_size):
-    check(config, paper_dataset(queries), chunk_size)
-    check(config, generated_dataset(config.kinds(3), **generated), chunk_size)
+def test_every_configuration_answers_as_the_oracle(config, queries, generated, fetch_size):
+    check(config, paper_dataset(queries), fetch_size)
+    check(config, generated_dataset(config.kinds(3), **generated), fetch_size)

@@ -55,7 +55,7 @@ def test_nan_nil_and_empty_cells_survive_every_wire(rows, chunk_size):
                 ]
                 chunked = [
                     tuple(_canonical(cell) for cell in row)
-                    for chunk in remote.retrieve_chunks("T", chunk_size=chunk_size)
+                    for chunk in remote.retrieve_chunks("T")
                     for row in chunk.relation().rows
                 ]
                 assert whole == expected, wire_format

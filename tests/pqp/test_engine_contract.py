@@ -2,10 +2,11 @@
 
 A plan row is run in exactly one place (the executor's per-plan run
 record); the inline, pooled and pipelined schedulers differ only in when
-and where they call it.  The concurrent engine runs a plan inline unless
-one of its local rows sits at a source that overlaps and another local
-row can run beside it, so it appears twice: over an in-process probe, and
-over a probe that says it overlaps.
+and where they call it.  The executor picks one from the plan's sources:
+it pools only when it holds a worker pool and the probe says it overlaps,
+and it streams only a spine whose probe ships chunks, with or without a
+pool.  With a pool over an in-process probe it runs the same inline code
+as without one, so that case is not repeated here.
 Everything a caller can observe about *how a row ran* — cancellation,
 error wrapping, ``on_result``, spans, timings, worker labels — is
 therefore asserted here against all of them, instead of once per engine
@@ -29,6 +30,7 @@ from repro.errors import ExecutionError, QueryCancelledError
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.net import LQPServer
+from repro.net.client import WireChunk
 from repro.obs.trace import Tracer, current_span
 from repro.pqp.executor import Executor
 from repro.pqp.matrix import (
@@ -40,7 +42,6 @@ from repro.pqp.matrix import (
     ResultOperand,
 )
 from repro.pqp.pool import WorkerPool
-from repro.pqp.runtime import ConcurrentExecutor
 from repro.storage.tag_pool import TagPool
 
 
@@ -121,12 +122,30 @@ class ProbeLQP(RelationalLQP):
         return super().retrieve(relation_name, **kwargs)
 
 
+class ChunkingProbeLQP(ProbeLQP):
+    """A probe that ships a retrieve in two-tuple chunks, as an
+    ``LQPServer(chunk_size=2)`` does, so the executor streams its spines."""
+
+    def retrieve_chunks(self, relation_name, *, columns=None, abort=None):
+        shipped = self.retrieve(relation_name, **({} if columns is None else {"columns": columns}))
+        return [
+            WireChunk(
+                shipped.attributes,
+                seq,
+                [list(column[start : start + 2]) for column in shipped.columns],
+                min(2, shipped.cardinality - start),
+            )
+            for seq, start in enumerate(range(0, shipped.cardinality, 2))
+        ]
+
+
 @dataclass(frozen=True)
 class Scheduler:
     """One way of scheduling the run record's ``run`` over a plan."""
 
     name: str
-    engine: type
+    #: whether the executor holds a worker pool.
+    pooled: bool
     #: builds the plan this scheduler is exercised on.
     plan: Callable[..., IntermediateOperationMatrix]
     streams: bool
@@ -135,7 +154,7 @@ class Scheduler:
     #: unit its single span describes and is labelled by its head row.
     kernel_failure_label: Tuple[str, str]
     #: whether the probe at AD overlaps; both of the plan's local rows
-    #: sit there, so the concurrent engine pools exactly when it does.
+    #: sit there, so an executor with a pool pools exactly when it does.
     overlaps: bool = False
 
     @property
@@ -143,13 +162,13 @@ class Scheduler:
         """The scheduler the engine picks, as the ambient span names it."""
         if self.streams:
             return "stream"
-        if self.engine is ConcurrentExecutor and self.overlaps:
+        if self.pooled and self.overlaps:
             return "pooled"
         return "inline"
 
     def worker_ok(self, row, worker):
         if self.streams:
-            return worker == ("stream" if self.engine is ConcurrentExecutor else "serial")
+            return worker == "stream"
         if self.runs == "inline":
             return worker == "serial"
         if not row.is_local:
@@ -158,51 +177,41 @@ class Scheduler:
 
 
 SCHEDULERS = [
-    Scheduler("inline", Executor, merge_plan, False, ("R(4)", "Project")),
-    Scheduler(
-        "inline-concurrent", ConcurrentExecutor, merge_plan, False, ("R(4)", "Project")
-    ),
-    Scheduler(
-        "pooled",
-        ConcurrentExecutor,
-        merge_plan,
-        False,
-        ("R(4)", "Project"),
-        overlaps=True,
-    ),
-    Scheduler("pipelined-inline", Executor, spine_plan, True, ("R(1)", "Retrieve")),
-    Scheduler("pipelined-pooled", ConcurrentExecutor, spine_plan, True, ("R(1)", "Retrieve")),
+    Scheduler("inline", False, merge_plan, False, ("R(4)", "Project")),
+    Scheduler("pooled", True, merge_plan, False, ("R(4)", "Project"), overlaps=True),
+    Scheduler("pipelined", False, spine_plan, True, ("R(1)", "Retrieve")),
+    Scheduler("pipelined-with-pool", True, spine_plan, True, ("R(1)", "Retrieve")),
 ]
 
 
 class Harness:
     """A scheduler bound to a fresh registry with a probe at database AD —
-    in-process, or (``source_url``) behind an ``LQPServer`` dialed by URL."""
+    in-process (shipping chunks when the scheduler streams), or
+    (``source_url``) behind an ``LQPServer`` dialed by URL."""
 
     def __init__(self, scheduler: Scheduler, pool, source_url=None, **probe):
         self.scheduler = scheduler
         self.registry = LQPRegistry()
         databases = paper_databases()
-        self.probe = ProbeLQP(
+        probe_class = ChunkingProbeLQP if scheduler.streams else ProbeLQP
+        self.probe = probe_class(
             databases.pop("AD"), overlaps=scheduler.overlaps, **probe
         )
         self.registry.register(source_url or self.probe)
         for database in databases.values():
             self.registry.register(RelationalLQP(database))
-        kwargs = {"pool": pool} if scheduler.engine is ConcurrentExecutor else {}
-        self.executor = scheduler.engine(
+        self.executor = Executor(
             paper_polygen_schema(),
             self.registry,
             resolver=paper_identity_resolver(),
             tag_pool=TagPool(),
-            **kwargs,
+            pool=pool if scheduler.pooled else None,
         )
         self.chunks = []
 
     def execute(self, plan=None, **kwargs):
         if self.scheduler.streams:
             kwargs.setdefault("on_chunk", self.chunks.append)
-            kwargs.setdefault("stream_chunk_size", 2)
         if plan is None:
             plan = self.scheduler.plan()
         return self.executor.execute(plan, **kwargs)
@@ -361,7 +370,7 @@ def test_a_polygen_url_source_on_the_binary_wire_leaves_the_same_record(
     for row in scheduler.plan():
         timing = trace.timings[row.result.index]
         assert timing.location == (row.el if row.is_local else "PQP")
-        # A remote source overlaps, so the concurrent engine pools the
+        # A remote source overlaps, so an executor with a pool pools the
         # plan, and multiplexes, so its pool workers are numbered
         # ("lqp-0-AD#2"); the label is otherwise the in-process one.
         remote = replace(scheduler, overlaps=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the concurrent federated execution runtime."""
+"""Unit tests for the executor's pooled and inline schedulers."""
 
 import time
 
@@ -18,7 +18,6 @@ from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix
 from repro.pqp.pool import WorkerPool
 from repro.pqp.processor import PolygenQueryProcessor
-from repro.pqp.runtime import ConcurrentExecutor
 
 from tests.integration.conftest import PAPER_SQL
 
@@ -66,14 +65,9 @@ class TestEquivalence:
         )
 
     def test_executor_property_reports_engine(self):
-        assert isinstance(_processor(concurrent=True).executor, ConcurrentExecutor)
-        assert not isinstance(_processor().executor, ConcurrentExecutor)
-
-
-class TestPool:
-    def test_a_pool_is_required(self):
-        with pytest.raises(TypeError, match="pool"):
-            ConcurrentExecutor(paper_polygen_schema(), _processor().registry)
+        concurrent = _processor(concurrent=True)
+        assert concurrent.executor.pool is concurrent.federation.pool
+        assert _processor().executor.pool is None
 
 
 class BusyLQP(ForwardingLQP):
@@ -117,12 +111,12 @@ class TestSchedulerChoice:
     def execute(self):
         with WorkerPool() as pool:
 
-            def run(iom, overlapping=()):
-                executor = ConcurrentExecutor(
+            def run(iom, overlapping=(), pooled=True):
+                executor = Executor(
                     paper_polygen_schema(),
                     _registry(overlapping),
                     resolver=paper_identity_resolver(),
-                    pool=pool,
+                    pool=pool if pooled else None,
                 )
                 return executor.execute(iom), pool.thread_names()
 
@@ -151,17 +145,21 @@ class TestSchedulerChoice:
             expected = "pqp" if timing.location == "PQP" else f"-{timing.location}"
             assert timing.worker.endswith(expected)
 
-    def test_a_plan_listed_out_of_order_still_answers_inline(self, execute, serial_run):
+    def test_without_a_pool_rows_that_could_overlap_run_inline(self, execute, serial_run):
+        trace, threads = execute(serial_run.iom, overlapping=("PD", "CD"), pooled=False)
+        assert trace.relation == serial_run.relation
+        assert {t.worker for t in trace.timings.values()} == {"serial"}
+        assert threads == ()
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["no-pool", "pool"])
+    def test_a_plan_listed_out_of_order_still_answers_inline(
+        self, execute, serial_run, pooled
+    ):
         rows = serial_run.iom.rows
         # Every row before the result, reversed: each is listed ahead of
-        # the rows it consumes, which the serial engine cannot run.
+        # the rows it consumes, so only a dependency order can run it.
         shuffled = IntermediateOperationMatrix(list(reversed(rows[:-1])) + [rows[-1]])
-        serial = Executor(
-            paper_polygen_schema(), _registry(), resolver=paper_identity_resolver()
-        )
-        with pytest.raises(ExecutionError):
-            serial.execute(shuffled)
-        trace, threads = execute(shuffled)
+        trace, threads = execute(shuffled, pooled=pooled)
         assert trace.relation == serial_run.relation
         assert trace.lineage == serial_run.lineage
         assert {t.worker for t in trace.timings.values()} == {"serial"}
@@ -194,7 +192,7 @@ class TestTimings:
         # them while PD waits, which an inline run cannot.
         registry = _registry(overlapping=("PD",), latency=0.03, busy=0.01)
         with WorkerPool() as pool:
-            executor = ConcurrentExecutor(
+            executor = Executor(
                 paper_polygen_schema(),
                 registry,
                 resolver=paper_identity_resolver(),

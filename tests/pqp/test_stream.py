@@ -1,9 +1,12 @@
 """Unit tests for pipelined chunk streaming (:mod:`repro.pqp.stream`).
 
 Spine detection, chunk-pipeline equivalence against whole-relation
-execution (rows, order, tags, intermediate results, lineage), and the
-fallback behaviour for plans that cannot stream.
+execution (rows, order, tags, intermediate results, lineage) over a
+``polygen://`` source shipping chunks of a given size, and the fallback
+for plans that cannot stream or whose source hands over whole relations.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.datasets.paper import (
 )
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
+from repro.net import LQPServer
 from repro.pqp.executor import Executor
 from repro.pqp.matrix import (
     IntermediateOperationMatrix,
@@ -24,7 +28,6 @@ from repro.pqp.matrix import (
     ResultOperand,
 )
 from repro.pqp.pool import WorkerPool
-from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.stream import streamable_spine
 from repro.storage.tag_pool import TagPool
 
@@ -87,21 +90,36 @@ def join_plan():
     )
 
 
-def make_executor(workers=None):
-    """The serial executor, or the concurrent one dispatching into
-    ``workers``."""
+def paper_registry(ad_url=None):
+    """The paper's databases in memory; AD dialed at ``ad_url`` if given."""
     registry = LQPRegistry()
-    for database in paper_databases().values():
-        registry.register(RelationalLQP(database))
-    kwargs = {} if workers is None else {"pool": workers}
-    cls = Executor if workers is None else ConcurrentExecutor
-    return cls(
+    for name, database in paper_databases().items():
+        registry.register(ad_url if name == "AD" and ad_url else RelationalLQP(database))
+    return registry
+
+
+def make_executor(workers=None, registry=None):
+    """An executor dispatching into ``workers`` when given."""
+    return Executor(
         paper_polygen_schema(),
-        registry,
+        registry or paper_registry(),
         resolver=paper_identity_resolver(),
         tag_pool=TagPool(),
-        **kwargs,
+        pool=workers,
     )
+
+
+@contextmanager
+def served_executor(chunk_size, workers=None):
+    """An executor whose AD sits behind an ``LQPServer`` shipping
+    ``chunk_size``-tuple chunks."""
+    ad = RelationalLQP(paper_databases()["AD"])
+    with LQPServer(ad, chunk_size=chunk_size) as server:
+        registry = paper_registry(server.url)
+        try:
+            yield make_executor(workers, registry)
+        finally:
+            registry.close()
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +176,9 @@ class TestStreamedEquivalence:
         plan = spine_plan()
         baseline = make_executor().execute(plan)
         chunks = []
-        trace = make_executor(workers if concurrent else None).execute(
-            plan, on_chunk=chunks.append, stream_chunk_size=chunk_size
-        )
+        with served_executor(chunk_size, workers if concurrent else None) as executor:
+            trace = executor.execute(plan, on_chunk=chunks.append)
+        assert {timing.worker for timing in trace.timings.values()} == {"stream"}
         assert trace.relation.attributes == baseline.relation.attributes
         assert [
             (tuple(c.datum for c in row), tuple((c.origins, c.intermediates) for c in row))
@@ -186,9 +204,8 @@ class TestStreamedEquivalence:
         if chunk_size >= 1000:
             pytest.skip("single-chunk configuration")
         chunks = []
-        make_executor(workers if concurrent else None).execute(
-            spine_plan(), on_chunk=chunks.append, stream_chunk_size=chunk_size
-        )
+        with served_executor(chunk_size, workers if concurrent else None) as executor:
+            executor.execute(spine_plan(), on_chunk=chunks.append)
         assert len(chunks) > 1
 
 
@@ -198,6 +215,16 @@ class TestFallback:
         trace = make_executor().execute(join_plan(), on_chunk=chunks.append)
         assert chunks == []
         assert trace.relation.cardinality > 0
+
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
+    def test_an_in_process_spine_ignores_on_chunk(self, concurrent, workers):
+        # Its source handed over the whole relation: nothing to pipeline.
+        chunks = []
+        executor = make_executor(workers if concurrent else None)
+        trace = executor.execute(spine_plan(), on_chunk=chunks.append)
+        assert chunks == []
+        assert trace.relation.cardinality == 5
+        assert {timing.worker for timing in trace.timings.values()} == {"serial"}
 
     def test_no_hook_takes_the_ordinary_path(self):
         trace = make_executor().execute(spine_plan())
@@ -218,7 +245,9 @@ class TestFallback:
             pqp_project(2, 1, ("ANAME",)),
         )
         chunks = []
-        trace = make_executor().execute(plan, on_chunk=chunks.append)
+        with served_executor(2) as executor:
+            trace = executor.execute(plan, on_chunk=chunks.append)
+        assert {timing.worker for timing in trace.timings.values()} == {"stream"}
         assert trace.relation.cardinality == 0
         assert trace.relation.attributes == ("ANAME",)
         assert chunks == []  # empty batches are not delivered

@@ -95,6 +95,52 @@ class TestLocalDatabase:
                 self.db.insert("BUSINESS", batch)
             assert self.db.relation("BUSINESS") is before
 
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [("GE", "x"), ("GE", "y")],  # a duplicate key within the batch
+            [("GE", "x"), (None, "y")],  # a nil key
+            [("GE", "x"), ("DEC",)],  # a wrong degree
+        ],
+        ids=["duplicate", "nil", "degree"],
+    )
+    def test_a_failed_insert_leaves_the_kept_key_set_as_it_was(self, batch):
+        self.db.insert("BUSINESS", [("IBM", "High Tech")])
+        assert "BUSINESS" not in self.db._keys  # filled once: no set kept
+        self.db.insert("BUSINESS", [("BP", "Energy")])
+        assert self.db._keys["BUSINESS"] == {"IBM", "BP"}
+        before = self.db.relation("BUSINESS")
+        with pytest.raises(ConstraintViolationError):
+            self.db.insert("BUSINESS", batch)
+        assert self.db.relation("BUSINESS") is before
+        assert self.db._keys["BUSINESS"] == {"IBM", "BP"}
+        # The batch's first key was never taken, so it inserts now.
+        self.db.insert("BUSINESS", [("GE", "Industrial")])
+        assert self.db.relation("BUSINESS").rows == (
+            ("IBM", "High Tech"), ("BP", "Energy"), ("GE", "Industrial")
+        )
+        assert self.db._keys["BUSINESS"] == {"IBM", "BP", "GE"}
+
+    def test_concurrent_inserts_lose_no_row_and_no_key(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def writer(t):
+                for i in range(50):
+                    self.db.insert("BUSINESS", [(f"{t}-{i}", "x")])
+
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        names = {row[0] for row in self.db.relation("BUSINESS").rows}
+        assert len(names) == 400
+        assert self.db._keys["BUSINESS"] == names
+
     def test_a_composite_key_is_checked_against_rows_and_batch(self):
         db = LocalDatabase("AD")
         db.load(RelationSchema("R", ["A", "B", "C"], key=["A", "B"]), [(1, "x", "c")])

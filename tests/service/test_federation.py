@@ -21,7 +21,7 @@ from repro.errors import (
 from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
-from repro.pqp.runtime import ConcurrentExecutor
+from repro.net import LQPServer
 from repro.service.federation import PolygenFederation
 from repro.service.options import QueryOptions
 
@@ -402,10 +402,10 @@ class TestSchedulerFollowsSources:
                 handle.cursor().fetchall()
                 fetched = handle.result(timeout=30)
                 assert ran.relation == fetched.relation == expected
-                assert {t.worker for t in ran.trace.timings.values()} == {"serial"}
-                # With a cursor a spine streams; no row reaches a pool worker.
-                workers = {t.worker for t in fetched.trace.timings.values()}
-                assert workers in ({"serial"}, {"stream"})
+                # An in-process source hands over whole relations, so
+                # even a spine drained by a cursor runs inline.
+                for result in (ran, fetched):
+                    assert {t.worker for t in result.trace.timings.values()} == {"serial"}
             assert federation.pool.thread_names() == ()
             assert federation.stats().worker_threads == ()
 
@@ -413,10 +413,12 @@ class TestSchedulerFollowsSources:
         "latency, text, scheduler",
         [
             (None, PAPER_SQL, "inline"),
+            (None, SPINE_SQL, "inline"),
             (0.0, PAPER_SQL, "pooled"),
-            (0.0, SPINE_SQL, "stream"),
+            # A LatencyLQP overlaps but ships no chunks: its spine is inline.
+            (0.0, SPINE_SQL, "inline"),
         ],
-        ids=["in-memory", "overlapping", "spine"],
+        ids=["in-memory", "in-memory-spine", "overlapping", "overlapping-spine"],
     )
     def test_the_execute_span_names_the_scheduler(self, latency, text, scheduler):
         with _federation(latency) as federation, federation.session() as session:
@@ -424,10 +426,32 @@ class TestSchedulerFollowsSources:
             serial = session.execute(text, engine="serial")
         (span,) = [span for span in result.trace.spans if span.name == "execute"]
         assert span.attributes["scheduler"] == scheduler
+        # Without a pool nothing is pooled.
         (span,) = [span for span in serial.trace.spans if span.name == "execute"]
-        assert span.attributes["scheduler"] == (
-            "stream" if scheduler == "stream" else "inline"
-        )
+        assert span.attributes["scheduler"] == "inline"
+
+    def test_a_spine_over_polygen_urls_streams_under_either_engine(self):
+        servers = [
+            LQPServer(RelationalLQP(database), chunk_size=2).start()
+            for database in paper_databases().values()
+        ]
+        registry = LQPRegistry()
+        try:
+            for server in servers:
+                registry.register(server.url)
+            with PolygenFederation(
+                paper_polygen_schema(), registry, resolver=paper_identity_resolver()
+            ) as federation, federation.session() as session:
+                for engine in ("concurrent", "serial"):
+                    result = session.execute(SPINE_SQL, engine=engine)
+                    (span,) = [s for s in result.trace.spans if s.name == "execute"]
+                    assert span.attributes["scheduler"] == "stream", engine
+                    workers = {t.worker for t in result.trace.timings.values()}
+                    assert workers == {"stream"}, engine
+        finally:
+            registry.close()
+            for server in servers:
+                server.stop()
 
 
 class TestSynchronousRun:
@@ -455,7 +479,7 @@ class TestFacadeOverFederation:
     def test_facade_exposes_its_federation(self):
         pqp = build_paper_federation()
         assert pqp.federation.defaults.engine == "serial"
-        assert not isinstance(pqp.executor, ConcurrentExecutor)
+        assert pqp.executor.pool is None
 
     def test_serial_facade_spawns_no_threads(self):
         before = threading.active_count()
@@ -500,7 +524,6 @@ class TestFacadeOverFederation:
             resolver=paper_identity_resolver(),
             concurrent=True,
         ) as pqp:
-            assert isinstance(pqp.executor, ConcurrentExecutor)
             assert pqp.executor.pool is pqp.federation.pool
             first = pqp.run_sql(PAPER_SQL)
             warm = pqp.federation.pool.thread_names()

@@ -1,6 +1,7 @@
-"""The redesigned streaming API: ``chunks()``, ``stream()``, the stream
-options and per-connection wire encodings, and the closed/cancelled
-cursor semantics.
+"""The redesigned streaming API: ``chunks()``, ``stream()``, where a
+streamed batch's size comes from (the source, not a query option),
+per-connection wire encodings, and the closed/cancelled cursor
+semantics.
 
 Complements ``test_pool_and_cursor.py`` (cursor internals) and
 ``test_federation.py`` (service lifecycle): these tests drive the new
@@ -19,6 +20,8 @@ from repro.errors import QueryCancelledError, ServiceClosedError
 from repro.lqp.cost import LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
+from repro.net import LQPServer
+from repro.pqp import stream as pqp_stream
 from repro.service.cursor import Cursor
 from repro.service.federation import PolygenFederation
 from repro.service.options import QueryOptions
@@ -42,14 +45,40 @@ def _federation(latency=0.0, **kwargs) -> PolygenFederation:
     )
 
 
+class _Served:
+    """The paper's databases behind ``LQPServer``\\ s shipping
+    ``chunk_size``-tuple chunks, dialed by ``polygen://`` URL."""
+
+    def __init__(self, chunk_size):
+        self.servers = [
+            LQPServer(RelationalLQP(database), chunk_size=chunk_size).start()
+            for database in paper_databases().values()
+        ]
+
+    def registry(self, **register) -> LQPRegistry:
+        registry = LQPRegistry()
+        for server in self.servers:
+            registry.register(server.url, **register)
+        return registry
+
+    def stop(self):
+        for server in self.servers:
+            server.stop()
+
+
+def _scheduler(result) -> str:
+    (span,) = [span for span in result.trace.spans if span.name == "execute"]
+    return span.attributes["scheduler"]
+
+
 class TestChunksIterator:
     def test_chunks_are_columnar_batches_with_tags(self):
         with _federation() as federation:
-            with federation.session(stream_chunk_size=2) as session:
+            with federation.session(fetch_size=2) as session:
                 handle = session.submit(SPINE_SQL)
                 batches = list(handle.stream().chunks(timeout=30))
                 result = handle.result(timeout=30)
-        assert len(batches) > 1  # pipelined: several batches, not one
+        assert len(batches) > 1  # several batches, not one
         assert all(isinstance(batch, PolygenRelation) for batch in batches)
         rows = [row for batch in batches for row in batch.tuples]
         assert rows == list(result.relation.tuples)
@@ -74,7 +103,7 @@ class TestChunksIterator:
 
     def test_rows_and_chunks_partition_one_stream(self):
         with _federation() as federation:
-            with federation.session(stream_chunk_size=2) as session:
+            with federation.session(fetch_size=2) as session:
                 handle = session.submit(SPINE_SQL)
                 result = handle.result(timeout=30)
                 cursor = handle.cursor()
@@ -98,22 +127,65 @@ class TestChunksIterator:
 
 
 class TestStreamingOptions:
-    def test_new_fields_validate(self):
-        assert QueryOptions().stream_chunk_size == 1024
+    def test_an_in_process_spine_runs_inline_without_a_chunk_pipeline(
+        self, monkeypatch
+    ):
+        # An in-process source has handed over the whole relation before
+        # any PQP row could start, so there is nothing to pipeline.
+        built = []
+        monkeypatch.setattr(
+            pqp_stream.ChunkPipeline, "__init__", lambda *args: built.append(args)
+        )
+        with _federation() as federation, federation.session(fetch_size=2) as session:
+            handle = session.submit(SPINE_SQL)
+            batches = list(handle.stream().chunks(timeout=30))
+            result = handle.result(timeout=30)
+        assert built == []
+        assert _scheduler(result) == "inline"
+        assert [row for batch in batches for row in batch.tuples] == list(
+            result.relation.tuples
+        )
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    def test_a_polygen_url_spine_streams_in_the_servers_chunks(self, chunk_size):
+        with _federation() as federation, federation.session() as session:
+            expected = session.execute(SPINE_SQL, timeout=30).relation
+        served = _Served(chunk_size)
+        try:
+            with PolygenFederation(
+                paper_polygen_schema(), served.registry(), resolver=paper_identity_resolver()
+            ) as federation, federation.session(fetch_size=64) as session:
+                handle = session.submit(SPINE_SQL)
+                batches = list(handle.stream().chunks(timeout=30))
+                result = handle.result(timeout=30)
+        finally:
+            served.stop()
+        assert _scheduler(result) == "stream"
+        assert result.relation == expected
+        # Every MBA row the source selects is distinct after the projection,
+        # so each shipped chunk is one batch: the server's size, bar the last.
+        sizes = [batch.cardinality for batch in batches]
+        total = expected.cardinality
+        assert sizes == [chunk_size] * (total // chunk_size) + (
+            [total % chunk_size] if total % chunk_size else []
+        )
+
+    def test_stream_chunk_size_is_not_a_query_option(self):
         with pytest.raises(ValueError, match="stream_chunk_size"):
-            QueryOptions(stream_chunk_size=0)
-        with pytest.raises(ValueError, match="stream_chunk_size"):
-            QueryOptions(stream_chunk_size=True)
+            QueryOptions(stream_chunk_size=2)
+        with _federation() as federation, federation.session() as session:
+            with pytest.raises(ValueError, match="stream_chunk_size"):
+                session.submit(SPINE_SQL, stream_chunk_size=2)
 
     def test_override_chain_defaults_session_submit(self):
-        defaults = QueryOptions(stream_chunk_size=500, fetch_size=7)
+        defaults = QueryOptions(fetch_size=7, prune_projections=True)
         with _federation(defaults=defaults) as federation:
-            session = federation.session(stream_chunk_size=200)
-            assert session.defaults.stream_chunk_size == 200  # session wins
-            assert session.defaults.fetch_size == 7  # inherited
-            # submit-level override wins over both; chunk size 2 must show
+            session = federation.session(fetch_size=5)
+            assert session.defaults.fetch_size == 5  # session wins
+            assert session.defaults.prune_projections  # inherited
+            # submit-level override wins over both; fetch size 2 must show
             # up as several small batches.
-            handle = session.submit(SPINE_SQL, stream_chunk_size=2)
+            handle = session.submit(SPINE_SQL, fetch_size=2)
             batches = list(handle.stream().chunks(timeout=30))
             assert len(batches) > 1
             assert all(batch.cardinality <= 2 for batch in batches)
@@ -124,22 +196,15 @@ class TestStreamingOptions:
             QueryOptions().replace(wire_format="json")
 
     def test_connection_wire_formats_agree_with_in_process(self):
-        from repro.net import LQPServer
-
         with _federation() as federation, federation.session() as session:
             expected = session.execute(SPINE_SQL, timeout=30).relation
-        servers = [
-            LQPServer(RelationalLQP(database), chunk_size=2).start()
-            for database in paper_databases().values()
-        ]
+        served = _Served(2)
         try:
             for fmt in ("json", "binary"):
-                registry = LQPRegistry()
-                for server in servers:
-                    registry.register(server.url, wire_format=fmt)
+                registry = served.registry(wire_format=fmt)
                 with PolygenFederation(
                     paper_polygen_schema(), registry, resolver=paper_identity_resolver()
-                ) as federation, federation.session(stream_chunk_size=2) as session:
+                ) as federation, federation.session() as session:
                     handle = session.submit(SPINE_SQL)
                     batches = list(handle.stream().chunks(timeout=30))
                     assert handle.result(timeout=30).relation == expected, fmt
@@ -149,8 +214,7 @@ class TestStreamingOptions:
                     )
                 assert (binary_chunks > 0) == (fmt != "json"), fmt
         finally:
-            for server in servers:
-                server.stop()
+            served.stop()
 
 
 class TestClosedAndCancelled:
