@@ -80,8 +80,11 @@ def join(
 
     For θ ``=`` the join runs as a hash join
     (:func:`repro.storage.kernels.hash_join`): the same rows, row order and
-    tags as the definition, without forming the product.  Every other θ
-    evaluates the definition, Product then Restrict.
+    tags as the definition, without forming the product.  Each left key
+    probes the right operand's keys, the matched rows' columns are
+    gathered, and each output tag is one lookup in a table resolved once
+    per distinct (tag, key tags).  Every other θ evaluates the definition,
+    Product then Restrict.
 
     Any *other* attribute shared by both operands is an error: rename it
     first (the executor never produces this case because local relations are

@@ -10,7 +10,7 @@ and SelectIn.
 from __future__ import annotations
 
 import threading
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Any, Dict, Iterable, Sequence, Set, Tuple
 
@@ -46,10 +46,10 @@ class LocalDatabase:
         self.name = name
         self._schemas: Dict[str, RelationSchema] = {}
         self._relations: Dict[str, Relation] = {}
-        #: A keyed relation's key values, kept beside it once it takes a
-        #: second insert, so later inserts check their rows against a set
-        #: instead of reading every key.  A relation filled once and only
-        #: read holds none.
+        #: A relation's key values (a keyless one's whole rows), kept beside
+        #: it once it takes a second insert, so later inserts check their
+        #: rows against a set instead of reading every key.  A relation
+        #: filled once and only read holds none.
         self._keys: Dict[str, Set[Any]] = {}
         #: Serializes inserts: each reads, checks and replaces a relation
         #: and its key set, and two at once would lose one's rows or keys.
@@ -89,8 +89,9 @@ class LocalDatabase:
         Only the inserted rows are checked, against the relation's key set,
         which takes the batch's keys once every row has passed; the new
         rows extend the current ones, since rows with distinct keys cannot
-        collapse.  Without a key, a row already present collapses into its
-        first occurrence, as in any relation.
+        collapse.  Without a key, the whole row is the key, and a row
+        already present (or earlier in ``rows``) collapses into its first
+        occurrence instead of raising, as in any relation.
         """
         schema = self.schema(relation_name)
         new_rows = [tuple(row) for row in rows]
@@ -102,30 +103,29 @@ class LocalDatabase:
                 )
         key_positions = schema.key_indices()
         # One key is its bare value, several a tuple: itemgetter's own shape.
+        # Without a key, the whole row is the key.
         key_of = itemgetter(*key_positions) if key_positions else None
         single_key = len(key_positions) == 1
         with self._insert_lock:
             current = self._relations[relation_name]
-            if not key_positions:
-                combined = tuple(dict.fromkeys(chain(current.rows, new_rows)))
-                self._relations[relation_name] = Relation.from_distinct_rows(
-                    schema.heading, combined
-                )
-                return
             existing_keys = self._keys.get(relation_name)
             if existing_keys is None:
-                existing_keys = set(map(key_of, current.rows))
-            batch_keys = set()
-            for row in new_rows:
-                key = key_of(row)
-                nil = (key is None) if single_key else (None in key)
-                if nil or key in existing_keys or key in batch_keys:
-                    shown = tuple(row[i] for i in key_positions)
-                    raise ConstraintViolationError(
-                        f"nil key value for relation {relation_name!r}: {shown!r}" if nil
-                        else f"duplicate key {shown!r} for relation {relation_name!r}"
-                    )
-                batch_keys.add(key)
+                existing_keys = set(map(key_of, current.rows)) if key_of else set(current.rows)
+            if key_of is None:  # a repeat collapses into its first occurrence
+                new_rows = list(filterfalse(existing_keys.__contains__, dict.fromkeys(new_rows)))
+                batch_keys = set(new_rows)
+            else:
+                batch_keys = set()
+                for row in new_rows:
+                    key = key_of(row)
+                    nil = (key is None) if single_key else (None in key)
+                    if nil or key in existing_keys or key in batch_keys:
+                        shown = tuple(row[i] for i in key_positions)
+                        raise ConstraintViolationError(
+                            f"nil key value for relation {relation_name!r}: {shown!r}" if nil
+                            else f"duplicate key {shown!r} for relation {relation_name!r}"
+                        )
+                    batch_keys.add(key)
             self._relations[relation_name] = Relation.from_distinct_rows(
                 schema.heading, current.rows + tuple(new_rows)
             )

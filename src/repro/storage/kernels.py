@@ -15,18 +15,20 @@ restrict           one ``pool.add_intermediates`` id lookup per cell
 difference         ditto, with a single relation-wide mediator set
 coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
-hash_join          ``add_intermediates`` lookups per matched cell
-outer_join         ditto; nil pads interned once
+hash_join          one table lookup per output cell, resolved once per
+                   distinct (tag, key tags); matched rows are gathered
+outer_join         ditto; a nil pad is the table's entry for the empty tag
 hash_merge         uniformly tagged, uniquely keyed, agreeing operands:
                    one table lookup per output cell, a tag per distinct
                    set of contributing operands; otherwise ``merge`` per
                    folded cell, in place, and one stamp per distinct
-                   (key tag, tag) pair, a dict probe per cell
+                   (tag, key tag) pair, a dict probe per cell
 =================  =====================================================
 
 Join, the outer joins and Merge match rows through one key index, which
-holds the key rule (:mod:`repro.storage.keyed`); Coalesce and Merge fold
-cells through one function, :func:`_fold`.  The row-at-a-time
+holds the key rule (:mod:`repro.storage.keyed`); the joins and Merge's
+fold stamp mediators through one table, :func:`_stamp`; Coalesce and Merge
+fold cells through one function, :func:`_fold`.  The row-at-a-time
 reference implementations live in ``tests/reference``; ``tests/property``
 asserts every kernel is bit-identical to its reference on random relations.
 
@@ -47,7 +49,7 @@ from repro.core.predicate import Theta
 from repro.core.tags import EMPTY_SOURCES, SourceSet
 from repro.errors import CoalesceConflictError, InvalidOperandError
 from repro.storage.columnar import ColumnarRelation, _from_keys, _transpose
-from repro.storage.keyed import buckets, key_data, key_origins, key_rows
+from repro.storage.keyed import buckets, key_data, key_origins
 
 __all__ = [
     "project",
@@ -436,27 +438,83 @@ def intersect(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
     return ColumnarRelation.from_row_major(s1.heading, out_data, out_tags, pool)
 
 
-def _gather(
-    store: ColumnarRelation,
-    indices: Sequence[int],
-    mediators: Sequence[SourceSet],
-    pads: Sequence[int],
-) -> Tuple[List[list], List[list]]:
-    """``store``'s columns at row ``indices``, every cell's intermediates
-    gaining the matching ``mediators``; an index of -1 is a nil cell
-    tagged with the matching ``pads`` id."""
-    add = store.pool.add_intermediates
-    data_columns = [
-        [column[i] if i >= 0 else None for i in indices] for column in store.columns
-    ]
-    tag_columns = [
-        [
-            add(column[i], extra) if i >= 0 else pad
-            for i, extra, pad in zip(indices, mediators, pads)
-        ]
-        for column in store.tags
-    ]
-    return data_columns, tag_columns
+class _Stamps(dict):
+    """(tag, key tag, key tag, …) → the tag whose intermediates gained the
+    key tags' origins, resolved on first sight; looked up through ``map``,
+    so a cell seen before costs one C-level dict probe."""
+
+    def __init__(self, pool) -> None:
+        super().__init__()
+        self.add = pool.add_intermediates
+        self.origins = pool.origins
+
+    def __missing__(self, cell: Tuple[int, ...]) -> int:
+        tag, *keys = cell
+        stamped = self[cell] = self.add(tag, EMPTY_SOURCES.union(*map(self.origins, keys)))
+        return stamped
+
+
+def _stamp(
+    pool, key_tags: Sequence[Sequence[int]], tag_columns: Sequence[Sequence[int]]
+) -> List[tuple]:
+    """The mediator stamp: each cell's intermediates gain the union of its
+    row's key cells' origins (``key_tags``, one column per key cell) — on
+    an empty cell, the nil pad carrying them.  One table lookup per cell,
+    resolved once per distinct (tag, key tags)."""
+    stamped = _Stamps(pool)
+    return [tuple(map(stamped.__getitem__, zip(column, *key_tags))) for column in tag_columns]
+
+
+def _pairs(
+    left_keys: Sequence[Any], right_keys: Sequence[Any], outer: bool
+) -> Tuple[Sequence[int], Sequence[int]]:
+    """Per output row, its row in each operand, in the order of
+    ``restrict(product(s1, s2), x = y)``: left rows in order, each followed
+    by its matches in right row order.  ``outer`` also keeps each left row
+    with no match, paired with -1 (a nil pad), and then each unmatched
+    right row, paired with -1 on the left.
+
+    When the right keys are unique, each left key is one C-level probe of
+    a key → row dict; a repeated right key falls back to :func:`buckets`."""
+    ids: Dict[Any, int] = dict(zip(right_keys, count()))
+    nils = right_keys.count(None) if None in ids else 0
+    ids.pop(None, None)  # a nil or NaN key matches nothing
+    if len(ids) + nils == len(right_keys):
+        at = list(map(ids.get, left_keys, repeat(-1)))
+        if outer or -1 not in at:
+            left_rows, right_rows = [*range(len(at))], at
+        else:
+            hit = list(map((-1).__lt__, at))  # -1 < row: a match
+            left_rows, right_rows = list(compress(count(), hit)), list(compress(at, hit))
+    else:
+        index = buckets(right_keys)
+        left_rows, right_rows = [], []
+        for row, key in enumerate(left_keys):
+            matches = index.get(key)
+            if matches:
+                left_rows += repeat(row, len(matches))
+                right_rows += matches
+            elif outer:
+                left_rows.append(row)
+                right_rows.append(-1)
+    if outer:
+        unmatched = list(filterfalse(set(right_rows).__contains__, range(len(right_keys))))
+        left_rows += repeat(-1, len(unmatched))
+        right_rows += unmatched
+    return left_rows, right_rows
+
+
+def _gathered(store: ColumnarRelation, rows: Sequence[int], padded: bool) -> Tuple[list, list]:
+    """``store``'s data and tag columns at ``rows``, one ``itemgetter`` per
+    column; when ``padded``, row -1 is a nil cell with the empty tag."""
+    pick = _picker(rows)
+    if not padded:
+        return list(map(pick, store.columns)), list(map(pick, store.tags))
+    empty = store.pool.EMPTY_ID
+    return (
+        [pick((*column, None)) for column in store.columns],
+        [pick((*column, empty)) for column in store.tags],
+    )
 
 
 def _equijoin(
@@ -467,52 +525,26 @@ def _equijoin(
     right_pos: Sequence[int],
     outer: bool,
 ) -> ColumnarRelation:
-    """Each left row probes the right operand's key buckets; every cell of
-    a match gains both key cells' origins as intermediates.  ``outer`` also
-    keeps the unmatched rows of both sides, each mediated by its own key
-    cells' origins and padded with nil cells carrying them."""
+    """Match rows on key data (:func:`_pairs`), gather both operands'
+    columns at the matched rows, and stamp every cell with the union of
+    its row's key cells' origins: one table lookup per cell, resolved once
+    per distinct (tag, key tags).  ``outer`` also keeps the unmatched rows
+    of both sides; a nil pad is an empty-tag cell and a missing key cell
+    has no origins, so the stamp gives each such row its own key cells'
+    origins and its pads the nil cell carrying them (Table A4).  Exact
+    duplicates collapse; that needs a pass only when two rows agree in
+    data, which one ``set`` of the data rows decides."""
     pool = s1.pool
     s2 = s2.translated(pool)
-    left_keys, left_sources = key_rows(s1, left_pos)
-    right_keys, right_sources = key_rows(s2, right_pos)
-    right_index = buckets(right_keys)
-
-    #: per output row: source row in each operand (-1 = nil padding), the
-    #: mediator set for real cells, and the interned pad id otherwise.
-    left_idx: List[int] = []
-    right_idx: List[int] = []
-    mediators: List[SourceSet] = []
-    pads: List[int] = []
-    matched_right: set[int] = set()
-    for i, key in enumerate(left_keys):
-        sources_i = left_sources[i]
-        matches = right_index.get(key, ())
-        for j in matches:
-            left_idx.append(i)
-            right_idx.append(j)
-            mediators.append(sources_i | right_sources[j])
-            pads.append(pool.EMPTY_ID)
-        if not outer:
-            continue
-        if matches:
-            matched_right.update(matches)
-        else:
-            left_idx.append(i)
-            right_idx.append(-1)
-            mediators.append(sources_i)
-            pads.append(pool.intern(EMPTY_SOURCES, sources_i))
-
-    if outer:
-        for j in range(s2.cardinality):
-            if j not in matched_right:
-                left_idx.append(-1)
-                right_idx.append(j)
-                mediators.append(right_sources[j])
-                pads.append(pool.intern(EMPTY_SOURCES, right_sources[j]))
-
-    left_data, left_tags = _gather(s1, left_idx, mediators, pads)
-    right_data, right_tags = _gather(s2, right_idx, mediators, pads)
-    return _build_deduped(heading, left_data + right_data, left_tags + right_tags, pool)
+    left_rows, right_rows = _pairs(key_data(s1, left_pos), key_data(s2, right_pos), outer)
+    left_data, left_tags = _gathered(s1, left_rows, outer)
+    right_data, right_tags = _gathered(s2, right_rows, outer)
+    key_tags = [left_tags[at] for at in left_pos] + [right_tags[at] for at in right_pos]
+    data = left_data + right_data
+    tags = _stamp(pool, key_tags, left_tags + right_tags)
+    if left_rows and len(set(zip(*data))) != len(left_rows):
+        return _build_deduped(heading, data, tags, pool)
+    return ColumnarRelation(heading, tuple(data), tuple(tags), pool)
 
 
 def hash_join(
@@ -523,7 +555,10 @@ def hash_join(
     right_pos: Sequence[int],
 ) -> ColumnarRelation:
     """Inner equijoin: exactly ``restrict(product(s1, s2), x = y)`` — the
-    same rows, row order and tags — without forming the product."""
+    same rows, row order and tags — without forming the product.  Unique
+    right keys cost one C-level probe per left row; matched rows are
+    gathered one ``itemgetter`` per column, and each tag is one lookup in
+    :func:`_stamp`'s table (see :func:`_equijoin`)."""
     return _equijoin(s1, s2, heading, left_pos, right_pos, outer=False)
 
 
@@ -708,40 +743,6 @@ def _fold_columns(stores, parts, size, names, policy) -> Tuple[list, list, set]:
     return data_columns, tag_columns, conflicted
 
 
-class _Stamps(dict):
-    """(key tags, tag) → the tag stamped with the key tags' ``mediators``,
-    resolved on first sight; looked up through ``map``, so a pair seen
-    before costs one C-level dict probe."""
-
-    def __init__(self, add, mediators) -> None:
-        super().__init__()
-        self.add = add
-        self.mediators = mediators
-
-    def __missing__(self, pair: tuple) -> int:
-        keys, tag = pair
-        stamped = self[pair] = self.add(tag, self.mediators(keys))
-        return stamped
-
-
-def _stamp(pool, key_tags: Sequence[List[int]], tag_columns: List[list]) -> List[list]:
-    """The mediator stamp: each cell's intermediates gain the union of its
-    partition's key cells' origins — on an empty cell, the nil pad.  The
-    fold merged each partition's key cells, so ``key_tags`` carry that
-    union; it is resolved once per distinct (key tags, tag) pair."""
-    origins = pool.origins
-    if len(key_tags) == 1:
-        keys, mediators = key_tags[0], origins
-    else:
-        keys = list(zip(*key_tags))
-
-        def mediators(ids: Tuple[int, ...]) -> SourceSet:
-            return EMPTY_SOURCES.union(*map(origins, ids))
-
-    stamped = _Stamps(pool.add_intermediates, mediators)
-    return [list(map(stamped.__getitem__, zip(keys, column))) for column in tag_columns]
-
-
 def _row_groups(stores, names, key, parts, rerun) -> Dict[int, Dict[int, list]]:
     """Per ``rerun`` partition, in order: operand → its rows there, as
     partials — (full-width data, full-width raw tags, key-cell origins),
@@ -831,7 +832,7 @@ def hash_merge(
     - **column path**, per partition, when every operand has at most one
       row there: per output attribute, each operand's rows fold in place
       into partition-indexed accumulators, and the stamp is resolved once
-      per distinct (key tag, tag) pair;
+      per distinct (tag, key tag) pair;
     - **row path**, for the fold's general semantics: a key repeated in an
       operand crosses every accumulated partial with every matching row,
       and under ``DROP``, once every pairing dies at operand *j*, operand
@@ -876,6 +877,8 @@ def hash_merge(
     data_columns, tag_columns, conflicted = _fold_columns(
         translated, parts, size, names, policy
     )
+    # The fold merged each partition's key cells, so the key columns carry
+    # the union of its rows' key-cell origins.
     tag_columns = _stamp(
         pool, [tag_columns[names.index(name)] for name in key], tag_columns
     )

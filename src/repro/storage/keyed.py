@@ -20,7 +20,6 @@ from repro.storage.columnar import ColumnarRelation
 __all__ = [
     "key_data",
     "key_origins",
-    "key_rows",
     "buckets",
     "key_set",
     "unkeyed",
@@ -71,14 +70,6 @@ def key_origins(
             found = memo[tags] = EMPTY_SOURCES.union(*map(origins, tags))
         sources.append(found)
     return sources
-
-
-def key_rows(
-    store: ColumnarRelation, positions: Sequence[int]
-) -> Tuple[List[Optional[Key]], List[SourceSet]]:
-    """Per row: its key data (:func:`key_data`) and its key cells' origins
-    (:func:`key_origins`)."""
-    return key_data(store, positions), key_origins(store, positions)
 
 
 def buckets(keys: Sequence[Optional[Key]]) -> Dict[Key, List[int]]:

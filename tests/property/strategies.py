@@ -11,9 +11,12 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from repro.core.cell import Cell
+from repro.core.cell import Cell, ConflictPolicy
+from repro.core.heading import Heading
 from repro.core.relation import PolygenRelation
 from repro.core.row import PolygenTuple
+from repro.storage import kernels
+from repro.storage.columnar import ColumnarRelation
 
 DATABASES = ("AD", "PD", "CD")
 ATTRIBUTES = ("A", "B", "C", "D")
@@ -110,3 +113,40 @@ def keyed_relation_sets(draw, max_relations: int = 3):
             PolygenRelation.from_data(["K", "V"], rows, origins=[database])
         )
     return relations_
+
+
+def _shipped(draw, heading, rows):
+    """``rows`` as a local database ships them: every cell tagged alike."""
+    rows = list(dict.fromkeys(rows))
+    columns = tuple(zip(*rows)) if rows else ((),) * len(heading)
+    return ColumnarRelation.uniform(Heading(heading), columns, draw(tag_sets()), draw(tag_sets()))
+
+
+@st.composite
+def shipped_join_operands(draw, max_rows: int = 6):
+    """Join operands over ``A, B`` and ``C, D`` shaped as a federation ships
+    them.  The left is :meth:`ColumnarRelation.uniform`, its ``A`` keys
+    free to repeat.  The right is another such relation or, more often, the
+    Merge of 2..3 of them on ``C``: keys unique within each operand (two of
+    ``1``/``True``/``1.0`` are one key), ``D`` agreeing per key unless the
+    case disagrees.  In a fifth of the relations a nil or NaN key joins."""
+    plain = st.sampled_from(("k1", "k2", "k3", 1, True, 1.0))
+    odd = st.one_of(st.sampled_from((None, SHARED_NAN)), st.builds(float, st.just("nan")))
+    data = st.sampled_from(("x", "y", None))
+
+    def keys(**bounds):
+        drawn = draw(st.lists(plain, min_size=1, max_size=max_rows, **bounds))
+        return drawn + [draw(odd)] if draw(st.integers(0, 4)) == 0 else drawn
+
+    left = _shipped(draw, ["A", "B"], [(value, draw(data)) for value in keys()])
+    disagree = draw(st.integers(0, 3)) == 0
+    agreed = {}
+    operands = []
+    for _ in range(draw(st.sampled_from((2, 1, 2, 3)))):
+        rows = []
+        for value in keys(unique=True):
+            datum = agreed.setdefault(value, draw(data))
+            rows.append((value, draw(data) if disagree else datum))
+        operands.append(_shipped(draw, ["C", "D"], rows))
+    right = kernels.hash_merge(operands, ["C"], ConflictPolicy.DROP)
+    return PolygenRelation.from_store(left), PolygenRelation.from_store(right)

@@ -12,6 +12,7 @@ from tests.property.strategies import (
     relation_pairs,
     relations,
     keyed_relation_sets,
+    shipped_join_operands,
 )
 
 
@@ -150,6 +151,17 @@ class TestRestrictLaws:
                 assert key_origins <= cell.intermediates
 
 
+def in_order(relation):
+    """Row for row: every datum with its type (``1`` is not ``True``), every
+    tag id, in row order."""
+    store = relation.store
+    return (
+        store.heading.attributes,
+        [[(type(value), value) for value in column] for column in store.columns],
+        store.tags,
+    )
+
+
 class TestJoinLaws:
     # Keys from the key alphabet (nil, 1/True/1.0, 0/-0.0, shared and fresh
     # NaN): the hash join must agree with the definition on rows, tags and
@@ -161,6 +173,18 @@ class TestJoinLaws:
         via_primitives = restrict(product(left, right), "A", Theta.EQ, AttributeRef("C"))
         assert via_join == via_primitives
         assert via_join.data_rows() == via_primitives.data_rows()
+
+    # The shapes a federation ships: a local relation tagged alike in every
+    # cell on the left, its join key free to repeat, and on the right either
+    # another such relation or the Merge of several, uniquely keyed.  The
+    # random relations above seldom have uniform tags and unique right keys.
+    @given(shipped_join_operands())
+    @settings(deadline=None)
+    def test_join_of_shipped_shapes_equals_restrict_of_product(self, operands):
+        left, right = operands
+        via_join = join(left, right, "A", Theta.EQ, "C")
+        via_primitives = restrict(product(left, right), "A", Theta.EQ, AttributeRef("C"))
+        assert in_order(via_join) == in_order(via_primitives)
 
     @given(relations(heading=["K", "B"], min_rows=0, max_rows=5, keyed=["K"]),
            relations(heading=["K", "D"], min_rows=0, max_rows=5, keyed=["K"]),

@@ -21,7 +21,7 @@ from repro.core.tags import SourceSet
 from repro.storage.columnar import ColumnarRelation
 from repro.errors import CoalesceConflictError
 from repro.storage.kernels import _build_deduped
-from repro.storage.keyed import buckets, key_rows
+from repro.storage.keyed import buckets, key_data, key_origins
 
 __all__ = ["hash_merge"]
 
@@ -133,8 +133,9 @@ def hash_merge(
     keys: list = []
     for operand_index, store in enumerate(translated):
         n = store.cardinality
-        store_keys, sources = key_rows(store, store.heading.indices(key))
-        keys += store_keys
+        positions = store.heading.indices(key)
+        sources = key_origins(store, positions)
+        keys += key_data(store, positions)
         operand_of += [operand_index] * n
         nil = ([None] * n, [pool.EMPTY_ID] * n)
         own = dict(zip(store.heading.attributes, zip(store.columns, store.tags)))

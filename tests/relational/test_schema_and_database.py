@@ -159,6 +159,22 @@ class TestLocalDatabase:
         )
         assert db.select("FIRM", "FNAME", Theta.EQ, "DEC").rows == (("DEC", "Olsen"),)
 
+    def test_a_keyless_relation_keeps_its_rows_as_the_key_set(self):
+        db = LocalDatabase("CD")
+        db.load(RelationSchema("FIRM", ["FNAME", "CEO"]), [("IBM", "Ackers")])
+        assert "FIRM" not in db._keys  # filled once: no set kept
+        db.insert("FIRM", [("BP", "Browne"), ("BP", "Browne")])
+        assert db._keys["FIRM"] == {("IBM", "Ackers"), ("BP", "Browne")}
+        before = db.relation("FIRM")
+        with pytest.raises(ConstraintViolationError):
+            db.insert("FIRM", [("GE", "Welch"), ("DEC",)])
+        assert db.relation("FIRM") is before
+        db.insert("FIRM", [("IBM", "Ackers"), ("GE", "Welch"), ("BP", "Browne")])
+        assert db.relation("FIRM").rows == (
+            ("IBM", "Ackers"), ("BP", "Browne"), ("GE", "Welch")
+        )
+        assert db._keys["FIRM"] == set(db.relation("FIRM").rows)
+
     def test_nil_key_rejected(self):
         with pytest.raises(ConstraintViolationError):
             self.db.insert("BUSINESS", [(None, "Energy")])
