@@ -13,7 +13,7 @@ identifiers and equality joins behave as the paper's example requires.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import IntegrationError
 
@@ -70,6 +70,10 @@ class IdentityResolver:
     def resolve(self, value: Any) -> Any:
         """Canonical form of ``value`` (itself when unregistered)."""
         return self._canonical.get(value, value)
+
+    def resolve_all(self, values: Sequence[Any]) -> Iterator[Any]:
+        """:meth:`resolve` over ``values``, in one C-level ``map`` pass."""
+        return map(self._canonical.get, values, values)
 
     def is_registered(self, value: Any) -> bool:
         return value in self._canonical

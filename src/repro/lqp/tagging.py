@@ -98,7 +98,7 @@ def convert_columns(
             )
     registry = transforms or default_registry()
     transform_names = scheme.transform_map(database, relation_name)
-    resolve = None if resolver is None or resolver.is_identity else resolver.resolve
+    resolve = None if resolver is None or resolver.is_identity else resolver.resolve_all
 
     # Unmapped (or pruned) columns are never read: the polygen scheme
     # defines the visible attributes of a polygen base relation, and
@@ -111,9 +111,9 @@ def convert_columns(
             continue
         column = shipped[position]
         if local in transform_names:
-            column = map(registry.get(transform_names[local]), column)
+            column = tuple(map(registry.get(transform_names[local]), column))
         if resolve is not None:
-            column = map(resolve, column)
+            column = resolve(column)
         names.append(rename_map[local])
         columns.append(tuple(column))  # an unmapped column is its own tuple
     # The shipped relation is a set: its rows can only collapse when a

@@ -58,6 +58,40 @@ def _from_keys(heading: Heading, keys: Iterable[tuple], pool: TagPool) -> "Colum
     )
 
 
+#: The exact types whose equal values are interchangeable: equal values
+#: of one of them print and behave alike.  ``1``, ``True`` and ``1.0`` are
+#: equal and hash alike but differ in type, as ``0.0`` and ``-0.0`` differ
+#: in sign and ``Decimal('1.0')`` and ``Decimal('1.00')`` in ``repr``.
+_SHAREABLE = frozenset({str, int, bool, type(None)})
+
+
+class _Cells(dict):
+    """(type, datum, tag id) → the one cell for it, built on first sight;
+    read through ``map``, so a repeat costs one C-level dict probe."""
+
+    def __init__(self, pairs: Mapping[int, tuple]) -> None:
+        super().__init__()
+        self.pairs = pairs
+
+    def __missing__(self, key: tuple) -> Cell:
+        _, datum, tag_id = key
+        cell = self[key] = Cell(datum, *self.pairs[tag_id])
+        return cell
+
+
+def _cell_column(values: Sequence[Any], tags: Sequence[int], cells: _Cells) -> list:
+    """One column's cells.  Cells are frozen, so in a column of
+    :data:`_SHAREABLE` values, 16 rows or more, where each value repeats
+    four times on average, equal (type, datum, tag) triples share the one
+    cell in ``cells``; any other column gets one
+    :func:`~repro.core.cell.pooled_cells` cell per row.  Below either
+    bound the table costs more than the cells it saves."""
+    rows = len(values)
+    if rows >= 16 and 4 * len(set(values)) <= rows and set(map(type, values)) <= _SHAREABLE:
+        return list(map(cells.__getitem__, zip(map(type, values), values, tags)))
+    return pooled_cells(values, map(cells.pairs.__getitem__, tags))
+
+
 class ColumnarRelation:
     """An immutable columnar polygen relation.
 
@@ -203,22 +237,19 @@ class ColumnarRelation:
 
     def to_tuples(self) -> Tuple[PolygenTuple, ...]:
         """Materialize the classic row-of-cells view (paper notation),
-        one column of cells at a time from the pool's own tag sets."""
+        one column of cells at a time from the pool's own tag sets
+        (:func:`_cell_column`)."""
         if not self.cardinality:
             return ()
         pairs = {
             tag_id: tuple(map(frozenset, self._pool.pair(tag_id)))
             for tag_id in self.distinct_tag_ids()
         }
+        cells = _Cells(pairs)
         cell_columns = [
-            pooled_cells(values, map(pairs.__getitem__, tags))
-            for values, tags in zip(self._columns, self._tags)
+            _cell_column(values, tags, cells) for values, tags in zip(self._columns, self._tags)
         ]
-        make = PolygenTuple.from_parts
-        return tuple(
-            make(cells, data)
-            for cells, data in zip(zip(*cell_columns), zip(*self._columns))
-        )
+        return tuple(map(PolygenTuple.from_parts, zip(*cell_columns), zip(*self._columns)))
 
     def distinct_tag_ids(self) -> set:
         """Every tag id used anywhere in this relation."""

@@ -11,8 +11,10 @@ id arithmetic:
 Operator           Tag work per row
 =================  =====================================================
 project / union    one ``pool.merge`` id lookup per duplicate attribute
-restrict           one ``pool.add_intermediates`` id lookup per cell
-difference         ditto, with a single relation-wide mediator set
+restrict           one table lookup per output cell, resolved once per
+                   distinct (tag, compared tags); survivors are gathered
+difference         ditto, one table entry per distinct tag: the mediators
+                   are one relation-wide set
 coalesce           one ``merge``/``absorb`` lookup for the folded pair
 intersect          ``merge`` + ``add_intermediates`` lookups per cell
 hash_join          one table lookup per output cell, resolved once per
@@ -26,11 +28,13 @@ hash_merge         uniformly tagged, uniquely keyed, agreeing operands:
 =================  =====================================================
 
 Join, the outer joins and Merge match rows through one key index, which
-holds the key rule (:mod:`repro.storage.keyed`); the joins and Merge's
-fold stamp mediators through one table, :func:`_stamp`; Coalesce and Merge
-fold cells through one function, :func:`_fold`.  The row-at-a-time
-reference implementations live in ``tests/reference``; ``tests/property``
-asserts every kernel is bit-identical to its reference on random relations.
+holds the key rule (:mod:`repro.storage.keyed`); Restrict, the joins and
+Merge's fold stamp mediators through one table, :func:`_stamp`; Coalesce
+and Merge fold cells through one function, :func:`_fold`.  A kernel whose
+output rows all differ in data skips the duplicate pass (:func:`_assembled`).
+The row-at-a-time reference implementations live in ``tests/reference``;
+``tests/property`` asserts every kernel is bit-identical to its reference
+on random relations.
 
 Operands are brought onto the left operand's pool via
 :meth:`ColumnarRelation.translated` before any cross-relation id use.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import compress, count, filterfalse, repeat
-from operator import eq, itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne, not_
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import ConflictPolicy
@@ -74,27 +78,29 @@ DataRow = Tuple[Any, ...]
 MAX_PRODUCT_CELLS = 10**8
 
 
-def _build_deduped(
-    heading: Heading,
-    data_columns: Sequence[Sequence[Any]],
-    tag_columns: Sequence[Sequence[int]],
-    pool,
-) -> ColumnarRelation:
+def _build_deduped(heading: Heading, data_columns: Sequence[Sequence[Any]],
+                   tag_columns: Sequence[Sequence[int]], pool) -> ColumnarRelation:
     """Assemble a relation from freshly built columns, collapsing exact
-    duplicates.  The no-collision case (by far the common one) costs a
-    single ``zip`` pass and reuses the columns as built."""
-    cardinality = len(data_columns[0]) if data_columns else 0
-    if cardinality:
-        seen: dict[tuple, None] = {}
-        for key in zip(zip(*data_columns), zip(*tag_columns)):
-            seen.setdefault(key, None)
-        if len(seen) != cardinality:
-            return _from_keys(heading, seen, pool)
+    duplicates (equal data and tags) in first-seen order."""
+    return _from_keys(heading, dict.fromkeys(zip(zip(*data_columns), zip(*tag_columns))), pool)
+
+
+def _repeats(data_columns: Sequence[Sequence[Any]]) -> bool:
+    """Whether two data rows are equal.  A first column with no repeated
+    value proves they are not in one pass over single values; otherwise
+    one ``set`` of the rows decides."""
+    rows = len(data_columns[0])
+    return len(set(data_columns[0])) != rows and len(set(zip(*data_columns))) != rows
+
+
+def _assembled(heading: Heading, data_columns: Sequence[Sequence[Any]],
+               tag_columns: Sequence[Sequence[int]], pool) -> ColumnarRelation:
+    """:func:`_build_deduped`, run only when two rows agree in data
+    (:func:`_repeats`): rows distinct in data cannot be exact duplicates."""
+    if _repeats(data_columns):
+        return _build_deduped(heading, data_columns, tag_columns, pool)
     return ColumnarRelation(
-        heading,
-        tuple(tuple(column) for column in data_columns),
-        tuple(tuple(column) for column in tag_columns),
-        pool,
+        heading, tuple(map(tuple, data_columns)), tuple(map(tuple, tag_columns)), pool
     )
 
 
@@ -141,15 +147,12 @@ def _rows(store: ColumnarRelation):
 
 def project(store: ColumnarRelation, positions: Sequence[int], heading: Heading) -> ColumnarRelation:
     """``p[X]`` — gather the selected columns, dedup on data, merge tags.
-    When no two picked data rows are equal, the picked columns are the
-    answer as they stand.  A first column with no repeated value proves
-    that in one pass over single values; otherwise a pass over the picked
-    rows decides."""
+    When no two picked data rows are equal (:func:`_repeats`), the picked
+    columns are the answer as they stand."""
     pool = store.pool
     data = tuple(store.columns[i] for i in positions)
     tags = tuple(store.tags[i] for i in positions)
-    cardinality = store.cardinality
-    if len(set(data[0])) == cardinality or len(set(zip(*data))) == cardinality:
+    if not _repeats(data):
         return ColumnarRelation(heading, data, tags, pool)
     out_data, out_tags = _merge_rows_by_data(
         pool, len(positions), [zip(zip(*data), zip(*tags))]
@@ -180,6 +183,28 @@ def product(s1: ColumnarRelation, s2: ColumnarRelation, heading: Heading) -> Col
     )
 
 
+#: θ's operator: ``theta.evaluate`` wherever :func:`_survivors` applies it.
+_COMPARE = {Theta.EQ: eq, Theta.NE: ne, Theta.LT: lt, Theta.LE: le, Theta.GT: gt, Theta.GE: ge}
+
+
+def _survivors(theta: Theta, x_data: Sequence[Any], y_data: Optional[Sequence[Any]],
+               literal: Any) -> List[int]:
+    """The rows where ``x θ y`` holds, ``y`` a column or else ``literal``.
+    With no nil compared and, under an ordering, one comparable type (one
+    type, or ``int`` and ``float``), one C-level ``map`` of θ's operator
+    decides; any other input runs ``theta.evaluate`` row by row, so an
+    :class:`~repro.errors.IncomparableTypesError` is raised at the same row."""
+    types = set(map(type, x_data))
+    types.update(map(type, y_data) if y_data is not None else (type(literal),))
+    compared = repeat(literal) if y_data is None else y_data
+    if type(None) not in types and (
+        theta in (Theta.EQ, Theta.NE) or len(types) == 1 or types <= {int, float}
+    ):
+        return list(compress(count(), map(_COMPARE[theta], x_data, compared)))
+    evaluate = theta.evaluate
+    return [row for row, (x, y) in enumerate(zip(x_data, compared)) if evaluate(x, y)]
+
+
 def restrict(
     store: ColumnarRelation,
     x_pos: int,
@@ -187,46 +212,17 @@ def restrict(
     y_pos: Optional[int],
     literal: Any,
 ) -> ColumnarRelation:
-    """``p[x θ y]`` — filter on the data columns, then push the compared
-    cells' origins into every surviving cell's intermediate set."""
-    pool = store.pool
-    origins = pool.origins
-    evaluate = theta.evaluate
-    x_data = store.columns[x_pos]
-    x_tags = store.tags[x_pos]
-
-    survivors: List[int] = []
-    mediators: List[SourceSet] = []
-    if y_pos is None:
-        # A literal contributes no sources; pool.origins is a plain lookup.
-        for i, value in enumerate(x_data):
-            if evaluate(value, literal):
-                survivors.append(i)
-                mediators.append(origins(x_tags[i]))
-    else:
-        y_data = store.columns[y_pos]
-        y_tags = store.tags[y_pos]
-        # Union the compared cells' origins once per distinct id pair, not
-        # once per row — rows overwhelmingly share a handful of pairs.
-        memo: dict[Tuple[int, int], SourceSet] = {}
-        for i, value in enumerate(x_data):
-            if evaluate(value, y_data[i]):
-                survivors.append(i)
-                key = (x_tags[i], y_tags[i])
-                found = memo.get(key)
-                if found is None:
-                    found = memo[key] = origins(key[0]) | origins(key[1])
-                mediators.append(found)
-
-    add = pool.add_intermediates
-    data_columns = [
-        [column[i] for i in survivors] for column in store.columns
-    ]
-    tag_columns = [
-        [add(column[i], extra) for i, extra in zip(survivors, mediators)]
-        for column in store.tags
-    ]
-    return _build_deduped(store.heading, data_columns, tag_columns, pool)
+    """``p[x θ y]`` — filter on the data columns (:func:`_survivors`),
+    gather the surviving rows (none when every row passes: the columns are
+    reused), then push the compared cells' origins into every surviving
+    cell's intermediate set: one :func:`_stamp` lookup per cell, resolved
+    once per distinct (tag, x tag[, y tag]).  A literal contributes no
+    sources."""
+    y_data = None if y_pos is None else store.columns[y_pos]
+    data, tags = _kept(store, _survivors(theta, store.columns[x_pos], y_data, literal))
+    compared = [tags[x_pos]] if y_pos is None else [tags[x_pos], tags[y_pos]]
+    stamped = _stamp(store.pool, compared, tags)
+    return _assembled(store.heading, data, stamped, store.pool)
 
 
 def fresh_rows(store: ColumnarRelation, seen: dict) -> ColumnarRelation:
@@ -289,19 +285,16 @@ def union(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
 
 def difference(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
     """``p1 − p2`` — anti-join on data; ``p2(o)`` becomes an intermediate
-    source of every surviving cell (one set, computed once)."""
-    pool = s1.pool
-    excluded = set(zip(*s2.columns)) if s2.cardinality else set()
-    mediators = s2.all_origins()
-    add = pool.add_intermediates
-    survivors = [
-        i for i, data_row in enumerate(s1.data_rows()) if data_row not in excluded
-    ]
-    data_columns = [[column[i] for i in survivors] for column in s1.columns]
-    tag_columns = [
-        [add(column[i], mediators) for i in survivors] for column in s1.tags
-    ]
-    return _build_deduped(s1.heading, data_columns, tag_columns, pool)
+    source of every surviving cell.  Survivors are gathered as Restrict
+    gathers them, and stamped from one table over their distinct tags:
+    the mediators are one relation-wide set."""
+    excluded = set(zip(*s2.columns))
+    absent = map(not_, map(excluded.__contains__, zip(*s1.columns)))
+    data, tags = _kept(s1, list(compress(count(), absent)))
+    add, mediators = s1.pool.add_intermediates, s2.all_origins()
+    table = {tag: add(tag, mediators) for tag in set().union(*tags)}
+    stamped = [tuple(map(table.__getitem__, column)) for column in tags]
+    return _assembled(s1.heading, data, stamped, s1.pool)
 
 
 def _fold(
@@ -380,7 +373,7 @@ def coalesce(
     tag_columns: List[Sequence[Any]] = list(store.tags)
     data_columns[x_pos], tag_columns[x_pos] = data, tags
     del data_columns[y_pos], tag_columns[y_pos]
-    return _build_deduped(heading, data_columns, tag_columns, store.pool)
+    return _assembled(heading, data_columns, tag_columns, store.pool)
 
 
 def intersect(s1: ColumnarRelation, s2: ColumnarRelation) -> ColumnarRelation:
@@ -517,6 +510,14 @@ def _gathered(store: ColumnarRelation, rows: Sequence[int], padded: bool) -> Tup
     )
 
 
+def _kept(store: ColumnarRelation, rows: List[int]) -> Tuple[Sequence, Sequence]:
+    """``store``'s data and tag columns at ``rows``, some of its rows in
+    order: gathered, or the columns as they are when that is every row."""
+    if len(rows) == store.cardinality:
+        return store.columns, store.tags
+    return _gathered(store, rows, False)
+
+
 def _equijoin(
     s1: ColumnarRelation,
     s2: ColumnarRelation,
@@ -540,11 +541,8 @@ def _equijoin(
     left_data, left_tags = _gathered(s1, left_rows, outer)
     right_data, right_tags = _gathered(s2, right_rows, outer)
     key_tags = [left_tags[at] for at in left_pos] + [right_tags[at] for at in right_pos]
-    data = left_data + right_data
     tags = _stamp(pool, key_tags, left_tags + right_tags)
-    if left_rows and len(set(zip(*data))) != len(left_rows):
-        return _build_deduped(heading, data, tags, pool)
-    return ColumnarRelation(heading, tuple(data), tuple(tags), pool)
+    return _assembled(heading, left_data + right_data, tags, pool)
 
 
 def hash_join(
@@ -901,4 +899,4 @@ def hash_merge(
         # in key data: there are no duplicates to collapse.
         data_columns, tag_columns = map(tuple, data_columns), map(tuple, tag_columns)
         return ColumnarRelation(heading, tuple(data_columns), tuple(tag_columns), pool)
-    return _build_deduped(heading, data_columns, tag_columns, pool)
+    return _assembled(heading, data_columns, tag_columns, pool)

@@ -91,10 +91,19 @@ def unkeyed(value: Any) -> bool:
     return value is None or value != value
 
 
+class _KeySet(frozenset):
+    """A :func:`key_set` answer, which :func:`key_set` hands back as it is."""
+
+    __slots__ = ()
+
+
 def key_set(values: Iterable[Any]) -> FrozenSet[Any]:
     """The values of ``values`` a key can match, as a set: nil and NaN are
     left out, and ``1``, ``True`` and ``1.0`` are one member, as in
-    :func:`buckets`."""
+    :func:`buckets`.  A key set built here is returned unchanged, so each
+    layer a SelectIn's keys pass through may call this at no cost."""
+    if type(values) is _KeySet:
+        return values
     keys = set(values)
     keys.discard(None)
-    return frozenset(keys.difference([value for value in keys if value != value]))
+    return _KeySet(keys.difference([value for value in keys if value != value]))

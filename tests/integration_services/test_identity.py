@@ -22,6 +22,13 @@ class TestIdentityResolver:
         assert resolver.resolve(42) == 42
         assert resolver.resolve(None) is None
 
+    def test_resolve_all_is_resolve_per_value(self):
+        resolver = IdentityResolver({"Citicorp": ["CitiCorp"], 1: [True]})
+        values = ("CitiCorp", "Citicorp", "IBM", None, True, 1.0, 2)
+        resolved = list(resolver.resolve_all(values))
+        assert resolved == [resolver.resolve(value) for value in values]
+        assert [type(value) for value in resolved] == [str, str, str, type(None), int, int, int]
+
     def test_identity_constructor(self):
         assert len(IdentityResolver.identity()) == 0
 

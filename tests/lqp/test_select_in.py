@@ -21,6 +21,7 @@ from repro.lqp.relational_lqp import RelationalLQP
 from repro.net import LQPServer, RemoteLQP
 from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
+from repro.storage.keyed import key_set
 
 ROWS = [
     (1, "one", "x"),
@@ -70,6 +71,16 @@ def test_the_base_rule():
     assert labels(_reference([None, math.nan, "absent"])) == []
     narrowed = _reference([2.5], columns=["LABEL"])
     assert narrowed.attributes == ("LABEL",) and narrowed.rows == (("fraction",),)
+
+
+def test_a_built_key_set_is_returned_as_it_is():
+    # The executor builds a SelectIn's key set once; each LQP layer that
+    # calls key_set on it again gets the same object back.
+    keys = key_set([1, True, None, math.nan, "é"])
+    assert key_set(keys) is keys and keys == {1, "é"}
+    # Any other set is still filtered: it may hold nil or NaN.
+    assert key_set(frozenset({None, math.nan, 2.5})) == {2.5}
+    assert _reference(keys) == _reference([1, "é"])
 
 
 @pytest.fixture(scope="module", params=["sqlite", "relational"])

@@ -80,7 +80,19 @@ def relations(draw, heading=None, min_rows: int = 0, max_rows: int = 6,
         else st.lists(cell, min_size=len(heading), max_size=len(heading))
     )
     rows = draw(st.lists(row, min_size=min_rows, max_size=max_rows))
-    return PolygenRelation(heading, (PolygenTuple(row) for row in rows))
+    return PolygenRelation(heading, (PolygenTuple(row) for row in rows + stamp_twins(draw, rows)))
+
+
+def stamp_twins(draw, rows):
+    """Copies of up to two of ``rows`` whose every cell already holds one
+    cell's origins as intermediates.  A Restrict or join comparing that
+    cell stamps the row and its twin alike, so a kernel must collapse the
+    pair: equal rows no random draw would make."""
+    twins = []
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
+        mediators = row[draw(st.integers(0, len(row) - 1))].origins
+        twins.append([cell.with_intermediates(mediators) for cell in row])
+    return twins
 
 
 @st.composite
