@@ -35,7 +35,7 @@ from repro.core.heading import Heading
 from repro.core.relation import PolygenRelation
 from repro.integration.domains import TransformRegistry, default_registry
 from repro.integration.identity import IdentityResolver
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, distinct_columns
 from repro.storage.columnar import ColumnarRelation
 
 __all__ = ["tag_local_relation", "convert_columns", "materialize"]
@@ -120,9 +120,7 @@ def convert_columns(
     # column was dropped or mapped, so an untouched relation skips the pass.
     untouched = len(columns) == len(shipped) and resolve is None and not transform_names
     if not untouched:
-        distinct = dict.fromkeys(zip(*columns))
-        if len(distinct) != relation.cardinality:
-            columns = zip(*distinct)
+        columns = distinct_columns(columns, relation.cardinality)
     return Heading(names), tuple(columns)
 
 

@@ -20,7 +20,7 @@ routes on that byte, so readers never need out-of-band state to tell the
 two apart.
 
 Version 3 writes every vector whole: fixed-width little-endian ``array``
-vectors, one UTF-8 blob per string column, bitmaps packed and unpacked as
+vectors, one UTF-8 blob per string vector, bitmaps packed and unpacked as
 one integer.  Encoding and decoding a column is a handful of C-level
 calls, not a Python loop per value (version 2's per-value varints cost
 more CPU than JSON's C codec).  Payload layout (all integers
@@ -49,8 +49,19 @@ Then one type tag and the *n* non-nil values, in row order.  An *int
 vector* is a width byte *w* ∈ {1, 2, 4, 8} — the narrowest that holds the
 vector's minimum and maximum — then *n* little-endian *w*-byte integers
 (signed for values, unsigned for lengths and indexes).  A *string
-vector* is an unsigned int vector of the *n* UTF-8 byte lengths, then the
-values' UTF-8 bytes concatenated into one blob.
+vector* takes one of two forms, told apart by its first byte:
+
+- when no value contains U+001F (the unit separator), width byte ``0``,
+  a u32 byte length, then the values joined by U+001F as one UTF-8 blob,
+  read back with one decode and one ``split`` (*n* ≥ 1; a blob that
+  splits into any other number of values is refused);
+- otherwise an unsigned int vector of the *n* UTF-8 byte lengths, then
+  the values' UTF-8 bytes concatenated into one blob.
+
+The separator form needed no version bump: an int vector's width is
+never ``0``, so a peer that knew only the lengths form refused the byte as
+malformed rather than misreading it, and both ends of a connection run
+one build.
 
 =====  ==========  ====================================================
 tag    name        values
@@ -162,8 +173,15 @@ _UNSIGNED = _typecodes("BHILQ")
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
+#: A string vector's width byte for the separator form (an int vector's
+#: width is never 0), and the separator: U+001F, the unit separator.
+_W_SPLIT = 0
+_SEPARATOR = "\x1f"
+
 #: Exact builtin type → column tag; any other type mix takes ``_classify``.
 _EXACT = {bool: _T_BOOL, int: _T_INT, float: _T_FLOAT8, str: _T_STR}
+
+_NIL = type(None)
 
 
 def _malformed(what: str) -> ProtocolError:
@@ -290,19 +308,35 @@ def _read_ints(
 
 
 def _write_strings(out: bytearray, values: Sequence[str]) -> None:
-    joined = "".join(values)
-    if joined.isascii():
-        lengths = list(map(len, values))
-        blob = joined.encode("ascii")
-    else:
-        raws = list(map(_utf8, values))
-        lengths = list(map(len, raws))
-        blob = b"".join(raws)
-    _write_uints(out, lengths)
-    out += blob
+    if values and _SEPARATOR not in "".join(values):
+        # No value holds the separator, so the separated text splits back
+        # into exactly these values.
+        blob = _utf8(_SEPARATOR.join(values))
+        out.append(_W_SPLIT)
+        out += _U32.pack(len(blob))
+        out += blob
+        return
+    raws = list(map(_utf8, values))
+    _write_uints(out, list(map(len, raws)))
+    out += b"".join(raws)
+
+
+def _read_split(buffer: bytes, pos: int, count: int) -> Tuple[List[str], int]:
+    """The separator form at ``pos`` (just past its width byte)."""
+    (size,) = _U32.unpack_from(buffer, pos)
+    pos += _U32.size
+    end = pos + size
+    if end > len(buffer):
+        raise _malformed("string blob runs past the payload")
+    values = _text(buffer[pos:end]).split(_SEPARATOR)
+    if len(values) != count:
+        raise _malformed(f"string blob splits into {len(values)} values, not {count}")
+    return values, end
 
 
 def _read_strings(buffer: bytes, pos: int, count: int) -> Tuple[List[str], int]:
+    if buffer[pos] == _W_SPLIT:
+        return _read_split(buffer, pos + 1, count)
     lengths, pos = _read_ints(buffer, pos, count, _UNSIGNED)
     offsets = list(accumulate(lengths, initial=0))
     end = pos + offsets[-1]
@@ -311,10 +345,6 @@ def _read_strings(buffer: bytes, pos: int, count: int) -> Tuple[List[str], int]:
     blob = buffer[pos:end]
     stops = iter(offsets)
     next(stops)
-    if blob.isascii():
-        # One decode, and every value a slice of it at its byte offsets.
-        text = blob.decode("ascii")
-        return [text[start:stop] for start, stop in zip(offsets, stops)], end
     return [_text(blob[start:stop]) for start, stop in zip(offsets, stops)], end
 
 
@@ -388,11 +418,11 @@ def _write_float_column(out: bytearray, values: Sequence[float]) -> None:
 
 
 def _write_str_column(out: bytearray, values: Sequence[str]) -> None:
-    entries = dict.fromkeys(values)
-    if len(entries) * 2 > len(values):
+    if len(set(values)) * 2 > len(values):
         out.append(_T_STR)
         _write_strings(out, values)
         return
+    entries = dict.fromkeys(values)  # first-appearance order
     out.append(_T_STRDICT)
     out += _U32.pack(len(entries))
     _write_strings(out, list(entries))
@@ -432,18 +462,19 @@ def _encode_column(out: bytearray, values: Sequence[Any], count: int) -> None:
         raise ProtocolError(
             f"ragged chunk: column of {len(values)} values in a {count}-row chunk"
         )
-    nils = values.count(None)
-    if nils == count:
+    types = set(map(type, values))
+    sparse = _NIL in types
+    types.discard(_NIL)
+    if not types:  # every row is nil, or there are no rows
         out.append(_V_NONE)
         return
-    if nils:
+    if sparse:
         live = bytes(map(is_not, values, repeat(None)))
         out.append(_V_BITMAP)
         out += _pack_bits(live)
         values = list(compress(values, live))
     else:
         out.append(_V_DENSE)
-    types = set(map(type, values))
     kind = _EXACT.get(types.pop()) if len(types) == 1 else None
     _WRITERS[kind or _classify(values)](out, values)
 

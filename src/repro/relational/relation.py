@@ -30,7 +30,25 @@ from repro.core.heading import Heading
 from repro.errors import DegreeMismatchError
 from repro.storage.keyed import buckets
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "distinct_columns"]
+
+
+def distinct_columns(
+    columns: Sequence[Sequence[Any]], cardinality: int
+) -> Iterable[Sequence[Any]]:
+    """``columns`` (each ``cardinality`` long) with the rows that agree in
+    every column collapsed to their first occurrence.
+
+    When the first column repeats no value the rows are proved distinct
+    by one ``set`` pass over it — rows that differ in one column cannot be
+    equal — and the given columns come back as they are.  Only otherwise
+    are rows zipped and deduplicated.  The proof reads the data alone, so
+    duplicates collapse whoever sent them.
+    """
+    if columns and len(set(columns[0])) == cardinality:
+        return columns
+    distinct = dict.fromkeys(zip(*columns))
+    return columns if len(distinct) == cardinality else zip(*distinct)
 
 
 class Relation:
@@ -67,9 +85,12 @@ class Relation:
         """Build from one value vector per attribute, all of one length.
 
         Same set semantics as the row constructor: rows that agree in
-        every column collapse to their first occurrence.  That takes one
-        ``zip`` pass; when nothing collapses the given columns become the
-        column view as they are (tuples are not even copied).
+        every column collapse to their first occurrence
+        (:func:`distinct_columns`).  A first column with no repeated value
+        proves the rows distinct without building one row tuple; else one
+        ``zip`` pass deduplicates.  When nothing collapses the given
+        columns become the column view as they are (tuples are not even
+        copied).
 
         >>> Relation.from_columns(["A", "B"], [[1, 1, 2], ["x", "x", "y"]]).rows
         ((1, 'x'), (2, 'y'))
@@ -86,14 +107,11 @@ class Relation:
                 "ragged columns: lengths "
                 + ", ".join(str(len(column)) for column in columns)
             )
-        distinct = dict.fromkeys(zip(*columns))
         self = object.__new__(cls)
         self._heading = heading
         self._rows = None
         # tuple() of a tuple is that tuple: distinct columns are not copied.
-        self._columns = tuple(
-            zip(*distinct) if len(distinct) != cardinality else map(tuple, columns)
-        )
+        self._columns = tuple(map(tuple, distinct_columns(columns, cardinality)))
         self._indexes = None
         return self
 

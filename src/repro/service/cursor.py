@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.relation import PolygenRelation
 from repro.core.row import PolygenTuple
@@ -48,8 +48,10 @@ class Cursor:
         self._cond = threading.Condition()
         #: Columnar batches not yet claimed by any consumer.
         self._batches: "deque[PolygenRelation]" = deque()
-        #: Rows of partially consumed batches, awaiting row-level fetches.
-        self._rows: "deque[PolygenTuple]" = deque()
+        #: Rows of the batch row-level fetches are consuming; the first
+        #: ``_at`` of them are taken.
+        self._rows: Sequence[PolygenTuple] = ()
+        self._at = 0
         self._attributes: Optional[Tuple[str, ...]] = None
         self._chunked = False  # batches arrived via the streaming hook
         self._exhausted = False  # producer finished feeding
@@ -117,17 +119,28 @@ class Cursor:
     def _raise_closed(self) -> None:
         raise ServiceClosedError(self._close_reason or "cursor is closed")
 
-    def _buffered(self) -> bool:
-        return bool(self._rows or self._batches)
+    def _move(self, gathered: List[PolygenTuple], goal: Optional[int]) -> None:
+        """Move buffered rows onto ``gathered`` until it holds ``goal``
+        (``None`` = every buffered row): one slice per batch, so a take
+        costs its own rows, never the rest of the batch."""
+        while goal is None or len(gathered) < goal:
+            if self._at == len(self._rows):
+                if not self._batches:
+                    return
+                self._rows = self._batches.popleft().tuples
+                self._at = 0
+            stop = len(self._rows) if goal is None else self._at + goal - len(gathered)
+            gathered += self._rows[self._at : stop]
+            self._at = min(stop, len(self._rows))
 
     def _take(
         self, goal: Optional[int], timeout: Optional[float]
     ) -> List[PolygenTuple]:
         """Collect up to ``goal`` rows (``None`` = until end of stream).
 
-        One critical section from wait to push-back: the cursor is shared
-        by every reader of its handle, and a partially consumed batch must
-        be returned to the buffer *before* the lock drops, or a concurrent
+        One critical section from wait to the last row taken: the cursor
+        is shared by every reader of its handle, and a partially consumed
+        batch must stay buffered while the lock is held, or a concurrent
         reader could observe a premature end of stream.  Buffered rows
         drain before a pending failure surfaces; the failure is raised on
         the first call that finds nothing buffered.
@@ -137,21 +150,12 @@ class Cursor:
             while True:
                 if self._closed:
                     self._raise_closed()
-                while self._buffered() and (goal is None or len(gathered) < goal):
-                    if self._rows:
-                        gathered.append(self._rows.popleft())
-                    else:
-                        self._rows.extend(self._batches.popleft().tuples)
-                if goal is not None and len(gathered) >= goal:
-                    if len(gathered) > goal:
-                        self._rows.extendleft(reversed(gathered[goal:]))
-                        del gathered[goal:]
+                self._move(gathered, goal)
+                if len(gathered) == goal:
                     return gathered
-                if self._error is not None:
-                    if gathered:
-                        return gathered
+                if self._error is not None and not gathered:
                     raise self._error
-                if self._exhausted:
+                if self._error is not None or self._exhausted:
                     return gathered
                 if not self._cond.wait(timeout):
                     raise TimeoutError("no rows arrived within the timeout")
@@ -223,7 +227,8 @@ class Cursor:
                 self._closed = True
                 self._close_reason = reason
             self._batches.clear()
-            self._rows.clear()
+            self._rows = ()
+            self._at = 0
             self._cond.notify_all()
 
     def __enter__(self) -> "Cursor":

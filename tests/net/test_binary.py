@@ -126,9 +126,14 @@ class TestRelationChunkPayloads:
 BODY = struct.calcsize("<BBBBQIIH") + 2 + 1
 
 
+def one_payload(values):
+    """The payload of a single column named ``A``."""
+    return binary.encode_chunk_payload(1, 0, ["A"], [values], len(values))
+
+
 def one_column(values):
     """The encoded bytes of a single column named ``A``."""
-    return binary.encode_chunk_payload(1, 0, ["A"], [values], len(values))[BODY:]
+    return one_payload(values)[BODY:]
 
 
 class TestVectorLayout:
@@ -177,8 +182,32 @@ class TestVectorLayout:
         assert math.copysign(1.0, decoded[1]) == -1.0
 
     def test_strings_are_lengths_then_one_blob(self):
-        # STR tag 5, one-byte lengths 2 and 1, then "ab" + "c".
-        assert one_column(["ab", "c"]) == bytes([1, 5, 1, 2, 1]) + b"abc"
+        # A value holds U+001F, so the vector cannot be split on it: STR
+        # tag 5, one-byte lengths 3 and 1, then "a\x1fb" + "c".
+        values = ["a\x1fb", "c"]
+        assert one_column(values) == bytes([1, 5, 1, 3, 1]) + b"a\x1fbc"
+        assert roundtrip([values])["columns"] == [values]
+
+    def test_strings_without_the_separator_are_one_split_blob(self):
+        # STR tag 5, width byte 0, u32 byte length 4, then "ab" US "c".
+        assert one_column(["ab", "c"]) == bytes([1, 5, 0, 4, 0, 0, 0]) + b"ab\x1fc"
+
+    def test_empty_strings_split_back_in_place(self):
+        values = ["", "a", "", "b"]
+        assert one_column(values)[2] == 0
+        assert roundtrip([values])["columns"] == [values]
+
+    def test_a_blob_splitting_into_the_wrong_count_is_refused(self):
+        payload = bytearray(one_payload(["ab", "c"]))
+        payload[-2] = ord("x")  # "ab" US "c" becomes one value, "abxc"
+        with pytest.raises(ProtocolError, match="splits into 1 values, not 2"):
+            binary.decode_chunk_payload(bytes(payload))
+
+    def test_a_blob_running_past_the_payload_is_refused(self):
+        payload = bytearray(one_payload(["ab", "c"]))
+        payload[BODY + 3 : BODY + 7] = struct.pack("<I", 5)
+        with pytest.raises(ProtocolError, match="string blob runs past the payload"):
+            binary.decode_chunk_payload(bytes(payload))
 
     def test_non_ascii_and_surrogate_strings_survive(self):
         values = ["é", "", "\x00", "日本", "\ud800", "x" * 300]
@@ -189,9 +218,10 @@ class TestVectorLayout:
             binary.encode_chunk_payload(1, 0, ["A"], [["p", "q", "p", "p"]], 4)
         )
         # validity, STRDICT tag, u32 entry count 2, then the entries'
-        # string vector (width 1, lengths 1 1, "pq"), then the indexes.
+        # string vector (width 0, u32 byte length 3, "p" US "q"), then the
+        # indexes (width 1).
         assert payload[BODY + 1] == 6
-        index = BODY + 2 + 4 + 1 + 2 + 2 + 1
+        index = BODY + 2 + 4 + 1 + 4 + 3 + 1
         assert list(payload[index:]) == [0, 1, 0, 0]
         payload[index + 2] = 2
         with pytest.raises(ProtocolError, match="dictionary index 2"):
@@ -269,7 +299,7 @@ FLOATS = st.one_of(
 TEXTS = st.one_of(
     st.text(),
     st.text(alphabet=st.characters(max_codepoint=127)),
-    st.sampled_from(["", "\x00", "é"]),
+    st.sampled_from(["", "\x00", "é", "\x1f", "a\x1fb"]),
 )
 SCALARS = st.one_of(INTS, st.booleans(), FLOATS, TEXTS)
 
@@ -327,8 +357,9 @@ EVERY_TYPE = [
     [2**70, None, -1, 0],                      # BIGINT, sparse
     [1.5, math.nan, -0.0, math.inf],           # FLOAT8
     [1.0, 2.0, None, -3.0],                    # FLOATC, sparse
-    ["ab", "", "\x00", "xyz"],                 # STR, ASCII
-    ["é", "日本", None, "ö"],                   # STR, non-ASCII
+    ["ab", "", "\x00", "xyz"],                 # STR, ASCII, split form
+    ["é", "日本", None, "ö"],                   # STR, non-ASCII, split form
+    ["a\x1fb", "", None, "é"],                 # STR, lengths form
     ["k", "k", "k", "m"],                      # STRDICT
     ["s", 1, 2.5, True],                       # MIXED
     [None, None, None, None],                  # all nil

@@ -1,6 +1,8 @@
 """Unit tests for the untagged local relation type."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DegreeMismatchError, UnknownAttributeError
 from repro.relational.relation import Relation
@@ -61,6 +63,47 @@ class TestFromColumns:
     def test_row_built_relation_has_the_column_view(self):
         assert Relation(["A", "B"], [(1, "x"), (2, "y")]).columns == ((1, 2), ("x", "y"))
         assert Relation(["A", "B"]).columns == ((), ())
+
+    def test_a_distinct_first_column_keeps_later_repeats(self):
+        r = Relation.from_columns(["A", "B"], [[1, 2, 3], ["x", "x", "x"]])
+        assert r.rows == ((1, "x"), (2, "x"), (3, "x"))
+
+    def test_rows_repeating_in_the_first_column_still_collapse(self):
+        nan = float("nan")
+        r = Relation.from_columns(["A", "B"], [[nan, nan, 1, True], ["x", "x", 2, 2.0]])
+        assert r.cardinality == 2 and r.rows[1] == (1, 2)
+        assert type(r.rows[1][0]) is int and type(r.rows[1][1]) is int
+
+
+#: One NaN object, drawn twice, equals itself in a row; a second NaN
+#: object equals neither.  1, True and 1.0 are one value, as are 0.0 and
+#: -0.0, so a distinctness test finer than ``==`` keeps rows the row
+#: constructor collapses.
+NAN = float("nan")
+OTHER_NAN = float("nan")
+CELLS = st.sampled_from([0, 1, True, 1.0, 0.0, -0.0, None, "a", "b", NAN, OTHER_NAN])
+
+
+@st.composite
+def column_lists(draw):
+    count = draw(st.integers(0, 12))
+    # A wide first column is often distinct (the proof path), a narrow one
+    # repeats (the dedup path); later columns repeat freely.
+    first = draw(st.sampled_from([CELLS, st.one_of(CELLS, st.integers(2, 60))]))
+    later = [CELLS] * draw(st.integers(0, 2))
+    return [draw(st.lists(cells, min_size=count, max_size=count)) for cells in [first, *later]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_lists())
+def test_from_columns_keeps_the_row_constructors_rows_in_order(columns):
+    heading = [f"C{i}" for i in range(len(columns))]
+    built = Relation.from_columns(heading, columns).rows
+    expected = Relation(heading, zip(*columns)).rows
+    assert built == expected
+    # == takes 1 for True and 0.0 for -0.0; repr and identity do not.
+    assert list(map(repr, built)) == list(map(repr, expected))
+    assert [list(map(id, row)) for row in built] == [list(map(id, row)) for row in expected]
 
 
 class TestAccessors:

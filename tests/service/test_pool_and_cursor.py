@@ -161,6 +161,14 @@ class TestCursor:
         other._feed(_relation(5))
         assert [row.data[1] for row in other] == [0, 1, 2, 3, 4]
 
+    def test_mixed_fetches_resume_mid_batch_in_order(self):
+        cursor = Cursor(fetch_size=3)
+        cursor._feed(_relation(8))
+        taken = [cursor.fetchone()] + cursor.fetchmany(4) + [cursor.fetchone()]
+        taken += cursor.fetchall()
+        assert [row.data[1] for row in taken] == list(range(8))
+        assert cursor.fetchall() == [] and cursor.fetchone() is None
+
     def test_rows_stream_before_the_producer_finishes(self):
         cursor = Cursor(fetch_size=2)
 
